@@ -7,6 +7,7 @@ group/representation/suite, 3 numerical breakdown while checking.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -39,6 +40,26 @@ def _fd_step(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _positive_real(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive real, got {text!r}")
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liechart",
@@ -51,10 +72,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="representation name for the rep suite (default: trivial)")
     run.add_argument("--suite", default="all", help=f"one of {', '.join(SUITE_NAMES)}")
     run.add_argument("--seed", type=int, default=42)
-    run.add_argument("--samples", type=int, default=20)
+    run.add_argument("--samples", type=_positive_int, default=20)
     run.add_argument("--fd-step", type=_fd_step, default="auto",
                      help="finite-difference base step; 'auto' picks cbrt(eps)")
-    run.add_argument("--tol-scale", type=float, default=1.0,
+    run.add_argument("--tol-scale", type=_positive_real, default=1.0,
                      help="multiplies every default tolerance")
     run.add_argument("--json", type=Path, default=None,
                      help="write the report to this path as deterministic JSON")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -84,6 +84,20 @@ def maxabs(x) -> float:
     if a.size == 0:
         return 0.0
     return float(np.max(np.abs(a)))
+
+
+def worst_of(residuals: Iterable[float]) -> float:
+    """Largest residual, 0.0 for none; a NaN anywhere makes the result NaN.
+
+    Plain max() keeps its first argument when compared against NaN, which
+    would turn a NaN residual into a passing 0.0.
+    """
+    worst = 0.0
+    for r in residuals:
+        r = float(r)
+        if r > worst or r != r:
+            worst = r
+    return worst
 
 
 def inverse(chart: GroupChart, a, cfg: DiffConfig | None = None) -> np.ndarray:
@@ -219,10 +233,8 @@ def check_chart_axioms(chart: GroupChart, cfg: DiffConfig | None = None,
     def run(check_id: str, arity: int, tol: float, residual) -> None:
         rng = check_rng(cfg, check_id)
         pts = sample_points(chart, cfg, rng, cfg.sample_count * arity)
-        worst = 0.0
-        for i in range(cfg.sample_count):
-            args = [pts[i * arity + k] for k in range(arity)]
-            worst = max(worst, residual(*args))
+        worst = worst_of(residual(*pts[i * arity:(i + 1) * arity])
+                         for i in range(cfg.sample_count))
         rpt.add(CheckRecord.from_residual(check_id, worst, tol * tol_scale, cfg.sample_count))
 
     run("chart_identity_left", 1, 1e-10, lambda a: maxabs(chart.compose(e, a) - a))
@@ -452,10 +464,8 @@ def verify_shift_identities(chart: GroupChart, cfg: DiffConfig | None = None,
     for check_id, arity, fn in _SHIFT_CHECKS:
         rng = check_rng(cfg, check_id)
         pts = sample_points(chart, cfg, rng, cfg.sample_count * arity)
-        worst = 0.0
-        for i in range(cfg.sample_count):
-            args = [pts[i * arity + k] for k in range(arity)]
-            worst = max(worst, fn(chart, cfg, *args))
+        worst = worst_of(fn(chart, cfg, *pts[i * arity:(i + 1) * arity])
+                         for i in range(cfg.sample_count))
         rpt.add(CheckRecord.from_residual(check_id, worst, _SHIFT_TOL * tol_scale,
                                           cfg.sample_count))
     return rpt

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,8 +119,14 @@ def _js(s: str | None) -> str:
 
 
 def _jf(x: float) -> str:
-    """Format a real with 17 significant digits, stable across runs."""
+    """Format a real with 17 significant digits, stable across runs.
+
+    JSON has no NaN or Infinity, so a non-finite value is written as null;
+    a record holding one never passes.
+    """
     v = float(x)
+    if not math.isfinite(v):
+        return "null"
     if v == int(v) and abs(v) < 1e16:
         return f"{v:.1f}"
     return format(v, ".17g")

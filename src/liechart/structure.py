@@ -14,16 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import GroupChart, check_rng, maxabs, psi_flavored, psi_pair, sample_points
-from .numdiff import (
-    QUART_EPS,
-    DiffConfig,
-    invert,
-    jacobian,
-    mixed_second,
-    numeric_rank,
-    vf_commutator,
-)
+from .group import GroupChart, check_rng, maxabs, psi_flavored, sample_points, worst_of
+from .numdiff import QUART_EPS, DiffConfig, invert, jacobian, mixed_second, numeric_rank
 
 
 @dataclass(frozen=True)
@@ -57,7 +49,7 @@ def group_generators(chart: GroupChart, cfg: DiffConfig | None = None) -> GroupG
     # Differentiating a field that is itself a finite difference needs a
     # wider outer step, or roundoff from the inner stencil dominates.
     outer = cfg.replace(base_step=max(cfg.base_step, QUART_EPS))
-    dpsi = jacobian(lambda a: psi_pair(chart, a, cfg)[1].ravel(), e, outer)
+    dpsi = jacobian(lambda a: psi_flavored(chart, a, "right", cfg).ravel(), e, outer)
     right_tensor = dpsi.reshape(chart.n, chart.n, chart.n)
     return GroupGenerators(chart, tensor, right_tensor)
 
@@ -138,17 +130,26 @@ def structure_constants_at_point(chart: GroupChart, a, flavor: str,
     return np.einsum("rt,pv,urp->utv", psi, psi, antis)
 
 
+def _flavored_constants(chart: GroupChart, flavor: str, cfg: DiffConfig,
+                        constants: StructureConstants | None) -> StructureConstants:
+    """The given constants after a flavor check, or freshly measured ones."""
+    if constants is None:
+        return structure_constants(group_generators(chart, cfg), flavor)
+    if constants.flavor != flavor:
+        raise ValueError("constants flavor does not match requested flavor")
+    return constants
+
+
 def constancy_residual(chart: GroupChart, flavor: str, cfg: DiffConfig | None = None,
-                       points: int = 5) -> float:
+                       points: int = 5,
+                       constants: StructureConstants | None = None) -> float:
     """Spread of point-measured constants across sampled points."""
     cfg = cfg or DiffConfig()
     rng = check_rng(cfg, f"constancy_{flavor}")
     pts = sample_points(chart, cfg, rng, points)
-    base = structure_constants(group_generators(chart, cfg), flavor).c
-    worst = 0.0
-    for a in pts:
-        worst = max(worst, maxabs(structure_constants_at_point(chart, a, flavor, cfg) - base))
-    return worst
+    base = _flavored_constants(chart, flavor, cfg, constants).c
+    return worst_of(maxabs(structure_constants_at_point(chart, a, flavor, cfg) - base)
+                    for a in pts)
 
 
 def maurer_residual(chart: GroupChart, flavor: str, cfg: DiffConfig | None = None,
@@ -159,20 +160,18 @@ def maurer_residual(chart: GroupChart, flavor: str, cfg: DiffConfig | None = Non
     constants contracted with two copies of that field.
     """
     cfg = cfg or DiffConfig()
-    if constants is None:
-        constants = structure_constants(group_generators(chart, cfg), flavor)
-    if constants.flavor != flavor:
-        raise ValueError("constants flavor does not match requested flavor")
+    constants = _flavored_constants(chart, flavor, cfg, constants)
     rng = check_rng(cfg, f"maurer_{flavor}")
     pts = sample_points(chart, cfg, rng, cfg.sample_count)
-    worst = 0.0
-    for a in pts:
+
+    def residual(a: np.ndarray) -> float:
         psi, dpsi = _field_derivatives(chart, a, flavor, cfg)
         lam, dlam = _lam_derivative(psi, dpsi, cfg.rank_tol)
         curl = dlam - np.transpose(dlam, (0, 2, 1))
         contracted = np.einsum("utv,tp,vr->upr", constants.c, lam, lam)
-        worst = max(worst, maxabs(contracted - curl))
-    return worst
+        return maxabs(contracted - curl)
+
+    return worst_of(residual(a) for a in pts)
 
 
 def invariant_field_commutators(chart: GroupChart, flavor: str,
@@ -185,26 +184,31 @@ def invariant_field_commutators(chart: GroupChart, flavor: str,
     Column V of the basic operator field is the V-th invariant frame
     field; its commutators must reproduce the structure constants with
     the matching flavor, and the frame must stay full rank.
+
+    The whole frame is differentiated once per point, d psi[K][V] / d x^L
+    for all K, V, L, by nested first differences, so this check stays
+    independent of the mixed_second stencil the Maurer check uses.
     """
     cfg = cfg or DiffConfig()
-    if constants is None:
-        constants = structure_constants(group_generators(chart, cfg), flavor)
-    if constants.flavor != flavor:
-        raise ValueError("constants flavor does not match requested flavor")
+    constants = _flavored_constants(chart, flavor, cfg, constants)
     rng = check_rng(cfg, f"field_commutators_{flavor}")
     pts = sample_points(chart, cfg, rng, cfg.sample_count)
+    n = chart.n
 
-    def frame_field(v: int):
-        return lambda x: psi_flavored(chart, x, flavor, cfg)[:, v]
-
-    worst = 0.0
-    min_rank = chart.n
+    residuals = []
+    min_rank = n
     for a in pts:
         psi = psi_flavored(chart, a, flavor, cfg)
         min_rank = min(min_rank, numeric_rank(psi, cfg.rank_tol))
-        for t in range(chart.n):
-            for v in range(t + 1, chart.n):
-                measured = vf_commutator(frame_field(t), frame_field(v), a, cfg)
-                expected = psi @ constants.c[:, t, v]
-                worst = max(worst, maxabs(measured - expected))
-    return worst, min_rank
+        if n < 2:
+            continue  # a single frame field has no commutators
+        dframe = jacobian(lambda x: psi_flavored(chart, x, flavor, cfg).ravel(), a, cfg)
+        # jac[V] is the Jacobian of frame field V; contiguous copies give each
+        # product the memory layout, and so the bits, of vf_commutator
+        jac = np.ascontiguousarray(dframe.reshape(n, n, n).transpose(1, 0, 2))
+        fields = np.ascontiguousarray(psi.T)
+        for t in range(n):
+            for v in range(t + 1, n):
+                measured = jac[v] @ fields[t] - jac[t] @ fields[v]
+                residuals.append(maxabs(measured - psi @ constants.c[:, t, v]))
+    return worst_of(residuals), min_rank

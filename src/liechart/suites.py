@@ -96,7 +96,9 @@ def structure_suite(group_name: str, cfg: DiffConfig, tol_scale: float = 1.0) ->
 
     for flavor, consts in (("left", c_left), ("right", c_right)):
         records.append(_record(f"constancy_{flavor}",
-                               structure.constancy_residual(chart, flavor, cfg), 5, tol_scale))
+                               structure.constancy_residual(chart, flavor, cfg,
+                                                            constants=consts),
+                               5, tol_scale))
         records.append(_record(f"maurer_{flavor}",
                                structure.maurer_residual(chart, flavor, cfg, consts),
                                n, tol_scale))

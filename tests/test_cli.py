@@ -68,6 +68,19 @@ def test_bad_fd_step_rejected():
         run_cli("run", "--group", "affine", "--fd-step", "2.0")
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--samples", "0"),
+    ("--tol-scale", "-1"),
+    ("--tol-scale", "nan"),
+])
+def test_bad_flag_value_is_usage_error(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--group", "affine", "--suite", "shift", flag, value)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and flag in err
+
+
 def test_json_report_written(tmp_path, capsys):
     target = tmp_path / "out.json"
     code = run_cli("run", "--group", "affine", "--suite", "structure",

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from liechart.group import (
     sample_points,
     shift_jacobians,
     verify_shift_identities,
+    worst_of,
     SHIFT_CHECK_IDS,
 )
 from liechart.numdiff import DiffConfig
@@ -157,3 +160,30 @@ def test_shift_identities_pass(name):
 def test_shift_identities_tol_scale_forces_failure():
     report = verify_shift_identities(get_group("affine"), CFG, tol_scale=1e-12)
     assert not report.all_passed
+
+
+def test_worst_of_keeps_nan():
+    nan = float("nan")
+    assert worst_of([]) == 0.0
+    assert worst_of([1e-9, 3e-7, 2e-8]) == 3e-7
+    # max(0.0, nan) would keep 0.0; the NaN must survive wherever it sits
+    for residuals in ([nan, 1.0], [1.0, nan], [0.0, nan, 0.5]):
+        assert np.isnan(worst_of(residuals))
+
+
+def test_nan_law_fails_associativity_and_serializes():
+    def compose(a, b):
+        # addition that breaks down past 0.25, which a single sample point
+        # (|a| <= 0.2) never reaches but some sampled products do
+        return np.full(1, np.nan) if a[0] + b[0] > 0.25 else a + b
+
+    chart = GroupChart(n=1, compose=compose, identity=np.zeros(1),
+                       inverse_hint=lambda a: -a, name="nan-law")
+    report = check_chart_axioms(chart, DiffConfig(sample_count=20))
+    assoc = next(r for r in report.checks if r.check_id == "chart_associativity")
+    assert np.isnan(assoc.max_residual)
+    assert not assoc.passed
+    doc = json.loads(report.to_json())
+    row = next(c for c in doc["checks"] if c["id"] == "chart_associativity")
+    assert row["max_residual"] is None
+    assert row["pass"] is False

@@ -109,3 +109,16 @@ def test_residual_roundtrip_through_json(x):
     doc = json.loads(rpt.to_json())
     back = doc["checks"][0]["max_residual"]
     assert back == x or (math.isnan(back) and math.isnan(x))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_nonfinite_residual_serializes_as_null(bad):
+    rpt = demo_report()
+    rpt.add(CheckRecord.from_residual("delta", bad, 1e-3, 4))
+    text = rpt.to_json()
+    assert '{"id": "delta", "max_residual": null, "samples": 4, "pass": false}' in text
+    assert json.loads(text)["checks"][-1]["max_residual"] is None
+    # the finite rows keep their exact bytes
+    for row in demo_report().to_json().splitlines():
+        if '"max_residual"' in row:
+            assert row.rstrip(",") in text

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from liechart import catalog
 from liechart.catalog import get_group, get_oracles
-from liechart.group import check_rng, sample_points
-from liechart.numdiff import DiffConfig
+from liechart.group import check_rng, maxabs, psi_flavored, sample_points
+from liechart.numdiff import DiffConfig, numeric_rank, vf_commutator
 from liechart.structure import (
     antisymmetry_residual,
     bracket,
@@ -20,6 +22,7 @@ from liechart.structure import (
     structure_constants_at_point,
     swap_residual,
 )
+from liechart.suites import run_suite
 
 CFG = DiffConfig(sample_count=5)
 
@@ -154,6 +157,61 @@ def test_invariant_field_commutators(name, flavor):
     worst, min_rank = invariant_field_commutators(chart, flavor, CFG, constants=c)
     assert worst < 1e-3
     assert min_rank == chart.n
+
+
+def per_pair_field_commutators(chart, flavor, cfg, constants):
+    """Reference: one vf_commutator, with its own nested Jacobians, per pair."""
+    rng = check_rng(cfg, f"field_commutators_{flavor}")
+    pts = sample_points(chart, cfg, rng, cfg.sample_count)
+
+    def frame_field(v):
+        return lambda x: psi_flavored(chart, x, flavor, cfg)[:, v]
+
+    worst = 0.0
+    min_rank = chart.n
+    for a in pts:
+        psi = psi_flavored(chart, a, flavor, cfg)
+        min_rank = min(min_rank, numeric_rank(psi, cfg.rank_tol))
+        for t in range(chart.n):
+            for v in range(t + 1, chart.n):
+                measured = vf_commutator(frame_field(t), frame_field(v), a, cfg)
+                worst = max(worst, maxabs(measured - psi @ constants.c[:, t, v]))
+    return worst, min_rank
+
+
+@pytest.mark.parametrize("name", ["affine", "gl:2"])
+@pytest.mark.parametrize("flavor", ["left", "right"])
+def test_field_commutators_match_per_pair_reference(name, flavor):
+    chart = get_group(name)
+    c = structure_constants(group_generators(chart, CFG), flavor)
+    worst, min_rank = invariant_field_commutators(chart, flavor, CFG, constants=c)
+    ref_worst, ref_rank = per_pair_field_commutators(chart, flavor, CFG, c)
+    assert np.array_equal(worst, ref_worst)
+    assert min_rank == ref_rank
+
+
+# composition-law evaluations of the seed-42 structure suite at the default
+# 20 samples.  CEILING_EVALS are the counts of the per-pair route above
+# with the generator tensor measured once per flavor; no change to the
+# suite should rise above them.
+STRUCTURE_EVALS = {"gl:3": 32_438, "gl:2": 7_078, "translation:1": 726}
+CEILING_EVALS = {"gl:3": 1_006_708, "gl:2": 39_528, "translation:1": 756}
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURE_EVALS))
+def test_structure_suite_eval_count(name, monkeypatch):
+    count = [0]
+    chart = get_group(name)
+
+    def counted(a, b):
+        count[0] += 1
+        return chart.compose(a, b)
+
+    monkeypatch.setattr(catalog, "get_group",
+                        lambda _: dataclasses.replace(chart, compose=counted))
+    assert run_suite(name, "structure", DiffConfig()).all_passed
+    assert count[0] == STRUCTURE_EVALS[name]
+    assert count[0] <= CEILING_EVALS[name]
 
 
 def test_structure_constants_rejects_unknown_flavor():
