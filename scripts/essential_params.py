@@ -10,6 +10,7 @@ import argparse
 import sys
 
 from liechart.catalog import GROUP_NAMES, get_group
+from liechart.cli import positive_int
 from liechart.numdiff import DiffConfig
 from liechart.pde import (
     bundled_families,
@@ -29,7 +30,7 @@ def show(name: str, ranks: list[int], expected: int | None) -> None:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--samples", type=int, default=10)
+    parser.add_argument("--samples", type=positive_int, default=10)
     args = parser.parse_args()
     cfg = DiffConfig(sample_count=args.samples)
 

@@ -9,13 +9,14 @@ import time
 from pathlib import Path
 
 from liechart.catalog import GROUP_NAMES
+from liechart.cli import positive_int
 from liechart.numdiff import DiffConfig
 from liechart.suites import SUITE_NAMES, run_suite
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--samples", type=int, default=10)
+    parser.add_argument("--samples", type=positive_int, default=10)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--json-dir", type=Path, default=None,
                         help="also write one report file per (group, suite)")

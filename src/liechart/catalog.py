@@ -18,7 +18,13 @@ import numpy as np
 
 from .errors import UnknownEntry
 from .group import GroupChart
-from .reps import RepChart, direct_sum, tensor_product
+from .reps import (
+    RepChart,
+    direct_sum,
+    direct_sum_generators,
+    tensor_generators,
+    tensor_product,
+)
 
 MatrixFn = Callable[[np.ndarray], np.ndarray]
 
@@ -291,15 +297,5 @@ def rep_generator_oracle(group_name: str, rep_name: str) -> list[np.ndarray] | N
     if g1 is None or g2 is None:
         return None
     if kind == "tensor":
-        m1 = g1[0].shape[0]
-        m2 = g2[0].shape[0]
-        return [np.kron(a, np.eye(m2)) + np.kron(np.eye(m1), b) for a, b in zip(g1, g2)]
-    out = []
-    for a, b in zip(g1, g2):
-        m1 = a.shape[0]
-        m2 = b.shape[0]
-        block = np.zeros((m1 + m2, m1 + m2))
-        block[:m1, :m1] = a
-        block[m1:, m1:] = b
-        out.append(block)
-    return out
+        return tensor_generators(g1, g2)
+    return direct_sum_generators(g1, g2)

@@ -40,7 +40,8 @@ def _fd_step(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
+def positive_int(text: str) -> int:
+    """argparse type for a count of at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -72,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="representation name for the rep suite (default: trivial)")
     run.add_argument("--suite", default="all", help=f"one of {', '.join(SUITE_NAMES)}")
     run.add_argument("--seed", type=int, default=42)
-    run.add_argument("--samples", type=_positive_int, default=20)
+    run.add_argument("--samples", type=positive_int, default=20)
     run.add_argument("--fd-step", type=_fd_step, default="auto",
                      help="finite-difference base step; 'auto' picks cbrt(eps)")
     run.add_argument("--tol-scale", type=_positive_real, default=1.0,

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LeftChart, ZeroPsi
-from .group import GroupChart, check_rng, maxabs, psi_flavored, sample_points
+from .group import GroupChart, maxabs, psi_flavored, worst_of, worst_over_samples
 from .numdiff import DiffConfig, as_finite_array, jacobian
 
 _STEPS_PER_UNIT = 1000
@@ -30,6 +30,15 @@ class FlowResult:
         return self.path[-1]
 
 
+def rk4_step(rhs, y: np.ndarray, s: float, h: float) -> np.ndarray:
+    """One classical Runge-Kutta step of y' = rhs(y, s) from s to s + h."""
+    k1 = rhs(y, s)
+    k2 = rhs(y + 0.5 * h * k1, s + 0.5 * h)
+    k3 = rhs(y + 0.5 * h * k2, s + 0.5 * h)
+    k4 = rhs(y + h * k3, s + h)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def one_param_subgroup(chart: GroupChart, alpha, t_end: float,
                        steps: int | None = None, flavor: str = "right",
                        cfg: DiffConfig | None = None) -> FlowResult:
@@ -47,7 +56,7 @@ def one_param_subgroup(chart: GroupChart, alpha, t_end: float,
     if steps is None:
         steps = max(1, math.ceil(_STEPS_PER_UNIT * abs(t_end)))
 
-    def rhs(c: np.ndarray) -> np.ndarray:
+    def rhs(c: np.ndarray, _s: float) -> np.ndarray:
         return psi_flavored(chart, c, flavor, cfg) @ alpha
 
     h = t_end / steps
@@ -55,12 +64,7 @@ def one_param_subgroup(chart: GroupChart, alpha, t_end: float,
     c = chart.identity.copy()
     path[0] = c
     for i in range(steps):
-        k1 = rhs(c)
-        k2 = rhs(c + 0.5 * h * k1)
-        k3 = rhs(c + 0.5 * h * k2)
-        k4 = rhs(c + h * k3)
-        c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        c = as_finite_array(c, "flow state")
+        c = as_finite_array(rk4_step(rhs, c, i * h, h), "flow state")
         if maxabs(c - chart.identity) > chart.chart_radius:
             raise LeftChart(f"flow left the trust region at t = {(i + 1) * h:.6g}")
         path[i + 1] = c
@@ -75,15 +79,10 @@ def homomorphism_residual(chart: GroupChart, flow: FlowResult, pairs: int = 10) 
     rather than interpolation error.
     """
     steps = flow.path.shape[0] - 1
-    if steps < 2:
-        return 0.0
-    worst = 0.0
     stride = max(1, steps // pairs)
-    for i in range(stride, steps, stride):
-        j = steps - i
-        combined = chart.compose(flow.path[i], flow.path[j])
-        worst = max(worst, maxabs(combined - flow.path[steps]))
-    return worst
+    end = flow.path[steps]
+    return worst_of(maxabs(chart.compose(flow.path[i], flow.path[steps - i]) - end)
+                    for i in range(stride, steps, stride))
 
 
 def reparameterization_residual(chart: GroupChart, alpha, cfg: DiffConfig | None = None,
@@ -156,12 +155,10 @@ def canonical_coordinate(chart: GroupChart, a, cfg: DiffConfig | None = None) ->
 def additivity_residual(chart: GroupChart, cfg: DiffConfig | None = None) -> float:
     """The canonical coordinate turns composition into addition."""
     cfg = cfg or DiffConfig()
-    rng = check_rng(cfg, "canonical_additivity")
-    pts = sample_points(chart, cfg, rng, 2 * cfg.sample_count)
-    worst = 0.0
-    for i in range(cfg.sample_count):
-        a, b = pts[2 * i], pts[2 * i + 1]
+
+    def residual(a: np.ndarray, b: np.ndarray) -> float:
         lhs = canonical_coordinate(chart, chart.compose(a, b), cfg)
         rhs = canonical_coordinate(chart, a, cfg) + canonical_coordinate(chart, b, cfg)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+        return abs(lhs - rhs)
+
+    return worst_over_samples(chart, cfg, "canonical_additivity", residual, arity=2)

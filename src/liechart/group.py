@@ -174,15 +174,26 @@ def sample_points(
     return out
 
 
+def worst_over_samples(chart: GroupChart, cfg: DiffConfig, check_id: str,
+                       residual: Callable[..., float], arity: int = 1,
+                       count: int | None = None) -> float:
+    """Worst residual of one check over its own sampled points.
+
+    Draws count * arity points (count defaults to cfg.sample_count) from
+    the check's generator and passes them to `residual` in consecutive
+    groups of `arity`.
+    """
+    count = count or cfg.sample_count
+    pts = sample_points(chart, cfg, check_rng(cfg, check_id), count * arity)
+    return worst_of(residual(*pts[i * arity:(i + 1) * arity]) for i in range(count))
+
+
 def shift_jacobians(chart: GroupChart, a, b, cfg: DiffConfig | None = None) -> ShiftJacobians:
     """Both slot derivatives of the composition law at (a, b)."""
     cfg = cfg or DiffConfig()
     a = as_finite_array(a)
     b = as_finite_array(b)
-    return ShiftJacobians(
-        left=jacobian(lambda x: chart.compose(x, b), a, cfg),
-        right=jacobian(lambda y: chart.compose(a, y), b, cfg),
-    )
+    return ShiftJacobians(left=_a_left(chart, a, b, cfg), right=_a_right(chart, a, b, cfg))
 
 
 def _a_left(chart: GroupChart, a, b, cfg: DiffConfig) -> np.ndarray:
@@ -230,27 +241,23 @@ def check_chart_axioms(chart: GroupChart, cfg: DiffConfig | None = None,
     e = chart.identity
     eye = np.eye(chart.n)
 
-    def run(check_id: str, arity: int, tol: float, residual) -> None:
-        rng = check_rng(cfg, check_id)
-        pts = sample_points(chart, cfg, rng, cfg.sample_count * arity)
-        worst = worst_of(residual(*pts[i * arity:(i + 1) * arity])
-                         for i in range(cfg.sample_count))
-        rpt.add(CheckRecord.from_residual(check_id, worst, tol * tol_scale, cfg.sample_count))
+    def run(check_id: str, arity: int, residual) -> None:
+        worst = worst_over_samples(chart, cfg, check_id, residual, arity)
+        rpt.add(record(check_id, worst, cfg.sample_count, tol_scale))
 
-    run("chart_identity_left", 1, 1e-10, lambda a: maxabs(chart.compose(e, a) - a))
-    run("chart_identity_right", 1, 1e-10, lambda a: maxabs(chart.compose(a, e) - a))
-    run("chart_associativity", 3, 1e-9, lambda a, b, c: maxabs(
+    run("chart_identity_left", 1, lambda a: maxabs(chart.compose(e, a) - a))
+    run("chart_identity_right", 1, lambda a: maxabs(chart.compose(a, e) - a))
+    run("chart_associativity", 3, lambda a, b, c: maxabs(
         chart.compose(chart.compose(a, b), c) - chart.compose(a, chart.compose(b, c))))
-    run("inverse_left", 1, 1e-8, lambda a: maxabs(chart.compose(inverse(chart, a, cfg), a) - e))
-    run("inverse_right", 1, 1e-8, lambda a: maxabs(chart.compose(a, inverse(chart, a, cfg)) - e))
-    run("inverse_roundtrip", 1, 1e-7, lambda a: maxabs(
+    run("inverse_left", 1, lambda a: maxabs(chart.compose(inverse(chart, a, cfg), a) - e))
+    run("inverse_right", 1, lambda a: maxabs(chart.compose(a, inverse(chart, a, cfg)) - e))
+    run("inverse_roundtrip", 1, lambda a: maxabs(
         inverse(chart, inverse(chart, a, cfg), cfg) - a))
 
     ops_e = basic_operators(chart, e, cfg)
-    rpt.add(CheckRecord.from_residual(
-        "basic_ops_at_identity",
-        max(maxabs(ops_e.left - eye), maxabs(ops_e.right - eye)),
-        1e-7 * tol_scale, 1))
+    rpt.add(record("basic_ops_at_identity",
+                   worst_of((maxabs(ops_e.left - eye), maxabs(ops_e.right - eye))),
+                   1, tol_scale))
     return rpt
 
 
@@ -308,47 +315,47 @@ def _res_lambda_right_closed_form(chart, cfg, a):
 
 def _res_factorization_left(chart, cfg, a, b):
     ab = chart.compose(a, b)
-    psi_l_ab, _ = psi_pair(chart, ab, cfg)
-    lam_l_a = invert(psi_pair(chart, a, cfg)[0], cfg.rank_tol)
+    psi_l_ab = psi_flavored(chart, ab, "left", cfg)
+    lam_l_a = invert(psi_flavored(chart, a, "left", cfg), cfg.rank_tol)
     return maxabs(_a_left(chart, a, b, cfg) - psi_l_ab @ lam_l_a)
 
 
 def _res_factorization_right(chart, cfg, a, b):
     ab = chart.compose(a, b)
-    _, psi_r_ab = psi_pair(chart, ab, cfg)
-    lam_r_b = invert(psi_pair(chart, b, cfg)[1], cfg.rank_tol)
+    psi_r_ab = psi_flavored(chart, ab, "right", cfg)
+    lam_r_b = invert(psi_flavored(chart, b, "right", cfg), cfg.rank_tol)
     return maxabs(_a_right(chart, a, b, cfg) - psi_r_ab @ lam_r_b)
 
 
 def _res_inverse_jacobian_left_route(chart, cfg, a):
     a_inv = inverse(chart, a, cfg)
     j_num = jacobian(lambda x: inverse(chart, x, cfg), a, cfg)
-    psi_l_inv, _ = psi_pair(chart, a_inv, cfg)
-    lam_r_a = invert(psi_pair(chart, a, cfg)[1], cfg.rank_tol)
+    psi_l_inv = psi_flavored(chart, a_inv, "left", cfg)
+    lam_r_a = invert(psi_flavored(chart, a, "right", cfg), cfg.rank_tol)
     return maxabs(j_num + psi_l_inv @ lam_r_a)
 
 
 def _res_inverse_jacobian_right_route(chart, cfg, a):
     a_inv = inverse(chart, a, cfg)
     j_num = jacobian(lambda x: inverse(chart, x, cfg), a, cfg)
-    _, psi_r_inv = psi_pair(chart, a_inv, cfg)
-    lam_l_a = invert(psi_pair(chart, a, cfg)[0], cfg.rank_tol)
+    psi_r_inv = psi_flavored(chart, a_inv, "right", cfg)
+    lam_l_a = invert(psi_flavored(chart, a, "left", cfg), cfg.rank_tol)
     return maxabs(j_num + psi_r_inv @ lam_l_a)
 
 
 def _res_quotient_left(chart, cfg, a, b):
     j_num = jacobian(lambda x: chart.compose(inverse(chart, x, cfg), b), a, cfg)
     w = chart.compose(inverse(chart, a, cfg), b)
-    psi_l_w, _ = psi_pair(chart, w, cfg)
-    lam_r_a = invert(psi_pair(chart, a, cfg)[1], cfg.rank_tol)
+    psi_l_w = psi_flavored(chart, w, "left", cfg)
+    lam_r_a = invert(psi_flavored(chart, a, "right", cfg), cfg.rank_tol)
     return maxabs(j_num + psi_l_w @ lam_r_a)
 
 
 def _res_quotient_right(chart, cfg, a, b):
     j_num = jacobian(lambda x: chart.compose(b, inverse(chart, x, cfg)), a, cfg)
     w = chart.compose(b, inverse(chart, a, cfg))
-    _, psi_r_w = psi_pair(chart, w, cfg)
-    lam_l_a = invert(psi_pair(chart, a, cfg)[0], cfg.rank_tol)
+    psi_r_w = psi_flavored(chart, w, "right", cfg)
+    lam_l_a = invert(psi_flavored(chart, a, "left", cfg), cfg.rank_tol)
     return maxabs(j_num + psi_r_w @ lam_l_a)
 
 
@@ -356,10 +363,10 @@ def _res_triple_product_left_route(chart, cfg, a, b, c):
     ab = chart.compose(a, b)
     abc = chart.compose(ab, c)
     j_num = jacobian(lambda y: chart.compose(chart.compose(a, y), c), b, cfg)
-    psi_l_abc, _ = psi_pair(chart, abc, cfg)
-    lam_l_ab = invert(psi_pair(chart, ab, cfg)[0], cfg.rank_tol)
-    psi_r_ab = psi_pair(chart, ab, cfg)[1]
-    lam_r_b = invert(psi_pair(chart, b, cfg)[1], cfg.rank_tol)
+    psi_l_abc = psi_flavored(chart, abc, "left", cfg)
+    psi_l_ab, psi_r_ab = psi_pair(chart, ab, cfg)
+    lam_l_ab = invert(psi_l_ab, cfg.rank_tol)
+    lam_r_b = invert(psi_flavored(chart, b, "right", cfg), cfg.rank_tol)
     return maxabs(j_num - psi_l_abc @ lam_l_ab @ psi_r_ab @ lam_r_b)
 
 
@@ -367,10 +374,10 @@ def _res_triple_product_right_route(chart, cfg, a, b, c):
     bc = chart.compose(b, c)
     abc = chart.compose(a, bc)
     j_num = jacobian(lambda y: chart.compose(chart.compose(a, y), c), b, cfg)
-    _, psi_r_abc = psi_pair(chart, abc, cfg)
-    lam_r_bc = invert(psi_pair(chart, bc, cfg)[1], cfg.rank_tol)
-    psi_l_bc = psi_pair(chart, bc, cfg)[0]
-    lam_l_b = invert(psi_pair(chart, b, cfg)[0], cfg.rank_tol)
+    psi_r_abc = psi_flavored(chart, abc, "right", cfg)
+    psi_l_bc, psi_r_bc = psi_pair(chart, bc, cfg)
+    lam_r_bc = invert(psi_r_bc, cfg.rank_tol)
+    lam_l_b = invert(psi_flavored(chart, b, "left", cfg), cfg.rank_tol)
     return maxabs(j_num - psi_r_abc @ lam_r_bc @ psi_l_bc @ lam_l_b)
 
 
@@ -382,7 +389,7 @@ def _res_conjugation_outer(chart, cfg, a, b):
     j_num = jacobian(lambda x: _conjugate(chart, cfg, x, b), a, cfg)
     w = _conjugate(chart, cfg, a, b)
     psi_l_w, psi_r_w = psi_pair(chart, w, cfg)
-    lam_l_a = invert(psi_pair(chart, a, cfg)[0], cfg.rank_tol)
+    lam_l_a = invert(psi_flavored(chart, a, "left", cfg), cfg.rank_tol)
     return maxabs(j_num - (psi_l_w - psi_r_w) @ lam_l_a)
 
 
@@ -390,10 +397,10 @@ def _res_conjugation_inner_left(chart, cfg, a, b):
     j_num = jacobian(lambda y: _conjugate(chart, cfg, a, y), b, cfg)
     ab = chart.compose(a, b)
     w = _conjugate(chart, cfg, a, b)
-    psi_l_w, _ = psi_pair(chart, w, cfg)
-    lam_l_ab = invert(psi_pair(chart, ab, cfg)[0], cfg.rank_tol)
-    psi_r_ab = psi_pair(chart, ab, cfg)[1]
-    lam_r_b = invert(psi_pair(chart, b, cfg)[1], cfg.rank_tol)
+    psi_l_w = psi_flavored(chart, w, "left", cfg)
+    psi_l_ab, psi_r_ab = psi_pair(chart, ab, cfg)
+    lam_l_ab = invert(psi_l_ab, cfg.rank_tol)
+    lam_r_b = invert(psi_flavored(chart, b, "right", cfg), cfg.rank_tol)
     return maxabs(j_num - psi_l_w @ lam_l_ab @ psi_r_ab @ lam_r_b)
 
 
@@ -402,10 +409,10 @@ def _res_conjugation_inner_right(chart, cfg, a, b):
     a_inv = inverse(chart, a, cfg)
     ba_inv = chart.compose(b, a_inv)
     w = _conjugate(chart, cfg, a, b)
-    _, psi_r_w = psi_pair(chart, w, cfg)
-    lam_r_bainv = invert(psi_pair(chart, ba_inv, cfg)[1], cfg.rank_tol)
-    psi_l_bainv = psi_pair(chart, ba_inv, cfg)[0]
-    lam_l_b = invert(psi_pair(chart, b, cfg)[0], cfg.rank_tol)
+    psi_r_w = psi_flavored(chart, w, "right", cfg)
+    psi_l_bainv, psi_r_bainv = psi_pair(chart, ba_inv, cfg)
+    lam_r_bainv = invert(psi_r_bainv, cfg.rank_tol)
+    lam_l_b = invert(psi_flavored(chart, b, "left", cfg), cfg.rank_tol)
     return maxabs(j_num - psi_r_w @ lam_r_bainv @ psi_l_bainv @ lam_l_b)
 
 
@@ -448,7 +455,65 @@ _SHIFT_CHECKS = (
 
 SHIFT_CHECK_IDS = tuple(cid for cid, _, _ in _SHIFT_CHECKS)
 
-_SHIFT_TOL = 1e-4
+# Check id -> default tolerance, for every check of every suite.
+# --tol-scale multiplies these.
+TOLERANCES = {
+    "chart_identity_left": 1e-10,
+    "chart_identity_right": 1e-10,
+    "chart_associativity": 1e-9,
+    "inverse_left": 1e-8,
+    "inverse_right": 1e-8,
+    "inverse_roundtrip": 1e-7,
+    "basic_ops_at_identity": 1e-7,
+    **dict.fromkeys(SHIFT_CHECK_IDS, 1e-4),
+    "generator_swap": 1e-4,
+    "antisymmetry_left": 1e-6,
+    "antisymmetry_right": 1e-6,
+    "jacobi_left": 1e-4,
+    "jacobi_right": 1e-4,
+    "anti_isomorphism": 1e-6,
+    "anti_isomorphism_measured": 1e-3,
+    "constancy_left": 1e-3,
+    "constancy_right": 1e-3,
+    "maurer_left": 1e-3,
+    "maurer_right": 1e-3,
+    "field_commutators_left": 1e-3,
+    "field_commutators_right": 1e-3,
+    "frame_rank_left": 0.5,
+    "frame_rank_right": 0.5,
+    "flow_starts_at_identity": 1e-12,
+    "flow_homomorphism": 1e-5,
+    "flow_homomorphism_left": 1e-5,
+    "flow_reparameterization": 1e-6,
+    "canonical_identity": 1e-12,
+    "canonical_additivity": 1e-6,
+    "rep_identity": 1e-10,
+    "rep_homomorphism": 1e-8,
+    "rep_inverse": 1e-7,
+    "rep_pde_map": 1e-3,
+    "rep_pde_vector": 1e-3,
+    "rep_integrability": 1e-6,
+    "rep_mixed_identity": 1e-3,
+    "conjugate_pairing": 1e-7,
+    "conjugate_generators": 1e-5,
+    "conjugate_involution": 1e-5,
+    "tensor_generators_match": 1e-4,
+    "direct_sum_generators_match": 1e-5,
+    "generator_transform_constancy": 1e-4,
+    "integrable_example_residual": 1e-8,
+    "nonintegrable_example_flag": 1e-6,
+    "taylor_exponential": 1e-5,
+    "taylor_path_independence": 1e-6,
+    "taylor_quadratic_term": 1e-6,
+    "essential_counts_bundled": 0.5,
+    "essential_count_group_family": 0.5,
+}
+
+
+def record(check_id: str, residual: float, samples: int, tol_scale: float) -> CheckRecord:
+    """A check's verdict against its default tolerance times tol_scale."""
+    return CheckRecord.from_residual(check_id, residual,
+                                     TOLERANCES[check_id] * tol_scale, samples)
 
 
 def verify_shift_identities(chart: GroupChart, cfg: DiffConfig | None = None,
@@ -462,10 +527,7 @@ def verify_shift_identities(chart: GroupChart, cfg: DiffConfig | None = None,
     rpt = CheckReport(suite="shift_identities", group=chart.name,
                       seed=cfg.rng_seed, fd_step=cfg.base_step)
     for check_id, arity, fn in _SHIFT_CHECKS:
-        rng = check_rng(cfg, check_id)
-        pts = sample_points(chart, cfg, rng, cfg.sample_count * arity)
-        worst = worst_of(fn(chart, cfg, *pts[i * arity:(i + 1) * arity])
-                         for i in range(cfg.sample_count))
-        rpt.add(CheckRecord.from_residual(check_id, worst, _SHIFT_TOL * tol_scale,
-                                          cfg.sample_count))
+        worst = worst_over_samples(chart, cfg, check_id,
+                                   lambda *pts: fn(chart, cfg, *pts), arity)
+        rpt.add(record(check_id, worst, cfg.sample_count, tol_scale))
     return rpt

@@ -18,7 +18,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import NotIntegrable
-from .group import GroupChart, check_rng, maxabs
+from .flows import rk4_step
+from .group import GroupChart, check_rng, maxabs, worst_of
 from .numdiff import DiffConfig, as_finite_array, jacobian, numeric_rank
 
 
@@ -81,8 +82,8 @@ def integrability_residual(sys: PDESystem, cfg: DiffConfig | None = None) -> flo
     rng = check_rng(cfg, f"pde_integrability_{sys.name}")
     thetas = _sample_box(sys.theta_box, rng, cfg.sample_count)
     xs = _sample_box(sys.x_box, rng, cfg.sample_count)
-    return max(_cross_residual(sys, thetas[i], xs[i], cfg)
-               for i in range(cfg.sample_count))
+    return worst_of(_cross_residual(sys, thetas[i], xs[i], cfg)
+                    for i in range(cfg.sample_count))
 
 
 def taylor_coefficients(sys: PDESystem, consts, x0,
@@ -129,11 +130,7 @@ def taylor_solve(sys: PDESystem, consts, x0, x1, cfg: DiffConfig | None = None,
     h = 1.0 / steps
     s = 0.0
     for _ in range(steps):
-        k1 = rhs(theta, s)
-        k2 = rhs(theta + 0.5 * h * k1, s + 0.5 * h)
-        k3 = rhs(theta + 0.5 * h * k2, s + 0.5 * h)
-        k4 = rhs(theta + h * k3, s + h)
-        theta = theta + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        theta = rk4_step(rhs, theta, s, h)
         s += h
     return as_finite_array(theta, "pde solution")
 

@@ -22,6 +22,8 @@ from .group import (
     inverse,
     maxabs,
     sample_points,
+    worst_of,
+    worst_over_samples,
 )
 from .numdiff import DiffConfig, as_finite_array, invert, jacobian
 from .structure import StructureConstants
@@ -50,6 +52,10 @@ class RepChart:
                              f"expected {(self.m, self.m)}")
         return out
 
+    def product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """x @ y on the left side, y @ x on the reversed side."""
+        return x @ y if self.side == "left" else y @ x
+
 
 def rep_generators(rep: RepChart, cfg: DiffConfig | None = None) -> list[np.ndarray]:
     """Generator matrices: slot derivatives of f at the identity."""
@@ -66,23 +72,15 @@ def rep_axiom_residuals(rep: RepChart, cfg: DiffConfig | None = None
     out: dict[str, float] = {}
     out["rep_identity"] = maxabs(rep(chart.identity) - np.eye(rep.m))
 
-    rng = check_rng(cfg, "rep_homomorphism")
-    pts = sample_points(chart, cfg, rng, 2 * cfg.sample_count)
-    worst = 0.0
-    for i in range(cfg.sample_count):
-        b, a = pts[2 * i], pts[2 * i + 1]
+    def homomorphism(b: np.ndarray, a: np.ndarray) -> float:
         fa, fb = rep(a), rep(b)
-        fab = rep(chart.compose(b, a))
-        expected = fb @ fa if rep.side == "left" else fa @ fb
-        worst = max(worst, maxabs(fab - expected))
-    out["rep_homomorphism"] = worst
+        return maxabs(rep(chart.compose(b, a)) - rep.product(fb, fa))
 
-    rng = check_rng(cfg, "rep_inverse")
-    pts = sample_points(chart, cfg, rng, cfg.sample_count)
-    worst = 0.0
-    for a in pts:
-        worst = max(worst, maxabs(rep(inverse(chart, a, cfg)) - invert(rep(a), cfg.rank_tol)))
-    out["rep_inverse"] = worst
+    out["rep_homomorphism"] = worst_over_samples(chart, cfg, "rep_homomorphism",
+                                                 homomorphism, arity=2)
+    out["rep_inverse"] = worst_over_samples(
+        chart, cfg, "rep_inverse",
+        lambda a: maxabs(rep(inverse(chart, a, cfg)) - invert(rep(a), cfg.rank_tol)))
     return out
 
 
@@ -94,11 +92,7 @@ def _pde_expected(rep: RepChart, fa: np.ndarray, gens: list[np.ndarray],
     for col in range(n):
         acc = np.zeros((rep.m, rep.m))
         for k in range(n):
-            w = lam_left[k, col]
-            if rep.side == "left":
-                acc += w * (gens[k] @ fa)
-            else:
-                acc += w * (fa @ gens[k])
+            acc += lam_left[k, col] * rep.product(gens[k], fa)
         out[:, :, col] = acc
     return out
 
@@ -118,22 +112,18 @@ def rep_pde_residual(rep: RepChart, cfg: DiffConfig | None = None,
     rng = check_rng(cfg, "rep_pde")
     pts = sample_points(chart, cfg, rng, cfg.sample_count)
     vec = rng.uniform(-1.0, 1.0, rep.m)
-    worst_map = 0.0
-    worst_vec = 0.0
+    map_res = []
+    vec_res = []
     for a in pts:
         fa = rep(a)
         lam_left = basic_operators(chart, a, cfg).left_inv
         d = jacobian(lambda x: rep(x).ravel(), a, cfg).reshape(rep.m, rep.m, chart.n)
         expected = _pde_expected(rep, fa, gens, lam_left)
-        worst_map = max(worst_map, maxabs(d - expected))
-        if rep.side == "left":
-            dv = jacobian(lambda x: rep(x) @ vec, a, cfg)
-            ev = np.stack([expected[:, :, c] @ vec for c in range(chart.n)], axis=1)
-        else:
-            dv = jacobian(lambda x: vec @ rep(x), a, cfg)
-            ev = np.stack([vec @ expected[:, :, c] for c in range(chart.n)], axis=1)
-        worst_vec = max(worst_vec, maxabs(dv - ev))
-    return {"rep_pde_map": worst_map, "rep_pde_vector": worst_vec}
+        map_res.append(maxabs(d - expected))
+        dv = jacobian(lambda x: rep.product(rep(x), vec), a, cfg)
+        ev = np.stack([rep.product(expected[:, :, c], vec) for c in range(chart.n)], axis=1)
+        vec_res.append(maxabs(dv - ev))
+    return {"rep_pde_map": worst_of(map_res), "rep_pde_vector": worst_of(vec_res)}
 
 
 def integrability_check(gens: list[np.ndarray], constants: StructureConstants,
@@ -148,14 +138,13 @@ def integrability_check(gens: list[np.ndarray], constants: StructureConstants,
         raise ValueError("integrability_check expects left-flavor constants")
     c = constants.c
     n = len(gens)
-    worst = 0.0
-    for k in range(n):
-        for p in range(n):
-            comm = gens[k] @ gens[p] - gens[p] @ gens[k]
-            weights = c[:, p, k] if side == "left" else c[:, k, p]
-            expected = sum(weights[t] * gens[t] for t in range(n))
-            worst = max(worst, maxabs(comm - expected))
-    return worst
+
+    def residual(k: int, p: int) -> float:
+        comm = gens[k] @ gens[p] - gens[p] @ gens[k]
+        weights = c[:, p, k] if side == "left" else c[:, k, p]
+        return maxabs(comm - sum(weights[t] * gens[t] for t in range(n)))
+
+    return worst_of(residual(k, p) for k in range(n) for p in range(n))
 
 
 def conjugate_rep(rep: RepChart) -> RepChart:
@@ -171,7 +160,7 @@ def conjugate_generators_check(rep: RepChart, cfg: DiffConfig | None = None) -> 
     cfg = cfg or DiffConfig()
     g1 = rep_generators(rep, cfg)
     g2 = rep_generators(conjugate_rep(rep), cfg)
-    return max(maxabs(a + b) for a, b in zip(g1, g2))
+    return worst_of(maxabs(a + b) for a, b in zip(g1, g2))
 
 
 def conjugate_pairing_residual(rep: RepChart, cfg: DiffConfig | None = None) -> float:
@@ -184,25 +173,21 @@ def conjugate_pairing_residual(rep: RepChart, cfg: DiffConfig | None = None) -> 
     u = rng.uniform(-1.0, 1.0, rep.m)
     v = rng.uniform(-1.0, 1.0, rep.m)
     base = float(u @ v)
-    worst = 0.0
-    for a in pts:
-        worst = max(worst, abs(float((u @ conj(a)) @ (rep(a) @ v)) - base))
-    return worst
+    return worst_of(abs(float((u @ conj(a)) @ (rep(a) @ v)) - base) for a in pts)
 
 
 def conjugate_involution_residual(rep: RepChart, cfg: DiffConfig | None = None) -> float:
     """Conjugating twice returns the original representation."""
     cfg = cfg or DiffConfig()
     twice = conjugate_rep(conjugate_rep(rep))
-    rng = check_rng(cfg, "conjugate_involution")
-    pts = sample_points(rep.group, cfg, rng, cfg.sample_count)
-    return max(maxabs(twice(a) - rep(a)) for a in pts)
+    return worst_over_samples(rep.group, cfg, "conjugate_involution",
+                              lambda a: maxabs(twice(a) - rep(a)))
 
 
 def tensor_product(r1: RepChart, r2: RepChart) -> RepChart:
     """Kronecker product of two representations of the same chart."""
-    if r1.group is not r2.group and r1.group.name != r2.group.name:
-        raise ValueError("tensor_product needs representations of one group")
+    if r1.group is not r2.group:
+        raise ValueError("tensor_product needs representations of one chart")
     if r1.side != r2.side:
         raise ValueError("tensor_product needs matching sides")
     return RepChart(group=r1.group, m=r1.m * r2.m,
@@ -218,8 +203,8 @@ def tensor_generators(g1: list[np.ndarray], g2: list[np.ndarray]) -> list[np.nda
 
 def direct_sum(r1: RepChart, r2: RepChart) -> RepChart:
     """Block-diagonal sum of two representations of the same chart."""
-    if r1.group is not r2.group and r1.group.name != r2.group.name:
-        raise ValueError("direct_sum needs representations of one group")
+    if r1.group is not r2.group:
+        raise ValueError("direct_sum needs representations of one chart")
     if r1.side != r2.side:
         raise ValueError("direct_sum needs matching sides")
     m = r1.m + r2.m
@@ -282,13 +267,11 @@ def generator_transform_residual(rep: RepChart, cfg: DiffConfig | None = None,
     """Constancy of the transformed generators across sampled points."""
     cfg = cfg or DiffConfig()
     gens = rep_generators(rep, cfg)
-    rng = check_rng(cfg, "generator_transform")
-    pts = sample_points(rep.group, cfg, rng, points)
-    worst = 0.0
-    for g in pts:
-        moved = generator_transform(rep, g, cfg, gens)
-        worst = max(worst, max(maxabs(a - b) for a, b in zip(moved, gens)))
-    return worst
+    return worst_over_samples(
+        rep.group, cfg, "generator_transform",
+        lambda g: worst_of(maxabs(a - b)
+                           for a, b in zip(generator_transform(rep, g, cfg, gens), gens)),
+        count=points)
 
 
 def mixed_identity_residual(rep: RepChart, cfg: DiffConfig | None = None,
@@ -303,23 +286,18 @@ def mixed_identity_residual(rep: RepChart, cfg: DiffConfig | None = None,
     chart = rep.group
     if gens is None:
         gens = rep_generators(rep, cfg)
-    rng = check_rng(cfg, "rep_mixed_identity")
-    pts = sample_points(chart, cfg, rng, cfg.sample_count)
-    worst = 0.0
-    for a in pts:
+
+    def residual(a: np.ndarray) -> float:
         fa = rep(a)
         ops = basic_operators(chart, a, cfg)
+        residuals = []
         for col in range(chart.n):
             left_form = np.zeros((rep.m, rep.m))
             right_form = np.zeros((rep.m, rep.m))
             for k in range(chart.n):
-                wl = ops.left_inv[k, col]
-                wr = ops.right_inv[k, col]
-                if rep.side == "left":
-                    left_form += wl * (gens[k] @ fa)
-                    right_form += wr * (fa @ gens[k])
-                else:
-                    left_form += wl * (fa @ gens[k])
-                    right_form += wr * (gens[k] @ fa)
-            worst = max(worst, maxabs(left_form - right_form))
-    return worst
+                left_form += ops.left_inv[k, col] * rep.product(gens[k], fa)
+                right_form += ops.right_inv[k, col] * rep.product(fa, gens[k])
+            residuals.append(maxabs(left_form - right_form))
+        return worst_of(residuals)
+
+    return worst_over_samples(chart, cfg, "rep_mixed_identity", residual)

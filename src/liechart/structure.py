@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import GroupChart, check_rng, maxabs, psi_flavored, sample_points, worst_of
+from .group import GroupChart, maxabs, psi_flavored, worst_of, worst_over_samples
 from .numdiff import QUART_EPS, DiffConfig, invert, jacobian, mixed_second, numeric_rank
 
 
@@ -145,11 +145,11 @@ def constancy_residual(chart: GroupChart, flavor: str, cfg: DiffConfig | None = 
                        constants: StructureConstants | None = None) -> float:
     """Spread of point-measured constants across sampled points."""
     cfg = cfg or DiffConfig()
-    rng = check_rng(cfg, f"constancy_{flavor}")
-    pts = sample_points(chart, cfg, rng, points)
     base = _flavored_constants(chart, flavor, cfg, constants).c
-    return worst_of(maxabs(structure_constants_at_point(chart, a, flavor, cfg) - base)
-                    for a in pts)
+    return worst_over_samples(
+        chart, cfg, f"constancy_{flavor}",
+        lambda a: maxabs(structure_constants_at_point(chart, a, flavor, cfg) - base),
+        count=points)
 
 
 def maurer_residual(chart: GroupChart, flavor: str, cfg: DiffConfig | None = None,
@@ -161,8 +161,6 @@ def maurer_residual(chart: GroupChart, flavor: str, cfg: DiffConfig | None = Non
     """
     cfg = cfg or DiffConfig()
     constants = _flavored_constants(chart, flavor, cfg, constants)
-    rng = check_rng(cfg, f"maurer_{flavor}")
-    pts = sample_points(chart, cfg, rng, cfg.sample_count)
 
     def residual(a: np.ndarray) -> float:
         psi, dpsi = _field_derivatives(chart, a, flavor, cfg)
@@ -171,7 +169,7 @@ def maurer_residual(chart: GroupChart, flavor: str, cfg: DiffConfig | None = Non
         contracted = np.einsum("utv,tp,vr->upr", constants.c, lam, lam)
         return maxabs(contracted - curl)
 
-    return worst_of(residual(a) for a in pts)
+    return worst_over_samples(chart, cfg, f"maurer_{flavor}", residual)
 
 
 def invariant_field_commutators(chart: GroupChart, flavor: str,
@@ -191,24 +189,22 @@ def invariant_field_commutators(chart: GroupChart, flavor: str,
     """
     cfg = cfg or DiffConfig()
     constants = _flavored_constants(chart, flavor, cfg, constants)
-    rng = check_rng(cfg, f"field_commutators_{flavor}")
-    pts = sample_points(chart, cfg, rng, cfg.sample_count)
     n = chart.n
+    ranks = [n]
 
-    residuals = []
-    min_rank = n
-    for a in pts:
+    def residual(a: np.ndarray) -> float:
         psi = psi_flavored(chart, a, flavor, cfg)
-        min_rank = min(min_rank, numeric_rank(psi, cfg.rank_tol))
+        ranks.append(numeric_rank(psi, cfg.rank_tol))
         if n < 2:
-            continue  # a single frame field has no commutators
+            return 0.0  # a single frame field has no commutators
         dframe = jacobian(lambda x: psi_flavored(chart, x, flavor, cfg).ravel(), a, cfg)
         # jac[V] is the Jacobian of frame field V; contiguous copies give each
         # product the memory layout, and so the bits, of vf_commutator
         jac = np.ascontiguousarray(dframe.reshape(n, n, n).transpose(1, 0, 2))
         fields = np.ascontiguousarray(psi.T)
-        for t in range(n):
-            for v in range(t + 1, n):
-                measured = jac[v] @ fields[t] - jac[t] @ fields[v]
-                residuals.append(maxabs(measured - psi @ constants.c[:, t, v]))
-    return worst_of(residuals), min_rank
+        return worst_of(maxabs(jac[v] @ fields[t] - jac[t] @ fields[v]
+                               - psi @ constants.c[:, t, v])
+                        for t in range(n) for v in range(t + 1, n))
+
+    worst = worst_over_samples(chart, cfg, f"field_commutators_{flavor}", residual)
+    return worst, min(ranks)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -150,3 +154,19 @@ def test_tolerance_table_covers_all_suites():
     assert set(SUITE_NAMES) == {"shift", "structure", "flows", "rep", "pde", "all"}
     for check_id, tol in TOLERANCES.items():
         assert tol > 0.0, check_id
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("script,samples", [
+    ("run_catalog.py", "0"), ("essential_params.py", "-3"),
+])
+def test_demo_scripts_reject_bad_samples(script, samples):
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    done = subprocess.run([sys.executable, str(REPO / "scripts" / script),
+                           "--samples", samples],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "--samples" in done.stderr
+    assert "Traceback" not in done.stderr

@@ -11,6 +11,7 @@ from liechart.flows import (
     one_param_subgroup,
     reparameterization_residual,
 )
+from liechart.group import GroupChart
 from liechart.numdiff import DiffConfig
 
 CFG = DiffConfig()
@@ -120,3 +121,15 @@ def test_canonical_coordinate_degenerate_operator_raises():
     chart = get_group("multiplicative")
     with pytest.raises(ZeroPsi):
         canonical_coordinate(chart, np.array([-0.5]), CFG)
+
+
+def test_homomorphism_residual_keeps_nan():
+    def compose(a, b):
+        # translation that breaks down once both factors pass 0.1; the flow
+        # itself only ever pairs a state with a point near the identity
+        return np.full(1, np.nan) if a[0] > 0.1 and b[0] > 0.1 else a + b
+
+    chart = GroupChart(n=1, compose=compose, identity=np.zeros(1),
+                       chart_radius=10.0, name="nan-translation")
+    flow = one_param_subgroup(chart, np.array([0.3]), 1.0, cfg=CFG)
+    assert np.isnan(homomorphism_residual(chart, flow))

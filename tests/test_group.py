@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from liechart import catalog
 from liechart.catalog import GROUP_NAMES, get_group
 from liechart.errors import NoConvergence
 from liechart.group import (
@@ -16,9 +18,11 @@ from liechart.group import (
     shift_jacobians,
     verify_shift_identities,
     worst_of,
+    worst_over_samples,
     SHIFT_CHECK_IDS,
 )
 from liechart.numdiff import DiffConfig
+from liechart.suites import run_suite
 
 CFG = DiffConfig(sample_count=6)
 
@@ -187,3 +191,56 @@ def test_nan_law_fails_associativity_and_serializes():
     row = next(c for c in doc["checks"] if c["id"] == "chart_associativity")
     assert row["max_residual"] is None
     assert row["pass"] is False
+
+
+def test_worst_over_samples_groups_the_check_stream():
+    chart = get_group("affine")
+    seen = []
+
+    def residual(a, b):
+        seen.append((a, b))
+        return float("nan") if len(seen) == 2 else 1e-9
+
+    worst = worst_over_samples(chart, CFG, "some_check", residual, arity=2, count=3)
+    assert np.isnan(worst)
+    pts = sample_points(chart, CFG, check_rng(CFG, "some_check"), 6)
+    assert np.array_equal(np.array(seen), pts.reshape(3, 2, chart.n))
+
+
+def counted_chart(chart, count, **changes):
+    def counted(a, b):
+        count[0] += 1
+        return chart.compose(a, b)
+
+    return dataclasses.replace(chart, compose=counted, **changes)
+
+
+# composition-law evaluations at seed 42 and the default 20 samples.  The
+# ceilings are the counts when every shift residual differentiated both
+# operator flavors at each point; no change should rise above them.
+SHIFT_SUITE_EVALS = {"affine": 10_288, "gl:2": 16_776, "gl:3": 32_996,
+                     "translation:1": 7_044}
+SHIFT_SUITE_CEILING = {"affine": 12_608, "gl:2": 21_416, "gl:3": 43_436,
+                       "translation:1": 8_204}
+HINT_FREE_EVALS = {"affine": 21_254, "gl:2": 53_410}
+HINT_FREE_CEILING = {"affine": 23_574, "gl:2": 58_050}
+
+
+@pytest.mark.parametrize("name", sorted(SHIFT_SUITE_EVALS))
+def test_shift_suite_eval_count(name, monkeypatch):
+    count = [0]
+    chart = counted_chart(get_group(name), count)
+    monkeypatch.setattr(catalog, "get_group", lambda _: chart)
+    assert run_suite(name, "shift", DiffConfig()).all_passed
+    assert count[0] == SHIFT_SUITE_EVALS[name]
+    assert count[0] <= SHIFT_SUITE_CEILING[name]
+
+
+@pytest.mark.parametrize("name", sorted(HINT_FREE_EVALS))
+def test_hint_free_shift_identities_eval_count(name):
+    count = [0]
+    chart = counted_chart(get_group(name), count, inverse_hint=None,
+                          name=f"{name}-newton")
+    assert verify_shift_identities(chart, DiffConfig()).all_passed
+    assert count[0] == HINT_FREE_EVALS[name]
+    assert count[0] <= HINT_FREE_CEILING[name]

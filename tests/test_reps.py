@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from liechart.catalog import get_group, get_rep, rep_generator_oracle
+from liechart.group import GroupChart
 from liechart.numdiff import DiffConfig
 from liechart.reps import (
     RepChart,
@@ -193,3 +194,23 @@ def test_trivial_rep_is_flat():
     assert rep.m == 1
     gens = rep_generators(rep, CFG)
     assert all(np.max(np.abs(g)) < 1e-9 for g in gens)
+
+
+def test_integrability_check_keeps_nan():
+    # a NaN generator must fail the check, not fold into a 0.0 pass
+    c_left = structure_constants(group_generators(get_group("affine"), CFG), "left")
+    gens = [np.full((2, 2), np.nan), np.eye(2)]
+    assert np.isnan(integrability_check(gens, c_left))
+
+
+def test_combination_rejects_distinct_same_named_charts():
+    # both charts carry the default name "custom" but are different groups
+    line = GroupChart(n=1, compose=lambda a, b: a + b, identity=np.zeros(1))
+    plane = GroupChart(n=2, compose=lambda a, b: a + b, identity=np.zeros(2))
+    r1 = RepChart(group=line, m=1, f=lambda a: np.ones((1, 1)))
+    r2 = RepChart(group=plane, m=1, f=lambda a: np.ones((1, 1)))
+    assert line.name == plane.name
+    with pytest.raises(ValueError):
+        tensor_product(r1, r2)
+    with pytest.raises(ValueError):
+        direct_sum(r1, r2)
