@@ -11,7 +11,9 @@ from .errors import LeftChart, ZeroPsi
 from .group import GroupChart, maxabs, psi_flavored, worst_of, worst_over_samples
 from .numdiff import DiffConfig, as_finite_array, jacobian
 
-_STEPS_PER_UNIT = 1000
+_FIRST_STEPS_PER_UNIT = 8
+_MAX_STEPS_PER_UNIT = 1000
+_FLOW_TOL = 1e-10
 _SIMPSON_TOL = 1e-9
 _PSI_FLOOR = 1e-12
 
@@ -44,8 +46,12 @@ def one_param_subgroup(chart: GroupChart, alpha, t_end: float,
                        cfg: DiffConfig | None = None) -> FlowResult:
     """Integrate the invariant flow c' = psi_flavor(c) alpha from the identity.
 
-    Fixed-step RK4; raises LeftChart as soon as a state escapes the chart
-    trust region.
+    RK4 on a uniform grid of `steps` steps.  Without `steps`, the count
+    starts at ceil(8 |t_end|) and doubles until two successive endpoints
+    agree within _FLOW_TOL, and the finer path is returned; doubling
+    stops at ceil(1000 |t_end|) steps, whose path is returned as it is,
+    so the flow checks measure whatever error is left.  Raises LeftChart
+    as soon as a state escapes the chart trust region, on any pass.
     """
     cfg = cfg or DiffConfig()
     if flavor not in ("left", "right"):
@@ -53,23 +59,34 @@ def one_param_subgroup(chart: GroupChart, alpha, t_end: float,
     alpha = as_finite_array(alpha, "flow direction")
     if alpha.shape != (chart.n,):
         raise ValueError("alpha must be an n-vector")
-    if steps is None:
-        steps = max(1, math.ceil(_STEPS_PER_UNIT * abs(t_end)))
 
     def rhs(c: np.ndarray, _s: float) -> np.ndarray:
         return psi_flavored(chart, c, flavor, cfg) @ alpha
 
-    h = t_end / steps
-    path = np.empty((steps + 1, chart.n))
-    c = chart.identity.copy()
-    path[0] = c
-    for i in range(steps):
-        c = as_finite_array(rk4_step(rhs, c, i * h, h), "flow state")
-        if maxabs(c - chart.identity) > chart.chart_radius:
-            raise LeftChart(f"flow left the trust region at t = {(i + 1) * h:.6g}")
-        path[i + 1] = c
-    return FlowResult(alpha=alpha, flavor=flavor,
-                      t_grid=np.linspace(0.0, t_end, steps + 1), path=path)
+    def integrate(steps: int) -> FlowResult:
+        h = t_end / steps
+        path = np.empty((steps + 1, chart.n))
+        c = chart.identity.copy()
+        path[0] = c
+        for i in range(steps):
+            c = as_finite_array(rk4_step(rhs, c, i * h, h), "flow state")
+            if maxabs(c - chart.identity) > chart.chart_radius:
+                raise LeftChart(f"flow left the trust region at t = {(i + 1) * h:.6g}")
+            path[i + 1] = c
+        return FlowResult(alpha=alpha, flavor=flavor,
+                          t_grid=np.linspace(0.0, t_end, steps + 1), path=path)
+
+    if steps is not None:
+        return integrate(steps)
+    cap = max(1, math.ceil(_MAX_STEPS_PER_UNIT * abs(t_end)))
+    steps = min(cap, max(1, math.ceil(_FIRST_STEPS_PER_UNIT * abs(t_end))))
+    flow = integrate(steps)
+    while steps < cap:
+        steps = min(2 * steps, cap)
+        coarse, flow = flow, integrate(steps)
+        if maxabs(flow.endpoint - coarse.endpoint) <= _FLOW_TOL:
+            break
+    return flow
 
 
 def homomorphism_residual(chart: GroupChart, flow: FlowResult, pairs: int = 10) -> float:

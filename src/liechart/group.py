@@ -304,13 +304,13 @@ def _res_inverse_operator_right(chart, cfg, b, c):
 
 
 def _res_lambda_left_closed_form(chart, cfg, a):
-    ops = basic_operators(chart, a, cfg)
-    return maxabs(ops.left_inv - _a_left(chart, a, inverse(chart, a, cfg), cfg))
+    lam = invert(psi_flavored(chart, a, "left", cfg), cfg.rank_tol)
+    return maxabs(lam - _a_left(chart, a, inverse(chart, a, cfg), cfg))
 
 
 def _res_lambda_right_closed_form(chart, cfg, a):
-    ops = basic_operators(chart, a, cfg)
-    return maxabs(ops.right_inv - _a_right(chart, inverse(chart, a, cfg), a, cfg))
+    lam = invert(psi_flavored(chart, a, "right", cfg), cfg.rank_tol)
+    return maxabs(lam - _a_right(chart, inverse(chart, a, cfg), a, cfg))
 
 
 def _res_factorization_left(chart, cfg, a, b):

@@ -21,6 +21,7 @@ from .group import (
     check_rng,
     inverse,
     maxabs,
+    psi_flavored,
     sample_points,
     worst_of,
     worst_over_samples,
@@ -116,7 +117,7 @@ def rep_pde_residual(rep: RepChart, cfg: DiffConfig | None = None,
     vec_res = []
     for a in pts:
         fa = rep(a)
-        lam_left = basic_operators(chart, a, cfg).left_inv
+        lam_left = invert(psi_flavored(chart, a, "left", cfg), cfg.rank_tol)
         d = jacobian(lambda x: rep(x).ravel(), a, cfg).reshape(rep.m, rep.m, chart.n)
         expected = _pde_expected(rep, fa, gens, lam_left)
         map_res.append(maxabs(d - expected))

@@ -1,8 +1,12 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from liechart.catalog import get_group
+from liechart import catalog, flows
+from liechart.catalog import GROUP_NAMES, get_group
 from liechart.errors import LeftChart, ZeroPsi
 from liechart.flows import (
     additivity_residual,
@@ -13,6 +17,7 @@ from liechart.flows import (
 )
 from liechart.group import GroupChart
 from liechart.numdiff import DiffConfig
+from liechart.suites import run_suite
 
 CFG = DiffConfig()
 
@@ -133,3 +138,64 @@ def test_homomorphism_residual_keeps_nan():
                        chart_radius=10.0, name="nan-translation")
     flow = one_param_subgroup(chart, np.array([0.3]), 1.0, cfg=CFG)
     assert np.isnan(homomorphism_residual(chart, flow))
+
+
+@pytest.mark.parametrize("flavor", ["left", "right"])
+def test_step_doubling_reaches_matrix_exponential(flavor):
+    # long enough a direction that 16 or 32 steps still miss by more than 1e-9
+    chart = get_group("gl:2")
+    alpha = np.random.default_rng(7).uniform(-1.0, 1.0, 4)
+    expected = expm(alpha.reshape(2, 2)).ravel()
+    flow = one_param_subgroup(chart, alpha, 1.0, flavor=flavor, cfg=CFG)
+    assert np.max(np.abs(flow.endpoint - expected)) < 1e-9
+    coarse = one_param_subgroup(chart, alpha, 1.0, steps=2, flavor=flavor, cfg=CFG)
+    assert np.max(np.abs(coarse.endpoint - expected)) > 1e-9
+
+
+def test_step_doubling_stops_at_the_step_cap(monkeypatch):
+    # a tolerance no pair of endpoints can meet must still end the loop
+    monkeypatch.setattr(flows, "_FLOW_TOL", 0.0)
+    t_end = 0.3
+    flow = one_param_subgroup(get_group("gl:2"), np.array([0.2, 0.3, -0.1, 0.1]),
+                              t_end, cfg=CFG)
+    assert len(flow.path) <= math.ceil(1000 * t_end) + 1
+    assert flow.t_grid[-1] == pytest.approx(t_end)
+
+
+def test_step_doubling_keeps_left_chart_of_coarse_pass():
+    # a + b - 40ab has psi(c) = 1 - 40c: the flow settles at c = 1/40, but
+    # RK4 with the first 8 steps on [0, 1] is unstable and runs off the
+    # chart, while 16 steps stay inside it
+    chart = GroupChart(n=1, compose=lambda a, b: a + b - 40.0 * a * b,
+                       identity=np.zeros(1), chart_radius=1.0, name="stiff")
+    inside = one_param_subgroup(chart, np.array([1.0]), 1.0, steps=16, cfg=CFG)
+    assert abs(inside.endpoint[0] - 1.0 / 40.0) < 1e-3
+    with pytest.raises(LeftChart):
+        one_param_subgroup(chart, np.array([1.0]), 1.0, cfg=CFG)
+
+
+# composition-law evaluations of the seed-42 flows suite at the default 20
+# samples.  CEILING_EVALS are the counts with a fixed 1000 RK4 steps per
+# unit time; no change to the suite should rise above them.
+FLOWS_EVALS = {"translation:1": 17_186, "translation:2": 1_374, "translation:3": 2_046,
+               "multiplicative": 18_226, "affine": 1_630, "gl:1": 18_226,
+               "gl:2": 3_230, "gl:3": 16_436}
+CEILING_EVALS = {"translation:1": 44_502, "translation:2": 56_018, "translation:3": 84_018,
+                 "multiplicative": 45_414, "affine": 56_018, "gl:1": 45_414,
+                 "gl:2": 112_018, "gl:3": 252_018}
+
+
+@pytest.mark.parametrize("name", GROUP_NAMES)
+def test_flows_suite_eval_count(name, monkeypatch):
+    count = [0]
+    chart = get_group(name)
+
+    def counted(a, b):
+        count[0] += 1
+        return chart.compose(a, b)
+
+    monkeypatch.setattr(catalog, "get_group",
+                        lambda _: dataclasses.replace(chart, compose=counted))
+    assert run_suite(name, "flows", DiffConfig()).all_passed
+    assert count[0] == FLOWS_EVALS[name]
+    assert count[0] <= CEILING_EVALS[name]
