@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LeftChart, ZeroPsi
+from .errors import LeftChart, NonFiniteEvaluation, ZeroPsi
 from .group import GroupChart, maxabs, psi_flavored, worst_of, worst_over_samples
 from .numdiff import DiffConfig, as_finite_array, jacobian
 
@@ -51,7 +51,9 @@ def one_param_subgroup(chart: GroupChart, alpha, t_end: float,
     agree within _FLOW_TOL, and the finer path is returned; doubling
     stops at ceil(1000 |t_end|) steps, whose path is returned as it is,
     so the flow checks measure whatever error is left.  Raises LeftChart
-    as soon as a state escapes the chart trust region, on any pass.
+    when a state escapes the chart trust region.  Without `steps`, a pass
+    below the cap that escapes or turns non-finite only counts as not
+    converged; the capped pass raises.
     """
     cfg = cfg or DiffConfig()
     if flavor not in ("left", "right"):
@@ -80,13 +82,20 @@ def one_param_subgroup(chart: GroupChart, alpha, t_end: float,
         return integrate(steps)
     cap = max(1, math.ceil(_MAX_STEPS_PER_UNIT * abs(t_end)))
     steps = min(cap, max(1, math.ceil(_FIRST_STEPS_PER_UNIT * abs(t_end))))
-    flow = integrate(steps)
+    coarse = None
     while steps < cap:
+        try:
+            flow = integrate(steps)
+        except (LeftChart, NonFiniteEvaluation):
+            # RK4 with too few steps blows up on a stiff law where the true
+            # flow stays inside the chart, so only the capped pass may raise
+            flow = None
+        if (flow is not None and coarse is not None
+                and maxabs(flow.endpoint - coarse.endpoint) <= _FLOW_TOL):
+            return flow
+        coarse = flow
         steps = min(2 * steps, cap)
-        coarse, flow = flow, integrate(steps)
-        if maxabs(flow.endpoint - coarse.endpoint) <= _FLOW_TOL:
-            break
-    return flow
+    return integrate(cap)
 
 
 def homomorphism_residual(chart: GroupChart, flow: FlowResult, pairs: int = 10) -> float:

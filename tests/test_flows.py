@@ -162,16 +162,37 @@ def test_step_doubling_stops_at_the_step_cap(monkeypatch):
     assert flow.t_grid[-1] == pytest.approx(t_end)
 
 
-def test_step_doubling_keeps_left_chart_of_coarse_pass():
-    # a + b - 40ab has psi(c) = 1 - 40c: the flow settles at c = 1/40, but
-    # RK4 with the first 8 steps on [0, 1] is unstable and runs off the
-    # chart, while 16 steps stay inside it
-    chart = GroupChart(n=1, compose=lambda a, b: a + b - 40.0 * a * b,
-                       identity=np.zeros(1), chart_radius=1.0, name="stiff")
-    inside = one_param_subgroup(chart, np.array([1.0]), 1.0, steps=16, cfg=CFG)
-    assert abs(inside.endpoint[0] - 1.0 / 40.0) < 1e-3
-    with pytest.raises(LeftChart):
-        one_param_subgroup(chart, np.array([1.0]), 1.0, cfg=CFG)
+def _stiff_compose(a, b):
+    # a + b - 40ab has psi(c) = 1 - 40c, so the flow in direction +1 is
+    # c(t) = (1 - exp(-40 t)) / 40.  RK4 with 8 steps on [0, 1] is unstable
+    # on it and runs away; 16 steps already stay near 1/40.
+    return a + b - 40.0 * a * b
+
+
+def _nan_past_half(a, b):
+    # the same law, undefined once a factor leaves [-1/2, 1/2]
+    return np.full(1, np.nan) if max(abs(a[0]), abs(b[0])) > 0.5 else _stiff_compose(a, b)
+
+
+@pytest.mark.parametrize("compose, radius", [(_stiff_compose, 1.0), (_nan_past_half, 10.0)],
+                         ids=["left-chart", "non-finite"])
+def test_step_doubling_outlasts_an_unstable_coarse_pass(compose, radius):
+    chart = GroupChart(n=1, compose=compose, identity=np.zeros(1),
+                       chart_radius=radius, name="stiff")
+    flow = one_param_subgroup(chart, np.array([1.0]), 1.0, cfg=CFG)
+    assert abs(flow.endpoint[0] - (1.0 - math.exp(-40.0)) / 40.0) < 1e-9
+
+
+def test_step_doubling_raises_left_chart_from_the_capped_pass():
+    # in direction -1 the stiff flow c(t) = (1 - exp(40 t)) / 40 really
+    # leaves radius 1, at t = log(41) / 40; only the capped pass of 1000
+    # steps places the escape within one of its 1e-3 steps (8 steps say 0.125)
+    chart = GroupChart(n=1, compose=_stiff_compose, identity=np.zeros(1),
+                       chart_radius=1.0, name="stiff")
+    with pytest.raises(LeftChart) as info:
+        one_param_subgroup(chart, np.array([-1.0]), 1.0, cfg=CFG)
+    escape = float(str(info.value).rsplit("=", 1)[1])
+    assert abs(escape - math.log(41.0) / 40.0) <= 1e-3
 
 
 # composition-law evaluations of the seed-42 flows suite at the default 20
