@@ -11,7 +11,7 @@ from pathlib import Path
 from liechart.catalog import GROUP_NAMES
 from liechart.cli import positive_int
 from liechart.numdiff import DiffConfig
-from liechart.suites import SUITE_NAMES, run_suite
+from liechart.suites import SUITES, run_suite
 
 
 def main() -> int:
@@ -23,15 +23,14 @@ def main() -> int:
     args = parser.parse_args()
 
     cfg = DiffConfig(sample_count=args.samples, rng_seed=args.seed)
-    suites = [s for s in SUITE_NAMES if s != "all"]
     width = max(len(g) for g in GROUP_NAMES)
 
-    print(f"{'group':<{width}}  " + "  ".join(f"{s:>9}" for s in suites))
+    print(f"{'group':<{width}}  " + "  ".join(f"{s:>9}" for s in SUITES))
     failures = 0
     t0 = time.perf_counter()
     for group in GROUP_NAMES:
         cells = []
-        for suite in suites:
+        for suite in SUITES:
             report = run_suite(group, suite, cfg)
             n_fail = sum(not c.passed for c in report.checks)
             failures += n_fail
@@ -43,7 +42,7 @@ def main() -> int:
         print(f"{group:<{width}}  " + "  ".join(f"{c:>9}" for c in cells))
     elapsed = time.perf_counter() - t0
 
-    print(f"\n{len(GROUP_NAMES) * len(suites)} runs in {elapsed:.1f} s, "
+    print(f"\n{len(GROUP_NAMES) * len(SUITES)} runs in {elapsed:.1f} s, "
           f"{failures} failed checks")
     return 1 if failures else 0
 

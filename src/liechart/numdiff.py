@@ -3,8 +3,8 @@
 Everything downstream measures derivatives through the three stencils in
 this module, so conventions are fixed here once: `jacobian` is first-order
 central, `mixed_second` is the four-point product stencil taking one
-derivative in each argument slot, and all step sizes scale with the
-coordinate magnitude in relative mode.
+derivative in each argument slot, and every step scales with the
+coordinate magnitude.
 """
 
 from __future__ import annotations
@@ -29,31 +29,21 @@ VectorMap = Callable[[np.ndarray], np.ndarray]
 class DiffConfig:
     """Knobs shared by every numeric routine.
 
-    base_step is the central-difference step; in "relative" mode it is
-    scaled per coordinate by max(1, |coordinate|).  sample_radius bounds
-    the uniform ball around the identity that sample points are drawn
-    from, rank_tol is the singular-value cutoff for numeric ranks, and
-    rng_seed makes every sampling routine reproducible.
+    base_step is the central-difference step, scaled per coordinate by
+    max(1, |coordinate|); sample_count is the number of points each
+    sampled check draws, and rng_seed makes every sampling routine
+    reproducible.
     """
 
-    step_mode: str = "relative"
     base_step: float = CBRT_EPS
-    sample_radius: float = 0.2
     sample_count: int = 20
-    rank_tol: float = 1e-8
     rng_seed: int = 42
 
     def __post_init__(self) -> None:
-        if self.step_mode not in ("relative", "absolute"):
-            raise ValueError(f"unknown step_mode {self.step_mode!r}")
         if not (0.0 < self.base_step < 1.0):
             raise ValueError("base_step must lie in (0, 1)")
-        if self.sample_radius <= 0.0:
-            raise ValueError("sample_radius must be positive")
         if self.sample_count < 1:
             raise ValueError("sample_count must be at least 1")
-        if not (0.0 < self.rank_tol < 1.0):
-            raise ValueError("rank_tol must lie in (0, 1)")
 
     def replace(self, **kw) -> "DiffConfig":
         from dataclasses import replace as _replace
@@ -69,9 +59,7 @@ def as_finite_array(x, context: str = "evaluation") -> np.ndarray:
     return a
 
 
-def _steps(cfg: DiffConfig, at: np.ndarray, base: float) -> np.ndarray:
-    if cfg.step_mode == "absolute":
-        return np.full(at.shape, base)
+def _steps(at: np.ndarray, base: float) -> np.ndarray:
     return base * np.maximum(1.0, np.abs(at))
 
 
@@ -82,7 +70,7 @@ def jacobian(f: VectorMap, at: Sequence[float], cfg: DiffConfig | None = None) -
     """
     cfg = cfg or DiffConfig()
     x = as_finite_array(at, "jacobian point")
-    h = _steps(cfg, x, cfg.base_step)
+    h = _steps(x, cfg.base_step)
     cols = []
     for j in range(x.size):
         xp = x.copy()
@@ -115,9 +103,9 @@ def mixed_second(
     cfg = cfg or DiffConfig()
     a = as_finite_array(at[0], "mixed_second point")
     b = as_finite_array(at[1], "mixed_second point")
-    base = cfg.base_step if cfg.step_mode == "absolute" else max(cfg.base_step, QUART_EPS)
-    ha = _steps(cfg, a, base)
-    hb = _steps(cfg, b, base)
+    base = max(cfg.base_step, QUART_EPS)
+    ha = _steps(a, base)
+    hb = _steps(b, base)
     q = as_finite_array(f(a, b), "mixed_second probe").ravel().size
     p = a.size
     out = np.empty((q, p, p))

@@ -86,6 +86,12 @@ def integrability_residual(sys: PDESystem, cfg: DiffConfig | None = None) -> flo
                     for i in range(cfg.sample_count))
 
 
+def _require_integrable(sys: PDESystem, cfg: DiffConfig, tol: float) -> None:
+    res = integrability_residual(sys, cfg)
+    if not res <= tol:
+        raise NotIntegrable(f"cross-derivative residual {res:.3e} exceeds {tol:.1e}")
+
+
 def taylor_coefficients(sys: PDESystem, consts, x0,
                         cfg: DiffConfig | None = None
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -115,10 +121,7 @@ def taylor_solve(sys: PDESystem, consts, x0, x1, cfg: DiffConfig | None = None,
     """
     cfg = cfg or DiffConfig()
     if check:
-        res = integrability_residual(sys, cfg)
-        if res > integrability_tol:
-            raise NotIntegrable(f"cross-derivative residual {res:.3e} "
-                                f"exceeds {integrability_tol:.1e}")
+        _require_integrable(sys, cfg, integrability_tol)
     theta = as_finite_array(consts).ravel().copy()
     x0 = as_finite_array(x0).ravel()
     x1 = as_finite_array(x1).ravel()
@@ -139,10 +142,7 @@ def solve_along_path(sys: PDESystem, consts, waypoints, cfg: DiffConfig | None =
                      steps: int = 500, integrability_tol: float = 1e-6) -> np.ndarray:
     """Chain taylor_solve along a polyline; integrability checked once."""
     cfg = cfg or DiffConfig()
-    res = integrability_residual(sys, cfg)
-    if res > integrability_tol:
-        raise NotIntegrable(f"cross-derivative residual {res:.3e} "
-                            f"exceeds {integrability_tol:.1e}")
+    _require_integrable(sys, cfg, integrability_tol)
     theta = as_finite_array(consts).ravel()
     pts = [as_finite_array(w).ravel() for w in waypoints]
     for a, b in zip(pts[:-1], pts[1:]):
@@ -206,23 +206,15 @@ def essential_param_ranks(fam: FunctionFamily, cfg: DiffConfig | None = None) ->
         # one more nesting level than the x-derivative order, since the
         # parameter derivative is taken on top of the x-stencil
         step = cfg.base_step ** (1.0 / (s + 2.0))
-        cols = []
-        for multi in combinations_with_replacement(range(fam.n_x), s):
-            for x in xs:
-                rows_alpha = []
-                for alpha in range(fam.r):
-                    ha = step * max(1.0, abs(float(a0[alpha])))
-                    ap = a0.copy()
-                    am = a0.copy()
-                    ap[alpha] += ha
-                    am[alpha] -= ha
-                    d = (_nested_x_derivative(fam, x.copy(), ap, multi, step)
-                         - _nested_x_derivative(fam, x.copy(), am, multi, step)) / (2.0 * ha)
-                    rows_alpha.append(d)
-                cols.append(np.stack(rows_alpha))
+        step_cfg = cfg.replace(base_step=step)
+        # row alpha holds the parameter derivative d / d a^alpha
+        cols = [jacobian(lambda a: _nested_x_derivative(fam, x, a, multi, step), a0,
+                         step_cfg).T
+                for multi in combinations_with_replacement(range(fam.n_x), s)
+                for x in xs]
         blocks.append(np.concatenate(cols, axis=1) if cols else np.zeros((fam.r, 0)))
         stacked = np.concatenate(blocks, axis=1)
-        ranks.append(numeric_rank(stacked, cfg.rank_tol))
+        ranks.append(numeric_rank(stacked))
         if ranks[-1] == fam.r:
             break
         if ranks[-1] == 0:

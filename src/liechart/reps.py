@@ -81,7 +81,7 @@ def rep_axiom_residuals(rep: RepChart, cfg: DiffConfig | None = None
                                                  homomorphism, arity=2)
     out["rep_inverse"] = worst_over_samples(
         chart, cfg, "rep_inverse",
-        lambda a: maxabs(rep(inverse(chart, a, cfg)) - invert(rep(a), cfg.rank_tol)))
+        lambda a: maxabs(rep(inverse(chart, a, cfg)) - invert(rep(a))))
     return out
 
 
@@ -117,7 +117,7 @@ def rep_pde_residual(rep: RepChart, cfg: DiffConfig | None = None,
     vec_res = []
     for a in pts:
         fa = rep(a)
-        lam_left = invert(psi_flavored(chart, a, "left", cfg), cfg.rank_tol)
+        lam_left = invert(psi_flavored(chart, a, "left", cfg))
         d = jacobian(lambda x: rep(x).ravel(), a, cfg).reshape(rep.m, rep.m, chart.n)
         expected = _pde_expected(rep, fa, gens, lam_left)
         map_res.append(maxabs(d - expected))
@@ -249,7 +249,7 @@ def generator_transform(rep: RepChart, g, cfg: DiffConfig | None = None,
     ops = basic_operators(chart, g, cfg)
     adjoint = ops.left_inv @ ops.right
     fg = rep(g)
-    fg_inv = invert(fg, cfg.rank_tol)
+    fg_inv = invert(fg)
     if rep.side == "left":
         conj = [fg_inv @ gen @ fg for gen in gens]
     else:

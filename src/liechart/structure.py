@@ -108,10 +108,9 @@ def _field_derivatives(chart: GroupChart, a: np.ndarray, flavor: str,
     return psi, dpsi
 
 
-def _lam_derivative(psi: np.ndarray, dpsi: np.ndarray, rank_tol: float
-                    ) -> tuple[np.ndarray, np.ndarray]:
+def _lam_derivative(psi: np.ndarray, dpsi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(lam, dlam) from (psi, dpsi) via the inverse-derivative identity."""
-    lam = invert(psi, rank_tol)
+    lam = invert(psi)
     dlam = -np.einsum("ur,rsp,sv->uvp", lam, dpsi, lam)
     return lam, dlam
 
@@ -125,7 +124,7 @@ def structure_constants_at_point(chart: GroupChart, a, flavor: str,
     """
     cfg = cfg or DiffConfig()
     psi, dpsi = _field_derivatives(chart, np.asarray(a, float), flavor, cfg)
-    _, dlam = _lam_derivative(psi, dpsi, cfg.rank_tol)
+    _, dlam = _lam_derivative(psi, dpsi)
     antis = dlam - np.transpose(dlam, (0, 2, 1))
     return np.einsum("rt,pv,urp->utv", psi, psi, antis)
 
@@ -164,7 +163,7 @@ def maurer_residual(chart: GroupChart, flavor: str, cfg: DiffConfig | None = Non
 
     def residual(a: np.ndarray) -> float:
         psi, dpsi = _field_derivatives(chart, a, flavor, cfg)
-        lam, dlam = _lam_derivative(psi, dpsi, cfg.rank_tol)
+        lam, dlam = _lam_derivative(psi, dpsi)
         curl = dlam - np.transpose(dlam, (0, 2, 1))
         contracted = np.einsum("utv,tp,vr->upr", constants.c, lam, lam)
         return maxabs(contracted - curl)
@@ -194,7 +193,7 @@ def invariant_field_commutators(chart: GroupChart, flavor: str,
 
     def residual(a: np.ndarray) -> float:
         psi = psi_flavored(chart, a, flavor, cfg)
-        ranks.append(numeric_rank(psi, cfg.rank_tol))
+        ranks.append(numeric_rank(psi))
         if n < 2:
             return 0.0  # a single frame field has no commutators
         dframe = jacobian(lambda x: psi_flavored(chart, x, flavor, cfg).ravel(), a, cfg)

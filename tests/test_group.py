@@ -19,6 +19,7 @@ from liechart.group import (
     verify_shift_identities,
     worst_of,
     worst_over_samples,
+    SAMPLE_RADIUS,
     SHIFT_CHECK_IDS,
 )
 from liechart.numdiff import DiffConfig
@@ -138,7 +139,7 @@ def test_sample_points_deterministic_and_bounded():
     pts2 = sample_points(chart, CFG, check_rng(CFG, "demo"), 8)
     assert np.array_equal(pts1, pts2)
     assert pts1.shape == (8, 1)
-    assert np.max(np.abs(pts1 - chart.identity)) <= CFG.sample_radius + 1e-15
+    assert np.max(np.abs(pts1 - chart.identity)) <= SAMPLE_RADIUS + 1e-15
 
 
 def test_check_rng_distinct_streams():

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from liechart import pde
 from liechart.catalog import get_group
 from liechart.errors import NotIntegrable
-from liechart.numdiff import DiffConfig
+from liechart.numdiff import DiffConfig, jacobian
 from liechart.pde import (
     FunctionFamily,
     PDESystem,
@@ -124,3 +125,39 @@ def test_family_value_shape_validation():
                          a0=np.zeros(1), x_box=np.array([[-1.0, 1.0]]))
     with pytest.raises(ValueError):
         fam.value(np.zeros(1), np.zeros(1))
+
+
+def test_nan_integrability_residual_is_not_integrable(monkeypatch):
+    monkeypatch.setattr(pde, "integrability_residual", lambda sys, cfg: float("nan"))
+    x0, x1 = np.zeros(2), np.array([0.1, 0.2])
+    with pytest.raises(NotIntegrable):
+        taylor_solve(exponential_system(), np.ones(1), x0, x1, CFG)
+    with pytest.raises(NotIntegrable):
+        solve_along_path(exponential_system(), np.ones(1), [x0, x1], CFG)
+
+
+def loop_parameter_derivative(fam, x, multi, step):
+    """Reference: one central difference per parameter, written out."""
+    a0 = np.asarray(fam.a0, float)
+    rows = []
+    for alpha in range(fam.r):
+        ha = step * max(1.0, abs(float(a0[alpha])))
+        ap = a0.copy()
+        am = a0.copy()
+        ap[alpha] += ha
+        am[alpha] -= ha
+        rows.append((pde._nested_x_derivative(fam, x.copy(), ap, multi, step)
+                     - pde._nested_x_derivative(fam, x.copy(), am, multi, step)) / (2.0 * ha))
+    return np.stack(rows)
+
+
+@pytest.mark.parametrize("fam", [item.family for item in bundled_families()]
+                         + [group_composition_family(get_group("affine"))],
+                         ids=lambda fam: fam.name)
+def test_parameter_jacobian_matches_loop_reference(fam):
+    x = np.asarray(fam.x_box, float).mean(axis=1) + 0.3
+    for s, multi in ((0, ()), (1, (0,)), (2, (0, fam.n_x - 1))):
+        step = CFG.base_step ** (1.0 / (s + 2.0))
+        measured = jacobian(lambda a: pde._nested_x_derivative(fam, x, a, multi, step),
+                            fam.a0, CFG.replace(base_step=step)).T
+        assert np.array_equal(measured, loop_parameter_derivative(fam, x, multi, step))

@@ -171,7 +171,7 @@ def per_pair_field_commutators(chart, flavor, cfg, constants):
     min_rank = chart.n
     for a in pts:
         psi = psi_flavored(chart, a, flavor, cfg)
-        min_rank = min(min_rank, numeric_rank(psi, cfg.rank_tol))
+        min_rank = min(min_rank, numeric_rank(psi))
         for t in range(chart.n):
             for v in range(t + 1, chart.n):
                 measured = vf_commutator(frame_field(t), frame_field(v), a, cfg)

@@ -1,9 +1,14 @@
+from pathlib import Path
+
 import pytest
 
+from liechart import catalog
 from liechart.errors import UnknownEntry
-from liechart.group import SHIFT_CHECK_IDS
+from liechart.group import SHIFT_CHECK_IDS, check_chart_axioms, verify_shift_identities
 from liechart.numdiff import DiffConfig
-from liechart.suites import TOLERANCES, run_suite
+from liechart.suites import SUITE_NAMES, SUITES, TOLERANCES, run_suite
+
+GOLDEN = Path(__file__).parent / "golden"
 
 CFG = DiffConfig(sample_count=4)
 
@@ -117,3 +122,36 @@ def test_tol_scale_applies_to_records():
     scaled = run_suite("affine", "structure", CFG, tol_scale=10.0)
     for a, b in zip(base.checks, scaled.checks):
         assert b.tolerance == pytest.approx(10.0 * a.tolerance)
+
+
+@pytest.mark.parametrize("group, rep, name", [
+    ("affine", "matrix", "all_affine_matrix.json"),
+    ("gl:2", "conjugate", "all_gl2_conjugate.json"),        # reversed side
+    ("multiplicative", None, "all_multiplicative.json"),    # canonical checks
+])
+def test_all_suite_matches_golden_report(group, rep, name):
+    report = run_suite(group, "all", CFG, rep_name=rep)
+    assert report.to_json() == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("group", ["affine", "gl:2"])
+def test_chart_checks_match_shift_suite(group):
+    chart = catalog.get_group(group)
+    via_suite = run_suite(group, "shift", CFG, tol_scale=2.0).checks
+    direct = (check_chart_axioms(chart, CFG, 2.0).checks
+              + verify_shift_identities(chart, CFG, 2.0).checks)
+    assert direct == via_suite
+
+
+def test_suite_names_come_from_the_suite_table():
+    assert SUITE_NAMES == (*SUITES, "all")
+
+
+def test_unknown_rep_raises_before_any_evaluation(monkeypatch):
+    chart = catalog.get_group("affine")
+    calls = []
+    law = chart.compose
+    monkeypatch.setattr(chart, "compose", lambda a, b: calls.append(1) or law(a, b))
+    with pytest.raises(UnknownEntry):
+        run_suite("affine", "all", CFG, rep_name="bogus")
+    assert calls == []
