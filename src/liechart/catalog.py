@@ -281,9 +281,11 @@ def get_rep(group_name: str, rep_name: str) -> RepChart:
     kind, left_name, right_name = composite
     left = get_rep(group_name, left_name)
     right = get_rep(group_name, right_name)
-    if kind == "tensor":
-        return tensor_product(left, right)
-    return direct_sum(left, right)
+    try:
+        return (tensor_product if kind == "tensor" else direct_sum)(left, right)
+    except ValueError as exc:  # e.g. a left- and a right-sided half
+        raise UnknownEntry(f"group {group_name!r} has no representation "
+                           f"{rep_name!r}: {exc}") from None
 
 
 def rep_generator_oracle(group_name: str, rep_name: str) -> list[np.ndarray] | None:

@@ -111,22 +111,6 @@ def homomorphism_residual(chart: GroupChart, flow: FlowResult, pairs: int = 10) 
                     for i in range(stride, steps, stride))
 
 
-def reparameterization_residual(chart: GroupChart, alpha, cfg: DiffConfig | None = None,
-                                t_end: float = 1.0, flavor: str = "right") -> float:
-    """Endpoint gap between the flows of alpha over [0, t] and 2 alpha over [0, t/2].
-
-    Both are integrated from the same operator field, so this measures
-    integrator consistency only and never the composition law: when the
-    two step-doubling loops settle at the same step count the RK4 runs
-    perform the same floating-point operations and the gap is exactly 0.
-    """
-    cfg = cfg or DiffConfig()
-    alpha = as_finite_array(alpha)
-    a = one_param_subgroup(chart, alpha, t_end, flavor=flavor, cfg=cfg)
-    b = one_param_subgroup(chart, 2.0 * alpha, t_end / 2.0, flavor=flavor, cfg=cfg)
-    return maxabs(a.endpoint - b.endpoint)
-
-
 def _adaptive_simpson(f, lo: float, hi: float, tol: float) -> float:
     flo, fhi = f(lo), f(hi)
     mid = 0.5 * (lo + hi)
@@ -146,8 +130,6 @@ def _adaptive_simpson(f, lo: float, hi: float, tol: float) -> float:
         return (recurse(a, m, fa, flm, fm, s_left, eps / 2.0, depth + 1)
                 + recurse(m, b, fm, frm, fb, s_right, eps / 2.0, depth + 1))
 
-    if lo == hi:
-        return 0.0
     return recurse(lo, hi, flo, fmid, fhi, whole, tol, 0)
 
 

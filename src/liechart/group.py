@@ -460,11 +460,8 @@ TOLERANCES = {
     "basic_ops_at_identity": 1e-7,
     **dict.fromkeys(SHIFT_CHECK_IDS, 1e-4),
     "generator_swap": 1e-4,
-    "antisymmetry_left": 1e-6,
-    "antisymmetry_right": 1e-6,
     "jacobi_left": 1e-4,
     "jacobi_right": 1e-4,
-    "anti_isomorphism": 1e-6,
     "anti_isomorphism_measured": 1e-3,
     "constancy_left": 1e-3,
     "constancy_right": 1e-3,
@@ -474,11 +471,8 @@ TOLERANCES = {
     "field_commutators_right": 1e-3,
     "frame_rank_left": 0.5,
     "frame_rank_right": 0.5,
-    "flow_starts_at_identity": 1e-12,
     "flow_homomorphism": 1e-5,
     "flow_homomorphism_left": 1e-5,
-    "flow_reparameterization": 1e-6,
-    "canonical_identity": 1e-12,
     "canonical_additivity": 1e-6,
     "rep_identity": 1e-10,
     "rep_homomorphism": 1e-8,

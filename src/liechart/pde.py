@@ -22,6 +22,9 @@ from .flows import rk4_step
 from .group import GroupChart, check_rng, maxabs, worst_of
 from .numdiff import DiffConfig, as_finite_array, jacobian, numeric_rank
 
+_TAYLOR_STEPS = 500
+_INTEGRABILITY_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class PDESystem:
@@ -86,10 +89,11 @@ def integrability_residual(sys: PDESystem, cfg: DiffConfig | None = None) -> flo
                     for i in range(cfg.sample_count))
 
 
-def _require_integrable(sys: PDESystem, cfg: DiffConfig, tol: float) -> None:
+def _require_integrable(sys: PDESystem, cfg: DiffConfig) -> None:
     res = integrability_residual(sys, cfg)
-    if not res <= tol:
-        raise NotIntegrable(f"cross-derivative residual {res:.3e} exceeds {tol:.1e}")
+    if not res <= _INTEGRABILITY_TOL:
+        raise NotIntegrable(
+            f"cross-derivative residual {res:.3e} exceeds {_INTEGRABILITY_TOL:.1e}")
 
 
 def taylor_coefficients(sys: PDESystem, consts, x0,
@@ -110,18 +114,17 @@ def taylor_coefficients(sys: PDESystem, consts, x0,
 
 
 def taylor_solve(sys: PDESystem, consts, x0, x1, cfg: DiffConfig | None = None,
-                 steps: int = 500, integrability_tol: float = 1e-6,
                  check: bool = True) -> np.ndarray:
     """Continue the local solution from (x0, consts) to x1.
 
     Integrates d theta / ds = psi(theta, x(s)) dx along the straight
-    segment with fixed-step RK4.  Raises NotIntegrable when the sampled
-    cross-derivative residual exceeds integrability_tol, since the
-    result would then depend on the path taken.
+    segment with _TAYLOR_STEPS fixed RK4 steps.  Raises NotIntegrable
+    when the sampled cross-derivative residual exceeds _INTEGRABILITY_TOL,
+    since the result would then depend on the path taken.
     """
     cfg = cfg or DiffConfig()
     if check:
-        _require_integrable(sys, cfg, integrability_tol)
+        _require_integrable(sys, cfg)
     theta = as_finite_array(consts).ravel().copy()
     x0 = as_finite_array(x0).ravel()
     x1 = as_finite_array(x1).ravel()
@@ -130,23 +133,23 @@ def taylor_solve(sys: PDESystem, consts, x0, x1, cfg: DiffConfig | None = None,
     def rhs(th: np.ndarray, s: float) -> np.ndarray:
         return sys.rhs(th, x0 + s * delta) @ delta
 
-    h = 1.0 / steps
+    h = 1.0 / _TAYLOR_STEPS
     s = 0.0
-    for _ in range(steps):
+    for _ in range(_TAYLOR_STEPS):
         theta = rk4_step(rhs, theta, s, h)
         s += h
     return as_finite_array(theta, "pde solution")
 
 
-def solve_along_path(sys: PDESystem, consts, waypoints, cfg: DiffConfig | None = None,
-                     steps: int = 500, integrability_tol: float = 1e-6) -> np.ndarray:
+def solve_along_path(sys: PDESystem, consts, waypoints, cfg: DiffConfig | None = None
+                     ) -> np.ndarray:
     """Chain taylor_solve along a polyline; integrability checked once."""
     cfg = cfg or DiffConfig()
-    _require_integrable(sys, cfg, integrability_tol)
+    _require_integrable(sys, cfg)
     theta = as_finite_array(consts).ravel()
     pts = [as_finite_array(w).ravel() for w in waypoints]
     for a, b in zip(pts[:-1], pts[1:]):
-        theta = taylor_solve(sys, theta, a, b, cfg, steps=steps, check=False)
+        theta = taylor_solve(sys, theta, a, b, cfg, check=False)
     return theta
 
 

@@ -40,11 +40,8 @@ def structure_suite(chart: GroupChart, rep: RepChart | None, cfg: DiffConfig) ->
     n = cfg.sample_count
 
     yield "generator_swap", 1, structure.swap_residual(gens)
-    yield "antisymmetry_left", 1, structure.antisymmetry_residual(c_left)
-    yield "antisymmetry_right", 1, structure.antisymmetry_residual(c_right)
     yield "jacobi_left", 1, structure.jacobi_residual(c_left)
     yield "jacobi_right", 1, structure.jacobi_residual(c_right)
-    yield "anti_isomorphism", 1, maxabs(c_left.c + c_right.c)
     yield "anti_isomorphism_measured", 1, worst_over_samples(
         chart, cfg, "anti_isomorphism_measured",
         lambda pt: maxabs(structure.structure_constants_at_point(chart, pt, "right", cfg)
@@ -65,13 +62,10 @@ def flows_suite(chart: GroupChart, rep: RepChart | None, cfg: DiffConfig) -> Che
     alpha = rng.uniform(-0.2, 0.2, chart.n)
 
     flow = flows.one_param_subgroup(chart, alpha, 1.0, flavor="right", cfg=cfg)
-    yield "flow_starts_at_identity", 1, maxabs(flow.path[0] - chart.identity)
     yield "flow_homomorphism", 10, flows.homomorphism_residual(chart, flow)
     flow_l = flows.one_param_subgroup(chart, alpha, 1.0, flavor="left", cfg=cfg)
     yield "flow_homomorphism_left", 10, flows.homomorphism_residual(chart, flow_l)
-    yield "flow_reparameterization", 1, flows.reparameterization_residual(chart, alpha, cfg)
     if chart.n == 1:
-        yield "canonical_identity", 1, abs(flows.canonical_coordinate(chart, chart.identity, cfg))
         yield "canonical_additivity", cfg.sample_count, flows.additivity_residual(chart, cfg)
 
 

@@ -126,7 +126,7 @@ def test_composite_generator_oracles():
 
 
 def test_mixed_side_composite_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(UnknownEntry):
         get_rep("gl:2", "sum:standard,conjugate")
 
 

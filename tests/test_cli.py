@@ -56,6 +56,14 @@ def test_unknown_rep_returns_two(capsys):
                    "--rep", "bogus", "--samples", "4") == 2
 
 
+@pytest.mark.parametrize("rep", ["tensor:standard,conjugate", "sum:conjugate,standard"])
+def test_mixed_side_composite_returns_two(rep, capsys):
+    # a left- and a right-sided half cannot be combined
+    assert run_cli("run", "--group", "gl:2", "--suite", "rep",
+                   "--rep", rep, "--samples", "4") == 2
+    assert "matching sides" in capsys.readouterr().err
+
+
 def test_breakdown_returns_three(monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise SingularMatrix("synthetic failure")

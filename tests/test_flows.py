@@ -13,7 +13,6 @@ from liechart.flows import (
     canonical_coordinate,
     homomorphism_residual,
     one_param_subgroup,
-    reparameterization_residual,
 )
 from liechart.group import GroupChart
 from liechart.numdiff import DiffConfig
@@ -62,12 +61,6 @@ def test_homomorphism_residual_small():
     chart = get_group("gl:2")
     flow = one_param_subgroup(chart, np.array([0.2, 0.3, -0.1, 0.1]), 1.0, cfg=CFG)
     assert homomorphism_residual(chart, flow, pairs=10) < 1e-5
-
-
-def test_reparameterization_consistency():
-    chart = get_group("affine")
-    alpha = np.array([0.15, -0.2])
-    assert reparameterization_residual(chart, alpha, CFG) < 1e-6
 
 
 def test_multiplicative_flow_hits_exp():
@@ -126,6 +119,21 @@ def test_canonical_coordinate_degenerate_operator_raises():
     chart = get_group("multiplicative")
     with pytest.raises(ZeroPsi):
         canonical_coordinate(chart, np.array([-0.5]), CFG)
+
+
+@pytest.mark.parametrize("centre", [0.3, 0.37, 0.5123])
+def test_canonical_coordinate_catches_a_narrow_dip(centre):
+    # psi(tau) = 1 - 2 exp(-((tau - centre) / 0.01)^2) is negative only on
+    # a band about 0.017 wide and positive again past it; the quadrature
+    # nodes alone step over the dips at 0.3 and 0.37, so a cheaper guard
+    # than the sign scan must still raise here
+    def psi(tau):
+        return 1.0 - 2.0 * np.exp(-((tau - centre) / 0.01) ** 2)
+
+    chart = GroupChart(n=1, compose=lambda a, b: a + psi(a) * b,
+                       identity=np.zeros(1), name="dip")
+    with pytest.raises(ZeroPsi):
+        canonical_coordinate(chart, np.array([1.0]), CFG)
 
 
 def test_homomorphism_residual_keeps_nan():
@@ -198,9 +206,9 @@ def test_step_doubling_raises_left_chart_from_the_capped_pass():
 # composition-law evaluations of the seed-42 flows suite at the default 20
 # samples.  CEILING_EVALS are the counts with a fixed 1000 RK4 steps per
 # unit time; no change to the suite should rise above them.
-FLOWS_EVALS = {"translation:1": 17_186, "translation:2": 1_374, "translation:3": 2_046,
-               "multiplicative": 18_226, "affine": 1_630, "gl:1": 18_226,
-               "gl:2": 3_230, "gl:3": 16_436}
+FLOWS_EVALS = {"translation:1": 16_634, "translation:2": 798, "translation:3": 1_182,
+               "multiplicative": 17_546, "affine": 798, "gl:1": 17_546,
+               "gl:2": 1_566, "gl:3": 8_084}
 CEILING_EVALS = {"translation:1": 44_502, "translation:2": 56_018, "translation:3": 84_018,
                  "multiplicative": 45_414, "affine": 56_018, "gl:1": 45_414,
                  "gl:2": 112_018, "gl:3": 252_018}
