@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -32,13 +33,41 @@ class FlowResult:
         return self.path[-1]
 
 
-def rk4_step(rhs, y: np.ndarray, s: float, h: float) -> np.ndarray:
-    """One classical Runge-Kutta step of y' = rhs(y, s) from s to s + h."""
-    k1 = rhs(y, s)
-    k2 = rhs(y + 0.5 * h * k1, s + 0.5 * h)
-    k3 = rhs(y + 0.5 * h * k2, s + 0.5 * h)
-    k4 = rhs(y + h * k3, s + h)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def rk4_path(rhs, y0: np.ndarray, t_end: float, steps: int, check) -> np.ndarray:
+    """RK4 states of y' = rhs(y, s) at s = i t_end / steps, each vetted by check(y, s)."""
+    h = t_end / steps
+    path = np.empty((steps + 1, y0.size))
+    path[0] = y = y0
+    for i in range(steps):
+        s = i * h
+        k1 = rhs(y, s)
+        k2 = rhs(y + 0.5 * h * k1, s + 0.5 * h)
+        k3 = rhs(y + 0.5 * h * k2, s + 0.5 * h)
+        k4 = rhs(y + h * k3, s + h)
+        path[i + 1] = y = check(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (i + 1) * h)
+    return path
+
+
+def step_doubled(integrate, first: int, cap: int, errors) -> np.ndarray:
+    """The path of integrate(steps) at first, 2 first, ... steps, up to `cap`.
+
+    Returns the finer path once two successive endpoints agree within
+    _FLOW_TOL, else the pass at `cap` steps as it is.  Few RK4 steps can
+    blow up on a stiff system whose solution stays finite, so below the
+    cap `errors` only mean "not converged"; the capped pass raises them.
+    """
+    steps = min(first, cap)
+    coarse = None
+    while steps < cap:
+        try:
+            path = integrate(steps)
+        except errors:
+            path = None
+        if path is not None and coarse is not None and maxabs(path[-1] - coarse[-1]) <= _FLOW_TOL:
+            return path
+        coarse = path
+        steps = min(2 * steps, cap)
+    return integrate(cap)
 
 
 def one_param_subgroup(chart: GroupChart, alpha, t_end: float,
@@ -46,14 +75,10 @@ def one_param_subgroup(chart: GroupChart, alpha, t_end: float,
                        cfg: DiffConfig | None = None) -> FlowResult:
     """Integrate the invariant flow c' = psi_flavor(c) alpha from the identity.
 
-    RK4 on a uniform grid of `steps` steps.  Without `steps`, the count
-    starts at ceil(8 |t_end|) and doubles until two successive endpoints
-    agree within _FLOW_TOL, and the finer path is returned; doubling
-    stops at ceil(1000 |t_end|) steps, whose path is returned as it is,
-    so the flow checks measure whatever error is left.  Raises LeftChart
-    when a state escapes the chart trust region.  Without `steps`, a pass
-    below the cap that escapes or turns non-finite only counts as not
-    converged; the capped pass raises.
+    RK4 on a uniform grid of `steps` steps, or without `steps` step-doubled
+    from ceil(8 |t_end|) to ceil(1000 |t_end|) steps, where only the capped
+    pass may raise.  Raises LeftChart when a state escapes the chart trust
+    region.
     """
     cfg = cfg or DiffConfig()
     if flavor not in ("left", "right"):
@@ -65,37 +90,18 @@ def one_param_subgroup(chart: GroupChart, alpha, t_end: float,
     def rhs(c: np.ndarray, _s: float) -> np.ndarray:
         return psi_flavored(chart, c, flavor, cfg) @ alpha
 
-    def integrate(steps: int) -> FlowResult:
-        h = t_end / steps
-        path = np.empty((steps + 1, chart.n))
-        c = chart.identity.copy()
-        path[0] = c
-        for i in range(steps):
-            c = as_finite_array(rk4_step(rhs, c, i * h, h), "flow state")
-            if maxabs(c - chart.identity) > chart.chart_radius:
-                raise LeftChart(f"flow left the trust region at t = {(i + 1) * h:.6g}")
-            path[i + 1] = c
-        return FlowResult(alpha=alpha, flavor=flavor,
-                          t_grid=np.linspace(0.0, t_end, steps + 1), path=path)
+    def in_chart(c: np.ndarray, s: float) -> np.ndarray:
+        c = as_finite_array(c, "flow state")
+        if maxabs(c - chart.identity) > chart.chart_radius:
+            raise LeftChart(f"flow left the trust region at t = {s:.6g}")
+        return c
 
-    if steps is not None:
-        return integrate(steps)
-    cap = max(1, math.ceil(_MAX_STEPS_PER_UNIT * abs(t_end)))
-    steps = min(cap, max(1, math.ceil(_FIRST_STEPS_PER_UNIT * abs(t_end))))
-    coarse = None
-    while steps < cap:
-        try:
-            flow = integrate(steps)
-        except (LeftChart, NonFiniteEvaluation):
-            # RK4 with too few steps blows up on a stiff law where the true
-            # flow stays inside the chart, so only the capped pass may raise
-            flow = None
-        if (flow is not None and coarse is not None
-                and maxabs(flow.endpoint - coarse.endpoint) <= _FLOW_TOL):
-            return flow
-        coarse = flow
-        steps = min(2 * steps, cap)
-    return integrate(cap)
+    integrate = partial(rk4_path, rhs, chart.identity, t_end, check=in_chart)
+    path = integrate(steps) if steps is not None else step_doubled(
+        integrate, max(1, math.ceil(_FIRST_STEPS_PER_UNIT * abs(t_end))),
+        max(1, math.ceil(_MAX_STEPS_PER_UNIT * abs(t_end))), (LeftChart, NonFiniteEvaluation))
+    return FlowResult(alpha=alpha, flavor=flavor,
+                      t_grid=np.linspace(0.0, t_end, path.shape[0]), path=path)
 
 
 def homomorphism_residual(chart: GroupChart, flow: FlowResult, pairs: int = 10) -> float:

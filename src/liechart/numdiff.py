@@ -9,12 +9,12 @@ coordinate magnitude.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import NonFiniteEvaluation, SingularMatrix
 
@@ -54,7 +54,7 @@ class DiffConfig:
 def as_finite_array(x, context: str = "evaluation") -> np.ndarray:
     """Coerce to a float array, rejecting NaN/Inf entries."""
     a = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NonFiniteEvaluation(f"{context} produced a non-finite value")
     return a
 
@@ -83,7 +83,7 @@ def jacobian(f: VectorMap, at: Sequence[float], cfg: DiffConfig | None = None) -
     out = np.column_stack(cols)
     # a NaN or Inf probe always survives the difference, so one check
     # on the assembled matrix covers every evaluation
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NonFiniteEvaluation("jacobian probe produced a non-finite value")
     return out
 
@@ -124,7 +124,7 @@ def mixed_second(
             fmp = np.asarray(f(am, bp), dtype=float).ravel()
             fmm = np.asarray(f(am, bm), dtype=float).ravel()
             out[:, L, M] = (fpp - fpm - fmp + fmm) / (4.0 * ha[L] * hb[M])
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NonFiniteEvaluation("mixed_second probe produced a non-finite value")
     return out
 
@@ -173,12 +173,13 @@ def invert(m, rank_tol: float = 1e-8) -> np.ndarray:
     scale = float(np.max(np.abs(a)))
     if scale == 0.0:
         raise SingularMatrix("zero matrix")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+    # LAPACK directly: scipy's lu_factor/lu_solve wrappers cost more than
+    # the solve itself at these sizes
+    getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (a,))
+    lu, piv, _ = getrf(a)
     pivots = np.abs(np.diag(lu))
     if np.min(pivots) <= rank_tol * scale:
         raise SingularMatrix(
             f"pivot {np.min(pivots):.3e} below {rank_tol:.1e} * {scale:.3e}"
         )
-    return scipy.linalg.lu_solve((lu, piv), np.eye(a.shape[0]), check_finite=False)
+    return getrs(lu, piv, np.eye(a.shape[0]))[0]

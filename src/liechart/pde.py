@@ -12,13 +12,14 @@ x-derivatives and watch the rank saturate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations_with_replacement
 from typing import Callable
 
 import numpy as np
 
-from .errors import NotIntegrable
-from .flows import rk4_step
+from .errors import NonFiniteEvaluation, NotIntegrable
+from .flows import rk4_path, step_doubled
 from .group import GroupChart, check_rng, maxabs, worst_of
 from .numdiff import DiffConfig, as_finite_array, jacobian, numeric_rank
 
@@ -117,15 +118,16 @@ def taylor_solve(sys: PDESystem, consts, x0, x1, cfg: DiffConfig | None = None,
                  check: bool = True) -> np.ndarray:
     """Continue the local solution from (x0, consts) to x1.
 
-    Integrates d theta / ds = psi(theta, x(s)) dx along the straight
-    segment with _TAYLOR_STEPS fixed RK4 steps.  Raises NotIntegrable
-    when the sampled cross-derivative residual exceeds _INTEGRABILITY_TOL,
-    since the result would then depend on the path taken.
+    Integrates d theta / ds = psi(theta, x(s)) dx for s in [0, 1] along
+    the straight segment by flows.step_doubled RK4: from 8 steps until two
+    endpoints agree within flows._FLOW_TOL, at most _TAYLOR_STEPS.  Raises
+    NotIntegrable when the sampled cross-derivative residual exceeds
+    _INTEGRABILITY_TOL, since the result would then depend on the path.
     """
     cfg = cfg or DiffConfig()
     if check:
         _require_integrable(sys, cfg)
-    theta = as_finite_array(consts).ravel().copy()
+    theta = as_finite_array(consts).ravel()
     x0 = as_finite_array(x0).ravel()
     x1 = as_finite_array(x1).ravel()
     delta = x1 - x0
@@ -133,17 +135,17 @@ def taylor_solve(sys: PDESystem, consts, x0, x1, cfg: DiffConfig | None = None,
     def rhs(th: np.ndarray, s: float) -> np.ndarray:
         return sys.rhs(th, x0 + s * delta) @ delta
 
-    h = 1.0 / _TAYLOR_STEPS
-    s = 0.0
-    for _ in range(_TAYLOR_STEPS):
-        theta = rk4_step(rhs, theta, s, h)
-        s += h
-    return as_finite_array(theta, "pde solution")
+    integrate = partial(rk4_path, rhs, theta, 1.0,
+                        check=lambda th, _s: as_finite_array(th, "pde solution"))
+    return step_doubled(integrate, 8, _TAYLOR_STEPS, NonFiniteEvaluation)[-1]
 
 
 def solve_along_path(sys: PDESystem, consts, waypoints, cfg: DiffConfig | None = None
                      ) -> np.ndarray:
-    """Chain taylor_solve along a polyline; integrability checked once."""
+    """Chain taylor_solve along a polyline; integrability checked once.
+
+    Each leg is step-doubled on its own, to its own step count.
+    """
     cfg = cfg or DiffConfig()
     _require_integrable(sys, cfg)
     theta = as_finite_array(consts).ravel()

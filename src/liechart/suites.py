@@ -41,7 +41,6 @@ def structure_suite(chart: GroupChart, rep: RepChart | None, cfg: DiffConfig) ->
 
     yield "generator_swap", 1, structure.swap_residual(gens)
     yield "jacobi_left", 1, structure.jacobi_residual(c_left)
-    yield "jacobi_right", 1, structure.jacobi_residual(c_right)
     yield "anti_isomorphism_measured", 1, worst_over_samples(
         chart, cfg, "anti_isomorphism_measured",
         lambda pt: maxabs(structure.structure_constants_at_point(chart, pt, "right", cfg)

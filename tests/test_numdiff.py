@@ -2,6 +2,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -158,6 +159,22 @@ def test_invert_singular_raises():
         invert(np.array([[1.0, 2.0], [2.0, 4.0]]))
     with pytest.raises(SingularMatrix):
         invert(np.zeros((2, 2)))
+
+
+def _invert_via_lu_wrappers(m):
+    # reference: the scipy wrappers around the same getrf/getrs routines
+    lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
+    return scipy.linalg.lu_solve((lu, piv), np.eye(m.shape[0]), check_finite=False)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 9])
+def test_invert_matches_lu_wrappers_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        m = rng.uniform(-1.0, 1.0, (n, n)) + n * np.eye(n)
+        before = m.copy()
+        assert np.array_equal(invert(m), _invert_via_lu_wrappers(m))
+        assert np.array_equal(m, before)
 
 
 @given(st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=9, max_size=9))

@@ -1,7 +1,10 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
-from liechart import pde
+from liechart import flows, pde
 from liechart.catalog import get_group
 from liechart.errors import NotIntegrable
 from liechart.numdiff import DiffConfig, jacobian
@@ -63,6 +66,52 @@ def test_taylor_solve_path_independent():
         [np.zeros(2), np.array([0.2, 0.0]), np.array([0.2, 0.1])], CFG)
     assert abs(direct[0] - dogleg[0]) < 1e-9
     assert abs(direct[0] - np.exp(0.3)) < 1e-9
+
+
+def _counted(sys, limit):
+    """sys with its psi calls counted; past `limit` calls psi fails the test."""
+    calls = [0]
+
+    def psi(th, x):
+        calls[0] += 1
+        if calls[0] > limit:
+            raise AssertionError(f"more than {limit} right-hand side calls")
+        return sys.psi(th, x)
+
+    return dataclasses.replace(sys, psi=psi), calls
+
+
+# rhs calls of every pass up to the cap: 4 per RK4 step at 8, 16, ..., 256
+# steps, then the capped pass of 500
+CAPPED_CALLS = 4 * (8 + 16 + 32 + 64 + 128 + 256 + pde._TAYLOR_STEPS)
+
+
+def test_taylor_solve_step_doubling_stops_below_the_cap():
+    sys, calls = _counted(exponential_system(), CAPPED_CALLS)
+    out = taylor_solve(sys, np.ones(1), np.zeros(2), np.array([0.1, 0.2]), CFG, check=False)
+    assert calls[0] < 4 * pde._TAYLOR_STEPS
+    assert abs(out[0] - np.exp(0.3)) < 1e-10
+
+
+def test_taylor_solve_step_doubling_stops_at_the_cap(monkeypatch):
+    # a tolerance no pair of endpoints can meet must still end the loop
+    monkeypatch.setattr(flows, "_FLOW_TOL", 0.0)
+    sys, calls = _counted(exponential_system(), CAPPED_CALLS)
+    out = taylor_solve(sys, np.ones(1), np.zeros(2), np.array([0.1, 0.2]), CFG, check=False)
+    assert calls[0] == CAPPED_CALLS
+    assert abs(out[0] - np.exp(0.3)) < 1e-10
+
+
+def test_taylor_solve_outlasts_an_unstable_coarse_pass():
+    # theta' = -40 theta on [0, 1]: each of 8 RK4 steps multiplies theta by
+    # about 13.7, so the first pass ends near 1e9 while the solution decays
+    stiff = PDESystem(m=1, n=1, psi=lambda th, x: np.array([[-40.0 * th[0]]]),
+                      theta_box=np.array([[0.5, 2.0]]), x_box=np.array([[0.0, 1.0]]),
+                      name="stiff")
+    sys, calls = _counted(stiff, CAPPED_CALLS)
+    out = taylor_solve(sys, np.ones(1), np.zeros(1), np.ones(1), CFG, check=False)
+    assert calls[0] > 4 * 8
+    assert abs(out[0] - math.exp(-40.0)) < 1e-12
 
 
 def test_taylor_solve_rejects_nonintegrable():
