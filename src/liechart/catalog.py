@@ -237,67 +237,49 @@ def _affine_matrix_rep(chart: GroupChart) -> RepChart:
     return RepChart(group=chart, m=2, f=f, side="left", name="matrix")
 
 
-def _elementary(m: int, i: int, j: int) -> np.ndarray:
-    e = np.zeros((m, m))
-    e[i, j] = 1.0
-    return e
-
-
-def _base_rep(group_name: str, rep_name: str) -> tuple[RepChart, list[np.ndarray] | None]:
+def _base_rep(group_name: str, rep_name: str) -> tuple[RepChart, np.ndarray]:
     chart = get_group(group_name)
     if rep_name == "trivial":
-        return _trivial_rep(chart), [np.zeros((1, 1)) for _ in range(chart.n)]
-    if group_name.startswith("gl:"):
+        return _trivial_rep(chart), np.zeros((chart.n, 1, 1))
+    if group_name.startswith("gl:") and rep_name in ("standard", "conjugate"):
         n = int(group_name.split(":", 1)[1])
+        # E_kl, the generator of coordinate k*n + l, is that row of the identity
+        units = np.eye(n * n).reshape(n * n, n, n)
         if rep_name == "standard":
-            oracle = [_elementary(n, k, l) for k in range(n) for l in range(n)]
-            return _gl_standard(chart, n), oracle
-        if rep_name == "conjugate":
-            oracle = [-_elementary(n, k, l) for k in range(n) for l in range(n)]
-            return _gl_conjugate(chart, n), oracle
+            return _gl_standard(chart, n), units
+        return _gl_conjugate(chart, n), -units
     if group_name == "affine" and rep_name == "matrix":
-        oracle = [_elementary(2, 0, 0), _elementary(2, 0, 1)]
-        return _affine_matrix_rep(chart), oracle
+        return _affine_matrix_rep(chart), np.eye(4)[:2].reshape(2, 2, 2)
     raise UnknownEntry(f"group {group_name!r} has no representation {rep_name!r}")
 
 
-def _parse_composite(rep_name: str) -> tuple[str, str, str] | None:
-    for prefix in ("tensor:", "sum:"):
-        if rep_name.startswith(prefix):
-            # split on the first comma only, so the right half may itself
-            # be a composite name
-            parts = rep_name[len(prefix):].split(",", 1)
-            if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
-                raise UnknownEntry(f"{prefix[:-1]} takes two comma-separated names, got {rep_name!r}")
-            return prefix[:-1], parts[0].strip(), parts[1].strip()
-    return None
+_COMPOSITES = {"tensor": (tensor_product, tensor_generators),
+               "sum": (direct_sum, direct_sum_generators)}
 
 
-def get_rep(group_name: str, rep_name: str) -> RepChart:
-    """Look up a representation, assembling tensor/sum composites on demand."""
-    composite = _parse_composite(rep_name)
-    if composite is None:
-        return _base_rep(group_name, rep_name)[0]
-    kind, left_name, right_name = composite
-    left = get_rep(group_name, left_name)
-    right = get_rep(group_name, right_name)
+def _lookup(group_name: str, rep_name: str) -> tuple[RepChart, np.ndarray]:
+    """A representation and its hand-derived generator stack, composites built recursively."""
+    kind, colon, halves = rep_name.partition(":")
+    if not colon or kind not in _COMPOSITES:
+        return _base_rep(group_name, rep_name)
+    # split on the first comma only, so the right half may itself be a composite
+    parts = [part.strip() for part in halves.split(",", 1)]
+    if len(parts) != 2 or not all(parts):
+        raise UnknownEntry(f"{kind} takes two comma-separated names, got {rep_name!r}")
+    (r1, g1), (r2, g2) = (_lookup(group_name, part) for part in parts)
+    combine, combine_generators = _COMPOSITES[kind]
     try:
-        return (tensor_product if kind == "tensor" else direct_sum)(left, right)
+        return combine(r1, r2), combine_generators(g1, g2)
     except ValueError as exc:  # e.g. a left- and a right-sided half
         raise UnknownEntry(f"group {group_name!r} has no representation "
                            f"{rep_name!r}: {exc}") from None
 
 
-def rep_generator_oracle(group_name: str, rep_name: str) -> list[np.ndarray] | None:
-    """Hand-derived generator matrices, where the catalog knows them."""
-    composite = _parse_composite(rep_name)
-    if composite is None:
-        return _base_rep(group_name, rep_name)[1]
-    kind, left_name, right_name = composite
-    g1 = rep_generator_oracle(group_name, left_name)
-    g2 = rep_generator_oracle(group_name, right_name)
-    if g1 is None or g2 is None:
-        return None
-    if kind == "tensor":
-        return tensor_generators(g1, g2)
-    return direct_sum_generators(g1, g2)
+def get_rep(group_name: str, rep_name: str) -> RepChart:
+    """Look up a representation, assembling tensor/sum composites on demand."""
+    return _lookup(group_name, rep_name)[0]
+
+
+def rep_generator_oracle(group_name: str, rep_name: str) -> np.ndarray:
+    """Hand-derived generator stack of shape (n, m, m), composites included."""
+    return _lookup(group_name, rep_name)[1]

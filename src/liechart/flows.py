@@ -15,7 +15,7 @@ from .numdiff import DiffConfig, as_finite_array
 _FIRST_STEPS_PER_UNIT = 8
 _MAX_STEPS_PER_UNIT = 1000
 _FLOW_TOL = 1e-10
-_SIMPSON_TOL = 1e-9
+_GRID_INTERVALS = 128
 _PSI_FLOOR = 1e-12
 
 
@@ -117,34 +117,12 @@ def homomorphism_residual(chart: GroupChart, flow: FlowResult, pairs: int = 10) 
                     for i in range(stride, steps, stride))
 
 
-def _adaptive_simpson(f, lo: float, hi: float, tol: float) -> float:
-    flo, fhi = f(lo), f(hi)
-    mid = 0.5 * (lo + hi)
-    fmid = f(mid)
-    whole = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    def recurse(a: float, b: float, fa: float, fm: float, fb: float,
-                s: float, eps: float, depth: int) -> float:
-        m = 0.5 * (a + b)
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        s_left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        s_right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        if depth >= 50 or abs(s_left + s_right - s) <= 15.0 * eps:
-            return s_left + s_right + (s_left + s_right - s) / 15.0
-        return (recurse(a, m, fa, flm, fm, s_left, eps / 2.0, depth + 1)
-                + recurse(m, b, fm, frm, fb, s_right, eps / 2.0, depth + 1))
-
-    return recurse(lo, hi, flo, fmid, fhi, whole, tol, 0)
-
-
 def canonical_coordinate(chart: GroupChart, a, cfg: DiffConfig | None = None) -> float:
     """Additive coordinate of a 1-d chart.
 
     Integrates the reciprocal of the right basic operator from the
-    identity to a; on this coordinate the composition law becomes plain
-    addition.  Raises ZeroPsi if the operator vanishes along the way.
+    identity to a by composite Simpson; on this coordinate the
+    composition law becomes plain addition.  Raises ZeroPsi if the operator vanishes along the way.
     """
     cfg = cfg or DiffConfig()
     if chart.n != 1:
@@ -153,22 +131,15 @@ def canonical_coordinate(chart: GroupChart, a, cfg: DiffConfig | None = None) ->
     e = float(chart.identity[0])
     target = float(a[0])
 
-    def psi_at(tau: float) -> float:
-        return psi_flavored(chart, np.array([tau]), "right", cfg)[0, 0]
-
     # A zero of the operator anywhere on the path makes the integral
-    # divergent, so scan for sign changes before paying for quadrature.
-    scan = np.array([psi_at(t) for t in np.linspace(e, target, 129)])
+    # divergent, so the Simpson grid is first scanned for sign changes.
+    scan = np.array([psi_flavored(chart, np.array([t]), "right", cfg)[0, 0]
+                     for t in np.linspace(e, target, _GRID_INTERVALS + 1)])
     if np.any(np.abs(scan) < _PSI_FLOOR) or np.any(np.sign(scan[:-1]) != np.sign(scan[1:])):
         raise ZeroPsi("basic operator vanishes on the integration path")
-
-    def integrand(tau: float) -> float:
-        psi = psi_at(tau)
-        if abs(psi) < _PSI_FLOOR:
-            raise ZeroPsi(f"basic operator vanished at tau = {tau:.6g}")
-        return 1.0 / psi
-
-    return _adaptive_simpson(integrand, e, target, _SIMPSON_TOL)
+    f = 1.0 / scan
+    h = (target - e) / _GRID_INTERVALS
+    return float(h / 3.0 * (f[0] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum() + f[-1]))
 
 
 def additivity_residual(chart: GroupChart, cfg: DiffConfig | None = None) -> float:

@@ -484,7 +484,6 @@ TOLERANCES = {
     "conjugate_generators": 1e-5,
     "conjugate_involution": 1e-5,
     "tensor_generators_match": 1e-4,
-    "direct_sum_generators_match": 1e-5,
     "generator_transform_constancy": 1e-4,
     "integrable_example_residual": 1e-8,
     "nonintegrable_example_flag": 1e-6,

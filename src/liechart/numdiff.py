@@ -170,16 +170,14 @@ def invert(m, rank_tol: float = 1e-8) -> np.ndarray:
     a = np.atleast_2d(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError("invert expects a square matrix")
-    scale = float(np.max(np.abs(a)))
+    scale = float(np.abs(a).max())
     if scale == 0.0:
         raise SingularMatrix("zero matrix")
     # LAPACK directly: scipy's lu_factor/lu_solve wrappers cost more than
     # the solve itself at these sizes
     getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (a,))
     lu, piv, _ = getrf(a)
-    pivots = np.abs(np.diag(lu))
-    if np.min(pivots) <= rank_tol * scale:
-        raise SingularMatrix(
-            f"pivot {np.min(pivots):.3e} below {rank_tol:.1e} * {scale:.3e}"
-        )
+    smallest = np.abs(lu.diagonal()).min()
+    if smallest <= rank_tol * scale:
+        raise SingularMatrix(f"pivot {smallest:.3e} below {rank_tol:.1e} * {scale:.3e}")
     return getrs(lu, piv, np.eye(a.shape[0]))[0]

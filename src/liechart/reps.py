@@ -54,15 +54,24 @@ class RepChart:
         return out
 
     def product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """x @ y on the left side, y @ x on the reversed side."""
+        """x @ y on the left side, y @ x on the reversed side; broadcasts over stacks."""
         return x @ y if self.side == "left" else y @ x
 
 
-def rep_generators(rep: RepChart, cfg: DiffConfig | None = None) -> list[np.ndarray]:
-    """Generator matrices: slot derivatives of f at the identity."""
-    cfg = cfg or DiffConfig()
-    d = jacobian(lambda a: rep(a).ravel(), rep.group.identity, cfg)
-    return [d[:, col].reshape(rep.m, rep.m) for col in range(rep.group.n)]
+def _slot_derivatives(rep: RepChart, a: np.ndarray, cfg: DiffConfig) -> np.ndarray:
+    """Stack (n, m, m) of d f / d a^L at a, one matrix per coordinate L."""
+    d = jacobian(lambda x: rep(x).ravel(), a, cfg)
+    return np.moveaxis(d.reshape(rep.m, rep.m, rep.group.n), 2, 0)
+
+
+def _combine(weights: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """out[p] = sum_k weights[k, p] mats[k] over a (n, m, m) stack."""
+    return np.einsum("kp,kij->pij", weights, mats)
+
+
+def rep_generators(rep: RepChart, cfg: DiffConfig | None = None) -> np.ndarray:
+    """Generator stack I of shape (n, m, m): I[k] = d f / d a^k at the identity."""
+    return _slot_derivatives(rep, rep.group.identity, cfg or DiffConfig())
 
 
 def rep_axiom_residuals(rep: RepChart, cfg: DiffConfig | None = None
@@ -85,21 +94,8 @@ def rep_axiom_residuals(rep: RepChart, cfg: DiffConfig | None = None
     return out
 
 
-def _pde_expected(rep: RepChart, fa: np.ndarray, gens: list[np.ndarray],
-                  lam_left: np.ndarray) -> np.ndarray:
-    """Stack of d f / d a^L predicted by the generator equation."""
-    n = rep.group.n
-    out = np.empty((rep.m, rep.m, n))
-    for col in range(n):
-        acc = np.zeros((rep.m, rep.m))
-        for k in range(n):
-            acc += lam_left[k, col] * rep.product(gens[k], fa)
-        out[:, :, col] = acc
-    return out
-
-
 def rep_pde_residual(rep: RepChart, cfg: DiffConfig | None = None,
-                     gens: list[np.ndarray] | None = None) -> dict[str, float]:
+                     gens: np.ndarray | None = None) -> dict[str, float]:
     """Residual of the defining differential equation of the representation.
 
     Map form compares every entry of the slot derivative of f; vector
@@ -116,18 +112,16 @@ def rep_pde_residual(rep: RepChart, cfg: DiffConfig | None = None,
     map_res = []
     vec_res = []
     for a in pts:
-        fa = rep(a)
+        # the generator equation: d f / d a^L = sum_k lam_left[k, L] I_k f
         lam_left = invert(psi_flavored(chart, a, "left", cfg))
-        d = jacobian(lambda x: rep(x).ravel(), a, cfg).reshape(rep.m, rep.m, chart.n)
-        expected = _pde_expected(rep, fa, gens, lam_left)
-        map_res.append(maxabs(d - expected))
+        expected = _combine(lam_left, rep.product(gens, rep(a)))
+        map_res.append(maxabs(_slot_derivatives(rep, a, cfg) - expected))
         dv = jacobian(lambda x: rep.product(rep(x), vec), a, cfg)
-        ev = np.stack([rep.product(expected[:, :, c], vec) for c in range(chart.n)], axis=1)
-        vec_res.append(maxabs(dv - ev))
+        vec_res.append(maxabs(dv.T - rep.product(expected, vec)))
     return {"rep_pde_map": worst_of(map_res), "rep_pde_vector": worst_of(vec_res)}
 
 
-def integrability_check(gens: list[np.ndarray], constants: StructureConstants,
+def integrability_check(gens: np.ndarray, constants: StructureConstants,
                         side: str = "left") -> float:
     """Generator commutators against the structure constants.
 
@@ -137,15 +131,11 @@ def integrability_check(gens: list[np.ndarray], constants: StructureConstants,
     """
     if constants.flavor != "left":
         raise ValueError("integrability_check expects left-flavor constants")
-    c = constants.c
     n = len(gens)
-
-    def residual(k: int, p: int) -> float:
-        comm = gens[k] @ gens[p] - gens[p] @ gens[k]
-        weights = c[:, p, k] if side == "left" else c[:, k, p]
-        return maxabs(comm - sum(weights[t] * gens[t] for t in range(n)))
-
-    return worst_of(residual(k, p) for k in range(n) for p in range(n))
+    c = constants.c if side == "left" else constants.c.transpose(0, 2, 1)
+    prod = gens[:, None] @ gens[None, :]            # prod[k, p] = I_k I_p
+    comm = prod.transpose(1, 0, 2, 3) - prod        # comm[p, k] = [I_k, I_p]
+    return maxabs(comm - _combine(c.reshape(n, n * n), gens).reshape(comm.shape))
 
 
 def conjugate_rep(rep: RepChart) -> RepChart:
@@ -159,9 +149,7 @@ def conjugate_rep(rep: RepChart) -> RepChart:
 def conjugate_generators_check(rep: RepChart, cfg: DiffConfig | None = None) -> float:
     """Generators of the conjugate are the negatives of the originals."""
     cfg = cfg or DiffConfig()
-    g1 = rep_generators(rep, cfg)
-    g2 = rep_generators(conjugate_rep(rep), cfg)
-    return worst_of(maxabs(a + b) for a, b in zip(g1, g2))
+    return maxabs(rep_generators(rep, cfg) + rep_generators(conjugate_rep(rep), cfg))
 
 
 def conjugate_pairing_residual(rep: RepChart, cfg: DiffConfig | None = None) -> float:
@@ -196,10 +184,9 @@ def tensor_product(r1: RepChart, r2: RepChart) -> RepChart:
                     name=f"tensor({r1.name},{r2.name})")
 
 
-def tensor_generators(g1: list[np.ndarray], g2: list[np.ndarray]) -> list[np.ndarray]:
-    m1 = g1[0].shape[0]
-    m2 = g2[0].shape[0]
-    return [np.kron(a, np.eye(m2)) + np.kron(np.eye(m1), b) for a, b in zip(g1, g2)]
+def tensor_generators(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
+    """Generators of the Kronecker product: I_k x 1 + 1 x J_k."""
+    return np.kron(g1, np.eye(g2.shape[1])[None]) + np.kron(np.eye(g1.shape[1])[None], g2)
 
 
 def direct_sum(r1: RepChart, r2: RepChart) -> RepChart:
@@ -220,20 +207,17 @@ def direct_sum(r1: RepChart, r2: RepChart) -> RepChart:
                     name=f"sum({r1.name},{r2.name})")
 
 
-def direct_sum_generators(g1: list[np.ndarray], g2: list[np.ndarray]) -> list[np.ndarray]:
-    out = []
-    for a, b in zip(g1, g2):
-        m1 = a.shape[0]
-        m2 = b.shape[0]
-        block = np.zeros((m1 + m2, m1 + m2))
-        block[:m1, :m1] = a
-        block[m1:, m1:] = b
-        out.append(block)
+def direct_sum_generators(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
+    """Generators of the block-diagonal sum: diag(I_k, J_k)."""
+    m1 = g1.shape[1]
+    out = np.zeros((len(g1), m1 + g2.shape[1], m1 + g2.shape[1]))
+    out[:, :m1, :m1] = g1
+    out[:, m1:, m1:] = g2
     return out
 
 
 def generator_transform(rep: RepChart, g, cfg: DiffConfig | None = None,
-                        gens: list[np.ndarray] | None = None) -> list[np.ndarray]:
+                        gens: np.ndarray | None = None) -> np.ndarray:
     """Generators conjugated by f(g) and reweighted by the adjoint matrix.
 
     The point g enters twice: through the matrix conjugation and through
@@ -247,20 +231,10 @@ def generator_transform(rep: RepChart, g, cfg: DiffConfig | None = None,
         gens = rep_generators(rep, cfg)
     g = np.asarray(g, float)
     ops = basic_operators(chart, g, cfg)
-    adjoint = ops.left_inv @ ops.right
     fg = rep(g)
     fg_inv = invert(fg)
-    if rep.side == "left":
-        conj = [fg_inv @ gen @ fg for gen in gens]
-    else:
-        conj = [fg @ gen @ fg_inv for gen in gens]
-    out = []
-    for p in range(chart.n):
-        acc = np.zeros((rep.m, rep.m))
-        for k in range(chart.n):
-            acc += adjoint[k, p] * conj[k]
-        out.append(acc)
-    return out
+    conj = fg_inv @ gens @ fg if rep.side == "left" else fg @ gens @ fg_inv
+    return _combine(ops.left_inv @ ops.right, conj)
 
 
 def generator_transform_residual(rep: RepChart, cfg: DiffConfig | None = None,
@@ -270,13 +244,12 @@ def generator_transform_residual(rep: RepChart, cfg: DiffConfig | None = None,
     gens = rep_generators(rep, cfg)
     return worst_over_samples(
         rep.group, cfg, "generator_transform",
-        lambda g: worst_of(maxabs(a - b)
-                           for a, b in zip(generator_transform(rep, g, cfg, gens), gens)),
+        lambda g: maxabs(generator_transform(rep, g, cfg, gens) - gens),
         count=points)
 
 
 def mixed_identity_residual(rep: RepChart, cfg: DiffConfig | None = None,
-                            gens: list[np.ndarray] | None = None) -> float:
+                            gens: np.ndarray | None = None) -> float:
     """Both inverse-operator weightings of the defining equation agree.
 
     The slot derivative of f can be written through either the left or
@@ -291,14 +264,7 @@ def mixed_identity_residual(rep: RepChart, cfg: DiffConfig | None = None,
     def residual(a: np.ndarray) -> float:
         fa = rep(a)
         ops = basic_operators(chart, a, cfg)
-        residuals = []
-        for col in range(chart.n):
-            left_form = np.zeros((rep.m, rep.m))
-            right_form = np.zeros((rep.m, rep.m))
-            for k in range(chart.n):
-                left_form += ops.left_inv[k, col] * rep.product(gens[k], fa)
-                right_form += ops.right_inv[k, col] * rep.product(fa, gens[k])
-            residuals.append(maxabs(left_form - right_form))
-        return worst_of(residuals)
+        return maxabs(_combine(ops.left_inv, rep.product(gens, fa))
+                      - _combine(ops.right_inv, rep.product(fa, gens)))
 
     return worst_over_samples(chart, cfg, "rep_mixed_identity", residual)

@@ -1,9 +1,9 @@
 """The mutation matrix: each check id paired with a broken law it must FAIL on.
 
 A check that reads 0.0 on every law proves nothing, so every entry below
-names a known-bad chart and a check that has to reject it.  The broken
-laws carry no inverse_hint, so inverses come from the Newton solve on the
-broken law itself.
+names a known-bad chart or representation and a check that has to reject
+it.  The broken laws carry no inverse_hint, so inverses come from the
+Newton solve on the broken law itself.
 """
 
 import dataclasses
@@ -15,6 +15,7 @@ import pytest
 from liechart.catalog import get_group
 from liechart.group import GroupChart, record
 from liechart.numdiff import DiffConfig
+from liechart.reps import RepChart
 from liechart.suites import SUITES
 
 CFG = DiffConfig()
@@ -62,3 +63,38 @@ def _verdicts(mutant: str) -> dict[str, bool]:
 ])
 def test_check_fails_on_broken_law(mutant, check_id):
     assert _verdicts(mutant)[check_id] is False
+
+
+def _gl2_rep_bumped() -> RepChart:
+    # A + 0.05 (a0 - 1)^2 E01: still I at the identity, no longer multiplicative
+    bump = np.array([[0.0, 1.0], [0.0, 0.0]])
+    return RepChart(group=get_group("gl:2"), m=2, name="bumped",
+                    f=lambda a: a.reshape(2, 2) + 0.05 * (a[0] - 1.0) ** 2 * bump)
+
+
+def _gl2_rep_transposed() -> RepChart:
+    # A^T reverses every product, so as a left-side representation it is wrong
+    return RepChart(group=get_group("gl:2"), m=2, name="transposed",
+                    f=lambda a: a.reshape(2, 2).T.copy(), side="left")
+
+
+REP_MUTANTS = {"gl:2 bumped": _gl2_rep_bumped, "gl:2 transposed": _gl2_rep_transposed}
+
+
+@cache
+def _rep_verdicts(mutant: str) -> dict[str, bool]:
+    rep = REP_MUTANTS[mutant]()
+    return {check_id: record(check_id, residual, samples, 1.0).passed
+            for check_id, samples, residual in SUITES["rep"](rep.group, rep, CFG)}
+
+
+_REP_CHECKS = ("rep_homomorphism", "rep_pde_map", "rep_pde_vector",
+               "rep_mixed_identity", "generator_transform_constancy")
+
+
+@pytest.mark.parametrize("mutant, check_id", [
+    *(("gl:2 bumped", check_id) for check_id in (*_REP_CHECKS, "rep_inverse")),
+    *(("gl:2 transposed", check_id) for check_id in (*_REP_CHECKS, "rep_integrability")),
+])
+def test_check_fails_on_broken_representation(mutant, check_id):
+    assert _rep_verdicts(mutant)[check_id] is False

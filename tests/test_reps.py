@@ -1,9 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from liechart.catalog import get_group, get_rep, rep_generator_oracle
-from liechart.group import GroupChart
-from liechart.numdiff import DiffConfig
+from liechart.group import (
+    GroupChart,
+    basic_operators,
+    check_rng,
+    maxabs,
+    psi_flavored,
+    sample_points,
+    worst_of,
+    worst_over_samples,
+)
+from liechart.numdiff import DiffConfig, invert, jacobian
 from liechart.reps import (
     RepChart,
     conjugate_generators_check,
@@ -12,6 +23,7 @@ from liechart.reps import (
     conjugate_rep,
     direct_sum,
     direct_sum_generators,
+    generator_transform,
     generator_transform_residual,
     integrability_check,
     mixed_identity_residual,
@@ -199,7 +211,7 @@ def test_trivial_rep_is_flat():
 def test_integrability_check_keeps_nan():
     # a NaN generator must fail the check, not fold into a 0.0 pass
     c_left = structure_constants(group_generators(get_group("affine"), CFG), "left")
-    gens = [np.full((2, 2), np.nan), np.eye(2)]
+    gens = np.array([np.full((2, 2), np.nan), np.eye(2)])
     assert np.isnan(integrability_check(gens, c_left))
 
 
@@ -214,3 +226,115 @@ def test_combination_rejects_distinct_same_named_charts():
         tensor_product(r1, r2)
     with pytest.raises(ValueError):
         direct_sum(r1, r2)
+
+
+# --- loop references for the generator contractions -------------------------
+#
+# Each function below spells out one contraction over the generator index
+# with explicit loops, one matrix at a time.  The package computes the
+# same sums on the (n, m, m) stack at once.  The two routes agree bit for
+# bit on every case, on either side, except the vector form of the
+# defining equation: f(x) v over the whole stack at once may round a
+# last digit differently from one matrix-vector product per column.
+
+SIDED_CASES = [(group_name, rep_name, side)
+               for group_name, rep_name in REP_CASES for side in ("left", "right")]
+
+
+def sided(group_name, rep_name, side):
+    # the side only changes the order of the matrix products, so flipping
+    # it on a real representation still exercises both code paths
+    return dataclasses.replace(get_rep(group_name, rep_name), side=side)
+
+
+def loop_pde_residual(rep, gens):
+    chart = rep.group
+    rng = check_rng(CFG, "rep_pde")
+    pts = sample_points(chart, CFG, rng, CFG.sample_count)
+    vec = rng.uniform(-1.0, 1.0, rep.m)
+    map_res, vec_res = [], []
+    for a in pts:
+        fa = rep(a)
+        lam_left = invert(psi_flavored(chart, a, "left", CFG))
+        d = jacobian(lambda x: rep(x).ravel(), a, CFG).reshape(rep.m, rep.m, chart.n)
+        expected = np.empty((rep.m, rep.m, chart.n))
+        for col in range(chart.n):
+            acc = np.zeros((rep.m, rep.m))
+            for k in range(chart.n):
+                acc += lam_left[k, col] * rep.product(gens[k], fa)
+            expected[:, :, col] = acc
+        map_res.append(maxabs(d - expected))
+        dv = jacobian(lambda x: rep.product(rep(x), vec), a, CFG)
+        ev = np.stack([rep.product(expected[:, :, c], vec) for c in range(chart.n)], axis=1)
+        vec_res.append(maxabs(dv - ev))
+    return {"rep_pde_map": worst_of(map_res), "rep_pde_vector": worst_of(vec_res)}
+
+
+def loop_integrability(gens, c, side):
+    n = len(gens)
+    worst = []
+    for k in range(n):
+        for p in range(n):
+            comm = gens[k] @ gens[p] - gens[p] @ gens[k]
+            weights = c[:, p, k] if side == "left" else c[:, k, p]
+            worst.append(maxabs(comm - sum(weights[t] * gens[t] for t in range(n))))
+    return worst_of(worst)
+
+
+def loop_generator_transform(rep, g, gens):
+    ops = basic_operators(rep.group, g, CFG)
+    adjoint = ops.left_inv @ ops.right
+    fg = rep(g)
+    fg_inv = invert(fg)
+    conj = [fg_inv @ gen @ fg if rep.side == "left" else fg @ gen @ fg_inv for gen in gens]
+    out = []
+    for p in range(rep.group.n):
+        acc = np.zeros((rep.m, rep.m))
+        for k in range(rep.group.n):
+            acc += adjoint[k, p] * conj[k]
+        out.append(acc)
+    return np.array(out)
+
+
+def loop_mixed_identity(rep, gens):
+    def residual(a):
+        fa = rep(a)
+        ops = basic_operators(rep.group, a, CFG)
+        worst = []
+        for col in range(rep.group.n):
+            left_form = np.zeros((rep.m, rep.m))
+            right_form = np.zeros((rep.m, rep.m))
+            for k in range(rep.group.n):
+                left_form += ops.left_inv[k, col] * rep.product(gens[k], fa)
+                right_form += ops.right_inv[k, col] * rep.product(fa, gens[k])
+            worst.append(maxabs(left_form - right_form))
+        return worst_of(worst)
+
+    return worst_over_samples(rep.group, CFG, "rep_mixed_identity", residual)
+
+
+@pytest.mark.parametrize("group_name,rep_name,side", SIDED_CASES)
+def test_generator_stack_matches_loop_references(group_name, rep_name, side):
+    rep = sided(group_name, rep_name, side)
+    gens = rep_generators(rep, CFG)
+    assert gens.shape == (rep.group.n, rep.m, rep.m)
+    c_left = structure_constants(group_generators(rep.group, CFG), "left")
+
+    pde_res = rep_pde_residual(rep, CFG, gens)
+    ref = loop_pde_residual(rep, list(gens))
+    assert pde_res["rep_pde_map"] == ref["rep_pde_map"]
+    assert abs(pde_res["rep_pde_vector"] - ref["rep_pde_vector"]) <= 1e-14
+    assert (integrability_check(gens, c_left, side)
+            == loop_integrability(list(gens), c_left.c, side))
+    assert mixed_identity_residual(rep, CFG, gens) == loop_mixed_identity(rep, list(gens))
+    g = sample_points(rep.group, CFG, np.random.default_rng(3), 1)[0]
+    assert np.array_equal(generator_transform(rep, g, CFG, gens),
+                          loop_generator_transform(rep, g, list(gens)))
+
+
+def test_integrability_nan_matches_loop_reference():
+    c_left = structure_constants(group_generators(get_group("affine"), CFG), "left")
+    gens = np.array([np.full((2, 2), np.nan), np.eye(2)])
+    for side in ("left", "right"):
+        assert np.isnan(integrability_check(gens, c_left, side))
+        assert np.isnan(loop_integrability(list(gens), c_left.c, side))

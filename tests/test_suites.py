@@ -32,8 +32,7 @@ REP_IDS = (
     "rep_identity", "rep_homomorphism", "rep_inverse",
     "rep_pde_map", "rep_pde_vector", "rep_integrability", "rep_mixed_identity",
     "conjugate_pairing", "conjugate_generators", "conjugate_involution",
-    "tensor_generators_match", "direct_sum_generators_match",
-    "generator_transform_constancy",
+    "tensor_generators_match", "generator_transform_constancy",
 )
 
 PDE_IDS = (
@@ -99,7 +98,7 @@ def test_every_roster_id_has_a_tolerance():
         assert rec.tolerance > 0.0, rec.check_id
     # the 1-d "all" roster runs every check id, so the table has no orphans
     assert set(TOLERANCES) == set(ids_of(report))
-    assert len(TOLERANCES) == len(report.checks) == 61
+    assert len(TOLERANCES) == len(report.checks) == 60
 
 
 def test_tolerance_table_has_no_orphans():
