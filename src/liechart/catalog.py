@@ -29,6 +29,12 @@ from .reps import (
 MatrixFn = Callable[[np.ndarray], np.ndarray]
 
 
+def _broadcasting(law):
+    """Mark a law that maps (..., n) stacks row by row (see GroupChart)."""
+    law.broadcasts = True
+    return law
+
+
 @dataclass(frozen=True)
 class OperatorOracles:
     """Closed forms for the operator fields of a catalog chart."""
@@ -63,7 +69,7 @@ GROUP_NAMES = (
 def _translation(n: int) -> CatalogEntry:
     chart = GroupChart(
         n=n,
-        compose=lambda a, b: a + b,
+        compose=_broadcasting(lambda a, b: a + b),
         identity=np.zeros(n),
         inverse_hint=lambda a: -a,
         chart_radius=1e9,
@@ -85,7 +91,7 @@ def _translation(n: int) -> CatalogEntry:
 def _multiplicative() -> CatalogEntry:
     chart = GroupChart(
         n=1,
-        compose=lambda a, b: a * b,
+        compose=_broadcasting(lambda a, b: a * b),
         identity=np.ones(1),
         inverse_hint=lambda a: 1.0 / a,
         chart_radius=2.5,
@@ -154,8 +160,10 @@ def _gl_c_left(n: int) -> np.ndarray:
 def _gl(n: int) -> CatalogEntry:
     eye = np.eye(n)
 
+    @_broadcasting
     def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return (a.reshape(n, n) @ b.reshape(n, n)).ravel()
+        ab = a.reshape(a.shape[:-1] + (n, n)) @ b.reshape(b.shape[:-1] + (n, n))
+        return ab.reshape(ab.shape[:-2] + (n * n,))
 
     chart = GroupChart(
         n=n * n,

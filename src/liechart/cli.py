@@ -1,7 +1,8 @@
 """Command-line entry point: run check suites and emit reports.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 unknown
-group/representation/suite, 3 numerical breakdown while checking.
+group/representation/suite or a --json path that cannot be written, 3
+numerical breakdown while checking.
 """
 
 from __future__ import annotations
@@ -61,6 +62,15 @@ def _positive_real(text: str) -> float:
     return value
 
 
+def _json_path_problem(path: Path) -> str | None:
+    """Why a report cannot be written to path, checked before any work is done."""
+    if path.is_dir():
+        return f"--json path {path} is a directory"
+    if not path.parent.is_dir():
+        return f"--json directory {path.parent} does not exist"
+    return None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liechart",
@@ -87,6 +97,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     cfg = DiffConfig(base_step=args.fd_step, sample_count=args.samples,
                      rng_seed=args.seed)
+    problem = _json_path_problem(args.json) if args.json is not None else None
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
     start = time.perf_counter()
     try:
         report = run_suite(args.group, args.suite, cfg,
@@ -104,7 +118,11 @@ def main(argv: list[str] | None = None) -> int:
           + f" seed={report.seed} samples={cfg.sample_count}")
     print(report.table())
     if args.json is not None:
-        args.json.write_text(report.to_json())
+        try:
+            args.json.write_text(report.to_json())
+        except OSError as exc:
+            print(f"error: cannot write {args.json}: {exc}", file=sys.stderr)
+            return 2
         print(f"report written to {args.json}")
     return 0 if report.all_passed else 1
 

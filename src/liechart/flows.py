@@ -133,8 +133,8 @@ def canonical_coordinate(chart: GroupChart, a, cfg: DiffConfig | None = None) ->
 
     # A zero of the operator anywhere on the path makes the integral
     # divergent, so the Simpson grid is first scanned for sign changes.
-    scan = np.array([psi_flavored(chart, np.array([t]), "right", cfg)[0, 0]
-                     for t in np.linspace(e, target, _GRID_INTERVALS + 1)])
+    grid = np.linspace(e, target, _GRID_INTERVALS + 1)
+    scan = psi_flavored(chart, grid[:, None], "right", cfg)[:, 0, 0]
     if np.any(np.abs(scan) < _PSI_FLOOR) or np.any(np.sign(scan[:-1]) != np.sign(scan[1:])):
         raise ZeroPsi("basic operator vanishes on the integration path")
     f = 1.0 / scan

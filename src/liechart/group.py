@@ -41,7 +41,17 @@ SAMPLE_RADIUS = 0.2
 
 @dataclass(eq=False)
 class GroupChart:
-    """A Lie group presented as a coordinate chart around its identity."""
+    """A Lie group presented as a coordinate chart around its identity.
+
+    A law that broadcasts over leading batch axes opts in by carrying the
+    attribute `broadcasts = True` (`law.broadcasts = True` after its
+    `def`): compose(a, b) with a and b of shapes (..., n) that broadcast
+    together must return (..., n), each row equal to the single-point
+    result.  The stencils then evaluate all their points in one call.
+    The marker is read once, here, into `batched`; a chart built from a
+    wrapper of the law (`dataclasses.replace(chart, compose=...)`)
+    evaluates point by point unless the wrapper carries it too.
+    """
 
     n: int
     compose: ComposeLaw
@@ -49,6 +59,7 @@ class GroupChart:
     inverse_hint: Callable[[np.ndarray], np.ndarray] | None = None
     chart_radius: float = 1.0
     name: str = "custom"
+    batched: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.identity = as_finite_array(self.identity, "chart identity")
@@ -56,6 +67,7 @@ class GroupChart:
             raise ValueError("identity must be an n-vector")
         if self.chart_radius <= 0.0:
             raise ValueError("chart_radius must be positive")
+        self.batched = bool(getattr(self.compose, "broadcasts", False))
 
 
 @dataclass(frozen=True)
@@ -127,7 +139,7 @@ def inverse(chart: GroupChart, a, cfg: DiffConfig | None = None) -> np.ndarray:
         rn = maxabs(r)
         if rn < _NEWTON_TOL:
             return x
-        j = jacobian(lambda y: chart.compose(a, y), x, cfg)
+        j = _a_right(chart, a, x, cfg)
         try:
             delta = np.linalg.solve(j, -r)
         except np.linalg.LinAlgError as exc:
@@ -202,22 +214,37 @@ def shift_jacobians(chart: GroupChart, a, b, cfg: DiffConfig | None = None) -> S
     return ShiftJacobians(left=_a_left(chart, a, b, cfg), right=_a_right(chart, a, b, cfg))
 
 
+# On a batched chart a and b may be (..., n) stacks of equal leading
+# shape; the fixed slot gets an axis for the 2n stencil points.
+
 def _a_left(chart: GroupChart, a, b, cfg: DiffConfig) -> np.ndarray:
-    return jacobian(lambda x: chart.compose(x, b), a, cfg)
+    if chart.batched:
+        b = b[..., None, :]
+    return jacobian(lambda x: chart.compose(x, b), a, cfg, batched=chart.batched)
 
 
 def _a_right(chart: GroupChart, a, b, cfg: DiffConfig) -> np.ndarray:
-    return jacobian(lambda y: chart.compose(a, y), b, cfg)
+    if chart.batched:
+        a = a[..., None, :]
+    return jacobian(lambda y: chart.compose(a, y), b, cfg, batched=chart.batched)
 
 
 def psi_flavored(chart: GroupChart, a, flavor: str, cfg: DiffConfig) -> np.ndarray:
-    """One basic operator at a: derivative of the named slot at the identity."""
-    e = chart.identity
+    """Basic operator at a: derivative of the named slot at the identity.
+
+    a is one point (n,), giving (n, n), or a stack (k, n), giving
+    (k, n, n); a batched chart differentiates the whole stack at once.
+    """
+    if flavor not in ("left", "right"):
+        raise ValueError(f"unknown flavor {flavor!r}")
+    a = np.asarray(a, float)
+    if a.ndim > 1 and not chart.batched:
+        return np.array([psi_flavored(chart, p, flavor, cfg) for p in a]).reshape(
+            a.shape + (chart.n,))
+    e = chart.identity if a.ndim == 1 else np.broadcast_to(chart.identity, a.shape)
     if flavor == "left":
-        return _a_left(chart, e, np.asarray(a, float), cfg)
-    if flavor == "right":
-        return _a_right(chart, np.asarray(a, float), e, cfg)
-    raise ValueError(f"unknown flavor {flavor!r}")
+        return _a_left(chart, e, a, cfg)
+    return _a_right(chart, a, e, cfg)
 
 
 def psi_pair(chart: GroupChart, a, cfg: DiffConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -355,7 +382,8 @@ def _res_quotient_right(chart, cfg, a, b):
 def _res_triple_product_left_route(chart, cfg, a, b, c):
     ab = chart.compose(a, b)
     abc = chart.compose(ab, c)
-    j_num = jacobian(lambda y: chart.compose(chart.compose(a, y), c), b, cfg)
+    j_num = jacobian(lambda y: chart.compose(chart.compose(a, y), c), b, cfg,
+                     batched=chart.batched)
     psi_l_abc = psi_flavored(chart, abc, "left", cfg)
     psi_l_ab, psi_r_ab = psi_pair(chart, ab, cfg)
     lam_l_ab = invert(psi_l_ab)
@@ -366,7 +394,8 @@ def _res_triple_product_left_route(chart, cfg, a, b, c):
 def _res_triple_product_right_route(chart, cfg, a, b, c):
     bc = chart.compose(b, c)
     abc = chart.compose(a, bc)
-    j_num = jacobian(lambda y: chart.compose(chart.compose(a, y), c), b, cfg)
+    j_num = jacobian(lambda y: chart.compose(chart.compose(a, y), c), b, cfg,
+                     batched=chart.batched)
     psi_r_abc = psi_flavored(chart, abc, "right", cfg)
     psi_l_bc, psi_r_bc = psi_pair(chart, bc, cfg)
     lam_r_bc = invert(psi_r_bc)

@@ -63,24 +63,31 @@ def _steps(at: np.ndarray, base: float) -> np.ndarray:
     return base * np.maximum(1.0, np.abs(at))
 
 
-def jacobian(f: VectorMap, at: Sequence[float], cfg: DiffConfig | None = None) -> np.ndarray:
+def jacobian(f: VectorMap, at: Sequence[float], cfg: DiffConfig | None = None,
+             batched: bool = False) -> np.ndarray:
     """Central-difference Jacobian of a vector map.
 
-    Returns J with J[K][L] = d f^K / d x^L evaluated at `at`.
+    Returns J with J[K][L] = d f^K / d x^L evaluated at `at`.  With
+    `batched`, f maps a (..., n) stack of points to a (..., q) stack of
+    values in one call: `at` may then carry leading axes too, J has shape
+    (..., q, n), and f sees all 2n stencil points of every point at once.
     """
     cfg = cfg or DiffConfig()
     x = as_finite_array(at, "jacobian point")
     h = _steps(x, cfg.base_step)
-    cols = []
-    for j in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h[j]
-        xm[j] -= h[j]
-        fp = np.asarray(f(xp), dtype=float).ravel()
-        fm = np.asarray(f(xm), dtype=float).ravel()
-        cols.append((fp - fm) / (2.0 * h[j]))
-    out = np.column_stack(cols)
+    if batched:
+        out = _stacked_jacobian(f, x, h)
+    else:
+        cols = []
+        for j in range(x.size):
+            xp = x.copy()
+            xm = x.copy()
+            xp[j] += h[j]
+            xm[j] -= h[j]
+            fp = np.asarray(f(xp), dtype=float).ravel()
+            fm = np.asarray(f(xm), dtype=float).ravel()
+            cols.append((fp - fm) / (2.0 * h[j]))
+        out = np.column_stack(cols)
     # a NaN or Inf probe always survives the difference, so one check
     # on the assembled matrix covers every evaluation
     if not np.isfinite(out).all():
@@ -88,17 +95,41 @@ def jacobian(f: VectorMap, at: Sequence[float], cfg: DiffConfig | None = None) -
     return out
 
 
+def _shifted(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """(..., 2n, n) stack: row j is x + h_j e_j, row n + j is x - h_j e_j."""
+    n = x.shape[-1]
+    pts = np.empty(x.shape[:-1] + (2 * n, n))
+    pts[...] = x[..., None, :]
+    # strided view of the two diagonals, one per block of n rows
+    diag = pts.reshape(x.shape[:-1] + (2, n * n))[..., ::n + 1]
+    diag[..., 0, :] = x + h
+    diag[..., 1, :] = x - h
+    return pts
+
+
+def _stacked_jacobian(f: VectorMap, x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    # the same sums and the same quotient per entry as the loop above, so
+    # every row matches the single-point Jacobian bit for bit
+    n = x.shape[-1]
+    vals = np.asarray(f(_shifted(x, h)), dtype=float)
+    cols = vals[..., :n, :] - vals[..., n:, :]
+    cols /= 2.0 * h[..., :, None]
+    return np.swapaxes(cols, -1, -2).copy()
+
+
 def mixed_second(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     at: tuple[Sequence[float], Sequence[float]],
     cfg: DiffConfig | None = None,
+    batched: bool = False,
 ) -> np.ndarray:
     """One derivative in each slot of a two-argument map.
 
     Returns T with T[K][L][M] = d^2 f^K / d(first)^L d(second)^M via the
     four-point product stencil.  The stencil is second order, so the step
     is widened to at least eps**(1/4); a narrower first-derivative step
-    would drown the estimate in roundoff.
+    would drown the estimate in roundoff.  With `batched`, f broadcasts
+    over leading axes and gets all 4 p^2 stencil points in one call.
     """
     cfg = cfg or DiffConfig()
     a = as_finite_array(at[0], "mixed_second point")
@@ -108,22 +139,30 @@ def mixed_second(
     hb = _steps(b, base)
     q = as_finite_array(f(a, b), "mixed_second probe").ravel().size
     p = a.size
-    out = np.empty((q, p, p))
-    for L in range(p):
-        ap = a.copy()
-        am = a.copy()
-        ap[L] += ha[L]
-        am[L] -= ha[L]
-        for M in range(p):
-            bp = b.copy()
-            bm = b.copy()
-            bp[M] += hb[M]
-            bm[M] -= hb[M]
-            fpp = np.asarray(f(ap, bp), dtype=float).ravel()
-            fpm = np.asarray(f(ap, bm), dtype=float).ravel()
-            fmp = np.asarray(f(am, bp), dtype=float).ravel()
-            fmm = np.asarray(f(am, bm), dtype=float).ravel()
-            out[:, L, M] = (fpp - fpm - fmp + fmm) / (4.0 * ha[L] * hb[M])
+    if batched:
+        # vals[i, j] = f(row i of the a stencil, row j of the b stencil)
+        vals = np.asarray(f(_shifted(a, ha)[:, None, :], _shifted(b, hb)[None, :, :]),
+                          dtype=float)
+        num = vals[:p, :p] - vals[:p, p:] - vals[p:, :p] + vals[p:, p:]
+        out = num / (4.0 * ha[:, None] * hb[None, :])[..., None]
+        out = np.ascontiguousarray(np.moveaxis(out, -1, 0))
+    else:
+        out = np.empty((q, p, p))
+        for L in range(p):
+            ap = a.copy()
+            am = a.copy()
+            ap[L] += ha[L]
+            am[L] -= ha[L]
+            for M in range(p):
+                bp = b.copy()
+                bm = b.copy()
+                bp[M] += hb[M]
+                bm[M] -= hb[M]
+                fpp = np.asarray(f(ap, bp), dtype=float).ravel()
+                fpm = np.asarray(f(ap, bm), dtype=float).ravel()
+                fmp = np.asarray(f(am, bp), dtype=float).ravel()
+                fmm = np.asarray(f(am, bm), dtype=float).ravel()
+                out[:, L, M] = (fpp - fpm - fmp + fmm) / (4.0 * ha[L] * hb[M])
     if not np.isfinite(out).all():
         raise NonFiniteEvaluation("mixed_second probe produced a non-finite value")
     return out

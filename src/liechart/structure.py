@@ -45,11 +45,11 @@ class StructureConstants:
 def group_generators(chart: GroupChart, cfg: DiffConfig | None = None) -> GroupGenerators:
     cfg = cfg or DiffConfig()
     e = chart.identity
-    tensor = mixed_second(lambda a, b: chart.compose(a, b), (e, e), cfg)
+    tensor = mixed_second(chart.compose, (e, e), cfg, batched=chart.batched)
     # Differentiating a field that is itself a finite difference needs a
     # wider outer step, or roundoff from the inner stencil dominates.
     outer = cfg.replace(base_step=max(cfg.base_step, QUART_EPS))
-    dpsi = jacobian(lambda a: psi_flavored(chart, a, "right", cfg).ravel(), e, outer)
+    dpsi = jacobian(_flat_field(chart, "right", cfg), e, outer, batched=chart.batched)
     right_tensor = dpsi.reshape(chart.n, chart.n, chart.n)
     return GroupGenerators(chart, tensor, right_tensor)
 
@@ -87,6 +87,11 @@ def jacobi_residual(constants: StructureConstants) -> float:
     return maxabs(total)
 
 
+def _flat_field(chart: GroupChart, flavor: str, cfg: DiffConfig):
+    """The basic operator field with each (n, n) value flattened, over stacks too."""
+    return lambda x: psi_flavored(chart, x, flavor, cfg).reshape(x.shape[:-1] + (-1,))
+
+
 def _field_derivatives(chart: GroupChart, a: np.ndarray, flavor: str,
                        cfg: DiffConfig) -> tuple[np.ndarray, np.ndarray]:
     """Basic operator and its point derivative, (psi, dpsi[K][L][M]).
@@ -95,17 +100,11 @@ def _field_derivatives(chart: GroupChart, a: np.ndarray, flavor: str,
     evaluated with the non-varying slot pinned at the identity.
     """
     e = chart.identity
+    psi = psi_flavored(chart, a, flavor, cfg)
     if flavor == "right":
-        psi = jacobian(lambda b: chart.compose(a, b), e, cfg)
-        t = mixed_second(lambda x, y: chart.compose(x, y), (a, e), cfg)
-        dpsi = np.transpose(t, (0, 2, 1))
-    elif flavor == "left":
-        psi = jacobian(lambda x: chart.compose(x, a), e, cfg)
-        t = mixed_second(lambda x, y: chart.compose(x, y), (e, a), cfg)
-        dpsi = t
-    else:
-        raise ValueError(f"unknown flavor {flavor!r}")
-    return psi, dpsi
+        t = mixed_second(chart.compose, (a, e), cfg, batched=chart.batched)
+        return psi, np.transpose(t, (0, 2, 1))
+    return psi, mixed_second(chart.compose, (e, a), cfg, batched=chart.batched)
 
 
 def _lam_derivative(psi: np.ndarray, dpsi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -196,7 +195,7 @@ def invariant_field_commutators(chart: GroupChart, flavor: str,
         ranks.append(numeric_rank(psi))
         if n < 2:
             return 0.0  # a single frame field has no commutators
-        dframe = jacobian(lambda x: psi_flavored(chart, x, flavor, cfg).ravel(), a, cfg)
+        dframe = jacobian(_flat_field(chart, flavor, cfg), a, cfg, batched=chart.batched)
         # jac[V] is the Jacobian of frame field V; contiguous copies give each
         # product the memory layout, and so the bits, of vf_commutator
         jac = np.ascontiguousarray(dframe.reshape(n, n, n).transpose(1, 0, 2))

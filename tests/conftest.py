@@ -1,3 +1,7 @@
+import dataclasses
+
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -8,3 +12,29 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")
+
+
+class LawCounter:
+    """Composition-law evaluations, one per row of a batched call."""
+
+    def __init__(self) -> None:
+        self.evals = 0
+
+    def wrap(self, law):
+        def counted(a, b):
+            lead = np.broadcast_shapes(np.shape(a)[:-1], np.shape(b)[:-1])
+            self.evals += int(np.prod(lead, dtype=np.int64))
+            return law(a, b)
+
+        # keep the law's batch marker, so a counted chart takes the same path
+        counted.broadcasts = getattr(law, "broadcasts", False)
+        return counted
+
+    def chart(self, chart, **changes):
+        """A copy of chart whose law is counted, with any other field changes."""
+        return dataclasses.replace(chart, compose=self.wrap(chart.compose), **changes)
+
+
+@pytest.fixture
+def law_counter() -> LawCounter:
+    return LawCounter()

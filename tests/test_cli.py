@@ -109,6 +109,30 @@ def test_json_report_written(tmp_path, capsys):
     assert "maurer_left" in ids and "jacobi_left" in ids
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+def test_unwritable_json_path_returns_two_before_running(where, tmp_path, monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the suite ran before the --json path was checked")
+
+    monkeypatch.setattr(cli, "run_suite", must_not_run)
+    target = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+    assert run_cli("run", "--group", "translation:1", "--suite", "pde",
+                   "--json", str(target)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_json_write_failure_returns_two(tmp_path, monkeypatch, capsys):
+    # the path checks out, but the write itself fails
+    def refuse(self, text):
+        raise PermissionError("read-only")
+
+    monkeypatch.setattr(Path, "write_text", refuse)
+    assert run_cli("run", "--group", "translation:1", "--suite", "pde",
+                   "--json", str(tmp_path / "x.json")) == 2
+    assert "error: cannot write" in capsys.readouterr().err
+
+
 def test_json_byte_identical_across_runs(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

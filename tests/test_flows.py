@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -130,10 +129,18 @@ def test_canonical_coordinate_catches_a_narrow_dip(centre):
     def psi(tau):
         return 1.0 - 2.0 * np.exp(-((tau - centre) / 0.01) ** 2)
 
-    chart = GroupChart(n=1, compose=lambda a, b: a + psi(a) * b,
-                       identity=np.zeros(1), name="dip")
-    with pytest.raises(ZeroPsi):
-        canonical_coordinate(chart, np.array([1.0]), CFG)
+    def law(a, b):
+        return a + psi(a) * b
+
+    def batched_law(a, b):
+        return law(a, b)
+
+    batched_law.broadcasts = True
+    for compose, batched in ((law, False), (batched_law, True)):
+        chart = GroupChart(n=1, compose=compose, identity=np.zeros(1), name="dip")
+        assert chart.batched is batched
+        with pytest.raises(ZeroPsi):
+            canonical_coordinate(chart, np.array([1.0]), CFG)
 
 
 def test_homomorphism_residual_keeps_nan():
@@ -215,16 +222,10 @@ CEILING_EVALS = {"translation:1": 44_502, "translation:2": 56_018, "translation:
 
 
 @pytest.mark.parametrize("name", GROUP_NAMES)
-def test_flows_suite_eval_count(name, monkeypatch):
-    count = [0]
-    chart = get_group(name)
-
-    def counted(a, b):
-        count[0] += 1
-        return chart.compose(a, b)
-
-    monkeypatch.setattr(catalog, "get_group",
-                        lambda _: dataclasses.replace(chart, compose=counted))
+def test_flows_suite_eval_count(name, monkeypatch, law_counter):
+    chart = law_counter.chart(get_group(name))
+    assert chart.batched == get_group(name).batched
+    monkeypatch.setattr(catalog, "get_group", lambda _: chart)
     assert run_suite(name, "flows", DiffConfig()).all_passed
-    assert count[0] == FLOWS_EVALS[name]
-    assert count[0] <= CEILING_EVALS[name]
+    assert law_counter.evals == FLOWS_EVALS[name]
+    assert law_counter.evals <= CEILING_EVALS[name]

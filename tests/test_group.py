@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from liechart import catalog
+from liechart import catalog, structure
 from liechart.catalog import GROUP_NAMES, get_group
 from liechart.errors import NoConvergence
+from liechart.flows import canonical_coordinate
 from liechart.group import (
     GroupChart,
     basic_operators,
@@ -208,14 +209,6 @@ def test_worst_over_samples_groups_the_check_stream():
     assert np.array_equal(np.array(seen), pts.reshape(3, 2, chart.n))
 
 
-def counted_chart(chart, count, **changes):
-    def counted(a, b):
-        count[0] += 1
-        return chart.compose(a, b)
-
-    return dataclasses.replace(chart, compose=counted, **changes)
-
-
 # composition-law evaluations at seed 42 and the default 20 samples.  The
 # ceilings are the counts when the closed-form lambda residuals took both
 # operator flavors and both inverses to use one of them; no change should
@@ -229,20 +222,93 @@ HINT_FREE_CEILING = {"affine": 21_254, "gl:2": 53_410}
 
 
 @pytest.mark.parametrize("name", sorted(SHIFT_SUITE_EVALS))
-def test_shift_suite_eval_count(name, monkeypatch):
-    count = [0]
-    chart = counted_chart(get_group(name), count)
+def test_shift_suite_eval_count(name, monkeypatch, law_counter):
+    chart = law_counter.chart(get_group(name))
+    assert chart.batched == get_group(name).batched
     monkeypatch.setattr(catalog, "get_group", lambda _: chart)
     assert run_suite(name, "shift", DiffConfig()).all_passed
-    assert count[0] == SHIFT_SUITE_EVALS[name]
-    assert count[0] <= SHIFT_SUITE_CEILING[name]
+    assert law_counter.evals == SHIFT_SUITE_EVALS[name]
+    assert law_counter.evals <= SHIFT_SUITE_CEILING[name]
 
 
 @pytest.mark.parametrize("name", sorted(HINT_FREE_EVALS))
-def test_hint_free_shift_identities_eval_count(name):
-    count = [0]
-    chart = counted_chart(get_group(name), count, inverse_hint=None,
-                          name=f"{name}-newton")
+def test_hint_free_shift_identities_eval_count(name, law_counter):
+    chart = law_counter.chart(get_group(name), inverse_hint=None, name=f"{name}-newton")
+    assert chart.batched == get_group(name).batched
     assert verify_shift_identities(chart, DiffConfig()).all_passed
-    assert count[0] == HINT_FREE_EVALS[name]
-    assert count[0] <= HINT_FREE_CEILING[name]
+    assert law_counter.evals == HINT_FREE_EVALS[name]
+    assert law_counter.evals <= HINT_FREE_CEILING[name]
+
+
+# --- batched (broadcasting) laws against the point-by-point path ----------
+
+BROADCASTING = [name for name in GROUP_NAMES if get_group(name).batched]
+
+
+def per_point(chart):
+    """The same law behind a wrapper without the batch marker."""
+    return dataclasses.replace(chart, compose=lambda a, b: chart.compose(a, b))
+
+
+def test_catalog_laws_that_broadcast():
+    assert BROADCASTING == [name for name in GROUP_NAMES if name != "affine"]
+
+
+def test_replaced_law_without_the_marker_is_not_batched():
+    chart = get_group("gl:2")
+    assert per_point(chart).batched is False
+    # the marker belongs to the law, not the chart: a copy that keeps the
+    # law stays batched, and one without it cannot inherit the flag
+    assert dataclasses.replace(chart, name="copy").batched is True
+    assert GroupChart(n=4, compose=chart.compose, identity=chart.identity).batched is True
+
+
+@pytest.mark.parametrize("name", BROADCASTING)
+@pytest.mark.parametrize("flavor", ["left", "right"])
+def test_batched_psi_matches_per_point(name, flavor):
+    chart = get_group(name)
+    ref = per_point(chart)
+    pts = sample_points(chart, CFG, check_rng(CFG, "batched_psi"))
+    singles = np.array([psi_flavored(ref, a, flavor, CFG) for a in pts])
+    for a, want in zip(pts, singles):
+        assert np.array_equal(psi_flavored(chart, a, flavor, CFG), want)
+    stack = psi_flavored(chart, pts, flavor, CFG)
+    assert stack.shape == (len(pts), chart.n, chart.n)
+    assert np.array_equal(stack, singles)
+    assert np.array_equal(psi_flavored(ref, pts, flavor, CFG), singles)
+
+
+@pytest.mark.parametrize("name", BROADCASTING)
+def test_batched_shift_jacobians_and_newton_match_per_point(name):
+    chart = get_group(name)
+    ref = per_point(chart)
+    pts = sample_points(chart, CFG, check_rng(CFG, "batched_shift"), 2 * CFG.sample_count)
+    for a, b in zip(pts[::2], pts[1::2]):
+        got, want = shift_jacobians(chart, a, b, CFG), shift_jacobians(ref, a, b, CFG)
+        assert np.array_equal(got.left, want.left)
+        assert np.array_equal(got.right, want.right)
+        assert np.array_equal(inverse(hintless(chart), a, CFG), inverse(hintless(ref), a, CFG))
+
+
+@pytest.mark.parametrize("name", [name for name in BROADCASTING if get_group(name).n == 1])
+def test_batched_canonical_coordinate_matches_per_point(name):
+    chart = get_group(name)
+    ref = per_point(chart)
+    for a in sample_points(chart, CFG, check_rng(CFG, "batched_canonical")):
+        assert canonical_coordinate(chart, a, CFG) == canonical_coordinate(ref, a, CFG)
+
+
+@pytest.mark.parametrize("name", BROADCASTING)
+def test_batched_structure_measurements_match_per_point(name):
+    chart = get_group(name)
+    ref = per_point(chart)
+    gens, ref_gens = structure.group_generators(chart, CFG), structure.group_generators(ref, CFG)
+    assert np.array_equal(gens.tensor, ref_gens.tensor)
+    assert np.array_equal(gens.right_tensor, ref_gens.right_tensor)
+    for flavor in ("left", "right"):
+        c = structure.structure_constants(gens, flavor)
+        a = sample_points(chart, CFG, check_rng(CFG, "batched_structure"), 1)[0]
+        assert np.array_equal(structure.structure_constants_at_point(chart, a, flavor, CFG),
+                              structure.structure_constants_at_point(ref, a, flavor, CFG))
+        assert (structure.invariant_field_commutators(chart, flavor, CFG, constants=c)
+                == structure.invariant_field_commutators(ref, flavor, CFG, constants=c))

@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
+from liechart.catalog import GROUP_NAMES, get_group
 from liechart.errors import NonFiniteEvaluation, SingularMatrix
 from liechart.numdiff import (
     CBRT_EPS,
@@ -105,6 +106,38 @@ def test_mixed_second_orders_axes_first_then_second():
     assert t.shape == (1, 2, 2)
     assert t[0, 0, 1] == pytest.approx(1.0, abs=1e-6)
     assert abs(t[0, 1, 0]) < 1e-6
+
+
+def _field(x):
+    # a broadcasting map R^3 -> R^2 with different curvature per entry
+    return np.stack([x[..., 0] * x[..., 1] ** 2, np.sin(x[..., 2]) + x[..., 0] ** 3], axis=-1)
+
+
+def test_batched_jacobian_of_a_stack_matches_per_point():
+    pts = np.random.default_rng(3).uniform(-2.0, 2.0, (2, 5, 3))
+    got = jacobian(_field, pts, CFG, batched=True)
+    assert got.shape == (2, 5, 2, 3)
+    for idx in np.ndindex(2, 5):
+        assert np.array_equal(got[idx], jacobian(_field, pts[idx], CFG))
+    assert got.flags.c_contiguous
+
+
+def test_batched_jacobian_rejects_nonfinite_probe():
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NonFiniteEvaluation):
+            jacobian(np.sqrt, np.array([[1.0], [-1.0]]), CFG, batched=True)
+
+
+@pytest.mark.parametrize("name", [g for g in GROUP_NAMES if get_group(g).batched])
+def test_batched_mixed_second_matches_per_point(name):
+    chart = get_group(name)
+    rng = np.random.default_rng(11)
+    e = chart.identity
+    a, b = e + rng.uniform(-0.2, 0.2, (2, chart.n))
+    for at in ((e, e), (a, e), (e, b), (a, b)):
+        got = mixed_second(chart.compose, at, CFG, batched=True)
+        assert np.array_equal(got, mixed_second(chart.compose, at, CFG))
+        assert got.flags.c_contiguous
 
 
 def test_vf_commutator_linear_fields():

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import numpy as np
@@ -199,19 +198,13 @@ CEILING_EVALS = {"gl:3": 1_006_708, "gl:2": 39_528, "translation:1": 756}
 
 
 @pytest.mark.parametrize("name", sorted(STRUCTURE_EVALS))
-def test_structure_suite_eval_count(name, monkeypatch):
-    count = [0]
-    chart = get_group(name)
-
-    def counted(a, b):
-        count[0] += 1
-        return chart.compose(a, b)
-
-    monkeypatch.setattr(catalog, "get_group",
-                        lambda _: dataclasses.replace(chart, compose=counted))
+def test_structure_suite_eval_count(name, monkeypatch, law_counter):
+    chart = law_counter.chart(get_group(name))
+    assert chart.batched
+    monkeypatch.setattr(catalog, "get_group", lambda _: chart)
     assert run_suite(name, "structure", DiffConfig()).all_passed
-    assert count[0] == STRUCTURE_EVALS[name]
-    assert count[0] <= CEILING_EVALS[name]
+    assert law_counter.evals == STRUCTURE_EVALS[name]
+    assert law_counter.evals <= CEILING_EVALS[name]
 
 
 def test_structure_constants_rejects_unknown_flavor():
