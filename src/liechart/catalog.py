@@ -29,10 +29,10 @@ from .reps import (
 MatrixFn = Callable[[np.ndarray], np.ndarray]
 
 
-def _broadcasting(law):
-    """Mark a law that maps (..., n) stacks row by row (see GroupChart)."""
-    law.broadcasts = True
-    return law
+def _broadcasting(fn):
+    """Mark a law or an inverse hint that maps (..., n) stacks row by row (see GroupChart)."""
+    fn.broadcasts = True
+    return fn
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ def _translation(n: int) -> CatalogEntry:
         n=n,
         compose=_broadcasting(lambda a, b: a + b),
         identity=np.zeros(n),
-        inverse_hint=lambda a: -a,
+        inverse_hint=_broadcasting(lambda a: -a),
         chart_radius=1e9,
         name=f"translation:{n}",
     )
@@ -93,7 +93,7 @@ def _multiplicative() -> CatalogEntry:
         n=1,
         compose=_broadcasting(lambda a, b: a * b),
         identity=np.ones(1),
-        inverse_hint=lambda a: 1.0 / a,
+        inverse_hint=_broadcasting(lambda a: 1.0 / a),
         chart_radius=2.5,
         name="multiplicative",
     )
@@ -169,7 +169,8 @@ def _gl(n: int) -> CatalogEntry:
         n=n * n,
         compose=compose,
         identity=eye.ravel().copy(),
-        inverse_hint=lambda a: np.linalg.inv(a.reshape(n, n)).ravel(),
+        inverse_hint=_broadcasting(
+            lambda a: np.linalg.inv(a.reshape(a.shape[:-1] + (n, n))).reshape(a.shape)),
         chart_radius=5.0,
         name=f"gl:{n}",
     )

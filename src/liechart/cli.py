@@ -13,20 +13,9 @@ import sys
 import time
 from pathlib import Path
 
-from .errors import (
-    LeftChart,
-    NoConvergence,
-    NonFiniteEvaluation,
-    NotIntegrable,
-    SingularMatrix,
-    UnknownEntry,
-    ZeroPsi,
-)
+from .errors import BREAKDOWN, UnknownEntry
 from .numdiff import CBRT_EPS, DiffConfig
 from .suites import SUITE_NAMES, run_suite
-
-_BREAKDOWN = (NonFiniteEvaluation, SingularMatrix, NoConvergence, LeftChart,
-              ZeroPsi, NotIntegrable)
 
 
 def _fd_step(text: str) -> float:
@@ -108,7 +97,7 @@ def main(argv: list[str] | None = None) -> int:
     except UnknownEntry as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _BREAKDOWN as exc:
+    except BREAKDOWN as exc:
         print(f"numerical breakdown: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     report.wall_time_ms = (time.perf_counter() - start) * 1000.0

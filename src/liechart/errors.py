@@ -33,3 +33,8 @@ class NotIntegrable(LieChartError):
 
 class UnknownEntry(LieChartError):
     """Requested catalog group or representation does not exist."""
+
+
+# a numerical breakdown while checking: the CLI's exit code 3
+BREAKDOWN = (NonFiniteEvaluation, SingularMatrix, NoConvergence, LeftChart, ZeroPsi,
+             NotIntegrable)

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .errors import NoConvergence, NonFiniteEvaluation, SingularMatrix
+from .errors import BREAKDOWN, NoConvergence, NonFiniteEvaluation, SingularMatrix
 from .numdiff import DiffConfig, as_finite_array, invert, jacobian
 from .report import CheckRecord, CheckReport
 
@@ -50,7 +50,11 @@ class GroupChart:
     result.  The stencils then evaluate all their points in one call.
     The marker is read once, here, into `batched`; a chart built from a
     wrapper of the law (`dataclasses.replace(chart, compose=...)`)
-    evaluates point by point unless the wrapper carries it too.
+    evaluates point by point unless the wrapper carries it too.  On a
+    batched chart the sampled chart-axiom and shift-identity checks run
+    each check's samples as whole (count, n) stacks.  An `inverse_hint`
+    may carry the same marker: it then maps a (..., n) stack row by row
+    in one call, which `inverse` uses for stacks on a batched chart.
     """
 
     n: int
@@ -104,6 +108,12 @@ def maxabs(x) -> float:
     return float(np.abs(a).max())
 
 
+def maxabs_rows(x, point) -> np.ndarray:
+    """maxabs of x per sample point: `point` of shape (..., n) gives a (...)
+    array of maxima, one point (n,) a scalar.  A NaN keeps its row NaN."""
+    return np.abs(x).reshape(np.shape(point)[:-1] + (-1,)).max(axis=-1)
+
+
 def worst_of(residuals: Iterable[float]) -> float:
     """Largest residual, 0.0 for none; a NaN anywhere makes the result NaN.
 
@@ -119,21 +129,47 @@ def worst_of(residuals: Iterable[float]) -> float:
 
 
 def inverse(chart: GroupChart, a, cfg: DiffConfig | None = None) -> np.ndarray:
-    """Coordinates of the group inverse of a.
+    """Coordinates of the group inverse of a, one point (n,) or a stack (..., n).
 
     Uses the chart's closed-form hint when present, otherwise a damped
-    Newton iteration on compose(a, x) = e seeded at the identity.
+    Newton iteration on compose(a, x) = e seeded at the identity.  On a
+    batched chart a stack is checked against the hint in one law call (the
+    hint itself maps the whole stack when it carries `broadcasts = True`),
+    and only the rows the hint misses go to Newton, one at a time.
     """
     cfg = cfg or DiffConfig()
     a = as_finite_array(a, "inverse argument")
+    if a.ndim == 1:
+        return _inverse_point(chart, a, cfg)
+    rows = a.reshape(-1, chart.n)
+    hint = chart.inverse_hint
+    if not chart.batched or hint is None:
+        return np.array([_inverse_point(chart, p, cfg) for p in rows]).reshape(a.shape)
+    x = hint(rows) if getattr(hint, "broadcasts", False) else [hint(p) for p in rows]
+    x = as_finite_array(x, "inverse hint").reshape(rows.shape)
+    sloppy = np.flatnonzero(
+        maxabs_rows(as_finite_array(chart.compose(rows, x)) - chart.identity, rows) > 1e-10)
+    if sloppy.size:
+        x = x.copy()        # the hint may have handed back an array it still holds
+        for i in sloppy:
+            x[i] = _newton(chart, rows[i], x[i], cfg)
+    return x.reshape(a.shape)
+
+
+def _inverse_point(chart: GroupChart, a: np.ndarray, cfg: DiffConfig) -> np.ndarray:
     e = chart.identity
-    if chart.inverse_hint is not None:
-        x = as_finite_array(chart.inverse_hint(a), "inverse hint")
-        if maxabs(as_finite_array(chart.compose(a, x)) - e) <= 1e-10:
-            return x
-        # fall through to Newton polish on a sloppy hint
-    else:
-        x = e.copy()
+    if chart.inverse_hint is None:
+        return _newton(chart, a, e.copy(), cfg)
+    x = as_finite_array(chart.inverse_hint(a), "inverse hint")
+    if maxabs(as_finite_array(chart.compose(a, x)) - e) <= 1e-10:
+        return x
+    # Newton polish on a sloppy hint
+    return _newton(chart, a, x, cfg)
+
+
+def _newton(chart: GroupChart, a: np.ndarray, x: np.ndarray, cfg: DiffConfig) -> np.ndarray:
+    """Damped Newton on compose(a, x) = e from x, for one point a."""
+    e = chart.identity
     for _ in range(_NEWTON_MAX_ITER):
         r = as_finite_array(chart.compose(a, x), "inverse residual") - e
         rn = maxabs(r)
@@ -148,7 +184,7 @@ def inverse(chart: GroupChart, a, cfg: DiffConfig | None = None) -> np.ndarray:
         while t >= _DAMPING_FLOOR:
             xn = x + t * delta
             trial = np.asarray(chart.compose(a, xn), dtype=float)
-            if np.all(np.isfinite(trial)) and maxabs(trial - e) < rn:
+            if np.logical_and.reduce(np.isfinite(trial), axis=None) and maxabs(trial - e) < rn:
                 x = xn
                 break
             t *= 0.5
@@ -157,53 +193,89 @@ def inverse(chart: GroupChart, a, cfg: DiffConfig | None = None) -> np.ndarray:
     raise NoConvergence(f"inverse Newton did not converge in {_NEWTON_MAX_ITER} iterations")
 
 
+_REJECTED = (SingularMatrix, NoConvergence, NonFiniteEvaluation)
+
+
+def _admissible(chart: GroupChart, a: np.ndarray, cfg: DiffConfig,
+                stacked: bool) -> np.ndarray:
+    """Which rows of the (k, n) stack a the sampler keeps: the inverse
+    exists, composes finitely on both sides and stays within chart_radius."""
+    if stacked and chart.batched:
+        try:
+            inv = inverse(chart, a, cfg)
+        except _REJECTED:
+            pass        # some row broke down: vet the rows one at a time below
+        else:
+            finite = (np.isfinite(chart.compose(a, inv)).all(axis=-1)
+                      & np.isfinite(chart.compose(inv, a)).all(axis=-1))
+            return finite & (maxabs_rows(inv - chart.identity, a) <= chart.chart_radius)
+    keep = np.zeros(len(a), dtype=bool)
+    for i, p in enumerate(a):
+        try:
+            inv = inverse(chart, p, cfg)
+            as_finite_array(chart.compose(p, inv))
+            as_finite_array(chart.compose(inv, p))
+        except _REJECTED:
+            continue
+        keep[i] = maxabs(inv - chart.identity) <= chart.chart_radius
+    return keep
+
+
 def sample_points(
     chart: GroupChart,
     cfg: DiffConfig,
     rng: np.random.Generator,
     count: int | None = None,
+    stacked: bool = False,
 ) -> np.ndarray:
     """Admissible sample points near the identity.
 
     Draws uniformly from the inf-norm ball of radius
     min(SAMPLE_RADIUS, chart.chart_radius) and rejects points whose
-    inverse fails or escapes the trust region.
+    inverse fails or escapes the trust region; gives up after 200 * count
+    draws.  Each round draws only the rows still missing; with `stacked`
+    on a batched chart it vets them in whole-stack law calls, otherwise
+    one point at a time.  Either way the points kept and the generator's
+    state afterwards are those of drawing and vetting one point at a time.
     """
     count = count or cfg.sample_count
     radius = min(SAMPLE_RADIUS, chart.chart_radius)
     out = np.empty((count, chart.n))
     got = 0
-    attempts = 0
+    budget = 200 * count
     while got < count:
-        attempts += 1
-        if attempts > 200 * count:
+        k = min(count - got, budget)
+        if k == 0:
             raise NoConvergence("sampler rejected too many points; shrink chart_radius")
-        a = chart.identity + rng.uniform(-radius, radius, chart.n)
-        try:
-            inv = inverse(chart, a, cfg)
-            as_finite_array(chart.compose(a, inv))
-            as_finite_array(chart.compose(inv, a))
-        except (SingularMatrix, NoConvergence, NonFiniteEvaluation):
-            continue
-        if maxabs(inv - chart.identity) > chart.chart_radius:
-            continue
-        out[got] = a
-        got += 1
+        budget -= k
+        a = chart.identity + rng.uniform(-radius, radius, (k, chart.n))
+        keep = a[_admissible(chart, a, cfg, stacked)]
+        out[got:got + len(keep)] = keep
+        got += len(keep)
     return out
 
 
 def worst_over_samples(chart: GroupChart, cfg: DiffConfig, check_id: str,
                        residual: Callable[..., float], arity: int = 1,
-                       count: int | None = None) -> float:
+                       count: int | None = None, stacked: bool = False) -> float:
     """Worst residual of one check over its own sampled points.
 
     Draws count * arity points (count defaults to cfg.sample_count) from
     the check's generator and passes them to `residual` in consecutive
-    groups of `arity`.
+    groups of `arity`.  With `stacked` on a batched chart, `residual` gets
+    the whole draw at once, as `arity` stacks of shape (count, n), and
+    returns the count residuals.  A numerical breakdown is raised again as
+    the same type with the check id in front of its message.
     """
     count = count or cfg.sample_count
-    pts = sample_points(chart, cfg, check_rng(cfg, check_id), count * arity)
-    return worst_of(residual(*pts[i * arity:(i + 1) * arity]) for i in range(count))
+    try:
+        pts = sample_points(chart, cfg, check_rng(cfg, check_id), count * arity, stacked)
+        if stacked and chart.batched:
+            return worst_of(residual(*(np.ascontiguousarray(pts[j::arity])
+                                       for j in range(arity))))
+        return worst_of(residual(*pts[i * arity:(i + 1) * arity]) for i in range(count))
+    except BREAKDOWN as exc:
+        raise type(exc)(f"{check_id}: {exc}") from exc
 
 
 def shift_jacobians(chart: GroupChart, a, b, cfg: DiffConfig | None = None) -> ShiftJacobians:
@@ -215,17 +287,19 @@ def shift_jacobians(chart: GroupChart, a, b, cfg: DiffConfig | None = None) -> S
 
 
 # On a batched chart a and b may be (..., n) stacks of equal leading
-# shape; the fixed slot gets an axis for the 2n stencil points.
+# shape; a point held fixed beside a stencil gets an axis for its 2n points.
+
+def _held(chart: GroupChart, p):
+    return p[..., None, :] if chart.batched else p
+
 
 def _a_left(chart: GroupChart, a, b, cfg: DiffConfig) -> np.ndarray:
-    if chart.batched:
-        b = b[..., None, :]
+    b = _held(chart, b)
     return jacobian(lambda x: chart.compose(x, b), a, cfg, batched=chart.batched)
 
 
 def _a_right(chart: GroupChart, a, b, cfg: DiffConfig) -> np.ndarray:
-    if chart.batched:
-        a = a[..., None, :]
+    a = _held(chart, a)
     return jacobian(lambda y: chart.compose(a, y), b, cfg, batched=chart.batched)
 
 
@@ -268,23 +342,25 @@ def basic_operators(chart: GroupChart, a, cfg: DiffConfig | None = None) -> Basi
 # --- the sampled checks ----------------------------------------------------
 #
 # Each table entry is (check_id, number of sampled points, residual
-# function of (chart, cfg, *points)).  Shift residuals are exact
-# consequences of associativity and the inverse law, so every one of them
-# should vanish up to finite-difference error.
+# function of (chart, cfg, *points)).  On a batched chart the points are
+# (count, n) stacks and a residual returns its count values at once;
+# otherwise they are single (n,) points and it returns one value.  Shift
+# residuals are exact consequences of associativity and the inverse law,
+# so every one of them should vanish up to finite-difference error.
 
 _AXIOM_CHECKS = (
     ("chart_identity_left", 1,
-     lambda chart, cfg, a: maxabs(chart.compose(chart.identity, a) - a)),
+     lambda chart, cfg, a: maxabs_rows(chart.compose(chart.identity, a) - a, a)),
     ("chart_identity_right", 1,
-     lambda chart, cfg, a: maxabs(chart.compose(a, chart.identity) - a)),
-    ("chart_associativity", 3, lambda chart, cfg, a, b, c: maxabs(
-        chart.compose(chart.compose(a, b), c) - chart.compose(a, chart.compose(b, c)))),
-    ("inverse_left", 1, lambda chart, cfg, a: maxabs(
-        chart.compose(inverse(chart, a, cfg), a) - chart.identity)),
-    ("inverse_right", 1, lambda chart, cfg, a: maxabs(
-        chart.compose(a, inverse(chart, a, cfg)) - chart.identity)),
-    ("inverse_roundtrip", 1, lambda chart, cfg, a: maxabs(
-        inverse(chart, inverse(chart, a, cfg), cfg) - a)),
+     lambda chart, cfg, a: maxabs_rows(chart.compose(a, chart.identity) - a, a)),
+    ("chart_associativity", 3, lambda chart, cfg, a, b, c: maxabs_rows(
+        chart.compose(chart.compose(a, b), c) - chart.compose(a, chart.compose(b, c)), a)),
+    ("inverse_left", 1, lambda chart, cfg, a: maxabs_rows(
+        chart.compose(inverse(chart, a, cfg), a) - chart.identity, a)),
+    ("inverse_right", 1, lambda chart, cfg, a: maxabs_rows(
+        chart.compose(a, inverse(chart, a, cfg)) - chart.identity, a)),
+    ("inverse_roundtrip", 1, lambda chart, cfg, a: maxabs_rows(
+        inverse(chart, inverse(chart, a, cfg), cfg) - a, a)),
 )
 
 
@@ -292,156 +368,168 @@ def _res_cocycle_left(chart, cfg, a, b, c):
     ab = chart.compose(a, b)
     bc = chart.compose(b, c)
     lhs = _a_left(chart, ab, c, cfg) @ _a_left(chart, a, b, cfg)
-    return maxabs(lhs - _a_left(chart, a, bc, cfg))
+    return maxabs_rows(lhs - _a_left(chart, a, bc, cfg), a)
 
 
 def _res_cocycle_right(chart, cfg, a, b, c):
     ab = chart.compose(a, b)
     bc = chart.compose(b, c)
     lhs = _a_right(chart, a, bc, cfg) @ _a_right(chart, b, c, cfg)
-    return maxabs(lhs - _a_right(chart, ab, c, cfg))
+    return maxabs_rows(lhs - _a_right(chart, ab, c, cfg), a)
 
 
 def _res_cocycle_mixed(chart, cfg, a, b, c):
     ab = chart.compose(a, b)
     bc = chart.compose(b, c)
     lhs = _a_right(chart, a, bc, cfg) @ _a_left(chart, b, c, cfg)
-    return maxabs(lhs - _a_left(chart, ab, c, cfg) @ _a_right(chart, a, b, cfg))
+    return maxabs_rows(lhs - _a_left(chart, ab, c, cfg) @ _a_right(chart, a, b, cfg), a)
 
 
 def _res_inverse_operator_left(chart, cfg, a, b):
     ab = chart.compose(a, b)
     b_inv = inverse(chart, b, cfg)
     lhs = _a_left(chart, ab, b_inv, cfg) @ _a_left(chart, a, b, cfg)
-    return maxabs(lhs - np.eye(chart.n))
+    return maxabs_rows(lhs - np.eye(chart.n), a)
 
 
 def _res_inverse_operator_right(chart, cfg, b, c):
     bc = chart.compose(b, c)
     b_inv = inverse(chart, b, cfg)
     lhs = _a_right(chart, b_inv, bc, cfg) @ _a_right(chart, b, c, cfg)
-    return maxabs(lhs - np.eye(chart.n))
+    return maxabs_rows(lhs - np.eye(chart.n), b)
 
 
 def _res_lambda_left_closed_form(chart, cfg, a):
     lam = invert(psi_flavored(chart, a, "left", cfg))
-    return maxabs(lam - _a_left(chart, a, inverse(chart, a, cfg), cfg))
+    return maxabs_rows(lam - _a_left(chart, a, inverse(chart, a, cfg), cfg), a)
 
 
 def _res_lambda_right_closed_form(chart, cfg, a):
     lam = invert(psi_flavored(chart, a, "right", cfg))
-    return maxabs(lam - _a_right(chart, inverse(chart, a, cfg), a, cfg))
+    return maxabs_rows(lam - _a_right(chart, inverse(chart, a, cfg), a, cfg), a)
 
 
 def _res_factorization_left(chart, cfg, a, b):
     ab = chart.compose(a, b)
     psi_l_ab = psi_flavored(chart, ab, "left", cfg)
     lam_l_a = invert(psi_flavored(chart, a, "left", cfg))
-    return maxabs(_a_left(chart, a, b, cfg) - psi_l_ab @ lam_l_a)
+    return maxabs_rows(_a_left(chart, a, b, cfg) - psi_l_ab @ lam_l_a, a)
 
 
 def _res_factorization_right(chart, cfg, a, b):
     ab = chart.compose(a, b)
     psi_r_ab = psi_flavored(chart, ab, "right", cfg)
     lam_r_b = invert(psi_flavored(chart, b, "right", cfg))
-    return maxabs(_a_right(chart, a, b, cfg) - psi_r_ab @ lam_r_b)
+    return maxabs_rows(_a_right(chart, a, b, cfg) - psi_r_ab @ lam_r_b, a)
 
 
 def _res_inverse_jacobian_left_route(chart, cfg, a):
     a_inv = inverse(chart, a, cfg)
-    j_num = jacobian(lambda x: inverse(chart, x, cfg), a, cfg)
+    j_num = jacobian(lambda x: inverse(chart, x, cfg), a, cfg, batched=chart.batched)
     psi_l_inv = psi_flavored(chart, a_inv, "left", cfg)
     lam_r_a = invert(psi_flavored(chart, a, "right", cfg))
-    return maxabs(j_num + psi_l_inv @ lam_r_a)
+    return maxabs_rows(j_num + psi_l_inv @ lam_r_a, a)
 
 
 def _res_inverse_jacobian_right_route(chart, cfg, a):
     a_inv = inverse(chart, a, cfg)
-    j_num = jacobian(lambda x: inverse(chart, x, cfg), a, cfg)
+    j_num = jacobian(lambda x: inverse(chart, x, cfg), a, cfg, batched=chart.batched)
     psi_r_inv = psi_flavored(chart, a_inv, "right", cfg)
     lam_l_a = invert(psi_flavored(chart, a, "left", cfg))
-    return maxabs(j_num + psi_r_inv @ lam_l_a)
+    return maxabs_rows(j_num + psi_r_inv @ lam_l_a, a)
 
 
 def _res_quotient_left(chart, cfg, a, b):
-    j_num = jacobian(lambda x: chart.compose(inverse(chart, x, cfg), b), a, cfg)
+    held_b = _held(chart, b)
+    j_num = jacobian(lambda x: chart.compose(inverse(chart, x, cfg), held_b), a, cfg,
+                     batched=chart.batched)
     w = chart.compose(inverse(chart, a, cfg), b)
     psi_l_w = psi_flavored(chart, w, "left", cfg)
     lam_r_a = invert(psi_flavored(chart, a, "right", cfg))
-    return maxabs(j_num + psi_l_w @ lam_r_a)
+    return maxabs_rows(j_num + psi_l_w @ lam_r_a, a)
 
 
 def _res_quotient_right(chart, cfg, a, b):
-    j_num = jacobian(lambda x: chart.compose(b, inverse(chart, x, cfg)), a, cfg)
+    held_b = _held(chart, b)
+    j_num = jacobian(lambda x: chart.compose(held_b, inverse(chart, x, cfg)), a, cfg,
+                     batched=chart.batched)
     w = chart.compose(b, inverse(chart, a, cfg))
     psi_r_w = psi_flavored(chart, w, "right", cfg)
     lam_l_a = invert(psi_flavored(chart, a, "left", cfg))
-    return maxabs(j_num + psi_r_w @ lam_l_a)
+    return maxabs_rows(j_num + psi_r_w @ lam_l_a, a)
+
+
+def _triple_in_middle(chart, a, c):
+    """y -> a y c with a and c held beside a stencil over y."""
+    held_a, held_c = _held(chart, a), _held(chart, c)
+    return lambda y: chart.compose(chart.compose(held_a, y), held_c)
 
 
 def _res_triple_product_left_route(chart, cfg, a, b, c):
     ab = chart.compose(a, b)
     abc = chart.compose(ab, c)
-    j_num = jacobian(lambda y: chart.compose(chart.compose(a, y), c), b, cfg,
-                     batched=chart.batched)
+    j_num = jacobian(_triple_in_middle(chart, a, c), b, cfg, batched=chart.batched)
     psi_l_abc = psi_flavored(chart, abc, "left", cfg)
     psi_l_ab, psi_r_ab = psi_pair(chart, ab, cfg)
     lam_l_ab = invert(psi_l_ab)
     lam_r_b = invert(psi_flavored(chart, b, "right", cfg))
-    return maxabs(j_num - psi_l_abc @ lam_l_ab @ psi_r_ab @ lam_r_b)
+    return maxabs_rows(j_num - psi_l_abc @ lam_l_ab @ psi_r_ab @ lam_r_b, a)
 
 
 def _res_triple_product_right_route(chart, cfg, a, b, c):
     bc = chart.compose(b, c)
     abc = chart.compose(a, bc)
-    j_num = jacobian(lambda y: chart.compose(chart.compose(a, y), c), b, cfg,
-                     batched=chart.batched)
+    j_num = jacobian(_triple_in_middle(chart, a, c), b, cfg, batched=chart.batched)
     psi_r_abc = psi_flavored(chart, abc, "right", cfg)
     psi_l_bc, psi_r_bc = psi_pair(chart, bc, cfg)
     lam_r_bc = invert(psi_r_bc)
     lam_l_b = invert(psi_flavored(chart, b, "left", cfg))
-    return maxabs(j_num - psi_r_abc @ lam_r_bc @ psi_l_bc @ lam_l_b)
-
-
-def _conjugate(chart, cfg, a, b):
-    return chart.compose(chart.compose(a, b), inverse(chart, a, cfg))
+    return maxabs_rows(j_num - psi_r_abc @ lam_r_bc @ psi_l_bc @ lam_l_b, a)
 
 
 def _res_conjugation_outer(chart, cfg, a, b):
-    j_num = jacobian(lambda x: _conjugate(chart, cfg, x, b), a, cfg)
-    w = _conjugate(chart, cfg, a, b)
+    held_b = _held(chart, b)
+    j_num = jacobian(lambda x: chart.compose(chart.compose(x, held_b), inverse(chart, x, cfg)),
+                     a, cfg, batched=chart.batched)
+    w = chart.compose(chart.compose(a, b), inverse(chart, a, cfg))
     psi_l_w, psi_r_w = psi_pair(chart, w, cfg)
     lam_l_a = invert(psi_flavored(chart, a, "left", cfg))
-    return maxabs(j_num - (psi_l_w - psi_r_w) @ lam_l_a)
+    return maxabs_rows(j_num - (psi_l_w - psi_r_w) @ lam_l_a, a)
 
+
+# The inner conjugations y -> a y a^-1 hold a fixed, so a^-1 is found once
+# per point rather than at every stencil point.
 
 def _res_conjugation_inner_left(chart, cfg, a, b):
-    j_num = jacobian(lambda y: _conjugate(chart, cfg, a, y), b, cfg)
+    a_inv = inverse(chart, a, cfg)
+    j_num = jacobian(_triple_in_middle(chart, a, a_inv), b, cfg, batched=chart.batched)
     ab = chart.compose(a, b)
-    w = _conjugate(chart, cfg, a, b)
+    w = chart.compose(ab, a_inv)
     psi_l_w = psi_flavored(chart, w, "left", cfg)
     psi_l_ab, psi_r_ab = psi_pair(chart, ab, cfg)
     lam_l_ab = invert(psi_l_ab)
     lam_r_b = invert(psi_flavored(chart, b, "right", cfg))
-    return maxabs(j_num - psi_l_w @ lam_l_ab @ psi_r_ab @ lam_r_b)
+    return maxabs_rows(j_num - psi_l_w @ lam_l_ab @ psi_r_ab @ lam_r_b, a)
 
 
 def _res_conjugation_inner_right(chart, cfg, a, b):
-    j_num = jacobian(lambda y: _conjugate(chart, cfg, a, y), b, cfg)
     a_inv = inverse(chart, a, cfg)
+    j_num = jacobian(_triple_in_middle(chart, a, a_inv), b, cfg, batched=chart.batched)
     ba_inv = chart.compose(b, a_inv)
-    w = _conjugate(chart, cfg, a, b)
+    w = chart.compose(chart.compose(a, b), a_inv)
     psi_r_w = psi_flavored(chart, w, "right", cfg)
     psi_l_bainv, psi_r_bainv = psi_pair(chart, ba_inv, cfg)
     lam_r_bainv = invert(psi_r_bainv)
     lam_l_b = invert(psi_flavored(chart, b, "left", cfg))
-    return maxabs(j_num - psi_r_w @ lam_r_bainv @ psi_l_bainv @ lam_l_b)
+    return maxabs_rows(j_num - psi_r_w @ lam_r_bainv @ psi_l_bainv @ lam_l_b, a)
 
 
 def _res_adjoint_at_identity(chart, cfg, a):
-    j_num = jacobian(lambda y: _conjugate(chart, cfg, a, y), chart.identity, cfg)
+    a_inv = inverse(chart, a, cfg)
+    e = np.broadcast_to(chart.identity, a.shape)
+    j_num = jacobian(_triple_in_middle(chart, a, a_inv), e, cfg, batched=chart.batched)
     psi_l_a, psi_r_a = psi_pair(chart, a, cfg)
-    return maxabs(j_num - invert(psi_l_a) @ psi_r_a)
+    return maxabs_rows(j_num - invert(psi_l_a) @ psi_r_a, a)
 
 
 def _res_adjoint_flavor_symmetry(chart, cfg, a):
@@ -449,7 +537,7 @@ def _res_adjoint_flavor_symmetry(chart, cfg, a):
     psi_l_a, psi_r_a = psi_pair(chart, a, cfg)
     psi_l_inv, psi_r_inv = psi_pair(chart, a_inv, cfg)
     adj = invert(psi_l_a) @ psi_r_a
-    return maxabs(adj - invert(psi_r_inv) @ psi_l_inv)
+    return maxabs_rows(adj - invert(psi_r_inv) @ psi_l_inv, a)
 
 
 _SHIFT_CHECKS = (
@@ -533,7 +621,7 @@ def record(check_id: str, residual: float, samples: int, tol_scale: float) -> Ch
 def _sampled_checks(chart: GroupChart, cfg: DiffConfig, table) -> Checks:
     for check_id, arity, fn in table:
         yield check_id, cfg.sample_count, worst_over_samples(
-            chart, cfg, check_id, lambda *pts: fn(chart, cfg, *pts), arity)
+            chart, cfg, check_id, lambda *pts: fn(chart, cfg, *pts), arity, stacked=True)
 
 
 def _basic_ops_at_identity(chart: GroupChart, cfg: DiffConfig) -> float:

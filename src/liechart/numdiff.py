@@ -54,7 +54,8 @@ class DiffConfig:
 def as_finite_array(x, context: str = "evaluation") -> np.ndarray:
     """Coerce to a float array, rejecting NaN/Inf entries."""
     a = np.asarray(x, dtype=float)
-    if not np.isfinite(a).all():
+    # the ufunc reduce directly: ndarray.all() goes through a Python wrapper
+    if not np.logical_and.reduce(np.isfinite(a), axis=None):
         raise NonFiniteEvaluation(f"{context} produced a non-finite value")
     return a
 
@@ -90,7 +91,7 @@ def jacobian(f: VectorMap, at: Sequence[float], cfg: DiffConfig | None = None,
         out = np.column_stack(cols)
     # a NaN or Inf probe always survives the difference, so one check
     # on the assembled matrix covers every evaluation
-    if not np.isfinite(out).all():
+    if not np.logical_and.reduce(np.isfinite(out), axis=None):
         raise NonFiniteEvaluation("jacobian probe produced a non-finite value")
     return out
 
@@ -163,7 +164,7 @@ def mixed_second(
                 fmp = np.asarray(f(am, bp), dtype=float).ravel()
                 fmm = np.asarray(f(am, bm), dtype=float).ravel()
                 out[:, L, M] = (fpp - fpm - fmp + fmm) / (4.0 * ha[L] * hb[M])
-    if not np.isfinite(out).all():
+    if not np.logical_and.reduce(np.isfinite(out), axis=None):
         raise NonFiniteEvaluation("mixed_second probe produced a non-finite value")
     return out
 
@@ -200,23 +201,36 @@ def numeric_rank(m, rank_tol: float = 1e-8) -> int:
 
 
 def invert(m, rank_tol: float = 1e-8) -> np.ndarray:
-    """Inverse via row-pivoted elimination.
+    """Inverse via row-pivoted elimination, of one matrix or a (..., m, m) stack.
 
-    Raises SingularMatrix when any pivot falls below rank_tol * max|m|,
-    which is the same cutoff numeric_rank uses for its singular values.
+    Raises SingularMatrix when any pivot of any matrix falls below
+    rank_tol * max|that matrix|, which is the same cutoff numeric_rank uses
+    for its singular values.  A stack is solved matrix by matrix with the
+    same LAPACK calls, so each inverse has the bits of the single solve
+    (np.linalg.inv would not).
     """
     a = as_finite_array(m, "invert input")
     a = np.atleast_2d(a)
-    if a.shape[0] != a.shape[1]:
+    if a.shape[-1] != a.shape[-2]:
         raise ValueError("invert expects a square matrix")
-    scale = float(np.abs(a).max())
-    if scale == 0.0:
-        raise SingularMatrix("zero matrix")
     # LAPACK directly: scipy's lu_factor/lu_solve wrappers cost more than
     # the solve itself at these sizes
     getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (a,))
+    eye = np.eye(a.shape[-1])
+    if a.ndim == 2:
+        return _invert_one(a, rank_tol, getrf, getrs, eye)
+    out = np.empty(a.shape)
+    for idx in np.ndindex(a.shape[:-2]):
+        out[idx] = _invert_one(a[idx], rank_tol, getrf, getrs, eye)
+    return out
+
+
+def _invert_one(a, rank_tol, getrf, getrs, eye) -> np.ndarray:
+    scale = float(np.abs(a).max())
+    if scale == 0.0:
+        raise SingularMatrix("zero matrix")
     lu, piv, _ = getrf(a)
     smallest = np.abs(lu.diagonal()).min()
     if smallest <= rank_tol * scale:
         raise SingularMatrix(f"pivot {smallest:.3e} below {rank_tol:.1e} * {scale:.3e}")
-    return getrs(lu, piv, np.eye(a.shape[0]))[0]
+    return getrs(lu, piv, eye)[0]

@@ -15,15 +15,18 @@ settings.load_profile("default")
 
 
 class LawCounter:
-    """Composition-law evaluations, one per row of a batched call."""
+    """Composition-law evaluations, one per row of a batched call, and law
+    calls, one per call whatever its rows."""
 
     def __init__(self) -> None:
         self.evals = 0
+        self.calls = 0
 
     def wrap(self, law):
         def counted(a, b):
             lead = np.broadcast_shapes(np.shape(a)[:-1], np.shape(b)[:-1])
             self.evals += int(np.prod(lead, dtype=np.int64))
+            self.calls += 1
             return law(a, b)
 
         # keep the law's batch marker, so a counted chart takes the same path

@@ -4,10 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import liechart.cli as cli
+from liechart import catalog
 from liechart.errors import SingularMatrix
+from liechart.group import GroupChart
 from liechart.suites import SUITE_NAMES, TOLERANCES
 
 
@@ -71,6 +74,24 @@ def test_breakdown_returns_three(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_suite", explode)
     assert run_cli("run", "--group", "affine", "--suite", "shift") == 3
     assert "numerical breakdown" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("batched", [True, False])
+def test_breakdown_names_its_check(batched, monkeypatch, capsys):
+    # translation that breaks down (NaN) wherever the product exceeds 0.22:
+    # sampled points (|a| <= 0.2) and their inverses compose finitely, but
+    # the shift Jacobian at some product ab of two samples cannot be taken
+    def law(a, b):
+        ab = a + b
+        return np.where(ab > 0.22, np.nan, ab)
+
+    law.broadcasts = batched
+    chart = GroupChart(n=1, compose=law, identity=np.zeros(1),
+                       inverse_hint=lambda a: -a, name="brittle")
+    monkeypatch.setattr(catalog, "get_group", lambda _: chart)
+    assert run_cli("run", "--group", "translation:1", "--suite", "shift") == 3
+    err = capsys.readouterr().err
+    assert "numerical breakdown: NonFiniteEvaluation: cocycle_left: jacobian point" in err
 
 
 def test_bad_fd_step_rejected():

@@ -87,6 +87,31 @@ def test_newton_inverse_failure_raises():
         inverse(broken, np.array([5.0]), CFG)
 
 
+def _marked(fn):
+    fn.broadcasts = True
+    return fn
+
+
+@pytest.mark.parametrize("hint", ["broadcasting", "row by row", "sloppy", "none"])
+@pytest.mark.parametrize("batched", [True, False])
+def test_inverse_of_a_stack_matches_each_point(hint, batched):
+    base = get_group("gl:2")
+    hints = {"broadcasting": base.inverse_hint,
+             "row by row": lambda a: np.linalg.inv(a.reshape(2, 2)).ravel(),
+             # off by 1e-6: every row fails the hint check and is polished by Newton
+             "sloppy": _marked(lambda a: base.inverse_hint(a) * (1.0 + 1e-6)),
+             "none": None}
+    law = base.compose if batched else (lambda a, b: base.compose(a, b))
+    chart = dataclasses.replace(base, compose=law, inverse_hint=hints[hint])
+    assert chart.batched == batched
+    stack = sample_points(chart, CFG, check_rng(CFG, "inverse_stack"), 6).reshape(2, 3, 4)
+    got = inverse(chart, stack, CFG)
+    assert got.shape == stack.shape
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(got[idx], inverse(chart, stack[idx], CFG))
+    assert np.max(np.abs(got - base.inverse_hint(stack))) < 1e-10
+
+
 def test_shift_jacobians_at_identity_are_identity():
     chart = get_group("affine")
     a = np.array([2.0, 3.0])
@@ -209,15 +234,16 @@ def test_worst_over_samples_groups_the_check_stream():
     assert np.array_equal(np.array(seen), pts.reshape(3, 2, chart.n))
 
 
-# composition-law evaluations at seed 42 and the default 20 samples.  The
-# ceilings are the counts when the closed-form lambda residuals took both
-# operator flavors and both inverses to use one of them; no change should
-# rise above them.
-SHIFT_SUITE_EVALS = {"affine": 10_128, "gl:2": 16_456, "gl:3": 32_276,
-                     "translation:1": 6_964}
+# composition-law evaluations at seed 42 and the default 20 samples, with
+# the inner conjugations finding a^-1 once per point.  The ceilings are
+# the counts when the closed-form lambda residuals took both operator
+# flavors and both inverses to use one of them; no change should rise
+# above them.
+SHIFT_SUITE_EVALS = {"affine": 9_868, "gl:2": 15_956, "gl:3": 31_176,
+                     "translation:1": 6_824}
 SHIFT_SUITE_CEILING = {"affine": 10_288, "gl:2": 16_776, "gl:3": 32_996,
                        "translation:1": 7_044}
-HINT_FREE_EVALS = {"affine": 21_094, "gl:2": 53_090}
+HINT_FREE_EVALS = {"affine": 19_136, "gl:2": 44_670}
 HINT_FREE_CEILING = {"affine": 21_254, "gl:2": 53_410}
 
 
@@ -238,6 +264,20 @@ def test_hint_free_shift_identities_eval_count(name, law_counter):
     assert verify_shift_identities(chart, DiffConfig()).all_passed
     assert law_counter.evals == HINT_FREE_EVALS[name]
     assert law_counter.evals <= HINT_FREE_CEILING[name]
+
+
+@pytest.mark.parametrize("name", ["gl:2", "translation:2"])
+def test_shift_suite_law_calls_do_not_grow_with_samples(name, monkeypatch, law_counter):
+    # a batched chart gets each check's samples as whole stacks, so the
+    # suite makes one set of law calls per check stencil at any sample count
+    chart = law_counter.chart(get_group(name))
+    monkeypatch.setattr(catalog, "get_group", lambda _: chart)
+    calls = []
+    for count in (5, 20):
+        law_counter.calls = 0
+        assert run_suite(name, "shift", DiffConfig(sample_count=count)).all_passed
+        calls.append(law_counter.calls)
+    assert calls[0] == calls[1]
 
 
 # --- batched (broadcasting) laws against the point-by-point path ----------

@@ -210,6 +210,23 @@ def test_invert_matches_lu_wrappers_bit_for_bit(n):
         assert np.array_equal(m, before)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 9])
+def test_invert_stack_matches_single_solves_bit_for_bit(n):
+    # np.linalg.inv would differ in the last bits on some of these
+    rng = np.random.default_rng(n)
+    stack = rng.uniform(-1.0, 1.0, (2, 5, n, n)) + n * np.eye(n)
+    out = invert(stack)
+    assert out.shape == stack.shape
+    for idx in np.ndindex(2, 5):
+        assert np.array_equal(out[idx], _invert_via_lu_wrappers(stack[idx]))
+
+
+def test_invert_stack_raises_on_any_singular_matrix():
+    stack = np.array([np.eye(2), [[1.0, 2.0], [2.0, 4.0]], np.eye(2)])
+    with pytest.raises(SingularMatrix):
+        invert(stack)
+
+
 @given(st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=9, max_size=9))
 def test_invert_roundtrip_well_conditioned(entries):
     m = np.array(entries).reshape(3, 3) + 3.0 * np.eye(3)
