@@ -133,9 +133,10 @@ def inverse(chart: GroupChart, a, cfg: DiffConfig | None = None) -> np.ndarray:
 
     Uses the chart's closed-form hint when present, otherwise a damped
     Newton iteration on compose(a, x) = e seeded at the identity.  On a
-    batched chart a stack is checked against the hint in one law call (the
-    hint itself maps the whole stack when it carries `broadcasts = True`),
-    and only the rows the hint misses go to Newton, one at a time.
+    batched chart whose hint carries `broadcasts = True`, a stack is mapped
+    by the hint and checked against it in one call each, and only the rows
+    the hint misses go to Newton, one at a time; otherwise a stack is
+    inverted row by row.
     """
     cfg = cfg or DiffConfig()
     a = as_finite_array(a, "inverse argument")
@@ -143,10 +144,9 @@ def inverse(chart: GroupChart, a, cfg: DiffConfig | None = None) -> np.ndarray:
         return _inverse_point(chart, a, cfg)
     rows = a.reshape(-1, chart.n)
     hint = chart.inverse_hint
-    if not chart.batched or hint is None:
+    if not chart.batched or not getattr(hint, "broadcasts", False):
         return np.array([_inverse_point(chart, p, cfg) for p in rows]).reshape(a.shape)
-    x = hint(rows) if getattr(hint, "broadcasts", False) else [hint(p) for p in rows]
-    x = as_finite_array(x, "inverse hint").reshape(rows.shape)
+    x = as_finite_array(hint(rows), "inverse hint").reshape(rows.shape)
     sloppy = np.flatnonzero(
         maxabs_rows(as_finite_array(chart.compose(rows, x)) - chart.identity, rows) > 1e-10)
     if sloppy.size:
@@ -193,32 +193,16 @@ def _newton(chart: GroupChart, a: np.ndarray, x: np.ndarray, cfg: DiffConfig) ->
     raise NoConvergence(f"inverse Newton did not converge in {_NEWTON_MAX_ITER} iterations")
 
 
-_REJECTED = (SingularMatrix, NoConvergence, NonFiniteEvaluation)
-
-
-def _admissible(chart: GroupChart, a: np.ndarray, cfg: DiffConfig,
-                stacked: bool) -> np.ndarray:
-    """Which rows of the (k, n) stack a the sampler keeps: the inverse
-    exists, composes finitely on both sides and stays within chart_radius."""
-    if stacked and chart.batched:
-        try:
-            inv = inverse(chart, a, cfg)
-        except _REJECTED:
-            pass        # some row broke down: vet the rows one at a time below
-        else:
-            finite = (np.isfinite(chart.compose(a, inv)).all(axis=-1)
-                      & np.isfinite(chart.compose(inv, a)).all(axis=-1))
-            return finite & (maxabs_rows(inv - chart.identity, a) <= chart.chart_radius)
-    keep = np.zeros(len(a), dtype=bool)
-    for i, p in enumerate(a):
-        try:
-            inv = inverse(chart, p, cfg)
-            as_finite_array(chart.compose(p, inv))
-            as_finite_array(chart.compose(inv, p))
-        except _REJECTED:
-            continue
-        keep[i] = maxabs(inv - chart.identity) <= chart.chart_radius
-    return keep
+def _admissible(chart: GroupChart, a: np.ndarray, cfg: DiffConfig) -> bool:
+    """Whether the sampler keeps point a: its inverse exists, composes
+    finitely on both sides and stays within chart_radius."""
+    try:
+        inv = inverse(chart, a, cfg)
+        as_finite_array(chart.compose(a, inv))
+        as_finite_array(chart.compose(inv, a))
+    except (SingularMatrix, NoConvergence, NonFiniteEvaluation):
+        return False
+    return maxabs(inv - chart.identity) <= chart.chart_radius
 
 
 def sample_points(
@@ -226,17 +210,15 @@ def sample_points(
     cfg: DiffConfig,
     rng: np.random.Generator,
     count: int | None = None,
-    stacked: bool = False,
 ) -> np.ndarray:
     """Admissible sample points near the identity.
 
     Draws uniformly from the inf-norm ball of radius
     min(SAMPLE_RADIUS, chart.chart_radius) and rejects points whose
     inverse fails or escapes the trust region; gives up after 200 * count
-    draws.  Each round draws only the rows still missing; with `stacked`
-    on a batched chart it vets them in whole-stack law calls, otherwise
-    one point at a time.  Either way the points kept and the generator's
-    state afterwards are those of drawing and vetting one point at a time.
+    draws.  Each round draws only the rows still missing and vets them one
+    at a time, so the points kept and the generator's state afterwards are
+    those of drawing one point at a time.
     """
     count = count or cfg.sample_count
     radius = min(SAMPLE_RADIUS, chart.chart_radius)
@@ -248,10 +230,10 @@ def sample_points(
         if k == 0:
             raise NoConvergence("sampler rejected too many points; shrink chart_radius")
         budget -= k
-        a = chart.identity + rng.uniform(-radius, radius, (k, chart.n))
-        keep = a[_admissible(chart, a, cfg, stacked)]
-        out[got:got + len(keep)] = keep
-        got += len(keep)
+        for a in chart.identity + rng.uniform(-radius, radius, (k, chart.n)):
+            if _admissible(chart, a, cfg):
+                out[got] = a
+                got += 1
     return out
 
 
@@ -269,7 +251,7 @@ def worst_over_samples(chart: GroupChart, cfg: DiffConfig, check_id: str,
     """
     count = count or cfg.sample_count
     try:
-        pts = sample_points(chart, cfg, check_rng(cfg, check_id), count * arity, stacked)
+        pts = sample_points(chart, cfg, check_rng(cfg, check_id), count * arity)
         if stacked and chart.batched:
             return worst_of(residual(*(np.ascontiguousarray(pts[j::arity])
                                        for j in range(arity))))

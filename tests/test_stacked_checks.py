@@ -4,7 +4,7 @@ On a batched chart every chart-axiom and shift-identity residual runs once
 per check over (count, n) stacks of its sample points.  The reference
 below is the one-point-at-a-time form of each residual; the stacked form
 must reproduce its value at every sample bit for bit.  `sample_points`,
-which can vet a whole round of draws at once, must keep the points and
+which draws a whole round of points at once, must keep the points and
 the generator state of drawing and vetting one point at a time.
 """
 
@@ -335,15 +335,14 @@ def _rejecting_charts():
                 a[..., :1] > 0.15, np.nan, a + b))}
 
 
-@pytest.mark.parametrize("stacked", [True, False])
 @pytest.mark.parametrize("kind", ["narrow", "broken", "broken-newton", "broken-unbatched"])
-def test_sample_points_keeps_the_sequential_points_and_generator_state(kind, stacked):
+def test_sample_points_keeps_the_sequential_points_and_generator_state(kind):
     chart = _rejecting_charts()[kind]
     assert chart.batched == (kind != "broken-unbatched")
     cfg = DiffConfig()
     for seed in range(3):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = sample_points(chart, cfg, rng, 30, stacked)
+        got = sample_points(chart, cfg, rng, 30)
         want = sequential_sample_points(chart, cfg, ref_rng, 30)
         assert np.array_equal(got, want)
         assert rng.uniform() == ref_rng.uniform()
@@ -360,9 +359,8 @@ def _after_draws(chart, draws, seed=0):
     return rng.bit_generator.state
 
 
-@pytest.mark.parametrize("stacked", [True, False])
 @pytest.mark.parametrize("batched", [True, False])
-def test_sample_points_gives_up_after_the_same_draws(batched, stacked):
+def test_sample_points_gives_up_after_the_same_draws(batched):
     law = (lambda a, b: np.full(np.broadcast_shapes(np.shape(a), np.shape(b)), np.nan))
     chart = GroupChart(n=2, compose=_broadcasting(law) if batched else law,
                        identity=np.zeros(2), inverse_hint=_broadcasting(lambda a: -a),
@@ -371,7 +369,7 @@ def test_sample_points_gives_up_after_the_same_draws(batched, stacked):
     cfg = DiffConfig()
     rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
     with pytest.raises(NoConvergence):
-        sample_points(chart, cfg, rng, 3, stacked)
+        sample_points(chart, cfg, rng, 3)
     with pytest.raises(NoConvergence):
         sequential_sample_points(chart, cfg, ref_rng, 3)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
