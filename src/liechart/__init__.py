@@ -34,6 +34,7 @@ from .numdiff import (
     jacobian,
     mixed_second,
     numeric_rank,
+    rowwise,
     vf_commutator,
 )
 from .report import CheckRecord, CheckReport
@@ -61,6 +62,7 @@ __all__ = [
     "jacobian",
     "mixed_second",
     "numeric_rank",
+    "rowwise",
     "sample_points",
     "shift_jacobians",
     "vf_commutator",

@@ -109,9 +109,20 @@ def _multiplicative() -> CatalogEntry:
     return CatalogEntry(chart, oracles)
 
 
+@_broadcasting
 def _affine_compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # x -> a1*x + a2 composed with x -> b1*x + b2, outer map applied last
-    return np.array([a[0] * b[0], a[0] * b[1] + a[1]])
+    out = a[..., :1] * b
+    out[..., 1] += a[..., 1]
+    return out
+
+
+@_broadcasting
+def _affine_inverse(a: np.ndarray) -> np.ndarray:
+    out = np.empty_like(a)
+    out[..., 0] = 1.0 / a[..., 0]
+    out[..., 1] = -a[..., 1] / a[..., 0]
+    return out
 
 
 def _affine() -> CatalogEntry:
@@ -119,7 +130,7 @@ def _affine() -> CatalogEntry:
         n=2,
         compose=_affine_compose,
         identity=np.array([1.0, 0.0]),
-        inverse_hint=lambda a: np.array([1.0 / a[0], -a[1] / a[0]]),
+        inverse_hint=_affine_inverse,
         chart_radius=0.8,
         name="affine",
     )

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import LeftChart, NonFiniteEvaluation, ZeroPsi
 from .group import GroupChart, maxabs, psi_flavored, worst_of, worst_over_samples
-from .numdiff import DiffConfig, as_finite_array
+from .numdiff import DiffConfig, as_finite_array, rowwise
 
 _FIRST_STEPS_PER_UNIT = 8
 _MAX_STEPS_PER_UNIT = 1000
@@ -151,4 +151,4 @@ def additivity_residual(chart: GroupChart, cfg: DiffConfig | None = None) -> flo
         rhs = canonical_coordinate(chart, a, cfg) + canonical_coordinate(chart, b, cfg)
         return abs(lhs - rhs)
 
-    return worst_over_samples(chart, cfg, "canonical_additivity", residual, arity=2)
+    return worst_over_samples(chart, cfg, "canonical_additivity", rowwise(residual), arity=2)

@@ -17,13 +17,13 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .errors import BREAKDOWN, NoConvergence, NonFiniteEvaluation, SingularMatrix
-from .numdiff import DiffConfig, as_finite_array, invert, jacobian
+from .numdiff import DiffConfig, as_finite_array, invert, jacobian, rowwise
 from .report import CheckRecord, CheckReport
 
 ComposeLaw = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -43,18 +43,12 @@ SAMPLE_RADIUS = 0.2
 class GroupChart:
     """A Lie group presented as a coordinate chart around its identity.
 
-    A law that broadcasts over leading batch axes opts in by carrying the
-    attribute `broadcasts = True` (`law.broadcasts = True` after its
-    `def`): compose(a, b) with a and b of shapes (..., n) that broadcast
-    together must return (..., n), each row equal to the single-point
-    result.  The stencils then evaluate all their points in one call.
-    The marker is read once, here, into `batched`; a chart built from a
-    wrapper of the law (`dataclasses.replace(chart, compose=...)`)
-    evaluates point by point unless the wrapper carries it too.  On a
-    batched chart the sampled chart-axiom and shift-identity checks run
-    each check's samples as whole (count, n) stacks.  An `inverse_hint`
-    may carry the same marker: it then maps a (..., n) stack row by row
-    in one call, which `inverse` uses for stacks on a batched chart.
+    The stencils and sampled checks call compose(a, b) on (..., n) stacks
+    that broadcast together, and each row must equal the single-point
+    result.  A law marked `broadcasts = True` gets the stacks as they are;
+    any other law, and likewise the `inverse_hint`, is lifted here by
+    `numdiff.rowwise` to one call per row.  The residuals have the same
+    bits either way; only the number of law calls differs.
     """
 
     n: int
@@ -63,7 +57,6 @@ class GroupChart:
     inverse_hint: Callable[[np.ndarray], np.ndarray] | None = None
     chart_radius: float = 1.0
     name: str = "custom"
-    batched: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.identity = as_finite_array(self.identity, "chart identity")
@@ -71,7 +64,10 @@ class GroupChart:
             raise ValueError("identity must be an n-vector")
         if self.chart_radius <= 0.0:
             raise ValueError("chart_radius must be positive")
-        self.batched = bool(getattr(self.compose, "broadcasts", False))
+        if not getattr(self.compose, "broadcasts", False):
+            self.compose = rowwise(self.compose)
+        if self.inverse_hint is not None and not getattr(self.inverse_hint, "broadcasts", False):
+            self.inverse_hint = rowwise(self.inverse_hint)
 
 
 @dataclass(frozen=True)
@@ -132,21 +128,19 @@ def inverse(chart: GroupChart, a, cfg: DiffConfig | None = None) -> np.ndarray:
     """Coordinates of the group inverse of a, one point (n,) or a stack (..., n).
 
     Uses the chart's closed-form hint when present, otherwise a damped
-    Newton iteration on compose(a, x) = e seeded at the identity.  On a
-    batched chart whose hint carries `broadcasts = True`, a stack is mapped
-    by the hint and checked against it in one call each, and only the rows
-    the hint misses go to Newton, one at a time; otherwise a stack is
-    inverted row by row.
+    Newton iteration on compose(a, x) = e seeded at the identity.  A stack
+    is mapped by the hint and checked against it in one call each, and
+    only the rows the hint misses go to Newton, one at a time; without a
+    hint every row is its own Newton solve.
     """
     cfg = cfg or DiffConfig()
     a = as_finite_array(a, "inverse argument")
     if a.ndim == 1:
         return _inverse_point(chart, a, cfg)
     rows = a.reshape(-1, chart.n)
-    hint = chart.inverse_hint
-    if not chart.batched or not getattr(hint, "broadcasts", False):
+    if chart.inverse_hint is None:
         return np.array([_inverse_point(chart, p, cfg) for p in rows]).reshape(a.shape)
-    x = as_finite_array(hint(rows), "inverse hint").reshape(rows.shape)
+    x = as_finite_array(chart.inverse_hint(rows), "inverse hint").reshape(rows.shape)
     sloppy = np.flatnonzero(
         maxabs_rows(as_finite_array(chart.compose(rows, x)) - chart.identity, rows) > 1e-10)
     if sloppy.size:
@@ -239,23 +233,20 @@ def sample_points(
 
 def worst_over_samples(chart: GroupChart, cfg: DiffConfig, check_id: str,
                        residual: Callable[..., float], arity: int = 1,
-                       count: int | None = None, stacked: bool = False) -> float:
+                       count: int | None = None) -> float:
     """Worst residual of one check over its own sampled points.
 
     Draws count * arity points (count defaults to cfg.sample_count) from
-    the check's generator and passes them to `residual` in consecutive
-    groups of `arity`.  With `stacked` on a batched chart, `residual` gets
-    the whole draw at once, as `arity` stacks of shape (count, n), and
-    returns the count residuals.  A numerical breakdown is raised again as
-    the same type with the check id in front of its message.
+    the check's generator and passes them to `residual` as `arity` stacks
+    of shape (count, n), row i of stack j being point i * arity + j; it
+    returns the count residuals (`numdiff.rowwise` lifts a point residual).
+    A numerical breakdown is raised again as the same type with the check
+    id in front of its message.
     """
     count = count or cfg.sample_count
     try:
         pts = sample_points(chart, cfg, check_rng(cfg, check_id), count * arity)
-        if stacked and chart.batched:
-            return worst_of(residual(*(np.ascontiguousarray(pts[j::arity])
-                                       for j in range(arity))))
-        return worst_of(residual(*pts[i * arity:(i + 1) * arity]) for i in range(count))
+        return worst_of(residual(*(np.ascontiguousarray(pts[j::arity]) for j in range(arity))))
     except BREAKDOWN as exc:
         raise type(exc)(f"{check_id}: {exc}") from exc
 
@@ -268,35 +259,28 @@ def shift_jacobians(chart: GroupChart, a, b, cfg: DiffConfig | None = None) -> S
     return ShiftJacobians(left=_a_left(chart, a, b, cfg), right=_a_right(chart, a, b, cfg))
 
 
-# On a batched chart a and b may be (..., n) stacks of equal leading
-# shape; a point held fixed beside a stencil gets an axis for its 2n points.
-
-def _held(chart: GroupChart, p):
-    return p[..., None, :] if chart.batched else p
-
+# a and b may be (..., n) stacks of equal leading shape; a point held
+# fixed beside a stencil gets an axis for its 2n points.
 
 def _a_left(chart: GroupChart, a, b, cfg: DiffConfig) -> np.ndarray:
-    b = _held(chart, b)
-    return jacobian(lambda x: chart.compose(x, b), a, cfg, batched=chart.batched)
+    b = b[..., None, :]
+    return jacobian(lambda x: chart.compose(x, b), a, cfg)
 
 
 def _a_right(chart: GroupChart, a, b, cfg: DiffConfig) -> np.ndarray:
-    a = _held(chart, a)
-    return jacobian(lambda y: chart.compose(a, y), b, cfg, batched=chart.batched)
+    a = a[..., None, :]
+    return jacobian(lambda y: chart.compose(a, y), b, cfg)
 
 
 def psi_flavored(chart: GroupChart, a, flavor: str, cfg: DiffConfig) -> np.ndarray:
     """Basic operator at a: derivative of the named slot at the identity.
 
     a is one point (n,), giving (n, n), or a stack (k, n), giving
-    (k, n, n); a batched chart differentiates the whole stack at once.
+    (k, n, n), differentiated at once.
     """
     if flavor not in ("left", "right"):
         raise ValueError(f"unknown flavor {flavor!r}")
     a = np.asarray(a, float)
-    if a.ndim > 1 and not chart.batched:
-        return np.array([psi_flavored(chart, p, flavor, cfg) for p in a]).reshape(
-            a.shape + (chart.n,))
     e = chart.identity if a.ndim == 1 else np.broadcast_to(chart.identity, a.shape)
     if flavor == "left":
         return _a_left(chart, e, a, cfg)
@@ -324,11 +308,10 @@ def basic_operators(chart: GroupChart, a, cfg: DiffConfig | None = None) -> Basi
 # --- the sampled checks ----------------------------------------------------
 #
 # Each table entry is (check_id, number of sampled points, residual
-# function of (chart, cfg, *points)).  On a batched chart the points are
-# (count, n) stacks and a residual returns its count values at once;
-# otherwise they are single (n,) points and it returns one value.  Shift
-# residuals are exact consequences of associativity and the inverse law,
-# so every one of them should vanish up to finite-difference error.
+# function of (chart, cfg, *points)).  The points are (count, n) stacks
+# and a residual returns its count values at once.  Shift residuals are
+# exact consequences of associativity and the inverse law, so every one
+# of them should vanish up to finite-difference error.
 
 _AXIOM_CHECKS = (
     ("chart_identity_left", 1,
@@ -407,7 +390,7 @@ def _res_factorization_right(chart, cfg, a, b):
 
 def _res_inverse_jacobian_left_route(chart, cfg, a):
     a_inv = inverse(chart, a, cfg)
-    j_num = jacobian(lambda x: inverse(chart, x, cfg), a, cfg, batched=chart.batched)
+    j_num = jacobian(lambda x: inverse(chart, x, cfg), a, cfg)
     psi_l_inv = psi_flavored(chart, a_inv, "left", cfg)
     lam_r_a = invert(psi_flavored(chart, a, "right", cfg))
     return maxabs_rows(j_num + psi_l_inv @ lam_r_a, a)
@@ -415,16 +398,14 @@ def _res_inverse_jacobian_left_route(chart, cfg, a):
 
 def _res_inverse_jacobian_right_route(chart, cfg, a):
     a_inv = inverse(chart, a, cfg)
-    j_num = jacobian(lambda x: inverse(chart, x, cfg), a, cfg, batched=chart.batched)
+    j_num = jacobian(lambda x: inverse(chart, x, cfg), a, cfg)
     psi_r_inv = psi_flavored(chart, a_inv, "right", cfg)
     lam_l_a = invert(psi_flavored(chart, a, "left", cfg))
     return maxabs_rows(j_num + psi_r_inv @ lam_l_a, a)
 
 
 def _res_quotient_left(chart, cfg, a, b):
-    held_b = _held(chart, b)
-    j_num = jacobian(lambda x: chart.compose(inverse(chart, x, cfg), held_b), a, cfg,
-                     batched=chart.batched)
+    j_num = jacobian(lambda x: chart.compose(inverse(chart, x, cfg), b[..., None, :]), a, cfg)
     w = chart.compose(inverse(chart, a, cfg), b)
     psi_l_w = psi_flavored(chart, w, "left", cfg)
     lam_r_a = invert(psi_flavored(chart, a, "right", cfg))
@@ -432,9 +413,7 @@ def _res_quotient_left(chart, cfg, a, b):
 
 
 def _res_quotient_right(chart, cfg, a, b):
-    held_b = _held(chart, b)
-    j_num = jacobian(lambda x: chart.compose(held_b, inverse(chart, x, cfg)), a, cfg,
-                     batched=chart.batched)
+    j_num = jacobian(lambda x: chart.compose(b[..., None, :], inverse(chart, x, cfg)), a, cfg)
     w = chart.compose(b, inverse(chart, a, cfg))
     psi_r_w = psi_flavored(chart, w, "right", cfg)
     lam_l_a = invert(psi_flavored(chart, a, "left", cfg))
@@ -443,14 +422,14 @@ def _res_quotient_right(chart, cfg, a, b):
 
 def _triple_in_middle(chart, a, c):
     """y -> a y c with a and c held beside a stencil over y."""
-    held_a, held_c = _held(chart, a), _held(chart, c)
+    held_a, held_c = a[..., None, :], c[..., None, :]
     return lambda y: chart.compose(chart.compose(held_a, y), held_c)
 
 
 def _res_triple_product_left_route(chart, cfg, a, b, c):
     ab = chart.compose(a, b)
     abc = chart.compose(ab, c)
-    j_num = jacobian(_triple_in_middle(chart, a, c), b, cfg, batched=chart.batched)
+    j_num = jacobian(_triple_in_middle(chart, a, c), b, cfg)
     psi_l_abc = psi_flavored(chart, abc, "left", cfg)
     psi_l_ab, psi_r_ab = psi_pair(chart, ab, cfg)
     lam_l_ab = invert(psi_l_ab)
@@ -461,7 +440,7 @@ def _res_triple_product_left_route(chart, cfg, a, b, c):
 def _res_triple_product_right_route(chart, cfg, a, b, c):
     bc = chart.compose(b, c)
     abc = chart.compose(a, bc)
-    j_num = jacobian(_triple_in_middle(chart, a, c), b, cfg, batched=chart.batched)
+    j_num = jacobian(_triple_in_middle(chart, a, c), b, cfg)
     psi_r_abc = psi_flavored(chart, abc, "right", cfg)
     psi_l_bc, psi_r_bc = psi_pair(chart, bc, cfg)
     lam_r_bc = invert(psi_r_bc)
@@ -470,9 +449,8 @@ def _res_triple_product_right_route(chart, cfg, a, b, c):
 
 
 def _res_conjugation_outer(chart, cfg, a, b):
-    held_b = _held(chart, b)
-    j_num = jacobian(lambda x: chart.compose(chart.compose(x, held_b), inverse(chart, x, cfg)),
-                     a, cfg, batched=chart.batched)
+    j_num = jacobian(lambda x: chart.compose(chart.compose(x, b[..., None, :]),
+                                             inverse(chart, x, cfg)), a, cfg)
     w = chart.compose(chart.compose(a, b), inverse(chart, a, cfg))
     psi_l_w, psi_r_w = psi_pair(chart, w, cfg)
     lam_l_a = invert(psi_flavored(chart, a, "left", cfg))
@@ -484,7 +462,7 @@ def _res_conjugation_outer(chart, cfg, a, b):
 
 def _res_conjugation_inner_left(chart, cfg, a, b):
     a_inv = inverse(chart, a, cfg)
-    j_num = jacobian(_triple_in_middle(chart, a, a_inv), b, cfg, batched=chart.batched)
+    j_num = jacobian(_triple_in_middle(chart, a, a_inv), b, cfg)
     ab = chart.compose(a, b)
     w = chart.compose(ab, a_inv)
     psi_l_w = psi_flavored(chart, w, "left", cfg)
@@ -496,7 +474,7 @@ def _res_conjugation_inner_left(chart, cfg, a, b):
 
 def _res_conjugation_inner_right(chart, cfg, a, b):
     a_inv = inverse(chart, a, cfg)
-    j_num = jacobian(_triple_in_middle(chart, a, a_inv), b, cfg, batched=chart.batched)
+    j_num = jacobian(_triple_in_middle(chart, a, a_inv), b, cfg)
     ba_inv = chart.compose(b, a_inv)
     w = chart.compose(chart.compose(a, b), a_inv)
     psi_r_w = psi_flavored(chart, w, "right", cfg)
@@ -508,8 +486,8 @@ def _res_conjugation_inner_right(chart, cfg, a, b):
 
 def _res_adjoint_at_identity(chart, cfg, a):
     a_inv = inverse(chart, a, cfg)
-    e = np.broadcast_to(chart.identity, a.shape)
-    j_num = jacobian(_triple_in_middle(chart, a, a_inv), e, cfg, batched=chart.batched)
+    e = chart.identity if a.ndim == 1 else np.broadcast_to(chart.identity, a.shape)
+    j_num = jacobian(_triple_in_middle(chart, a, a_inv), e, cfg)
     psi_l_a, psi_r_a = psi_pair(chart, a, cfg)
     return maxabs_rows(j_num - invert(psi_l_a) @ psi_r_a, a)
 
@@ -603,7 +581,7 @@ def record(check_id: str, residual: float, samples: int, tol_scale: float) -> Ch
 def _sampled_checks(chart: GroupChart, cfg: DiffConfig, table) -> Checks:
     for check_id, arity, fn in table:
         yield check_id, cfg.sample_count, worst_over_samples(
-            chart, cfg, check_id, lambda *pts: fn(chart, cfg, *pts), arity, stacked=True)
+            chart, cfg, check_id, lambda *pts: fn(chart, cfg, *pts), arity)
 
 
 def _basic_ops_at_identity(chart: GroupChart, cfg: DiffConfig) -> float:

@@ -64,36 +64,54 @@ def _steps(at: np.ndarray, base: float) -> np.ndarray:
     return base * np.maximum(1.0, np.abs(at))
 
 
-def jacobian(f: VectorMap, at: Sequence[float], cfg: DiffConfig | None = None,
-             batched: bool = False) -> np.ndarray:
-    """Central-difference Jacobian of a vector map.
+def rowwise(fn: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
+    """Lift a map of single points to one over (..., n_i) stacks.
 
-    Returns J with J[K][L] = d f^K / d x^L evaluated at `at`.  With
-    `batched`, f maps a (..., n) stack of points to a (..., q) stack of
-    values in one call: `at` may then carry leading axes too, J has shape
-    (..., q, n), and f sees all 2n stencil points of every point at once.
+    The lift broadcasts the arguments' leading axes, calls fn once per row
+    and stacks the results.  It is marked `broadcasts = True` and has no
+    `__wrapped__`, so nothing unwraps it back into a map of single points.
+    """
+    def lifted(*args):
+        args = [np.asarray(x, dtype=float) for x in args]
+        lead = args[0].shape[:-1]
+        if any(x.shape[:-1] != lead for x in args):
+            lead = np.broadcast_shapes(*(x.shape[:-1] for x in args))
+            args = [np.broadcast_to(x, lead + x.shape[-1:]) for x in args]
+        out = [np.asarray(fn(*row), dtype=float)
+               for row in zip(*(x.reshape(-1, x.shape[-1]) for x in args))]
+        return np.array(out).reshape(lead + out[0].shape)
+
+    lifted.broadcasts = True
+    return lifted
+
+
+def _stencil_values(vals, lead: tuple[int, ...]) -> np.ndarray:
+    """A map's values at stencil points with leading axes `lead`, as (..., q)."""
+    vals = np.asarray(vals, dtype=float)
+    if vals.shape[:-1] != lead:
+        raise ValueError(f"map of {lead} stencil points gave {vals.shape}; lift it with rowwise")
+    return vals
+
+
+def jacobian(f: VectorMap, at: Sequence[float], cfg: DiffConfig | None = None) -> np.ndarray:
+    """Central-difference Jacobian of a vector map over stacks.
+
+    Returns J with J[K][L] = d f^K / d x^L evaluated at `at`.  f must map
+    a (..., n) stack to a (..., q) stack (lift a map of single points with
+    `rowwise`), else ValueError; it gets all 2n stencil points of every
+    point in one call.  `at` may carry leading axes, giving J (..., q, n).
     """
     cfg = cfg or DiffConfig()
     x = as_finite_array(at, "jacobian point")
     h = _steps(x, cfg.base_step)
-    if batched:
-        out = _stacked_jacobian(f, x, h)
-    else:
-        cols = []
-        for j in range(x.size):
-            xp = x.copy()
-            xm = x.copy()
-            xp[j] += h[j]
-            xm[j] -= h[j]
-            fp = np.asarray(f(xp), dtype=float).ravel()
-            fm = np.asarray(f(xm), dtype=float).ravel()
-            cols.append((fp - fm) / (2.0 * h[j]))
-        out = np.column_stack(cols)
+    n = x.shape[-1]
+    pts = _shifted(x, h)
+    vals = _stencil_values(f(pts), pts.shape[:-1])
+    cols = vals[..., :n, :] - vals[..., n:, :]
+    cols /= 2.0 * h[..., :, None]
     # a NaN or Inf probe always survives the difference, so one check
     # on the assembled matrix covers every evaluation
-    if not np.logical_and.reduce(np.isfinite(out), axis=None):
-        raise NonFiniteEvaluation("jacobian probe produced a non-finite value")
-    return out
+    return as_finite_array(np.swapaxes(cols, -1, -2).copy(), "jacobian probe")
 
 
 def _shifted(x: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -108,29 +126,19 @@ def _shifted(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     return pts
 
 
-def _stacked_jacobian(f: VectorMap, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    # the same sums and the same quotient per entry as the loop above, so
-    # every row matches the single-point Jacobian bit for bit
-    n = x.shape[-1]
-    vals = np.asarray(f(_shifted(x, h)), dtype=float)
-    cols = vals[..., :n, :] - vals[..., n:, :]
-    cols /= 2.0 * h[..., :, None]
-    return np.swapaxes(cols, -1, -2).copy()
-
-
 def mixed_second(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     at: tuple[Sequence[float], Sequence[float]],
     cfg: DiffConfig | None = None,
-    batched: bool = False,
 ) -> np.ndarray:
-    """One derivative in each slot of a two-argument map.
+    """One derivative in each slot of a two-argument map over stacks.
 
     Returns T with T[K][L][M] = d^2 f^K / d(first)^L d(second)^M via the
     four-point product stencil.  The stencil is second order, so the step
     is widened to at least eps**(1/4); a narrower first-derivative step
-    would drown the estimate in roundoff.  With `batched`, f broadcasts
-    over leading axes and gets all 4 p^2 stencil points in one call.
+    would drown the estimate in roundoff.  f gets all 4 p^2 stencil points
+    in one call, on (2p, 2p) leading axes, and must keep them, as in
+    `jacobian`.
     """
     cfg = cfg or DiffConfig()
     a = as_finite_array(at[0], "mixed_second point")
@@ -138,35 +146,15 @@ def mixed_second(
     base = max(cfg.base_step, QUART_EPS)
     ha = _steps(a, base)
     hb = _steps(b, base)
-    q = as_finite_array(f(a, b), "mixed_second probe").ravel().size
+    # (a, b) itself is off the stencil; a breakdown there still counts
+    as_finite_array(f(a, b), "mixed_second probe")
     p = a.size
-    if batched:
-        # vals[i, j] = f(row i of the a stencil, row j of the b stencil)
-        vals = np.asarray(f(_shifted(a, ha)[:, None, :], _shifted(b, hb)[None, :, :]),
-                          dtype=float)
-        num = vals[:p, :p] - vals[:p, p:] - vals[p:, :p] + vals[p:, p:]
-        out = num / (4.0 * ha[:, None] * hb[None, :])[..., None]
-        out = np.ascontiguousarray(np.moveaxis(out, -1, 0))
-    else:
-        out = np.empty((q, p, p))
-        for L in range(p):
-            ap = a.copy()
-            am = a.copy()
-            ap[L] += ha[L]
-            am[L] -= ha[L]
-            for M in range(p):
-                bp = b.copy()
-                bm = b.copy()
-                bp[M] += hb[M]
-                bm[M] -= hb[M]
-                fpp = np.asarray(f(ap, bp), dtype=float).ravel()
-                fpm = np.asarray(f(ap, bm), dtype=float).ravel()
-                fmp = np.asarray(f(am, bp), dtype=float).ravel()
-                fmm = np.asarray(f(am, bm), dtype=float).ravel()
-                out[:, L, M] = (fpp - fpm - fmp + fmm) / (4.0 * ha[L] * hb[M])
-    if not np.logical_and.reduce(np.isfinite(out), axis=None):
-        raise NonFiniteEvaluation("mixed_second probe produced a non-finite value")
-    return out
+    # vals[i, j] = f(row i of the a stencil, row j of the b stencil)
+    vals = _stencil_values(f(_shifted(a, ha)[:, None, :], _shifted(b, hb)[None, :, :]),
+                           (2 * p, 2 * p))
+    num = vals[:p, :p] - vals[:p, p:] - vals[p:, :p] + vals[p:, p:]
+    out = num / (4.0 * ha[:, None] * hb[None, :])[..., None]
+    return as_finite_array(np.ascontiguousarray(np.moveaxis(out, -1, 0)), "mixed_second probe")
 
 
 def vf_commutator(
@@ -175,15 +163,15 @@ def vf_commutator(
     at: Sequence[float],
     cfg: DiffConfig | None = None,
 ) -> np.ndarray:
-    """Commutator of two vector fields at a point.
+    """Commutator of two vector fields, maps of single points, at a point.
 
     Component form: (J_b a - J_a b) where J is the field Jacobian, which
     is the action of [field_a, field_b] on the coordinate functions.
     """
     cfg = cfg or DiffConfig()
     x = as_finite_array(at, "commutator point")
-    ja = jacobian(field_a, x, cfg)
-    jb = jacobian(field_b, x, cfg)
+    ja = jacobian(rowwise(field_a), x, cfg)
+    jb = jacobian(rowwise(field_b), x, cfg)
     va = as_finite_array(field_a(x), "field value").ravel()
     vb = as_finite_array(field_b(x), "field value").ravel()
     return jb @ va - ja @ vb

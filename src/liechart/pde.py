@@ -21,7 +21,7 @@ import numpy as np
 from .errors import NonFiniteEvaluation, NotIntegrable
 from .flows import rk4_path, step_doubled
 from .group import GroupChart, check_rng, maxabs, worst_of
-from .numdiff import DiffConfig, as_finite_array, jacobian, numeric_rank
+from .numdiff import DiffConfig, as_finite_array, jacobian, numeric_rank, rowwise
 
 _TAYLOR_STEPS = 500
 _INTEGRABILITY_TOL = 1e-6
@@ -58,8 +58,8 @@ def _sample_box(box: np.ndarray, rng: np.random.Generator, count: int) -> np.nda
 def _psi_derivatives(sys: PDESystem, theta: np.ndarray, x: np.ndarray,
                      cfg: DiffConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     psi = sys.rhs(theta, x)
-    dpsi_dx = jacobian(lambda v: sys.rhs(theta, v).ravel(), x, cfg)
-    dpsi_dth = jacobian(lambda v: sys.rhs(v, x).ravel(), theta, cfg)
+    dpsi_dx = jacobian(rowwise(lambda v: sys.rhs(theta, v).ravel()), x, cfg)
+    dpsi_dth = jacobian(rowwise(lambda v: sys.rhs(v, x).ravel()), theta, cfg)
     return (psi,
             dpsi_dx.reshape(sys.m, sys.n, sys.n),
             dpsi_dth.reshape(sys.m, sys.n, sys.m))
@@ -213,7 +213,7 @@ def essential_param_ranks(fam: FunctionFamily, cfg: DiffConfig | None = None) ->
         step = cfg.base_step ** (1.0 / (s + 2.0))
         step_cfg = cfg.replace(base_step=step)
         # row alpha holds the parameter derivative d / d a^alpha
-        cols = [jacobian(lambda a: _nested_x_derivative(fam, x, a, multi, step), a0,
+        cols = [jacobian(rowwise(lambda a: _nested_x_derivative(fam, x, a, multi, step)), a0,
                          step_cfg).T
                 for multi in combinations_with_replacement(range(fam.n_x), s)
                 for x in xs]

@@ -26,7 +26,7 @@ from .group import (
     worst_of,
     worst_over_samples,
 )
-from .numdiff import DiffConfig, as_finite_array, invert, jacobian
+from .numdiff import DiffConfig, as_finite_array, invert, jacobian, rowwise
 from .structure import StructureConstants
 
 
@@ -60,7 +60,7 @@ class RepChart:
 
 def _slot_derivatives(rep: RepChart, a: np.ndarray, cfg: DiffConfig) -> np.ndarray:
     """Stack (n, m, m) of d f / d a^L at a, one matrix per coordinate L."""
-    d = jacobian(lambda x: rep(x).ravel(), a, cfg)
+    d = jacobian(rowwise(lambda x: rep(x).ravel()), a, cfg)
     return np.moveaxis(d.reshape(rep.m, rep.m, rep.group.n), 2, 0)
 
 
@@ -87,10 +87,10 @@ def rep_axiom_residuals(rep: RepChart, cfg: DiffConfig | None = None
         return maxabs(rep(chart.compose(b, a)) - rep.product(fb, fa))
 
     out["rep_homomorphism"] = worst_over_samples(chart, cfg, "rep_homomorphism",
-                                                 homomorphism, arity=2)
+                                                 rowwise(homomorphism), arity=2)
     out["rep_inverse"] = worst_over_samples(
         chart, cfg, "rep_inverse",
-        lambda a: maxabs(rep(inverse(chart, a, cfg)) - invert(rep(a))))
+        rowwise(lambda a: maxabs(rep(inverse(chart, a, cfg)) - invert(rep(a)))))
     return out
 
 
@@ -116,7 +116,7 @@ def rep_pde_residual(rep: RepChart, cfg: DiffConfig | None = None,
         lam_left = invert(psi_flavored(chart, a, "left", cfg))
         expected = _combine(lam_left, rep.product(gens, rep(a)))
         map_res.append(maxabs(_slot_derivatives(rep, a, cfg) - expected))
-        dv = jacobian(lambda x: rep.product(rep(x), vec), a, cfg)
+        dv = jacobian(rowwise(lambda x: rep.product(rep(x), vec)), a, cfg)
         vec_res.append(maxabs(dv.T - rep.product(expected, vec)))
     return {"rep_pde_map": worst_of(map_res), "rep_pde_vector": worst_of(vec_res)}
 
@@ -170,7 +170,7 @@ def conjugate_involution_residual(rep: RepChart, cfg: DiffConfig | None = None) 
     cfg = cfg or DiffConfig()
     twice = conjugate_rep(conjugate_rep(rep))
     return worst_over_samples(rep.group, cfg, "conjugate_involution",
-                              lambda a: maxabs(twice(a) - rep(a)))
+                              rowwise(lambda a: maxabs(twice(a) - rep(a))))
 
 
 def tensor_product(r1: RepChart, r2: RepChart) -> RepChart:
@@ -244,7 +244,7 @@ def generator_transform_residual(rep: RepChart, cfg: DiffConfig | None = None,
     gens = rep_generators(rep, cfg)
     return worst_over_samples(
         rep.group, cfg, "generator_transform",
-        lambda g: maxabs(generator_transform(rep, g, cfg, gens) - gens),
+        rowwise(lambda g: maxabs(generator_transform(rep, g, cfg, gens) - gens)),
         count=points)
 
 
@@ -267,4 +267,4 @@ def mixed_identity_residual(rep: RepChart, cfg: DiffConfig | None = None,
         return maxabs(_combine(ops.left_inv, rep.product(gens, fa))
                       - _combine(ops.right_inv, rep.product(fa, gens)))
 
-    return worst_over_samples(chart, cfg, "rep_mixed_identity", residual)
+    return worst_over_samples(chart, cfg, "rep_mixed_identity", rowwise(residual))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .group import GroupChart, maxabs, psi_flavored, worst_of, worst_over_samples
-from .numdiff import QUART_EPS, DiffConfig, invert, jacobian, mixed_second, numeric_rank
+from .numdiff import QUART_EPS, DiffConfig, invert, jacobian, mixed_second, numeric_rank, rowwise
 
 
 @dataclass(frozen=True)
@@ -45,11 +45,11 @@ class StructureConstants:
 def group_generators(chart: GroupChart, cfg: DiffConfig | None = None) -> GroupGenerators:
     cfg = cfg or DiffConfig()
     e = chart.identity
-    tensor = mixed_second(chart.compose, (e, e), cfg, batched=chart.batched)
+    tensor = mixed_second(chart.compose, (e, e), cfg)
     # Differentiating a field that is itself a finite difference needs a
     # wider outer step, or roundoff from the inner stencil dominates.
     outer = cfg.replace(base_step=max(cfg.base_step, QUART_EPS))
-    dpsi = jacobian(_flat_field(chart, "right", cfg), e, outer, batched=chart.batched)
+    dpsi = jacobian(_flat_field(chart, "right", cfg), e, outer)
     right_tensor = dpsi.reshape(chart.n, chart.n, chart.n)
     return GroupGenerators(chart, tensor, right_tensor)
 
@@ -102,9 +102,9 @@ def _field_derivatives(chart: GroupChart, a: np.ndarray, flavor: str,
     e = chart.identity
     psi = psi_flavored(chart, a, flavor, cfg)
     if flavor == "right":
-        t = mixed_second(chart.compose, (a, e), cfg, batched=chart.batched)
+        t = mixed_second(chart.compose, (a, e), cfg)
         return psi, np.transpose(t, (0, 2, 1))
-    return psi, mixed_second(chart.compose, (e, a), cfg, batched=chart.batched)
+    return psi, mixed_second(chart.compose, (e, a), cfg)
 
 
 def _lam_derivative(psi: np.ndarray, dpsi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -146,7 +146,7 @@ def constancy_residual(chart: GroupChart, flavor: str, cfg: DiffConfig | None = 
     base = _flavored_constants(chart, flavor, cfg, constants).c
     return worst_over_samples(
         chart, cfg, f"constancy_{flavor}",
-        lambda a: maxabs(structure_constants_at_point(chart, a, flavor, cfg) - base),
+        rowwise(lambda a: maxabs(structure_constants_at_point(chart, a, flavor, cfg) - base)),
         count=points)
 
 
@@ -167,7 +167,7 @@ def maurer_residual(chart: GroupChart, flavor: str, cfg: DiffConfig | None = Non
         contracted = np.einsum("utv,tp,vr->upr", constants.c, lam, lam)
         return maxabs(contracted - curl)
 
-    return worst_over_samples(chart, cfg, f"maurer_{flavor}", residual)
+    return worst_over_samples(chart, cfg, f"maurer_{flavor}", rowwise(residual))
 
 
 def invariant_field_commutators(chart: GroupChart, flavor: str,
@@ -195,7 +195,7 @@ def invariant_field_commutators(chart: GroupChart, flavor: str,
         ranks.append(numeric_rank(psi))
         if n < 2:
             return 0.0  # a single frame field has no commutators
-        dframe = jacobian(_flat_field(chart, flavor, cfg), a, cfg, batched=chart.batched)
+        dframe = jacobian(_flat_field(chart, flavor, cfg), a, cfg)
         # jac[V] is the Jacobian of frame field V; contiguous copies give each
         # product the memory layout, and so the bits, of vf_commutator
         jac = np.ascontiguousarray(dframe.reshape(n, n, n).transpose(1, 0, 2))
@@ -204,5 +204,5 @@ def invariant_field_commutators(chart: GroupChart, flavor: str,
                                - psi @ constants.c[:, t, v])
                         for t in range(n) for v in range(t + 1, n))
 
-    worst = worst_over_samples(chart, cfg, f"field_commutators_{flavor}", residual)
+    worst = worst_over_samples(chart, cfg, f"field_commutators_{flavor}", rowwise(residual))
     return worst, min(ranks)

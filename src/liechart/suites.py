@@ -23,7 +23,7 @@ from .group import (
     worst_of,
     worst_over_samples,
 )
-from .numdiff import DiffConfig
+from .numdiff import DiffConfig, rowwise
 from .report import CheckReport
 from .reps import RepChart
 
@@ -42,10 +42,9 @@ def structure_suite(chart: GroupChart, rep: RepChart | None, cfg: DiffConfig) ->
     yield "generator_swap", 1, structure.swap_residual(gens)
     yield "jacobi_left", 1, structure.jacobi_residual(c_left)
     yield "anti_isomorphism_measured", 1, worst_over_samples(
-        chart, cfg, "anti_isomorphism_measured",
-        lambda pt: maxabs(structure.structure_constants_at_point(chart, pt, "right", cfg)
-                          + structure.structure_constants_at_point(chart, pt, "left", cfg)),
-        count=1)
+        chart, cfg, "anti_isomorphism_measured", rowwise(lambda pt: maxabs(
+            structure.structure_constants_at_point(chart, pt, "right", cfg)
+            + structure.structure_constants_at_point(chart, pt, "left", cfg))), count=1)
 
     for flavor, consts in (("left", c_left), ("right", c_right)):
         yield f"constancy_{flavor}", 5, structure.constancy_residual(

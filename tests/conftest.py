@@ -15,7 +15,7 @@ settings.load_profile("default")
 
 
 class LawCounter:
-    """Composition-law evaluations, one per row of a batched call, and law
+    """Composition-law evaluations, one per row of a stacked call, and law
     calls, one per call whatever its rows."""
 
     def __init__(self) -> None:
@@ -29,7 +29,9 @@ class LawCounter:
             self.calls += 1
             return law(a, b)
 
-        # keep the law's batch marker, so a counted chart takes the same path
+        # keep the law's broadcast marker: a counted chart's law, already
+        # lifted if it needed to be, is not lifted again, so its calls are
+        # those of the uncounted chart
         counted.broadcasts = getattr(law, "broadcasts", False)
         return counted
 

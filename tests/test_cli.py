@@ -76,8 +76,8 @@ def test_breakdown_returns_three(monkeypatch, capsys):
     assert "numerical breakdown" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("batched", [True, False])
-def test_breakdown_names_its_check(batched, monkeypatch, capsys):
+@pytest.mark.parametrize("marked", [True, False])
+def test_breakdown_names_its_check(marked, monkeypatch, capsys):
     # translation that breaks down (NaN) wherever the product exceeds 0.22:
     # sampled points (|a| <= 0.2) and their inverses compose finitely, but
     # the shift Jacobian at some product ab of two samples cannot be taken
@@ -85,7 +85,7 @@ def test_breakdown_names_its_check(batched, monkeypatch, capsys):
         ab = a + b
         return np.where(ab > 0.22, np.nan, ab)
 
-    law.broadcasts = batched
+    law.broadcasts = marked
     chart = GroupChart(n=1, compose=law, identity=np.zeros(1),
                        inverse_hint=lambda a: -a, name="brittle")
     monkeypatch.setattr(catalog, "get_group", lambda _: chart)

@@ -132,13 +132,12 @@ def test_canonical_coordinate_catches_a_narrow_dip(centre):
     def law(a, b):
         return a + psi(a) * b
 
-    def batched_law(a, b):
+    def marked_law(a, b):
         return law(a, b)
 
-    batched_law.broadcasts = True
-    for compose, batched in ((law, False), (batched_law, True)):
+    marked_law.broadcasts = True
+    for compose in (law, marked_law):
         chart = GroupChart(n=1, compose=compose, identity=np.zeros(1), name="dip")
-        assert chart.batched is batched
         with pytest.raises(ZeroPsi):
             canonical_coordinate(chart, np.array([1.0]), CFG)
 
@@ -224,7 +223,6 @@ CEILING_EVALS = {"translation:1": 44_502, "translation:2": 56_018, "translation:
 @pytest.mark.parametrize("name", GROUP_NAMES)
 def test_flows_suite_eval_count(name, monkeypatch, law_counter):
     chart = law_counter.chart(get_group(name))
-    assert chart.batched == get_group(name).batched
     monkeypatch.setattr(catalog, "get_group", lambda _: chart)
     assert run_suite(name, "flows", DiffConfig()).all_passed
     assert law_counter.evals == FLOWS_EVALS[name]

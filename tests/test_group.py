@@ -23,7 +23,7 @@ from liechart.group import (
     SAMPLE_RADIUS,
     SHIFT_CHECK_IDS,
 )
-from liechart.numdiff import DiffConfig
+from liechart.numdiff import DiffConfig, rowwise
 from liechart.suites import run_suite
 
 CFG = DiffConfig(sample_count=6)
@@ -93,17 +93,16 @@ def _marked(fn):
 
 
 @pytest.mark.parametrize("hint", ["broadcasting", "row by row", "sloppy", "none"])
-@pytest.mark.parametrize("batched", [True, False])
-def test_inverse_of_a_stack_matches_each_point(hint, batched):
+@pytest.mark.parametrize("marked", [True, False])
+def test_inverse_of_a_stack_matches_each_point(hint, marked):
     base = get_group("gl:2")
     hints = {"broadcasting": base.inverse_hint,
              "row by row": lambda a: np.linalg.inv(a.reshape(2, 2)).ravel(),
              # off by 1e-6: every row fails the hint check and is polished by Newton
              "sloppy": _marked(lambda a: base.inverse_hint(a) * (1.0 + 1e-6)),
              "none": None}
-    law = base.compose if batched else (lambda a, b: base.compose(a, b))
+    law = base.compose if marked else (lambda a, b: base.compose(a, b))
     chart = dataclasses.replace(base, compose=law, inverse_hint=hints[hint])
-    assert chart.batched == batched
     stack = sample_points(chart, CFG, check_rng(CFG, "inverse_stack"), 6).reshape(2, 3, 4)
     got = inverse(chart, stack, CFG)
     assert got.shape == stack.shape
@@ -228,7 +227,7 @@ def test_worst_over_samples_groups_the_check_stream():
         seen.append((a, b))
         return float("nan") if len(seen) == 2 else 1e-9
 
-    worst = worst_over_samples(chart, CFG, "some_check", residual, arity=2, count=3)
+    worst = worst_over_samples(chart, CFG, "some_check", rowwise(residual), arity=2, count=3)
     assert np.isnan(worst)
     pts = sample_points(chart, CFG, check_rng(CFG, "some_check"), 6)
     assert np.array_equal(np.array(seen), pts.reshape(3, 2, chart.n))
@@ -250,7 +249,6 @@ HINT_FREE_CEILING = {"affine": 21_254, "gl:2": 53_410}
 @pytest.mark.parametrize("name", sorted(SHIFT_SUITE_EVALS))
 def test_shift_suite_eval_count(name, monkeypatch, law_counter):
     chart = law_counter.chart(get_group(name))
-    assert chart.batched == get_group(name).batched
     monkeypatch.setattr(catalog, "get_group", lambda _: chart)
     assert run_suite(name, "shift", DiffConfig()).all_passed
     assert law_counter.evals == SHIFT_SUITE_EVALS[name]
@@ -260,18 +258,17 @@ def test_shift_suite_eval_count(name, monkeypatch, law_counter):
 @pytest.mark.parametrize("name", sorted(HINT_FREE_EVALS))
 def test_hint_free_shift_identities_eval_count(name, law_counter):
     chart = law_counter.chart(get_group(name), inverse_hint=None, name=f"{name}-newton")
-    assert chart.batched == get_group(name).batched
     assert verify_shift_identities(chart, DiffConfig()).all_passed
     assert law_counter.evals == HINT_FREE_EVALS[name]
     assert law_counter.evals <= HINT_FREE_CEILING[name]
 
 
-@pytest.mark.parametrize("name", ["gl:2", "translation:2"])
+@pytest.mark.parametrize("name", ["affine", "gl:2", "translation:2"])
 def test_shift_suite_law_calls_do_not_grow_with_samples(name, monkeypatch, law_counter):
-    # a batched chart gets each check's samples as whole stacks, so the
-    # residuals make one set of law calls per check stencil at any sample
-    # count; the sampler, which vets its draws one point at a time, is not
-    # counted
+    # a law that broadcasts gets each check's samples as whole stacks, so
+    # the residuals make one set of law calls per check stencil at any
+    # sample count; the sampler, which vets its draws one point at a time,
+    # is not counted
     chart = law_counter.chart(get_group(name))
     monkeypatch.setattr(catalog, "get_group", lambda _: chart)
 
@@ -290,30 +287,45 @@ def test_shift_suite_law_calls_do_not_grow_with_samples(name, monkeypatch, law_c
     assert calls[0] == calls[1]
 
 
-# --- batched (broadcasting) laws against the point-by-point path ----------
-
-BROADCASTING = [name for name in GROUP_NAMES if get_group(name).batched]
+# --- broadcasting laws against their row-by-row lifts -----------------------
 
 
 def per_point(chart):
-    """The same law behind a wrapper without the batch marker."""
+    """The same law behind a wrapper without the marker, so lifted row by row."""
     return dataclasses.replace(chart, compose=lambda a, b: chart.compose(a, b))
 
 
-def test_catalog_laws_that_broadcast():
-    assert BROADCASTING == [name for name in GROUP_NAMES if name != "affine"]
+def test_catalog_laws_and_hints_broadcast_natively():
+    # every catalog law and hint takes stacks itself, so no catalog chart,
+    # and no benchmark chart built from one, runs through the row adapter
+    lift = rowwise(len).__code__       # every lift runs this one code object
+    for name in GROUP_NAMES:
+        chart = get_group(name)
+        for fn in (chart.compose, chart.inverse_hint):
+            assert fn.broadcasts is True, name
+            assert fn.__code__ is not lift, name
 
 
-def test_replaced_law_without_the_marker_is_not_batched():
-    chart = get_group("gl:2")
-    assert per_point(chart).batched is False
-    # the marker belongs to the law, not the chart: a copy that keeps the
-    # law stays batched, and one without it cannot inherit the flag
-    assert dataclasses.replace(chart, name="copy").batched is True
-    assert GroupChart(n=4, compose=chart.compose, identity=chart.identity).batched is True
+def test_lifted_law_survives_unwrapping():
+    # a counting wrapper may replace the law with getattr(law, "__wrapped__",
+    # law); a lifted point law must come back as the lift, not as the point
+    # law, or the wrapper would hand single-point code a stack
+    def matrix_law(a, b):           # reshape(2, 2) takes single points only
+        return (a.reshape(2, 2) @ b.reshape(2, 2)).ravel()
+
+    chart = GroupChart(n=4, compose=matrix_law, identity=np.eye(2).ravel())
+    assert chart.compose.broadcasts is True
+    law = getattr(chart.compose, "__wrapped__", chart.compose)
+    stack = sample_points(chart, CFG, check_rng(CFG, "unwrap"), 5)
+    out = law(stack, stack[::-1])
+    assert out.shape == (5, 4)
+    for i in range(5):
+        assert np.array_equal(out[i], matrix_law(stack[i], stack[4 - i]))
+    # the marker belongs to the law: a copy of a chart keeps its law as it is
+    assert dataclasses.replace(chart, name="copy").compose is chart.compose
 
 
-@pytest.mark.parametrize("name", BROADCASTING)
+@pytest.mark.parametrize("name", GROUP_NAMES)
 @pytest.mark.parametrize("flavor", ["left", "right"])
 def test_batched_psi_matches_per_point(name, flavor):
     chart = get_group(name)
@@ -328,7 +340,7 @@ def test_batched_psi_matches_per_point(name, flavor):
     assert np.array_equal(psi_flavored(ref, pts, flavor, CFG), singles)
 
 
-@pytest.mark.parametrize("name", BROADCASTING)
+@pytest.mark.parametrize("name", GROUP_NAMES)
 def test_batched_shift_jacobians_and_newton_match_per_point(name):
     chart = get_group(name)
     ref = per_point(chart)
@@ -340,7 +352,7 @@ def test_batched_shift_jacobians_and_newton_match_per_point(name):
         assert np.array_equal(inverse(hintless(chart), a, CFG), inverse(hintless(ref), a, CFG))
 
 
-@pytest.mark.parametrize("name", [name for name in BROADCASTING if get_group(name).n == 1])
+@pytest.mark.parametrize("name", [name for name in GROUP_NAMES if get_group(name).n == 1])
 def test_batched_canonical_coordinate_matches_per_point(name):
     chart = get_group(name)
     ref = per_point(chart)
@@ -348,7 +360,7 @@ def test_batched_canonical_coordinate_matches_per_point(name):
         assert canonical_coordinate(chart, a, CFG) == canonical_coordinate(ref, a, CFG)
 
 
-@pytest.mark.parametrize("name", BROADCASTING)
+@pytest.mark.parametrize("name", GROUP_NAMES)
 def test_batched_structure_measurements_match_per_point(name):
     chart = get_group(name)
     ref = per_point(chart)

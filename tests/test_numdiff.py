@@ -10,16 +10,65 @@ from liechart.catalog import GROUP_NAMES, get_group
 from liechart.errors import NonFiniteEvaluation, SingularMatrix
 from liechart.numdiff import (
     CBRT_EPS,
+    QUART_EPS,
     DiffConfig,
+    _steps,
     as_finite_array,
     invert,
     jacobian,
     mixed_second,
     numeric_rank,
+    rowwise,
     vf_commutator,
 )
 
 CFG = DiffConfig()
+
+
+# --- reference forms: the stencils one probe point at a time ----------------
+
+
+def jacobian_by_columns(f, at, cfg=CFG):
+    """Central differences column by column, f called on single points."""
+    x = np.asarray(at, dtype=float)
+    h = _steps(x, cfg.base_step)
+    cols = []
+    for j in range(x.size):
+        xp = x.copy()
+        xm = x.copy()
+        xp[j] += h[j]
+        xm[j] -= h[j]
+        fp = np.asarray(f(xp), dtype=float).ravel()
+        fm = np.asarray(f(xm), dtype=float).ravel()
+        cols.append((fp - fm) / (2.0 * h[j]))
+    return np.column_stack(cols)
+
+
+def mixed_second_by_entries(f, at, cfg=CFG):
+    """The four-point product stencil entry by entry, f called on single points."""
+    a = np.asarray(at[0], dtype=float)
+    b = np.asarray(at[1], dtype=float)
+    base = max(cfg.base_step, QUART_EPS)
+    ha = _steps(a, base)
+    hb = _steps(b, base)
+    p = a.size
+    out = np.empty((np.asarray(f(a, b)).size, p, p))
+    for L in range(p):
+        ap = a.copy()
+        am = a.copy()
+        ap[L] += ha[L]
+        am[L] -= ha[L]
+        for M in range(p):
+            bp = b.copy()
+            bm = b.copy()
+            bp[M] += hb[M]
+            bm[M] -= hb[M]
+            fpp = np.asarray(f(ap, bp), dtype=float).ravel()
+            fpm = np.asarray(f(ap, bm), dtype=float).ravel()
+            fmp = np.asarray(f(am, bp), dtype=float).ravel()
+            fmm = np.asarray(f(am, bm), dtype=float).ravel()
+            out[:, L, M] = (fpp - fpm - fmp + fmm) / (4.0 * ha[L] * hb[M])
+    return out
 
 
 def test_config_defaults():
@@ -55,13 +104,13 @@ def test_as_finite_array_passes_and_raises():
 
 def test_jacobian_linear_map_is_exact_to_roundoff():
     m = np.array([[2.0, -1.0], [0.5, 3.0], [1.0, 1.0]])
-    jac = jacobian(lambda x: m @ x, np.array([0.3, -0.7]), CFG)
+    jac = jacobian(rowwise(lambda x: m @ x), np.array([0.3, -0.7]), CFG)
     assert jac.shape == (3, 2)
     assert np.max(np.abs(jac - m)) < 1e-9
 
 
 def test_jacobian_quadratic_scalar():
-    jac = jacobian(lambda x: np.array([x[0] ** 2]), np.array([1.5]), CFG)
+    jac = jacobian(rowwise(lambda x: np.array([x[0] ** 2])), np.array([1.5]), CFG)
     assert jac[0, 0] == pytest.approx(3.0, abs=1e-8)
 
 
@@ -71,14 +120,53 @@ def test_jacobian_rejects_nonfinite_probe():
             return np.array([np.sqrt(x[0])])
 
     with pytest.raises(NonFiniteEvaluation):
-        jacobian(f, np.array([-1.0]), CFG)
+        jacobian(rowwise(f), np.array([-1.0]), CFG)
 
 
 def test_mixed_second_scalar_product():
-    t = mixed_second(lambda a, b: np.array([a[0] * b[0]]),
+    t = mixed_second(rowwise(lambda a, b: np.array([a[0] * b[0]])),
                      (np.array([1.0]), np.array([1.0])), CFG)
     assert t.shape == (1, 1, 1)
     assert t[0, 0, 0] == pytest.approx(1.0, abs=1e-6)
+
+
+def _product(a, b):
+    return np.array([a[0] * b[0]])
+
+
+def test_stencils_reject_a_map_that_drops_the_leading_axes():
+    # a map of single points handed a stencil stack indexes the wrong axis
+    # and returns a wrongly shaped array, which must not pass for a result
+    at = (np.array([1.0]), np.array([1.0]))
+    with pytest.raises(ValueError, match="rowwise"):
+        mixed_second(_product, at, CFG)
+    with pytest.raises(ValueError, match="rowwise"):
+        jacobian(lambda x: np.array([x[0] ** 2]), np.array([1.5]), CFG)
+    with pytest.raises(ValueError, match="rowwise"):
+        jacobian(lambda x: np.sum(x, axis=-1), np.array([1.5, 2.0]), CFG)
+
+
+def test_rowwise_lift_gives_the_point_by_point_value():
+    at = (np.array([1.0]), np.array([1.0]))
+    assert np.array_equal(mixed_second(rowwise(_product), at, CFG),
+                          mixed_second_by_entries(_product, at))
+    x = np.array([0.4, -1.3])
+    sq = lambda v: np.array([v[0] ** 2, v[0] * v[1], np.sin(v[1])])  # noqa: E731
+    assert np.array_equal(jacobian(rowwise(sq), x, CFG), jacobian_by_columns(sq, x))
+
+
+def test_rowwise_broadcasts_leading_axes_and_keeps_row_values():
+    law = rowwise(lambda a, b: np.array([a[0] * b[0], a[0] * b[1] + a[1]]))
+    assert law.broadcasts is True
+    assert not hasattr(law, "__wrapped__")
+    a = np.random.default_rng(5).uniform(-1.0, 1.0, (3, 1, 2))
+    b = np.random.default_rng(6).uniform(-1.0, 1.0, (4, 2))
+    out = law(a, b)
+    assert out.shape == (3, 4, 2)
+    for i, j in np.ndindex(3, 4):
+        assert np.array_equal(out[i, j], law(a[i, 0], b[j]))
+    # residuals: one scalar per row
+    assert rowwise(lambda p: float(p.sum()))(np.ones((5, 2))).shape == (5,)
 
 
 def test_mixed_second_affine_law():
@@ -89,7 +177,7 @@ def test_mixed_second_affine_law():
         return np.array([a[0] * b[0], a[0] * b[1] + a[1]])
 
     e = np.array([1.0, 0.0])
-    t = mixed_second(law, (e, e), CFG)
+    t = mixed_second(rowwise(law), (e, e), CFG)
     expected = np.zeros((2, 2, 2))
     expected[0, 0, 0] = 1.0
     expected[1, 0, 1] = 1.0
@@ -102,7 +190,7 @@ def test_mixed_second_orders_axes_first_then_second():
     def f(a, b):
         return np.array([a[0] * b[1]])
 
-    t = mixed_second(f, (np.zeros(2), np.zeros(2)), CFG)
+    t = mixed_second(rowwise(f), (np.zeros(2), np.zeros(2)), CFG)
     assert t.shape == (1, 2, 2)
     assert t[0, 0, 1] == pytest.approx(1.0, abs=1e-6)
     assert abs(t[0, 1, 0]) < 1e-6
@@ -115,29 +203,47 @@ def _field(x):
 
 def test_batched_jacobian_of_a_stack_matches_per_point():
     pts = np.random.default_rng(3).uniform(-2.0, 2.0, (2, 5, 3))
-    got = jacobian(_field, pts, CFG, batched=True)
+    got = jacobian(_field, pts, CFG)
     assert got.shape == (2, 5, 2, 3)
     for idx in np.ndindex(2, 5):
         assert np.array_equal(got[idx], jacobian(_field, pts[idx], CFG))
+        assert np.array_equal(got[idx], jacobian_by_columns(_field, pts[idx]))
     assert got.flags.c_contiguous
 
 
 def test_batched_jacobian_rejects_nonfinite_probe():
     with np.errstate(invalid="ignore"):
         with pytest.raises(NonFiniteEvaluation):
-            jacobian(np.sqrt, np.array([[1.0], [-1.0]]), CFG, batched=True)
+            jacobian(np.sqrt, np.array([[1.0], [-1.0]]), CFG)
 
 
-@pytest.mark.parametrize("name", [g for g in GROUP_NAMES if get_group(g).batched])
+@pytest.mark.parametrize("name", GROUP_NAMES)
 def test_batched_mixed_second_matches_per_point(name):
-    chart = get_group(name)
+    # the one kernel against the entry-by-entry loop, on the catalog law as
+    # it broadcasts and on a lifted copy that sees single points only
+    law = get_group(name).compose
+    e = get_group(name).identity
     rng = np.random.default_rng(11)
-    e = chart.identity
-    a, b = e + rng.uniform(-0.2, 0.2, (2, chart.n))
+    a, b = e + rng.uniform(-0.2, 0.2, (2, e.size))
     for at in ((e, e), (a, e), (e, b), (a, b)):
-        got = mixed_second(chart.compose, at, CFG, batched=True)
-        assert np.array_equal(got, mixed_second(chart.compose, at, CFG))
-        assert got.flags.c_contiguous
+        want = mixed_second_by_entries(law, at)
+        for f in (law, rowwise(law)):
+            got = mixed_second(f, at, CFG)
+            assert np.array_equal(got, want)
+            assert got.flags.c_contiguous
+
+
+@pytest.mark.parametrize("name", GROUP_NAMES)
+def test_slot_jacobians_match_the_column_loop(name):
+    law = get_group(name).compose
+    e = get_group(name).identity
+    rng = np.random.default_rng(12)
+    a, b = e + rng.uniform(-0.2, 0.2, (2, e.size))
+    for f in (law, rowwise(law)):
+        assert np.array_equal(jacobian(lambda x: f(x, b), a, CFG),
+                              jacobian_by_columns(lambda x: law(x, b), a))
+        assert np.array_equal(jacobian(lambda y: f(a, y), b, CFG),
+                              jacobian_by_columns(lambda y: law(a, y), b))
 
 
 def test_vf_commutator_linear_fields():

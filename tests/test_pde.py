@@ -7,7 +7,7 @@ import pytest
 from liechart import flows, pde
 from liechart.catalog import get_group
 from liechart.errors import NotIntegrable
-from liechart.numdiff import DiffConfig, jacobian
+from liechart.numdiff import DiffConfig, jacobian, rowwise
 from liechart.pde import (
     FunctionFamily,
     PDESystem,
@@ -207,6 +207,6 @@ def test_parameter_jacobian_matches_loop_reference(fam):
     x = np.asarray(fam.x_box, float).mean(axis=1) + 0.3
     for s, multi in ((0, ()), (1, (0,)), (2, (0, fam.n_x - 1))):
         step = CFG.base_step ** (1.0 / (s + 2.0))
-        measured = jacobian(lambda a: pde._nested_x_derivative(fam, x, a, multi, step),
+        measured = jacobian(rowwise(lambda a: pde._nested_x_derivative(fam, x, a, multi, step)),
                             fam.a0, CFG.replace(base_step=step)).T
         assert np.array_equal(measured, loop_parameter_derivative(fam, x, multi, step))

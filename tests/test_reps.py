@@ -14,7 +14,7 @@ from liechart.group import (
     worst_of,
     worst_over_samples,
 )
-from liechart.numdiff import DiffConfig, invert, jacobian
+from liechart.numdiff import DiffConfig, invert, jacobian, rowwise
 from liechart.reps import (
     RepChart,
     conjugate_generators_check,
@@ -256,7 +256,7 @@ def loop_pde_residual(rep, gens):
     for a in pts:
         fa = rep(a)
         lam_left = invert(psi_flavored(chart, a, "left", CFG))
-        d = jacobian(lambda x: rep(x).ravel(), a, CFG).reshape(rep.m, rep.m, chart.n)
+        d = jacobian(rowwise(lambda x: rep(x).ravel()), a, CFG).reshape(rep.m, rep.m, chart.n)
         expected = np.empty((rep.m, rep.m, chart.n))
         for col in range(chart.n):
             acc = np.zeros((rep.m, rep.m))
@@ -264,7 +264,7 @@ def loop_pde_residual(rep, gens):
                 acc += lam_left[k, col] * rep.product(gens[k], fa)
             expected[:, :, col] = acc
         map_res.append(maxabs(d - expected))
-        dv = jacobian(lambda x: rep.product(rep(x), vec), a, CFG)
+        dv = jacobian(rowwise(lambda x: rep.product(rep(x), vec)), a, CFG)
         ev = np.stack([rep.product(expected[:, :, c], vec) for c in range(chart.n)], axis=1)
         vec_res.append(maxabs(dv - ev))
     return {"rep_pde_map": worst_of(map_res), "rep_pde_vector": worst_of(vec_res)}
@@ -310,7 +310,7 @@ def loop_mixed_identity(rep, gens):
             worst.append(maxabs(left_form - right_form))
         return worst_of(worst)
 
-    return worst_over_samples(rep.group, CFG, "rep_mixed_identity", residual)
+    return worst_over_samples(rep.group, CFG, "rep_mixed_identity", rowwise(residual))
 
 
 @pytest.mark.parametrize("group_name,rep_name,side", SIDED_CASES)

@@ -1,11 +1,13 @@
 """The stacked check residuals against their per-point reference forms.
 
-On a batched chart every chart-axiom and shift-identity residual runs once
-per check over (count, n) stacks of its sample points.  The reference
-below is the one-point-at-a-time form of each residual; the stacked form
-must reproduce its value at every sample bit for bit.  `sample_points`,
-which draws a whole round of points at once, must keep the points and
-the generator state of drawing and vetting one point at a time.
+Every chart-axiom and shift-identity residual runs once per check over
+(count, n) stacks of its sample points.  The reference below is the
+one-point-at-a-time form of each residual, with every map it
+differentiates lifted by `rowwise`; the stacked form must reproduce its
+value at every sample bit for bit, on laws that broadcast themselves and
+on lifted point laws alike.  `sample_points`, which draws a whole round
+of points at once, must keep the points and the generator state of
+drawing and vetting one point at a time.
 """
 
 import dataclasses
@@ -27,7 +29,7 @@ from liechart.group import (
     psi_pair,
     sample_points,
 )
-from liechart.numdiff import DiffConfig, as_finite_array, invert, jacobian
+from liechart.numdiff import DiffConfig, as_finite_array, invert, jacobian, rowwise
 
 # --- the per-point reference forms ------------------------------------------
 
@@ -108,7 +110,7 @@ def _res_factorization_right(chart, cfg, a, b):
 
 def _res_inverse_jacobian_left_route(chart, cfg, a):
     a_inv = inverse(chart, a, cfg)
-    j_num = jacobian(lambda x: inverse(chart, x, cfg), a, cfg)
+    j_num = jacobian(rowwise(lambda x: inverse(chart, x, cfg)), a, cfg)
     psi_l_inv = psi_flavored(chart, a_inv, "left", cfg)
     lam_r_a = invert(psi_flavored(chart, a, "right", cfg))
     return maxabs(j_num + psi_l_inv @ lam_r_a)
@@ -116,14 +118,14 @@ def _res_inverse_jacobian_left_route(chart, cfg, a):
 
 def _res_inverse_jacobian_right_route(chart, cfg, a):
     a_inv = inverse(chart, a, cfg)
-    j_num = jacobian(lambda x: inverse(chart, x, cfg), a, cfg)
+    j_num = jacobian(rowwise(lambda x: inverse(chart, x, cfg)), a, cfg)
     psi_r_inv = psi_flavored(chart, a_inv, "right", cfg)
     lam_l_a = invert(psi_flavored(chart, a, "left", cfg))
     return maxabs(j_num + psi_r_inv @ lam_l_a)
 
 
 def _res_quotient_left(chart, cfg, a, b):
-    j_num = jacobian(lambda x: chart.compose(inverse(chart, x, cfg), b), a, cfg)
+    j_num = jacobian(rowwise(lambda x: chart.compose(inverse(chart, x, cfg), b)), a, cfg)
     w = chart.compose(inverse(chart, a, cfg), b)
     psi_l_w = psi_flavored(chart, w, "left", cfg)
     lam_r_a = invert(psi_flavored(chart, a, "right", cfg))
@@ -131,7 +133,7 @@ def _res_quotient_left(chart, cfg, a, b):
 
 
 def _res_quotient_right(chart, cfg, a, b):
-    j_num = jacobian(lambda x: chart.compose(b, inverse(chart, x, cfg)), a, cfg)
+    j_num = jacobian(rowwise(lambda x: chart.compose(b, inverse(chart, x, cfg))), a, cfg)
     w = chart.compose(b, inverse(chart, a, cfg))
     psi_r_w = psi_flavored(chart, w, "right", cfg)
     lam_l_a = invert(psi_flavored(chart, a, "left", cfg))
@@ -141,8 +143,7 @@ def _res_quotient_right(chart, cfg, a, b):
 def _res_triple_product_left_route(chart, cfg, a, b, c):
     ab = chart.compose(a, b)
     abc = chart.compose(ab, c)
-    j_num = jacobian(lambda y: chart.compose(chart.compose(a, y), c), b, cfg,
-                     batched=chart.batched)
+    j_num = jacobian(rowwise(lambda y: chart.compose(chart.compose(a, y), c)), b, cfg)
     psi_l_abc = psi_flavored(chart, abc, "left", cfg)
     psi_l_ab, psi_r_ab = psi_pair(chart, ab, cfg)
     lam_l_ab = invert(psi_l_ab)
@@ -153,8 +154,7 @@ def _res_triple_product_left_route(chart, cfg, a, b, c):
 def _res_triple_product_right_route(chart, cfg, a, b, c):
     bc = chart.compose(b, c)
     abc = chart.compose(a, bc)
-    j_num = jacobian(lambda y: chart.compose(chart.compose(a, y), c), b, cfg,
-                     batched=chart.batched)
+    j_num = jacobian(rowwise(lambda y: chart.compose(chart.compose(a, y), c)), b, cfg)
     psi_r_abc = psi_flavored(chart, abc, "right", cfg)
     psi_l_bc, psi_r_bc = psi_pair(chart, bc, cfg)
     lam_r_bc = invert(psi_r_bc)
@@ -167,7 +167,7 @@ def _conjugate(chart, cfg, a, b):
 
 
 def _res_conjugation_outer(chart, cfg, a, b):
-    j_num = jacobian(lambda x: _conjugate(chart, cfg, x, b), a, cfg)
+    j_num = jacobian(rowwise(lambda x: _conjugate(chart, cfg, x, b)), a, cfg)
     w = _conjugate(chart, cfg, a, b)
     psi_l_w, psi_r_w = psi_pair(chart, w, cfg)
     lam_l_a = invert(psi_flavored(chart, a, "left", cfg))
@@ -175,7 +175,7 @@ def _res_conjugation_outer(chart, cfg, a, b):
 
 
 def _res_conjugation_inner_left(chart, cfg, a, b):
-    j_num = jacobian(lambda y: _conjugate(chart, cfg, a, y), b, cfg)
+    j_num = jacobian(rowwise(lambda y: _conjugate(chart, cfg, a, y)), b, cfg)
     ab = chart.compose(a, b)
     w = _conjugate(chart, cfg, a, b)
     psi_l_w = psi_flavored(chart, w, "left", cfg)
@@ -186,7 +186,7 @@ def _res_conjugation_inner_left(chart, cfg, a, b):
 
 
 def _res_conjugation_inner_right(chart, cfg, a, b):
-    j_num = jacobian(lambda y: _conjugate(chart, cfg, a, y), b, cfg)
+    j_num = jacobian(rowwise(lambda y: _conjugate(chart, cfg, a, y)), b, cfg)
     a_inv = inverse(chart, a, cfg)
     ba_inv = chart.compose(b, a_inv)
     w = _conjugate(chart, cfg, a, b)
@@ -198,7 +198,7 @@ def _res_conjugation_inner_right(chart, cfg, a, b):
 
 
 def _res_adjoint_at_identity(chart, cfg, a):
-    j_num = jacobian(lambda y: _conjugate(chart, cfg, a, y), chart.identity, cfg)
+    j_num = jacobian(rowwise(lambda y: _conjugate(chart, cfg, a, y)), chart.identity, cfg)
     psi_l_a, psi_r_a = psi_pair(chart, a, cfg)
     return maxabs(j_num - invert(psi_l_a) @ psi_r_a)
 
@@ -237,8 +237,6 @@ SHIFT_REFERENCE = (
 
 # --- stacked against per point ------------------------------------------------
 
-BROADCASTING = [name for name in GROUP_NAMES if get_group(name).batched]
-
 
 def checks_against_reference():
     """(check_id, arity, stacked form, reference form), in table order."""
@@ -261,7 +259,7 @@ def assert_stacked_matches_reference(chart, cfg):
 
 
 @pytest.mark.parametrize("seed", [42, 2026])
-@pytest.mark.parametrize("name", BROADCASTING)
+@pytest.mark.parametrize("name", GROUP_NAMES)
 def test_stacked_residuals_match_per_point_reference(name, seed):
     assert_stacked_matches_reference(get_group(name), DiffConfig(rng_seed=seed))
 
@@ -270,20 +268,23 @@ def test_stacked_residuals_match_per_point_reference(name, seed):
 def test_stacked_residuals_match_reference_with_newton_inverses(name):
     # no hint: every inverse in the stack is its own Newton solve
     chart = dataclasses.replace(get_group(name), inverse_hint=None, name=f"{name}-newton")
-    assert chart.batched
     assert_stacked_matches_reference(chart, DiffConfig(sample_count=4))
 
 
-def test_unbatched_chart_runs_the_checks_point_by_point():
-    chart = get_group("affine")
-    assert not chart.batched
-    cfg = DiffConfig(sample_count=4)
-    for check_id, arity, fn, ref in checks_against_reference():
-        pts = sample_points(chart, cfg, check_rng(cfg, check_id), cfg.sample_count * arity)
-        for i in range(cfg.sample_count):
-            point = pts[i * arity:(i + 1) * arity]
-            assert np.ndim(fn(chart, cfg, *point)) == 0
-            assert fn(chart, cfg, *point) == ref(chart, cfg, *point), check_id
+def _point_affine_law(a, b):
+    return np.array([a[0] * b[0], a[0] * b[1] + a[1]])
+
+
+def _point_affine_inverse(a):
+    return np.array([1.0 / a[0], -a[1] / a[0]])
+
+
+def test_stacked_residuals_match_reference_on_a_point_law():
+    # a user's ax+b law (and hint) written for single points, lifted row by row
+    for hint in (_point_affine_inverse, None):
+        chart = GroupChart(n=2, compose=_point_affine_law, identity=np.array([1.0, 0.0]),
+                           inverse_hint=hint, chart_radius=0.8, name="ax+b")
+        assert_stacked_matches_reference(chart, DiffConfig(sample_count=4))
 
 
 # --- sample_points against a one-at-a-time sampler --------------------------
@@ -330,6 +331,7 @@ def _rejecting_charts():
     broken = GroupChart(n=2, compose=_nan_beyond(0.15), identity=np.zeros(2),
                         inverse_hint=_broadcasting(lambda a: -a), name="nan-beyond")
     hintless = dataclasses.replace(broken, inverse_hint=None)
+    # ... and the same law without the marker, lifted row by row
     return {"narrow": narrow, "broken": broken, "broken-newton": hintless,
             "broken-unbatched": dataclasses.replace(broken, compose=lambda a, b: np.where(
                 a[..., :1] > 0.15, np.nan, a + b))}
@@ -338,7 +340,6 @@ def _rejecting_charts():
 @pytest.mark.parametrize("kind", ["narrow", "broken", "broken-newton", "broken-unbatched"])
 def test_sample_points_keeps_the_sequential_points_and_generator_state(kind):
     chart = _rejecting_charts()[kind]
-    assert chart.batched == (kind != "broken-unbatched")
     cfg = DiffConfig()
     for seed in range(3):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -359,13 +360,12 @@ def _after_draws(chart, draws, seed=0):
     return rng.bit_generator.state
 
 
-@pytest.mark.parametrize("batched", [True, False])
-def test_sample_points_gives_up_after_the_same_draws(batched):
+@pytest.mark.parametrize("marked", [True, False])
+def test_sample_points_gives_up_after_the_same_draws(marked):
     law = (lambda a, b: np.full(np.broadcast_shapes(np.shape(a), np.shape(b)), np.nan))
-    chart = GroupChart(n=2, compose=_broadcasting(law) if batched else law,
+    chart = GroupChart(n=2, compose=_broadcasting(law) if marked else law,
                        identity=np.zeros(2), inverse_hint=_broadcasting(lambda a: -a),
                        name="nowhere")
-    assert chart.batched == batched
     cfg = DiffConfig()
     rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
     with pytest.raises(NoConvergence):

@@ -200,7 +200,6 @@ CEILING_EVALS = {"gl:3": 1_006_708, "gl:2": 39_528, "translation:1": 756}
 @pytest.mark.parametrize("name", sorted(STRUCTURE_EVALS))
 def test_structure_suite_eval_count(name, monkeypatch, law_counter):
     chart = law_counter.chart(get_group(name))
-    assert chart.batched
     monkeypatch.setattr(catalog, "get_group", lambda _: chart)
     assert run_suite(name, "structure", DiffConfig()).all_passed
     assert law_counter.evals == STRUCTURE_EVALS[name]
