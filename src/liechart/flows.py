@@ -104,17 +104,23 @@ def one_param_subgroup(chart: GroupChart, alpha, t_end: float,
                       t_grid=np.linspace(0.0, t_end, path.shape[0]), path=path)
 
 
+def homomorphism_pairs(flow: FlowResult, pairs: int = 10) -> range:
+    """Steps i where homomorphism_residual composes c(t_i) c(t_end - t_i):
+    every (steps // pairs)-th interior step, or every one on short paths."""
+    steps = flow.path.shape[0] - 1
+    stride = max(1, steps // pairs)
+    return range(stride, steps, stride)
+
+
 def homomorphism_residual(chart: GroupChart, flow: FlowResult, pairs: int = 10) -> float:
     """Group law along the flow: c(t) c(s) must equal c(t+s).
 
     Uses stored path states only, so the residual reflects the integrator
     rather than interpolation error.
     """
-    steps = flow.path.shape[0] - 1
-    stride = max(1, steps // pairs)
-    end = flow.path[steps]
-    return worst_of(maxabs(chart.compose(flow.path[i], flow.path[steps - i]) - end)
-                    for i in range(stride, steps, stride))
+    end = flow.path[-1]
+    return worst_of(maxabs(chart.compose(flow.path[i], flow.path[-1 - i]) - end)
+                    for i in homomorphism_pairs(flow, pairs))
 
 
 def canonical_coordinate(chart: GroupChart, a, cfg: DiffConfig | None = None) -> float:

@@ -322,8 +322,6 @@ _AXIOM_CHECKS = (
         chart.compose(chart.compose(a, b), c) - chart.compose(a, chart.compose(b, c)), a)),
     ("inverse_left", 1, lambda chart, cfg, a: maxabs_rows(
         chart.compose(inverse(chart, a, cfg), a) - chart.identity, a)),
-    ("inverse_right", 1, lambda chart, cfg, a: maxabs_rows(
-        chart.compose(a, inverse(chart, a, cfg)) - chart.identity, a)),
     ("inverse_roundtrip", 1, lambda chart, cfg, a: maxabs_rows(
         inverse(chart, inverse(chart, a, cfg), cfg) - a, a)),
 )
@@ -532,7 +530,6 @@ TOLERANCES = {
     "chart_identity_right": 1e-10,
     "chart_associativity": 1e-9,
     "inverse_left": 1e-8,
-    "inverse_right": 1e-8,
     "inverse_roundtrip": 1e-7,
     "basic_ops_at_identity": 1e-7,
     **dict.fromkeys(SHIFT_CHECK_IDS, 1e-4),
@@ -557,17 +554,7 @@ TOLERANCES = {
     "rep_pde_vector": 1e-3,
     "rep_integrability": 1e-6,
     "rep_mixed_identity": 1e-3,
-    "conjugate_pairing": 1e-7,
-    "conjugate_generators": 1e-5,
-    "conjugate_involution": 1e-5,
-    "tensor_generators_match": 1e-4,
     "generator_transform_constancy": 1e-4,
-    "integrable_example_residual": 1e-8,
-    "nonintegrable_example_flag": 1e-6,
-    "taylor_exponential": 1e-5,
-    "taylor_path_independence": 1e-6,
-    "taylor_quadratic_term": 1e-6,
-    "essential_counts_bundled": 0.5,
     "essential_count_group_family": 0.5,
 }
 

@@ -152,27 +152,6 @@ def conjugate_generators_check(rep: RepChart, cfg: DiffConfig | None = None) -> 
     return maxabs(rep_generators(rep, cfg) + rep_generators(conjugate_rep(rep), cfg))
 
 
-def conjugate_pairing_residual(rep: RepChart, cfg: DiffConfig | None = None) -> float:
-    """A row vector moved by the conjugate pairs invariantly with a column."""
-    cfg = cfg or DiffConfig()
-    chart = rep.group
-    conj = conjugate_rep(rep)
-    rng = check_rng(cfg, "conjugate_pairing")
-    pts = sample_points(chart, cfg, rng, cfg.sample_count)
-    u = rng.uniform(-1.0, 1.0, rep.m)
-    v = rng.uniform(-1.0, 1.0, rep.m)
-    base = float(u @ v)
-    return worst_of(abs(float((u @ conj(a)) @ (rep(a) @ v)) - base) for a in pts)
-
-
-def conjugate_involution_residual(rep: RepChart, cfg: DiffConfig | None = None) -> float:
-    """Conjugating twice returns the original representation."""
-    cfg = cfg or DiffConfig()
-    twice = conjugate_rep(conjugate_rep(rep))
-    return worst_over_samples(rep.group, cfg, "conjugate_involution",
-                              rowwise(lambda a: maxabs(twice(a) - rep(a))))
-
-
 def tensor_product(r1: RepChart, r2: RepChart) -> RepChart:
     """Kronecker product of two representations of the same chart."""
     if r1.group is not r2.group:

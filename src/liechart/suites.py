@@ -7,8 +7,6 @@ turns them into verdicts against `group.TOLERANCES`.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import catalog, flows, pde, reps, structure
 from .errors import UnknownEntry
 from .group import (
@@ -20,7 +18,6 @@ from .group import (
     maxabs,
     record,
     shift_checks,
-    worst_of,
     worst_over_samples,
 )
 from .numdiff import DiffConfig, rowwise
@@ -59,10 +56,10 @@ def flows_suite(chart: GroupChart, rep: RepChart | None, cfg: DiffConfig) -> Che
     rng = check_rng(cfg, "flow_direction")
     alpha = rng.uniform(-0.2, 0.2, chart.n)
 
-    flow = flows.one_param_subgroup(chart, alpha, 1.0, flavor="right", cfg=cfg)
-    yield "flow_homomorphism", 10, flows.homomorphism_residual(chart, flow)
-    flow_l = flows.one_param_subgroup(chart, alpha, 1.0, flavor="left", cfg=cfg)
-    yield "flow_homomorphism_left", 10, flows.homomorphism_residual(chart, flow_l)
+    for check_id, flavor in (("flow_homomorphism", "right"), ("flow_homomorphism_left", "left")):
+        flow = flows.one_param_subgroup(chart, alpha, 1.0, flavor=flavor, cfg=cfg)
+        pairs = len(flows.homomorphism_pairs(flow))
+        yield check_id, pairs, flows.homomorphism_residual(chart, flow)
     if chart.n == 1:
         yield "canonical_additivity", cfg.sample_count, flows.additivity_residual(chart, cfg)
 
@@ -82,39 +79,10 @@ def rep_suite(chart: GroupChart, rep: RepChart | None, cfg: DiffConfig) -> Check
     yield "rep_pde_vector", n, pde_res["rep_pde_vector"]
     yield "rep_integrability", 1, reps.integrability_check(gens, c_left, rep.side)
     yield "rep_mixed_identity", n, reps.mixed_identity_residual(rep, cfg, gens)
-    yield "conjugate_pairing", n, reps.conjugate_pairing_residual(rep, cfg)
-    yield "conjugate_generators", 1, reps.conjugate_generators_check(rep, cfg)
-    yield "conjugate_involution", n, reps.conjugate_involution_residual(rep, cfg)
-
-    yield "tensor_generators_match", 1, maxabs(
-        reps.rep_generators(reps.tensor_product(rep, rep), cfg)
-        - reps.tensor_generators(gens, gens))
     yield "generator_transform_constancy", 5, reps.generator_transform_residual(rep, cfg)
 
 
 def pde_suite(chart: GroupChart, rep: RepChart | None, cfg: DiffConfig) -> Checks:
-    exp_sys = pde.exponential_system()
-    yield ("integrable_example_residual", cfg.sample_count,
-           pde.integrability_residual(exp_sys, cfg))
-    yield ("nonintegrable_example_flag", cfg.sample_count,
-           abs(pde.integrability_residual(pde.shear_system(), cfg) - 1.0))
-
-    x0 = np.zeros(2)
-    x1 = np.array([0.1, 0.2])
-    direct = pde.taylor_solve(exp_sys, np.ones(1), x0, x1, cfg, check=False)
-    yield "taylor_exponential", 1, abs(float(direct[0]) - float(np.exp(0.3)))
-    corner = pde.solve_along_path(exp_sys, np.ones(1),
-                                  [x0, np.array([0.1, 0.0]), x1], cfg)
-    yield "taylor_path_independence", 1, maxabs(direct - corner)
-    _, first, second = pde.taylor_coefficients(exp_sys, np.ones(1), x0, cfg)
-    yield ("taylor_quadratic_term", 1,
-           worst_of((maxabs(first - 1.0), maxabs(second - 1.0))))
-
-    bundled = pde.bundled_families()
-    mismatch = sum(pde.essential_count(item.family, cfg) != item.expected_count
-                   for item in bundled)
-    yield "essential_counts_bundled", len(bundled), float(mismatch)
-
     fam = pde.group_composition_family(chart)
     yield ("essential_count_group_family", cfg.sample_count,
            float(abs(pde.essential_count(fam, cfg) - chart.n)))

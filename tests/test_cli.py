@@ -34,7 +34,7 @@ def test_all_suite_small_group(capsys):
     out = capsys.readouterr().out
     # every family of checks shows up in the combined run
     for marker in ("cocycle_left", "maurer_left", "flow_homomorphism",
-                   "rep_homomorphism", "taylor_exponential"):
+                   "rep_homomorphism", "essential_count_group_family"):
         assert marker in out, marker
 
 

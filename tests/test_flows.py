@@ -62,6 +62,33 @@ def test_homomorphism_residual_small():
     assert homomorphism_residual(chart, flow, pairs=10) < 1e-5
 
 
+@pytest.mark.parametrize("steps, compared", [(16, 15), (32, 10)])
+def test_homomorphism_pairs_are_the_compositions_made(steps, compared, law_counter):
+    chart = law_counter.chart(get_group("translation:2"))
+    flow = one_param_subgroup(chart, np.array([0.1, -0.2]), 1.0, steps=steps)
+    assert len(flows.homomorphism_pairs(flow)) == compared
+    before = law_counter.calls
+    homomorphism_residual(chart, flow)
+    assert law_counter.calls - before == compared
+
+
+@pytest.mark.parametrize("name", GROUP_NAMES)
+def test_flows_suite_reports_the_pairs_it_compares(name, monkeypatch, law_counter):
+    compared = []
+    residual = flows.homomorphism_residual
+
+    def counted_residual(chart, flow):
+        before = law_counter.calls
+        out = residual(law_counter.chart(chart), flow)
+        compared.append(law_counter.calls - before)
+        return out
+
+    monkeypatch.setattr(flows, "homomorphism_residual", counted_residual)
+    report = run_suite(name, "flows", DiffConfig())
+    assert [c.samples for c in report.checks
+            if c.check_id.startswith("flow_homomorphism")] == compared
+
+
 def test_multiplicative_flow_hits_exp():
     chart = get_group("multiplicative")
     flow = one_param_subgroup(chart, np.array([1.0]), np.log(2.0), cfg=CFG)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from liechart.catalog import get_group
-from liechart.group import GroupChart, record
+from liechart.group import SHIFT_CHECK_IDS, GroupChart, record
 from liechart.numdiff import DiffConfig
 from liechart.reps import RepChart
 from liechart.suites import SUITES
@@ -39,18 +39,40 @@ def _multiplicative_skewed() -> GroupChart:
         inverse_hint=None, name="multiplicative skewed")
 
 
-MUTANTS = {"gl:2 skewed": _gl2_skewed, "multiplicative skewed": _multiplicative_skewed}
+def _translation2_collapsed() -> GroupChart:
+    # b + (a0 + a1) (1, 1): the left slot moves b along one direction only,
+    # so the law as a family of maps of b has one essential parameter, not 2
+    chart = get_group("translation:2")
+    return dataclasses.replace(
+        chart, compose=lambda a, b: b + (a[0] + a[1]) * np.ones(2),
+        inverse_hint=None, name="translation:2 collapsed")
+
+
+# mutant -> (broken chart, the suites run on it); the collapsed law has no
+# inverse, so only the pde suite, which never inverts, can run on it
+MUTANTS = {
+    "gl:2 skewed": (_gl2_skewed, ("shift", "structure", "flows")),
+    "multiplicative skewed": (_multiplicative_skewed, ("shift", "structure", "flows")),
+    "translation:2 collapsed": (_translation2_collapsed, ("pde",)),
+}
+
+# every shift id and the axioms a non-associative law breaks
+_NONASSOCIATIVE_FAILS = (*SHIFT_CHECK_IDS, "chart_associativity", "inverse_left",
+                         "inverse_roundtrip")
 
 
 @cache
 def _verdicts(mutant: str) -> dict[str, bool]:
-    chart = MUTANTS[mutant]()
+    factory, suites = MUTANTS[mutant]
+    chart = factory()
     return {check_id: record(check_id, residual, samples, 1.0).passed
-            for suite in ("structure", "flows")
+            for suite in suites
             for check_id, samples, residual in SUITES[suite](chart, None, CFG)}
 
 
 @pytest.mark.parametrize("mutant, check_id", [
+    *(("gl:2 skewed", check_id) for check_id in (*_NONASSOCIATIVE_FAILS, "chart_identity_right")),
+    *(("multiplicative skewed", check_id) for check_id in _NONASSOCIATIVE_FAILS),
     ("gl:2 skewed", "anti_isomorphism_measured"),
     ("gl:2 skewed", "constancy_right"),
     ("gl:2 skewed", "maurer_right"),
@@ -60,6 +82,7 @@ def _verdicts(mutant: str) -> dict[str, bool]:
     ("multiplicative skewed", "flow_homomorphism"),
     ("multiplicative skewed", "flow_homomorphism_left"),
     ("multiplicative skewed", "canonical_additivity"),
+    ("translation:2 collapsed", "essential_count_group_family"),
 ])
 def test_check_fails_on_broken_law(mutant, check_id):
     assert _verdicts(mutant)[check_id] is False

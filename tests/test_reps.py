@@ -18,8 +18,6 @@ from liechart.numdiff import DiffConfig, invert, jacobian, rowwise
 from liechart.reps import (
     RepChart,
     conjugate_generators_check,
-    conjugate_involution_residual,
-    conjugate_pairing_residual,
     conjugate_rep,
     direct_sum,
     direct_sum_generators,
@@ -139,8 +137,6 @@ def test_integrability_requires_left_constants():
 def test_conjugate_identities(group_name, rep_name):
     rep = get_rep(group_name, rep_name)
     assert conjugate_generators_check(rep, CFG) < 1e-5
-    assert conjugate_pairing_residual(rep, CFG) < 1e-7
-    assert conjugate_involution_residual(rep, CFG) < 1e-5
 
 
 def test_conjugate_flips_side():

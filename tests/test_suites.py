@@ -14,7 +14,7 @@ CFG = DiffConfig(sample_count=4)
 
 AXIOM_IDS = (
     "chart_identity_left", "chart_identity_right", "chart_associativity",
-    "inverse_left", "inverse_right", "inverse_roundtrip",
+    "inverse_left", "inverse_roundtrip",
     "basic_ops_at_identity",
 )
 
@@ -31,15 +31,10 @@ CANONICAL_IDS = ("canonical_additivity",)
 REP_IDS = (
     "rep_identity", "rep_homomorphism", "rep_inverse",
     "rep_pde_map", "rep_pde_vector", "rep_integrability", "rep_mixed_identity",
-    "conjugate_pairing", "conjugate_generators", "conjugate_involution",
-    "tensor_generators_match", "generator_transform_constancy",
+    "generator_transform_constancy",
 )
 
-PDE_IDS = (
-    "integrable_example_residual", "nonintegrable_example_flag",
-    "taylor_exponential", "taylor_path_independence", "taylor_quadratic_term",
-    "essential_counts_bundled", "essential_count_group_family",
-)
+PDE_IDS = ("essential_count_group_family",)
 
 
 def ids_of(report):
@@ -98,7 +93,7 @@ def test_every_roster_id_has_a_tolerance():
         assert rec.tolerance > 0.0, rec.check_id
     # the 1-d "all" roster runs every check id, so the table has no orphans
     assert set(TOLERANCES) == set(ids_of(report))
-    assert len(TOLERANCES) == len(report.checks) == 60
+    assert len(TOLERANCES) == len(report.checks) == 49
 
 
 def test_tolerance_table_has_no_orphans():
