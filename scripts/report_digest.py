@@ -1,0 +1,72 @@
+"""One SHA-256 over a fixed set of JSON reports, to show a change keeps their bytes.
+
+Usage: PYTHONPATH=src python scripts/report_digest.py
+
+Run it before and after a change that must not move any residual: equal
+digests mean every report below is byte-identical.  The set, at seeds 42
+and 7 with the default sample count:
+
+* every catalog group through every suite (`all` included);
+* the `rep` and `all` suites for the representations in REPS;
+* `check_chart_axioms` and `verify_shift_identities` on hint-free copies of
+  the affine and gl:2 laws (every inverse a Newton solve) and on a plain
+  ax+b law written for single points (lifted by `numdiff.rowwise`).
+"""
+
+import dataclasses
+import hashlib
+from typing import Iterator
+
+import numpy as np
+
+from liechart.catalog import GROUP_NAMES, get_group
+from liechart.group import GroupChart, check_chart_axioms, verify_shift_identities
+from liechart.numdiff import DiffConfig
+from liechart.suites import SUITE_NAMES, run_suite
+
+SEEDS = (42, 7)
+REPS = (
+    ("gl:2", "standard"),
+    ("gl:2", "conjugate"),
+    ("gl:2", "tensor:standard,standard"),
+    ("affine", "matrix"),
+    ("gl:3", "standard"),
+)
+
+
+def _charts() -> tuple[GroupChart, ...]:
+    hint_free = tuple(dataclasses.replace(get_group(g), inverse_hint=None, name=f"{g}-newton")
+                      for g in ("affine", "gl:2"))
+    ax_b = GroupChart(n=2, compose=lambda a, b: np.array([a[0] * b[0], a[0] * b[1] + a[1]]),
+                      identity=np.array([1.0, 0.0]), name="ax+b")
+    return (*hint_free, ax_b)
+
+
+def reports() -> Iterator[tuple[str, str]]:
+    """(label, JSON report) pairs, in digest order."""
+    charts = _charts()
+    for seed in SEEDS:
+        cfg = DiffConfig(rng_seed=seed)
+        for group in GROUP_NAMES:
+            for suite in SUITE_NAMES:
+                yield f"{seed} {group} {suite}", run_suite(group, suite, cfg).to_json()
+        for group, rep in REPS:
+            for suite in ("rep", "all"):
+                yield (f"{seed} {group} {suite} {rep}",
+                       run_suite(group, suite, cfg, rep_name=rep).to_json())
+        for chart in charts:
+            for check in (check_chart_axioms, verify_shift_identities):
+                yield f"{seed} {chart.name} {check.__name__}", check(chart, cfg).to_json()
+
+
+def main() -> None:
+    digest = hashlib.sha256()
+    count = 0
+    for label, text in reports():
+        digest.update(f"{label}\n{text}\n".encode())
+        count += 1
+    print(f"{digest.hexdigest()}  {count} reports")
+
+
+if __name__ == "__main__":
+    main()

@@ -10,11 +10,12 @@ import numpy as np
 
 from .errors import LeftChart, NonFiniteEvaluation, ZeroPsi
 from .group import GroupChart, maxabs, psi_flavored, worst_of, worst_over_samples
-from .numdiff import DiffConfig, as_finite_array, rowwise
+from .numdiff import DiffConfig, as_finite_array
 
 _FIRST_STEPS_PER_UNIT = 8
 _MAX_STEPS_PER_UNIT = 1000
 _FLOW_TOL = 1e-10
+_HOMOMORPHISM_PAIRS = 10
 _GRID_INTERVALS = 128
 _PSI_FLOOR = 1e-12
 
@@ -104,15 +105,15 @@ def one_param_subgroup(chart: GroupChart, alpha, t_end: float,
                       t_grid=np.linspace(0.0, t_end, path.shape[0]), path=path)
 
 
-def homomorphism_pairs(flow: FlowResult, pairs: int = 10) -> range:
+def homomorphism_pairs(flow: FlowResult) -> range:
     """Steps i where homomorphism_residual composes c(t_i) c(t_end - t_i):
-    every (steps // pairs)-th interior step, or every one on short paths."""
+    every (steps // _HOMOMORPHISM_PAIRS)-th interior step, or every one on short paths."""
     steps = flow.path.shape[0] - 1
-    stride = max(1, steps // pairs)
+    stride = max(1, steps // _HOMOMORPHISM_PAIRS)
     return range(stride, steps, stride)
 
 
-def homomorphism_residual(chart: GroupChart, flow: FlowResult, pairs: int = 10) -> float:
+def homomorphism_residual(chart: GroupChart, flow: FlowResult) -> float:
     """Group law along the flow: c(t) c(s) must equal c(t+s).
 
     Uses stored path states only, so the residual reflects the integrator
@@ -120,41 +121,42 @@ def homomorphism_residual(chart: GroupChart, flow: FlowResult, pairs: int = 10) 
     """
     end = flow.path[-1]
     return worst_of(maxabs(chart.compose(flow.path[i], flow.path[-1 - i]) - end)
-                    for i in homomorphism_pairs(flow, pairs))
+                    for i in homomorphism_pairs(flow))
 
 
-def canonical_coordinate(chart: GroupChart, a, cfg: DiffConfig | None = None) -> float:
-    """Additive coordinate of a 1-d chart.
+def canonical_coordinate(chart: GroupChart, a,
+                         cfg: DiffConfig | None = None) -> float | np.ndarray:
+    """Additive coordinate of a 1-d chart: a float for a point (1,), (...) for a stack (..., 1).
 
-    Integrates the reciprocal of the right basic operator from the
-    identity to a by composite Simpson; on this coordinate the
-    composition law becomes plain addition.  Raises ZeroPsi if the operator vanishes along the way.
+    Integrates the reciprocal of the right basic operator from the identity
+    to each point by composite Simpson; on this coordinate the composition
+    law becomes plain addition.  Raises ZeroPsi if it vanishes on any path.
     """
     cfg = cfg or DiffConfig()
     if chart.n != 1:
         raise ValueError("canonical_coordinate is defined for 1-d charts only")
-    a = as_finite_array(a, "canonical coordinate argument").ravel()
-    e = float(chart.identity[0])
-    target = float(a[0])
+    a = as_finite_array(a, "canonical coordinate argument")
+    e = chart.identity[0]
+    target = a[..., 0]
 
-    # A zero of the operator anywhere on the path makes the integral
-    # divergent, so the Simpson grid is first scanned for sign changes.
-    grid = np.linspace(e, target, _GRID_INTERVALS + 1)
-    scan = psi_flavored(chart, grid[:, None], "right", cfg)[:, 0, 0]
-    if np.any(np.abs(scan) < _PSI_FLOOR) or np.any(np.sign(scan[:-1]) != np.sign(scan[1:])):
+    # A zero of the operator anywhere on a path makes its integral
+    # divergent, so every Simpson grid is first scanned for sign changes.
+    grid = np.linspace(e, target, _GRID_INTERVALS + 1, axis=-1)
+    scan = psi_flavored(chart, grid[..., None], "right", cfg)[..., 0, 0]
+    if np.any(np.abs(scan) < _PSI_FLOOR) or np.any(np.diff(np.sign(scan))):
         raise ZeroPsi("basic operator vanishes on the integration path")
     f = 1.0 / scan
     h = (target - e) / _GRID_INTERVALS
-    return float(h / 3.0 * (f[0] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum() + f[-1]))
+    return h / 3.0 * (f[..., 0] + 4.0 * f[..., 1:-1:2].sum(-1) + 2.0 * f[..., 2:-1:2].sum(-1)
+                      + f[..., -1])
 
 
 def additivity_residual(chart: GroupChart, cfg: DiffConfig | None = None) -> float:
     """The canonical coordinate turns composition into addition."""
     cfg = cfg or DiffConfig()
 
-    def residual(a: np.ndarray, b: np.ndarray) -> float:
-        lhs = canonical_coordinate(chart, chart.compose(a, b), cfg)
-        rhs = canonical_coordinate(chart, a, cfg) + canonical_coordinate(chart, b, cfg)
-        return abs(lhs - rhs)
+    def residual(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        ab_a_b = canonical_coordinate(chart, np.stack([chart.compose(a, b), a, b]), cfg)
+        return np.abs(ab_a_b[0] - (ab_a_b[1] + ab_a_b[2]))
 
-    return worst_over_samples(chart, cfg, "canonical_additivity", rowwise(residual), arity=2)
+    return worst_over_samples(chart, cfg, "canonical_additivity", residual, arity=2)

@@ -21,6 +21,7 @@ from .errors import NonFiniteEvaluation, SingularMatrix
 EPS = float(np.finfo(float).eps)
 CBRT_EPS = float(EPS ** (1.0 / 3.0))
 QUART_EPS = float(EPS ** 0.25)
+_RANK_TOL = 1e-8
 
 VectorMap = Callable[[np.ndarray], np.ndarray]
 
@@ -177,22 +178,22 @@ def vf_commutator(
     return jb @ va - ja @ vb
 
 
-def numeric_rank(m, rank_tol: float = 1e-8) -> int:
-    """Rank by singular values: count sigma_i > rank_tol * sigma_max."""
+def numeric_rank(m) -> int:
+    """Rank by singular values: count sigma_i > _RANK_TOL * sigma_max."""
     a = as_finite_array(m, "rank input")
     if a.size == 0:
         return 0
     sigma = scipy.linalg.svdvals(np.atleast_2d(a))
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0
-    return int(np.count_nonzero(sigma > rank_tol * sigma[0]))
+    return int(np.count_nonzero(sigma > _RANK_TOL * sigma[0]))
 
 
-def invert(m, rank_tol: float = 1e-8) -> np.ndarray:
+def invert(m) -> np.ndarray:
     """Inverse via row-pivoted elimination, of one matrix or a (..., m, m) stack.
 
     Raises SingularMatrix when any pivot of any matrix falls below
-    rank_tol * max|that matrix|, which is the same cutoff numeric_rank uses
+    _RANK_TOL * max|that matrix|, which is the same cutoff numeric_rank uses
     for its singular values.  A stack is solved matrix by matrix with the
     same LAPACK calls, so each inverse has the bits of the single solve
     (np.linalg.inv would not).
@@ -206,19 +207,19 @@ def invert(m, rank_tol: float = 1e-8) -> np.ndarray:
     getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (a,))
     eye = np.eye(a.shape[-1])
     if a.ndim == 2:
-        return _invert_one(a, rank_tol, getrf, getrs, eye)
+        return _invert_one(a, getrf, getrs, eye)
     out = np.empty(a.shape)
     for idx in np.ndindex(a.shape[:-2]):
-        out[idx] = _invert_one(a[idx], rank_tol, getrf, getrs, eye)
+        out[idx] = _invert_one(a[idx], getrf, getrs, eye)
     return out
 
 
-def _invert_one(a, rank_tol, getrf, getrs, eye) -> np.ndarray:
+def _invert_one(a, getrf, getrs, eye) -> np.ndarray:
     scale = float(np.abs(a).max())
     if scale == 0.0:
         raise SingularMatrix("zero matrix")
     lu, piv, _ = getrf(a)
     smallest = np.abs(lu.diagonal()).min()
-    if smallest <= rank_tol * scale:
-        raise SingularMatrix(f"pivot {smallest:.3e} below {rank_tol:.1e} * {scale:.3e}")
+    if smallest <= _RANK_TOL * scale:
+        raise SingularMatrix(f"pivot {smallest:.3e} below {_RANK_TOL:.1e} * {scale:.3e}")
     return getrs(lu, piv, eye)[0]

@@ -25,6 +25,7 @@ from .numdiff import DiffConfig, as_finite_array, jacobian, numeric_rank, rowwis
 
 _TAYLOR_STEPS = 500
 _INTEGRABILITY_TOL = 1e-6
+_FAMILY_RADIUS = 0.1
 
 
 @dataclass(frozen=True)
@@ -298,9 +299,9 @@ def bundled_families() -> list[BundledFamily]:
     return fams
 
 
-def group_composition_family(chart: GroupChart, radius: float = 0.1) -> FunctionFamily:
+def group_composition_family(chart: GroupChart) -> FunctionFamily:
     """The composition law as a family: parameters move the left slot."""
-    box = np.column_stack([chart.identity - radius, chart.identity + radius])
+    box = np.column_stack([chart.identity - _FAMILY_RADIUS, chart.identity + _FAMILY_RADIUS])
     return FunctionFamily(
         n_out=chart.n, n_x=chart.n, r=chart.n,
         f=lambda x, a: chart.compose(a, x),

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .group import (
     GroupChart,
@@ -21,6 +22,7 @@ from .group import (
     check_rng,
     inverse,
     maxabs,
+    maxabs_rows,
     psi_flavored,
     sample_points,
     worst_of,
@@ -29,10 +31,15 @@ from .group import (
 from .numdiff import DiffConfig, as_finite_array, invert, jacobian, rowwise
 from .structure import StructureConstants
 
+GENERATOR_TRANSFORM_POINTS = 5
+
 
 @dataclass(eq=False)
 class RepChart:
-    """Matrix representation attached to a group chart."""
+    """Matrix representation attached to a group chart: rep(a) maps a point
+    (n,) to (m, m) and a stack (..., n) to (..., m, m).  An f not marked
+    `broadcasts = True` is lifted by `numdiff.rowwise`, as GroupChart lifts its law.
+    """
 
     group: GroupChart
     m: int
@@ -45,12 +52,14 @@ class RepChart:
             raise ValueError(f"side must be 'left' or 'right', got {self.side!r}")
         if self.m < 1:
             raise ValueError("representation dimension must be positive")
+        if not getattr(self.f, "broadcasts", False):
+            self.f = rowwise(self.f)
 
     def __call__(self, a) -> np.ndarray:
-        out = as_finite_array(self.f(np.asarray(a, float)), "representation value")
-        if out.shape != (self.m, self.m):
-            raise ValueError(f"representation returned shape {out.shape}, "
-                             f"expected {(self.m, self.m)}")
+        a = np.asarray(a, float)
+        out = as_finite_array(self.f(a), "representation value")
+        if out.shape != a.shape[:-1] + (self.m, self.m):
+            raise ValueError(f"representation of m = {self.m} gave {out.shape} at {a.shape}")
         return out
 
     def product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -59,14 +68,14 @@ class RepChart:
 
 
 def _slot_derivatives(rep: RepChart, a: np.ndarray, cfg: DiffConfig) -> np.ndarray:
-    """Stack (n, m, m) of d f / d a^L at a, one matrix per coordinate L."""
-    d = jacobian(rowwise(lambda x: rep(x).ravel()), a, cfg)
-    return np.moveaxis(d.reshape(rep.m, rep.m, rep.group.n), 2, 0)
+    """Stack (..., n, m, m) of d f / d a^L at a (..., n), one matrix per coordinate L."""
+    d = jacobian(lambda x: rep(x).reshape(x.shape[:-1] + (-1,)), a, cfg)
+    return np.moveaxis(d.reshape(d.shape[:-2] + (rep.m, rep.m, rep.group.n)), -1, -3)
 
 
 def _combine(weights: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """out[p] = sum_k weights[k, p] mats[k] over a (n, m, m) stack."""
-    return np.einsum("kp,kij->pij", weights, mats)
+    """out[..., p] = sum_k weights[..., k, p] mats[..., k] over (..., n, m, m) stacks."""
+    return np.einsum("...kp,...kij->...pij", weights, mats)
 
 
 def rep_generators(rep: RepChart, cfg: DiffConfig | None = None) -> np.ndarray:
@@ -79,19 +88,17 @@ def rep_axiom_residuals(rep: RepChart, cfg: DiffConfig | None = None
     """Identity, homomorphism and inverse residuals at sampled points."""
     cfg = cfg or DiffConfig()
     chart = rep.group
-    out: dict[str, float] = {}
-    out["rep_identity"] = maxabs(rep(chart.identity) - np.eye(rep.m))
 
-    def homomorphism(b: np.ndarray, a: np.ndarray) -> float:
-        fa, fb = rep(a), rep(b)
-        return maxabs(rep(chart.compose(b, a)) - rep.product(fb, fa))
+    def homomorphism(b: np.ndarray, a: np.ndarray) -> np.ndarray:
+        return maxabs_rows(rep(chart.compose(b, a)) - rep.product(rep(b), rep(a)), a)
 
-    out["rep_homomorphism"] = worst_over_samples(chart, cfg, "rep_homomorphism",
-                                                 rowwise(homomorphism), arity=2)
-    out["rep_inverse"] = worst_over_samples(
-        chart, cfg, "rep_inverse",
-        rowwise(lambda a: maxabs(rep(inverse(chart, a, cfg)) - invert(rep(a)))))
-    return out
+    return {
+        "rep_identity": maxabs(rep(chart.identity) - np.eye(rep.m)),
+        "rep_homomorphism": worst_over_samples(chart, cfg, "rep_homomorphism", homomorphism,
+                                               arity=2),
+        "rep_inverse": worst_over_samples(chart, cfg, "rep_inverse", lambda a: maxabs_rows(
+            rep(inverse(chart, a, cfg)) - invert(rep(a)), a)),
+    }
 
 
 def rep_pde_residual(rep: RepChart, cfg: DiffConfig | None = None,
@@ -109,15 +116,12 @@ def rep_pde_residual(rep: RepChart, cfg: DiffConfig | None = None,
     rng = check_rng(cfg, "rep_pde")
     pts = sample_points(chart, cfg, rng, cfg.sample_count)
     vec = rng.uniform(-1.0, 1.0, rep.m)
-    map_res = []
-    vec_res = []
-    for a in pts:
-        # the generator equation: d f / d a^L = sum_k lam_left[k, L] I_k f
-        lam_left = invert(psi_flavored(chart, a, "left", cfg))
-        expected = _combine(lam_left, rep.product(gens, rep(a)))
-        map_res.append(maxabs(_slot_derivatives(rep, a, cfg) - expected))
-        dv = jacobian(rowwise(lambda x: rep.product(rep(x), vec)), a, cfg)
-        vec_res.append(maxabs(dv.T - rep.product(expected, vec)))
+    # the generator equation: d f / d a^L = sum_k lam_left[k, L] I_k f
+    lam_left = invert(psi_flavored(chart, pts, "left", cfg))
+    expected = _combine(lam_left, rep.product(gens, rep(pts)[:, None]))
+    map_res = maxabs_rows(_slot_derivatives(rep, pts, cfg) - expected, pts)
+    dv = jacobian(lambda x: rep.product(rep(x), vec), pts, cfg)
+    vec_res = maxabs_rows(np.swapaxes(dv, -1, -2) - rep.product(expected, vec), pts)
     return {"rep_pde_map": worst_of(map_res), "rep_pde_vector": worst_of(vec_res)}
 
 
@@ -148,7 +152,6 @@ def conjugate_rep(rep: RepChart) -> RepChart:
 
 def conjugate_generators_check(rep: RepChart, cfg: DiffConfig | None = None) -> float:
     """Generators of the conjugate are the negatives of the originals."""
-    cfg = cfg or DiffConfig()
     return maxabs(rep_generators(rep, cfg) + rep_generators(conjugate_rep(rep), cfg))
 
 
@@ -174,16 +177,8 @@ def direct_sum(r1: RepChart, r2: RepChart) -> RepChart:
         raise ValueError("direct_sum needs representations of one chart")
     if r1.side != r2.side:
         raise ValueError("direct_sum needs matching sides")
-    m = r1.m + r2.m
-
-    def f(a: np.ndarray) -> np.ndarray:
-        out = np.zeros((m, m))
-        out[:r1.m, :r1.m] = r1(a)
-        out[r1.m:, r1.m:] = r2(a)
-        return out
-
-    return RepChart(group=r1.group, m=m, f=f, side=r1.side,
-                    name=f"sum({r1.name},{r2.name})")
+    return RepChart(group=r1.group, m=r1.m + r2.m, f=lambda a: block_diag(r1(a), r2(a)),
+                    side=r1.side, name=f"sum({r1.name},{r2.name})")
 
 
 def direct_sum_generators(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
@@ -202,29 +197,27 @@ def generator_transform(rep: RepChart, g, cfg: DiffConfig | None = None,
     The point g enters twice: through the matrix conjugation and through
     the adjoint weight built from the basic operators.  The two effects
     cancel, so the transformed generators must equal the originals at
-    every g; on the reversed side the conjugation order flips too.
+    every g; on the reversed side the conjugation order flips too.  g is a
+    point (n,), giving (n, m, m), or a stack (..., n), giving (..., n, m, m).
     """
     cfg = cfg or DiffConfig()
-    chart = rep.group
     if gens is None:
         gens = rep_generators(rep, cfg)
-    g = np.asarray(g, float)
-    ops = basic_operators(chart, g, cfg)
-    fg = rep(g)
+    ops = basic_operators(rep.group, g, cfg)
+    fg = rep(g)[..., None, :, :]
     fg_inv = invert(fg)
     conj = fg_inv @ gens @ fg if rep.side == "left" else fg @ gens @ fg_inv
     return _combine(ops.left_inv @ ops.right, conj)
 
 
-def generator_transform_residual(rep: RepChart, cfg: DiffConfig | None = None,
-                                 points: int = 5) -> float:
-    """Constancy of the transformed generators across sampled points."""
+def generator_transform_residual(rep: RepChart, cfg: DiffConfig | None = None) -> float:
+    """Constancy of the transformed generators across GENERATOR_TRANSFORM_POINTS points."""
     cfg = cfg or DiffConfig()
     gens = rep_generators(rep, cfg)
     return worst_over_samples(
         rep.group, cfg, "generator_transform",
-        rowwise(lambda g: maxabs(generator_transform(rep, g, cfg, gens) - gens)),
-        count=points)
+        lambda g: maxabs_rows(generator_transform(rep, g, cfg, gens) - gens, g),
+        count=GENERATOR_TRANSFORM_POINTS)
 
 
 def mixed_identity_residual(rep: RepChart, cfg: DiffConfig | None = None,
@@ -240,10 +233,10 @@ def mixed_identity_residual(rep: RepChart, cfg: DiffConfig | None = None,
     if gens is None:
         gens = rep_generators(rep, cfg)
 
-    def residual(a: np.ndarray) -> float:
-        fa = rep(a)
+    def residual(a: np.ndarray) -> np.ndarray:
+        fa = rep(a)[:, None]
         ops = basic_operators(chart, a, cfg)
-        return maxabs(_combine(ops.left_inv, rep.product(gens, fa))
-                      - _combine(ops.right_inv, rep.product(fa, gens)))
+        return maxabs_rows(_combine(ops.left_inv, rep.product(gens, fa))
+                           - _combine(ops.right_inv, rep.product(fa, gens)), a)
 
-    return worst_over_samples(chart, cfg, "rep_mixed_identity", rowwise(residual))
+    return worst_over_samples(chart, cfg, "rep_mixed_identity", residual)

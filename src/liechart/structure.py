@@ -17,6 +17,8 @@ import numpy as np
 from .group import GroupChart, maxabs, psi_flavored, worst_of, worst_over_samples
 from .numdiff import QUART_EPS, DiffConfig, invert, jacobian, mixed_second, numeric_rank, rowwise
 
+CONSTANCY_POINTS = 5
+
 
 @dataclass(frozen=True)
 class GroupGenerators:
@@ -139,15 +141,14 @@ def _flavored_constants(chart: GroupChart, flavor: str, cfg: DiffConfig,
 
 
 def constancy_residual(chart: GroupChart, flavor: str, cfg: DiffConfig | None = None,
-                       points: int = 5,
                        constants: StructureConstants | None = None) -> float:
-    """Spread of point-measured constants across sampled points."""
+    """Spread of point-measured constants across CONSTANCY_POINTS sampled points."""
     cfg = cfg or DiffConfig()
     base = _flavored_constants(chart, flavor, cfg, constants).c
     return worst_over_samples(
         chart, cfg, f"constancy_{flavor}",
         rowwise(lambda a: maxabs(structure_constants_at_point(chart, a, flavor, cfg) - base)),
-        count=points)
+        count=CONSTANCY_POINTS)
 
 
 def maurer_residual(chart: GroupChart, flavor: str, cfg: DiffConfig | None = None,

@@ -44,7 +44,7 @@ def structure_suite(chart: GroupChart, rep: RepChart | None, cfg: DiffConfig) ->
             + structure.structure_constants_at_point(chart, pt, "left", cfg))), count=1)
 
     for flavor, consts in (("left", c_left), ("right", c_right)):
-        yield f"constancy_{flavor}", 5, structure.constancy_residual(
+        yield f"constancy_{flavor}", structure.CONSTANCY_POINTS, structure.constancy_residual(
             chart, flavor, cfg, constants=consts)
         yield f"maurer_{flavor}", n, structure.maurer_residual(chart, flavor, cfg, consts)
         comm, rank = structure.invariant_field_commutators(chart, flavor, cfg, consts)
@@ -79,7 +79,8 @@ def rep_suite(chart: GroupChart, rep: RepChart | None, cfg: DiffConfig) -> Check
     yield "rep_pde_vector", n, pde_res["rep_pde_vector"]
     yield "rep_integrability", 1, reps.integrability_check(gens, c_left, rep.side)
     yield "rep_mixed_identity", n, reps.mixed_identity_residual(rep, cfg, gens)
-    yield "generator_transform_constancy", 5, reps.generator_transform_residual(rep, cfg)
+    yield ("generator_transform_constancy", reps.GENERATOR_TRANSFORM_POINTS,
+           reps.generator_transform_residual(rep, cfg))
 
 
 def pde_suite(chart: GroupChart, rep: RepChart | None, cfg: DiffConfig) -> Checks:

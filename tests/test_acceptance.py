@@ -171,7 +171,7 @@ def test_criterion_07_one_parameter_subgroups(emit):
     err_nilpotent = np.max(np.abs(end - (gl2.identity + nilpotent)))
 
     generic = one_param_subgroup(gl2, np.array([0.2, 0.3, -0.1, 0.1]), 1.0, cfg=CFG)
-    err_hom = homomorphism_residual(gl2, generic, pairs=10)
+    err_hom = homomorphism_residual(gl2, generic)
 
     mult = get_group("multiplicative")
     err_log = abs(canonical_coordinate(mult, np.array([2.0]), CFG) - np.log(2.0))
@@ -213,7 +213,7 @@ def test_criterion_08_representation_identities(emit):
             (conjugate_generators_check(rep, CFG), 1e-5),
             (tensor_err, 1e-4),
             (sum_err, 1e-5),
-            (generator_transform_residual(rep, CFG, points=5), 1e-4),
+            (generator_transform_residual(rep, CFG), 1e-4),
         ]
         rep_ok = all(res < tol for res, tol in checks)
         ok = ok and rep_ok

@@ -31,6 +31,17 @@ def _gl2_skewed() -> GroupChart:
         inverse_hint=None, name="gl:2 skewed")
 
 
+def _gl2_skewed_left() -> GroupChart:
+    # the same bump with its slots swapped, 0.05 (b0 - 1)^2 a3 on coordinate 1:
+    # it moves compose(e, b) off b, and it bends the left-slot fields
+    chart = get_group("gl:2")
+    law = chart.compose
+    bump = np.eye(4)[1]
+    return dataclasses.replace(
+        chart, compose=lambda a, b: law(a, b) + 0.05 * (b[0] - 1.0) ** 2 * a[3] * bump,
+        inverse_hint=None, name="gl:2 skewed left")
+
+
 def _multiplicative_skewed() -> GroupChart:
     # a b + 0.05 (a - 1)^2 (b - 1): keeps the identity, breaks associativity
     chart = get_group("multiplicative")
@@ -52,6 +63,7 @@ def _translation2_collapsed() -> GroupChart:
 # inverse, so only the pde suite, which never inverts, can run on it
 MUTANTS = {
     "gl:2 skewed": (_gl2_skewed, ("shift", "structure", "flows")),
+    "gl:2 skewed left": (_gl2_skewed_left, ("shift", "structure")),
     "multiplicative skewed": (_multiplicative_skewed, ("shift", "structure", "flows")),
     "translation:2 collapsed": (_translation2_collapsed, ("pde",)),
 }
@@ -77,6 +89,10 @@ def _verdicts(mutant: str) -> dict[str, bool]:
     ("gl:2 skewed", "constancy_right"),
     ("gl:2 skewed", "maurer_right"),
     ("gl:2 skewed", "field_commutators_right"),
+    ("gl:2 skewed left", "chart_identity_left"),
+    ("gl:2 skewed left", "constancy_left"),
+    ("gl:2 skewed left", "maurer_left"),
+    ("gl:2 skewed left", "field_commutators_left"),
     ("gl:2 skewed", "flow_homomorphism"),
     ("gl:2 skewed", "flow_homomorphism_left"),
     ("multiplicative skewed", "flow_homomorphism"),
@@ -101,7 +117,15 @@ def _gl2_rep_transposed() -> RepChart:
                     f=lambda a: a.reshape(2, 2).T.copy(), side="left")
 
 
-REP_MUTANTS = {"gl:2 bumped": _gl2_rep_bumped, "gl:2 transposed": _gl2_rep_transposed}
+def _gl2_rep_offset() -> RepChart:
+    # A + 0.01 E01: the identity no longer maps to the unit matrix
+    offset = np.array([[0.0, 0.01], [0.0, 0.0]])
+    return RepChart(group=get_group("gl:2"), m=2, name="offset",
+                    f=lambda a: a.reshape(2, 2) + offset)
+
+
+REP_MUTANTS = {"gl:2 bumped": _gl2_rep_bumped, "gl:2 transposed": _gl2_rep_transposed,
+               "gl:2 offset": _gl2_rep_offset}
 
 
 @cache
@@ -118,6 +142,7 @@ _REP_CHECKS = ("rep_homomorphism", "rep_pde_map", "rep_pde_vector",
 @pytest.mark.parametrize("mutant, check_id", [
     *(("gl:2 bumped", check_id) for check_id in (*_REP_CHECKS, "rep_inverse")),
     *(("gl:2 transposed", check_id) for check_id in (*_REP_CHECKS, "rep_integrability")),
+    ("gl:2 offset", "rep_identity"),
 ])
 def test_check_fails_on_broken_representation(mutant, check_id):
     assert _rep_verdicts(mutant)[check_id] is False

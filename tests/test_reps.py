@@ -8,6 +8,7 @@ from liechart.group import (
     GroupChart,
     basic_operators,
     check_rng,
+    inverse,
     maxabs,
     psi_flavored,
     sample_points,
@@ -16,6 +17,7 @@ from liechart.group import (
 )
 from liechart.numdiff import DiffConfig, invert, jacobian, rowwise
 from liechart.reps import (
+    GENERATOR_TRANSFORM_POINTS,
     RepChart,
     conjugate_generators_check,
     conjugate_rep,
@@ -55,9 +57,46 @@ def test_rep_chart_validation():
         RepChart(group=chart, m=2, f=lambda a: np.eye(2), side="up")
     with pytest.raises(ValueError):
         RepChart(group=chart, m=0, f=lambda a: np.eye(0))
-    bad_shape = RepChart(group=chart, m=3, f=lambda a: np.eye(2))
-    with pytest.raises(ValueError):
-        bad_shape(chart.identity)
+    def marked_eye(a):
+        return np.eye(2)    # ignores the stack axes
+
+    marked_eye.broadcasts = True
+    stack = np.tile(chart.identity, (3, 1))
+    for bad_shape, at in ((RepChart(group=chart, m=3, f=lambda a: np.eye(2)), chart.identity),
+                          (RepChart(group=chart, m=3, f=lambda a: np.eye(2)), stack),
+                          (RepChart(group=chart, m=2, f=marked_eye), stack)):
+        with pytest.raises(ValueError):
+            bad_shape(at)
+
+
+def test_rep_chart_lifts_an_unmarked_map_only():
+    chart = get_group("gl:2")
+
+    def point_map(a):
+        return a.reshape(2, 2).copy()
+
+    def stack_map(a):
+        return a.reshape(a.shape[:-1] + (2, 2)).copy()
+
+    stack_map.broadcasts = True
+    assert RepChart(group=chart, m=2, f=stack_map).f is stack_map
+    lifted = RepChart(group=chart, m=2, f=point_map).f
+    assert lifted is not point_map and lifted.broadcasts
+    # a lifted map is not lifted again when the representation is copied
+    rep = RepChart(group=chart, m=2, f=point_map)
+    assert dataclasses.replace(rep, side="right").f is rep.f
+
+
+@pytest.mark.parametrize("group_name,rep_name", [
+    *REP_CASES, ("gl:2", "tensor:standard,standard"), ("affine", "sum:matrix,trivial"),
+])
+def test_rep_of_a_stack_is_rep_of_each_point(group_name, rep_name):
+    rep = get_rep(group_name, rep_name)
+    pts = sample_points(rep.group, CFG, np.random.default_rng(5), 6).reshape(2, 3, -1)
+    got = rep(pts)
+    assert got.shape == (2, 3, rep.m, rep.m)
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(got[idx], rep(pts[idx]))
 
 
 def test_standard_rep_generators_are_unit_matrices():
@@ -188,7 +227,7 @@ def test_combination_requires_same_group():
 ])
 def test_generator_transform_is_constant(group_name, rep_name):
     rep = get_rep(group_name, rep_name)
-    assert generator_transform_residual(rep, CFG, points=5) < 1e-4
+    assert generator_transform_residual(rep, CFG) < 1e-4
 
 
 @pytest.mark.parametrize("group_name,rep_name", REP_CASES)
@@ -232,6 +271,8 @@ def test_combination_rejects_distinct_same_named_charts():
 # bit on every case, on either side, except the vector form of the
 # defining equation: f(x) v over the whole stack at once may round a
 # last digit differently from one matrix-vector product per column.
+# The references also go one sample point at a time, where the package
+# runs each residual once over the (count, n) stack of its points.
 
 SIDED_CASES = [(group_name, rep_name, side)
                for group_name, rep_name in REP_CASES for side in ("left", "right")]
@@ -292,6 +333,28 @@ def loop_generator_transform(rep, g, gens):
     return np.array(out)
 
 
+def loop_rep_axioms(rep):
+    chart = rep.group
+
+    def homomorphism(b, a):
+        return maxabs(rep(chart.compose(b, a)) - rep.product(rep(b), rep(a)))
+
+    return {
+        "rep_identity": maxabs(rep(chart.identity) - np.eye(rep.m)),
+        "rep_homomorphism": worst_over_samples(chart, CFG, "rep_homomorphism",
+                                               rowwise(homomorphism), arity=2),
+        "rep_inverse": worst_over_samples(chart, CFG, "rep_inverse", rowwise(
+            lambda a: maxabs(rep(inverse(chart, a, CFG)) - invert(rep(a))))),
+    }
+
+
+def loop_generator_transform_residual(rep, gens):
+    return worst_over_samples(
+        rep.group, CFG, "generator_transform",
+        rowwise(lambda g: maxabs(loop_generator_transform(rep, g, list(gens)) - gens)),
+        count=GENERATOR_TRANSFORM_POINTS)
+
+
 def loop_mixed_identity(rep, gens):
     def residual(a):
         fa = rep(a)
@@ -326,6 +389,12 @@ def test_generator_stack_matches_loop_references(group_name, rep_name, side):
     g = sample_points(rep.group, CFG, np.random.default_rng(3), 1)[0]
     assert np.array_equal(generator_transform(rep, g, CFG, gens),
                           loop_generator_transform(rep, g, list(gens)))
+    pts = sample_points(rep.group, CFG, np.random.default_rng(4), 3)
+    stacked = generator_transform(rep, pts, CFG, gens)
+    for row, p in zip(stacked, pts):
+        assert np.array_equal(row, loop_generator_transform(rep, p, list(gens)))
+    assert rep_axiom_residuals(rep, CFG) == loop_rep_axioms(rep)
+    assert generator_transform_residual(rep, CFG) == loop_generator_transform_residual(rep, gens)
 
 
 def test_integrability_nan_matches_loop_reference():
