@@ -1,4 +1,4 @@
-"""One SHA-256 over a fixed set of JSON reports, to show a change keeps their bytes.
+"""SHA-256 digests over fixed JSON reports and PDE results, to show a change keeps their bytes.
 
 Usage: PYTHONPATH=src python scripts/report_digest.py
 
@@ -11,6 +11,14 @@ and 7 with the default sample count:
 * `check_chart_axioms` and `verify_shift_identities` on hint-free copies of
   the affine and gl:2 laws (every inverse a Newton solve) and on a plain
   ax+b law written for single points (lifted by `numdiff.rowwise`).
+
+A second digest covers the PDE library, by the repr of each result at the
+same seeds: `integrability_residual` of both fixtures, the
+`essential_param_ranks` of every bundled family and every catalog
+composition family, and the `taylor_solve` and `solve_along_path`
+endpoints of `exponential_system`.  It calls only functions whose
+signatures predate the stacked PDE layer, so it runs on either side of
+that change.
 """
 
 import dataclasses
@@ -22,6 +30,16 @@ import numpy as np
 from liechart.catalog import GROUP_NAMES, get_group
 from liechart.group import GroupChart, check_chart_axioms, verify_shift_identities
 from liechart.numdiff import DiffConfig
+from liechart.pde import (
+    bundled_families,
+    essential_param_ranks,
+    exponential_system,
+    group_composition_family,
+    integrability_residual,
+    shear_system,
+    solve_along_path,
+    taylor_solve,
+)
 from liechart.suites import SUITE_NAMES, run_suite
 
 SEEDS = (42, 7)
@@ -59,13 +77,35 @@ def reports() -> Iterator[tuple[str, str]]:
                 yield f"{seed} {chart.name} {check.__name__}", check(chart, cfg).to_json()
 
 
-def main() -> None:
+def pde_results() -> Iterator[tuple[str, str]]:
+    """(label, repr of a PDE library result) pairs, in digest order."""
+    for seed in SEEDS:
+        cfg = DiffConfig(rng_seed=seed)
+        for make in (exponential_system, shear_system):
+            yield f"{seed} {make.__name__} integrability", repr(integrability_residual(make(), cfg))
+        families = [item.family for item in bundled_families()]
+        families += [group_composition_family(get_group(g)) for g in GROUP_NAMES]
+        for fam in families:
+            yield f"{seed} {fam.name} ranks", repr(essential_param_ranks(fam, cfg))
+        sys = exponential_system()
+        end = taylor_solve(sys, [1.0], [0.0, 0.0], [0.3, 0.1], cfg)
+        yield f"{seed} taylor_solve", repr(end.tolist())
+        end = solve_along_path(sys, [1.0], [[0.0, 0.0], [0.2, 0.0], [0.3, 0.1]], cfg)
+        yield f"{seed} solve_along_path", repr(end.tolist())
+
+
+def _digest(pairs: Iterator[tuple[str, str]]) -> tuple[str, int]:
     digest = hashlib.sha256()
     count = 0
-    for label, text in reports():
+    for label, text in pairs:
         digest.update(f"{label}\n{text}\n".encode())
         count += 1
-    print(f"{digest.hexdigest()}  {count} reports")
+    return digest.hexdigest(), count
+
+
+def main() -> None:
+    print("%s  %d reports" % _digest(reports()))
+    print("%s  %d PDE results" % _digest(pde_results()))
 
 
 if __name__ == "__main__":

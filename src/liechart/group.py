@@ -64,9 +64,8 @@ class GroupChart:
             raise ValueError("identity must be an n-vector")
         if self.chart_radius <= 0.0:
             raise ValueError("chart_radius must be positive")
-        if not getattr(self.compose, "broadcasts", False):
-            self.compose = rowwise(self.compose)
-        if self.inverse_hint is not None and not getattr(self.inverse_hint, "broadcasts", False):
+        self.compose = rowwise(self.compose)
+        if self.inverse_hint is not None:
             self.inverse_hint = rowwise(self.inverse_hint)
 
 

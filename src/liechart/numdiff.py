@@ -71,7 +71,11 @@ def rowwise(fn: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
     The lift broadcasts the arguments' leading axes, calls fn once per row
     and stacks the results.  It is marked `broadcasts = True` and has no
     `__wrapped__`, so nothing unwraps it back into a map of single points.
+    A map already marked `broadcasts = True` is returned as it is.
     """
+    if getattr(fn, "broadcasts", False):
+        return fn
+
     def lifted(*args):
         args = [np.asarray(x, dtype=float) for x in args]
         lead = args[0].shape[:-1]

@@ -11,7 +11,7 @@ x-derivatives and watch the rank saturate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import combinations_with_replacement
 from typing import Callable
@@ -20,25 +20,27 @@ import numpy as np
 
 from .errors import NonFiniteEvaluation, NotIntegrable
 from .flows import rk4_path, step_doubled
-from .group import GroupChart, check_rng, maxabs, worst_of
+from .group import GroupChart, check_rng, maxabs_rows, worst_of
 from .numdiff import DiffConfig, as_finite_array, jacobian, numeric_rank, rowwise
 
 _TAYLOR_STEPS = 500
 _INTEGRABILITY_TOL = 1e-6
 _FAMILY_RADIUS = 0.1
+_S_MAX = 3  # top x-derivative order of a family's jet
 
 
 @dataclass(frozen=True)
 class PDESystem:
     """First-order system d theta / d x = psi(theta, x).
 
-    psi maps (theta (m,), x (n,)) to an (m, n) array of derivatives.
-    The boxes bound where sample points for integrability testing are
-    drawn: rows of (low, high) per coordinate.
+    The boxes bound where integrability sample points are drawn: rows of
+    (low, high), m = len(theta_box) for theta and n = len(x_box) for x.
+    psi maps (theta (m,), x (n,)) to an (m, n) array.  It stays a map of
+    single points: taylor_solve calls it once per RK4 stage, thousands of
+    times per solve, and a `numdiff.rowwise` lift would add about 8 us to
+    each call.  The integrability stencils lift it where their stacks begin.
     """
 
-    m: int
-    n: int
     psi: Callable[[np.ndarray, np.ndarray], np.ndarray]
     theta_box: np.ndarray
     x_box: np.ndarray
@@ -46,8 +48,9 @@ class PDESystem:
 
     def rhs(self, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
         out = as_finite_array(self.psi(theta, x), "pde right-hand side")
-        if out.shape != (self.m, self.n):
-            raise ValueError(f"psi returned {out.shape}, expected {(self.m, self.n)}")
+        if out.shape != (len(self.theta_box), len(self.x_box)):
+            raise ValueError(f"psi returned {out.shape}; its boxes need (m, n) = "
+                             f"({len(self.theta_box)}, {len(self.x_box)})")
         return out
 
 
@@ -57,21 +60,22 @@ def _sample_box(box: np.ndarray, rng: np.random.Generator, count: int) -> np.nda
 
 
 def _psi_derivatives(sys: PDESystem, theta: np.ndarray, x: np.ndarray,
-                     cfg: DiffConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    psi = sys.rhs(theta, x)
-    dpsi_dx = jacobian(rowwise(lambda v: sys.rhs(theta, v).ravel()), x, cfg)
-    dpsi_dth = jacobian(rowwise(lambda v: sys.rhs(v, x).ravel()), theta, cfg)
-    return (psi,
-            dpsi_dx.reshape(sys.m, sys.n, sys.n),
-            dpsi_dth.reshape(sys.m, sys.n, sys.m))
+                     cfg: DiffConfig) -> tuple[np.ndarray, np.ndarray]:
+    """psi (..., m, n) and its total x-derivative (..., m, n, n) at theta
+    (..., m) and x (..., n): d psi_ai / d x_j + sum_s d psi_ai / d theta_s psi_sj."""
+    rhs = rowwise(sys.rhs)
+    psi = rhs(theta, x)
+    dpsi_dx = jacobian(lambda v: rhs(theta[..., None, :], v).reshape(v.shape[:-1] + (-1,)), x, cfg)
+    dpsi_dth = jacobian(lambda v: rhs(v, x[..., None, :]).reshape(v.shape[:-1] + (-1,)), theta, cfg)
+    return psi, (dpsi_dx.reshape(psi.shape + (-1,))
+                 + np.einsum("...ais,...sj->...aij", dpsi_dth.reshape(psi.shape + (-1,)), psi))
 
 
 def _cross_residual(sys: PDESystem, theta: np.ndarray, x: np.ndarray,
-                    cfg: DiffConfig) -> float:
-    """Antisymmetric part of the total x-derivative of psi."""
-    psi, dpsi_dx, dpsi_dth = _psi_derivatives(sys, theta, x, cfg)
-    total = dpsi_dx + np.einsum("ais,sj->aij", dpsi_dth, psi)
-    return maxabs(total - np.transpose(total, (0, 2, 1)))
+                    cfg: DiffConfig) -> np.ndarray:
+    """Antisymmetric part of the total x-derivative of psi, one maxabs per row."""
+    total = _psi_derivatives(sys, theta, x, cfg)[1]
+    return maxabs_rows(total - np.swapaxes(total, -1, -2), theta)
 
 
 def integrability_residual(sys: PDESystem, cfg: DiffConfig | None = None) -> float:
@@ -82,13 +86,12 @@ def integrability_residual(sys: PDESystem, cfg: DiffConfig | None = None) -> flo
     the mixed partials disagree.
     """
     cfg = cfg or DiffConfig()
-    if sys.n < 2:
+    if len(sys.x_box) < 2:
         return 0.0
     rng = check_rng(cfg, f"pde_integrability_{sys.name}")
     thetas = _sample_box(sys.theta_box, rng, cfg.sample_count)
     xs = _sample_box(sys.x_box, rng, cfg.sample_count)
-    return worst_of(_cross_residual(sys, thetas[i], xs[i], cfg)
-                    for i in range(cfg.sample_count))
+    return worst_of(_cross_residual(sys, thetas, xs, cfg))
 
 
 def _require_integrable(sys: PDESystem, cfg: DiffConfig) -> None:
@@ -110,8 +113,7 @@ def taylor_coefficients(sys: PDESystem, consts, x0,
     cfg = cfg or DiffConfig()
     theta = as_finite_array(consts).ravel()
     x0 = as_finite_array(x0).ravel()
-    psi, dpsi_dx, dpsi_dth = _psi_derivatives(sys, theta, x0, cfg)
-    second = dpsi_dx + np.einsum("ais,sj->aij", dpsi_dth, psi)
+    psi, second = _psi_derivatives(sys, theta, x0, cfg)
     return theta.copy(), psi, second
 
 
@@ -159,23 +161,25 @@ def solve_along_path(sys: PDESystem, consts, waypoints, cfg: DiffConfig | None =
 # --- essential parameters ---------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class FunctionFamily:
-    """Family of maps f(x, a): variables x (n_x,), parameters a (r,)."""
+    """Family of maps f(x, a) -> (n_out,): variables x (len(x_box),),
+    parameters a (a0.size,).  Unless marked `broadcasts = True`, f is lifted
+    by `numdiff.rowwise`: value maps broadcasting stacks to (..., n_out)."""
 
     n_out: int
-    n_x: int
-    r: int
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
     a0: np.ndarray
     x_box: np.ndarray
-    s_max: int = 3
     name: str = "family"
 
+    def __post_init__(self) -> None:
+        self.f = rowwise(self.f)
+
     def value(self, x: np.ndarray, a: np.ndarray) -> np.ndarray:
-        out = as_finite_array(self.f(x, a), "family value").ravel()
-        if out.size != self.n_out:
-            raise ValueError(f"family returned {out.size} outputs, expected {self.n_out}")
+        out = as_finite_array(self.f(x, a), "family value")
+        if out.shape[-1:] != (self.n_out,):
+            raise ValueError(f"family returned {out.shape}, expected (..., {self.n_out})")
         return out
 
 
@@ -184,13 +188,21 @@ def _nested_x_derivative(fam: FunctionFamily, x: np.ndarray, a: np.ndarray,
     if not multi:
         return fam.value(x, a)
     i, rest = multi[0], multi[1:]
-    h = step * max(1.0, abs(float(x[i])))
+    h = step * np.maximum(1.0, np.abs(x[..., i:i + 1]))
     xp = x.copy()
     xm = x.copy()
-    xp[i] += h
-    xm[i] -= h
+    xp[..., i:i + 1] += h
+    xm[..., i:i + 1] -= h
     return (_nested_x_derivative(fam, xp, a, rest, step)
             - _nested_x_derivative(fam, xm, a, rest, step)) / (2.0 * h)
+
+
+def _parameter_jacobian(fam: FunctionFamily, xs: np.ndarray, multi: tuple[int, ...],
+                        step: float, cfg: DiffConfig) -> np.ndarray:
+    """(r, k n_out) block: row alpha is d / d a^alpha, at a0, of the x-derivative
+    along multi at each of the k points xs, x-major and then output."""
+    return jacobian(lambda a: _nested_x_derivative(fam, xs, a[..., None, :], multi, step)
+                    .reshape(a.shape[:-1] + (-1,)), fam.a0, cfg.replace(base_step=step)).T
 
 
 def essential_param_ranks(fam: FunctionFamily, cfg: DiffConfig | None = None) -> list[int]:
@@ -198,30 +210,24 @@ def essential_param_ranks(fam: FunctionFamily, cfg: DiffConfig | None = None) ->
 
     Entry s is the rank of the matrix whose rows (one per parameter)
     hold the parameter derivative of every x-derivative of f up to
-    order s, pooled over sampled x points.  Stops as soon as the rank
-    saturates: hits r, repeats, or starts at zero.
+    order s, pooled over sampled x points: one jacobian per multi-index
+    over all of them.  Stops as soon as the rank saturates: hits the
+    parameter count a0.size, repeats, or starts at zero; else at order 3.
     """
     cfg = cfg or DiffConfig()
     rng = check_rng(cfg, f"essential_params_{fam.name}")
     xs = _sample_box(fam.x_box, rng, cfg.sample_count)
-    a0 = as_finite_array(fam.a0).ravel()
 
     blocks: list[np.ndarray] = []
     ranks: list[int] = []
-    for s in range(fam.s_max + 1):
+    for s in range(_S_MAX + 1):
         # one more nesting level than the x-derivative order, since the
         # parameter derivative is taken on top of the x-stencil
         step = cfg.base_step ** (1.0 / (s + 2.0))
-        step_cfg = cfg.replace(base_step=step)
-        # row alpha holds the parameter derivative d / d a^alpha
-        cols = [jacobian(rowwise(lambda a: _nested_x_derivative(fam, x, a, multi, step)), a0,
-                         step_cfg).T
-                for multi in combinations_with_replacement(range(fam.n_x), s)
-                for x in xs]
-        blocks.append(np.concatenate(cols, axis=1) if cols else np.zeros((fam.r, 0)))
-        stacked = np.concatenate(blocks, axis=1)
-        ranks.append(numeric_rank(stacked))
-        if ranks[-1] == fam.r:
+        blocks += [_parameter_jacobian(fam, xs, multi, step, cfg)
+                   for multi in combinations_with_replacement(range(xs.shape[-1]), s)]
+        ranks.append(numeric_rank(np.concatenate(blocks, axis=1)))
+        if ranks[-1] == np.size(fam.a0):
             break
         if ranks[-1] == 0:
             break
@@ -241,7 +247,6 @@ def essential_count(fam: FunctionFamily, cfg: DiffConfig | None = None) -> int:
 def exponential_system() -> PDESystem:
     """theta' = theta in each of two directions; solution C * exp(x1 + x2)."""
     return PDESystem(
-        m=1, n=2,
         psi=lambda th, x: np.array([[th[0], th[0]]]),
         theta_box=np.array([[0.5, 2.0]]),
         x_box=np.array([[-0.5, 0.5], [-0.5, 0.5]]),
@@ -252,7 +257,6 @@ def exponential_system() -> PDESystem:
 def shear_system() -> PDESystem:
     """Non-integrable on purpose: d theta/d x1 = x2, d theta/d x2 = 0."""
     return PDESystem(
-        m=1, n=2,
         psi=lambda th, x: np.array([[x[1], 0.0]]),
         theta_box=np.array([[-1.0, 1.0]]),
         x_box=np.array([[-1.0, 1.0], [-1.0, 1.0]]),
@@ -273,26 +277,22 @@ def bundled_families() -> list[BundledFamily]:
     fams = [
         BundledFamily(
             FunctionFamily(
-                n_out=1, n_x=1, r=2,
-                f=lambda x, a: np.array([(a[0] + a[1]) * x[0]]),
+                n_out=1, f=lambda x, a: np.array([(a[0] + a[1]) * x[0]]),
                 a0=np.array([0.7, 0.4]), x_box=box, name="pooled_scale"),
             expected_count=1, expected_ranks=(1, 1)),
         BundledFamily(
             FunctionFamily(
-                n_out=1, n_x=1, r=2,
-                f=lambda x, a: np.array([a[0] * x[0] + a[1]]),
+                n_out=1, f=lambda x, a: np.array([a[0] * x[0] + a[1]]),
                 a0=np.array([0.7, 0.4]), x_box=box, name="affine_line"),
             expected_count=2, expected_ranks=(2,)),
         BundledFamily(
             FunctionFamily(
-                n_out=1, n_x=1, r=2,
-                f=lambda x, a: np.array([a[0] * a[1] * x[0]]),
+                n_out=1, f=lambda x, a: np.array([a[0] * a[1] * x[0]]),
                 a0=np.array([0.7, 0.4]), x_box=box, name="product_scale"),
             expected_count=1, expected_ranks=(1, 1)),
         BundledFamily(
             FunctionFamily(
-                n_out=1, n_x=1, r=2,
-                f=lambda x, a: np.array([x[0] ** 2]),
+                n_out=1, f=lambda x, a: np.array([x[0] ** 2]),
                 a0=np.array([0.7, 0.4]), x_box=box, name="parameter_free"),
             expected_count=0, expected_ranks=(0,)),
     ]
@@ -302,9 +302,10 @@ def bundled_families() -> list[BundledFamily]:
 def group_composition_family(chart: GroupChart) -> FunctionFamily:
     """The composition law as a family: parameters move the left slot."""
     box = np.column_stack([chart.identity - _FAMILY_RADIUS, chart.identity + _FAMILY_RADIUS])
-    return FunctionFamily(
-        n_out=chart.n, n_x=chart.n, r=chart.n,
-        f=lambda x, a: chart.compose(a, x),
-        a0=chart.identity.copy(), x_box=box, s_max=2,
-        name=f"compose_{chart.name}",
-    )
+
+    def f(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+        return chart.compose(a, x)
+
+    f.broadcasts = True  # a chart's law always broadcasts
+    return FunctionFamily(n_out=chart.n, f=f, a0=chart.identity.copy(), x_box=box,
+                          name=f"compose_{chart.name}")

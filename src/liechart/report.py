@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -60,14 +61,14 @@ class CheckReport:
     def to_json(self) -> str:
         """Render with fixed field order and 17-significant-digit reals."""
         lines = ["{"]
-        lines.append(f'  "suite": {_js(self.suite)},')
-        lines.append(f'  "group": {_js(self.group)},')
-        lines.append(f'  "rep": {_js(self.rep)},')
+        lines.append(f'  "suite": {json.dumps(self.suite)},')
+        lines.append(f'  "group": {json.dumps(self.group)},')
+        lines.append(f'  "rep": {json.dumps(self.rep)},')
         lines.append(f'  "seed": {int(self.seed)},')
         lines.append(f'  "fd_step": {_jf(self.fd_step)},')
         if self.tol:
             lines.append('  "tol": {')
-            entries = [f'    {_js(k)}: {_jf(v)}' for k, v in self.tol.items()]
+            entries = [f'    {json.dumps(k)}: {_jf(v)}' for k, v in self.tol.items()]
             lines.append(",\n".join(entries))
             lines.append("  },")
         else:
@@ -78,7 +79,7 @@ class CheckReport:
             for c in self.checks:
                 rows.append(
                     "    {"
-                    + f'"id": {_js(c.check_id)}, '
+                    + f'"id": {json.dumps(c.check_id)}, '
                     + f'"max_residual": {_jf(c.max_residual)}, '
                     + f'"samples": {int(c.samples)}, '
                     + f'"pass": {"true" if c.passed else "false"}'
@@ -109,13 +110,6 @@ class CheckReport:
             tail += f", {self.wall_time_ms:.0f} ms"
         rows.append(tail)
         return "\n".join(rows)
-
-
-def _js(s: str | None) -> str:
-    if s is None:
-        return "null"
-    escaped = s.replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{escaped}"'
 
 
 def _jf(x: float) -> str:

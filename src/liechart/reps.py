@@ -52,8 +52,7 @@ class RepChart:
             raise ValueError(f"side must be 'left' or 'right', got {self.side!r}")
         if self.m < 1:
             raise ValueError("representation dimension must be positive")
-        if not getattr(self.f, "broadcasts", False):
-            self.f = rowwise(self.f)
+        self.f = rowwise(self.f)
 
     def __call__(self, a) -> np.ndarray:
         a = np.asarray(a, float)

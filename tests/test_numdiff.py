@@ -159,6 +159,7 @@ def test_rowwise_broadcasts_leading_axes_and_keeps_row_values():
     law = rowwise(lambda a, b: np.array([a[0] * b[0], a[0] * b[1] + a[1]]))
     assert law.broadcasts is True
     assert not hasattr(law, "__wrapped__")
+    assert rowwise(law) is law      # a marked map is returned as it is
     a = np.random.default_rng(5).uniform(-1.0, 1.0, (3, 1, 2))
     b = np.random.default_rng(6).uniform(-1.0, 1.0, (4, 2))
     out = law(a, b)

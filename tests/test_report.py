@@ -94,6 +94,13 @@ def test_string_escaping():
     doc = json.loads(rpt.to_json())
     assert doc["suite"] == 's"q'
     assert doc["group"] == "g\\h"
+    # a raw tab or newline in a name must still give valid JSON
+    name = 'line\tchart\n"quoted" back\\slash \u00e9\u03bb'
+    rpt = CheckReport(suite=name, group=name, rep=name)
+    rpt.add(CheckRecord.from_residual(name, 0.5, 1.0, 3))
+    doc = json.loads(rpt.to_json())
+    assert doc["suite"] == doc["group"] == doc["rep"] == name
+    assert doc["checks"][0]["id"] == name and list(doc["tol"]) == [name]
 
 
 @given(st.floats(min_value=1e-300, max_value=1e300))
