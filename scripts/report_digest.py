@@ -19,10 +19,14 @@ composition family, and the `taylor_solve` and `solve_along_path`
 endpoints of `exponential_system`.  It calls only functions whose
 signatures predate the stacked PDE layer, so it runs on either side of
 that change.
+
+Then one digest per check id, over the label and row of every report row
+with that id, so a change meant to move one check shows which ids moved.
 """
 
 import dataclasses
 import hashlib
+import json
 from typing import Iterator
 
 import numpy as np
@@ -104,8 +108,15 @@ def _digest(pairs: Iterator[tuple[str, str]]) -> tuple[str, int]:
 
 
 def main() -> None:
-    print("%s  %d reports" % _digest(reports()))
+    pairs = list(reports())
+    print("%s  %d reports" % _digest(iter(pairs)))
     print("%s  %d PDE results" % _digest(pde_results()))
+    rows: dict[str, list[tuple[str, str]]] = {}
+    for label, text in pairs:
+        for row in json.loads(text)["checks"]:
+            rows.setdefault(row["id"], []).append((label, json.dumps(row)))
+    for check_id in sorted(rows):
+        print("%s  %d rows" % _digest(iter(rows[check_id])), check_id)
 
 
 if __name__ == "__main__":

@@ -532,7 +532,6 @@ TOLERANCES = {
     "inverse_roundtrip": 1e-7,
     "basic_ops_at_identity": 1e-7,
     **dict.fromkeys(SHIFT_CHECK_IDS, 1e-4),
-    "generator_swap": 1e-4,
     "jacobi_left": 1e-4,
     "anti_isomorphism_measured": 1e-3,
     "constancy_left": 1e-3,

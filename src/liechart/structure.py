@@ -56,11 +56,6 @@ def group_generators(chart: GroupChart, cfg: DiffConfig | None = None) -> GroupG
     return GroupGenerators(chart, tensor, right_tensor)
 
 
-def swap_residual(gens: GroupGenerators) -> float:
-    """Left- and right-flavor generator tensors agree under index swap."""
-    return maxabs(gens.tensor - np.transpose(gens.right_tensor, (0, 2, 1)))
-
-
 def structure_constants(gens: GroupGenerators, flavor: str = "left") -> StructureConstants:
     t = gens.tensor
     c_left = np.transpose(t, (0, 2, 1)) - t

@@ -36,7 +36,6 @@ def structure_suite(chart: GroupChart, rep: RepChart | None, cfg: DiffConfig) ->
     c_right = structure.structure_constants(gens, "right")
     n = cfg.sample_count
 
-    yield "generator_swap", 1, structure.swap_residual(gens)
     yield "jacobi_left", 1, structure.jacobi_residual(c_left)
     yield "anti_isomorphism_measured", 1, worst_over_samples(
         chart, cfg, "anti_isomorphism_measured", rowwise(lambda pt: maxabs(

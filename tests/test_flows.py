@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -62,14 +63,16 @@ def test_homomorphism_residual_small():
     assert homomorphism_residual(chart, flow) < 1e-5
 
 
-@pytest.mark.parametrize("steps, compared", [(16, 15), (32, 10)])
+@pytest.mark.parametrize("steps, compared", [(16, 15), (32, 10), (1, 0)])
 def test_homomorphism_pairs_are_the_compositions_made(steps, compared, law_counter):
+    # all pairs in one law call, none on a path too short to have any
     chart = law_counter.chart(get_group("translation:2"))
     flow = one_param_subgroup(chart, np.array([0.1, -0.2]), 1.0, steps=steps)
     assert len(flows.homomorphism_pairs(flow)) == compared
-    before = law_counter.calls
+    evals, calls = law_counter.evals, law_counter.calls
     homomorphism_residual(chart, flow)
-    assert law_counter.calls - before == compared
+    assert law_counter.evals - evals == compared
+    assert law_counter.calls - calls == min(1, compared)
 
 
 @pytest.mark.parametrize("name", GROUP_NAMES)
@@ -78,9 +81,9 @@ def test_flows_suite_reports_the_pairs_it_compares(name, monkeypatch, law_counte
     residual = flows.homomorphism_residual
 
     def counted_residual(chart, flow):
-        before = law_counter.calls
+        before = law_counter.evals
         out = residual(law_counter.chart(chart), flow)
-        compared.append(law_counter.calls - before)
+        compared.append(law_counter.evals - before)
         return out
 
     monkeypatch.setattr(flows, "homomorphism_residual", counted_residual)
@@ -185,6 +188,64 @@ def test_canonical_coordinate_catches_a_narrow_dip(centre):
                 canonical_coordinate(chart, target, CFG)
 
 
+def _dip_chart(centre):
+    # the narrow-dip law above: psi is negative on a band about 0.017 wide
+    def law(a, b):
+        return a + (1.0 - 2.0 * np.exp(-((a - centre) / 0.01) ** 2)) * b
+
+    return GroupChart(n=1, compose=law, identity=np.zeros(1), name="dip")
+
+
+def _named_node(exc_info) -> float:
+    return float(re.search(r"at x = (\S+) on the path", str(exc_info.value)).group(1))
+
+
+@pytest.mark.parametrize("centre, target", [
+    (0.3, [[0.2], [1.0]]), (0.37, [[0.2], [1.0]]), (0.5123, [[0.2], [1.0]]),
+    # a path of length 0.2 gets 28 intervals, not 128: the dip is where
+    # the grid is coarsest against the fixed one
+    (0.15, [0.2]),
+])
+def test_zero_psi_names_a_node_in_the_dip(centre, target):
+    with pytest.raises(ZeroPsi) as info:
+        canonical_coordinate(_dip_chart(centre), np.array(target), CFG)
+    assert str(info.value).endswith(f"on the path from 0 to {np.ravel(target)[-1]:g}")
+    assert abs(_named_node(info) - centre) <= 0.02
+
+
+def test_additivity_residual_names_the_dip_it_meets():
+    # the sample ball of the dip chart reaches past 0.15
+    with pytest.raises(ZeroPsi) as info:
+        additivity_residual(_dip_chart(0.15), CFG)
+    assert str(info.value).startswith("canonical_additivity: ")
+    assert abs(_named_node(info) - 0.15) <= 0.02
+
+
+@pytest.mark.parametrize("length, intervals", [(0.0, 4), (0.05, 8), (0.2, 28), (1.0, 128),
+                                               (2.0, 128)])
+def test_canonical_coordinate_grid_grows_with_the_path(length, intervals, law_counter):
+    chart = law_counter.chart(get_group("translation:1"))
+    assert canonical_coordinate(chart, np.array([length])) == pytest.approx(length, abs=1e-10)
+    assert law_counter.evals == 2 * (intervals + 1)
+    assert law_counter.calls == 1
+
+
+@pytest.mark.parametrize("name", [name for name in GROUP_NAMES if get_group(name).n == 1])
+def test_canonical_coordinate_of_a_mixed_stack_is_that_of_each_point(name):
+    # the identity, two short paths, a unit path and paths of length 0.5 and 2
+    chart = get_group(name)
+    pts = chart.identity + np.array([[0.0], [0.05], [-0.2], [1.0], [0.5], [2.0]])
+    got = canonical_coordinate(chart, pts, CFG)
+    assert got[0] == 0.0
+    assert np.array_equal(got, [canonical_coordinate(chart, p, CFG) for p in pts])
+
+
+def test_canonical_coordinate_matches_log_at_sampled_points():
+    chart = get_group("multiplicative")
+    pts = sample_points(chart, CFG, check_rng(CFG, "canonical_log"), 50)
+    assert np.max(np.abs(canonical_coordinate(chart, pts, CFG) - np.log(pts[:, 0]))) <= 1e-11
+
+
 def test_homomorphism_residual_keeps_nan():
     def compose(a, b):
         # translation that breaks down once both factors pass 0.1; the flow
@@ -255,8 +316,8 @@ def test_step_doubling_raises_left_chart_from_the_capped_pass():
 # composition-law evaluations of the seed-42 flows suite at the default 20
 # samples.  CEILING_EVALS are the counts with a fixed 1000 RK4 steps per
 # unit time; no change to the suite should rise above them.
-FLOWS_EVALS = {"translation:1": 16_034, "translation:2": 798, "translation:3": 1_182,
-               "multiplicative": 16_034, "affine": 798, "gl:1": 16_034,
+FLOWS_EVALS = {"translation:1": 2_610, "translation:2": 798, "translation:3": 1_182,
+               "multiplicative": 2_626, "affine": 798, "gl:1": 2_626,
                "gl:2": 1_566, "gl:3": 8_084}
 CEILING_EVALS = {"translation:1": 44_502, "translation:2": 56_018, "translation:3": 84_018,
                  "multiplicative": 45_414, "affine": 56_018, "gl:1": 45_414,

@@ -183,7 +183,6 @@ _SINGULAR_FRAME = ("a frame singular on the sample ball makes anti_isomorphism_m
 
 # check ids with no known-bad case, each with the reason none can exist
 EXEMPT = {
-    "generator_swap": "holds for every C^2 law, by the symmetry of mixed partials",
     "frame_rank_left": _SINGULAR_FRAME,
     "frame_rank_right": _SINGULAR_FRAME,
 }

@@ -19,7 +19,6 @@ from liechart.structure import (
     maurer_residual,
     structure_constants,
     structure_constants_at_point,
-    swap_residual,
 )
 from liechart.suites import run_suite
 
@@ -66,12 +65,6 @@ def test_generators_gl2_delta_pattern():
     for k, l, j in itertools.product(range(2), repeat=3):
         expected[2 * k + l, 2 * k + j, 2 * j + l] = 1.0
     assert np.max(np.abs(gens.tensor - expected)) < 1e-6
-
-
-@pytest.mark.parametrize("name", ["affine", "gl:2"])
-def test_swap_residual_small(name):
-    gens = group_generators(get_group(name), CFG)
-    assert swap_residual(gens) < 1e-4
 
 
 def test_structure_constants_affine_frozen():
