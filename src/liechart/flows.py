@@ -120,7 +120,7 @@ def homomorphism_residual(chart: GroupChart, flow: FlowResult) -> float:
     rather than interpolation error.
     """
     i = np.asarray(homomorphism_pairs(flow))
-    if i.size == 0:
+    if i.size == 0:         # a path too short to have pairs makes no law call
         return 0.0
     return worst_of(maxabs_rows(chart.compose(flow.path[i], flow.path[-1 - i]) - flow.path[-1],
                                 flow.path[i]))

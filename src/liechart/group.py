@@ -16,6 +16,7 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
@@ -105,8 +106,11 @@ def maxabs(x) -> float:
 
 def maxabs_rows(x, point) -> np.ndarray:
     """maxabs of x per sample point: `point` of shape (..., n) gives a (...)
-    array of maxima, one point (n,) a scalar.  A NaN keeps its row NaN."""
-    return np.abs(x).reshape(np.shape(point)[:-1] + (-1,)).max(axis=-1)
+    array of maxima, one point (n,) a scalar.  A NaN keeps its row NaN, and
+    an empty (0, n) stack gives an empty (0,) array."""
+    lead = np.shape(point)[:-1]
+    x = np.abs(x)
+    return x.reshape(lead + (math.prod(x.shape[len(lead):]),)).max(axis=-1, initial=0.0)
 
 
 def worst_of(residuals: Iterable[float]) -> float:
@@ -126,76 +130,86 @@ def worst_of(residuals: Iterable[float]) -> float:
 def inverse(chart: GroupChart, a, cfg: DiffConfig | None = None) -> np.ndarray:
     """Coordinates of the group inverse of a, one point (n,) or a stack (..., n).
 
-    Uses the chart's closed-form hint when present, otherwise a damped
-    Newton iteration on compose(a, x) = e seeded at the identity.  A stack
-    is mapped by the hint and checked against it in one call each, and
-    only the rows the hint misses go to Newton, one at a time; without a
-    hint every row is its own Newton solve.
+    With the chart's closed-form hint, the rows are mapped by the hint and
+    checked against it (compose(a, x) within 1e-10 of e) in one call each,
+    and only the rows the hint misses are polished by Newton; without a
+    hint every row is solved by Newton from the identity.  One `_newton`
+    call takes all those rows, each solved as it would be alone, so a row
+    keeps the bits of its own inverse and the stack raises only when one
+    of its rows would.
     """
     cfg = cfg or DiffConfig()
     a = as_finite_array(a, "inverse argument")
-    if a.ndim == 1:
-        return _inverse_point(chart, a, cfg)
     rows = a.reshape(-1, chart.n)
     if chart.inverse_hint is None:
-        return np.array([_inverse_point(chart, p, cfg) for p in rows]).reshape(a.shape)
-    x = as_finite_array(chart.inverse_hint(rows), "inverse hint").reshape(rows.shape)
-    sloppy = np.flatnonzero(
-        maxabs_rows(as_finite_array(chart.compose(rows, x)) - chart.identity, rows) > 1e-10)
+        x = np.broadcast_to(chart.identity, rows.shape)
+        sloppy = np.arange(len(rows))
+    else:
+        x = as_finite_array(chart.inverse_hint(rows), "inverse hint").reshape(rows.shape)
+        sloppy = np.flatnonzero(
+            maxabs_rows(as_finite_array(chart.compose(rows, x)) - chart.identity, rows) > 1e-10)
     if sloppy.size:
-        x = x.copy()        # the hint may have handed back an array it still holds
-        for i in sloppy:
-            x[i] = _newton(chart, rows[i], x[i], cfg)
+        x = x.copy()        # a view of the identity, or an array the hint still holds
+        x[sloppy] = _newton(chart, rows[sloppy], x[sloppy], cfg)
     return x.reshape(a.shape)
 
 
-def _inverse_point(chart: GroupChart, a: np.ndarray, cfg: DiffConfig) -> np.ndarray:
-    e = chart.identity
-    if chart.inverse_hint is None:
-        return _newton(chart, a, e.copy(), cfg)
-    x = as_finite_array(chart.inverse_hint(a), "inverse hint")
-    if maxabs(as_finite_array(chart.compose(a, x)) - e) <= 1e-10:
-        return x
-    # Newton polish on a sloppy hint
-    return _newton(chart, a, x, cfg)
-
-
 def _newton(chart: GroupChart, a: np.ndarray, x: np.ndarray, cfg: DiffConfig) -> np.ndarray:
-    """Damped Newton on compose(a, x) = e from x, for one point a."""
+    """Damped Newton on compose(a, x) = e from x, for a (k, n) stack a;
+    x is updated in place and returned.
+
+    Each iteration makes one residual call and one `_a_right` stencil on
+    the rows not yet settled, one batched solve, and one law call per
+    damping level on the rows whose step is still being halved; a row
+    leaves the stack once its residual is below _NEWTON_TOL.  So each row
+    takes the steps and the evaluations of its own one-point solve.  The
+    first breakdown met in any row raises, with the type and message that
+    row raises alone.
+    """
     e = chart.identity
+    live = np.arange(len(a))
     for _ in range(_NEWTON_MAX_ITER):
-        r = as_finite_array(chart.compose(a, x), "inverse residual") - e
-        rn = maxabs(r)
-        if rn < _NEWTON_TOL:
+        r = as_finite_array(chart.compose(a[live], x[live]), "inverse residual") - e
+        rn = maxabs_rows(r, r)
+        going = rn >= _NEWTON_TOL
+        live, r, rn = live[going], r[going], rn[going]
+        if not live.size:
             return x
-        j = _a_right(chart, a, x, cfg)
+        j = _a_right(chart, a[live], x[live], cfg)
         try:
-            delta = np.linalg.solve(j, -r)
+            delta = np.linalg.solve(j, -r[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
             raise SingularMatrix("inverse Newton hit a singular shift Jacobian") from exc
+        halving = np.arange(live.size)      # positions in live of the rows still halving
         t = 1.0
-        while t >= _DAMPING_FLOOR:
-            xn = x + t * delta
-            trial = np.asarray(chart.compose(a, xn), dtype=float)
-            if np.logical_and.reduce(np.isfinite(trial), axis=None) and maxabs(trial - e) < rn:
-                x = xn
-                break
+        while halving.size:
+            if t < _DAMPING_FLOOR:
+                raise NoConvergence("inverse Newton: no damping step improved the residual")
+            idx = live[halving]
+            xn = x[idx] + t * delta[halving]
+            # a NaN or Inf in the trial never compares below the residual
+            trial = np.asarray(chart.compose(a[idx], xn), dtype=float)
+            better = maxabs_rows(trial - e, xn) < rn[halving]
+            x[idx[better]] = xn[better]
+            halving = halving[~better]
             t *= 0.5
-        else:
-            raise NoConvergence("inverse Newton: no damping step improved the residual")
     raise NoConvergence(f"inverse Newton did not converge in {_NEWTON_MAX_ITER} iterations")
 
 
-def _admissible(chart: GroupChart, a: np.ndarray, cfg: DiffConfig) -> bool:
-    """Whether the sampler keeps point a: its inverse exists, composes
-    finitely on both sides and stays within chart_radius."""
-    try:
-        inv = inverse(chart, a, cfg)
-        as_finite_array(chart.compose(a, inv))
-        as_finite_array(chart.compose(inv, a))
-    except (SingularMatrix, NoConvergence, NonFiniteEvaluation):
-        return False
-    return maxabs(inv - chart.identity) <= chart.chart_radius
+_REJECTED = (SingularMatrix, NoConvergence, NonFiniteEvaluation)
+
+
+def _admissible(chart: GroupChart, rows: np.ndarray, cfg: DiffConfig) -> np.ndarray:
+    """Which rows of the (k, n) stack the sampler keeps: their inverse
+    exists, composes finitely on both sides and stays within chart_radius.
+
+    Only compose(inv, a) is evaluated here: `inverse` has already found
+    compose(a, inv) finite, in the hint test or in Newton's last residual.
+    A breakdown of any row's inverse raises, as `inverse` does.
+    """
+    inv = inverse(chart, rows, cfg)
+    finite = np.logical_and.reduce(np.isfinite(chart.compose(inv, rows)), axis=-1)
+    return finite & (maxabs_rows(inv - chart.identity, rows) <= chart.chart_radius)
 
 
 def sample_points(
@@ -209,9 +223,11 @@ def sample_points(
     Draws uniformly from the inf-norm ball of radius
     min(SAMPLE_RADIUS, chart.chart_radius) and rejects points whose
     inverse fails or escapes the trust region; gives up after 200 * count
-    draws.  Each round draws only the rows still missing and vets them one
-    at a time, so the points kept and the generator's state afterwards are
-    those of drawing one point at a time.
+    draws.  Each round draws only the rows still missing and vets them as
+    one stack; a round in which some row breaks down is vetted again one
+    row at a time, so that only the rows that break are rejected.  Either
+    way the points kept and the generator's state afterwards are those of
+    drawing and vetting one point at a time.
     """
     count = count or cfg.sample_count
     radius = min(SAMPLE_RADIUS, chart.chart_radius)
@@ -223,10 +239,19 @@ def sample_points(
         if k == 0:
             raise NoConvergence("sampler rejected too many points; shrink chart_radius")
         budget -= k
-        for a in chart.identity + rng.uniform(-radius, radius, (k, chart.n)):
-            if _admissible(chart, a, cfg):
-                out[got] = a
-                got += 1
+        a = chart.identity + rng.uniform(-radius, radius, (k, chart.n))
+        try:
+            keep = _admissible(chart, a, cfg)
+        except _REJECTED:
+            keep = np.zeros(k, dtype=bool)
+            for i in range(k):
+                try:
+                    keep[i] = _admissible(chart, a[i:i + 1], cfg)[0]
+                except _REJECTED:
+                    pass
+        kept = a[keep]
+        out[got:got + len(kept)] = kept
+        got += len(kept)
     return out
 
 

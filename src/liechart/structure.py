@@ -15,25 +15,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .group import GroupChart, maxabs, psi_flavored, worst_of, worst_over_samples
-from .numdiff import QUART_EPS, DiffConfig, invert, jacobian, mixed_second, numeric_rank, rowwise
+from .numdiff import DiffConfig, invert, jacobian, mixed_second, numeric_rank, rowwise
 
 CONSTANCY_POINTS = 5
 
 
 @dataclass(frozen=True)
 class GroupGenerators:
-    """Generator tensor of a chart, measured along two routes.
+    """Generator tensor of a chart.
 
     tensor[K][L][M] is the composition law differentiated once in the
     left slot (index L) and once in the right slot (index M) at the
-    identity.  right_tensor[K][L][M] is the derivative of the right
-    basic-operator field at the identity, measured by nested first-order
-    differences; the two must agree up to a swap of the last two indices.
+    identity.
     """
 
     chart: GroupChart
     tensor: np.ndarray
-    right_tensor: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -47,13 +44,7 @@ class StructureConstants:
 def group_generators(chart: GroupChart, cfg: DiffConfig | None = None) -> GroupGenerators:
     cfg = cfg or DiffConfig()
     e = chart.identity
-    tensor = mixed_second(chart.compose, (e, e), cfg)
-    # Differentiating a field that is itself a finite difference needs a
-    # wider outer step, or roundoff from the inner stencil dominates.
-    outer = cfg.replace(base_step=max(cfg.base_step, QUART_EPS))
-    dpsi = jacobian(_flat_field(chart, "right", cfg), e, outer)
-    right_tensor = dpsi.reshape(chart.n, chart.n, chart.n)
-    return GroupGenerators(chart, tensor, right_tensor)
+    return GroupGenerators(chart, mixed_second(chart.compose, (e, e), cfg))
 
 
 def structure_constants(gens: GroupGenerators, flavor: str = "left") -> StructureConstants:

@@ -316,8 +316,8 @@ def test_step_doubling_raises_left_chart_from_the_capped_pass():
 # composition-law evaluations of the seed-42 flows suite at the default 20
 # samples.  CEILING_EVALS are the counts with a fixed 1000 RK4 steps per
 # unit time; no change to the suite should rise above them.
-FLOWS_EVALS = {"translation:1": 2_610, "translation:2": 798, "translation:3": 1_182,
-               "multiplicative": 2_626, "affine": 798, "gl:1": 2_626,
+FLOWS_EVALS = {"translation:1": 2_570, "translation:2": 798, "translation:3": 1_182,
+               "multiplicative": 2_586, "affine": 798, "gl:1": 2_586,
                "gl:2": 1_566, "gl:3": 8_084}
 CEILING_EVALS = {"translation:1": 44_502, "translation:2": 56_018, "translation:3": 84_018,
                  "multiplicative": 45_414, "affine": 56_018, "gl:1": 45_414,

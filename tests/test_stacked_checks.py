@@ -5,9 +5,11 @@ Every chart-axiom and shift-identity residual runs once per check over
 one-point-at-a-time form of each residual, with every map it
 differentiates lifted by `rowwise`; the stacked form must reproduce its
 value at every sample bit for bit, on laws that broadcast themselves and
-on lifted point laws alike.  `sample_points`, which draws a whole round
-of points at once, must keep the points and the generator state of
-drawing and vetting one point at a time.
+on lifted point laws alike.  `sample_points`, which draws and vets a
+whole round of points at once, must keep the points and the generator
+state of drawing and vetting one point at a time, and `inverse`, which
+solves a whole stack in one damped Newton, must give each row the bits,
+the evaluations and the breakdown of solving it alone.
 """
 
 import dataclasses
@@ -372,3 +374,121 @@ def test_sample_points_gives_up_after_the_same_draws(marked):
         sequential_sample_points(chart, cfg, ref_rng, 3)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert rng.bit_generator.state == _after_draws(chart, 200 * 3, seed=7)
+
+
+# --- inverse against a one-row-at-a-time Newton -----------------------------
+
+
+def sequential_inverse(chart, a, cfg):
+    """The inverse of one point as it was solved alone: the hint and its
+    1e-10 check, then a damped Newton loop on that point."""
+    e = chart.identity
+    x = e.copy()
+    if chart.inverse_hint is not None:
+        x = as_finite_array(chart.inverse_hint(a), "inverse hint")
+        if maxabs(as_finite_array(chart.compose(a, x)) - e) <= 1e-10:
+            return x
+    for _ in range(group._NEWTON_MAX_ITER):
+        r = as_finite_array(chart.compose(a, x), "inverse residual") - e
+        rn = maxabs(r)
+        if rn < group._NEWTON_TOL:
+            return x
+        j = _a_right(chart, a, x, cfg)
+        try:
+            delta = np.linalg.solve(j, -r)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrix("inverse Newton hit a singular shift Jacobian") from exc
+        t = 1.0
+        while t >= group._DAMPING_FLOOR:
+            xn = x + t * delta
+            trial = np.asarray(chart.compose(a, xn), dtype=float)
+            if np.isfinite(trial).all() and maxabs(trial - e) < rn:
+                x = xn
+                break
+            t *= 0.5
+        else:
+            raise NoConvergence("inverse Newton: no damping step improved the residual")
+    raise NoConvergence(f"inverse Newton did not converge in {group._NEWTON_MAX_ITER} iterations")
+
+
+def _sinh_chart():
+    # compose(a, x) = a + sinh(x): the full Newton step from x = 0 lands on
+    # x = -a, whose residual |a - sinh(a)| beats |a| only for |a| below about
+    # 2.2, so the far rows of a stack halve their first steps and the near
+    # ones do not
+    return GroupChart(n=2, compose=_broadcasting(lambda a, b: a + np.sinh(b)),
+                      identity=np.zeros(2), chart_radius=10.0, name="sinh")
+
+
+def _inverse_cases():
+    gl2 = get_group("gl:2")
+    pts = {name: sample_points(chart, DiffConfig(), check_rng(DiffConfig(), "inverse_bits"), 20)
+           for name, chart in (("affine", get_group("affine")), ("gl:2", gl2))}
+    sinh = _sinh_chart()
+    return {
+        "affine-newton": (dataclasses.replace(get_group("affine"), inverse_hint=None),
+                          pts["affine"]),
+        "gl:2-newton": (dataclasses.replace(gl2, inverse_hint=None), pts["gl:2"]),
+        # off by 1e-6: every row misses the hint check and is polished by Newton
+        "gl:2-sloppy": (dataclasses.replace(
+            gl2, inverse_hint=_broadcasting(lambda a: gl2.inverse_hint(a) * (1.0 + 1e-6))),
+            pts["gl:2"]),
+        # shuffled, so that the first rows, which the (2, 3) stack takes, mix both kinds
+        "sinh-damped": (sinh, np.random.default_rng(1).permutation(
+            np.linspace(-6.0, 6.0, 40)).reshape(20, 2)),
+    }
+
+
+@pytest.mark.parametrize("case", ["affine-newton", "gl:2-newton", "gl:2-sloppy", "sinh-damped"])
+@pytest.mark.parametrize("shape", [(20,), (2, 3)])
+def test_inverse_of_a_stack_matches_one_row_at_a_time(case, shape, law_counter):
+    chart, pts = _inverse_cases()[case]
+    cfg = DiffConfig()
+    stack = pts[:int(np.prod(shape))].reshape(shape + (chart.n,))
+    counted = law_counter.chart(chart)
+    got = inverse(counted, stack, cfg)
+    stacked_evals = law_counter.evals
+    per_row = []
+    for a in stack.reshape(-1, chart.n):
+        before = law_counter.evals
+        want = sequential_inverse(counted, a, cfg)
+        per_row.append(law_counter.evals - before)
+        assert np.array_equal(got.reshape(-1, chart.n)[len(per_row) - 1], want)
+    assert got.shape == stack.shape
+    assert stacked_evals == sum(per_row)
+    if case == "sinh-damped":
+        # the near rows take full steps, the far ones halve theirs
+        assert len(set(per_row)) > 1
+
+
+def _breaking_charts():
+    """(chart, stack, breaking row): every row but one has an inverse."""
+    plain = dict(identity=np.zeros(1), chart_radius=10.0)
+    nan_law = GroupChart(n=2, compose=_nan_beyond(0.15), identity=np.zeros(2), name="nan")
+    # a + x^2: the central difference of x^2 at 0 is exactly 0
+    flat = GroupChart(n=1, compose=_broadcasting(lambda a, b: a + b * b), name="flat", **plain)
+    # 5 + x + x^2 never reaches 0 over the reals
+    no_root = GroupChart(n=1, compose=_broadcasting(lambda a, b: a + b + b * b),
+                         name="no-root", **plain)
+    return {
+        "non-finite": (nan_law, np.array([[0.1, 0.0], [-0.1, 0.05], [0.18, 0.0], [0.0, 0.1]]), 2),
+        "singular": (flat, np.array([[0.0], [0.0], [-0.1], [0.0]]), 2),
+        "no-convergence": (no_root, np.array([[-0.1], [5.0], [0.1]]), 1),
+    }
+
+
+@pytest.mark.parametrize("kind", ["non-finite", "singular", "no-convergence"])
+def test_a_stack_raises_only_what_a_breaking_row_raises_alone(kind):
+    chart, stack, bad = _breaking_charts()[kind]
+    cfg = DiffConfig()
+    with pytest.raises(group._REJECTED) as alone:
+        inverse(chart, stack[bad], cfg)
+    with pytest.raises(type(alone.value)) as reference:
+        sequential_inverse(chart, stack[bad], cfg)
+    with pytest.raises(type(alone.value)) as stacked:
+        inverse(chart, stack, cfg)
+    assert str(stacked.value) == str(alone.value) == str(reference.value)
+    # without the breaking row the stack solves, each row as it would alone
+    rest = np.delete(stack, bad, axis=0)
+    assert np.array_equal(inverse(chart, rest, cfg),
+                          [sequential_inverse(chart, a, cfg) for a in rest])
