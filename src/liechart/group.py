@@ -16,15 +16,16 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
-import math
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .errors import BREAKDOWN, NoConvergence, NonFiniteEvaluation, SingularMatrix
-from .numdiff import DiffConfig, as_finite_array, invert, jacobian, rowwise
+from .errors import (BREAKDOWN, LieChartError, NoConvergence, NonFiniteEvaluation,
+                     SingularMatrix)
+from .numdiff import (DiffConfig, as_finite_array, invert, jacobian, rowwise,
+                      unchecked_jacobian)
 from .report import CheckRecord, CheckReport
 
 ComposeLaw = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -106,11 +107,8 @@ def maxabs(x) -> float:
 
 def maxabs_rows(x, point) -> np.ndarray:
     """maxabs of x per sample point: `point` of shape (..., n) gives a (...)
-    array of maxima, one point (n,) a scalar.  A NaN keeps its row NaN, and
-    an empty (0, n) stack gives an empty (0,) array."""
-    lead = np.shape(point)[:-1]
-    x = np.abs(x)
-    return x.reshape(lead + (math.prod(x.shape[len(lead):]),)).max(axis=-1, initial=0.0)
+    array of maxima, one point (n,) a scalar.  A NaN keeps its row NaN."""
+    return np.abs(x).reshape(np.shape(point)[:-1] + (-1,)).max(axis=-1)
 
 
 def worst_of(residuals: Iterable[float]) -> float:
@@ -135,56 +133,76 @@ def inverse(chart: GroupChart, a, cfg: DiffConfig | None = None) -> np.ndarray:
     and only the rows the hint misses are polished by Newton; without a
     hint every row is solved by Newton from the identity.  One `_newton`
     call takes all those rows, each solved as it would be alone, so a row
-    keeps the bits of its own inverse and the stack raises only when one
-    of its rows would.
+    keeps the bits of its own inverse.  A stack raises when one of its
+    rows breaks down, with the error of solving the rows in order: a
+    failing hint before a failing Newton solve, and the lowest row first.
     """
     cfg = cfg or DiffConfig()
     a = as_finite_array(a, "inverse argument")
-    rows = a.reshape(-1, chart.n)
-    if chart.inverse_hint is None:
-        x = np.broadcast_to(chart.identity, rows.shape)
-        sloppy = np.arange(len(rows))
-    else:
-        x = as_finite_array(chart.inverse_hint(rows), "inverse hint").reshape(rows.shape)
-        sloppy = np.flatnonzero(
-            maxabs_rows(as_finite_array(chart.compose(rows, x)) - chart.identity, rows) > 1e-10)
-    if sloppy.size:
-        x = x.copy()        # a view of the identity, or an array the hint still holds
-        x[sloppy] = _newton(chart, rows[sloppy], x[sloppy], cfg)
+    x, broken = _inverse_rows(chart, a.reshape(-1, chart.n), cfg)
+    if broken:
+        raise next(iter(broken.values()))
     return x.reshape(a.shape)
 
 
-def _newton(chart: GroupChart, a: np.ndarray, x: np.ndarray, cfg: DiffConfig) -> np.ndarray:
-    """Damped Newton on compose(a, x) = e from x, for a (k, n) stack a;
-    x is updated in place and returned.
+def _inverse_rows(chart: GroupChart, rows: np.ndarray,
+                  cfg: DiffConfig) -> tuple[np.ndarray, dict[int, LieChartError]]:
+    """Inverses of a (k, n) stack, and the rows that broke down.
 
-    Each iteration makes one residual call and one `_a_right` stencil on
-    the rows not yet settled, one batched solve, and one law call per
-    damping level on the rows whose step is still being halved; a row
-    leaves the stack once its residual is below _NEWTON_TOL.  So each row
-    takes the steps and the evaluations of its own one-point solve.  The
-    first breakdown met in any row raises, with the type and message that
-    row raises alone.
+    The dict maps each row that broke down to the error it raises alone,
+    the hint's rows before Newton's and each in row order; such a row's
+    inverse is left as it was when it broke.
     """
     e = chart.identity
+    broken: dict[int, LieChartError] = {}
+    if chart.inverse_hint is None:
+        x = np.tile(e, (len(rows), 1))
+        sloppy = np.arange(len(rows))
+    else:
+        x = np.array(chart.inverse_hint(rows), dtype=float).reshape(rows.shape)
+        sloppy = np.flatnonzero(_finite_or_break(broken, np.arange(len(rows)), x, "inverse hint"))
+        if sloppy.size:
+            r = np.asarray(chart.compose(rows[sloppy], x[sloppy]), dtype=float) - e
+            sloppy = sloppy[_finite_or_break(broken, sloppy, r, "evaluation")
+                            & (maxabs_rows(r, r) > 1e-10)]
+    if sloppy.size:
+        x[sloppy], failed = _newton(chart, rows[sloppy], x[sloppy], cfg)
+        broken.update((int(sloppy[i]), error) for i, error in failed.items())
+    return x, broken
+
+
+def _newton(chart: GroupChart, a: np.ndarray, x: np.ndarray,
+            cfg: DiffConfig) -> tuple[np.ndarray, dict[int, LieChartError]]:
+    """Damped Newton on compose(a, x) = e from x, for a (k, n) stack a.
+
+    Each iteration makes one residual call and one right-slot stencil call
+    on the rows not yet settled, one batched solve, and one law call per
+    damping level on the rows whose step is still being halved.  A row
+    leaves the stack once its residual is below _NEWTON_TOL, or when it
+    breaks down, so each row takes the steps and the evaluations of its
+    own one-point solve.  Returns x, updated in place, and the rows that
+    broke down in row order, each with the error it raises alone.
+    """
+    e = chart.identity
+    broken: dict[int, LieChartError] = {}
     live = np.arange(len(a))
     for _ in range(_NEWTON_MAX_ITER):
-        r = as_finite_array(chart.compose(a[live], x[live]), "inverse residual") - e
+        r = np.asarray(chart.compose(a[live], x[live]), dtype=float) - e
         rn = maxabs_rows(r, r)
-        going = rn >= _NEWTON_TOL
+        going = _finite_or_break(broken, live, r, "inverse residual") & (rn >= _NEWTON_TOL)
         live, r, rn = live[going], r[going], rn[going]
         if not live.size:
-            return x
-        j = _a_right(chart, a[live], x[live], cfg)
-        try:
-            delta = np.linalg.solve(j, -r[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrix("inverse Newton hit a singular shift Jacobian") from exc
-        halving = np.arange(live.size)      # positions in live of the rows still halving
+            break
+        # `_a_right` unchecked, so that a row whose stencil breaks down leaves alone
+        a_live = a[live, None, :]
+        j = unchecked_jacobian(lambda y: chart.compose(a_live, y), x[live], cfg)
+        going = _finite_or_break(broken, live, j.reshape(live.size, -1), "jacobian probe")
+        live, r, rn, j = live[going], r[going], rn[going], j[going]
+        delta, going = _solve_rows(j, -r)
+        _break(broken, live[~going], SingularMatrix("inverse Newton hit a singular shift Jacobian"))
+        halving = np.flatnonzero(going)     # positions in live of the rows still halving
         t = 1.0
-        while halving.size:
-            if t < _DAMPING_FLOOR:
-                raise NoConvergence("inverse Newton: no damping step improved the residual")
+        while halving.size and t >= _DAMPING_FLOOR:
             idx = live[halving]
             xn = x[idx] + t * delta[halving]
             # a NaN or Inf in the trial never compares below the residual
@@ -193,23 +211,67 @@ def _newton(chart: GroupChart, a: np.ndarray, x: np.ndarray, cfg: DiffConfig) ->
             x[idx[better]] = xn[better]
             halving = halving[~better]
             t *= 0.5
-    raise NoConvergence(f"inverse Newton did not converge in {_NEWTON_MAX_ITER} iterations")
+        _break(broken, live[halving],
+               NoConvergence("inverse Newton: no damping step improved the residual"))
+        going[halving] = False
+        live = live[going]
+        if not live.size:
+            break
+    else:
+        _break(broken, live,
+               NoConvergence(f"inverse Newton did not converge in {_NEWTON_MAX_ITER} iterations"))
+    return x, dict(sorted(broken.items()))
 
 
-_REJECTED = (SingularMatrix, NoConvergence, NonFiniteEvaluation)
+def _solve_rows(j: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve j x = b for a (k, n, n) and a (k, n) stack in one batched call;
+    returns x and which rows solved.  A singular matrix fails the whole
+    call, so then each row is solved alone to learn which."""
+    try:
+        return np.linalg.solve(j, b[..., None])[..., 0], np.ones(len(b), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    x, solved = np.zeros_like(b), np.ones(len(b), dtype=bool)
+    for i in range(len(b)):
+        try:
+            x[i] = np.linalg.solve(j[i], b[i])
+        except np.linalg.LinAlgError:
+            solved[i] = False
+    return x, solved
+
+
+def _finite_or_break(broken: dict[int, LieChartError], rows: np.ndarray, v: np.ndarray,
+                     context: str) -> np.ndarray:
+    """Which rows of the (k, m) stack v are finite; the entries of `rows`
+    whose row is not are recorded in broken with the error that
+    `as_finite_array` raises for them."""
+    finite = np.logical_and.reduce(np.isfinite(v), axis=-1)
+    if not finite.all():
+        _break(broken, rows[~finite], NonFiniteEvaluation(f"{context} produced a non-finite value"))
+    return finite
+
+
+def _break(broken: dict[int, LieChartError], rows: np.ndarray, error: LieChartError) -> None:
+    broken.update(dict.fromkeys(rows.tolist(), error))
 
 
 def _admissible(chart: GroupChart, rows: np.ndarray, cfg: DiffConfig) -> np.ndarray:
     """Which rows of the (k, n) stack the sampler keeps: their inverse
     exists, composes finitely on both sides and stays within chart_radius.
 
-    Only compose(inv, a) is evaluated here: `inverse` has already found
-    compose(a, inv) finite, in the hint test or in Newton's last residual.
-    A breakdown of any row's inverse raises, as `inverse` does.
+    A row whose inverse breaks down is rejected, and the others are vetted
+    as they would be alone.  Only compose(inv, a) is evaluated here:
+    `inverse` has already found compose(a, inv) finite, in the hint test
+    or in Newton's last residual.
     """
-    inv = inverse(chart, rows, cfg)
-    finite = np.logical_and.reduce(np.isfinite(chart.compose(inv, rows)), axis=-1)
-    return finite & (maxabs_rows(inv - chart.identity, rows) <= chart.chart_radius)
+    inv, broken = _inverse_rows(chart, rows, cfg)
+    keep = np.ones(len(rows), dtype=bool)
+    keep[list(broken)] = False
+    solved = np.flatnonzero(keep)
+    if solved.size:
+        keep[solved] = np.logical_and.reduce(
+            np.isfinite(chart.compose(inv[solved], rows[solved])), axis=-1)
+    return keep & (maxabs_rows(inv - chart.identity, rows) <= chart.chart_radius)
 
 
 def sample_points(
@@ -224,10 +286,9 @@ def sample_points(
     min(SAMPLE_RADIUS, chart.chart_radius) and rejects points whose
     inverse fails or escapes the trust region; gives up after 200 * count
     draws.  Each round draws only the rows still missing and vets them as
-    one stack; a round in which some row breaks down is vetted again one
-    row at a time, so that only the rows that break are rejected.  Either
-    way the points kept and the generator's state afterwards are those of
-    drawing and vetting one point at a time.
+    one stack, each row as it would be alone, so the points kept and the
+    generator's state afterwards are those of drawing and vetting one
+    point at a time.
     """
     count = count or cfg.sample_count
     radius = min(SAMPLE_RADIUS, chart.chart_radius)
@@ -240,16 +301,7 @@ def sample_points(
             raise NoConvergence("sampler rejected too many points; shrink chart_radius")
         budget -= k
         a = chart.identity + rng.uniform(-radius, radius, (k, chart.n))
-        try:
-            keep = _admissible(chart, a, cfg)
-        except _REJECTED:
-            keep = np.zeros(k, dtype=bool)
-            for i in range(k):
-                try:
-                    keep[i] = _admissible(chart, a[i:i + 1], cfg)[0]
-                except _REJECTED:
-                    pass
-        kept = a[keep]
+        kept = a[_admissible(chart, a, cfg)]
         out[got:got + len(kept)] = kept
         got += len(kept)
     return out

@@ -106,17 +106,25 @@ def jacobian(f: VectorMap, at: Sequence[float], cfg: DiffConfig | None = None) -
     `rowwise`), else ValueError; it gets all 2n stencil points of every
     point in one call.  `at` may carry leading axes, giving J (..., q, n).
     """
-    cfg = cfg or DiffConfig()
     x = as_finite_array(at, "jacobian point")
+    # a NaN or Inf probe always survives the difference, so one check
+    # on the assembled matrix covers every evaluation
+    return as_finite_array(unchecked_jacobian(f, x, cfg), "jacobian probe")
+
+
+def unchecked_jacobian(f: VectorMap, at: np.ndarray, cfg: DiffConfig | None = None) -> np.ndarray:
+    """`jacobian` without its checks: a NaN or Inf at a point or any of
+    its probes leaves a NaN or Inf in that point's J and nowhere else, so
+    the points of a stack that broke down can be set aside."""
+    cfg = cfg or DiffConfig()
+    x = np.asarray(at, dtype=float)
     h = _steps(x, cfg.base_step)
     n = x.shape[-1]
     pts = _shifted(x, h)
     vals = _stencil_values(f(pts), pts.shape[:-1])
     cols = vals[..., :n, :] - vals[..., n:, :]
     cols /= 2.0 * h[..., :, None]
-    # a NaN or Inf probe always survives the difference, so one check
-    # on the assembled matrix covers every evaluation
-    return as_finite_array(np.swapaxes(cols, -1, -2).copy(), "jacobian probe")
+    return np.swapaxes(cols, -1, -2).copy()
 
 
 def _shifted(x: np.ndarray, h: np.ndarray) -> np.ndarray:

@@ -202,9 +202,7 @@ def test_worst_of_keeps_nan():
         assert np.isnan(worst_of(residuals))
 
 
-def test_maxabs_rows_takes_empty_stacks_and_keeps_nan():
-    assert maxabs_rows(np.zeros((0, 2)), np.zeros((0, 2))).shape == (0,)
-    assert maxabs_rows(np.zeros((0, 2, 2)), np.zeros((0, 2))).shape == (0,)
+def test_maxabs_rows_keeps_nan():
     got = maxabs_rows(np.array([[1.0, np.nan], [2.0, -3.0]]), np.zeros((2, 2)))
     assert np.isnan(got[0])
     assert got[1] == 3.0

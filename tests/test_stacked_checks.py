@@ -470,18 +470,25 @@ def _breaking_charts():
     # 5 + x + x^2 never reaches 0 over the reals
     no_root = GroupChart(n=1, compose=_broadcasting(lambda a, b: a + b + b * b),
                          name="no-root", **plain)
+    # NaN off b's first axis where a's first coordinate exceeds 0.15: the
+    # residual from x = 0 is finite, the stencil around it is not
+    nan_stencil = GroupChart(n=2, compose=_broadcasting(lambda a, b: np.where(
+        (a[..., :1] > 0.15) & (b[..., :1] != 0.0), np.nan, a + b)), identity=np.zeros(2),
+        name="nan-stencil")
     return {
         "non-finite": (nan_law, np.array([[0.1, 0.0], [-0.1, 0.05], [0.18, 0.0], [0.0, 0.1]]), 2),
+        "non-finite-stencil": (nan_stencil, np.array([[0.1, 0.0], [0.18, 0.0], [0.0, 0.1]]), 1),
         "singular": (flat, np.array([[0.0], [0.0], [-0.1], [0.0]]), 2),
         "no-convergence": (no_root, np.array([[-0.1], [5.0], [0.1]]), 1),
     }
 
 
-@pytest.mark.parametrize("kind", ["non-finite", "singular", "no-convergence"])
+@pytest.mark.parametrize("kind", ["non-finite", "non-finite-stencil", "singular",
+                                  "no-convergence"])
 def test_a_stack_raises_only_what_a_breaking_row_raises_alone(kind):
     chart, stack, bad = _breaking_charts()[kind]
     cfg = DiffConfig()
-    with pytest.raises(group._REJECTED) as alone:
+    with pytest.raises((NonFiniteEvaluation, SingularMatrix, NoConvergence)) as alone:
         inverse(chart, stack[bad], cfg)
     with pytest.raises(type(alone.value)) as reference:
         sequential_inverse(chart, stack[bad], cfg)
@@ -492,3 +499,63 @@ def test_a_stack_raises_only_what_a_breaking_row_raises_alone(kind):
     rest = np.delete(stack, bad, axis=0)
     assert np.array_equal(inverse(chart, rest, cfg),
                           [sequential_inverse(chart, a, cfg) for a in rest])
+
+
+def _two_ways_chart(hint=None):
+    # a + x^2, plus x itself where a > 1: from x = 0 the row a = -0.1 meets
+    # a singular Jacobian at once (the central difference of x^2 at 0 is 0),
+    # while the row a = 5 (5 + x + x^2 has no real root) breaks down only
+    # after several steps
+    law = _broadcasting(lambda a, b: a + b * b + np.where(a > 1.0, b, 0.0))
+    return GroupChart(n=1, compose=law, identity=np.zeros(1), chart_radius=10.0,
+                      inverse_hint=hint, name="two-ways")
+
+
+def _ordered_breakdowns():
+    """(chart, stack, the row whose error the stack raises)."""
+    # the hint misses a = 5 and is NaN at a = -0.1; a failing hint comes first
+    nan_hint = _broadcasting(lambda a: np.where(a < 0.0, np.nan, 0.0))
+    return {
+        "newton-late-first": (_two_ways_chart(), np.array([[5.0], [-0.1]]), 0),
+        "newton-early-first": (_two_ways_chart(), np.array([[-0.1], [5.0]]), 0),
+        "hint-after-newton": (_two_ways_chart(nan_hint), np.array([[5.0], [-0.1]]), 1),
+    }
+
+
+@pytest.mark.parametrize("case", ["newton-late-first", "newton-early-first", "hint-after-newton"])
+def test_a_stack_raises_the_error_of_solving_its_rows_in_order(case):
+    chart, stack, first = _ordered_breakdowns()[case]
+    cfg = DiffConfig()
+    errors = []
+    for a in stack:
+        with pytest.raises((NonFiniteEvaluation, SingularMatrix, NoConvergence)) as alone:
+            inverse(chart, a, cfg)
+        errors.append(alone.value)
+    # the rows break down differently, so the stack's error names its row
+    assert type(errors[0]) is not type(errors[1])
+    with pytest.raises(type(errors[first])) as stacked:
+        inverse(chart, stack, cfg)
+    assert str(stacked.value) == str(errors[first])
+
+
+def _no_root_chart():
+    # a + x + 3 x^2 = 0 has no real root for a > 1/12: Newton breaks down on
+    # those draws only after several steps
+    return GroupChart(n=1, compose=_broadcasting(lambda a, b: a + b + 3.0 * b * b),
+                      identity=np.zeros(1), chart_radius=10.0, name="no-root")
+
+
+@pytest.mark.parametrize("kind", ["broken", "broken-newton", "broken-unbatched", "no-root",
+                                  "nan-stencil"])
+def test_a_rejecting_round_costs_no_more_than_vetting_one_point_at_a_time(kind, law_counter):
+    # a round with breaking rows is vetted once, as one stack: fewer law
+    # calls than the per-point sampler and no more evaluations
+    chart = {**_rejecting_charts(), "no-root": _no_root_chart(),
+             "nan-stencil": _breaking_charts()["non-finite-stencil"][0]}[kind]
+    counted = law_counter.chart(chart)
+    got = sample_points(counted, DiffConfig(), np.random.default_rng(0), 30)
+    evals, calls = law_counter.evals, law_counter.calls
+    want = sequential_sample_points(counted, DiffConfig(), np.random.default_rng(0), 30)
+    assert np.array_equal(got, want)
+    assert evals <= law_counter.evals - evals
+    assert calls < law_counter.calls - calls
