@@ -617,8 +617,6 @@ TOLERANCES = {
     "maurer_right": 1e-3,
     "field_commutators_left": 1e-3,
     "field_commutators_right": 1e-3,
-    "frame_rank_left": 0.5,
-    "frame_rank_right": 0.5,
     "flow_homomorphism": 1e-5,
     "flow_homomorphism_left": 1e-5,
     "canonical_additivity": 1e-6,
@@ -626,7 +624,6 @@ TOLERANCES = {
     "rep_homomorphism": 1e-8,
     "rep_inverse": 1e-7,
     "rep_pde_map": 1e-3,
-    "rep_pde_vector": 1e-3,
     "rep_integrability": 1e-6,
     "rep_mixed_identity": 1e-3,
     "generator_transform_constancy": 1e-4,

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SingularMatrix
 from .group import GroupChart, maxabs, psi_flavored, worst_of, worst_over_samples
 from .numdiff import DiffConfig, invert, jacobian, mixed_second, numeric_rank, rowwise
 
@@ -80,26 +81,31 @@ def _flat_field(chart: GroupChart, flavor: str, cfg: DiffConfig):
     return lambda x: psi_flavored(chart, x, flavor, cfg).reshape(x.shape[:-1] + (-1,))
 
 
-def _field_derivatives(chart: GroupChart, a: np.ndarray, flavor: str,
-                       cfg: DiffConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Basic operator and its point derivative, (psi, dpsi[K][L][M]).
+def _frame_derivatives(chart: GroupChart, a: np.ndarray, flavor: str,
+                       cfg: DiffConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Basic operator at the point a, its inverse and the inverse's point
+    derivative, (psi, lam, dlam[U][V][P]).
 
-    Both come from one second-derivative stencil of the composition law,
-    evaluated with the non-varying slot pinned at the identity.
+    psi and its derivative come from one second-derivative stencil of the
+    composition law, with the non-varying slot pinned at the identity;
+    dlam follows by the inverse-derivative identity.
     """
     e = chart.identity
     psi = psi_flavored(chart, a, flavor, cfg)
     if flavor == "right":
-        t = mixed_second(chart.compose, (a, e), cfg)
-        return psi, np.transpose(t, (0, 2, 1))
-    return psi, mixed_second(chart.compose, (e, a), cfg)
+        dpsi = np.transpose(mixed_second(chart.compose, (a, e), cfg), (0, 2, 1))
+    else:
+        dpsi = mixed_second(chart.compose, (e, a), cfg)
+    try:
+        lam = invert(psi)
+    except SingularMatrix:
+        raise SingularMatrix(_rank_drop(psi, a, flavor)) from None
+    return psi, lam, -np.einsum("ur,rsp,sv->uvp", lam, dpsi, lam)
 
 
-def _lam_derivative(psi: np.ndarray, dpsi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lam, dlam) from (psi, dpsi) via the inverse-derivative identity."""
-    lam = invert(psi)
-    dlam = -np.einsum("ur,rsp,sv->uvp", lam, dpsi, lam)
-    return lam, dlam
+def _rank_drop(psi: np.ndarray, a: np.ndarray, flavor: str) -> str:
+    """Breakdown message for a frame that is singular at the point a."""
+    return f"{flavor} frame has rank {numeric_rank(psi)} of {len(psi)} at a = {a.tolist()}"
 
 
 def structure_constants_at_point(chart: GroupChart, a, flavor: str,
@@ -110,8 +116,7 @@ def structure_constants_at_point(chart: GroupChart, a, flavor: str,
     the basic operator; the result must not depend on the point.
     """
     cfg = cfg or DiffConfig()
-    psi, dpsi = _field_derivatives(chart, np.asarray(a, float), flavor, cfg)
-    _, dlam = _lam_derivative(psi, dpsi)
+    psi, _, dlam = _frame_derivatives(chart, np.asarray(a, float), flavor, cfg)
     antis = dlam - np.transpose(dlam, (0, 2, 1))
     return np.einsum("rt,pv,urp->utv", psi, psi, antis)
 
@@ -148,8 +153,7 @@ def maurer_residual(chart: GroupChart, flavor: str, cfg: DiffConfig | None = Non
     constants = _flavored_constants(chart, flavor, cfg, constants)
 
     def residual(a: np.ndarray) -> float:
-        psi, dpsi = _field_derivatives(chart, a, flavor, cfg)
-        lam, dlam = _lam_derivative(psi, dpsi)
+        _, lam, dlam = _frame_derivatives(chart, a, flavor, cfg)
         curl = dlam - np.transpose(dlam, (0, 2, 1))
         contracted = np.einsum("utv,tp,vr->upr", constants.c, lam, lam)
         return maxabs(contracted - curl)
@@ -159,14 +163,13 @@ def maurer_residual(chart: GroupChart, flavor: str, cfg: DiffConfig | None = Non
 
 def invariant_field_commutators(chart: GroupChart, flavor: str,
                                 cfg: DiffConfig | None = None,
-                                constants: StructureConstants | None = None
-                                ) -> tuple[float, int]:
-    """Frame-field commutators against the constants, plus the frame rank.
+                                constants: StructureConstants | None = None) -> float:
+    """Max frame-field commutator residual against the constants.
 
-    Returns (max commutator residual, min frame rank over the samples).
     Column V of the basic operator field is the V-th invariant frame
     field; its commutators must reproduce the structure constants with
-    the matching flavor, and the frame must stay full rank.
+    the matching flavor.  A frame that loses rank at a sampled point
+    raises SingularMatrix naming the rank and the point.
 
     The whole frame is differentiated once per point, d psi[K][V] / d x^L
     for all K, V, L, by nested first differences, so this check stays
@@ -175,13 +178,11 @@ def invariant_field_commutators(chart: GroupChart, flavor: str,
     cfg = cfg or DiffConfig()
     constants = _flavored_constants(chart, flavor, cfg, constants)
     n = chart.n
-    ranks = [n]
 
     def residual(a: np.ndarray) -> float:
         psi = psi_flavored(chart, a, flavor, cfg)
-        ranks.append(numeric_rank(psi))
-        if n < 2:
-            return 0.0  # a single frame field has no commutators
+        if numeric_rank(psi) < n:
+            raise SingularMatrix(_rank_drop(psi, a, flavor))
         dframe = jacobian(_flat_field(chart, flavor, cfg), a, cfg)
         # jac[V] is the Jacobian of frame field V; contiguous copies give each
         # product the memory layout, and so the bits, of vf_commutator
@@ -191,5 +192,4 @@ def invariant_field_commutators(chart: GroupChart, flavor: str,
                                - psi @ constants.c[:, t, v])
                         for t in range(n) for v in range(t + 1, n))
 
-    worst = worst_over_samples(chart, cfg, f"field_commutators_{flavor}", rowwise(residual))
-    return worst, min(ranks)
+    return worst_over_samples(chart, cfg, f"field_commutators_{flavor}", rowwise(residual))

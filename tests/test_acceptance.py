@@ -19,6 +19,7 @@ from liechart.catalog import (
     get_oracles,
     get_rep,
 )
+from liechart.errors import SingularMatrix
 from liechart.flows import (
     additivity_residual,
     canonical_coordinate,
@@ -155,9 +156,11 @@ def test_criterion_06_invariant_frames_whole_catalog(emit):
     for name in GROUP_NAMES:
         chart = get_group(name)
         for flavor in ("left", "right"):
-            res, rank = invariant_field_commutators(chart, flavor, CFG)
-            worst = max(worst, res)
-            ranks_ok = ranks_ok and rank == chart.n
+            # a frame that loses rank at a sampled point breaks down
+            try:
+                worst = max(worst, invariant_field_commutators(chart, flavor, CFG))
+            except SingularMatrix:
+                ranks_ok = False
     ok = worst < 1e-3 and ranks_ok
     emit(6, ok, f"frame commutators on {len(GROUP_NAMES)} groups, worst "
          f"{worst:.2e} (tol 1e-3), frames full rank: {ranks_ok}")
@@ -193,7 +196,6 @@ def test_criterion_08_representation_identities(emit):
         gens = rep_generators(rep, CFG)
         c_left = structure_constants(group_generators(rep.group, CFG), "left")
         axioms = rep_axiom_residuals(rep, CFG)
-        pde_res = rep_pde_residual(rep, CFG, gens)
         tensor_err = max(
             np.max(np.abs(a - b)) for a, b in zip(
                 rep_generators(tensor_product(rep, rep), CFG),
@@ -206,8 +208,7 @@ def test_criterion_08_representation_identities(emit):
             (axioms["rep_identity"], 1e-8),
             (axioms["rep_homomorphism"], 1e-8),
             (axioms["rep_inverse"], 1e-8),
-            (pde_res["rep_pde_map"], 1e-3),
-            (pde_res["rep_pde_vector"], 1e-3),
+            (rep_pde_residual(rep, CFG, gens), 1e-3),
             (integrability_check(gens, c_left, rep.side), 1e-6),
             (mixed_identity_residual(rep, CFG, gens), 1e-3),
             (conjugate_generators_check(rep, CFG), 1e-5),

@@ -11,7 +11,7 @@ import liechart.cli as cli
 from liechart import catalog
 from liechart.errors import SingularMatrix
 from liechart.group import GroupChart
-from liechart.suites import SUITE_NAMES, TOLERANCES
+from liechart.suites import SUITE_NAMES, SUITES, TOLERANCES
 
 
 def run_cli(*argv):
@@ -28,11 +28,12 @@ def test_shift_suite_passes(capsys):
 
 
 def test_all_suite_small_group(capsys):
-    code = run_cli("run", "--group", "multiplicative", "--suite", "all",
+    code = run_cli("run", "--group", "translation:2", "--suite", "all",
                    "--samples", "4")
     assert code == 0
     out = capsys.readouterr().out
-    # every family of checks shows up in the combined run
+    # every family of checks shows up in the combined run (a 1-d group has
+    # no structure row)
     for marker in ("cocycle_left", "maurer_left", "flow_homomorphism",
                    "rep_homomorphism", "essential_count_group_family"):
         assert marker in out, marker
@@ -57,6 +58,16 @@ def test_unknown_suite_returns_two(capsys):
 def test_unknown_rep_returns_two(capsys):
     assert run_cli("run", "--group", "gl:2", "--suite", "rep",
                    "--rep", "bogus", "--samples", "4") == 2
+
+
+@pytest.mark.parametrize("suite", ["shift", "structure", "flows", "pde"])
+def test_unknown_rep_returns_two_whatever_the_suite(suite, monkeypatch, capsys):
+    def must_not_run(*args):
+        raise AssertionError("the suite ran before --rep was looked up")
+
+    monkeypatch.setitem(SUITES, suite, must_not_run)
+    assert run_cli("run", "--group", "affine", "--suite", suite, "--rep", "bogus") == 2
+    assert "bogus" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("rep", ["tensor:standard,conjugate", "sum:conjugate,standard"])
@@ -127,7 +138,18 @@ def test_json_report_written(tmp_path, capsys):
     assert doc["seed"] == 42
     assert doc["wall_time_ms"] is None
     ids = [c["id"] for c in doc["checks"]]
-    assert "maurer_left" in ids and "jacobi_left" in ids
+    # at n = 2 the Jacobi row is fixed at 0.0, so the suite does not yield it
+    assert "maurer_left" in ids and "jacobi_left" not in ids
+
+
+def test_empty_report_is_valid_json(tmp_path, capsys):
+    # a 1-d group yields no structure row
+    target = tmp_path / "empty.json"
+    assert run_cli("run", "--group", "translation:1", "--suite", "structure",
+                   "--json", str(target)) == 0
+    assert "0 checks, 0 failed" in capsys.readouterr().out
+    doc = json.loads(target.read_text())
+    assert doc["tol"] == {} and doc["checks"] == []
 
 
 @pytest.mark.parametrize("where", ["missing-dir", "a-directory"])

@@ -44,6 +44,27 @@ def _gl2_skewed_left() -> GroupChart:
         inverse_hint=None, name="gl:2 skewed left")
 
 
+def _affine_skewed() -> GroupChart:
+    # the affine twin of the gl:2 skewed law, 0.05 (a0 - 1)^2 b1 on coordinate 1;
+    # b1 = 0 at the identity, so compose(a, e) stays a
+    chart = get_group("affine")
+    law = chart.compose
+    bump = np.eye(2)[1]
+    return dataclasses.replace(
+        chart, compose=lambda a, b: law(a, b) + 0.05 * (a[0] - 1.0) ** 2 * b[1] * bump,
+        inverse_hint=None, name="affine skewed")
+
+
+def _affine_skewed_left() -> GroupChart:
+    # its slot swap, 0.05 (b0 - 1)^2 a1 on coordinate 1, which bends the left-slot fields
+    chart = get_group("affine")
+    law = chart.compose
+    bump = np.eye(2)[1]
+    return dataclasses.replace(
+        chart, compose=lambda a, b: law(a, b) + 0.05 * (b[0] - 1.0) ** 2 * a[1] * bump,
+        inverse_hint=None, name="affine skewed left")
+
+
 def _multiplicative_skewed() -> GroupChart:
     # a b + 0.05 (a - 1)^2 (b - 1): keeps the identity, breaks associativity
     chart = get_group("multiplicative")
@@ -84,7 +105,9 @@ def _translation3_non_lie() -> GroupChart:
 MUTANTS = {
     "gl:2 skewed": (_gl2_skewed, ("shift", "structure", "flows")),
     "gl:2 skewed left": (_gl2_skewed_left, ("shift", "structure")),
-    "multiplicative skewed": (_multiplicative_skewed, ("shift", "structure", "flows")),
+    "affine skewed": (_affine_skewed, ("structure",)),
+    "affine skewed left": (_affine_skewed_left, ("structure",)),
+    "multiplicative skewed": (_multiplicative_skewed, ("shift", "flows")),
     "translation:2 collapsed": (_translation2_collapsed, ("pde",)),
     "translation:1 scaled": (_translation1_scaled, ("shift",)),
     "translation:3 non-Lie": (_translation3_non_lie, ("structure",)),
@@ -115,6 +138,15 @@ LAW_MATRIX = [
     ("gl:2 skewed left", "constancy_left"),
     ("gl:2 skewed left", "maurer_left"),
     ("gl:2 skewed left", "field_commutators_left"),
+    # the affine twins fail every structure row yielded at n = 2
+    ("affine skewed", "anti_isomorphism_measured"),
+    ("affine skewed", "constancy_right"),
+    ("affine skewed", "maurer_right"),
+    ("affine skewed", "field_commutators_right"),
+    ("affine skewed left", "anti_isomorphism_measured"),
+    ("affine skewed left", "constancy_left"),
+    ("affine skewed left", "maurer_left"),
+    ("affine skewed left", "field_commutators_left"),
     ("gl:2 skewed", "flow_homomorphism"),
     ("gl:2 skewed", "flow_homomorphism_left"),
     ("multiplicative skewed", "flow_homomorphism"),
@@ -162,8 +194,8 @@ def _rep_verdicts(mutant: str) -> dict[str, bool]:
             for check_id, samples, residual in SUITES["rep"](rep.group, rep, CFG)}
 
 
-_REP_CHECKS = ("rep_homomorphism", "rep_pde_map", "rep_pde_vector",
-               "rep_mixed_identity", "generator_transform_constancy")
+_REP_CHECKS = ("rep_homomorphism", "rep_pde_map", "rep_mixed_identity",
+               "generator_transform_constancy")
 
 
 REP_MATRIX = [
@@ -178,20 +210,9 @@ def test_check_fails_on_broken_representation(mutant, check_id):
     assert _rep_verdicts(mutant)[check_id] is False
 
 
-_SINGULAR_FRAME = ("a frame singular on the sample ball makes anti_isomorphism_measured raise "
-                   "SingularMatrix first, so the suite exits 3 before this row is read")
-
-# check ids with no known-bad case, each with the reason none can exist
-EXEMPT = {
-    "frame_rank_left": _SINGULAR_FRAME,
-    "frame_rank_right": _SINGULAR_FRAME,
-}
-
-
 def test_every_check_id_has_a_mutant_or_a_stated_exemption():
-    matrix = {check_id for _, check_id in (*LAW_MATRIX, *REP_MATRIX)}
-    assert not matrix & set(EXEMPT)
-    assert set(TOLERANCES) == matrix | set(EXEMPT)
+    # no id is exempt: each one has a known-bad chart or representation
+    assert set(TOLERANCES) == {check_id for _, check_id in (*LAW_MATRIX, *REP_MATRIX)}
 
 
 @pytest.mark.parametrize("flavor, law, hint", [
@@ -204,7 +225,8 @@ def test_every_check_id_has_a_mutant_or_a_stated_exemption():
 ])
 def test_singular_frame_breaks_down_before_frame_rank_is_read(flavor, law, hint):
     chart = GroupChart(n=2, compose=law, identity=np.zeros(2), inverse_hint=hint, name="cube")
-    with pytest.raises(SingularMatrix, match="anti_isomorphism_measured"):
+    rank_drop = rf"{flavor} frame has rank 1 of 2 at a = \[-?0\.\d+, -?0\.\d+\]$"
+    with pytest.raises(SingularMatrix, match="^anti_isomorphism_measured: " + rank_drop):
         list(SUITES["structure"](chart, None, CFG))
-    # measured alone, the frame of that flavor reads its rank drop
-    assert invariant_field_commutators(chart, flavor, CFG)[1] == 1
+    with pytest.raises(SingularMatrix, match=f"^field_commutators_{flavor}: " + rank_drop):
+        invariant_field_commutators(chart, flavor, CFG)

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from liechart import catalog
 from liechart.catalog import get_group, get_oracles
-from liechart.group import check_rng, maxabs, psi_flavored, sample_points
+from liechart.group import GroupChart, check_rng, maxabs, psi_flavored, sample_points
 from liechart.numdiff import QUART_EPS, DiffConfig, jacobian, numeric_rank, vf_commutator
 from liechart.structure import (
+    StructureConstants,
     _flat_field,
     antisymmetry_residual,
     bracket,
@@ -123,6 +125,35 @@ def test_bracket_bilinear_antisymmetric(entries):
                        bracket(c, x, y) + 2.0 * bracket(c, z, y), atol=1e-9)
 
 
+# Why the structure suite yields no row at n = 1 and no jacobi_left at n = 2:
+# there the dimension fixes those rows at 0.0 whatever the law.
+
+@given(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4), st.floats(-0.2, 0.2))
+def test_1d_laws_have_zero_constants(coef, x):
+    # e = 0 for every draw; the a^2 b and a b^2 terms break associativity
+    p, q, r, s = coef
+    chart = GroupChart(n=1, identity=np.zeros(1), name="drawn 1-d", compose=lambda a, b: (
+        a + b + p * a * b + q * a * a * b + r * a * b * b + s * a * a * b * b))
+    for flavor in ("left", "right"):
+        assert not structure_constants(group_generators(chart, CFG), flavor).c.any()
+        assert not structure_constants_at_point(chart, [x], flavor, CFG).any()
+
+
+def _antisymmetric(raw):
+    return StructureConstants(raw - raw.transpose(0, 2, 1), "left")
+
+
+@given(arrays(float, (2, 2, 2), elements=st.floats(-10.0, 10.0)))
+def test_jacobi_vanishes_in_2d(raw):
+    # the Jacobiator of antisymmetric constants is an alternating 3-form
+    assert jacobi_residual(_antisymmetric(raw)) == 0.0
+
+
+def test_jacobi_can_fail_in_3d():
+    rng = np.random.default_rng(0)
+    assert jacobi_residual(_antisymmetric(rng.uniform(-1.0, 1.0, (3, 3, 3)))) > 0.1
+
+
 @pytest.mark.parametrize("name", ["affine", "gl:2", "gl:3"])
 def test_algebra_residuals(name):
     c = structure_constants(group_generators(get_group(name), CFG), "left")
@@ -156,9 +187,7 @@ def test_maurer_equation(name, flavor):
 def test_invariant_field_commutators(name, flavor):
     chart = get_group(name)
     c = structure_constants(group_generators(chart, CFG), flavor)
-    worst, min_rank = invariant_field_commutators(chart, flavor, CFG, constants=c)
-    assert worst < 1e-3
-    assert min_rank == chart.n
+    assert invariant_field_commutators(chart, flavor, CFG, constants=c) < 1e-3
 
 
 def per_pair_field_commutators(chart, flavor, cfg, constants):
@@ -170,15 +199,14 @@ def per_pair_field_commutators(chart, flavor, cfg, constants):
         return lambda x: psi_flavored(chart, x, flavor, cfg)[:, v]
 
     worst = 0.0
-    min_rank = chart.n
     for a in pts:
         psi = psi_flavored(chart, a, flavor, cfg)
-        min_rank = min(min_rank, numeric_rank(psi))
+        assert numeric_rank(psi) == chart.n
         for t in range(chart.n):
             for v in range(t + 1, chart.n):
                 measured = vf_commutator(frame_field(t), frame_field(v), a, cfg)
                 worst = max(worst, maxabs(measured - psi @ constants.c[:, t, v]))
-    return worst, min_rank
+    return worst
 
 
 @pytest.mark.parametrize("name", ["affine", "gl:2"])
@@ -186,17 +214,15 @@ def per_pair_field_commutators(chart, flavor, cfg, constants):
 def test_field_commutators_match_per_pair_reference(name, flavor):
     chart = get_group(name)
     c = structure_constants(group_generators(chart, CFG), flavor)
-    worst, min_rank = invariant_field_commutators(chart, flavor, CFG, constants=c)
-    ref_worst, ref_rank = per_pair_field_commutators(chart, flavor, CFG, c)
-    assert np.array_equal(worst, ref_worst)
-    assert min_rank == ref_rank
+    worst = invariant_field_commutators(chart, flavor, CFG, constants=c)
+    assert np.array_equal(worst, per_pair_field_commutators(chart, flavor, CFG, c))
 
 
 # composition-law evaluations of the seed-42 structure suite at the default
 # 20 samples.  CEILING_EVALS are the counts of the per-pair route above
 # with the generator tensor measured once per flavor; no change to the
-# suite should rise above them.
-STRUCTURE_EVALS = {"gl:3": 32_023, "gl:2": 6_923, "translation:1": 631}
+# suite should rise above them.  A 1-d suite yields no row and measures nothing.
+STRUCTURE_EVALS = {"gl:3": 32_023, "gl:2": 6_923, "translation:1": 0}
 CEILING_EVALS = {"gl:3": 1_006_708, "gl:2": 39_528, "translation:1": 756}
 
 
