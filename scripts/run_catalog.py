@@ -1,5 +1,8 @@
 """Sweep every catalog group through every suite and tabulate the verdicts.
 
+The rep column runs each group's catalog representation (standard on
+gl:n, matrix on affine) and shows `-` for a group without one.
+
 Usage: python scripts/run_catalog.py [--samples N] [--seed S] [--json-dir DIR]
 """
 
@@ -14,6 +17,13 @@ from liechart.numdiff import DiffConfig
 from liechart.suites import SUITES, run_suite
 
 
+def catalog_rep(group: str) -> str | None:
+    """The representation the rep column runs: standard on gl:n, matrix on affine."""
+    if group == "affine":
+        return "matrix"
+    return "standard" if group.startswith("gl:") else None
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--samples", type=positive_int, default=10)
@@ -26,12 +36,17 @@ def main() -> int:
     width = max(len(g) for g in GROUP_NAMES)
 
     print(f"{'group':<{width}}  " + "  ".join(f"{s:>9}" for s in SUITES))
-    failures = 0
+    failures = runs = 0
     t0 = time.perf_counter()
     for group in GROUP_NAMES:
         cells = []
         for suite in SUITES:
-            report = run_suite(group, suite, cfg)
+            rep = catalog_rep(group) if suite == "rep" else None
+            if suite == "rep" and rep is None:
+                cells.append("-")
+                continue
+            report = run_suite(group, suite, cfg, rep_name=rep)
+            runs += 1
             n_fail = sum(not c.passed for c in report.checks)
             failures += n_fail
             cells.append(f"{len(report.checks) - n_fail}/{len(report.checks)}")
@@ -42,7 +57,7 @@ def main() -> int:
         print(f"{group:<{width}}  " + "  ".join(f"{c:>9}" for c in cells))
     elapsed = time.perf_counter() - t0
 
-    print(f"\n{len(GROUP_NAMES) * len(SUITES)} runs in {elapsed:.1f} s, "
+    print(f"\n{runs} runs in {elapsed:.1f} s, "
           f"{failures} failed checks")
     return 1 if failures else 0
 

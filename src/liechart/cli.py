@@ -69,7 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--group", required=True,
                      help="catalog group, e.g. translation:2, affine, gl:2")
     run.add_argument("--rep", default=None,
-                     help="representation name for the rep suite (default: trivial)")
+                     help="representation for the rep suite, e.g. standard; "
+                          "without it the rep suite has no rows")
     run.add_argument("--suite", default="all", help=f"one of {', '.join(SUITE_NAMES)}")
     run.add_argument("--seed", type=int, default=42)
     run.add_argument("--samples", type=positive_int, default=20)

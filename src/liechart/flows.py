@@ -9,7 +9,7 @@ from functools import partial
 import numpy as np
 
 from .errors import LeftChart, NonFiniteEvaluation, ZeroPsi
-from .group import GroupChart, maxabs, maxabs_rows, psi_flavored, worst_of, worst_over_samples
+from .group import GroupChart, maxabs, psi_flavored, worst_over_samples
 from .numdiff import DiffConfig, as_finite_array
 
 _FIRST_STEPS_PER_UNIT = 8
@@ -122,8 +122,7 @@ def homomorphism_residual(chart: GroupChart, flow: FlowResult) -> float:
     i = np.asarray(homomorphism_pairs(flow))
     if i.size == 0:         # a path too short to have pairs makes no law call
         return 0.0
-    return worst_of(maxabs_rows(chart.compose(flow.path[i], flow.path[-1 - i]) - flow.path[-1],
-                                flow.path[i]))
+    return maxabs(chart.compose(flow.path[i], flow.path[-1 - i]) - flow.path[-1])
 
 
 def canonical_coordinate(chart: GroupChart, a,

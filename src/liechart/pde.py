@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NonFiniteEvaluation, NotIntegrable
 from .flows import rk4_path, step_doubled
-from .group import GroupChart, check_rng, maxabs_rows, worst_of
+from .group import GroupChart, check_rng, maxabs, maxabs_rows
 from .numdiff import DiffConfig, as_finite_array, jacobian, numeric_rank, rowwise
 
 _TAYLOR_STEPS = 500
@@ -91,7 +91,7 @@ def integrability_residual(sys: PDESystem, cfg: DiffConfig | None = None) -> flo
     rng = check_rng(cfg, f"pde_integrability_{sys.name}")
     thetas = _sample_box(sys.theta_box, rng, cfg.sample_count)
     xs = _sample_box(sys.x_box, rng, cfg.sample_count)
-    return worst_of(_cross_residual(sys, thetas, xs, cfg))
+    return maxabs(_cross_residual(sys, thetas, xs, cfg))
 
 
 def _require_integrable(sys: PDESystem, cfg: DiffConfig) -> None:

@@ -19,13 +19,11 @@ from scipy.linalg import block_diag
 from .group import (
     GroupChart,
     basic_operators,
-    check_rng,
     inverse,
     maxabs,
     maxabs_rows,
+    named,
     psi_flavored,
-    sample_points,
-    worst_of,
     worst_over_samples,
 )
 from .numdiff import DiffConfig, as_finite_array, invert, jacobian, rowwise
@@ -91,8 +89,10 @@ def rep_axiom_residuals(rep: RepChart, cfg: DiffConfig | None = None
     def homomorphism(b: np.ndarray, a: np.ndarray) -> np.ndarray:
         return maxabs_rows(rep(chart.compose(b, a)) - rep.product(rep(b), rep(a)), a)
 
+    with named("rep_identity"):
+        identity = maxabs(rep(chart.identity) - np.eye(rep.m))
     return {
-        "rep_identity": maxabs(rep(chart.identity) - np.eye(rep.m)),
+        "rep_identity": identity,
         "rep_homomorphism": worst_over_samples(chart, cfg, "rep_homomorphism", homomorphism,
                                                arity=2),
         "rep_inverse": worst_over_samples(chart, cfg, "rep_inverse", lambda a: maxabs_rows(
@@ -100,19 +100,19 @@ def rep_axiom_residuals(rep: RepChart, cfg: DiffConfig | None = None
     }
 
 
-def rep_pde_residual(rep: RepChart, cfg: DiffConfig | None = None,
-                     gens: np.ndarray | None = None) -> float:
+def rep_pde_residual(rep: RepChart, gens: np.ndarray, cfg: DiffConfig | None = None) -> float:
     """Residual of the defining differential equation of the representation,
     compared entry by entry on the slot derivative of f at sampled points."""
     cfg = cfg or DiffConfig()
     chart = rep.group
-    if gens is None:
-        gens = rep_generators(rep, cfg)
-    pts = sample_points(chart, cfg, check_rng(cfg, "rep_pde"), cfg.sample_count)
-    # the generator equation: d f / d a^L = sum_k lam_left[k, L] I_k f
-    lam_left = invert(psi_flavored(chart, pts, "left", cfg))
-    expected = _combine(lam_left, rep.product(gens, rep(pts)[:, None]))
-    return worst_of(maxabs_rows(_slot_derivatives(rep, pts, cfg) - expected, pts))
+
+    def residual(a: np.ndarray) -> np.ndarray:
+        # the generator equation: d f / d a^L = sum_k lam_left[k, L] I_k f
+        lam_left = invert(psi_flavored(chart, a, "left", cfg))
+        expected = _combine(lam_left, rep.product(gens, rep(a)[:, None]))
+        return maxabs_rows(_slot_derivatives(rep, a, cfg) - expected, a)
+
+    return worst_over_samples(chart, cfg, "rep_pde", residual)
 
 
 def integrability_check(gens: np.ndarray, constants: StructureConstants,
@@ -180,8 +180,8 @@ def direct_sum_generators(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
     return out
 
 
-def generator_transform(rep: RepChart, g, cfg: DiffConfig | None = None,
-                        gens: np.ndarray | None = None) -> np.ndarray:
+def generator_transform(rep: RepChart, g, gens: np.ndarray,
+                        cfg: DiffConfig | None = None) -> np.ndarray:
     """Generators conjugated by f(g) and reweighted by the adjoint matrix.
 
     The point g enters twice: through the matrix conjugation and through
@@ -191,27 +191,26 @@ def generator_transform(rep: RepChart, g, cfg: DiffConfig | None = None,
     point (n,), giving (n, m, m), or a stack (..., n), giving (..., n, m, m).
     """
     cfg = cfg or DiffConfig()
-    if gens is None:
-        gens = rep_generators(rep, cfg)
-    ops = basic_operators(rep.group, g, cfg)
+    adjoint = (invert(psi_flavored(rep.group, g, "left", cfg))
+               @ psi_flavored(rep.group, g, "right", cfg))
     fg = rep(g)[..., None, :, :]
     fg_inv = invert(fg)
     conj = fg_inv @ gens @ fg if rep.side == "left" else fg @ gens @ fg_inv
-    return _combine(ops.left_inv @ ops.right, conj)
+    return _combine(adjoint, conj)
 
 
-def generator_transform_residual(rep: RepChart, cfg: DiffConfig | None = None) -> float:
+def generator_transform_residual(rep: RepChart, gens: np.ndarray,
+                                 cfg: DiffConfig | None = None) -> float:
     """Constancy of the transformed generators across GENERATOR_TRANSFORM_POINTS points."""
     cfg = cfg or DiffConfig()
-    gens = rep_generators(rep, cfg)
     return worst_over_samples(
         rep.group, cfg, "generator_transform",
-        lambda g: maxabs_rows(generator_transform(rep, g, cfg, gens) - gens, g),
+        lambda g: maxabs_rows(generator_transform(rep, g, gens, cfg) - gens, g),
         count=GENERATOR_TRANSFORM_POINTS)
 
 
-def mixed_identity_residual(rep: RepChart, cfg: DiffConfig | None = None,
-                            gens: np.ndarray | None = None) -> float:
+def mixed_identity_residual(rep: RepChart, gens: np.ndarray,
+                            cfg: DiffConfig | None = None) -> float:
     """Both inverse-operator weightings of the defining equation agree.
 
     The slot derivative of f can be written through either the left or
@@ -220,8 +219,6 @@ def mixed_identity_residual(rep: RepChart, cfg: DiffConfig | None = None,
     """
     cfg = cfg or DiffConfig()
     chart = rep.group
-    if gens is None:
-        gens = rep_generators(rep, cfg)
 
     def residual(a: np.ndarray) -> np.ndarray:
         fa = rep(a)[:, None]

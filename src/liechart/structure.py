@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularMatrix
-from .group import GroupChart, maxabs, psi_flavored, worst_of, worst_over_samples
+from .group import GroupChart, maxabs, psi_flavored, worst_over_samples
 from .numdiff import DiffConfig, invert, jacobian, mixed_second, numeric_rank, rowwise
 
 CONSTANCY_POINTS = 5
@@ -121,36 +121,26 @@ def structure_constants_at_point(chart: GroupChart, a, flavor: str,
     return np.einsum("rt,pv,urp->utv", psi, psi, antis)
 
 
-def _flavored_constants(chart: GroupChart, flavor: str, cfg: DiffConfig,
-                        constants: StructureConstants | None) -> StructureConstants:
-    """The given constants after a flavor check, or freshly measured ones."""
-    if constants is None:
-        return structure_constants(group_generators(chart, cfg), flavor)
-    if constants.flavor != flavor:
-        raise ValueError("constants flavor does not match requested flavor")
-    return constants
-
-
-def constancy_residual(chart: GroupChart, flavor: str, cfg: DiffConfig | None = None,
-                       constants: StructureConstants | None = None) -> float:
+def constancy_residual(chart: GroupChart, constants: StructureConstants,
+                       cfg: DiffConfig | None = None) -> float:
     """Spread of point-measured constants across CONSTANCY_POINTS sampled points."""
     cfg = cfg or DiffConfig()
-    base = _flavored_constants(chart, flavor, cfg, constants).c
+    flavor, base = constants.flavor, constants.c
     return worst_over_samples(
         chart, cfg, f"constancy_{flavor}",
         rowwise(lambda a: maxabs(structure_constants_at_point(chart, a, flavor, cfg) - base)),
         count=CONSTANCY_POINTS)
 
 
-def maurer_residual(chart: GroupChart, flavor: str, cfg: DiffConfig | None = None,
-                    constants: StructureConstants | None = None) -> float:
+def maurer_residual(chart: GroupChart, constants: StructureConstants,
+                    cfg: DiffConfig | None = None) -> float:
     """Max violation of the Maurer equation at sampled points.
 
     The curl of the inverse operator field must equal the structure
     constants contracted with two copies of that field.
     """
     cfg = cfg or DiffConfig()
-    constants = _flavored_constants(chart, flavor, cfg, constants)
+    flavor = constants.flavor
 
     def residual(a: np.ndarray) -> float:
         _, lam, dlam = _frame_derivatives(chart, a, flavor, cfg)
@@ -161,9 +151,8 @@ def maurer_residual(chart: GroupChart, flavor: str, cfg: DiffConfig | None = Non
     return worst_over_samples(chart, cfg, f"maurer_{flavor}", rowwise(residual))
 
 
-def invariant_field_commutators(chart: GroupChart, flavor: str,
-                                cfg: DiffConfig | None = None,
-                                constants: StructureConstants | None = None) -> float:
+def invariant_field_commutators(chart: GroupChart, constants: StructureConstants,
+                                cfg: DiffConfig | None = None) -> float:
     """Max frame-field commutator residual against the constants.
 
     Column V of the basic operator field is the V-th invariant frame
@@ -176,7 +165,7 @@ def invariant_field_commutators(chart: GroupChart, flavor: str,
     independent of the mixed_second stencil the Maurer check uses.
     """
     cfg = cfg or DiffConfig()
-    constants = _flavored_constants(chart, flavor, cfg, constants)
+    flavor = constants.flavor
     n = chart.n
 
     def residual(a: np.ndarray) -> float:
@@ -188,8 +177,7 @@ def invariant_field_commutators(chart: GroupChart, flavor: str,
         # product the memory layout, and so the bits, of vf_commutator
         jac = np.ascontiguousarray(dframe.reshape(n, n, n).transpose(1, 0, 2))
         fields = np.ascontiguousarray(psi.T)
-        return worst_of(maxabs(jac[v] @ fields[t] - jac[t] @ fields[v]
-                               - psi @ constants.c[:, t, v])
-                        for t in range(n) for v in range(t + 1, n))
+        return maxabs([jac[v] @ fields[t] - jac[t] @ fields[v] - psi @ constants.c[:, t, v]
+                       for t in range(n) for v in range(t + 1, n)])
 
     return worst_over_samples(chart, cfg, f"field_commutators_{flavor}", rowwise(residual))

@@ -1,8 +1,8 @@
 """Named check suites over catalog entries, shared by the CLI and tests.
 
-Each suite is a generator over (chart, rep, cfg) that yields
-(check_id, samples, residual) triples in report order; `run_suite` alone
-turns them into verdicts against `group.TOLERANCES`.
+Each suite is a generator over (chart, rep, cfg), rep None unless one is
+named, that yields (check_id, samples, residual) triples in report order;
+`run_suite` alone turns them into verdicts against `group.TOLERANCES`.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from .group import (
     axiom_checks,
     check_rng,
     maxabs,
+    named,
     record,
     shift_checks,
     worst_over_samples,
@@ -49,12 +50,13 @@ def structure_suite(chart: GroupChart, rep: RepChart | None, cfg: DiffConfig) ->
             structure.structure_constants_at_point(chart, pt, "right", cfg)
             + structure.structure_constants_at_point(chart, pt, "left", cfg))), count=1)
 
-    for flavor, consts in (("left", c_left), ("right", c_right)):
+    for consts in (c_left, c_right):
+        flavor = consts.flavor
         yield f"constancy_{flavor}", structure.CONSTANCY_POINTS, structure.constancy_residual(
-            chart, flavor, cfg, constants=consts)
-        yield f"maurer_{flavor}", n, structure.maurer_residual(chart, flavor, cfg, consts)
+            chart, consts, cfg)
+        yield f"maurer_{flavor}", n, structure.maurer_residual(chart, consts, cfg)
         yield f"field_commutators_{flavor}", n, structure.invariant_field_commutators(
-            chart, flavor, cfg, consts)
+            chart, consts, cfg)
 
 
 def flows_suite(chart: GroupChart, rep: RepChart | None, cfg: DiffConfig) -> Checks:
@@ -62,14 +64,18 @@ def flows_suite(chart: GroupChart, rep: RepChart | None, cfg: DiffConfig) -> Che
     alpha = rng.uniform(-0.2, 0.2, chart.n)
 
     for check_id, flavor in (("flow_homomorphism", "right"), ("flow_homomorphism_left", "left")):
-        flow = flows.one_param_subgroup(chart, alpha, 1.0, flavor=flavor, cfg=cfg)
-        pairs = len(flows.homomorphism_pairs(flow))
-        yield check_id, pairs, flows.homomorphism_residual(chart, flow)
+        with named(check_id):
+            flow = flows.one_param_subgroup(chart, alpha, 1.0, flavor=flavor, cfg=cfg)
+            residual = flows.homomorphism_residual(chart, flow)
+        yield check_id, len(flows.homomorphism_pairs(flow)), residual
     if chart.n == 1:
         yield "canonical_additivity", cfg.sample_count, flows.additivity_residual(chart, cfg)
 
 
 def rep_suite(chart: GroupChart, rep: RepChart | None, cfg: DiffConfig) -> Checks:
+    # without a named representation the suite has no rows
+    if rep is None:
+        return
     gens = reps.rep_generators(rep, cfg)
     n = cfg.sample_count
 
@@ -77,20 +83,21 @@ def rep_suite(chart: GroupChart, rep: RepChart | None, cfg: DiffConfig) -> Check
     yield "rep_identity", 1, axioms["rep_identity"]
     yield "rep_homomorphism", n, axioms["rep_homomorphism"]
     yield "rep_inverse", n, axioms["rep_inverse"]
-    yield "rep_pde_map", n, reps.rep_pde_residual(rep, cfg, gens)
+    yield "rep_pde_map", n, reps.rep_pde_residual(rep, gens, cfg)
     # one generator commutes with itself, so at n = 1 this row reads 0.0
     if chart.n > 1:
         c_left = structure.structure_constants(structure.group_generators(chart, cfg), "left")
         yield "rep_integrability", 1, reps.integrability_check(gens, c_left, rep.side)
-    yield "rep_mixed_identity", n, reps.mixed_identity_residual(rep, cfg, gens)
+    yield "rep_mixed_identity", n, reps.mixed_identity_residual(rep, gens, cfg)
     yield ("generator_transform_constancy", reps.GENERATOR_TRANSFORM_POINTS,
-           reps.generator_transform_residual(rep, cfg))
+           reps.generator_transform_residual(rep, gens, cfg))
 
 
 def pde_suite(chart: GroupChart, rep: RepChart | None, cfg: DiffConfig) -> Checks:
     fam = pde.group_composition_family(chart)
-    yield ("essential_count_group_family", cfg.sample_count,
-           float(abs(pde.essential_count(fam, cfg) - chart.n)))
+    with named("essential_count_group_family"):
+        count = pde.essential_count(fam, cfg)
+    yield "essential_count_group_family", cfg.sample_count, float(abs(count - chart.n))
 
 
 SUITES = {
@@ -112,8 +119,8 @@ def run_suite(group_name: str, suite: str, cfg: DiffConfig,
     # look every entry up before any work, so an unknown name costs nothing,
     # whatever the suite; only a suite that takes a representation names it
     chart = catalog.get_group(group_name)
-    rep = catalog.get_rep(group_name, rep_name or "trivial")
-    rep_name = (rep_name or "trivial") if "rep" in names else None
+    rep = catalog.get_rep(group_name, rep_name) if rep_name is not None else None
+    rep_name = rep_name if "rep" in names else None
     report = CheckReport(suite=suite, group=group_name, rep=rep_name,
                          seed=cfg.rng_seed, fd_step=cfg.base_step)
     for name in names:

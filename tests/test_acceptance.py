@@ -127,7 +127,8 @@ def test_criterion_04_maurer_equation(emit):
     for name in ("translation:2", "affine", "gl:2"):
         chart = get_group(name)
         for flavor in ("left", "right"):
-            worst = max(worst, maurer_residual(chart, flavor, CFG))
+            c = structure_constants(group_generators(chart, CFG), flavor)
+            worst = max(worst, maurer_residual(chart, c, CFG))
     ok = worst < 1e-3
     emit(4, ok, f"Maurer equation both flavors on 3 groups, worst {worst:.2e} (tol 1e-3)")
     assert ok
@@ -158,7 +159,8 @@ def test_criterion_06_invariant_frames_whole_catalog(emit):
         for flavor in ("left", "right"):
             # a frame that loses rank at a sampled point breaks down
             try:
-                worst = max(worst, invariant_field_commutators(chart, flavor, CFG))
+                c = structure_constants(group_generators(chart, CFG), flavor)
+                worst = max(worst, invariant_field_commutators(chart, c, CFG))
             except SingularMatrix:
                 ranks_ok = False
     ok = worst < 1e-3 and ranks_ok
@@ -208,13 +210,13 @@ def test_criterion_08_representation_identities(emit):
             (axioms["rep_identity"], 1e-8),
             (axioms["rep_homomorphism"], 1e-8),
             (axioms["rep_inverse"], 1e-8),
-            (rep_pde_residual(rep, CFG, gens), 1e-3),
+            (rep_pde_residual(rep, gens, CFG), 1e-3),
             (integrability_check(gens, c_left, rep.side), 1e-6),
-            (mixed_identity_residual(rep, CFG, gens), 1e-3),
+            (mixed_identity_residual(rep, gens, CFG), 1e-3),
             (conjugate_generators_check(rep, CFG), 1e-5),
             (tensor_err, 1e-4),
             (sum_err, 1e-5),
-            (generator_transform_residual(rep, CFG), 1e-4),
+            (generator_transform_residual(rep, gens, CFG), 1e-4),
         ]
         rep_ok = all(res < tol for res, tol in checks)
         ok = ok and rep_ok

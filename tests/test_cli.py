@@ -29,7 +29,7 @@ def test_shift_suite_passes(capsys):
 
 def test_all_suite_small_group(capsys):
     code = run_cli("run", "--group", "translation:2", "--suite", "all",
-                   "--samples", "4")
+                   "--rep", "trivial", "--samples", "4")
     assert code == 0
     out = capsys.readouterr().out
     # every family of checks shows up in the combined run (a 1-d group has
@@ -210,12 +210,14 @@ def test_rep_field_only_set_for_rep_suites(tmp_path, capsys):
     assert json.loads(rep.read_text())["rep"] == "standard"
 
 
-def test_rep_suite_defaults_to_trivial(tmp_path, capsys):
-    target = tmp_path / "trivial.json"
+def test_rep_suite_without_rep_has_no_rows(tmp_path, capsys):
+    target = tmp_path / "no-rep.json"
     code = run_cli("run", "--group", "affine", "--suite", "rep",
                    "--samples", "4", "--json", str(target))
     assert code == 0
-    assert json.loads(target.read_text())["rep"] == "trivial"
+    assert "0 checks, 0 failed" in capsys.readouterr().out
+    doc = json.loads(target.read_text())
+    assert doc["rep"] is None and doc["checks"] == []
 
 
 def test_fd_step_recorded_in_report(tmp_path, capsys):

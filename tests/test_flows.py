@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -16,7 +17,7 @@ from liechart.flows import (
 )
 from liechart.group import GroupChart, check_rng, sample_points
 from liechart.numdiff import DiffConfig
-from liechart.suites import run_suite
+from liechart.suites import SUITES, run_suite
 
 CFG = DiffConfig()
 
@@ -312,6 +313,13 @@ def test_step_doubling_raises_left_chart_from_the_capped_pass():
     escape = float(str(info.value).rsplit("=", 1)[1])
     assert abs(escape - math.log(41.0) / 40.0) <= 1e-3
 
+
+
+def test_flow_breakdown_names_its_row():
+    # the seed-42 flow direction leaves a radius of 0.05 before t = 1
+    chart = dataclasses.replace(get_group("translation:2"), chart_radius=0.05)
+    with pytest.raises(LeftChart, match="^flow_homomorphism: flow left the trust region"):
+        list(SUITES["flows"](chart, None, DiffConfig()))
 
 # composition-law evaluations of the seed-42 flows suite at the default 20
 # samples.  CEILING_EVALS are the counts with a fixed 1000 RK4 steps per

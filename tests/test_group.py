@@ -14,12 +14,12 @@ from liechart.group import (
     check_chart_axioms,
     check_rng,
     inverse,
+    maxabs,
     maxabs_rows,
     psi_flavored,
     sample_points,
     shift_jacobians,
     verify_shift_identities,
-    worst_of,
     worst_over_samples,
     SAMPLE_RADIUS,
     SHIFT_CHECK_IDS,
@@ -193,13 +193,14 @@ def test_shift_identities_tol_scale_forces_failure():
     assert not report.all_passed
 
 
-def test_worst_of_keeps_nan():
+def test_maxabs_keeps_nan():
     nan = float("nan")
-    assert worst_of([]) == 0.0
-    assert worst_of([1e-9, 3e-7, 2e-8]) == 3e-7
+    assert maxabs([]) == 0.0
+    assert maxabs(np.zeros((0, 3))) == 0.0
+    assert maxabs([1e-9, -3e-7, 2e-8]) == 3e-7
     # max(0.0, nan) would keep 0.0; the NaN must survive wherever it sits
-    for residuals in ([nan, 1.0], [1.0, nan], [0.0, nan, 0.5]):
-        assert np.isnan(worst_of(residuals))
+    for residuals in ([nan, 1.0], [1.0, nan], [0.0, nan, 0.5], [[0.5, 0.0], [0.0, nan]]):
+        assert np.isnan(maxabs(residuals))
 
 
 def test_maxabs_rows_keeps_nan():
@@ -379,5 +380,5 @@ def test_batched_structure_measurements_match_per_point(name):
         a = sample_points(chart, CFG, check_rng(CFG, "batched_structure"), 1)[0]
         assert np.array_equal(structure.structure_constants_at_point(chart, a, flavor, CFG),
                               structure.structure_constants_at_point(ref, a, flavor, CFG))
-        assert (structure.invariant_field_commutators(chart, flavor, CFG, constants=c)
-                == structure.invariant_field_commutators(ref, flavor, CFG, constants=c))
+        assert (structure.invariant_field_commutators(chart, c, CFG)
+                == structure.invariant_field_commutators(ref, c, CFG))

@@ -16,8 +16,9 @@ from liechart.catalog import get_group
 from liechart.errors import SingularMatrix
 from liechart.group import SHIFT_CHECK_IDS, TOLERANCES, GroupChart, record
 from liechart.numdiff import DiffConfig
-from liechart.reps import RepChart
-from liechart.structure import invariant_field_commutators
+from liechart.reps import RepChart, generator_transform_residual, rep_generators
+from liechart.structure import (group_generators, invariant_field_commutators,
+                                structure_constants)
 from liechart.suites import SUITES
 
 CFG = DiffConfig()
@@ -215,18 +216,35 @@ def test_every_check_id_has_a_mutant_or_a_stated_exemption():
     assert set(TOLERANCES) == {check_id for _, check_id in (*LAW_MATRIX, *REP_MATRIX)}
 
 
-@pytest.mark.parametrize("flavor, law, hint", [
+_CUBE_LAWS = [
     # (a0 + b0^3, a1 + b1): the right-slot derivative at b = e has rank 1
     ("right", lambda a, b: np.array([a[0] + b[0] ** 3, a[1] + b[1]]),
      lambda a: np.array([np.cbrt(-a[0]), -a[1]])),
     # its mirror (a0^3 + b0, a1 + b1), for the left-slot derivative at a = e
     ("left", lambda a, b: np.array([a[0] ** 3 + b[0], a[1] + b[1]]),
      lambda a: np.array([-a[0] ** 3, -a[1]])),
-])
+]
+
+
+def _cube_chart(law, hint) -> GroupChart:
+    return GroupChart(n=2, compose=law, identity=np.zeros(2), inverse_hint=hint, name="cube")
+
+
+@pytest.mark.parametrize("flavor, law, hint", _CUBE_LAWS)
 def test_singular_frame_breaks_down_before_frame_rank_is_read(flavor, law, hint):
-    chart = GroupChart(n=2, compose=law, identity=np.zeros(2), inverse_hint=hint, name="cube")
+    chart = _cube_chart(law, hint)
     rank_drop = rf"{flavor} frame has rank 1 of 2 at a = \[-?0\.\d+, -?0\.\d+\]$"
     with pytest.raises(SingularMatrix, match="^anti_isomorphism_measured: " + rank_drop):
         list(SUITES["structure"](chart, None, CFG))
+    constants = structure_constants(group_generators(chart, CFG), flavor)
     with pytest.raises(SingularMatrix, match=f"^field_commutators_{flavor}: " + rank_drop):
-        invariant_field_commutators(chart, flavor, CFG)
+        invariant_field_commutators(chart, constants, CFG)
+
+
+def test_generator_transform_inverts_only_the_left_frame():
+    # the adjoint weight inverts the left frame, the identity on this law,
+    # and never the singular right frame, so the trivial rep reads 0.0
+    _, law, hint = _CUBE_LAWS[0]
+    rep = RepChart(group=_cube_chart(law, hint), m=1, f=lambda a: np.ones((1, 1)),
+                   name="trivial")
+    assert generator_transform_residual(rep, rep_generators(rep, CFG), CFG) == 0.0

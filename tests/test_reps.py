@@ -15,7 +15,6 @@ from liechart.group import (
     maxabs,
     psi_flavored,
     sample_points,
-    worst_of,
     worst_over_samples,
 )
 from liechart.numdiff import DiffConfig, invert, jacobian, rowwise
@@ -143,7 +142,7 @@ def test_rep_axioms(group_name, rep_name):
 @pytest.mark.parametrize("group_name,rep_name", REP_CASES)
 def test_rep_pde(group_name, rep_name):
     rep = get_rep(group_name, rep_name)
-    assert rep_pde_residual(rep, CFG) < 1e-3
+    assert rep_pde_residual(rep, rep_generators(rep, CFG), CFG) < 1e-3
 
 
 @pytest.mark.parametrize("group_name,rep_name", REP_CASES)
@@ -238,13 +237,13 @@ def test_combination_requires_same_group():
 ])
 def test_generator_transform_is_constant(group_name, rep_name):
     rep = get_rep(group_name, rep_name)
-    assert generator_transform_residual(rep, CFG) < 1e-4
+    assert generator_transform_residual(rep, rep_generators(rep, CFG), CFG) < 1e-4
 
 
 @pytest.mark.parametrize("group_name,rep_name", REP_CASES)
 def test_mixed_identity(group_name, rep_name):
     rep = get_rep(group_name, rep_name)
-    assert mixed_identity_residual(rep, CFG) < 1e-3
+    assert mixed_identity_residual(rep, rep_generators(rep, CFG), CFG) < 1e-3
 
 
 def test_trivial_rep_is_flat():
@@ -310,7 +309,7 @@ def loop_pde_residual(rep, gens):
                 acc += lam_left[k, col] * rep.product(gens[k], fa)
             expected[:, :, col] = acc
         map_res.append(maxabs(d - expected))
-    return worst_of(map_res)
+    return maxabs(map_res)
 
 
 def loop_integrability(gens, c, side):
@@ -321,7 +320,7 @@ def loop_integrability(gens, c, side):
             comm = gens[k] @ gens[p] - gens[p] @ gens[k]
             weights = c[:, p, k] if side == "left" else c[:, k, p]
             worst.append(maxabs(comm - sum(weights[t] * gens[t] for t in range(n))))
-    return worst_of(worst)
+    return maxabs(worst)
 
 
 def loop_generator_transform(rep, g, gens):
@@ -373,7 +372,7 @@ def loop_mixed_identity(rep, gens):
                 left_form += ops.left_inv[k, col] * rep.product(gens[k], fa)
                 right_form += ops.right_inv[k, col] * rep.product(fa, gens[k])
             worst.append(maxabs(left_form - right_form))
-        return worst_of(worst)
+        return maxabs(worst)
 
     return worst_over_samples(rep.group, CFG, "rep_mixed_identity", rowwise(residual))
 
@@ -385,19 +384,20 @@ def test_generator_stack_matches_loop_references(group_name, rep_name, side):
     assert gens.shape == (rep.group.n, rep.m, rep.m)
     c_left = structure_constants(group_generators(rep.group, CFG), "left")
 
-    assert rep_pde_residual(rep, CFG, gens) == loop_pde_residual(rep, list(gens))
+    assert rep_pde_residual(rep, gens, CFG) == loop_pde_residual(rep, list(gens))
     assert (integrability_check(gens, c_left, side)
             == loop_integrability(list(gens), c_left.c, side))
-    assert mixed_identity_residual(rep, CFG, gens) == loop_mixed_identity(rep, list(gens))
+    assert mixed_identity_residual(rep, gens, CFG) == loop_mixed_identity(rep, list(gens))
     g = sample_points(rep.group, CFG, np.random.default_rng(3), 1)[0]
-    assert np.array_equal(generator_transform(rep, g, CFG, gens),
+    assert np.array_equal(generator_transform(rep, g, gens, CFG),
                           loop_generator_transform(rep, g, list(gens)))
     pts = sample_points(rep.group, CFG, np.random.default_rng(4), 3)
-    stacked = generator_transform(rep, pts, CFG, gens)
+    stacked = generator_transform(rep, pts, gens, CFG)
     for row, p in zip(stacked, pts):
         assert np.array_equal(row, loop_generator_transform(rep, p, list(gens)))
     assert rep_axiom_residuals(rep, CFG) == loop_rep_axioms(rep)
-    assert generator_transform_residual(rep, CFG) == loop_generator_transform_residual(rep, gens)
+    assert (generator_transform_residual(rep, gens, CFG)
+            == loop_generator_transform_residual(rep, gens))
 
 
 def test_integrability_nan_matches_loop_reference():

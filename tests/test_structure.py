@@ -171,7 +171,7 @@ def test_constants_at_point_and_constancy(name, flavor):
     pt = sample_points(chart, CFG, rng, 1)[0]
     c_pt = structure_constants_at_point(chart, pt, flavor, CFG)
     assert np.max(np.abs(c_pt - c_ref.c)) < 1e-3
-    assert constancy_residual(chart, flavor, CFG) < 1e-3
+    assert constancy_residual(chart, c_ref, CFG) < 1e-3
 
 
 @pytest.mark.parametrize("name", ["translation:2", "affine", "gl:2"])
@@ -179,7 +179,7 @@ def test_constants_at_point_and_constancy(name, flavor):
 def test_maurer_equation(name, flavor):
     chart = get_group(name)
     c = structure_constants(group_generators(chart, CFG), flavor)
-    assert maurer_residual(chart, flavor, CFG, constants=c) < 1e-3
+    assert maurer_residual(chart, c, CFG) < 1e-3
 
 
 @pytest.mark.parametrize("name", ["affine", "gl:2"])
@@ -187,7 +187,19 @@ def test_maurer_equation(name, flavor):
 def test_invariant_field_commutators(name, flavor):
     chart = get_group(name)
     c = structure_constants(group_generators(chart, CFG), flavor)
-    assert invariant_field_commutators(chart, flavor, CFG, constants=c) < 1e-3
+    assert invariant_field_commutators(chart, c, CFG) < 1e-3
+
+
+@pytest.mark.parametrize("name", ["affine", "gl:2"])
+def test_right_flavor_functions_give_the_suite_rows(name):
+    # the flavor comes from the constants alone
+    chart = get_group(name)
+    c_right = structure_constants(group_generators(chart, CFG), "right")
+    rows = {c.check_id: c.max_residual for c in run_suite(name, "structure", CFG).checks}
+    for check_id, fn in (("constancy_right", constancy_residual),
+                         ("maurer_right", maurer_residual),
+                         ("field_commutators_right", invariant_field_commutators)):
+        assert fn(chart, c_right, CFG) == rows[check_id], check_id
 
 
 def per_pair_field_commutators(chart, flavor, cfg, constants):
@@ -214,7 +226,7 @@ def per_pair_field_commutators(chart, flavor, cfg, constants):
 def test_field_commutators_match_per_pair_reference(name, flavor):
     chart = get_group(name)
     c = structure_constants(group_generators(chart, CFG), flavor)
-    worst = invariant_field_commutators(chart, flavor, CFG, constants=c)
+    worst = invariant_field_commutators(chart, c, CFG)
     assert np.array_equal(worst, per_pair_field_commutators(chart, flavor, CFG, c))
 
 

@@ -1,12 +1,14 @@
 from functools import cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from liechart import catalog
-from liechart.errors import UnknownEntry
+from liechart import catalog, reps
+from liechart.errors import NonFiniteEvaluation, UnknownEntry
 from liechart.group import SHIFT_CHECK_IDS, check_chart_axioms, verify_shift_identities
 from liechart.numdiff import DiffConfig
+from liechart.reps import RepChart
 from liechart.suites import SUITE_NAMES, SUITES, TOLERANCES, run_suite
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -95,19 +97,48 @@ def test_pde_suite_roster():
 
 def test_all_suite_concatenates_in_order():
     # a 1-d group runs no structure row and no rep_integrability
-    report = run_suite("multiplicative", "all", CFG)
+    report = run_suite("multiplicative", "all", CFG, rep_name="trivial")
     expected = (list(AXIOM_IDS) + list(SHIFT_CHECK_IDS) + list(FLOW_IDS)
                 + list(CANONICAL_IDS) + [i for i in REP_IDS if i != "rep_integrability"]
                 + list(PDE_IDS))
     assert ids_of(report) == expected
+    assert report.rep == "trivial"
     assert report.all_passed
+
+
+@pytest.mark.parametrize("suite", ["rep", "all"])
+def test_no_rep_rows_without_a_named_rep(suite):
+    report = run_suite("translation:3", suite, CFG)
+    assert report.rep is None
+    assert not set(ids_of(report)) & set(REP_IDS)
+
+
+def test_rep_suite_measures_the_generators_once(monkeypatch):
+    calls = []
+    measure = reps.rep_generators
+    monkeypatch.setattr(reps, "rep_generators", lambda *a: calls.append(1) or measure(*a))
+    run_suite("gl:2", "rep", CFG, rep_name="standard")
+    assert len(calls) == 1
+
+
+def test_rep_identity_breakdown_names_its_row():
+    # finite at every stencil point around the identity, NaN at the identity itself
+    chart = catalog.get_group("affine")
+
+    def f(a):
+        return np.full((1, 1), np.nan if np.array_equal(a, chart.identity) else 1.0)
+
+    rep = RepChart(group=chart, m=1, f=f, name="hole")
+    with pytest.raises(NonFiniteEvaluation, match="^rep_identity: representation value"):
+        list(SUITES["rep"](chart, rep, CFG))
 
 
 @cache
 def _all_records():
-    # the 1-d roster runs canonical_additivity, the 3-d one jacobi_left
+    # the 1-d roster runs canonical_additivity, the 3-d one jacobi_left and
+    # rep_integrability; trivial is the one representation of both groups
     return [c for group in ("multiplicative", "translation:3")
-            for c in run_suite(group, "all", CFG).checks]
+            for c in run_suite(group, "all", CFG, rep_name="trivial").checks]
 
 
 def test_every_roster_id_has_a_tolerance():
