@@ -17,14 +17,11 @@ from .errors import (
     ZeroPsi,
 )
 from .group import (
-    BasicOperators,
     GroupChart,
-    ShiftJacobians,
-    basic_operators,
     check_chart_axioms,
     inverse,
+    psi_flavored,
     sample_points,
-    shift_jacobians,
     verify_shift_identities,
 )
 from .numdiff import (
@@ -40,7 +37,6 @@ from .numdiff import (
 from .report import CheckRecord, CheckReport
 
 __all__ = [
-    "BasicOperators",
     "CBRT_EPS",
     "CheckRecord",
     "CheckReport",
@@ -51,20 +47,18 @@ __all__ = [
     "NoConvergence",
     "NonFiniteEvaluation",
     "NotIntegrable",
-    "ShiftJacobians",
     "SingularMatrix",
     "UnknownEntry",
     "ZeroPsi",
-    "basic_operators",
     "check_chart_axioms",
     "inverse",
     "invert",
     "jacobian",
     "mixed_second",
     "numeric_rank",
+    "psi_flavored",
     "rowwise",
     "sample_points",
-    "shift_jacobians",
     "vf_commutator",
     "verify_shift_identities",
 ]

@@ -11,7 +11,7 @@ Conventions, fixed once for the whole package:
   left slot a, the *right* one in the right slot b;
 * the basic operator `right` is the right-slot derivative at b = e (its
   column V is the right-invariant frame field), `left` the left-slot
-  derivative at a = e; `left_inv`/`right_inv` are their matrix inverses.
+  derivative at a = e (`psi_flavored`).
 """
 
 from __future__ import annotations
@@ -72,28 +72,6 @@ class GroupChart:
             self.inverse_hint = rowwise(self.inverse_hint)
 
 
-@dataclass(frozen=True)
-class ShiftJacobians:
-    """Derivatives of compose(a, b) in each slot, evaluated at (a, b)."""
-
-    left: np.ndarray
-    right: np.ndarray
-
-
-@dataclass(frozen=True)
-class BasicOperators:
-    """Slot derivatives of the composition law at the identity.
-
-    right[K][L] = d compose(a, b)^K / d b^L at b = e, left[K][L] the
-    mirror image; the _inv fields are their matrix inverses.
-    """
-
-    left: np.ndarray
-    right: np.ndarray
-    left_inv: np.ndarray
-    right_inv: np.ndarray
-
-
 def check_rng(cfg: DiffConfig, check_id: str) -> np.random.Generator:
     """Independent generator per check, stable across runs and platforms."""
     return np.random.default_rng((cfg.rng_seed % 2**63, zlib.crc32(check_id.encode())))
@@ -116,14 +94,12 @@ def maxabs_rows(x, point) -> np.ndarray:
 def inverse(chart: GroupChart, a, cfg: DiffConfig | None = None) -> np.ndarray:
     """Coordinates of the group inverse of a, one point (n,) or a stack (..., n).
 
-    With the chart's closed-form hint, the rows are mapped by the hint and
-    checked against it (compose(a, x) within 1e-10 of e) in one call each,
-    and only the rows the hint misses are polished by Newton; without a
-    hint every row is solved by Newton from the identity.  One `_newton`
-    call takes all those rows, each solved as it would be alone, so a row
-    keeps the bits of its own inverse.  A stack raises when one of its
-    rows breaks down, with the error of solving the rows in order: a
-    failing hint before a failing Newton solve, and the lowest row first.
+    Newton solves every row, from the chart's closed-form hint or, without
+    one, from the identity; a row its hint already solves leaves after
+    Newton's first residual, one law call.  One `_newton` call takes all
+    the rows, each solved as it would be alone, so a row keeps the bits of
+    its own inverse.  A stack raises when one of its rows breaks down,
+    with the error of its lowest such row.
     """
     cfg = cfg or DiffConfig()
     a = as_finite_array(a, "inverse argument")
@@ -137,26 +113,19 @@ def _inverse_rows(chart: GroupChart, rows: np.ndarray,
                   cfg: DiffConfig) -> tuple[np.ndarray, dict[int, LieChartError]]:
     """Inverses of a (k, n) stack, and the rows that broke down.
 
-    The dict maps each row that broke down to the error it raises alone,
-    the hint's rows before Newton's and each in row order; such a row's
-    inverse is left as it was when it broke.
+    The dict maps each row that broke down, in row order, to the error it
+    raises alone; such a row's inverse is left as it was when it broke.
     """
-    e = chart.identity
     broken: dict[int, LieChartError] = {}
     if chart.inverse_hint is None:
-        x = np.tile(e, (len(rows), 1))
-        sloppy = np.arange(len(rows))
+        x = np.tile(chart.identity, (len(rows), 1))
+        start = np.arange(len(rows))
     else:
         x = np.array(chart.inverse_hint(rows), dtype=float).reshape(rows.shape)
-        sloppy = np.flatnonzero(_finite_or_break(broken, np.arange(len(rows)), x, "inverse hint"))
-        if sloppy.size:
-            r = np.asarray(chart.compose(rows[sloppy], x[sloppy]), dtype=float) - e
-            sloppy = sloppy[_finite_or_break(broken, sloppy, r, "evaluation")
-                            & (maxabs_rows(r, r) > 1e-10)]
-    if sloppy.size:
-        x[sloppy], failed = _newton(chart, rows[sloppy], x[sloppy], cfg)
-        broken.update((int(sloppy[i]), error) for i, error in failed.items())
-    return x, broken
+        start = np.flatnonzero(_finite_or_break(broken, np.arange(len(rows)), x, "inverse hint"))
+    x[start], failed = _newton(chart, rows[start], x[start], cfg)
+    broken.update((int(start[i]), error) for i, error in failed.items())
+    return x, dict(sorted(broken.items()))
 
 
 def _newton(chart: GroupChart, a: np.ndarray, x: np.ndarray,
@@ -169,12 +138,14 @@ def _newton(chart: GroupChart, a: np.ndarray, x: np.ndarray,
     leaves the stack once its residual is below _NEWTON_TOL, or when it
     breaks down, so each row takes the steps and the evaluations of its
     own one-point solve.  Returns x, updated in place, and the rows that
-    broke down in row order, each with the error it raises alone.
+    broke down, each with the error it raises alone.
     """
     e = chart.identity
     broken: dict[int, LieChartError] = {}
     live = np.arange(len(a))
     for _ in range(_NEWTON_MAX_ITER):
+        if not live.size:
+            break
         r = np.asarray(chart.compose(a[live], x[live]), dtype=float) - e
         rn = maxabs_rows(r, r)
         going = _finite_or_break(broken, live, r, "inverse residual") & (rn >= _NEWTON_TOL)
@@ -203,12 +174,10 @@ def _newton(chart: GroupChart, a: np.ndarray, x: np.ndarray,
                NoConvergence("inverse Newton: no damping step improved the residual"))
         going[halving] = False
         live = live[going]
-        if not live.size:
-            break
     else:
         _break(broken, live,
                NoConvergence(f"inverse Newton did not converge in {_NEWTON_MAX_ITER} iterations"))
-    return x, dict(sorted(broken.items()))
+    return x, broken
 
 
 def _solve_rows(j: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -249,8 +218,8 @@ def _admissible(chart: GroupChart, rows: np.ndarray, cfg: DiffConfig) -> np.ndar
 
     A row whose inverse breaks down is rejected, and the others are vetted
     as they would be alone.  Only compose(inv, a) is evaluated here:
-    `inverse` has already found compose(a, inv) finite, in the hint test
-    or in Newton's last residual.
+    `inverse` has already found compose(a, inv) finite in Newton's last
+    residual.
     """
     inv, broken = _inverse_rows(chart, rows, cfg)
     keep = np.ones(len(rows), dtype=bool)
@@ -322,14 +291,6 @@ def worst_over_samples(chart: GroupChart, cfg: DiffConfig, check_id: str,
         return maxabs(residual(*(np.ascontiguousarray(pts[j::arity]) for j in range(arity))))
 
 
-def shift_jacobians(chart: GroupChart, a, b, cfg: DiffConfig | None = None) -> ShiftJacobians:
-    """Both slot derivatives of the composition law at (a, b)."""
-    cfg = cfg or DiffConfig()
-    a = as_finite_array(a)
-    b = as_finite_array(b)
-    return ShiftJacobians(left=_a_left(chart, a, b, cfg), right=_a_right(chart, a, b, cfg))
-
-
 # a and b may be (..., n) stacks of equal leading shape; a point held
 # fixed beside a stencil gets an axis for its 2n points.
 
@@ -361,21 +322,9 @@ def psi_flavored(chart: GroupChart, a, flavor: str, cfg: DiffConfig) -> np.ndarr
 
 
 def psi_pair(chart: GroupChart, a, cfg: DiffConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(left, right) basic operators at a, without the inverses."""
+    """(left, right) basic operators at a."""
     a = as_finite_array(a)
     return psi_flavored(chart, a, "left", cfg), psi_flavored(chart, a, "right", cfg)
-
-
-def basic_operators(chart: GroupChart, a, cfg: DiffConfig | None = None) -> BasicOperators:
-    """Basic operators and their inverses at a point of the chart."""
-    cfg = cfg or DiffConfig()
-    left, right = psi_pair(chart, a, cfg)
-    return BasicOperators(
-        left=left,
-        right=right,
-        left_inv=invert(left),
-        right_inv=invert(right),
-    )
 
 
 # --- the sampled checks ----------------------------------------------------
@@ -642,9 +591,9 @@ def _sampled_checks(chart: GroupChart, cfg: DiffConfig, table) -> Checks:
 
 def _basic_ops_at_identity(chart: GroupChart, cfg: DiffConfig) -> float:
     with named("basic_ops_at_identity"):
-        ops = basic_operators(chart, chart.identity, cfg)
+        left, right = psi_pair(chart, chart.identity, cfg)
     eye = np.eye(chart.n)
-    return maxabs((ops.left - eye, ops.right - eye))
+    return maxabs((left - eye, right - eye))
 
 
 def axiom_checks(chart: GroupChart, cfg: DiffConfig) -> Checks:

@@ -18,7 +18,6 @@ from scipy.linalg import block_diag
 
 from .group import (
     GroupChart,
-    basic_operators,
     inverse,
     maxabs,
     maxabs_rows,
@@ -222,8 +221,9 @@ def mixed_identity_residual(rep: RepChart, gens: np.ndarray,
 
     def residual(a: np.ndarray) -> np.ndarray:
         fa = rep(a)[:, None]
-        ops = basic_operators(chart, a, cfg)
-        return maxabs_rows(_combine(ops.left_inv, rep.product(gens, fa))
-                           - _combine(ops.right_inv, rep.product(fa, gens)), a)
+        lam_left = invert(psi_flavored(chart, a, "left", cfg))
+        lam_right = invert(psi_flavored(chart, a, "right", cfg))
+        return maxabs_rows(_combine(lam_left, rep.product(gens, fa))
+                           - _combine(lam_right, rep.product(fa, gens)), a)
 
     return worst_over_samples(chart, cfg, "rep_mixed_identity", residual)

@@ -1,11 +1,16 @@
 """Named check suites over catalog entries, shared by the CLI and tests.
 
-Each suite is a generator over (chart, rep, cfg), rep None unless one is
-named, that yields (check_id, samples, residual) triples in report order;
-`run_suite` alone turns them into verdicts against `group.TOLERANCES`.
+Each suite is a generator over (chart, rep, cfg, generators), rep None
+unless one is named, that yields (check_id, samples, residual) triples in
+report order; `run_suite` alone turns them into verdicts against
+`group.TOLERANCES`.  `generators` is `structure.group_generators`, which
+`run_suite` caches for one run, so `all` measures the tensor once.
 """
 
 from __future__ import annotations
+
+import functools
+from typing import Callable
 
 from . import catalog, flows, pde, reps, structure
 from .errors import UnknownEntry
@@ -25,20 +30,24 @@ from .numdiff import DiffConfig, rowwise
 from .report import CheckReport
 from .reps import RepChart
 
+Generators = Callable[[GroupChart, DiffConfig], structure.GroupGenerators]
 
-def shift_suite(chart: GroupChart, rep: RepChart | None, cfg: DiffConfig) -> Checks:
+
+def shift_suite(chart: GroupChart, rep: RepChart | None, cfg: DiffConfig,
+                generators: Generators) -> Checks:
     yield from axiom_checks(chart, cfg)
     yield from shift_checks(chart, cfg)
 
 
-def structure_suite(chart: GroupChart, rep: RepChart | None, cfg: DiffConfig) -> Checks:
+def structure_suite(chart: GroupChart, rep: RepChart | None, cfg: DiffConfig,
+                    generators: Generators) -> Checks:
     # Rows the dimension fixes at 0.0 are not yielded.  A 1-d algebra is
     # abelian, so its constants and every antisymmetrization read 0.0 for
     # any law; the Jacobiator of antisymmetric constants is an alternating
     # 3-form, which vanishes on a 2-d space.
     if chart.n == 1:
         return
-    gens = structure.group_generators(chart, cfg)
+    gens = generators(chart, cfg)
     c_left = structure.structure_constants(gens, "left")
     c_right = structure.structure_constants(gens, "right")
     n = cfg.sample_count
@@ -59,7 +68,8 @@ def structure_suite(chart: GroupChart, rep: RepChart | None, cfg: DiffConfig) ->
             chart, consts, cfg)
 
 
-def flows_suite(chart: GroupChart, rep: RepChart | None, cfg: DiffConfig) -> Checks:
+def flows_suite(chart: GroupChart, rep: RepChart | None, cfg: DiffConfig,
+                generators: Generators) -> Checks:
     rng = check_rng(cfg, "flow_direction")
     alpha = rng.uniform(-0.2, 0.2, chart.n)
 
@@ -72,7 +82,8 @@ def flows_suite(chart: GroupChart, rep: RepChart | None, cfg: DiffConfig) -> Che
         yield "canonical_additivity", cfg.sample_count, flows.additivity_residual(chart, cfg)
 
 
-def rep_suite(chart: GroupChart, rep: RepChart | None, cfg: DiffConfig) -> Checks:
+def rep_suite(chart: GroupChart, rep: RepChart | None, cfg: DiffConfig,
+              generators: Generators) -> Checks:
     # without a named representation the suite has no rows
     if rep is None:
         return
@@ -86,14 +97,15 @@ def rep_suite(chart: GroupChart, rep: RepChart | None, cfg: DiffConfig) -> Check
     yield "rep_pde_map", n, reps.rep_pde_residual(rep, gens, cfg)
     # one generator commutes with itself, so at n = 1 this row reads 0.0
     if chart.n > 1:
-        c_left = structure.structure_constants(structure.group_generators(chart, cfg), "left")
+        c_left = structure.structure_constants(generators(chart, cfg), "left")
         yield "rep_integrability", 1, reps.integrability_check(gens, c_left, rep.side)
     yield "rep_mixed_identity", n, reps.mixed_identity_residual(rep, gens, cfg)
     yield ("generator_transform_constancy", reps.GENERATOR_TRANSFORM_POINTS,
            reps.generator_transform_residual(rep, gens, cfg))
 
 
-def pde_suite(chart: GroupChart, rep: RepChart | None, cfg: DiffConfig) -> Checks:
+def pde_suite(chart: GroupChart, rep: RepChart | None, cfg: DiffConfig,
+              generators: Generators) -> Checks:
     fam = pde.group_composition_family(chart)
     with named("essential_count_group_family"):
         count = pde.essential_count(fam, cfg)
@@ -123,7 +135,8 @@ def run_suite(group_name: str, suite: str, cfg: DiffConfig,
     rep_name = rep_name if "rep" in names else None
     report = CheckReport(suite=suite, group=group_name, rep=rep_name,
                          seed=cfg.rng_seed, fd_step=cfg.base_step)
+    generators = functools.cache(structure.group_generators)
     for name in names:
         report.extend(record(check_id, residual, samples, tol_scale)
-                      for check_id, samples, residual in SUITES[name](chart, rep, cfg))
+                      for check_id, samples, residual in SUITES[name](chart, rep, cfg, generators))
     return report

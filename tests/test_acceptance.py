@@ -27,12 +27,12 @@ from liechart.flows import (
     one_param_subgroup,
 )
 from liechart.group import (
-    basic_operators,
     check_rng,
+    psi_flavored,
     sample_points,
     verify_shift_identities,
 )
-from liechart.numdiff import DiffConfig
+from liechart.numdiff import DiffConfig, invert
 from liechart.pde import (
     bundled_families,
     essential_count,
@@ -85,12 +85,12 @@ def test_criterion_01_gl2_operators_match_closed_forms(emit):
     rng = check_rng(CFG, "acceptance_operators")
     worst = 0.0
     for a in sample_points(chart, CFG, rng, 20):
-        ops = basic_operators(chart, a, CFG)
+        left, right = psi_flavored(chart, a, "left", CFG), psi_flavored(chart, a, "right", CFG)
         worst = max(worst,
-                    np.max(np.abs(ops.left - oracles.psi_left(a))),
-                    np.max(np.abs(ops.right - oracles.psi_right(a))),
-                    np.max(np.abs(ops.left_inv - oracles.lam_left(a))),
-                    np.max(np.abs(ops.right_inv - oracles.lam_right(a))))
+                    np.max(np.abs(left - oracles.psi_left(a))),
+                    np.max(np.abs(right - oracles.psi_right(a))),
+                    np.max(np.abs(invert(left) - oracles.lam_left(a))),
+                    np.max(np.abs(invert(right) - oracles.lam_right(a))))
     ok = worst < 1e-5
     emit(1, ok, f"gl:2 basic operators vs closed forms, worst {worst:.2e} (tol 1e-5)")
     assert ok

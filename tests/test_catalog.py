@@ -9,8 +9,8 @@ from liechart.catalog import (
     rep_generator_oracle,
 )
 from liechart.errors import UnknownEntry
-from liechart.group import basic_operators, check_rng, inverse, sample_points
-from liechart.numdiff import DiffConfig
+from liechart.group import check_rng, inverse, psi_flavored, sample_points
+from liechart.numdiff import DiffConfig, invert
 from liechart.structure import group_generators, structure_constants
 
 CFG = DiffConfig(sample_count=4)
@@ -48,11 +48,11 @@ def test_operator_oracles_match_measured(name):
     oracles = get_oracles(name)
     rng = check_rng(CFG, "catalog_oracles")
     for a in sample_points(chart, CFG, rng, 3):
-        ops = basic_operators(chart, a, CFG)
-        assert np.max(np.abs(ops.left - oracles.psi_left(a))) < 1e-5
-        assert np.max(np.abs(ops.right - oracles.psi_right(a))) < 1e-5
-        assert np.max(np.abs(ops.left_inv - oracles.lam_left(a))) < 1e-5
-        assert np.max(np.abs(ops.right_inv - oracles.lam_right(a))) < 1e-5
+        left, right = psi_flavored(chart, a, "left", CFG), psi_flavored(chart, a, "right", CFG)
+        assert np.max(np.abs(left - oracles.psi_left(a))) < 1e-5
+        assert np.max(np.abs(right - oracles.psi_right(a))) < 1e-5
+        assert np.max(np.abs(invert(left) - oracles.lam_left(a))) < 1e-5
+        assert np.max(np.abs(invert(right) - oracles.lam_right(a))) < 1e-5
         assert np.max(np.abs(inverse(chart, a, CFG) - oracles.inverse(a))) < 1e-8
 
 

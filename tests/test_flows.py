@@ -17,6 +17,7 @@ from liechart.flows import (
 )
 from liechart.group import GroupChart, check_rng, sample_points
 from liechart.numdiff import DiffConfig
+from liechart.structure import group_generators
 from liechart.suites import SUITES, run_suite
 
 CFG = DiffConfig()
@@ -319,7 +320,7 @@ def test_flow_breakdown_names_its_row():
     # the seed-42 flow direction leaves a radius of 0.05 before t = 1
     chart = dataclasses.replace(get_group("translation:2"), chart_radius=0.05)
     with pytest.raises(LeftChart, match="^flow_homomorphism: flow left the trust region"):
-        list(SUITES["flows"](chart, None, DiffConfig()))
+        list(SUITES["flows"](chart, None, DiffConfig(), group_generators))
 
 # composition-law evaluations of the seed-42 flows suite at the default 20
 # samples.  CEILING_EVALS are the counts with a fixed 1000 RK4 steps per

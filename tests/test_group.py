@@ -10,7 +10,8 @@ from liechart.errors import NoConvergence
 from liechart.flows import canonical_coordinate
 from liechart.group import (
     GroupChart,
-    basic_operators,
+    _a_left,
+    _a_right,
     check_chart_axioms,
     check_rng,
     inverse,
@@ -18,13 +19,12 @@ from liechart.group import (
     maxabs_rows,
     psi_flavored,
     sample_points,
-    shift_jacobians,
     verify_shift_identities,
     worst_over_samples,
     SAMPLE_RADIUS,
     SHIFT_CHECK_IDS,
 )
-from liechart.numdiff import QUART_EPS, DiffConfig, jacobian, rowwise
+from liechart.numdiff import QUART_EPS, DiffConfig, invert, jacobian, rowwise
 from liechart.suites import run_suite
 
 CFG = DiffConfig(sample_count=6)
@@ -115,46 +115,41 @@ def test_inverse_of_a_stack_matches_each_point(hint, marked):
 def test_shift_jacobians_at_identity_are_identity():
     chart = get_group("affine")
     a = np.array([2.0, 3.0])
-    jac = shift_jacobians(chart, a, chart.identity, CFG)
-    assert np.max(np.abs(jac.left - np.eye(2))) < 1e-8
-    jac = shift_jacobians(chart, chart.identity, a, CFG)
-    assert np.max(np.abs(jac.right - np.eye(2))) < 1e-8
+    assert np.max(np.abs(_a_left(chart, a, chart.identity, CFG) - np.eye(2))) < 1e-8
+    assert np.max(np.abs(_a_right(chart, chart.identity, a, CFG) - np.eye(2))) < 1e-8
 
 
 def test_shift_jacobians_affine_frozen():
     chart = get_group("affine")
     a = np.array([2.0, 3.0])
     b = np.array([1.0, 1.0])
-    jac = shift_jacobians(chart, a, b, CFG)
     # d compose / d a at fixed b = (1, 1): rows [b1, 0], [b2, 1]
-    assert np.max(np.abs(jac.left - np.array([[1.0, 0.0], [1.0, 1.0]]))) < 1e-8
+    assert np.max(np.abs(_a_left(chart, a, b, CFG) - np.array([[1.0, 0.0], [1.0, 1.0]]))) < 1e-8
     # d compose / d b at fixed a = (2, 3): a1 * I
-    assert np.max(np.abs(jac.right - 2.0 * np.eye(2))) < 1e-8
+    assert np.max(np.abs(_a_right(chart, a, b, CFG) - 2.0 * np.eye(2))) < 1e-8
 
 
 def test_basic_operators_affine_frozen():
     chart = get_group("affine")
-    ops = basic_operators(chart, np.array([2.0, 3.0]), CFG)
-    assert np.max(np.abs(ops.left - np.array([[2.0, 0.0], [3.0, 1.0]]))) < 1e-8
-    assert np.max(np.abs(ops.right - 2.0 * np.eye(2))) < 1e-8
-    assert np.max(np.abs(ops.left_inv - np.array([[0.5, 0.0], [-1.5, 1.0]]))) < 1e-8
-    assert np.max(np.abs(ops.right_inv - 0.5 * np.eye(2))) < 1e-8
+    a = np.array([2.0, 3.0])
+    left, right = psi_flavored(chart, a, "left", CFG), psi_flavored(chart, a, "right", CFG)
+    assert np.max(np.abs(left - np.array([[2.0, 0.0], [3.0, 1.0]]))) < 1e-8
+    assert np.max(np.abs(right - 2.0 * np.eye(2))) < 1e-8
+    assert np.max(np.abs(invert(left) - np.array([[0.5, 0.0], [-1.5, 1.0]]))) < 1e-8
+    assert np.max(np.abs(invert(right) - 0.5 * np.eye(2))) < 1e-8
 
 
 def test_basic_operators_gl2_diagonal_frozen():
     chart = get_group("gl:2")
-    a = np.array([[2.0, 0.0], [0.0, 1.0]])
-    ops = basic_operators(chart, a.ravel(), CFG)
-    assert np.max(np.abs(ops.right - np.diag([2.0, 2.0, 1.0, 1.0]))) < 1e-7
-    assert np.max(np.abs(ops.left - np.diag([2.0, 1.0, 2.0, 1.0]))) < 1e-7
+    a = np.array([2.0, 0.0, 0.0, 1.0])
+    right, left = psi_flavored(chart, a, "right", CFG), psi_flavored(chart, a, "left", CFG)
+    assert np.max(np.abs(right - np.diag([2.0, 2.0, 1.0, 1.0]))) < 1e-7
+    assert np.max(np.abs(left - np.diag([2.0, 1.0, 2.0, 1.0]))) < 1e-7
 
 
-def test_psi_flavored_matches_basic_operators():
+def test_psi_flavored_rejects_an_unknown_flavor():
     chart = get_group("gl:2")
-    a = get_group("gl:2").identity + 0.05 * np.arange(4)
-    ops = basic_operators(chart, a, CFG)
-    assert np.allclose(psi_flavored(chart, a, "left", CFG), ops.left)
-    assert np.allclose(psi_flavored(chart, a, "right", CFG), ops.right)
+    a = chart.identity + 0.05 * np.arange(4)
     with pytest.raises(ValueError):
         psi_flavored(chart, a, "middle", CFG)
 
@@ -350,9 +345,8 @@ def test_batched_shift_jacobians_and_newton_match_per_point(name):
     ref = per_point(chart)
     pts = sample_points(chart, CFG, check_rng(CFG, "batched_shift"), 2 * CFG.sample_count)
     for a, b in zip(pts[::2], pts[1::2]):
-        got, want = shift_jacobians(chart, a, b, CFG), shift_jacobians(ref, a, b, CFG)
-        assert np.array_equal(got.left, want.left)
-        assert np.array_equal(got.right, want.right)
+        assert np.array_equal(_a_left(chart, a, b, CFG), _a_left(ref, a, b, CFG))
+        assert np.array_equal(_a_right(chart, a, b, CFG), _a_right(ref, a, b, CFG))
         assert np.array_equal(inverse(hintless(chart), a, CFG), inverse(hintless(ref), a, CFG))
 
 

@@ -14,7 +14,8 @@ import pytest
 
 from liechart.catalog import get_group
 from liechart.errors import SingularMatrix
-from liechart.group import SHIFT_CHECK_IDS, TOLERANCES, GroupChart, record
+from liechart.group import (SHIFT_CHECK_IDS, TOLERANCES, GroupChart, check_chart_axioms,
+                            record)
 from liechart.numdiff import DiffConfig
 from liechart.reps import RepChart, generator_transform_residual, rep_generators
 from liechart.structure import (group_generators, invariant_field_commutators,
@@ -92,9 +93,12 @@ def _translation1_scaled() -> GroupChart:
 
 
 def _translation3_non_lie() -> GroupChart:
-    # a + b + a0 b1 e0 + a0 b2 e1: associative with e = 0, but the brackets
-    # of its generators, [e0, e1] along e0 and [e0, e2] along e1, are no Lie
-    # algebra's: they break the Jacobi identity
+    # a + b + a0 b1 e0 + a0 b2 e1, with e = 0: the brackets of its
+    # generators, [e0, e1] along e0 and [e0, e2] along e1, are no Lie
+    # algebra's: they break the Jacobi identity.  So the law cannot be
+    # associative, since the constants of every local Lie group satisfy
+    # Jacobi: (ab)c - a(bc) = a0 (b1 c1 - b0 c2, b1 c2, 0), up to 1.6e-2
+    # on the sample ball [-0.2, 0.2]^3
     chart = get_group("translation:3")
     return dataclasses.replace(
         chart, compose=lambda a, b: a + b + a[0] * np.array([b[1], b[2], 0.0]),
@@ -125,7 +129,7 @@ def _verdicts(mutant: str) -> dict[str, bool]:
     chart = factory()
     return {check_id: record(check_id, residual, samples, 1.0).passed
             for suite in suites
-            for check_id, samples, residual in SUITES[suite](chart, None, CFG)}
+            for check_id, samples, residual in SUITES[suite](chart, None, CFG, group_generators)}
 
 
 LAW_MATRIX = [
@@ -192,7 +196,7 @@ REP_MUTANTS = {"gl:2 bumped": _gl2_rep_bumped, "gl:2 transposed": _gl2_rep_trans
 def _rep_verdicts(mutant: str) -> dict[str, bool]:
     rep = REP_MUTANTS[mutant]()
     return {check_id: record(check_id, residual, samples, 1.0).passed
-            for check_id, samples, residual in SUITES["rep"](rep.group, rep, CFG)}
+            for check_id, samples, residual in SUITES["rep"](rep.group, rep, CFG, group_generators)}
 
 
 _REP_CHECKS = ("rep_homomorphism", "rep_pde_map", "rep_mixed_identity",
@@ -235,10 +239,20 @@ def test_singular_frame_breaks_down_before_frame_rank_is_read(flavor, law, hint)
     chart = _cube_chart(law, hint)
     rank_drop = rf"{flavor} frame has rank 1 of 2 at a = \[-?0\.\d+, -?0\.\d+\]$"
     with pytest.raises(SingularMatrix, match="^anti_isomorphism_measured: " + rank_drop):
-        list(SUITES["structure"](chart, None, CFG))
+        list(SUITES["structure"](chart, None, CFG, group_generators))
     constants = structure_constants(group_generators(chart, CFG), flavor)
     with pytest.raises(SingularMatrix, match=f"^field_commutators_{flavor}: " + rank_drop):
         invariant_field_commutators(chart, constants, CFG)
+
+
+@pytest.mark.parametrize("flavor, law, hint", _CUBE_LAWS)
+def test_singular_frame_fails_basic_ops_at_identity(flavor, law, hint):
+    # the row reads the frames at the identity without inverting them, so
+    # the rank-1 frame is reported: |psi(e) - I| = 1 where b0^3 has slope 0
+    records = {c.check_id: c for c in check_chart_axioms(_cube_chart(law, hint), CFG).checks}
+    row = records["basic_ops_at_identity"]
+    assert not row.passed
+    assert row.max_residual == pytest.approx(1.0, abs=1e-9)
 
 
 def test_generator_transform_inverts_only_the_left_frame():

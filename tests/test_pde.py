@@ -23,6 +23,7 @@ from liechart.pde import (
     taylor_coefficients,
     taylor_solve,
 )
+from liechart.structure import group_generators
 from liechart.suites import SUITES
 
 CFG = DiffConfig(sample_count=6)
@@ -219,7 +220,7 @@ def test_pde_suite_makes_one_law_call_per_jet_order(name, law_counter):
     cfg = DiffConfig()
     orders = len(essential_param_ranks(group_composition_family(get_group(name)), cfg))
     chart = law_counter.chart(get_group(name))
-    rows = list(SUITES["pde"](chart, None, cfg))
+    rows = list(SUITES["pde"](chart, None, cfg, group_generators))
     assert rows[0][2] == 0.0
     # every catalog law saturates at order 0: one jet order, so one call, for
     # 2 n stencil points at each of the sample points, as before the stacks

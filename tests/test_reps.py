@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from liechart.catalog import get_group, get_rep, rep_generator_oracle
 from liechart.group import (
     GroupChart,
-    basic_operators,
     check_rng,
     inverse,
     maxabs,
@@ -324,8 +323,8 @@ def loop_integrability(gens, c, side):
 
 
 def loop_generator_transform(rep, g, gens):
-    ops = basic_operators(rep.group, g, CFG)
-    adjoint = ops.left_inv @ ops.right
+    adjoint = (invert(psi_flavored(rep.group, g, "left", CFG))
+               @ psi_flavored(rep.group, g, "right", CFG))
     fg = rep(g)
     fg_inv = invert(fg)
     conj = [fg_inv @ gen @ fg if rep.side == "left" else fg @ gen @ fg_inv for gen in gens]
@@ -363,14 +362,15 @@ def loop_generator_transform_residual(rep, gens):
 def loop_mixed_identity(rep, gens):
     def residual(a):
         fa = rep(a)
-        ops = basic_operators(rep.group, a, CFG)
+        lam_left = invert(psi_flavored(rep.group, a, "left", CFG))
+        lam_right = invert(psi_flavored(rep.group, a, "right", CFG))
         worst = []
         for col in range(rep.group.n):
             left_form = np.zeros((rep.m, rep.m))
             right_form = np.zeros((rep.m, rep.m))
             for k in range(rep.group.n):
-                left_form += ops.left_inv[k, col] * rep.product(gens[k], fa)
-                right_form += ops.right_inv[k, col] * rep.product(fa, gens[k])
+                left_form += lam_left[k, col] * rep.product(gens[k], fa)
+                right_form += lam_right[k, col] * rep.product(fa, gens[k])
             worst.append(maxabs(left_form - right_form))
         return maxabs(worst)
 

@@ -380,14 +380,12 @@ def test_sample_points_gives_up_after_the_same_draws(marked):
 
 
 def sequential_inverse(chart, a, cfg):
-    """The inverse of one point as it was solved alone: the hint and its
-    1e-10 check, then a damped Newton loop on that point."""
+    """The inverse of one point as it was solved alone: a damped Newton
+    loop on that point, started from the hint or else from the identity."""
     e = chart.identity
     x = e.copy()
     if chart.inverse_hint is not None:
         x = as_finite_array(chart.inverse_hint(a), "inverse hint")
-        if maxabs(as_finite_array(chart.compose(a, x)) - e) <= 1e-10:
-            return x
     for _ in range(group._NEWTON_MAX_ITER):
         r = as_finite_array(chart.compose(a, x), "inverse residual") - e
         rn = maxabs(r)
@@ -429,7 +427,7 @@ def _inverse_cases():
         "affine-newton": (dataclasses.replace(get_group("affine"), inverse_hint=None),
                           pts["affine"]),
         "gl:2-newton": (dataclasses.replace(gl2, inverse_hint=None), pts["gl:2"]),
-        # off by 1e-6: every row misses the hint check and is polished by Newton
+        # off by 1e-6: Newton polishes every row from the hint
         "gl:2-sloppy": (dataclasses.replace(
             gl2, inverse_hint=_broadcasting(lambda a: gl2.inverse_hint(a) * (1.0 + 1e-6))),
             pts["gl:2"]),
@@ -459,6 +457,25 @@ def test_inverse_of_a_stack_matches_one_row_at_a_time(case, shape, law_counter):
     if case == "sinh-damped":
         # the near rows take full steps, the far ones halve theirs
         assert len(set(per_row)) > 1
+
+
+def test_a_hint_that_misses_by_more_than_the_newton_tolerance_is_polished():
+    gl2 = get_group("gl:2")
+    cfg = DiffConfig()
+    pts = sample_points(gl2, cfg, check_rng(cfg, "inverse_bits"), 20)
+    nearly = dataclasses.replace(
+        gl2, inverse_hint=_broadcasting(lambda a: gl2.inverse_hint(a) * (1.0 + 1e-11)))
+    missed = maxabs(gl2.compose(pts, nearly.inverse_hint(pts)) - gl2.identity)
+    assert group._NEWTON_TOL < missed <= 1e-10
+    assert maxabs(gl2.compose(pts, inverse(nearly, pts, cfg)) - gl2.identity) < group._NEWTON_TOL
+
+
+def test_a_sloppy_hint_costs_one_newton_step_a_row(law_counter):
+    # 11 evaluations a row: Newton's first residual, its 8-point stencil,
+    # one full step and the residual that settles it
+    chart, pts = _inverse_cases()["gl:2-sloppy"]
+    inverse(law_counter.chart(chart), pts, DiffConfig())
+    assert law_counter.evals == 220
 
 
 def _breaking_charts():
@@ -513,12 +530,12 @@ def _two_ways_chart(hint=None):
 
 def _ordered_breakdowns():
     """(chart, stack, the row whose error the stack raises)."""
-    # the hint misses a = 5 and is NaN at a = -0.1; a failing hint comes first
+    # the hint misses a = 5 and is NaN at a = -0.1; the lowest row comes first
     nan_hint = _broadcasting(lambda a: np.where(a < 0.0, np.nan, 0.0))
     return {
         "newton-late-first": (_two_ways_chart(), np.array([[5.0], [-0.1]]), 0),
         "newton-early-first": (_two_ways_chart(), np.array([[-0.1], [5.0]]), 0),
-        "hint-after-newton": (_two_ways_chart(nan_hint), np.array([[5.0], [-0.1]]), 1),
+        "hint-after-newton": (_two_ways_chart(nan_hint), np.array([[5.0], [-0.1]]), 0),
     }
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from liechart import catalog, reps
+from liechart import catalog, reps, structure
 from liechart.errors import NonFiniteEvaluation, UnknownEntry
 from liechart.group import SHIFT_CHECK_IDS, check_chart_axioms, verify_shift_identities
 from liechart.numdiff import DiffConfig
@@ -121,6 +121,26 @@ def test_rep_suite_measures_the_generators_once(monkeypatch):
     assert len(calls) == 1
 
 
+# composition-law evaluations of `all` at seed 42 and the default 20
+# samples; the structure and rep suites share one measurement of the
+# generator tensor, which costs 4n² + 1 = 325 evaluations on gl:3
+ALL_GL3_STANDARD_EVALS = 72_133
+
+
+def test_all_suite_measures_the_group_generators_once(monkeypatch, law_counter):
+    chart = law_counter.chart(catalog.get_group("gl:3"))
+    monkeypatch.setattr(catalog, "get_group", lambda _: chart)
+    calls = []
+    measure = structure.group_generators
+    monkeypatch.setattr(structure, "group_generators", lambda *a: calls.append(1) or measure(*a))
+    run_suite("gl:3", "all", DiffConfig(), rep_name="standard")
+    assert len(calls) == 1
+    assert law_counter.evals == ALL_GL3_STANDARD_EVALS
+    # the measurement is kept for one run only: the next run measures again
+    run_suite("gl:3", "structure", CFG)
+    assert len(calls) == 2
+
+
 def test_rep_identity_breakdown_names_its_row():
     # finite at every stencil point around the identity, NaN at the identity itself
     chart = catalog.get_group("affine")
@@ -130,7 +150,7 @@ def test_rep_identity_breakdown_names_its_row():
 
     rep = RepChart(group=chart, m=1, f=f, name="hole")
     with pytest.raises(NonFiniteEvaluation, match="^rep_identity: representation value"):
-        list(SUITES["rep"](chart, rep, CFG))
+        list(SUITES["rep"](chart, rep, CFG, structure.group_generators))
 
 
 @cache
