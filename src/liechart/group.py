@@ -87,8 +87,10 @@ def maxabs(x) -> float:
 
 def maxabs_rows(x, point) -> np.ndarray:
     """maxabs of x per sample point: `point` of shape (..., n) gives a (...)
-    array of maxima, one point (n,) a scalar.  A NaN keeps its row NaN."""
-    return np.abs(x).reshape(np.shape(point)[:-1] + (-1,)).max(axis=-1)
+    array of maxima, one point (n,) a scalar, and an empty stack (0, n) an
+    empty array.  A NaN keeps its row NaN."""
+    a = np.abs(x)
+    return a.reshape(np.shape(point)[:-1] + (-1 if a.size else 0,)).max(axis=-1, initial=0.0)
 
 
 def inverse(chart: GroupChart, a, cfg: DiffConfig | None = None) -> np.ndarray:
@@ -231,37 +233,71 @@ def _admissible(chart: GroupChart, rows: np.ndarray, cfg: DiffConfig) -> np.ndar
     return keep & (maxabs_rows(inv - chart.identity, rows) <= chart.chart_radius)
 
 
+def sample_sets(chart: GroupChart, cfg: DiffConfig,
+                sets: list[tuple[np.random.Generator, int]]
+                ) -> tuple[list[np.ndarray], LieChartError | None]:
+    """Admissible sample points near the identity for several (generator,
+    count) sets at once.
+
+    Each round draws, in set order, the rows each set still lacks from its
+    own generator, uniformly from the inf-norm ball of radius
+    min(SAMPLE_RADIUS, chart.chart_radius), and vets all of them as one
+    stack: a row is rejected when its inverse fails or escapes the trust
+    region, each row as it would be alone.  So every set gets the points,
+    and leaves its generator in the state, of drawing and vetting its own
+    points one at a time.
+
+    Returns the points of the leading sets that were filled, in set order,
+    and the error that stopped the next set, or None.  A set gives up with
+    NoConvergence after 200 * count draws, and a numerical breakdown
+    raised while vetting a round (by the law or the hint, not by a row's
+    inverse, which only rejects that row) stops the first set still
+    drawing; the stopped set and every set after it leave the rounds.
+    """
+    radius = min(SAMPLE_RADIUS, chart.chart_radius)
+    out = [np.empty((count, chart.n)) for _, count in sets]
+    got = [0] * len(sets)
+    budget = [200 * count for _, count in sets]
+    live, error = len(sets), None      # sets [0, live) are still in the rounds
+    while True:
+        drawn = []                      # (set, rows) of this round
+        for i, (rng, count) in enumerate(sets[:live]):
+            k = min(count - got[i], budget[i])
+            if got[i] < count and k == 0:
+                live, error = i, NoConvergence(
+                    "sampler rejected too many points; shrink chart_radius")
+                break
+            if k:
+                budget[i] -= k
+                drawn.append((i, chart.identity + rng.uniform(-radius, radius, (k, chart.n))))
+        if not drawn:
+            return out[:live], error
+        try:
+            keep = _admissible(chart, np.concatenate([rows for _, rows in drawn]), cfg)
+        except BREAKDOWN as exc:
+            live, error = drawn[0][0], exc
+            continue
+        start = 0
+        for i, rows in drawn:
+            kept = rows[keep[start:start + len(rows)]]
+            start += len(rows)
+            out[i][got[i]:got[i] + len(kept)] = kept
+            got[i] += len(kept)
+
+
 def sample_points(
     chart: GroupChart,
     cfg: DiffConfig,
     rng: np.random.Generator,
     count: int | None = None,
 ) -> np.ndarray:
-    """Admissible sample points near the identity.
-
-    Draws uniformly from the inf-norm ball of radius
-    min(SAMPLE_RADIUS, chart.chart_radius) and rejects points whose
-    inverse fails or escapes the trust region; gives up after 200 * count
-    draws.  Each round draws only the rows still missing and vets them as
-    one stack, each row as it would be alone, so the points kept and the
-    generator's state afterwards are those of drawing and vetting one
-    point at a time.
-    """
-    count = count or cfg.sample_count
-    radius = min(SAMPLE_RADIUS, chart.chart_radius)
-    out = np.empty((count, chart.n))
-    got = 0
-    budget = 200 * count
-    while got < count:
-        k = min(count - got, budget)
-        if k == 0:
-            raise NoConvergence("sampler rejected too many points; shrink chart_radius")
-        budget -= k
-        a = chart.identity + rng.uniform(-radius, radius, (k, chart.n))
-        kept = a[_admissible(chart, a, cfg)]
-        out[got:got + len(kept)] = kept
-        got += len(kept)
-    return out
+    """Admissible sample points near the identity: `sample_sets` with the
+    one set (rng, count), count defaulting to cfg.sample_count.  Raises
+    NoConvergence after 200 * count draws."""
+    drawn, error = sample_sets(chart, cfg, [(rng, count or cfg.sample_count)])
+    if error is not None:
+        raise error
+    return drawn[0]
 
 
 @contextmanager
@@ -280,15 +316,22 @@ def worst_over_samples(chart: GroupChart, cfg: DiffConfig, check_id: str,
     """Worst residual of one check over its own sampled points.
 
     Draws count * arity points (count defaults to cfg.sample_count) from
-    the check's generator and passes them to `residual` as `arity` stacks
-    of shape (count, n), row i of stack j being point i * arity + j; it
-    returns the count residuals (`numdiff.rowwise` lifts a point residual).
-    A numerical breakdown is raised again under the check id by `named`.
+    the check's generator with `sample_points`, a sampler round of its own,
+    and passes them to `residual` as `arity` stacks of shape (count, n),
+    row i of stack j being point i * arity + j; it returns the count
+    residuals (`numdiff.rowwise` lifts a point residual).  A numerical
+    breakdown is raised again under the check id by `named`.
     """
     count = count or cfg.sample_count
     with named(check_id):
         pts = sample_points(chart, cfg, check_rng(cfg, check_id), count * arity)
-        return maxabs(residual(*(np.ascontiguousarray(pts[j::arity]) for j in range(arity))))
+        return maxabs(residual(*_stacks(pts, arity)))
+
+
+def _stacks(pts: np.ndarray, arity: int) -> list[np.ndarray]:
+    """The arity (count, n) stacks of count * arity points, row i of stack
+    j being point i * arity + j."""
+    return [np.ascontiguousarray(pts[j::arity]) for j in range(arity)]
 
 
 # a and b may be (..., n) stacks of equal leading shape; a point held
@@ -584,9 +627,23 @@ def record(check_id: str, residual: float, samples: int, tol_scale: float) -> Ch
 
 
 def _sampled_checks(chart: GroupChart, cfg: DiffConfig, table) -> Checks:
-    for check_id, arity, fn in table:
-        yield check_id, cfg.sample_count, worst_over_samples(
-            chart, cfg, check_id, lambda *pts: fn(chart, cfg, *pts), arity)
+    """(check_id, samples, residual) of each check of a table, in table order.
+
+    One `sample_sets` call draws every check's cfg.sample_count * arity
+    points from its own `check_rng`, so each sampler round is vetted once
+    for the whole table, and each check gets the points `worst_over_samples`
+    would draw for it.  The residuals then run check by check.  A check
+    whose points could not be drawn raises at its turn, under its own id,
+    after the rows before it.
+    """
+    drawn, error = sample_sets(chart, cfg, [(check_rng(cfg, check_id), cfg.sample_count * arity)
+                                            for check_id, arity, _ in table])
+    for i, (check_id, arity, fn) in enumerate(table):
+        with named(check_id):
+            if i == len(drawn):
+                raise error
+            worst = maxabs(fn(chart, cfg, *_stacks(drawn[i], arity)))
+        yield check_id, cfg.sample_count, worst
 
 
 def _basic_ops_at_identity(chart: GroupChart, cfg: DiffConfig) -> float:

@@ -120,8 +120,9 @@ def unchecked_jacobian(f: VectorMap, at: np.ndarray, cfg: DiffConfig | None = No
     x = np.asarray(at, dtype=float)
     h = _steps(x, cfg.base_step)
     n = x.shape[-1]
-    pts = _shifted(x, h)
-    vals = _stencil_values(f(pts), pts.shape[:-1])
+    # the stencil is not kept past its evaluation, so a large stack (a
+    # sampler round) does not hold it beside the values and differences
+    vals = _stencil_values(f(_shifted(x, h)), x.shape[:-1] + (2 * n,))
     cols = vals[..., :n, :] - vals[..., n:, :]
     cols /= 2.0 * h[..., :, None]
     return np.swapaxes(cols, -1, -2).copy()

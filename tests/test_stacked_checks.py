@@ -5,9 +5,10 @@ Every chart-axiom and shift-identity residual runs once per check over
 one-point-at-a-time form of each residual, with every map it
 differentiates lifted by `rowwise`; the stacked form must reproduce its
 value at every sample bit for bit, on laws that broadcast themselves and
-on lifted point laws alike.  `sample_points`, which draws and vets a
-whole round of points at once, must keep the points and the generator
-state of drawing and vetting one point at a time, and `inverse`, which
+on lifted point laws alike.  `sample_sets`, which draws and vets a
+whole round of points for a table of checks at once, must keep each
+check's points and generator state of drawing and vetting one point at
+a time, as must `sample_points`, its one-set case, and `inverse`, which
 solves a whole stack in one damped Newton, must give each row the bits,
 the evaluations and the breakdown of solving it alone.
 """
@@ -19,7 +20,7 @@ import pytest
 
 from liechart import group
 from liechart.catalog import GROUP_NAMES, get_group
-from liechart.errors import NoConvergence, NonFiniteEvaluation, SingularMatrix
+from liechart.errors import LieChartError, NoConvergence, NonFiniteEvaluation, SingularMatrix
 from liechart.group import (
     GroupChart,
     _a_left,
@@ -360,12 +361,17 @@ def _after_draws(chart, draws, seed=0):
     return rng.bit_generator.state
 
 
+def _nowhere_chart(marked=True):
+    """A law that is NaN everywhere, so the sampler rejects every draw."""
+    law = (lambda a, b: np.full(np.broadcast_shapes(np.shape(a), np.shape(b)), np.nan))
+    return GroupChart(n=2, compose=_broadcasting(law) if marked else law,
+                      identity=np.zeros(2), inverse_hint=_broadcasting(lambda a: -a),
+                      name="nowhere")
+
+
 @pytest.mark.parametrize("marked", [True, False])
 def test_sample_points_gives_up_after_the_same_draws(marked):
-    law = (lambda a, b: np.full(np.broadcast_shapes(np.shape(a), np.shape(b)), np.nan))
-    chart = GroupChart(n=2, compose=_broadcasting(law) if marked else law,
-                       identity=np.zeros(2), inverse_hint=_broadcasting(lambda a: -a),
-                       name="nowhere")
+    chart = _nowhere_chart(marked)
     cfg = DiffConfig()
     rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
     with pytest.raises(NoConvergence):
@@ -374,6 +380,90 @@ def test_sample_points_gives_up_after_the_same_draws(marked):
         sequential_sample_points(chart, cfg, ref_rng, 3)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert rng.bit_generator.state == _after_draws(chart, 200 * 3, seed=7)
+
+
+# --- one sampler round for a whole check table ------------------------------
+
+
+@pytest.mark.parametrize("kind", ["narrow", "broken", "broken-newton", "broken-unbatched"])
+def test_joint_sets_keep_each_sets_sequential_points_and_generator_state(kind):
+    chart = _rejecting_charts()[kind]
+    cfg = DiffConfig()
+    counts = (7, 30, 1, 12)
+    for seed in range(3):
+        rngs = [np.random.default_rng((seed, i)) for i in range(len(counts))]
+        drawn, error = group.sample_sets(chart, cfg, list(zip(rngs, counts)))
+        assert error is None
+        assert len(drawn) == len(counts)
+        for i, (rng, count) in enumerate(zip(rngs, counts)):
+            ref_rng = np.random.default_rng((seed, i))
+            want = sequential_sample_points(chart, cfg, ref_rng, count)
+            assert np.array_equal(drawn[i], want)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class _Corner:
+    """A generator whose every draw lands at 0.9 of the upper bound."""
+
+    def uniform(self, low, high, size):
+        return np.full(size, 0.9 * high)
+
+
+def test_a_set_that_runs_out_stops_itself_and_the_sets_after_it():
+    # the corner draws all break down on the nan-beyond law; the set before
+    # it still gets its sequential points and the set after it none
+    chart = _rejecting_charts()["broken"]
+    cfg = DiffConfig()
+    first, last = np.random.default_rng(1), np.random.default_rng(2)
+    drawn, error = group.sample_sets(chart, cfg, [(first, 5), (_Corner(), 2), (last, 4)])
+    assert isinstance(error, NoConvergence)
+    assert len(drawn) == 1
+    ref_rng = np.random.default_rng(1)
+    assert np.array_equal(drawn[0], sequential_sample_points(chart, cfg, ref_rng, 5))
+    assert first.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _outcomes(checks):
+    """Residuals of a stream of checks up to the first breakdown, and the
+    breakdown as `type: message`."""
+    out = []
+    try:
+        for check_id, residual in checks:
+            out.append((check_id, repr(residual)))
+    except LieChartError as exc:
+        out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+@pytest.mark.parametrize("kind", ["narrow", "broken", "broken-newton", "broken-unbatched"])
+@pytest.mark.parametrize("table", ["axioms", "shifts"])
+def test_check_tables_report_what_each_check_reports_alone(kind, table):
+    # the same residuals bit for bit, and the same breakdown at the same row
+    chart = _rejecting_charts()[kind]
+    cfg = DiffConfig(sample_count=6)
+    table = {"axioms": group._AXIOM_CHECKS, "shifts": group._SHIFT_CHECKS}[table]
+    joint = ((check_id, residual)
+             for check_id, _, residual in group._sampled_checks(chart, cfg, table))
+    alone = ((check_id, group.worst_over_samples(
+        chart, cfg, check_id, lambda *pts, fn=fn: fn(chart, cfg, *pts), arity))
+        for check_id, arity, fn in table)
+    assert _outcomes(joint) == _outcomes(alone)
+
+
+def test_a_table_that_cannot_be_drawn_names_its_first_check():
+    with pytest.raises(NoConvergence) as caught:
+        group.check_chart_axioms(_nowhere_chart(), DiffConfig())
+    assert str(caught.value) == ("chart_identity_left: sampler rejected too many points; "
+                                 "shrink chart_radius")
+
+
+def test_a_law_that_raises_in_a_round_is_named_by_the_first_check_drawing():
+    def hint(a):
+        raise SingularMatrix("hint gave up")
+
+    chart = dataclasses.replace(get_group("affine"), inverse_hint=hint)
+    with pytest.raises(SingularMatrix, match="^cocycle_left: hint gave up$"):
+        group.verify_shift_identities(chart, DiffConfig())
 
 
 # --- inverse against a one-row-at-a-time Newton -----------------------------
