@@ -72,8 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="representation for the rep suite, e.g. standard; "
                           "without it the rep suite has no rows")
     run.add_argument("--suite", default="all", help=f"one of {', '.join(SUITE_NAMES)}")
-    run.add_argument("--seed", type=int, default=42)
-    run.add_argument("--samples", type=positive_int, default=20)
+    run.add_argument("--seed", type=int, default=DiffConfig.rng_seed)
+    run.add_argument("--samples", type=positive_int, default=DiffConfig.sample_count)
     run.add_argument("--fd-step", type=_fd_step, default="auto",
                      help="finite-difference base step; 'auto' picks cbrt(eps)")
     run.add_argument("--tol-scale", type=_positive_real, default=1.0,

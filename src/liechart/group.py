@@ -19,7 +19,8 @@ from __future__ import annotations
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from functools import partial
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,6 +33,8 @@ from .report import CheckRecord, CheckReport
 ComposeLaw = Callable[[np.ndarray, np.ndarray], np.ndarray]
 # (check_id, samples, residual) triples, in report order
 Checks = Iterator[tuple[str, int, float]]
+# (check_id, arity, count, residual) rows of a check table; see `sampled_checks`
+CheckRow = tuple[str, int, int | None, Callable[..., object]]
 
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 50
@@ -292,9 +295,9 @@ def sample_points(
     count: int | None = None,
 ) -> np.ndarray:
     """Admissible sample points near the identity: `sample_sets` with the
-    one set (rng, count), count defaulting to cfg.sample_count.  Raises
+    one set (rng, count), count None meaning cfg.sample_count.  Raises
     NoConvergence after 200 * count draws."""
-    drawn, error = sample_sets(chart, cfg, [(rng, count or cfg.sample_count)])
+    drawn, error = sample_sets(chart, cfg, [(rng, cfg.sample_count if count is None else count)])
     if error is not None:
         raise error
     return drawn[0]
@@ -308,24 +311,6 @@ def named(check_id: str) -> Iterator[None]:
         yield
     except BREAKDOWN as exc:
         raise type(exc)(f"{check_id}: {exc}") from exc
-
-
-def worst_over_samples(chart: GroupChart, cfg: DiffConfig, check_id: str,
-                       residual: Callable[..., float], arity: int = 1,
-                       count: int | None = None) -> float:
-    """Worst residual of one check over its own sampled points.
-
-    Draws count * arity points (count defaults to cfg.sample_count) from
-    the check's generator with `sample_points`, a sampler round of its own,
-    and passes them to `residual` as `arity` stacks of shape (count, n),
-    row i of stack j being point i * arity + j; it returns the count
-    residuals (`numdiff.rowwise` lifts a point residual).  A numerical
-    breakdown is raised again under the check id by `named`.
-    """
-    count = count or cfg.sample_count
-    with named(check_id):
-        pts = sample_points(chart, cfg, check_rng(cfg, check_id), count * arity)
-        return maxabs(residual(*_stacks(pts, arity)))
 
 
 def _stacks(pts: np.ndarray, arity: int) -> list[np.ndarray]:
@@ -372,11 +357,12 @@ def psi_pair(chart: GroupChart, a, cfg: DiffConfig) -> tuple[np.ndarray, np.ndar
 
 # --- the sampled checks ----------------------------------------------------
 #
-# Each table entry is (check_id, number of sampled points, residual
-# function of (chart, cfg, *points)).  The points are (count, n) stacks
-# and a residual returns its count values at once.  Shift residuals are
-# exact consequences of associativity and the inverse law, so every one
-# of them should vanish up to finite-difference error.
+# Each table entry is (check_id, arity, residual function of (chart, cfg,
+# *points)); `_rows` binds chart and cfg into rows of `sampled_checks`,
+# which draws cfg.sample_count points per stack.  The points are (count, n)
+# stacks and a residual returns its count values at once.  Shift residuals
+# are exact consequences of associativity and the inverse law, so every
+# one of them should vanish up to finite-difference error.
 
 _AXIOM_CHECKS = (
     ("chart_identity_left", 1,
@@ -626,29 +612,41 @@ def record(check_id: str, residual: float, samples: int, tol_scale: float) -> Ch
                                      TOLERANCES[check_id] * tol_scale, samples)
 
 
-def _sampled_checks(chart: GroupChart, cfg: DiffConfig, table) -> Checks:
-    """(check_id, samples, residual) of each check of a table, in table order.
+def sampled_checks(chart: GroupChart, cfg: DiffConfig, table: Sequence[CheckRow]) -> Checks:
+    """(check_id, samples, residual) of each row of a check table, in table order.
 
-    One `sample_sets` call draws every check's cfg.sample_count * arity
-    points from its own `check_rng`, so each sampler round is vetted once
-    for the whole table, and each check gets the points `worst_over_samples`
-    would draw for it.  The residuals then run check by check.  A check
-    whose points could not be drawn raises at its turn, under its own id,
-    after the rows before it.
+    A row (check_id, arity, count, residual) checks `count` samples,
+    cfg.sample_count for None: `residual` gets arity (count, n) stacks of
+    points, row i of stack j being point i * arity + j of the row's draw,
+    and returns the count values, whose worst is the row's residual.  A row
+    of arity 0 draws nothing and calls residual().  One `sample_sets` call
+    draws every row's count * arity points from its own `check_rng(cfg,
+    check_id)`, so each sampler round is vetted once for the whole table,
+    and each row gets the points `sample_points` would draw for it alone.
+    The residuals then run row by row.  A numerical breakdown is raised
+    again under the row's id by `named`; a row whose points could not be
+    drawn raises at its turn, after the rows before it.
     """
-    drawn, error = sample_sets(chart, cfg, [(check_rng(cfg, check_id), cfg.sample_count * arity)
-                                            for check_id, arity, _ in table])
-    for i, (check_id, arity, fn) in enumerate(table):
+    table = [(check_id, arity, cfg.sample_count if count is None else count, residual)
+             for check_id, arity, count, residual in table]
+    drawn, error = sample_sets(chart, cfg, [(check_rng(cfg, check_id), count * arity)
+                                            for check_id, arity, count, _ in table])
+    for i, (check_id, arity, count, residual) in enumerate(table):
         with named(check_id):
             if i == len(drawn):
                 raise error
-            worst = maxabs(fn(chart, cfg, *_stacks(drawn[i], arity)))
-        yield check_id, cfg.sample_count, worst
+            worst = maxabs(residual(*_stacks(drawn[i], arity)))
+        yield check_id, count, worst
+
+
+def _rows(chart: GroupChart, cfg: DiffConfig, table) -> list[CheckRow]:
+    """The rows of a table of (check_id, arity, residual of (chart, cfg,
+    *points)), each of cfg.sample_count samples."""
+    return [(check_id, arity, None, partial(fn, chart, cfg)) for check_id, arity, fn in table]
 
 
 def _basic_ops_at_identity(chart: GroupChart, cfg: DiffConfig) -> float:
-    with named("basic_ops_at_identity"):
-        left, right = psi_pair(chart, chart.identity, cfg)
+    left, right = psi_pair(chart, chart.identity, cfg)
     eye = np.eye(chart.n)
     return maxabs((left - eye, right - eye))
 
@@ -656,8 +654,9 @@ def _basic_ops_at_identity(chart: GroupChart, cfg: DiffConfig) -> float:
 def axiom_checks(chart: GroupChart, cfg: DiffConfig) -> Checks:
     """(check_id, samples, residual) of the chart axioms, in report order:
     identity, associativity, inverse, and basic operators at the identity."""
-    yield from _sampled_checks(chart, cfg, _AXIOM_CHECKS)
-    yield "basic_ops_at_identity", 1, _basic_ops_at_identity(chart, cfg)
+    return sampled_checks(chart, cfg, [
+        *_rows(chart, cfg, _AXIOM_CHECKS),
+        ("basic_ops_at_identity", 0, 1, partial(_basic_ops_at_identity, chart, cfg))])
 
 
 def shift_checks(chart: GroupChart, cfg: DiffConfig) -> Checks:
@@ -666,7 +665,7 @@ def shift_checks(chart: GroupChart, cfg: DiffConfig) -> Checks:
     Each check draws its own deterministic sample set, so the residuals
     are reproducible for a fixed seed regardless of check order.
     """
-    return _sampled_checks(chart, cfg, _SHIFT_CHECKS)
+    return sampled_checks(chart, cfg, _rows(chart, cfg, _SHIFT_CHECKS))
 
 
 def _report(suite: str, chart: GroupChart, cfg: DiffConfig, checks: Checks,

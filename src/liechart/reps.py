@@ -16,15 +16,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import block_diag
 
-from .group import (
-    GroupChart,
-    inverse,
-    maxabs,
-    maxabs_rows,
-    named,
-    psi_flavored,
-    worst_over_samples,
-)
+from .group import GroupChart, inverse, maxabs, maxabs_rows, psi_flavored
 from .numdiff import DiffConfig, as_finite_array, invert, jacobian, rowwise
 from .structure import StructureConstants
 
@@ -79,39 +71,30 @@ def rep_generators(rep: RepChart, cfg: DiffConfig | None = None) -> np.ndarray:
     return _slot_derivatives(rep, rep.group.identity, cfg or DiffConfig())
 
 
-def rep_axiom_residuals(rep: RepChart, cfg: DiffConfig | None = None
-                        ) -> dict[str, float]:
-    """Identity, homomorphism and inverse residuals at sampled points."""
+def rep_homomorphism_residual(rep: RepChart, b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """f(compose(b, a)) against the product of f(b) and f(a), one value
+    per row of the (k, n) stacks b and a."""
+    return maxabs_rows(rep(rep.group.compose(b, a)) - rep.product(rep(b), rep(a)), a)
+
+
+def rep_inverse_residual(rep: RepChart, a: np.ndarray, cfg: DiffConfig | None = None
+                         ) -> np.ndarray:
+    """f at the group inverse against the matrix inverse of f, one value
+    per row of the (k, n) stack a."""
     cfg = cfg or DiffConfig()
-    chart = rep.group
-
-    def homomorphism(b: np.ndarray, a: np.ndarray) -> np.ndarray:
-        return maxabs_rows(rep(chart.compose(b, a)) - rep.product(rep(b), rep(a)), a)
-
-    with named("rep_identity"):
-        identity = maxabs(rep(chart.identity) - np.eye(rep.m))
-    return {
-        "rep_identity": identity,
-        "rep_homomorphism": worst_over_samples(chart, cfg, "rep_homomorphism", homomorphism,
-                                               arity=2),
-        "rep_inverse": worst_over_samples(chart, cfg, "rep_inverse", lambda a: maxabs_rows(
-            rep(inverse(chart, a, cfg)) - invert(rep(a)), a)),
-    }
+    return maxabs_rows(rep(inverse(rep.group, a, cfg)) - invert(rep(a)), a)
 
 
-def rep_pde_residual(rep: RepChart, gens: np.ndarray, cfg: DiffConfig | None = None) -> float:
+def rep_pde_residual(rep: RepChart, gens: np.ndarray, a: np.ndarray,
+                     cfg: DiffConfig | None = None) -> np.ndarray:
     """Residual of the defining differential equation of the representation,
-    compared entry by entry on the slot derivative of f at sampled points."""
+    compared entry by entry on the slot derivative of f, one value per row
+    of the (k, n) stack a."""
     cfg = cfg or DiffConfig()
-    chart = rep.group
-
-    def residual(a: np.ndarray) -> np.ndarray:
-        # the generator equation: d f / d a^L = sum_k lam_left[k, L] I_k f
-        lam_left = invert(psi_flavored(chart, a, "left", cfg))
-        expected = _combine(lam_left, rep.product(gens, rep(a)[:, None]))
-        return maxabs_rows(_slot_derivatives(rep, a, cfg) - expected, a)
-
-    return worst_over_samples(chart, cfg, "rep_pde", residual)
+    # the generator equation: d f / d a^L = sum_k lam_left[k, L] I_k f
+    lam_left = invert(psi_flavored(rep.group, a, "left", cfg))
+    expected = _combine(lam_left, rep.product(gens, rep(a)[:, None]))
+    return maxabs_rows(_slot_derivatives(rep, a, cfg) - expected, a)
 
 
 def integrability_check(gens: np.ndarray, constants: StructureConstants,
@@ -198,32 +181,25 @@ def generator_transform(rep: RepChart, g, gens: np.ndarray,
     return _combine(adjoint, conj)
 
 
-def generator_transform_residual(rep: RepChart, gens: np.ndarray,
-                                 cfg: DiffConfig | None = None) -> float:
-    """Constancy of the transformed generators across GENERATOR_TRANSFORM_POINTS points."""
-    cfg = cfg or DiffConfig()
-    return worst_over_samples(
-        rep.group, cfg, "generator_transform",
-        lambda g: maxabs_rows(generator_transform(rep, g, gens, cfg) - gens, g),
-        count=GENERATOR_TRANSFORM_POINTS)
+def generator_transform_residual(rep: RepChart, gens: np.ndarray, g: np.ndarray,
+                                 cfg: DiffConfig | None = None) -> np.ndarray:
+    """The transformed generators against the originals, one value per row
+    of the (k, n) stack g."""
+    return maxabs_rows(generator_transform(rep, g, gens, cfg) - gens, g)
 
 
-def mixed_identity_residual(rep: RepChart, gens: np.ndarray,
-                            cfg: DiffConfig | None = None) -> float:
-    """Both inverse-operator weightings of the defining equation agree.
+def mixed_identity_residual(rep: RepChart, gens: np.ndarray, a: np.ndarray,
+                            cfg: DiffConfig | None = None) -> np.ndarray:
+    """Both inverse-operator weightings of the defining equation agree at
+    each row of the (k, n) stack a.
 
     The slot derivative of f can be written through either the left or
     the right inverse operator; the generator products swap sides
     between the two forms.
     """
     cfg = cfg or DiffConfig()
-    chart = rep.group
-
-    def residual(a: np.ndarray) -> np.ndarray:
-        fa = rep(a)[:, None]
-        lam_left = invert(psi_flavored(chart, a, "left", cfg))
-        lam_right = invert(psi_flavored(chart, a, "right", cfg))
-        return maxabs_rows(_combine(lam_left, rep.product(gens, fa))
-                           - _combine(lam_right, rep.product(fa, gens)), a)
-
-    return worst_over_samples(chart, cfg, "rep_mixed_identity", residual)
+    fa = rep(a)[:, None]
+    lam_left = invert(psi_flavored(rep.group, a, "left", cfg))
+    lam_right = invert(psi_flavored(rep.group, a, "right", cfg))
+    return maxabs_rows(_combine(lam_left, rep.product(gens, fa))
+                       - _combine(lam_right, rep.product(fa, gens)), a)

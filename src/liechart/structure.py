@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularMatrix
-from .group import GroupChart, maxabs, psi_flavored, worst_over_samples
+from .group import GroupChart, maxabs, psi_flavored
 from .numdiff import DiffConfig, invert, jacobian, mixed_second, numeric_rank, rowwise
 
 CONSTANCY_POINTS = 5
@@ -121,20 +121,18 @@ def structure_constants_at_point(chart: GroupChart, a, flavor: str,
     return np.einsum("rt,pv,urp->utv", psi, psi, antis)
 
 
-def constancy_residual(chart: GroupChart, constants: StructureConstants,
-                       cfg: DiffConfig | None = None) -> float:
-    """Spread of point-measured constants across CONSTANCY_POINTS sampled points."""
+def constancy_residual(chart: GroupChart, constants: StructureConstants, a: np.ndarray,
+                       cfg: DiffConfig | None = None) -> np.ndarray:
+    """Spread of the constants measured at each point of the (k, n) stack a
+    from `constants`, one value per point."""
     cfg = cfg or DiffConfig()
     flavor, base = constants.flavor, constants.c
-    return worst_over_samples(
-        chart, cfg, f"constancy_{flavor}",
-        rowwise(lambda a: maxabs(structure_constants_at_point(chart, a, flavor, cfg) - base)),
-        count=CONSTANCY_POINTS)
+    return rowwise(lambda p: maxabs(structure_constants_at_point(chart, p, flavor, cfg) - base))(a)
 
 
-def maurer_residual(chart: GroupChart, constants: StructureConstants,
-                    cfg: DiffConfig | None = None) -> float:
-    """Max violation of the Maurer equation at sampled points.
+def maurer_residual(chart: GroupChart, constants: StructureConstants, a: np.ndarray,
+                    cfg: DiffConfig | None = None) -> np.ndarray:
+    """Violation of the Maurer equation at each point of the (k, n) stack a.
 
     The curl of the inverse operator field must equal the structure
     constants contracted with two copies of that field.
@@ -142,23 +140,24 @@ def maurer_residual(chart: GroupChart, constants: StructureConstants,
     cfg = cfg or DiffConfig()
     flavor = constants.flavor
 
-    def residual(a: np.ndarray) -> float:
-        _, lam, dlam = _frame_derivatives(chart, a, flavor, cfg)
+    def residual(p: np.ndarray) -> float:
+        _, lam, dlam = _frame_derivatives(chart, p, flavor, cfg)
         curl = dlam - np.transpose(dlam, (0, 2, 1))
         contracted = np.einsum("utv,tp,vr->upr", constants.c, lam, lam)
         return maxabs(contracted - curl)
 
-    return worst_over_samples(chart, cfg, f"maurer_{flavor}", rowwise(residual))
+    return rowwise(residual)(a)
 
 
 def invariant_field_commutators(chart: GroupChart, constants: StructureConstants,
-                                cfg: DiffConfig | None = None) -> float:
-    """Max frame-field commutator residual against the constants.
+                                a: np.ndarray, cfg: DiffConfig | None = None) -> np.ndarray:
+    """Frame-field commutator residual against the constants at each point
+    of the (k, n) stack a.
 
     Column V of the basic operator field is the V-th invariant frame
     field; its commutators must reproduce the structure constants with
-    the matching flavor.  A frame that loses rank at a sampled point
-    raises SingularMatrix naming the rank and the point.
+    the matching flavor.  A frame that loses rank at a point raises
+    SingularMatrix naming the rank and the point.
 
     The whole frame is differentiated once per point, d psi[K][V] / d x^L
     for all K, V, L, by nested first differences, so this check stays
@@ -168,11 +167,11 @@ def invariant_field_commutators(chart: GroupChart, constants: StructureConstants
     flavor = constants.flavor
     n = chart.n
 
-    def residual(a: np.ndarray) -> float:
-        psi = psi_flavored(chart, a, flavor, cfg)
+    def residual(p: np.ndarray) -> float:
+        psi = psi_flavored(chart, p, flavor, cfg)
         if numeric_rank(psi) < n:
-            raise SingularMatrix(_rank_drop(psi, a, flavor))
-        dframe = jacobian(_flat_field(chart, flavor, cfg), a, cfg)
+            raise SingularMatrix(_rank_drop(psi, p, flavor))
+        dframe = jacobian(_flat_field(chart, flavor, cfg), p, cfg)
         # jac[V] is the Jacobian of frame field V; contiguous copies give each
         # product the memory layout, and so the bits, of vf_commutator
         jac = np.ascontiguousarray(dframe.reshape(n, n, n).transpose(1, 0, 2))
@@ -180,4 +179,4 @@ def invariant_field_commutators(chart: GroupChart, constants: StructureConstants
         return maxabs([jac[v] @ fields[t] - jac[t] @ fields[v] - psi @ constants.c[:, t, v]
                        for t in range(n) for v in range(t + 1, n)])
 
-    return worst_over_samples(chart, cfg, f"field_commutators_{flavor}", rowwise(residual))
+    return rowwise(residual)(a)

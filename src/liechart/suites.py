@@ -9,8 +9,10 @@ report order; `run_suite` alone turns them into verdicts against
 
 from __future__ import annotations
 
-import functools
+from functools import cache, partial
 from typing import Callable
+
+import numpy as np
 
 from . import catalog, flows, pde, reps, structure
 from .errors import UnknownEntry
@@ -23,8 +25,8 @@ from .group import (
     maxabs,
     named,
     record,
+    sampled_checks,
     shift_checks,
-    worst_over_samples,
 )
 from .numdiff import DiffConfig, rowwise
 from .report import CheckReport
@@ -50,22 +52,22 @@ def structure_suite(chart: GroupChart, rep: RepChart | None, cfg: DiffConfig,
     gens = generators(chart, cfg)
     c_left = structure.structure_constants(gens, "left")
     c_right = structure.structure_constants(gens, "right")
-    n = cfg.sample_count
-
+    table = []
     if chart.n >= 3:
-        yield "jacobi_left", 1, structure.jacobi_residual(c_left)
-    yield "anti_isomorphism_measured", 1, worst_over_samples(
-        chart, cfg, "anti_isomorphism_measured", rowwise(lambda pt: maxabs(
-            structure.structure_constants_at_point(chart, pt, "right", cfg)
-            + structure.structure_constants_at_point(chart, pt, "left", cfg))), count=1)
-
+        table.append(("jacobi_left", 0, 1, partial(structure.jacobi_residual, c_left)))
+    table.append(("anti_isomorphism_measured", 1, 1, rowwise(lambda pt: maxabs(
+        structure.structure_constants_at_point(chart, pt, "right", cfg)
+        + structure.structure_constants_at_point(chart, pt, "left", cfg)))))
     for consts in (c_left, c_right):
         flavor = consts.flavor
-        yield f"constancy_{flavor}", structure.CONSTANCY_POINTS, structure.constancy_residual(
-            chart, consts, cfg)
-        yield f"maurer_{flavor}", n, structure.maurer_residual(chart, consts, cfg)
-        yield f"field_commutators_{flavor}", n, structure.invariant_field_commutators(
-            chart, consts, cfg)
+        table += [
+            (f"constancy_{flavor}", 1, structure.CONSTANCY_POINTS,
+             partial(structure.constancy_residual, chart, consts, cfg=cfg)),
+            (f"maurer_{flavor}", 1, None, partial(structure.maurer_residual, chart, consts, cfg=cfg)),
+            (f"field_commutators_{flavor}", 1, None,
+             partial(structure.invariant_field_commutators, chart, consts, cfg=cfg)),
+        ]
+    yield from sampled_checks(chart, cfg, table)
 
 
 def flows_suite(chart: GroupChart, rep: RepChart | None, cfg: DiffConfig,
@@ -79,7 +81,8 @@ def flows_suite(chart: GroupChart, rep: RepChart | None, cfg: DiffConfig,
             residual = flows.homomorphism_residual(chart, flow)
         yield check_id, len(flows.homomorphism_pairs(flow)), residual
     if chart.n == 1:
-        yield "canonical_additivity", cfg.sample_count, flows.additivity_residual(chart, cfg)
+        yield from sampled_checks(chart, cfg, [
+            ("canonical_additivity", 2, None, partial(flows.additivity_residual, chart, cfg=cfg))])
 
 
 def rep_suite(chart: GroupChart, rep: RepChart | None, cfg: DiffConfig,
@@ -88,20 +91,22 @@ def rep_suite(chart: GroupChart, rep: RepChart | None, cfg: DiffConfig,
     if rep is None:
         return
     gens = reps.rep_generators(rep, cfg)
-    n = cfg.sample_count
 
-    axioms = reps.rep_axiom_residuals(rep, cfg)
-    yield "rep_identity", 1, axioms["rep_identity"]
-    yield "rep_homomorphism", n, axioms["rep_homomorphism"]
-    yield "rep_inverse", n, axioms["rep_inverse"]
-    yield "rep_pde_map", n, reps.rep_pde_residual(rep, gens, cfg)
-    # one generator commutes with itself, so at n = 1 this row reads 0.0
-    if chart.n > 1:
+    def integrability() -> float:
         c_left = structure.structure_constants(generators(chart, cfg), "left")
-        yield "rep_integrability", 1, reps.integrability_check(gens, c_left, rep.side)
-    yield "rep_mixed_identity", n, reps.mixed_identity_residual(rep, gens, cfg)
-    yield ("generator_transform_constancy", reps.GENERATOR_TRANSFORM_POINTS,
-           reps.generator_transform_residual(rep, gens, cfg))
+        return reps.integrability_check(gens, c_left, rep.side)
+
+    yield from sampled_checks(chart, cfg, [
+        ("rep_identity", 0, 1, lambda: rep(chart.identity) - np.eye(rep.m)),
+        ("rep_homomorphism", 2, None, partial(reps.rep_homomorphism_residual, rep)),
+        ("rep_inverse", 1, None, partial(reps.rep_inverse_residual, rep, cfg=cfg)),
+        ("rep_pde_map", 1, None, partial(reps.rep_pde_residual, rep, gens, cfg=cfg)),
+        # one generator commutes with itself, so at n = 1 this row reads 0.0
+        *([("rep_integrability", 0, 1, integrability)] if chart.n > 1 else []),
+        ("rep_mixed_identity", 1, None, partial(reps.mixed_identity_residual, rep, gens, cfg=cfg)),
+        ("generator_transform_constancy", 1, reps.GENERATOR_TRANSFORM_POINTS,
+         partial(reps.generator_transform_residual, rep, gens, cfg=cfg)),
+    ])
 
 
 def pde_suite(chart: GroupChart, rep: RepChart | None, cfg: DiffConfig,
@@ -135,7 +140,7 @@ def run_suite(group_name: str, suite: str, cfg: DiffConfig,
     rep_name = rep_name if "rep" in names else None
     report = CheckReport(suite=suite, group=group_name, rep=rep_name,
                          seed=cfg.rng_seed, fd_step=cfg.base_step)
-    generators = functools.cache(structure.group_generators)
+    generators = cache(structure.group_generators)
     for name in names:
         report.extend(record(check_id, residual, samples, tol_scale)
                       for check_id, samples, residual in SUITES[name](chart, rep, cfg, generators))

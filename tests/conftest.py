@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from liechart import group, suites
+from liechart.group import check_rng, sample_points
+
 settings.register_profile(
     "default",
     deadline=None,
@@ -12,6 +15,26 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")
+
+
+def check_points(chart, cfg, check_id, count=None, arity=1):
+    """The arity (count, n) stacks a check table hands check_id's residual:
+    count * arity points of the check's own stream, count None meaning
+    cfg.sample_count, row i of stack j being point i * arity + j."""
+    count = cfg.sample_count if count is None else count
+    pts = sample_points(chart, cfg, check_rng(cfg, check_id), count * arity)
+    return [np.ascontiguousarray(pts[j::arity]) for j in range(arity)]
+
+
+def captured_table(monkeypatch, checks):
+    """The rows that `checks()` hands `sampled_checks`, in order, none of them run."""
+    rows = []
+    with monkeypatch.context() as patched:
+        for module in (group, suites):
+            patched.setattr(module, "sampled_checks",
+                            lambda chart, cfg, table: rows.extend(table) or iter(()))
+        list(checks())
+    return rows
 
 
 class LawCounter:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import liechart.cli as cli
+from conftest import check_points
 from liechart.catalog import (
     GROUP_NAMES,
     get_group,
@@ -28,6 +29,7 @@ from liechart.flows import (
 )
 from liechart.group import (
     check_rng,
+    maxabs,
     psi_flavored,
     sample_points,
     verify_shift_identities,
@@ -51,8 +53,9 @@ from liechart.reps import (
     generator_transform_residual,
     integrability_check,
     mixed_identity_residual,
-    rep_axiom_residuals,
     rep_generators,
+    rep_homomorphism_residual,
+    rep_inverse_residual,
     rep_pde_residual,
     tensor_generators,
     tensor_product,
@@ -128,7 +131,8 @@ def test_criterion_04_maurer_equation(emit):
         chart = get_group(name)
         for flavor in ("left", "right"):
             c = structure_constants(group_generators(chart, CFG), flavor)
-            worst = max(worst, maurer_residual(chart, c, CFG))
+            [a] = check_points(chart, CFG, f"maurer_{flavor}")
+            worst = max(worst, maxabs(maurer_residual(chart, c, a, CFG)))
     ok = worst < 1e-3
     emit(4, ok, f"Maurer equation both flavors on 3 groups, worst {worst:.2e} (tol 1e-3)")
     assert ok
@@ -160,7 +164,8 @@ def test_criterion_06_invariant_frames_whole_catalog(emit):
             # a frame that loses rank at a sampled point breaks down
             try:
                 c = structure_constants(group_generators(chart, CFG), flavor)
-                worst = max(worst, invariant_field_commutators(chart, c, CFG))
+                [a] = check_points(chart, CFG, f"field_commutators_{flavor}")
+                worst = max(worst, maxabs(invariant_field_commutators(chart, c, a, CFG)))
             except SingularMatrix:
                 ranks_ok = False
     ok = worst < 1e-3 and ranks_ok
@@ -180,7 +185,8 @@ def test_criterion_07_one_parameter_subgroups(emit):
 
     mult = get_group("multiplicative")
     err_log = abs(canonical_coordinate(mult, np.array([2.0]), CFG) - np.log(2.0))
-    err_add = additivity_residual(mult, CFG)
+    err_add = maxabs(additivity_residual(
+        mult, *check_points(mult, CFG, "canonical_additivity", arity=2), CFG))
 
     ok = (err_nilpotent < 1e-8 and err_hom < 1e-5
           and err_log < 1e-7 and err_add < 1e-6)
@@ -197,7 +203,7 @@ def test_criterion_08_representation_identities(emit):
     for rep in cases:
         gens = rep_generators(rep, CFG)
         c_left = structure_constants(group_generators(rep.group, CFG), "left")
-        axioms = rep_axiom_residuals(rep, CFG)
+        chart = rep.group
         tensor_err = max(
             np.max(np.abs(a - b)) for a, b in zip(
                 rep_generators(tensor_product(rep, rep), CFG),
@@ -207,16 +213,21 @@ def test_criterion_08_representation_identities(emit):
                 rep_generators(direct_sum(rep, rep), CFG),
                 direct_sum_generators(gens, gens)))
         checks = [
-            (axioms["rep_identity"], 1e-8),
-            (axioms["rep_homomorphism"], 1e-8),
-            (axioms["rep_inverse"], 1e-8),
-            (rep_pde_residual(rep, gens, CFG), 1e-3),
+            (maxabs(rep(chart.identity) - np.eye(rep.m)), 1e-8),
+            (maxabs(rep_homomorphism_residual(
+                rep, *check_points(chart, CFG, "rep_homomorphism", arity=2))), 1e-8),
+            (maxabs(rep_inverse_residual(rep, *check_points(chart, CFG, "rep_inverse"), CFG)),
+             1e-8),
+            (maxabs(rep_pde_residual(rep, gens, *check_points(chart, CFG, "rep_pde_map"),
+                                     CFG)), 1e-3),
             (integrability_check(gens, c_left, rep.side), 1e-6),
-            (mixed_identity_residual(rep, gens, CFG), 1e-3),
+            (maxabs(mixed_identity_residual(
+                rep, gens, *check_points(chart, CFG, "rep_mixed_identity"), CFG)), 1e-3),
             (conjugate_generators_check(rep, CFG), 1e-5),
             (tensor_err, 1e-4),
             (sum_err, 1e-5),
-            (generator_transform_residual(rep, gens, CFG), 1e-4),
+            (maxabs(generator_transform_residual(rep, gens, *check_points(
+                chart, CFG, "generator_transform_constancy", count=5), CFG)), 1e-4),
         ]
         rep_ok = all(res < tol for res, tol in checks)
         ok = ok and rep_ok

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from conftest import check_points
 from liechart import catalog, flows
 from liechart.catalog import GROUP_NAMES, get_group
 from liechart.errors import LeftChart, ZeroPsi
@@ -137,7 +138,9 @@ def test_canonical_coordinate_additive_on_products():
 
 
 def test_additivity_residual_sampled():
-    assert additivity_residual(get_group("multiplicative"), CFG) < 1e-6
+    chart = get_group("multiplicative")
+    a, b = check_points(chart, CFG, "canonical_additivity", arity=2)
+    assert np.max(additivity_residual(chart, a, b, CFG)) < 1e-6
 
 
 @pytest.mark.parametrize("name", [name for name in GROUP_NAMES if get_group(name).n == 1])
@@ -218,7 +221,7 @@ def test_zero_psi_names_a_node_in_the_dip(centre, target):
 def test_additivity_residual_names_the_dip_it_meets():
     # the sample ball of the dip chart reaches past 0.15
     with pytest.raises(ZeroPsi) as info:
-        additivity_residual(_dip_chart(0.15), CFG)
+        list(SUITES["flows"](_dip_chart(0.15), None, CFG, group_generators))
     assert str(info.value).startswith("canonical_additivity: ")
     assert abs(_named_node(info) - 0.15) <= 0.02
 

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import check_points
 from liechart import catalog, structure
 from liechart.catalog import GROUP_NAMES, get_group
 from liechart.errors import NoConvergence
@@ -19,8 +20,8 @@ from liechart.group import (
     maxabs_rows,
     psi_flavored,
     sample_points,
+    sampled_checks,
     verify_shift_identities,
-    worst_over_samples,
     SAMPLE_RADIUS,
     SHIFT_CHECK_IDS,
 )
@@ -163,6 +164,13 @@ def test_sample_points_deterministic_and_bounded():
     assert np.max(np.abs(pts1 - chart.identity)) <= SAMPLE_RADIUS + 1e-15
 
 
+def test_sample_points_of_count_zero_draws_nothing():
+    chart = get_group("affine")
+    rng, untouched = check_rng(CFG, "demo"), check_rng(CFG, "demo")
+    assert sample_points(chart, CFG, rng, 0).shape == (0, chart.n)
+    assert rng.bit_generator.state == untouched.bit_generator.state
+
+
 def test_check_rng_distinct_streams():
     a = check_rng(CFG, "alpha").uniform(size=4)
     b = check_rng(CFG, "beta").uniform(size=4)
@@ -230,7 +238,7 @@ def test_nan_law_fails_associativity_and_serializes():
     assert row["pass"] is False
 
 
-def test_worst_over_samples_groups_the_check_stream():
+def test_sampled_checks_groups_the_check_stream():
     chart = get_group("affine")
     seen = []
 
@@ -238,10 +246,24 @@ def test_worst_over_samples_groups_the_check_stream():
         seen.append((a, b))
         return float("nan") if len(seen) == 2 else 1e-9
 
-    worst = worst_over_samples(chart, CFG, "some_check", rowwise(residual), arity=2, count=3)
+    [(check_id, samples, worst)] = sampled_checks(
+        chart, CFG, [("some_check", 2, 3, rowwise(residual))])
+    assert (check_id, samples) == ("some_check", 3)
     assert np.isnan(worst)
     pts = sample_points(chart, CFG, check_rng(CFG, "some_check"), 6)
     assert np.array_equal(np.array(seen), pts.reshape(3, 2, chart.n))
+
+
+def test_sampled_checks_runs_a_row_of_arity_zero_in_its_place():
+    chart = get_group("affine")
+    order = []
+    table = [("first", 1, None, lambda a: order.append("first") or maxabs_rows(a, a)),
+             ("algebra", 0, 1, lambda: order.append("algebra") or -2.5),
+             ("last", 1, 2, lambda a: order.append("last") or maxabs_rows(a, a))]
+    rows = list(sampled_checks(chart, CFG, table))
+    assert order == ["first", "algebra", "last"]
+    assert rows[1] == ("algebra", 1, 2.5)
+    assert [samples for _, samples, _ in rows] == [CFG.sample_count, 1, 2]
 
 
 # composition-law evaluations at seed 42 and the default 20 samples, with
@@ -383,5 +405,6 @@ def test_batched_structure_measurements_match_per_point(name):
         a = sample_points(chart, CFG, check_rng(CFG, "batched_structure"), 1)[0]
         assert np.array_equal(structure.structure_constants_at_point(chart, a, flavor, CFG),
                               structure.structure_constants_at_point(ref, a, flavor, CFG))
-        assert (structure.invariant_field_commutators(chart, c, CFG)
-                == structure.invariant_field_commutators(ref, c, CFG))
+        [pts] = check_points(chart, CFG, f"field_commutators_{flavor}")
+        assert np.array_equal(structure.invariant_field_commutators(chart, c, pts, CFG),
+                              structure.invariant_field_commutators(ref, c, pts, CFG))

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import check_points
 from liechart.catalog import get_group, get_rep, rep_generator_oracle
 from liechart.group import (
     GroupChart,
@@ -14,7 +15,6 @@ from liechart.group import (
     maxabs,
     psi_flavored,
     sample_points,
-    worst_over_samples,
 )
 from liechart.numdiff import DiffConfig, invert, jacobian, rowwise
 from liechart.reps import (
@@ -28,13 +28,15 @@ from liechart.reps import (
     generator_transform_residual,
     integrability_check,
     mixed_identity_residual,
-    rep_axiom_residuals,
     rep_generators,
+    rep_homomorphism_residual,
+    rep_inverse_residual,
     rep_pde_residual,
     tensor_generators,
     tensor_product,
 )
 from liechart.structure import group_generators, structure_constants
+from liechart.suites import rep_suite
 
 CFG = DiffConfig(sample_count=5)
 
@@ -132,16 +134,19 @@ def test_rep_generator_oracle_matches_measured():
 @pytest.mark.parametrize("group_name,rep_name", REP_CASES)
 def test_rep_axioms(group_name, rep_name):
     rep = get_rep(group_name, rep_name)
-    res = rep_axiom_residuals(rep, CFG)
-    assert res["rep_identity"] < 1e-10
-    assert res["rep_homomorphism"] < 1e-8
-    assert res["rep_inverse"] < 1e-7
+    chart = rep.group
+    b, a = check_points(chart, CFG, "rep_homomorphism", arity=2)
+    assert maxabs(rep(chart.identity) - np.eye(rep.m)) < 1e-10
+    assert maxabs(rep_homomorphism_residual(rep, b, a)) < 1e-8
+    [a] = check_points(chart, CFG, "rep_inverse")
+    assert maxabs(rep_inverse_residual(rep, a, CFG)) < 1e-7
 
 
 @pytest.mark.parametrize("group_name,rep_name", REP_CASES)
 def test_rep_pde(group_name, rep_name):
     rep = get_rep(group_name, rep_name)
-    assert rep_pde_residual(rep, rep_generators(rep, CFG), CFG) < 1e-3
+    [a] = check_points(rep.group, CFG, "rep_pde_map")
+    assert maxabs(rep_pde_residual(rep, rep_generators(rep, CFG), a, CFG)) < 1e-3
 
 
 @pytest.mark.parametrize("group_name,rep_name", REP_CASES)
@@ -236,13 +241,16 @@ def test_combination_requires_same_group():
 ])
 def test_generator_transform_is_constant(group_name, rep_name):
     rep = get_rep(group_name, rep_name)
-    assert generator_transform_residual(rep, rep_generators(rep, CFG), CFG) < 1e-4
+    [g] = check_points(rep.group, CFG, "generator_transform_constancy",
+                       GENERATOR_TRANSFORM_POINTS)
+    assert maxabs(generator_transform_residual(rep, rep_generators(rep, CFG), g, CFG)) < 1e-4
 
 
 @pytest.mark.parametrize("group_name,rep_name", REP_CASES)
 def test_mixed_identity(group_name, rep_name):
     rep = get_rep(group_name, rep_name)
-    assert mixed_identity_residual(rep, rep_generators(rep, CFG), CFG) < 1e-3
+    [a] = check_points(rep.group, CFG, "rep_mixed_identity")
+    assert maxabs(mixed_identity_residual(rep, rep_generators(rep, CFG), a, CFG)) < 1e-3
 
 
 def test_trivial_rep_is_flat():
@@ -295,7 +303,7 @@ def sided(group_name, rep_name, side):
 
 def loop_pde_residual(rep, gens):
     chart = rep.group
-    pts = sample_points(chart, CFG, check_rng(CFG, "rep_pde"), CFG.sample_count)
+    pts = sample_points(chart, CFG, check_rng(CFG, "rep_pde_map"), CFG.sample_count)
     map_res = []
     for a in pts:
         fa = rep(a)
@@ -339,24 +347,21 @@ def loop_generator_transform(rep, g, gens):
 
 def loop_rep_axioms(rep):
     chart = rep.group
-
-    def homomorphism(b, a):
-        return maxabs(rep(chart.compose(b, a)) - rep.product(rep(b), rep(a)))
-
+    pairs = sample_points(chart, CFG, check_rng(CFG, "rep_homomorphism"), 2 * CFG.sample_count)
+    pts = sample_points(chart, CFG, check_rng(CFG, "rep_inverse"), CFG.sample_count)
     return {
         "rep_identity": maxabs(rep(chart.identity) - np.eye(rep.m)),
-        "rep_homomorphism": worst_over_samples(chart, CFG, "rep_homomorphism",
-                                               rowwise(homomorphism), arity=2),
-        "rep_inverse": worst_over_samples(chart, CFG, "rep_inverse", rowwise(
-            lambda a: maxabs(rep(inverse(chart, a, CFG)) - invert(rep(a))))),
+        "rep_homomorphism": maxabs([maxabs(rep(chart.compose(b, a)) - rep.product(rep(b), rep(a)))
+                                    for b, a in pairs.reshape(-1, 2, chart.n)]),
+        "rep_inverse": maxabs([maxabs(rep(inverse(chart, a, CFG)) - invert(rep(a)))
+                               for a in pts]),
     }
 
 
 def loop_generator_transform_residual(rep, gens):
-    return worst_over_samples(
-        rep.group, CFG, "generator_transform",
-        rowwise(lambda g: maxabs(loop_generator_transform(rep, g, list(gens)) - gens)),
-        count=GENERATOR_TRANSFORM_POINTS)
+    pts = sample_points(rep.group, CFG, check_rng(CFG, "generator_transform_constancy"),
+                        GENERATOR_TRANSFORM_POINTS)
+    return maxabs([maxabs(loop_generator_transform(rep, g, list(gens)) - gens) for g in pts])
 
 
 def loop_mixed_identity(rep, gens):
@@ -374,7 +379,8 @@ def loop_mixed_identity(rep, gens):
             worst.append(maxabs(left_form - right_form))
         return maxabs(worst)
 
-    return worst_over_samples(rep.group, CFG, "rep_mixed_identity", rowwise(residual))
+    pts = sample_points(rep.group, CFG, check_rng(CFG, "rep_mixed_identity"), CFG.sample_count)
+    return maxabs([residual(a) for a in pts])
 
 
 @pytest.mark.parametrize("group_name,rep_name,side", SIDED_CASES)
@@ -383,11 +389,13 @@ def test_generator_stack_matches_loop_references(group_name, rep_name, side):
     gens = rep_generators(rep, CFG)
     assert gens.shape == (rep.group.n, rep.m, rep.m)
     c_left = structure_constants(group_generators(rep.group, CFG), "left")
+    rows = {check_id: residual
+            for check_id, _, residual in rep_suite(rep.group, rep, CFG, group_generators)}
 
-    assert rep_pde_residual(rep, gens, CFG) == loop_pde_residual(rep, list(gens))
+    assert rows["rep_pde_map"] == loop_pde_residual(rep, list(gens))
     assert (integrability_check(gens, c_left, side)
             == loop_integrability(list(gens), c_left.c, side))
-    assert mixed_identity_residual(rep, gens, CFG) == loop_mixed_identity(rep, list(gens))
+    assert rows["rep_mixed_identity"] == loop_mixed_identity(rep, list(gens))
     g = sample_points(rep.group, CFG, np.random.default_rng(3), 1)[0]
     assert np.array_equal(generator_transform(rep, g, gens, CFG),
                           loop_generator_transform(rep, g, list(gens)))
@@ -395,9 +403,9 @@ def test_generator_stack_matches_loop_references(group_name, rep_name, side):
     stacked = generator_transform(rep, pts, gens, CFG)
     for row, p in zip(stacked, pts):
         assert np.array_equal(row, loop_generator_transform(rep, p, list(gens)))
-    assert rep_axiom_residuals(rep, CFG) == loop_rep_axioms(rep)
-    assert (generator_transform_residual(rep, gens, CFG)
-            == loop_generator_transform_residual(rep, gens))
+    for check_id, residual in loop_rep_axioms(rep).items():
+        assert rows[check_id] == residual, check_id
+    assert rows["generator_transform_constancy"] == loop_generator_transform_residual(rep, gens)
 
 
 def test_integrability_nan_matches_loop_reference():

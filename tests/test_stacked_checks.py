@@ -18,7 +18,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from liechart import group
+from conftest import captured_table
+from liechart import group, structure, suites
 from liechart.catalog import GROUP_NAMES, get_group
 from liechart.errors import LieChartError, NoConvergence, NonFiniteEvaluation, SingularMatrix
 from liechart.group import (
@@ -332,10 +333,14 @@ def _rejecting_charts():
     broken = GroupChart(n=2, compose=_nan_beyond(0.15), identity=np.zeros(2),
                         inverse_hint=_broadcasting(lambda a: -a), name="nan-beyond")
     hintless = dataclasses.replace(broken, inverse_hint=None)
-    # ... and the same law without the marker, lifted row by row
+    # ... and the same law without the marker, lifted row by row; the
+    # ax+b law cut the same way has structure residuals that do not vanish
+    affine = get_group("affine")
     return {"narrow": narrow, "broken": broken, "broken-newton": hintless,
             "broken-unbatched": dataclasses.replace(broken, compose=lambda a, b: np.where(
-                a[..., :1] > 0.15, np.nan, a + b))}
+                a[..., :1] > 0.15, np.nan, a + b)),
+            "broken-affine": dataclasses.replace(affine, compose=_broadcasting(
+                lambda a, b: np.where(a[..., :1] > 1.15, np.nan, affine.compose(a, b))))}
 
 
 @pytest.mark.parametrize("kind", ["narrow", "broken", "broken-newton", "broken-unbatched"])
@@ -435,19 +440,38 @@ def _outcomes(checks):
     return out
 
 
-@pytest.mark.parametrize("kind", ["narrow", "broken", "broken-newton", "broken-unbatched"])
-@pytest.mark.parametrize("table", ["axioms", "shifts"])
-def test_check_tables_report_what_each_check_reports_alone(kind, table):
-    # the same residuals bit for bit, and the same breakdown at the same row
+def _alone(chart, cfg, table):
+    """(check_id, residual) of each row of a check table, each drawing its
+    own points with `sample_points` before its residual runs."""
+    for check_id, arity, count, residual in table:
+        count = cfg.sample_count if count is None else count
+        with group.named(check_id):
+            pts = sample_points(chart, cfg, check_rng(cfg, check_id), count * arity)
+            yield check_id, maxabs(residual(*(np.ascontiguousarray(pts[j::arity])
+                                              for j in range(arity))))
+
+
+CHECK_TABLES = {
+    "axioms": group.axiom_checks,
+    "shifts": group.shift_checks,
+    "structure": lambda chart, cfg: suites.structure_suite(chart, None, cfg,
+                                                           structure.group_generators),
+}
+
+
+@pytest.mark.parametrize("kind", ["narrow", "broken", "broken-newton", "broken-unbatched",
+                                  "broken-affine"])
+@pytest.mark.parametrize("table", sorted(CHECK_TABLES))
+def test_check_tables_report_what_each_check_reports_alone(kind, table, monkeypatch):
+    # the same residuals bit for bit, and the same breakdown at the same row;
+    # the 1-d narrow chart has no structure rows
     chart = _rejecting_charts()[kind]
     cfg = DiffConfig(sample_count=6)
-    table = {"axioms": group._AXIOM_CHECKS, "shifts": group._SHIFT_CHECKS}[table]
+    rows = captured_table(monkeypatch, lambda: CHECK_TABLES[table](chart, cfg))
+    assert rows or (table, chart.n) == ("structure", 1)
     joint = ((check_id, residual)
-             for check_id, _, residual in group._sampled_checks(chart, cfg, table))
-    alone = ((check_id, group.worst_over_samples(
-        chart, cfg, check_id, lambda *pts, fn=fn: fn(chart, cfg, *pts), arity))
-        for check_id, arity, fn in table)
-    assert _outcomes(joint) == _outcomes(alone)
+             for check_id, _, residual in group.sampled_checks(chart, cfg, rows))
+    assert _outcomes(joint) == _outcomes(_alone(chart, cfg, rows))
 
 
 def test_a_table_that_cannot_be_drawn_names_its_first_check():

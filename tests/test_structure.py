@@ -6,11 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import check_points
 from liechart import catalog
 from liechart.catalog import get_group, get_oracles
 from liechart.group import GroupChart, check_rng, maxabs, psi_flavored, sample_points
 from liechart.numdiff import QUART_EPS, DiffConfig, jacobian, numeric_rank, vf_commutator
 from liechart.structure import (
+    CONSTANCY_POINTS,
     StructureConstants,
     _flat_field,
     antisymmetry_residual,
@@ -171,7 +173,8 @@ def test_constants_at_point_and_constancy(name, flavor):
     pt = sample_points(chart, CFG, rng, 1)[0]
     c_pt = structure_constants_at_point(chart, pt, flavor, CFG)
     assert np.max(np.abs(c_pt - c_ref.c)) < 1e-3
-    assert constancy_residual(chart, c_ref, CFG) < 1e-3
+    [a] = check_points(chart, CFG, f"constancy_{flavor}")
+    assert maxabs(constancy_residual(chart, c_ref, a, CFG)) < 1e-3
 
 
 @pytest.mark.parametrize("name", ["translation:2", "affine", "gl:2"])
@@ -179,7 +182,8 @@ def test_constants_at_point_and_constancy(name, flavor):
 def test_maurer_equation(name, flavor):
     chart = get_group(name)
     c = structure_constants(group_generators(chart, CFG), flavor)
-    assert maurer_residual(chart, c, CFG) < 1e-3
+    [a] = check_points(chart, CFG, f"maurer_{flavor}")
+    assert maxabs(maurer_residual(chart, c, a, CFG)) < 1e-3
 
 
 @pytest.mark.parametrize("name", ["affine", "gl:2"])
@@ -187,7 +191,8 @@ def test_maurer_equation(name, flavor):
 def test_invariant_field_commutators(name, flavor):
     chart = get_group(name)
     c = structure_constants(group_generators(chart, CFG), flavor)
-    assert invariant_field_commutators(chart, c, CFG) < 1e-3
+    [a] = check_points(chart, CFG, f"field_commutators_{flavor}")
+    assert maxabs(invariant_field_commutators(chart, c, a, CFG)) < 1e-3
 
 
 @pytest.mark.parametrize("name", ["affine", "gl:2"])
@@ -196,10 +201,11 @@ def test_right_flavor_functions_give_the_suite_rows(name):
     chart = get_group(name)
     c_right = structure_constants(group_generators(chart, CFG), "right")
     rows = {c.check_id: c.max_residual for c in run_suite(name, "structure", CFG).checks}
-    for check_id, fn in (("constancy_right", constancy_residual),
-                         ("maurer_right", maurer_residual),
-                         ("field_commutators_right", invariant_field_commutators)):
-        assert fn(chart, c_right, CFG) == rows[check_id], check_id
+    for check_id, fn, count in (("constancy_right", constancy_residual, CONSTANCY_POINTS),
+                                ("maurer_right", maurer_residual, None),
+                                ("field_commutators_right", invariant_field_commutators, None)):
+        [a] = check_points(chart, CFG, check_id, count)
+        assert maxabs(fn(chart, c_right, a, CFG)) == rows[check_id], check_id
 
 
 def per_pair_field_commutators(chart, flavor, cfg, constants):
@@ -226,7 +232,8 @@ def per_pair_field_commutators(chart, flavor, cfg, constants):
 def test_field_commutators_match_per_pair_reference(name, flavor):
     chart = get_group(name)
     c = structure_constants(group_generators(chart, CFG), flavor)
-    worst = invariant_field_commutators(chart, c, CFG)
+    [a] = check_points(chart, CFG, f"field_commutators_{flavor}")
+    worst = maxabs(invariant_field_commutators(chart, c, a, CFG))
     assert np.array_equal(worst, per_pair_field_commutators(chart, flavor, CFG, c))
 
 
@@ -245,6 +252,19 @@ def test_structure_suite_eval_count(name, monkeypatch, law_counter):
     assert run_suite(name, "structure", DiffConfig()).all_passed
     assert law_counter.evals == STRUCTURE_EVALS[name]
     assert law_counter.evals <= CEILING_EVALS[name]
+
+
+# law calls of the seed-42 structure suite: one table, so one vetting per
+# sampler round for all its rows
+STRUCTURE_CALLS = dict.fromkeys(["affine", "gl:2", "gl:3"], 240)
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURE_CALLS))
+def test_structure_suite_law_calls(name, monkeypatch, law_counter):
+    chart = law_counter.chart(get_group(name))
+    monkeypatch.setattr(catalog, "get_group", lambda _: chart)
+    assert run_suite(name, "structure", DiffConfig()).all_passed
+    assert law_counter.calls == STRUCTURE_CALLS[name]
 
 
 def test_structure_constants_rejects_unknown_flavor():

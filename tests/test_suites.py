@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from liechart import catalog, reps, structure
-from liechart.errors import NonFiniteEvaluation, UnknownEntry
+from conftest import captured_table
+from liechart import catalog, group, pde, reps, structure, suites
+from liechart.errors import NonFiniteEvaluation, SingularMatrix, UnknownEntry
 from liechart.group import SHIFT_CHECK_IDS, check_chart_axioms, verify_shift_identities
 from liechart.numdiff import DiffConfig
 from liechart.reps import RepChart
@@ -139,6 +140,61 @@ def test_all_suite_measures_the_group_generators_once(monkeypatch, law_counter):
     # the measurement is kept for one run only: the next run measures again
     run_suite("gl:3", "structure", CFG)
     assert len(calls) == 2
+
+
+# law calls of the seed-42 rep suite on each group's catalog representation:
+# one table, so one vetting per sampler round for all its rows
+REP_SUITE_CALLS = {("affine", "matrix"): 11, ("gl:2", "standard"): 11, ("gl:3", "standard"): 11}
+
+
+@pytest.mark.parametrize("group_name, rep_name", sorted(REP_SUITE_CALLS))
+def test_rep_suite_law_calls(group_name, rep_name, monkeypatch, law_counter):
+    chart = law_counter.chart(catalog.get_group(group_name))
+    monkeypatch.setattr(catalog, "get_group", lambda _: chart)
+    assert run_suite(group_name, "rep", DiffConfig(), rep_name=rep_name).all_passed
+    assert law_counter.calls == REP_SUITE_CALLS[group_name, rep_name]
+
+
+def _planted(*pts):
+    raise SingularMatrix("planted")
+
+
+@pytest.mark.parametrize("suite, group_name, rep_name", [
+    ("structure", "gl:3", None), ("rep", "affine", "matrix"), ("rep", "gl:2", "conjugate"),
+])
+def test_a_breakdown_in_each_sampled_row_is_named_by_that_row(suite, group_name, rep_name,
+                                                                monkeypatch):
+    chart = catalog.get_group(group_name)
+    rep = catalog.get_rep(group_name, rep_name) if rep_name else None
+    rows = captured_table(monkeypatch, lambda: SUITES[suite](chart, rep, CFG,
+                                                             structure.group_generators))
+    sampled = [check_id for check_id, arity, _, _ in rows if arity]
+    assert len(sampled) == {"structure": 7, "rep": 5}[suite]
+    for planted in sampled:
+        table = [(check_id, arity, count, _planted if check_id == planted else fn)
+                 for check_id, arity, count, fn in rows]
+        with pytest.raises(SingularMatrix) as caught:
+            list(group.sampled_checks(chart, CFG, table))
+        assert str(caught.value) == f"{planted}: planted"
+
+
+@pytest.mark.parametrize("group_name, rep_name", [
+    ("gl:1", "standard"), ("affine", "matrix"), ("gl:3", "standard"),
+])
+def test_every_sampled_row_draws_from_the_stream_of_its_id(group_name, rep_name, monkeypatch):
+    streams, check_rng = [], group.check_rng
+
+    def spy(cfg, check_id):
+        streams.append(check_id)
+        return check_rng(cfg, check_id)
+
+    for module in (group, suites, pde):
+        monkeypatch.setattr(module, "check_rng", spy)
+    ids = [c.check_id for c in run_suite(group_name, "all", CFG, rep_name=rep_name).checks]
+    unsampled = {"flow_homomorphism", "flow_homomorphism_left", "essential_count_group_family"}
+    # the flows share one direction, and the parameter count samples a box, not the group
+    others = ["flow_direction", f"essential_params_compose_{group_name}"]
+    assert sorted(streams) == sorted([i for i in ids if i not in unsampled] + others)
 
 
 def test_rep_identity_breakdown_names_its_row():
