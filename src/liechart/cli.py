@@ -11,6 +11,7 @@ import argparse
 import math
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 from .errors import BREAKDOWN, UnknownEntry
@@ -60,7 +61,9 @@ def _json_path_problem(path: Path) -> str | None:
     return None
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `liechart` parser, built once per process: parse_args keeps no state."""
     parser = argparse.ArgumentParser(
         prog="liechart",
         description="Numeric checks of Lie group composition-law identities.")

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import LeftChart, NonFiniteEvaluation, ZeroPsi
-from .group import GroupChart, maxabs, psi_flavored
-from .numdiff import DiffConfig, as_finite_array
+from .errors import BREAKDOWN, LeftChart, LieChartError, NonFiniteEvaluation, ZeroPsi
+from .group import GroupChart, maxabs, maxabs_rows, psi_flavored
+from .numdiff import DiffConfig, as_finite_array, nonfinite_rows, unchecked_jacobian
 
 _FIRST_STEPS_PER_UNIT = 8
 _MAX_STEPS_PER_UNIT = 1000
@@ -18,6 +18,13 @@ _FLOW_TOL = 1e-10
 _HOMOMORPHISM_PAIRS = 10
 _GRID_INTERVALS = 128
 _PSI_FLOOR = 1e-12
+
+# {position in the stack: error} of the rows a call found broken down
+Breakdowns = dict[int, LieChartError]
+# rhs(y, s, rows) -> (y', breakdowns) and check(y, s, rows) -> breakdowns
+# on a (j, n) stack of states, their times s (j,) and their row numbers
+Rhs = Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, Breakdowns]]
+Check = Callable[[np.ndarray, np.ndarray, np.ndarray], Breakdowns]
 
 
 @dataclass(frozen=True)
@@ -34,75 +41,202 @@ class FlowResult:
         return self.path[-1]
 
 
-def rk4_path(rhs, y0: np.ndarray, t_end: float, steps: int, check) -> np.ndarray:
-    """RK4 states of y' = rhs(y, s) at s = i t_end / steps, each vetted by check(y, s)."""
-    h = t_end / steps
-    path = np.empty((steps + 1, y0.size))
-    path[0] = y = y0
-    for i in range(steps):
-        s = i * h
-        k1 = rhs(y, s)
-        k2 = rhs(y + 0.5 * h * k1, s + 0.5 * h)
-        k3 = rhs(y + 0.5 * h * k2, s + 0.5 * h)
-        k4 = rhs(y + h * k3, s + h)
-        path[i + 1] = y = check(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (i + 1) * h)
-    return path
+def rk4_path(rhs: Rhs, y0: np.ndarray, t_end: float, steps: Sequence[int],
+             check: Check) -> list[np.ndarray | LieChartError]:
+    """RK4 paths of y' = rhs(y, s) from the rows of the (k, n) stack y0,
+    row r in steps[r] uniform steps to t_end: per row its states
+    (steps[r] + 1, n), or the error that stopped it.
 
-
-def step_doubled(integrate, first: int, cap: int, errors) -> np.ndarray:
-    """The path of integrate(steps) at first, 2 first, ... steps, up to `cap`.
-
-    Returns the finer path once two successive endpoints agree within
-    _FLOW_TOL, else the pass at `cap` steps as it is.  Few RK4 steps can
-    blow up on a stiff system whose solution stays finite, so below the
-    cap `errors` only mean "not converged"; the capped pass raises them.
+    Each round moves every live row one step: four rhs calls and one
+    check of the new states, each on the stack of those rows.  A row
+    leaves once it has taken its steps, or at the stage where rhs or check
+    finds it broken down, so each row keeps the bits and the error of its
+    own one-row integration.  A breakdown that a call raises for the
+    whole stack runs that round again one row at a time, to learn whose
+    it is.
     """
-    steps = min(first, cap)
-    coarse = None
-    while steps < cap:
+    steps = np.asarray(steps, dtype=int)
+    h = t_end / steps
+    last = int(steps.max())
+    states = np.empty((last + 1,) + y0.shape)
+    states[0] = y0
+    broken: Breakdowns = {}
+    going = np.ones(len(steps), dtype=bool)
+    for i in range(last):
+        live = np.flatnonzero(going & (steps > i))
+        if not live.size:
+            break
         try:
-            path = integrate(steps)
-        except errors:
-            path = None
-        if path is not None and coarse is not None and maxabs(path[-1] - coarse[-1]) <= _FLOW_TOL:
-            return path
-        coarse = path
-        steps = min(2 * steps, cap)
-    return integrate(cap)
+            states[i + 1, live], failed = _rk4_step(rhs, check, states[i, live], i, h[live], live)
+        except BREAKDOWN:
+            failed = {}
+            for p in range(live.size):
+                one = live[p:p + 1]
+                try:
+                    states[i + 1, one], alone = _rk4_step(rhs, check, states[i, one], i, h[one], one)
+                except BREAKDOWN as exc:
+                    alone = {0: exc}
+                if alone:
+                    failed[p] = alone[0]
+        for p, error in failed.items():
+            broken[int(live[p])] = error
+            going[live[p]] = False
+    return [broken[r] if r in broken else states[:m + 1, r].copy()
+            for r, m in enumerate(steps.tolist())]
+
+
+def _rk4_step(rhs: Rhs, check: Check, y: np.ndarray, i: int, h: np.ndarray,
+              rows: np.ndarray) -> tuple[np.ndarray, Breakdowns]:
+    """Step i of every row of the (j, n) stack y, from s = i h to (i + 1) h:
+    the new states and the rows that broke down, each dropped from the
+    stages after its breakdown."""
+    failed: Breakdowns = {}
+    live = np.arange(len(y))            # positions not yet broken down
+
+    def drop(errors: Breakdowns) -> np.ndarray:
+        nonlocal live
+        bad = live[list(errors)]
+        failed.update(zip(bad.tolist(), errors.values()))
+        live = np.delete(live, list(errors))
+        return bad
+
+    def stage(x: np.ndarray, s: np.ndarray) -> np.ndarray:
+        if live.size == len(x):
+            k, errors = rhs(x, s, rows)
+        else:
+            k = np.zeros_like(x)
+            errors = {}
+            if live.size:
+                k[live], errors = rhs(x[live], s[live], rows[live])
+        if errors:
+            k[drop(errors)] = 0.0
+        return k
+
+    s = i * h
+    mid = s + 0.5 * h
+    hc = h[:, None]
+    k1 = stage(y, s)
+    k2 = stage(y + 0.5 * hc * k1, mid)
+    k3 = stage(y + 0.5 * hc * k2, mid)
+    k4 = stage(y + hc * k3, s + h)
+    y = y + (hc / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    errors = check(y[live], ((i + 1) * h)[live], rows[live]) if live.size else {}
+    if errors:
+        drop(errors)
+    return y, failed
+
+
+def step_doubled(rhs: Rhs, y0: np.ndarray, t_end: float, first: int, cap: int,
+                 check: Check, errors) -> list[np.ndarray | LieChartError]:
+    """Per row of the (p, n) stack y0, its RK4 path at first, 2 first, ...
+    steps, up to `cap`, or the error that stopped it.
+
+    A row takes its finer path once two successive endpoints agree within
+    _FLOW_TOL, else its pass at `cap` steps as it is.  Few RK4 steps can
+    blow up on a stiff system whose solution stays finite, so below the
+    cap `errors` only mean "not converged"; any other breakdown, or one in
+    the capped pass, is the row's result.  Every row's first two passes
+    run as one `rk4_path` stack, since convergence needs two passes
+    anyway, and each later doubling of the rows still open is one more.
+    rhs and check are those of rk4_path, with `rows` numbering y0.
+    """
+    first = min(first, cap)
+    done: dict[int, np.ndarray | LieChartError] = {}
+    coarse: list[np.ndarray | None] = [None] * len(y0)
+    todo = [(r, m) for r in range(len(y0))
+            for m in ((first, min(2 * first, cap)) if first < cap else (first,))]
+    while todo:
+        of = np.array([r for r, _ in todo])
+        paths = rk4_path(lambda y, s, rows: rhs(y, s, of[rows]), y0[of], t_end,
+                         [m for _, m in todo], lambda y, s, rows: check(y, s, of[rows]))
+        for (r, m), path in zip(todo, paths):
+            if r in done:
+                continue
+            if m == cap or (isinstance(path, LieChartError) and not isinstance(path, errors)):
+                done[r] = path
+                continue
+            if isinstance(path, LieChartError):
+                path = None
+            if path is not None and coarse[r] is not None \
+                    and maxabs(path[-1] - coarse[r][-1]) <= _FLOW_TOL:
+                done[r] = path
+                continue
+            coarse[r] = path
+        todo = [(r, min(2 * m, cap)) for r, m in dict(todo).items() if r not in done]
+    return [done[r] for r in range(len(y0))]
+
+
+def _basic_operators(chart: GroupChart, c: np.ndarray, left: np.ndarray,
+                     cfg: DiffConfig) -> np.ndarray:
+    """Basic operators (j, n, n) at the states c (j, n), row r of the left
+    flavor where left[r]: `psi_flavored` of each row, from one stencil of
+    compose(y, c) or compose(c, y) around the identity, unchecked."""
+    e = np.empty_like(c)
+    e[...] = chart.identity
+    left = left[:, None, None]
+    c = c[:, None, :]
+    return unchecked_jacobian(lambda y: chart.compose(np.where(left, y, c), np.where(left, c, y)),
+                              e, cfg)
+
+
+def one_param_subgroups(chart: GroupChart, alpha, t_end: float, flavors: Sequence[str],
+                        steps: int | None = None, cfg: DiffConfig | None = None
+                        ) -> list[FlowResult | LieChartError]:
+    """Integrate the invariant flows c' = psi_flavor(c) alpha from the
+    identity, one per flavor, as one RK4 stack: per flavor its flow, or
+    the error that stopped it.
+
+    RK4 on a uniform grid of `steps` steps, or without `steps` step-doubled
+    from ceil(8 |t_end|) to ceil(1000 |t_end|) steps, where only the capped
+    pass may end a flow in a breakdown.  A flow that leaves the chart
+    trust region ends in LeftChart.
+    """
+    cfg = cfg or DiffConfig()
+    for flavor in flavors:
+        if flavor not in ("left", "right"):
+            raise ValueError(f"unknown flavor {flavor!r}")
+    if steps is not None and steps < 1:
+        raise ValueError("steps must be at least 1")
+    alpha = as_finite_array(alpha, "flow direction")
+    if alpha.shape != (chart.n,):
+        raise ValueError("alpha must be an n-vector")
+    left = np.array([flavor == "left" for flavor in flavors])
+    e = chart.identity
+
+    def rhs(c: np.ndarray, _s: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, Breakdowns]:
+        psi = _basic_operators(chart, c, left[rows], cfg)
+        return psi @ alpha, nonfinite_rows(psi, "jacobian probe")
+
+    def in_chart(c: np.ndarray, s: np.ndarray, _rows: np.ndarray) -> Breakdowns:
+        failed: Breakdowns = {
+            p: LeftChart(f"flow left the trust region at t = {s[p]:.6g}")
+            for p in np.flatnonzero(maxabs_rows(c - e, c) > chart.chart_radius).tolist()}
+        failed.update(nonfinite_rows(c, "flow state"))
+        return failed
+
+    y0 = np.tile(e, (len(flavors), 1))
+    if steps is not None:
+        paths = rk4_path(rhs, y0, t_end, [steps] * len(flavors), in_chart)
+    else:
+        paths = step_doubled(rhs, y0, t_end,
+                             max(1, math.ceil(_FIRST_STEPS_PER_UNIT * abs(t_end))),
+                             max(1, math.ceil(_MAX_STEPS_PER_UNIT * abs(t_end))),
+                             in_chart, (LeftChart, NonFiniteEvaluation))
+    return [path if isinstance(path, LieChartError) else
+            FlowResult(alpha=alpha, flavor=flavor,
+                       t_grid=np.linspace(0.0, t_end, path.shape[0]), path=path)
+            for flavor, path in zip(flavors, paths)]
 
 
 def one_param_subgroup(chart: GroupChart, alpha, t_end: float,
                        steps: int | None = None, flavor: str = "right",
                        cfg: DiffConfig | None = None) -> FlowResult:
-    """Integrate the invariant flow c' = psi_flavor(c) alpha from the identity.
-
-    RK4 on a uniform grid of `steps` steps, or without `steps` step-doubled
-    from ceil(8 |t_end|) to ceil(1000 |t_end|) steps, where only the capped
-    pass may raise.  Raises LeftChart when a state escapes the chart trust
-    region.
-    """
-    cfg = cfg or DiffConfig()
-    if flavor not in ("left", "right"):
-        raise ValueError(f"unknown flavor {flavor!r}")
-    alpha = as_finite_array(alpha, "flow direction")
-    if alpha.shape != (chart.n,):
-        raise ValueError("alpha must be an n-vector")
-
-    def rhs(c: np.ndarray, _s: float) -> np.ndarray:
-        return psi_flavored(chart, c, flavor, cfg) @ alpha
-
-    def in_chart(c: np.ndarray, s: float) -> np.ndarray:
-        c = as_finite_array(c, "flow state")
-        if maxabs(c - chart.identity) > chart.chart_radius:
-            raise LeftChart(f"flow left the trust region at t = {s:.6g}")
-        return c
-
-    integrate = partial(rk4_path, rhs, chart.identity, t_end, check=in_chart)
-    path = integrate(steps) if steps is not None else step_doubled(
-        integrate, max(1, math.ceil(_FIRST_STEPS_PER_UNIT * abs(t_end))),
-        max(1, math.ceil(_MAX_STEPS_PER_UNIT * abs(t_end))), (LeftChart, NonFiniteEvaluation))
-    return FlowResult(alpha=alpha, flavor=flavor,
-                      t_grid=np.linspace(0.0, t_end, path.shape[0]), path=path)
+    """The one flow of `one_param_subgroups` in one flavor; raises its
+    breakdown, LeftChart when it escapes the chart trust region."""
+    flow, = one_param_subgroups(chart, alpha, t_end, (flavor,), steps, cfg)
+    if isinstance(flow, LieChartError):
+        raise flow
+    return flow
 
 
 def homomorphism_pairs(flow: FlowResult) -> range:

@@ -61,6 +61,16 @@ def as_finite_array(x, context: str = "evaluation") -> np.ndarray:
     return a
 
 
+def nonfinite_rows(v: np.ndarray, context: str) -> dict[int, NonFiniteEvaluation]:
+    """The rows of the (k, ...) stack v that hold a NaN or Inf, each mapped
+    to the error `as_finite_array` raises for it alone."""
+    finite = np.isfinite(v)
+    if np.logical_and.reduce(finite, axis=None):
+        return {}
+    bad = np.flatnonzero(~np.logical_and.reduce(finite.reshape(len(v), -1), axis=1))
+    return dict.fromkeys(bad.tolist(), NonFiniteEvaluation(f"{context} produced a non-finite value"))
+
+
 def _steps(at: np.ndarray, base: float) -> np.ndarray:
     return base * np.maximum(1.0, np.abs(at))
 

@@ -12,16 +12,16 @@ x-derivatives and watch the rank saturate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations_with_replacement
 from typing import Callable
 
 import numpy as np
 
-from .errors import NonFiniteEvaluation, NotIntegrable
-from .flows import rk4_path, step_doubled
+from .errors import LieChartError, NonFiniteEvaluation, NotIntegrable
+from .flows import Breakdowns, step_doubled
 from .group import GroupChart, check_rng, maxabs, maxabs_rows
-from .numdiff import DiffConfig, as_finite_array, jacobian, numeric_rank, rowwise
+from .numdiff import (DiffConfig, as_finite_array, jacobian, nonfinite_rows, numeric_rank,
+                      rowwise)
 
 _TAYLOR_STEPS = 500
 _INTEGRABILITY_TOL = 1e-6
@@ -36,9 +36,10 @@ class PDESystem:
     The boxes bound where integrability sample points are drawn: rows of
     (low, high), m = len(theta_box) for theta and n = len(x_box) for x.
     psi maps (theta (m,), x (n,)) to an (m, n) array.  It stays a map of
-    single points: taylor_solve calls it once per RK4 stage, thousands of
-    times per solve, and a `numdiff.rowwise` lift would add about 8 us to
-    each call.  The integrability stencils lift it where their stacks begin.
+    single points: taylor_solve calls it once per row and RK4 stage,
+    thousands of times per solve, and a `numdiff.rowwise` lift would add
+    about 8 us to each call.  The integrability stencils lift it where
+    their stacks begin.
     """
 
     psi: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -135,12 +136,16 @@ def taylor_solve(sys: PDESystem, consts, x0, x1, cfg: DiffConfig | None = None,
     x1 = as_finite_array(x1).ravel()
     delta = x1 - x0
 
-    def rhs(th: np.ndarray, s: float) -> np.ndarray:
-        return sys.rhs(th, x0 + s * delta) @ delta
+    def rhs(th: np.ndarray, s: np.ndarray, _rows: np.ndarray) -> tuple[np.ndarray, Breakdowns]:
+        return np.array([sys.rhs(t, x0 + si * delta) @ delta for t, si in zip(th, s)]), {}
 
-    integrate = partial(rk4_path, rhs, theta, 1.0,
-                        check=lambda th, _s: as_finite_array(th, "pde solution"))
-    return step_doubled(integrate, 8, _TAYLOR_STEPS, NonFiniteEvaluation)[-1]
+    def finite(th: np.ndarray, _s: np.ndarray, _rows: np.ndarray) -> Breakdowns:
+        return nonfinite_rows(th, "pde solution")
+
+    path, = step_doubled(rhs, theta[None], 1.0, 8, _TAYLOR_STEPS, finite, NonFiniteEvaluation)
+    if isinstance(path, LieChartError):
+        raise path
+    return path[-1]
 
 
 def solve_along_path(sys: PDESystem, consts, waypoints, cfg: DiffConfig | None = None

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import catalog, flows, pde, reps, structure
-from .errors import UnknownEntry
+from .errors import LieChartError, UnknownEntry
 from .group import (
     TOLERANCES,  # noqa: F401  re-exported for callers of the suites
     Checks,
@@ -75,9 +75,12 @@ def flows_suite(chart: GroupChart, rep: RepChart | None, cfg: DiffConfig,
     rng = check_rng(cfg, "flow_direction")
     alpha = rng.uniform(-0.2, 0.2, chart.n)
 
-    for check_id, flavor in (("flow_homomorphism", "right"), ("flow_homomorphism_left", "left")):
+    # both flows are one RK4 stack; a flow that broke down raises at its turn
+    stack = flows.one_param_subgroups(chart, alpha, 1.0, ("right", "left"), cfg=cfg)
+    for check_id, flow in zip(("flow_homomorphism", "flow_homomorphism_left"), stack):
         with named(check_id):
-            flow = flows.one_param_subgroup(chart, alpha, 1.0, flavor=flavor, cfg=cfg)
+            if isinstance(flow, LieChartError):
+                raise flow
             residual = flows.homomorphism_residual(chart, flow)
         yield check_id, len(flows.homomorphism_pairs(flow)), residual
     if chart.n == 1:

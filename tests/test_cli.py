@@ -186,6 +186,25 @@ def test_json_byte_identical_across_runs(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    # two calls in one process share the parser, yet each writes the report
+    # of a fresh interpreter: flags of the first (--samples, --fd-step,
+    # --tol-scale) leave no default behind for the second
+    assert cli.build_parser() is cli.build_parser()
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    calls = [["run", "--group", "affine", "--suite", "shift", "--seed", "3", "--samples", "4",
+              "--fd-step", "1e-5", "--tol-scale", "2"],
+             ["run", "--group", "gl:2", "--suite", "flows", "--seed", "8"]]
+    for i, argv in enumerate(calls):
+        here, fresh = tmp_path / f"here{i}.json", tmp_path / f"fresh{i}.json"
+        assert run_cli(*argv, "--json", str(here)) == 0
+        done = subprocess.run([sys.executable, "-m", "liechart.cli", *argv, "--json", str(fresh)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert here.read_bytes() == fresh.read_bytes()
+    assert json.loads((tmp_path / "here1.json").read_text())["fd_step"] != 1e-5
+
+
 def test_seed_changes_samples_not_verdicts(tmp_path, capsys):
     docs = []
     for seed in (1, 2):

@@ -9,15 +9,16 @@ from scipy.linalg import expm
 from conftest import check_points
 from liechart import catalog, flows
 from liechart.catalog import GROUP_NAMES, get_group
-from liechart.errors import LeftChart, ZeroPsi
+from liechart.errors import LeftChart, NonFiniteEvaluation, SingularMatrix, ZeroPsi
 from liechart.flows import (
     additivity_residual,
     canonical_coordinate,
     homomorphism_residual,
     one_param_subgroup,
 )
-from liechart.group import GroupChart, check_rng, sample_points
-from liechart.numdiff import DiffConfig
+from liechart.group import GroupChart, check_rng, maxabs, psi_flavored, sample_points
+from liechart.numdiff import DiffConfig, as_finite_array, nonfinite_rows, unchecked_jacobian
+from liechart.pde import exponential_system, taylor_solve
 from liechart.structure import group_generators
 from liechart.suites import SUITES, run_suite
 
@@ -99,6 +100,12 @@ def test_multiplicative_flow_hits_exp():
     chart = get_group("multiplicative")
     flow = one_param_subgroup(chart, np.array([1.0]), np.log(2.0), cfg=CFG)
     assert abs(flow.endpoint[0] - 2.0) < 1e-7
+
+
+@pytest.mark.parametrize("steps", [0, -3])
+def test_flow_rejects_a_step_count_below_one(steps):
+    with pytest.raises(ValueError, match="steps must be at least 1"):
+        one_param_subgroup(get_group("translation:2"), np.array([0.1, 0.2]), 1.0, steps=steps)
 
 
 def test_flow_escaping_chart_raises():
@@ -331,6 +338,12 @@ def test_flow_breakdown_names_its_row():
 FLOWS_EVALS = {"translation:1": 2_570, "translation:2": 798, "translation:3": 1_182,
                "multiplicative": 2_586, "affine": 798, "gl:1": 2_586,
                "gl:2": 1_566, "gl:3": 8_084}
+# law calls of the same runs: 4 per RK4 round of the one stack that takes
+# both flavors' passes of 8 and 16 steps, 64 in all, 128 more on gl:3, where
+# one flavor also needs 32 steps; then one call per homomorphism residual,
+# and at n = 1 four more for canonical_additivity
+FLOWS_CALLS = {"translation:1": 70, "translation:2": 66, "translation:3": 66,
+               "multiplicative": 70, "affine": 66, "gl:1": 70, "gl:2": 66, "gl:3": 194}
 CEILING_EVALS = {"translation:1": 44_502, "translation:2": 56_018, "translation:3": 84_018,
                  "multiplicative": 45_414, "affine": 56_018, "gl:1": 45_414,
                  "gl:2": 112_018, "gl:3": 252_018}
@@ -343,3 +356,262 @@ def test_flows_suite_eval_count(name, monkeypatch, law_counter):
     assert run_suite(name, "flows", DiffConfig()).all_passed
     assert law_counter.evals == FLOWS_EVALS[name]
     assert law_counter.evals <= CEILING_EVALS[name]
+    assert law_counter.calls == FLOWS_CALLS[name]
+
+
+# --- the stacked RK4 against the one-row integrator it replaced -------------
+#
+# A test-local copy of the one-row integrator: one state per RK4 stage, each
+# pass of the step doubling run alone, and every breakdown raised at once.
+
+def _one_row_rk4(rhs, y0, t_end, steps, check):
+    h = t_end / steps
+    path = np.empty((steps + 1, y0.size))
+    path[0] = y = y0
+    for i in range(steps):
+        s = i * h
+        k1 = rhs(y, s)
+        k2 = rhs(y + 0.5 * h * k1, s + 0.5 * h)
+        k3 = rhs(y + 0.5 * h * k2, s + 0.5 * h)
+        k4 = rhs(y + h * k3, s + h)
+        path[i + 1] = y = check(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (i + 1) * h)
+    return path
+
+
+def _one_row_step_doubled(integrate, first, cap, errors):
+    steps = min(first, cap)
+    coarse = None
+    while steps < cap:
+        try:
+            path = integrate(steps)
+        except errors:
+            path = None
+        if path is not None and coarse is not None and maxabs(path[-1] - coarse[-1]) <= 1e-10:
+            return path
+        coarse = path
+        steps = min(2 * steps, cap)
+    return integrate(cap)
+
+
+def _one_row_flow(chart, alpha, t_end, flavor, steps=None):
+    def rhs(c, _s):
+        return psi_flavored(chart, c, flavor, CFG) @ alpha
+
+    def in_chart(c, s):
+        c = as_finite_array(c, "flow state")
+        if maxabs(c - chart.identity) > chart.chart_radius:
+            raise LeftChart(f"flow left the trust region at t = {s:.6g}")
+        return c
+
+    def integrate(m):
+        return _one_row_rk4(rhs, chart.identity, t_end, m, in_chart)
+
+    if steps is not None:
+        return integrate(steps)
+    return _one_row_step_doubled(integrate, max(1, math.ceil(8 * abs(t_end))),
+                                 max(1, math.ceil(1000 * abs(t_end))),
+                                 (LeftChart, NonFiniteEvaluation))
+
+
+def _flow_direction(chart, seed):
+    return check_rng(DiffConfig(rng_seed=seed), "flow_direction").uniform(-0.2, 0.2, chart.n)
+
+
+@pytest.mark.parametrize("name", GROUP_NAMES)
+def test_stacked_flows_keep_the_bits_of_the_one_row_integrator(name):
+    chart = get_group(name)
+    steps_taken = set()
+    for seed in range(1, 11):
+        alpha = _flow_direction(chart, seed)
+        stack = flows.one_param_subgroups(chart, alpha, 1.0, ("right", "left"), cfg=CFG)
+        for flavor, flow in zip(("right", "left"), stack):
+            expected = _one_row_flow(chart, alpha, 1.0, flavor)
+            assert np.array_equal(flow.path, expected), (seed, flavor)
+            assert np.array_equal(one_param_subgroup(chart, alpha, 1.0, flavor=flavor,
+                                                     cfg=CFG).path, expected)
+            steps_taken.add(len(expected) - 1)
+        # a uniform grid of steps given by the caller
+        for flow, flavor in zip(flows.one_param_subgroups(chart, alpha, 0.7, ("left", "right"),
+                                                          steps=5 + seed, cfg=CFG),
+                                ("left", "right")):
+            assert np.array_equal(flow.path, _one_row_flow(chart, alpha, 0.7, flavor, 5 + seed))
+    # the range reaches rows that need a third pass
+    assert max(steps_taken) >= (32 if name in ("gl:2", "gl:3") else 16)
+
+
+def test_stacked_taylor_solve_keeps_the_bits_of_the_one_row_integrator():
+    sys = exponential_system()
+    for x1 in ([0.3, 0.0], [0.2, -0.4], [-0.5, 0.5]):
+        x0, x1 = np.zeros(2), np.array(x1)
+
+        def rhs(th, s):
+            return sys.rhs(th, x0 + s * (x1 - x0)) @ (x1 - x0)
+
+        expected = _one_row_step_doubled(
+            lambda m: _one_row_rk4(rhs, np.ones(1), 1.0, m,
+                                   lambda th, _s: as_finite_array(th, "pde solution")),
+            8, 500, NonFiniteEvaluation)[-1]
+        assert np.array_equal(taylor_solve(sys, np.ones(1), x0, x1, CFG, check=False), expected)
+
+
+# --- breakdowns are per row ------------------------------------------------
+
+
+def _raises_past_half(a, b):
+    # the stiff law, which itself raises once a factor leaves [-1/2, 1/2]
+    if max(np.max(np.abs(a)), np.max(np.abs(b))) > 0.5:
+        raise NonFiniteEvaluation("law undefined past 1/2")
+    return _stiff_compose(a, b)
+
+
+_raises_past_half.broadcasts = True      # one stacked call for all rows
+
+
+def _stiff_chart(compose, radius):
+    return GroupChart(n=1, compose=compose, identity=np.zeros(1), chart_radius=radius,
+                      name="stiff")
+
+
+def test_stiff_and_undefined_laws_break_per_row_in_one_stack():
+    # rows 0, 1 follow the stiff law in a radius of 1, rows 2, 3 the law
+    # that is NaN past 1/2; the 8-step rows break, the 16-step rows go on
+    charts = [_stiff_chart(_stiff_compose, 1.0), _stiff_chart(_nan_past_half, 10.0)]
+    law = np.array([0, 0, 1, 1])
+    one = np.ones(1)
+
+    def rhs(c, _s, rows):
+        psi = np.empty((len(rows), 1, 1))
+        for j, chart in enumerate(charts):
+            at = law[rows] == j
+            if at.any():
+                psi[at] = unchecked_jacobian(
+                    lambda y: chart.compose(c[at][:, None, :], y), np.zeros((at.sum(), 1)), CFG)
+        return psi @ one, nonfinite_rows(psi, "jacobian probe")
+
+    def check(c, s, rows):
+        radius = np.array([charts[j].chart_radius for j in law[rows]])
+        failed = {p: LeftChart(f"flow left the trust region at t = {s[p]:.6g}")
+                  for p in np.flatnonzero(np.abs(c[:, 0]) > radius).tolist()}
+        failed.update(nonfinite_rows(c, "flow state"))
+        return failed
+
+    paths = flows.rk4_path(rhs, np.zeros((4, 1)), 1.0, [8, 16, 8, 16], check)
+    assert isinstance(paths[0], LeftChart)
+    assert isinstance(paths[2], NonFiniteEvaluation)
+    for row, chart in ((0, charts[0]), (2, charts[1])):
+        with pytest.raises(type(paths[row]), match=f"^{re.escape(str(paths[row]))}$"):
+            _one_row_flow(chart, one, 1.0, "right", steps=8)
+    for row, chart in ((1, charts[0]), (3, charts[1])):
+        assert np.array_equal(paths[row], _one_row_flow(chart, one, 1.0, "right", steps=16))
+    # and through the flows themselves: the endpoint of today's step doubling
+    for chart in charts:
+        assert np.array_equal(one_param_subgroup(chart, one, 1.0, cfg=CFG).endpoint,
+                              _one_row_flow(chart, one, 1.0, "right")[-1])
+
+
+def test_a_law_that_raises_breaks_only_its_own_row():
+    # the stacked call raises once the 8-step row runs away; that round is
+    # run again one row at a time, so only the 8-step row leaves the stack
+    chart = _stiff_chart(_raises_past_half, 10.0)
+    with pytest.raises(NonFiniteEvaluation, match="^law undefined past 1/2$"):
+        _one_row_flow(chart, np.ones(1), 1.0, "right", steps=8)
+    flow = one_param_subgroup(chart, np.ones(1), 1.0, cfg=CFG)
+    assert np.array_equal(flow.path, _one_row_flow(chart, np.ones(1), 1.0, "right"))
+    assert abs(flow.endpoint[0] - (1.0 - math.exp(-40.0)) / 40.0) < 1e-9
+
+
+def _one_sided_chart(broken_slot, raises):
+    # translation in 2-d, undefined once the factor in `broken_slot` leaves
+    # radius 0.05 while the other factor sits within 1e-3 of the identity:
+    # only the flow whose stencil holds the state in that slot breaks, and
+    # the homomorphism pairs, both factors away from e, never do
+    def law(a, b):
+        state, probe = (a, b) if broken_slot == "left" else (b, a)
+        bad = ((np.max(np.abs(state), axis=-1) > 0.05)
+               & (np.max(np.abs(probe), axis=-1) < 1e-3))
+        if raises and bad.any():
+            raise NonFiniteEvaluation("law undefined past 0.05")
+        return np.where(bad[..., None], np.nan, a + b)
+
+    law.broadcasts = True
+    return GroupChart(n=2, compose=law, identity=np.zeros(2), name="one-sided")
+
+
+@pytest.mark.parametrize("raises", [False, True], ids=["nan", "raising"])
+def test_a_flavor_that_breaks_at_the_cap_raises_at_its_turn(raises):
+    # the state sits in the right slot of the left flavor's stencil
+    chart = _one_sided_chart("right", raises)
+    alpha = _flow_direction(chart, 42)
+    with pytest.raises(NonFiniteEvaluation) as alone:
+        _one_row_flow(chart, alpha, 1.0, "left")
+    rows = SUITES["flows"](chart, None, DiffConfig(), group_generators)
+    check_id, samples, residual = next(rows)
+    assert check_id == "flow_homomorphism" and residual < 1e-12
+    with pytest.raises(NonFiniteEvaluation,
+                       match=f"^flow_homomorphism_left: {re.escape(str(alone.value))}$"):
+        next(rows)
+
+
+@pytest.mark.parametrize("raises", [False, True], ids=["nan", "raising"])
+def test_a_right_flow_that_breaks_at_the_cap_stops_the_suite_at_once(raises):
+    # the reverse order: the right flow breaks, and the left one is not reported
+    chart = _one_sided_chart("left", raises)
+    alpha = _flow_direction(chart, 42)
+    assert np.array_equal(flows.one_param_subgroups(chart, alpha, 1.0, ("left",))[0].path,
+                          _one_row_flow(chart, alpha, 1.0, "left"))
+    with pytest.raises(NonFiniteEvaluation) as alone:
+        _one_row_flow(chart, alpha, 1.0, "right")
+    with pytest.raises(NonFiniteEvaluation,
+                       match=f"^flow_homomorphism: {re.escape(str(alone.value))}$"):
+        list(SUITES["flows"](chart, None, DiffConfig(), group_generators))
+
+
+def _singular_past(bound):
+    # the stiff law, which raises a breakdown that is not "unsettled" once a
+    # factor leaves [-bound, bound], naming the factor it met
+    def law(a, b):
+        big = max(np.max(np.abs(a)), np.max(np.abs(b)))
+        if big > bound:
+            raise SingularMatrix(f"law undefined at {big:.6g}")
+        return _stiff_compose(a, b)
+
+    return _stiff_chart(law, 10.0)
+
+
+def test_a_breakdown_below_the_cap_that_is_not_unsettled_ends_the_flow():
+    # only LeftChart and NonFiniteEvaluation mean "not converged"; any other
+    # breakdown in the pass of 8 steps is the flow's result, as it was alone
+    chart = _singular_past(0.5)
+    with pytest.raises(SingularMatrix) as alone:
+        _one_row_flow(chart, np.ones(1), 1.0, "right")
+    with pytest.raises(SingularMatrix, match=f"^{re.escape(str(alone.value))}$"):
+        one_param_subgroup(chart, np.ones(1), 1.0, cfg=CFG)
+
+
+def test_the_coarser_pass_names_the_breakdown_when_both_first_passes_break():
+    # at a bound of 0.02 the passes of 8 and 16 steps both break, at other
+    # factors; the flow raises the breakdown of the pass of 8, as it was alone
+    chart = _singular_past(0.02)
+    with pytest.raises(SingularMatrix) as coarse:
+        _one_row_flow(chart, np.ones(1), 1.0, "right", steps=8)
+    with pytest.raises(SingularMatrix) as fine:
+        _one_row_flow(chart, np.ones(1), 1.0, "right", steps=16)
+    assert str(coarse.value) != str(fine.value)
+    with pytest.raises(SingularMatrix, match=f"^{re.escape(str(coarse.value))}$"):
+        one_param_subgroup(chart, np.ones(1), 1.0, cfg=CFG)
+
+
+def test_a_state_that_overflows_breaks_its_row_as_a_flow_state():
+    # the stencil stays finite at 1e308 per unit, but the RK4 combination
+    # of four such stages overflows: the state, not the probe, is non-finite
+    def law(a, b):
+        return a + 1e308 * b
+
+    chart = GroupChart(n=1, compose=law, identity=np.zeros(1), chart_radius=np.inf,
+                       name="steep")
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteEvaluation, match="^flow state produced a non-finite value$"):
+            _one_row_flow(chart, np.ones(1), 1.0, "right", steps=8)
+        first, second = flows.one_param_subgroups(chart, np.ones(1), 1.0, ("right", "right"),
+                                                 steps=8, cfg=CFG)
+    assert str(first) == str(second) == "flow state produced a non-finite value"
