@@ -197,28 +197,25 @@ def _gl(n: int) -> CatalogEntry:
     return CatalogEntry(chart, oracles)
 
 
+def _dimension(name: str, top: int) -> int:
+    """The n of a name `kind:n`, from 1 to top and written as str(n) writes it."""
+    text = name.split(":", 1)[1]
+    # int() reads every decimal text, and only the plain spelling reads back
+    if not (text.isdecimal() and str(int(text)) == text and 1 <= int(text) <= top):
+        raise UnknownEntry(f"{name!r} needs a dimension n = 1..{top}, written as plain digits")
+    return int(text)
+
+
 @lru_cache(maxsize=None)
 def _entry(name: str) -> CatalogEntry:
     if name.startswith("translation:"):
-        try:
-            n = int(name.split(":", 1)[1])
-        except ValueError:
-            raise UnknownEntry(f"bad translation dimension in {name!r}") from None
-        if not (1 <= n <= 16):
-            raise UnknownEntry(f"translation dimension out of range in {name!r}")
-        return _translation(n)
+        return _translation(_dimension(name, 16))
     if name == "multiplicative":
         return _multiplicative()
     if name == "affine":
         return _affine()
     if name.startswith("gl:"):
-        try:
-            n = int(name.split(":", 1)[1])
-        except ValueError:
-            raise UnknownEntry(f"bad matrix dimension in {name!r}") from None
-        if not (1 <= n <= 3):
-            raise UnknownEntry(f"gl matrix dimension must be 1..3, got {name!r}")
-        return _gl(n)
+        return _gl(_dimension(name, 3))
     raise UnknownEntry(f"unknown group {name!r}")
 
 

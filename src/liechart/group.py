@@ -24,9 +24,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import (BREAKDOWN, LieChartError, NoConvergence, NonFiniteEvaluation,
-                     SingularMatrix)
-from .numdiff import (DiffConfig, as_finite_array, invert, jacobian, rowwise,
+from .errors import BREAKDOWN, LieChartError, NoConvergence, SingularMatrix
+from .numdiff import (DiffConfig, as_finite_array, invert, jacobian, nonfinite_rows, rowwise,
                       unchecked_jacobian)
 from .report import CheckRecord, CheckReport
 
@@ -205,11 +204,14 @@ def _solve_rows(j: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _finite_or_break(broken: dict[int, LieChartError], rows: np.ndarray, v: np.ndarray,
                      context: str) -> np.ndarray:
     """Which rows of the (k, m) stack v are finite; the entries of `rows`
-    whose row is not are recorded in broken with the error that
-    `as_finite_array` raises for them."""
-    finite = np.logical_and.reduce(np.isfinite(v), axis=-1)
-    if not finite.all():
-        _break(broken, rows[~finite], NonFiniteEvaluation(f"{context} produced a non-finite value"))
+    whose row is not are recorded in broken with their error from
+    `numdiff.nonfinite_rows`."""
+    finite = np.ones(len(v), dtype=bool)
+    bad = nonfinite_rows(v, context)
+    if bad:
+        at = list(bad)
+        finite[at] = False
+        broken.update(zip(rows[at].tolist(), bad.values()))
     return finite
 
 
@@ -668,9 +670,11 @@ def shift_checks(chart: GroupChart, cfg: DiffConfig) -> Checks:
     return sampled_checks(chart, cfg, _rows(chart, cfg, _SHIFT_CHECKS))
 
 
-def _report(suite: str, chart: GroupChart, cfg: DiffConfig, checks: Checks,
-            tol_scale: float) -> CheckReport:
-    rpt = CheckReport(suite=suite, group=chart.name, seed=cfg.rng_seed,
+def build_report(suite: str, chart: GroupChart, cfg: DiffConfig, checks: Checks,
+                 tol_scale: float, rep: str | None = None) -> CheckReport:
+    """The report of a suite's (check_id, samples, residual) triples on
+    chart, each against its default tolerance times tol_scale."""
+    rpt = CheckReport(suite=suite, group=chart.name, rep=rep, seed=cfg.rng_seed,
                       fd_step=cfg.base_step)
     rpt.extend(record(check_id, residual, samples, tol_scale)
                for check_id, samples, residual in checks)
@@ -681,11 +685,11 @@ def check_chart_axioms(chart: GroupChart, cfg: DiffConfig | None = None,
                        tol_scale: float = 1.0) -> CheckReport:
     """Identity, associativity, inverse and basic-operator sanity checks."""
     cfg = cfg or DiffConfig()
-    return _report("chart_axioms", chart, cfg, axiom_checks(chart, cfg), tol_scale)
+    return build_report("chart_axioms", chart, cfg, axiom_checks(chart, cfg), tol_scale)
 
 
 def verify_shift_identities(chart: GroupChart, cfg: DiffConfig | None = None,
                             tol_scale: float = 1.0) -> CheckReport:
     """Evaluate every composition-law identity at freshly sampled points."""
     cfg = cfg or DiffConfig()
-    return _report("shift_identities", chart, cfg, shift_checks(chart, cfg), tol_scale)
+    return build_report("shift_identities", chart, cfg, shift_checks(chart, cfg), tol_scale)

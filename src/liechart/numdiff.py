@@ -46,11 +46,6 @@ class DiffConfig:
         if self.sample_count < 1:
             raise ValueError("sample_count must be at least 1")
 
-    def replace(self, **kw) -> "DiffConfig":
-        from dataclasses import replace as _replace
-
-        return _replace(self, **kw)
-
 
 def as_finite_array(x, context: str = "evaluation") -> np.ndarray:
     """Coerce to a float array, rejecting NaN/Inf entries."""
@@ -79,9 +74,11 @@ def rowwise(fn: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
     """Lift a map of single points to one over (..., n_i) stacks.
 
     The lift broadcasts the arguments' leading axes, calls fn once per row
-    and stacks the results.  It is marked `broadcasts = True` and has no
-    `__wrapped__`, so nothing unwraps it back into a map of single points.
-    A map already marked `broadcasts = True` is returned as it is.
+    and stacks the results; a stack with no rows makes no call and gives
+    an empty array of the leading shape.  It is marked `broadcasts = True`
+    and has no `__wrapped__`, so nothing unwraps it back into a map of
+    single points.  A map already marked `broadcasts = True` is returned
+    as it is.
     """
     if getattr(fn, "broadcasts", False):
         return fn
@@ -92,6 +89,8 @@ def rowwise(fn: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
         if any(x.shape[:-1] != lead for x in args):
             lead = np.broadcast_shapes(*(x.shape[:-1] for x in args))
             args = [np.broadcast_to(x, lead + x.shape[-1:]) for x in args]
+        if 0 in lead:
+            return np.empty(lead)
         out = [np.asarray(fn(*row), dtype=float)
                for row in zip(*(x.reshape(-1, x.shape[-1]) for x in args))]
         return np.array(out).reshape(lead + out[0].shape)

@@ -11,7 +11,7 @@ x-derivatives and watch the rank saturate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
 from typing import Callable
 
@@ -29,17 +29,15 @@ _FAMILY_RADIUS = 0.1
 _S_MAX = 3  # top x-derivative order of a family's jet
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class PDESystem:
     """First-order system d theta / d x = psi(theta, x).
 
     The boxes bound where integrability sample points are drawn: rows of
     (low, high), m = len(theta_box) for theta and n = len(x_box) for x.
-    psi maps (theta (m,), x (n,)) to an (m, n) array.  It stays a map of
-    single points: taylor_solve calls it once per row and RK4 stage,
-    thousands of times per solve, and a `numdiff.rowwise` lift would add
-    about 8 us to each call.  The integrability stencils lift it where
-    their stacks begin.
+    psi maps (theta (..., m), x (..., n)), stacks that broadcast together,
+    to (..., m, n).  Unless marked `broadcasts = True`, psi is lifted by
+    `numdiff.rowwise`, as GroupChart lifts its law.
     """
 
     psi: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -47,10 +45,14 @@ class PDESystem:
     x_box: np.ndarray
     name: str = "pde"
 
+    def __post_init__(self) -> None:
+        self.psi = rowwise(self.psi)
+
     def rhs(self, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
         out = as_finite_array(self.psi(theta, x), "pde right-hand side")
-        if out.shape != (len(self.theta_box), len(self.x_box)):
-            raise ValueError(f"psi returned {out.shape}; its boxes need (m, n) = "
+        lead = np.broadcast_shapes(np.shape(theta)[:-1], np.shape(x)[:-1])
+        if out.shape != lead + (len(self.theta_box), len(self.x_box)):
+            raise ValueError(f"psi returned {out.shape} at {lead}; its boxes need (m, n) = "
                              f"({len(self.theta_box)}, {len(self.x_box)})")
         return out
 
@@ -64,10 +66,11 @@ def _psi_derivatives(sys: PDESystem, theta: np.ndarray, x: np.ndarray,
                      cfg: DiffConfig) -> tuple[np.ndarray, np.ndarray]:
     """psi (..., m, n) and its total x-derivative (..., m, n, n) at theta
     (..., m) and x (..., n): d psi_ai / d x_j + sum_s d psi_ai / d theta_s psi_sj."""
-    rhs = rowwise(sys.rhs)
-    psi = rhs(theta, x)
-    dpsi_dx = jacobian(lambda v: rhs(theta[..., None, :], v).reshape(v.shape[:-1] + (-1,)), x, cfg)
-    dpsi_dth = jacobian(lambda v: rhs(v, x[..., None, :]).reshape(v.shape[:-1] + (-1,)), theta, cfg)
+    psi = sys.rhs(theta, x)
+    dpsi_dx = jacobian(lambda v: sys.rhs(theta[..., None, :], v).reshape(v.shape[:-1] + (-1,)),
+                       x, cfg)
+    dpsi_dth = jacobian(lambda v: sys.rhs(v, x[..., None, :]).reshape(v.shape[:-1] + (-1,)),
+                        theta, cfg)
     return psi, (dpsi_dx.reshape(psi.shape + (-1,))
                  + np.einsum("...ais,...sj->...aij", dpsi_dth.reshape(psi.shape + (-1,)), psi))
 
@@ -102,22 +105,6 @@ def _require_integrable(sys: PDESystem, cfg: DiffConfig) -> None:
             f"cross-derivative residual {res:.3e} exceeds {_INTEGRABILITY_TOL:.1e}")
 
 
-def taylor_coefficients(sys: PDESystem, consts, x0,
-                        cfg: DiffConfig | None = None
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solution jet at x0: value, first and second x-derivatives.
-
-    The first derivatives are psi itself; the second follow by one total
-    derivative of the system, so they are available without solving
-    anything.
-    """
-    cfg = cfg or DiffConfig()
-    theta = as_finite_array(consts).ravel()
-    x0 = as_finite_array(x0).ravel()
-    psi, second = _psi_derivatives(sys, theta, x0, cfg)
-    return theta.copy(), psi, second
-
-
 def taylor_solve(sys: PDESystem, consts, x0, x1, cfg: DiffConfig | None = None,
                  check: bool = True) -> np.ndarray:
     """Continue the local solution from (x0, consts) to x1.
@@ -137,7 +124,7 @@ def taylor_solve(sys: PDESystem, consts, x0, x1, cfg: DiffConfig | None = None,
     delta = x1 - x0
 
     def rhs(th: np.ndarray, s: np.ndarray, _rows: np.ndarray) -> tuple[np.ndarray, Breakdowns]:
-        return np.array([sys.rhs(t, x0 + si * delta) @ delta for t, si in zip(th, s)]), {}
+        return sys.rhs(th, x0 + s[:, None] * delta) @ delta, {}
 
     def finite(th: np.ndarray, _s: np.ndarray, _rows: np.ndarray) -> Breakdowns:
         return nonfinite_rows(th, "pde solution")
@@ -207,7 +194,7 @@ def _parameter_jacobian(fam: FunctionFamily, xs: np.ndarray, multi: tuple[int, .
     """(r, k n_out) block: row alpha is d / d a^alpha, at a0, of the x-derivative
     along multi at each of the k points xs, x-major and then output."""
     return jacobian(lambda a: _nested_x_derivative(fam, xs, a[..., None, :], multi, step)
-                    .reshape(a.shape[:-1] + (-1,)), fam.a0, cfg.replace(base_step=step)).T
+                    .reshape(a.shape[:-1] + (-1,)), fam.a0, replace(cfg, base_step=step)).T
 
 
 def essential_param_ranks(fam: FunctionFamily, cfg: DiffConfig | None = None) -> list[int]:

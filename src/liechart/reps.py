@@ -122,11 +122,6 @@ def conjugate_rep(rep: RepChart) -> RepChart:
                     side=other, name=f"conjugate({rep.name})")
 
 
-def conjugate_generators_check(rep: RepChart, cfg: DiffConfig | None = None) -> float:
-    """Generators of the conjugate are the negatives of the originals."""
-    return maxabs(rep_generators(rep, cfg) + rep_generators(conjugate_rep(rep), cfg))
-
-
 def tensor_product(r1: RepChart, r2: RepChart) -> RepChart:
     """Kronecker product of two representations of the same chart."""
     if r1.group is not r2.group:

@@ -22,19 +22,6 @@ CONSTANCY_POINTS = 5
 
 
 @dataclass(frozen=True)
-class GroupGenerators:
-    """Generator tensor of a chart.
-
-    tensor[K][L][M] is the composition law differentiated once in the
-    left slot (index L) and once in the right slot (index M) at the
-    identity.
-    """
-
-    chart: GroupChart
-    tensor: np.ndarray
-
-
-@dataclass(frozen=True)
 class StructureConstants:
     """Antisymmetrized generator tensor, c[U][T][V], for one flavor."""
 
@@ -42,14 +29,17 @@ class StructureConstants:
     flavor: str
 
 
-def group_generators(chart: GroupChart, cfg: DiffConfig | None = None) -> GroupGenerators:
+def group_generators(chart: GroupChart, cfg: DiffConfig | None = None) -> np.ndarray:
+    """Generator tensor T (n, n, n) of a chart: T[K][L][M] is the composition
+    law differentiated once in the left slot (index L) and once in the
+    right slot (index M) at the identity."""
     cfg = cfg or DiffConfig()
     e = chart.identity
-    return GroupGenerators(chart, mixed_second(chart.compose, (e, e), cfg))
+    return mixed_second(chart.compose, (e, e), cfg)
 
 
-def structure_constants(gens: GroupGenerators, flavor: str = "left") -> StructureConstants:
-    t = gens.tensor
+def structure_constants(t: np.ndarray, flavor: str = "left") -> StructureConstants:
+    """The generator tensor t antisymmetrized in its lower indices, in one flavor."""
     c_left = np.transpose(t, (0, 2, 1)) - t
     if flavor == "left":
         return StructureConstants(c_left, "left")
@@ -62,10 +52,6 @@ def bracket(constants: StructureConstants, alpha, beta) -> np.ndarray:
     """Algebra bracket of two tangent vectors under the given constants."""
     return np.einsum("utv,t,v->u", constants.c, np.asarray(alpha, float),
                      np.asarray(beta, float))
-
-
-def antisymmetry_residual(constants: StructureConstants) -> float:
-    return maxabs(constants.c + np.transpose(constants.c, (0, 2, 1)))
 
 
 def jacobi_residual(constants: StructureConstants) -> float:

@@ -2,9 +2,10 @@
 
 Each suite is a generator over (chart, rep, cfg, generators), rep None
 unless one is named, that yields (check_id, samples, residual) triples in
-report order; `run_suite` alone turns them into verdicts against
-`group.TOLERANCES`.  `generators` is `structure.group_generators`, which
-`run_suite` caches for one run, so `all` measures the tensor once.
+report order; `run_suite` hands them to `group.build_report`, which turns
+them into verdicts against `group.TOLERANCES`.  `generators` is
+`structure.group_generators`, which `run_suite` caches for one run, so
+`all` measures the tensor once.
 """
 
 from __future__ import annotations
@@ -17,14 +18,13 @@ import numpy as np
 from . import catalog, flows, pde, reps, structure
 from .errors import LieChartError, UnknownEntry
 from .group import (
-    TOLERANCES,  # noqa: F401  re-exported for callers of the suites
     Checks,
     GroupChart,
     axiom_checks,
+    build_report,
     check_rng,
     maxabs,
     named,
-    record,
     sampled_checks,
     shift_checks,
 )
@@ -32,7 +32,7 @@ from .numdiff import DiffConfig, rowwise
 from .report import CheckReport
 from .reps import RepChart
 
-Generators = Callable[[GroupChart, DiffConfig], structure.GroupGenerators]
+Generators = Callable[[GroupChart, DiffConfig], np.ndarray]
 
 
 def shift_suite(chart: GroupChart, rep: RepChart | None, cfg: DiffConfig,
@@ -140,11 +140,7 @@ def run_suite(group_name: str, suite: str, cfg: DiffConfig,
     # whatever the suite; only a suite that takes a representation names it
     chart = catalog.get_group(group_name)
     rep = catalog.get_rep(group_name, rep_name) if rep_name is not None else None
-    rep_name = rep_name if "rep" in names else None
-    report = CheckReport(suite=suite, group=group_name, rep=rep_name,
-                         seed=cfg.rng_seed, fd_step=cfg.base_step)
     generators = cache(structure.group_generators)
-    for name in names:
-        report.extend(record(check_id, residual, samples, tol_scale)
-                      for check_id, samples, residual in SUITES[name](chart, rep, cfg, generators))
-    return report
+    checks = (row for name in names for row in SUITES[name](chart, rep, cfg, generators))
+    return build_report(suite, chart, cfg, checks, tol_scale,
+                        rep_name if "rep" in names else None)

@@ -32,6 +32,8 @@ def test_translation_scales_beyond_catalog_list():
 @pytest.mark.parametrize("bad", [
     "bogus", "translation:0", "translation:-2", "translation:99",
     "gl:0", "gl:4", "gl:x", "affine:2", "",
+    # int() reads these as 2 or 10, but each group has one spelling
+    "gl: 2", "gl:02", "gl:2 ", "translation:+02", "translation:1_0", "translation:٣",
 ])
 def test_unknown_groups_raise(bad):
     with pytest.raises(UnknownEntry):
@@ -61,7 +63,7 @@ def test_generator_oracles_match_measured(name):
     chart = get_group(name)
     oracles = get_oracles(name)
     gens = group_generators(chart, CFG)
-    assert np.max(np.abs(gens.tensor - oracles.generators)) < 1e-4
+    assert np.max(np.abs(gens - oracles.generators)) < 1e-4
     c_left = structure_constants(gens, "left")
     assert np.max(np.abs(c_left.c - oracles.c_left)) < 1e-4
 

@@ -10,8 +10,8 @@ import pytest
 import liechart.cli as cli
 from liechart import catalog
 from liechart.errors import SingularMatrix
-from liechart.group import GroupChart
-from liechart.suites import SUITE_NAMES, SUITES, TOLERANCES
+from liechart.group import TOLERANCES, GroupChart
+from liechart.suites import SUITE_NAMES, SUITES
 
 
 def run_cli(*argv):
@@ -49,6 +49,14 @@ def test_failed_check_returns_one(capsys):
 def test_unknown_group_returns_two(capsys):
     assert run_cli("run", "--group", "so:3", "--suite", "shift") == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alias", ["gl: 2", "gl:02", "translation:+02", "translation:1_0"])
+def test_group_alias_returns_two(alias, tmp_path, capsys):
+    target = tmp_path / "out.json"
+    assert run_cli("run", "--group", alias, "--suite", "pde", "--json", str(target)) == 2
+    assert repr(alias) in capsys.readouterr().err
+    assert not target.exists()
 
 
 def test_unknown_suite_returns_two(capsys):

@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -87,10 +87,13 @@ def test_config_rejects_bad_values():
 
 
 def test_config_replace_returns_modified_copy():
-    other = CFG.replace(sample_count=7)
+    other = replace(CFG, sample_count=7)
     assert other.sample_count == 7
     assert CFG.sample_count == 20
     assert other.base_step == CFG.base_step
+    # the copy is validated as a new config is
+    with pytest.raises(ValueError):
+        replace(CFG, sample_count=0)
 
 
 def test_as_finite_array_passes_and_raises():
@@ -168,6 +171,15 @@ def test_rowwise_broadcasts_leading_axes_and_keeps_row_values():
         assert np.array_equal(out[i, j], law(a[i, 0], b[j]))
     # residuals: one scalar per row
     assert rowwise(lambda p: float(p.sum()))(np.ones((5, 2))).shape == (5,)
+
+
+def test_rowwise_on_a_stack_with_no_rows_makes_no_call():
+    def law(a, b):
+        raise AssertionError("called on a stack with no rows")
+
+    lifted = rowwise(law)
+    assert lifted(np.empty((0, 2)), np.empty((0, 2))).shape == (0,)
+    assert lifted(np.empty((3, 0, 2)), np.ones(2)).shape == (3, 0)
 
 
 def test_mixed_second_affine_law():

@@ -20,7 +20,6 @@ from liechart.pde import (
     integrability_residual,
     shear_system,
     solve_along_path,
-    taylor_coefficients,
     taylor_solve,
 )
 from liechart.structure import group_generators
@@ -39,8 +38,6 @@ def test_rhs_shape_validation():
                     theta_box=np.array([[0.0, 1.0]]), x_box=np.zeros((3, 2)))
     with pytest.raises(ValueError, match="boxes"):
         integrability_residual(sys, CFG)
-    with pytest.raises(ValueError, match="boxes"):
-        taylor_coefficients(sys, np.ones(1), np.zeros(3), CFG)
     with pytest.raises(ValueError, match="boxes"):
         taylor_solve(sys, np.ones(1), np.zeros(3), np.ones(3), CFG, check=False)
 
@@ -88,15 +85,6 @@ def test_integrability_residual_matches_loop_reference(make):
         assert integrability_residual(sys, cfg) == loop_integrability_residual(sys, cfg)
     if make is coupled_system:
         assert integrability_residual(sys, CFG) > 0.1
-
-
-def test_taylor_coefficients_exponential():
-    sys = exponential_system()
-    theta, first, second = taylor_coefficients(sys, np.array([1.0]), np.zeros(2), CFG)
-    assert theta[0] == 1.0
-    assert np.max(np.abs(first - np.ones((1, 2)))) < 1e-12
-    # second derivative of C exp(x1 + x2) is the value itself in every slot
-    assert np.max(np.abs(second - np.ones((1, 2, 2)))) < 1e-6
 
 
 def test_taylor_solve_hits_exponential():
@@ -147,6 +135,42 @@ def test_taylor_solve_step_doubling_stops_at_the_cap(monkeypatch):
     out = taylor_solve(sys, np.ones(1), np.zeros(2), np.array([0.1, 0.2]), CFG, check=False)
     assert calls[0] == CAPPED_CALLS
     assert abs(out[0] - np.exp(0.3)) < 1e-10
+
+
+def test_pde_system_lifts_an_unmarked_psi_only():
+    def stacked(th, x):
+        return np.stack([th, th], axis=-1)
+
+    stacked.broadcasts = True
+    sys = exponential_system()
+    assert sys.psi.broadcasts is True
+    assert dataclasses.replace(sys, psi=stacked).psi is stacked
+    th, x = np.array([[1.5], [0.5]]), np.zeros((2, 2))
+    assert np.array_equal(sys.rhs(th, x), stacked(th, x))
+    # a marked map that drops the stack's rows is caught like any wrong shape
+    flat = lambda th, x: np.ones((1, 2))  # noqa: E731
+    flat.broadcasts = True
+    with pytest.raises(ValueError, match="boxes"):
+        dataclasses.replace(sys, psi=flat).rhs(th, x)
+
+
+def test_taylor_solve_calls_a_broadcasting_psi_once_per_stage():
+    # the first two passes, at 8 and 16 steps, share one stack, so the 32
+    # stages of the 8-step pass cost no call of their own
+    point, point_calls = _counted(exponential_system(), CAPPED_CALLS)
+    rows = []
+
+    def stacked(th, x):
+        rows.append(len(th))
+        return np.stack([th, th], axis=-1)
+
+    stacked.broadcasts = True
+    x0, x1 = np.zeros(2), np.array([0.1, 0.2])
+    out = taylor_solve(dataclasses.replace(point, psi=stacked), np.ones(1), x0, x1, CFG,
+                       check=False)
+    assert np.array_equal(out, taylor_solve(point, np.ones(1), x0, x1, CFG, check=False))
+    assert len(rows) == point_calls[0] - 4 * 8
+    assert sum(rows) == point_calls[0]
 
 
 def test_taylor_solve_outlasts_an_unstable_coarse_pass():
@@ -271,7 +295,7 @@ def test_parameter_jacobian_matches_loop_reference(fam):
     for s, multi in ((0, ()), (1, (0,)), (2, (0, n_x - 1))):
         step = CFG.base_step ** (1.0 / (s + 2.0))
         measured = jacobian(rowwise(lambda a: pde._nested_x_derivative(fam, x, a, multi, step)),
-                            fam.a0, CFG.replace(base_step=step)).T
+                            fam.a0, dataclasses.replace(CFG, base_step=step)).T
         assert np.array_equal(measured, loop_parameter_derivative(fam, x, multi, step))
         # the stacked block: x-major, then output, as essential_param_ranks pools it
         stacked = pde._parameter_jacobian(fam, xs, multi, step, CFG)

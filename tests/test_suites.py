@@ -7,10 +7,11 @@ import pytest
 from conftest import captured_table
 from liechart import catalog, group, pde, reps, structure, suites
 from liechart.errors import NonFiniteEvaluation, SingularMatrix, UnknownEntry
-from liechart.group import SHIFT_CHECK_IDS, check_chart_axioms, verify_shift_identities
+from liechart.group import (SHIFT_CHECK_IDS, TOLERANCES, check_chart_axioms,
+                            verify_shift_identities)
 from liechart.numdiff import DiffConfig
 from liechart.reps import RepChart
-from liechart.suites import SUITE_NAMES, SUITES, TOLERANCES, run_suite
+from liechart.suites import SUITE_NAMES, SUITES, run_suite
 
 GOLDEN = Path(__file__).parent / "golden"
 
