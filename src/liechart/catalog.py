@@ -10,6 +10,7 @@ these formulas as the independent second route.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -48,12 +49,6 @@ class OperatorOracles:
     c_left: np.ndarray              # left-flavor structure constants
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    chart: GroupChart
-    oracles: OperatorOracles
-
-
 GROUP_NAMES = (
     "translation:1",
     "translation:2",
@@ -66,7 +61,7 @@ GROUP_NAMES = (
 )
 
 
-def _translation(n: int) -> CatalogEntry:
+def _translation(n: int) -> tuple[GroupChart, OperatorOracles]:
     chart = GroupChart(
         n=n,
         compose=_broadcasting(lambda a, b: a + b),
@@ -85,10 +80,10 @@ def _translation(n: int) -> CatalogEntry:
         generators=np.zeros((n, n, n)),
         c_left=np.zeros((n, n, n)),
     )
-    return CatalogEntry(chart, oracles)
+    return chart, oracles
 
 
-def _multiplicative() -> CatalogEntry:
+def _multiplicative() -> tuple[GroupChart, OperatorOracles]:
     chart = GroupChart(
         n=1,
         compose=_broadcasting(lambda a, b: a * b),
@@ -106,7 +101,7 @@ def _multiplicative() -> CatalogEntry:
         generators=np.ones((1, 1, 1)),
         c_left=np.zeros((1, 1, 1)),
     )
-    return CatalogEntry(chart, oracles)
+    return chart, oracles
 
 
 @_broadcasting
@@ -125,7 +120,7 @@ def _affine_inverse(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _affine() -> CatalogEntry:
+def _affine() -> tuple[GroupChart, OperatorOracles]:
     chart = GroupChart(
         n=2,
         compose=_affine_compose,
@@ -149,7 +144,7 @@ def _affine() -> CatalogEntry:
         generators=gens,
         c_left=c_left,
     )
-    return CatalogEntry(chart, oracles)
+    return chart, oracles
 
 
 def _gl_generators(n: int) -> np.ndarray:
@@ -168,7 +163,7 @@ def _gl_c_left(n: int) -> np.ndarray:
     return np.transpose(gens, (0, 2, 1)) - gens
 
 
-def _gl(n: int) -> CatalogEntry:
+def _gl(n: int) -> tuple[GroupChart, OperatorOracles]:
     eye = np.eye(n)
 
     @_broadcasting
@@ -194,7 +189,7 @@ def _gl(n: int) -> CatalogEntry:
         generators=_gl_generators(n),
         c_left=_gl_c_left(n),
     )
-    return CatalogEntry(chart, oracles)
+    return chart, oracles
 
 
 def _dimension(name: str, top: int) -> int:
@@ -207,7 +202,7 @@ def _dimension(name: str, top: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _entry(name: str) -> CatalogEntry:
+def _entry(name: str) -> tuple[GroupChart, OperatorOracles]:
     if name.startswith("translation:"):
         return _translation(_dimension(name, 16))
     if name == "multiplicative":
@@ -220,11 +215,11 @@ def _entry(name: str) -> CatalogEntry:
 
 
 def get_group(name: str) -> GroupChart:
-    return _entry(name).chart
+    return _entry(name)[0]
 
 
 def get_oracles(name: str) -> OperatorOracles:
-    return _entry(name).oracles
+    return _entry(name)[1]
 
 
 # --- representations -------------------------------------------------------
@@ -259,7 +254,7 @@ def _base_rep(group_name: str, rep_name: str) -> tuple[RepChart, np.ndarray]:
     if rep_name == "trivial":
         return _trivial_rep(chart), np.zeros((chart.n, 1, 1))
     if group_name.startswith("gl:") and rep_name in ("standard", "conjugate"):
-        n = int(group_name.split(":", 1)[1])
+        n = math.isqrt(chart.n)
         # E_kl, the generator of coordinate k*n + l, is that row of the identity
         units = np.eye(n * n).reshape(n * n, n, n)
         if rep_name == "standard":

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,20 +24,6 @@ Breakdowns = dict[int, LieChartError]
 # on a (j, n) stack of states, their times s (j,) and their row numbers
 Rhs = Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, Breakdowns]]
 Check = Callable[[np.ndarray, np.ndarray, np.ndarray], Breakdowns]
-
-
-@dataclass(frozen=True)
-class FlowResult:
-    """RK4 path of a one-parameter subgroup, one state per step."""
-
-    alpha: np.ndarray
-    flavor: str
-    t_grid: np.ndarray
-    path: np.ndarray
-
-    @property
-    def endpoint(self) -> np.ndarray:
-        return self.path[-1]
 
 
 def rk4_path(rhs: Rhs, y0: np.ndarray, t_end: float, steps: Sequence[int],
@@ -181,10 +166,11 @@ def _basic_operators(chart: GroupChart, c: np.ndarray, left: np.ndarray,
 
 def one_param_subgroups(chart: GroupChart, alpha, t_end: float, flavors: Sequence[str],
                         steps: int | None = None, cfg: DiffConfig | None = None
-                        ) -> list[FlowResult | LieChartError]:
+                        ) -> list[np.ndarray | LieChartError]:
     """Integrate the invariant flows c' = psi_flavor(c) alpha from the
-    identity, one per flavor, as one RK4 stack: per flavor its flow, or
-    the error that stopped it.
+    identity, one per flavor, as one RK4 stack: per flavor its path
+    (steps + 1, n), one state per step from the identity to t_end, or the
+    error that stopped it.
 
     RK4 on a uniform grid of `steps` steps, or without `steps` step-doubled
     from ceil(8 |t_end|) to ceil(1000 |t_end|) steps, where only the capped
@@ -216,47 +202,42 @@ def one_param_subgroups(chart: GroupChart, alpha, t_end: float, flavors: Sequenc
 
     y0 = np.tile(e, (len(flavors), 1))
     if steps is not None:
-        paths = rk4_path(rhs, y0, t_end, [steps] * len(flavors), in_chart)
-    else:
-        paths = step_doubled(rhs, y0, t_end,
-                             max(1, math.ceil(_FIRST_STEPS_PER_UNIT * abs(t_end))),
-                             max(1, math.ceil(_MAX_STEPS_PER_UNIT * abs(t_end))),
-                             in_chart, (LeftChart, NonFiniteEvaluation))
-    return [path if isinstance(path, LieChartError) else
-            FlowResult(alpha=alpha, flavor=flavor,
-                       t_grid=np.linspace(0.0, t_end, path.shape[0]), path=path)
-            for flavor, path in zip(flavors, paths)]
+        return rk4_path(rhs, y0, t_end, [steps] * len(flavors), in_chart)
+    return step_doubled(rhs, y0, t_end,
+                        max(1, math.ceil(_FIRST_STEPS_PER_UNIT * abs(t_end))),
+                        max(1, math.ceil(_MAX_STEPS_PER_UNIT * abs(t_end))),
+                        in_chart, (LeftChart, NonFiniteEvaluation))
 
 
 def one_param_subgroup(chart: GroupChart, alpha, t_end: float,
                        steps: int | None = None, flavor: str = "right",
-                       cfg: DiffConfig | None = None) -> FlowResult:
-    """The one flow of `one_param_subgroups` in one flavor; raises its
+                       cfg: DiffConfig | None = None) -> np.ndarray:
+    """The one path of `one_param_subgroups` in one flavor; raises its
     breakdown, LeftChart when it escapes the chart trust region."""
-    flow, = one_param_subgroups(chart, alpha, t_end, (flavor,), steps, cfg)
-    if isinstance(flow, LieChartError):
-        raise flow
-    return flow
+    path, = one_param_subgroups(chart, alpha, t_end, (flavor,), steps, cfg)
+    if isinstance(path, LieChartError):
+        raise path
+    return path
 
 
-def homomorphism_pairs(flow: FlowResult) -> range:
+def homomorphism_pairs(path: np.ndarray) -> range:
     """Steps i where homomorphism_residual composes c(t_i) c(t_end - t_i):
     every (steps // _HOMOMORPHISM_PAIRS)-th interior step, or every one on short paths."""
-    steps = flow.path.shape[0] - 1
+    steps = path.shape[0] - 1
     stride = max(1, steps // _HOMOMORPHISM_PAIRS)
     return range(stride, steps, stride)
 
 
-def homomorphism_residual(chart: GroupChart, flow: FlowResult) -> float:
-    """Group law along the flow: c(t) c(s) must equal c(t+s).
+def homomorphism_residual(chart: GroupChart, path: np.ndarray) -> float:
+    """Group law along a flow's path (steps + 1, n): c(t) c(s) must equal c(t+s).
 
     Uses stored path states only, so the residual reflects the integrator
     rather than interpolation error.
     """
-    i = np.asarray(homomorphism_pairs(flow))
+    i = np.asarray(homomorphism_pairs(path))
     if i.size == 0:         # a path too short to have pairs makes no law call
         return 0.0
-    return maxabs(chart.compose(flow.path[i], flow.path[-1 - i]) - flow.path[-1])
+    return maxabs(chart.compose(path[i], path[-1 - i]) - path[-1])
 
 
 def canonical_coordinate(chart: GroupChart, a,

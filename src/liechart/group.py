@@ -69,9 +69,9 @@ class GroupChart:
             raise ValueError("identity must be an n-vector")
         if self.chart_radius <= 0.0:
             raise ValueError("chart_radius must be positive")
-        self.compose = rowwise(self.compose)
+        self.compose = rowwise(self.compose, (self.n,))
         if self.inverse_hint is not None:
-            self.inverse_hint = rowwise(self.inverse_hint)
+            self.inverse_hint = rowwise(self.inverse_hint, (self.n,))
 
 
 def check_rng(cfg: DiffConfig, check_id: str) -> np.random.Generator:
@@ -254,10 +254,11 @@ def sample_sets(chart: GroupChart, cfg: DiffConfig,
 
     Returns the points of the leading sets that were filled, in set order,
     and the error that stopped the next set, or None.  A set gives up with
-    NoConvergence after 200 * count draws, and a numerical breakdown
-    raised while vetting a round (by the law or the hint, not by a row's
-    inverse, which only rejects that row) stops the first set still
-    drawing; the stopped set and every set after it leave the rounds.
+    NoConvergence after 200 * count draws; it and every set after it leave
+    the rounds.  A numerical breakdown raised while vetting a round (by
+    the law or the hint, not by a row's inverse, which only rejects that
+    row) stops the first set that drew in it, and the call returns at
+    once: every set before that one is already full.
     """
     radius = min(SAMPLE_RADIUS, chart.chart_radius)
     out = [np.empty((count, chart.n)) for _, count in sets]
@@ -280,8 +281,7 @@ def sample_sets(chart: GroupChart, cfg: DiffConfig,
         try:
             keep = _admissible(chart, np.concatenate([rows for _, rows in drawn]), cfg)
         except BREAKDOWN as exc:
-            live, error = drawn[0][0], exc
-            continue
+            return out[:drawn[0][0]], exc
         start = 0
         for i, rows in drawn:
             kept = rows[keep[start:start + len(rows)]]

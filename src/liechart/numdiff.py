@@ -70,29 +70,28 @@ def _steps(at: np.ndarray, base: float) -> np.ndarray:
     return base * np.maximum(1.0, np.abs(at))
 
 
-def rowwise(fn: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
+def rowwise(fn: Callable[..., np.ndarray], shape: tuple[int, ...] = ()
+            ) -> Callable[..., np.ndarray]:
     """Lift a map of single points to one over (..., n_i) stacks.
 
     The lift broadcasts the arguments' leading axes, calls fn once per row
     and stacks the results; a stack with no rows makes no call and gives
-    an empty array of the leading shape.  It is marked `broadcasts = True`
-    and has no `__wrapped__`, so nothing unwraps it back into a map of
-    single points.  A map already marked `broadcasts = True` is returned
-    as it is.
+    an empty array of the leading shape followed by `shape`, the shape of
+    one row's value.  It is marked `broadcasts = True` and has no
+    `__wrapped__`, so nothing unwraps it back into a map of single points.
+    A map already marked `broadcasts = True` is returned as it is.
     """
     if getattr(fn, "broadcasts", False):
         return fn
 
     def lifted(*args):
         args = [np.asarray(x, dtype=float) for x in args]
-        lead = args[0].shape[:-1]
-        if any(x.shape[:-1] != lead for x in args):
-            lead = np.broadcast_shapes(*(x.shape[:-1] for x in args))
-            args = [np.broadcast_to(x, lead + x.shape[-1:]) for x in args]
+        lead = np.broadcast_shapes(*(x.shape[:-1] for x in args))
         if 0 in lead:
-            return np.empty(lead)
-        out = [np.asarray(fn(*row), dtype=float)
-               for row in zip(*(x.reshape(-1, x.shape[-1]) for x in args))]
+            return np.empty(lead + shape)
+        rows = zip(*(np.broadcast_to(x, lead + x.shape[-1:]).reshape(-1, x.shape[-1])
+                     for x in args))
+        out = [np.asarray(fn(*row), dtype=float) for row in rows]
         return np.array(out).reshape(lead + out[0].shape)
 
     lifted.broadcasts = True

@@ -46,7 +46,7 @@ class PDESystem:
     name: str = "pde"
 
     def __post_init__(self) -> None:
-        self.psi = rowwise(self.psi)
+        self.psi = rowwise(self.psi, (len(self.theta_box), len(self.x_box)))
 
     def rhs(self, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
         out = as_finite_array(self.psi(theta, x), "pde right-hand side")
@@ -166,7 +166,7 @@ class FunctionFamily:
     name: str = "family"
 
     def __post_init__(self) -> None:
-        self.f = rowwise(self.f)
+        self.f = rowwise(self.f, (self.n_out,))
 
     def value(self, x: np.ndarray, a: np.ndarray) -> np.ndarray:
         out = as_finite_array(self.f(x, a), "family value")

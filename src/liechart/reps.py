@@ -41,7 +41,7 @@ class RepChart:
             raise ValueError(f"side must be 'left' or 'right', got {self.side!r}")
         if self.m < 1:
             raise ValueError("representation dimension must be positive")
-        self.f = rowwise(self.f)
+        self.f = rowwise(self.f, (self.m, self.m))
 
     def __call__(self, a) -> np.ndarray:
         a = np.asarray(a, float)

@@ -77,12 +77,12 @@ def flows_suite(chart: GroupChart, rep: RepChart | None, cfg: DiffConfig,
 
     # both flows are one RK4 stack; a flow that broke down raises at its turn
     stack = flows.one_param_subgroups(chart, alpha, 1.0, ("right", "left"), cfg=cfg)
-    for check_id, flow in zip(("flow_homomorphism", "flow_homomorphism_left"), stack):
+    for check_id, path in zip(("flow_homomorphism", "flow_homomorphism_left"), stack):
         with named(check_id):
-            if isinstance(flow, LieChartError):
-                raise flow
-            residual = flows.homomorphism_residual(chart, flow)
-        yield check_id, len(flows.homomorphism_pairs(flow)), residual
+            if isinstance(path, LieChartError):
+                raise path
+            residual = flows.homomorphism_residual(chart, path)
+        yield check_id, len(flows.homomorphism_pairs(path)), residual
     if chart.n == 1:
         yield from sampled_checks(chart, cfg, [
             ("canonical_additivity", 2, None, partial(flows.additivity_residual, chart, cfg=cfg))])

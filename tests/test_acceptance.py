@@ -174,7 +174,7 @@ def test_criterion_06_invariant_frames_whole_catalog(emit):
 def test_criterion_07_one_parameter_subgroups(emit):
     gl2 = get_group("gl:2")
     nilpotent = np.array([0.0, 0.7, 0.0, 0.0])
-    end = one_param_subgroup(gl2, nilpotent, 1.0, cfg=CFG).endpoint
+    end = one_param_subgroup(gl2, nilpotent, 1.0, cfg=CFG)[-1]
     err_nilpotent = np.max(np.abs(end - (gl2.identity + nilpotent)))
 
     generic = one_param_subgroup(gl2, np.array([0.2, 0.3, -0.1, 0.1]), 1.0, cfg=CFG)

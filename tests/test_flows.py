@@ -29,17 +29,19 @@ def test_translation_flow_is_straight_line():
     chart = get_group("translation:2")
     alpha = np.array([0.3, -0.1])
     flow = one_param_subgroup(chart, alpha, 1.0, cfg=CFG)
-    assert np.max(np.abs(flow.endpoint - alpha)) < 1e-10
-    mid = flow.path[len(flow.path) // 2]
+    assert np.max(np.abs(flow[-1] - alpha)) < 1e-10
+    mid = flow[len(flow) // 2]
     assert np.max(np.abs(mid - 0.5 * alpha)) < 1e-10
 
 
 def test_flow_starts_at_identity():
     chart = get_group("gl:2")
     flow = one_param_subgroup(chart, 0.1 * np.arange(4), 0.5, cfg=CFG)
-    assert np.array_equal(flow.path[0], chart.identity)
-    assert flow.t_grid[0] == 0.0
-    assert flow.t_grid[-1] == pytest.approx(0.5)
+    assert np.array_equal(flow[0], chart.identity)
+    # a path is its (steps + 1, n) array of states, from the identity on
+    path = one_param_subgroup(chart, 0.1 * np.arange(4), 0.5, steps=6, cfg=CFG)
+    assert isinstance(path, np.ndarray) and path.shape == (7, 4)
+    assert np.array_equal(path[0], chart.identity)
 
 
 def test_gl2_nilpotent_direction_exact():
@@ -47,7 +49,7 @@ def test_gl2_nilpotent_direction_exact():
     chart = get_group("gl:2")
     alpha = np.array([0.0, 0.7, 0.0, 0.0])
     flow = one_param_subgroup(chart, alpha, 1.0, cfg=CFG)
-    assert np.max(np.abs(flow.endpoint - (chart.identity + alpha))) < 1e-8
+    assert np.max(np.abs(flow[-1] - (chart.identity + alpha))) < 1e-8
 
 
 @pytest.mark.parametrize("flavor", ["left", "right"])
@@ -58,7 +60,7 @@ def test_gl2_flow_matches_matrix_exponential(flavor):
         alpha = rng.uniform(-0.4, 0.4, 4)
         flow = one_param_subgroup(chart, alpha, 1.0, flavor=flavor, cfg=CFG)
         expected = expm(alpha.reshape(2, 2)).ravel()
-        assert np.max(np.abs(flow.endpoint - expected)) < 1e-5
+        assert np.max(np.abs(flow[-1] - expected)) < 1e-5
 
 
 def test_homomorphism_residual_small():
@@ -99,7 +101,7 @@ def test_flows_suite_reports_the_pairs_it_compares(name, monkeypatch, law_counte
 def test_multiplicative_flow_hits_exp():
     chart = get_group("multiplicative")
     flow = one_param_subgroup(chart, np.array([1.0]), np.log(2.0), cfg=CFG)
-    assert abs(flow.endpoint[0] - 2.0) < 1e-7
+    assert abs(flow[-1, 0] - 2.0) < 1e-7
 
 
 @pytest.mark.parametrize("steps", [0, -3])
@@ -277,9 +279,9 @@ def test_step_doubling_reaches_matrix_exponential(flavor):
     alpha = np.random.default_rng(7).uniform(-1.0, 1.0, 4)
     expected = expm(alpha.reshape(2, 2)).ravel()
     flow = one_param_subgroup(chart, alpha, 1.0, flavor=flavor, cfg=CFG)
-    assert np.max(np.abs(flow.endpoint - expected)) < 1e-9
+    assert np.max(np.abs(flow[-1] - expected)) < 1e-9
     coarse = one_param_subgroup(chart, alpha, 1.0, steps=2, flavor=flavor, cfg=CFG)
-    assert np.max(np.abs(coarse.endpoint - expected)) > 1e-9
+    assert np.max(np.abs(coarse[-1] - expected)) > 1e-9
 
 
 def test_step_doubling_stops_at_the_step_cap(monkeypatch):
@@ -288,8 +290,7 @@ def test_step_doubling_stops_at_the_step_cap(monkeypatch):
     t_end = 0.3
     flow = one_param_subgroup(get_group("gl:2"), np.array([0.2, 0.3, -0.1, 0.1]),
                               t_end, cfg=CFG)
-    assert len(flow.path) <= math.ceil(1000 * t_end) + 1
-    assert flow.t_grid[-1] == pytest.approx(t_end)
+    assert len(flow) <= math.ceil(1000 * t_end) + 1
 
 
 def _stiff_compose(a, b):
@@ -310,7 +311,7 @@ def test_step_doubling_outlasts_an_unstable_coarse_pass(compose, radius):
     chart = GroupChart(n=1, compose=compose, identity=np.zeros(1),
                        chart_radius=radius, name="stiff")
     flow = one_param_subgroup(chart, np.array([1.0]), 1.0, cfg=CFG)
-    assert abs(flow.endpoint[0] - (1.0 - math.exp(-40.0)) / 40.0) < 1e-9
+    assert abs(flow[-1, 0] - (1.0 - math.exp(-40.0)) / 40.0) < 1e-9
 
 
 def test_step_doubling_raises_left_chart_from_the_capped_pass():
@@ -426,15 +427,15 @@ def test_stacked_flows_keep_the_bits_of_the_one_row_integrator(name):
         stack = flows.one_param_subgroups(chart, alpha, 1.0, ("right", "left"), cfg=CFG)
         for flavor, flow in zip(("right", "left"), stack):
             expected = _one_row_flow(chart, alpha, 1.0, flavor)
-            assert np.array_equal(flow.path, expected), (seed, flavor)
+            assert np.array_equal(flow, expected), (seed, flavor)
             assert np.array_equal(one_param_subgroup(chart, alpha, 1.0, flavor=flavor,
-                                                     cfg=CFG).path, expected)
+                                                     cfg=CFG), expected)
             steps_taken.add(len(expected) - 1)
         # a uniform grid of steps given by the caller
         for flow, flavor in zip(flows.one_param_subgroups(chart, alpha, 0.7, ("left", "right"),
                                                           steps=5 + seed, cfg=CFG),
                                 ("left", "right")):
-            assert np.array_equal(flow.path, _one_row_flow(chart, alpha, 0.7, flavor, 5 + seed))
+            assert np.array_equal(flow, _one_row_flow(chart, alpha, 0.7, flavor, 5 + seed))
     # the range reaches rows that need a third pass
     assert max(steps_taken) >= (32 if name in ("gl:2", "gl:3") else 16)
 
@@ -505,7 +506,7 @@ def test_stiff_and_undefined_laws_break_per_row_in_one_stack():
         assert np.array_equal(paths[row], _one_row_flow(chart, one, 1.0, "right", steps=16))
     # and through the flows themselves: the endpoint of today's step doubling
     for chart in charts:
-        assert np.array_equal(one_param_subgroup(chart, one, 1.0, cfg=CFG).endpoint,
+        assert np.array_equal(one_param_subgroup(chart, one, 1.0, cfg=CFG)[-1],
                               _one_row_flow(chart, one, 1.0, "right")[-1])
 
 
@@ -516,8 +517,8 @@ def test_a_law_that_raises_breaks_only_its_own_row():
     with pytest.raises(NonFiniteEvaluation, match="^law undefined past 1/2$"):
         _one_row_flow(chart, np.ones(1), 1.0, "right", steps=8)
     flow = one_param_subgroup(chart, np.ones(1), 1.0, cfg=CFG)
-    assert np.array_equal(flow.path, _one_row_flow(chart, np.ones(1), 1.0, "right"))
-    assert abs(flow.endpoint[0] - (1.0 - math.exp(-40.0)) / 40.0) < 1e-9
+    assert np.array_equal(flow, _one_row_flow(chart, np.ones(1), 1.0, "right"))
+    assert abs(flow[-1, 0] - (1.0 - math.exp(-40.0)) / 40.0) < 1e-9
 
 
 def _one_sided_chart(broken_slot, raises):
@@ -557,13 +558,33 @@ def test_a_right_flow_that_breaks_at_the_cap_stops_the_suite_at_once(raises):
     # the reverse order: the right flow breaks, and the left one is not reported
     chart = _one_sided_chart("left", raises)
     alpha = _flow_direction(chart, 42)
-    assert np.array_equal(flows.one_param_subgroups(chart, alpha, 1.0, ("left",))[0].path,
+    assert np.array_equal(flows.one_param_subgroups(chart, alpha, 1.0, ("left",))[0],
                           _one_row_flow(chart, alpha, 1.0, "left"))
     with pytest.raises(NonFiniteEvaluation) as alone:
         _one_row_flow(chart, alpha, 1.0, "right")
     with pytest.raises(NonFiniteEvaluation,
                        match=f"^flow_homomorphism: {re.escape(str(alone.value))}$"):
         list(SUITES["flows"](chart, None, DiffConfig(), group_generators))
+
+
+@pytest.mark.parametrize("driver, steps", [("rk4_path", 8), ("step_doubled", None)])
+def test_one_param_subgroups_returns_the_drivers_paths_and_errors(driver, steps, monkeypatch):
+    # the left flow runs, the right one breaks: each flavor gets the very
+    # array or error its RK4 driver gave for its row
+    chart = _one_sided_chart("left", False)
+    real, given = getattr(flows, driver), []
+
+    def spy(*args):
+        given.extend(real(*args))
+        return given
+
+    monkeypatch.setattr(flows, driver, spy)
+    got = flows.one_param_subgroups(chart, _flow_direction(chart, 42), 1.0, ("left", "right"),
+                                    steps=steps, cfg=CFG)
+    assert len(got) == len(given) == 2
+    assert all(g is d for g, d in zip(got, given))
+    assert isinstance(got[0], np.ndarray) and got[0].shape[1:] == (2,)
+    assert isinstance(got[1], NonFiniteEvaluation)
 
 
 def _singular_past(bound):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from liechart.catalog import GROUP_NAMES, get_group
 from liechart.errors import NonFiniteEvaluation, SingularMatrix
+from liechart.group import GroupChart, inverse, psi_flavored
 from liechart.numdiff import (
     CBRT_EPS,
     QUART_EPS,
@@ -21,6 +22,8 @@ from liechart.numdiff import (
     rowwise,
     vf_commutator,
 )
+from liechart.pde import FunctionFamily, PDESystem
+from liechart.reps import RepChart
 
 CFG = DiffConfig()
 
@@ -180,6 +183,44 @@ def test_rowwise_on_a_stack_with_no_rows_makes_no_call():
     lifted = rowwise(law)
     assert lifted(np.empty((0, 2)), np.empty((0, 2))).shape == (0,)
     assert lifted(np.empty((3, 0, 2)), np.ones(2)).shape == (3, 0)
+    assert rowwise(law, (2,))(np.empty((0, 2)), np.ones(2)).shape == (0, 2)
+
+
+def _never(*args):
+    raise AssertionError("called on a stack with no rows")
+
+
+def _broadcasting(fn):
+    fn.broadcasts = True
+    return fn
+
+
+def test_each_holder_gives_a_stack_with_no_rows_its_row_shape():
+    # a point map that its holder lifts, on a (0, n) stack, makes no call
+    # and gives the shape of its broadcasting twin
+    empty = np.empty((0, 2))
+    ax_b = GroupChart(n=2, compose=_never, identity=np.array([1.0, 0.0]), inverse_hint=_never)
+    twin = get_group("affine")
+    for flavor in ("left", "right"):
+        assert psi_flavored(ax_b, empty, flavor, CFG).shape \
+            == psi_flavored(twin, empty, flavor, CFG).shape == (0, 2, 2)
+    assert inverse(ax_b, empty, CFG).shape == inverse(twin, empty, CFG).shape == (0, 2)
+
+    zeros = _broadcasting(lambda a: np.zeros(a.shape[:-1] + (3, 3)))
+    assert RepChart(group=ax_b, m=3, f=_never)(empty).shape \
+        == RepChart(group=twin, m=3, f=zeros)(empty).shape == (0, 3, 3)
+
+    boxes = {"theta_box": np.zeros((1, 2)), "x_box": np.zeros((2, 2))}
+    psi = _broadcasting(lambda th, x: np.zeros(np.broadcast_shapes(th.shape[:-1], x.shape[:-1])
+                                               + (1, 2)))
+    theta = np.empty((0, 1))
+    assert PDESystem(psi=_never, **boxes).rhs(theta, empty).shape \
+        == PDESystem(psi=psi, **boxes).rhs(theta, empty).shape == (0, 1, 2)
+
+    f = _broadcasting(lambda x, a: x[..., :1] * a[..., :1])
+    family = {"n_out": 1, "a0": np.ones(2), "x_box": np.zeros((1, 2))}
+    assert FunctionFamily(f=_never, **family).value(theta, empty).shape \
+        == FunctionFamily(f=f, **family).value(theta, empty).shape == (0, 1)
 
 
 def test_mixed_second_affine_law():
