@@ -8,6 +8,8 @@ and 7 with the default sample count:
 
 * every catalog group through every suite (`all` included);
 * the `rep` and `all` suites for the representations in REPS;
+* the same two suites for those in MORE_REPS, which reach a direct sum, a
+  right-sided tensor product and the trivial representation;
 * `check_chart_axioms` and `verify_shift_identities` on hint-free copies of
   the affine and gl:2 laws (every inverse a Newton solve) and on a plain
   ax+b law written for single points (lifted by `numdiff.rowwise`).
@@ -22,6 +24,9 @@ that change.
 
 Then one digest per check id, over the label and row of every report row
 with that id, so a change meant to move one check shows which ids moved.
+The MORE_REPS reports come last, with a report digest and per-id digests
+of their own, so the lines above them keep the values recorded before
+those representations were added.
 """
 
 import dataclasses
@@ -54,6 +59,11 @@ REPS = (
     ("affine", "matrix"),
     ("gl:3", "standard"),
 )
+MORE_REPS = (
+    ("gl:2", "sum:standard,trivial"),
+    ("gl:2", "tensor:conjugate,conjugate"),
+    ("affine", "trivial"),
+)
 
 
 def _charts() -> tuple[GroupChart, ...]:
@@ -72,13 +82,18 @@ def reports() -> Iterator[tuple[str, str]]:
         for group in GROUP_NAMES:
             for suite in SUITE_NAMES:
                 yield f"{seed} {group} {suite}", run_suite(group, suite, cfg).to_json()
-        for group, rep in REPS:
-            for suite in ("rep", "all"):
-                yield (f"{seed} {group} {suite} {rep}",
-                       run_suite(group, suite, cfg, rep_name=rep).to_json())
+        yield from rep_reports(cfg, REPS)
         for chart in charts:
             for check in (check_chart_axioms, verify_shift_identities):
                 yield f"{seed} {chart.name} {check.__name__}", check(chart, cfg).to_json()
+
+
+def rep_reports(cfg: DiffConfig, reps) -> Iterator[tuple[str, str]]:
+    """(label, JSON report) pairs of the `rep` and `all` suites for each (group, rep)."""
+    for group, rep in reps:
+        for suite in ("rep", "all"):
+            yield (f"{cfg.rng_seed} {group} {suite} {rep}",
+                   run_suite(group, suite, cfg, rep_name=rep).to_json())
 
 
 def pde_results() -> Iterator[tuple[str, str]]:
@@ -107,16 +122,23 @@ def _digest(pairs: Iterator[tuple[str, str]]) -> tuple[str, int]:
     return digest.hexdigest(), count
 
 
-def main() -> None:
-    pairs = list(reports())
-    print("%s  %d reports" % _digest(iter(pairs)))
-    print("%s  %d PDE results" % _digest(pde_results()))
+def _print_per_id(pairs: list[tuple[str, str]]) -> None:
     rows: dict[str, list[tuple[str, str]]] = {}
     for label, text in pairs:
         for row in json.loads(text)["checks"]:
             rows.setdefault(row["id"], []).append((label, json.dumps(row)))
     for check_id in sorted(rows):
         print("%s  %d rows" % _digest(iter(rows[check_id])), check_id)
+
+
+def main() -> None:
+    pairs = list(reports())
+    print("%s  %d reports" % _digest(iter(pairs)))
+    print("%s  %d PDE results" % _digest(pde_results()))
+    _print_per_id(pairs)
+    more = [pair for seed in SEEDS for pair in rep_reports(DiffConfig(rng_seed=seed), MORE_REPS)]
+    print("%s  %d MORE_REPS reports" % _digest(iter(more)))
+    _print_per_id(more)
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import UnknownEntry
 from .group import GroupChart
+from .numdiff import broadcasting
 from .reps import (
     RepChart,
     direct_sum,
@@ -28,12 +29,6 @@ from .reps import (
 )
 
 MatrixFn = Callable[[np.ndarray], np.ndarray]
-
-
-def _broadcasting(fn):
-    """Mark a law or an inverse hint that maps (..., n) stacks row by row (see GroupChart)."""
-    fn.broadcasts = True
-    return fn
 
 
 @dataclass(frozen=True)
@@ -64,9 +59,9 @@ GROUP_NAMES = (
 def _translation(n: int) -> tuple[GroupChart, OperatorOracles]:
     chart = GroupChart(
         n=n,
-        compose=_broadcasting(lambda a, b: a + b),
+        compose=broadcasting(lambda a, b: a + b),
         identity=np.zeros(n),
-        inverse_hint=_broadcasting(lambda a: -a),
+        inverse_hint=broadcasting(lambda a: -a),
         chart_radius=1e9,
         name=f"translation:{n}",
     )
@@ -86,9 +81,9 @@ def _translation(n: int) -> tuple[GroupChart, OperatorOracles]:
 def _multiplicative() -> tuple[GroupChart, OperatorOracles]:
     chart = GroupChart(
         n=1,
-        compose=_broadcasting(lambda a, b: a * b),
+        compose=broadcasting(lambda a, b: a * b),
         identity=np.ones(1),
-        inverse_hint=_broadcasting(lambda a: 1.0 / a),
+        inverse_hint=broadcasting(lambda a: 1.0 / a),
         chart_radius=2.5,
         name="multiplicative",
     )
@@ -104,7 +99,7 @@ def _multiplicative() -> tuple[GroupChart, OperatorOracles]:
     return chart, oracles
 
 
-@_broadcasting
+@broadcasting
 def _affine_compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # x -> a1*x + a2 composed with x -> b1*x + b2, outer map applied last
     out = a[..., :1] * b
@@ -112,7 +107,7 @@ def _affine_compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-@_broadcasting
+@broadcasting
 def _affine_inverse(a: np.ndarray) -> np.ndarray:
     out = np.empty_like(a)
     out[..., 0] = 1.0 / a[..., 0]
@@ -166,7 +161,7 @@ def _gl_c_left(n: int) -> np.ndarray:
 def _gl(n: int) -> tuple[GroupChart, OperatorOracles]:
     eye = np.eye(n)
 
-    @_broadcasting
+    @broadcasting
     def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         ab = a.reshape(a.shape[:-1] + (n, n)) @ b.reshape(b.shape[:-1] + (n, n))
         return ab.reshape(ab.shape[:-2] + (n * n,))
@@ -175,7 +170,7 @@ def _gl(n: int) -> tuple[GroupChart, OperatorOracles]:
         n=n * n,
         compose=compose,
         identity=eye.ravel().copy(),
-        inverse_hint=_broadcasting(
+        inverse_hint=broadcasting(
             lambda a: np.linalg.inv(a.reshape(a.shape[:-1] + (n, n))).reshape(a.shape)),
         chart_radius=5.0,
         name=f"gl:{n}",
@@ -225,44 +220,33 @@ def get_oracles(name: str) -> OperatorOracles:
 # --- representations -------------------------------------------------------
 
 
-def _trivial_rep(chart: GroupChart) -> RepChart:
-    return RepChart(group=chart, m=1,
-                    f=lambda a: np.ones((1, 1)), side="left", name="trivial")
-
-
-def _gl_standard(chart: GroupChart, n: int) -> RepChart:
-    return RepChart(group=chart, m=n,
-                    f=lambda a: a.reshape(n, n).copy(), side="left", name="standard")
-
-
-def _gl_conjugate(chart: GroupChart, n: int) -> RepChart:
-    # acts on row vectors by u -> u a^-1, so the order of factors reverses
-    return RepChart(group=chart, m=n,
-                    f=lambda a: np.linalg.inv(a.reshape(n, n)), side="right",
-                    name="conjugate")
-
-
-def _affine_matrix_rep(chart: GroupChart) -> RepChart:
-    def f(a: np.ndarray) -> np.ndarray:
-        return np.array([[a[0], a[1]], [0.0, 1.0]])
-
-    return RepChart(group=chart, m=2, f=f, side="left", name="matrix")
-
-
 def _base_rep(group_name: str, rep_name: str) -> tuple[RepChart, np.ndarray]:
+    """A catalog representation, from its map and side, and its hand-derived generators."""
     chart = get_group(group_name)
-    if rep_name == "trivial":
-        return _trivial_rep(chart), np.zeros((chart.n, 1, 1))
-    if group_name.startswith("gl:") and rep_name in ("standard", "conjugate"):
-        n = math.isqrt(chart.n)
-        # E_kl, the generator of coordinate k*n + l, is that row of the identity
-        units = np.eye(n * n).reshape(n * n, n, n)
-        if rep_name == "standard":
-            return _gl_standard(chart, n), units
-        return _gl_conjugate(chart, n), -units
-    if group_name == "affine" and rep_name == "matrix":
-        return _affine_matrix_rep(chart), np.eye(4)[:2].reshape(2, 2, 2)
-    raise UnknownEntry(f"group {group_name!r} has no representation {rep_name!r}")
+    n = math.isqrt(chart.n)
+    # E_kl, the generator of coordinate k*n + l of gl:n, is that row of the identity
+    units = np.eye(n * n).reshape(n * n, n, n)
+    reps = {"trivial": (lambda a: np.ones(a.shape[:-1] + (1, 1)), "left",
+                        np.zeros((chart.n, 1, 1)))}
+    if group_name.startswith("gl:"):
+        reps["standard"] = lambda a: a.reshape(a.shape[:-1] + (n, n)).copy(), "left", units
+        # acts on row vectors by u -> u a^-1, so the order of factors reverses
+        reps["conjugate"] = (lambda a: np.linalg.inv(a.reshape(a.shape[:-1] + (n, n))),
+                             "right", -units)
+    if group_name == "affine":
+        reps["matrix"] = _affine_matrix, "left", np.eye(4)[:2].reshape(2, 2, 2)
+    if rep_name not in reps:
+        raise UnknownEntry(f"group {group_name!r} has no representation {rep_name!r}")
+    f, side, gens = reps[rep_name]
+    rep = RepChart(group=chart, m=gens.shape[-1], f=broadcasting(f), side=side, name=rep_name)
+    return rep, gens
+
+
+def _affine_matrix(a: np.ndarray) -> np.ndarray:
+    out = np.zeros(a.shape[:-1] + (2, 2))
+    out[..., 0, :] = a
+    out[..., 1, 1] = 1.0
+    return out
 
 
 _COMPOSITES = {"tensor": (tensor_product, tensor_generators),

@@ -50,8 +50,8 @@ class GroupChart:
 
     The stencils and sampled checks call compose(a, b) on (..., n) stacks
     that broadcast together, and each row must equal the single-point
-    result.  A law marked `broadcasts = True` gets the stacks as they are;
-    any other law, and likewise the `inverse_hint`, is lifted here by
+    result.  A law marked by `numdiff.broadcasting` gets the stacks as they
+    are; any other law, and likewise the `inverse_hint`, is lifted here by
     `numdiff.rowwise` to one call per row.  The residuals have the same
     bits either way; only the number of law calls differs.
     """
@@ -351,6 +351,11 @@ def psi_flavored(chart: GroupChart, a, flavor: str, cfg: DiffConfig) -> np.ndarr
     return _a_right(chart, a, e, cfg)
 
 
+def adjoint(chart: GroupChart, a, cfg: DiffConfig) -> np.ndarray:
+    """Ad(a) = lambda_left(a) psi_right(a) at a point or a stack; only psi_left is inverted."""
+    return invert(psi_flavored(chart, a, "left", cfg)) @ psi_flavored(chart, a, "right", cfg)
+
+
 def psi_pair(chart: GroupChart, a, cfg: DiffConfig) -> tuple[np.ndarray, np.ndarray]:
     """(left, right) basic operators at a."""
     a = as_finite_array(a)
@@ -539,15 +544,13 @@ def _res_adjoint_at_identity(chart, cfg, a):
     a_inv = inverse(chart, a, cfg)
     e = np.broadcast_to(chart.identity, a.shape)
     j_num = jacobian(_triple_in_middle(chart, a, a_inv), e, cfg)
-    psi_l_a, psi_r_a = psi_pair(chart, a, cfg)
-    return maxabs_rows(j_num - invert(psi_l_a) @ psi_r_a, a)
+    return maxabs_rows(j_num - adjoint(chart, a, cfg), a)
 
 
 def _res_adjoint_flavor_symmetry(chart, cfg, a):
     a_inv = inverse(chart, a, cfg)
-    psi_l_a, psi_r_a = psi_pair(chart, a, cfg)
+    adj = adjoint(chart, a, cfg)
     psi_l_inv, psi_r_inv = psi_pair(chart, a_inv, cfg)
-    adj = invert(psi_l_a) @ psi_r_a
     return maxabs_rows(adj - invert(psi_r_inv) @ psi_l_inv, a)
 
 

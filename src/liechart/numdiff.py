@@ -70,6 +70,12 @@ def _steps(at: np.ndarray, base: float) -> np.ndarray:
     return base * np.maximum(1.0, np.abs(at))
 
 
+def broadcasting(fn: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
+    """Mark fn as a map of (..., n) stacks, which `rowwise` keeps as it is; sets no `__wrapped__`."""
+    fn.broadcasts = True
+    return fn
+
+
 def rowwise(fn: Callable[..., np.ndarray], shape: tuple[int, ...] = ()
             ) -> Callable[..., np.ndarray]:
     """Lift a map of single points to one over (..., n_i) stacks.
@@ -77,9 +83,9 @@ def rowwise(fn: Callable[..., np.ndarray], shape: tuple[int, ...] = ()
     The lift broadcasts the arguments' leading axes, calls fn once per row
     and stacks the results; a stack with no rows makes no call and gives
     an empty array of the leading shape followed by `shape`, the shape of
-    one row's value.  It is marked `broadcasts = True` and has no
-    `__wrapped__`, so nothing unwraps it back into a map of single points.
-    A map already marked `broadcasts = True` is returned as it is.
+    one row's value.  The lift is marked by `broadcasting`, so nothing
+    unwraps it back into a map of single points.  A map already marked
+    `broadcasts = True` is returned as it is.
     """
     if getattr(fn, "broadcasts", False):
         return fn
@@ -94,8 +100,7 @@ def rowwise(fn: Callable[..., np.ndarray], shape: tuple[int, ...] = ()
         out = [np.asarray(fn(*row), dtype=float) for row in rows]
         return np.array(out).reshape(lead + out[0].shape)
 
-    lifted.broadcasts = True
-    return lifted
+    return broadcasting(lifted)
 
 
 def _stencil_values(vals, lead: tuple[int, ...]) -> np.ndarray:

@@ -20,8 +20,8 @@ import numpy as np
 from .errors import LieChartError, NonFiniteEvaluation, NotIntegrable
 from .flows import Breakdowns, step_doubled
 from .group import GroupChart, check_rng, maxabs, maxabs_rows
-from .numdiff import (DiffConfig, as_finite_array, jacobian, nonfinite_rows, numeric_rank,
-                      rowwise)
+from .numdiff import (DiffConfig, as_finite_array, broadcasting, jacobian, nonfinite_rows,
+                      numeric_rank, rowwise)
 
 _TAYLOR_STEPS = 500
 _INTEGRABILITY_TOL = 1e-6
@@ -295,9 +295,9 @@ def group_composition_family(chart: GroupChart) -> FunctionFamily:
     """The composition law as a family: parameters move the left slot."""
     box = np.column_stack([chart.identity - _FAMILY_RADIUS, chart.identity + _FAMILY_RADIUS])
 
+    @broadcasting  # a chart's law always broadcasts
     def f(x: np.ndarray, a: np.ndarray) -> np.ndarray:
         return chart.compose(a, x)
 
-    f.broadcasts = True  # a chart's law always broadcasts
     return FunctionFamily(n_out=chart.n, f=f, a0=chart.identity.copy(), x_box=box,
                           name=f"compose_{chart.name}")

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import block_diag
 
-from .group import GroupChart, inverse, maxabs, maxabs_rows, psi_flavored
-from .numdiff import DiffConfig, as_finite_array, invert, jacobian, rowwise
+from .group import GroupChart, adjoint, inverse, maxabs, maxabs_rows, psi_flavored
+from .numdiff import DiffConfig, as_finite_array, broadcasting, invert, jacobian, rowwise
 from .structure import StructureConstants
 
 GENERATOR_TRANSFORM_POINTS = 5
@@ -26,8 +25,8 @@ GENERATOR_TRANSFORM_POINTS = 5
 @dataclass(eq=False)
 class RepChart:
     """Matrix representation attached to a group chart: rep(a) maps a point
-    (n,) to (m, m) and a stack (..., n) to (..., m, m).  An f not marked
-    `broadcasts = True` is lifted by `numdiff.rowwise`, as GroupChart lifts its law.
+    (n,) to (m, m) and a stack (..., n) to (..., m, m).  An f not marked by
+    `numdiff.broadcasting` is lifted by `numdiff.rowwise`, as GroupChart lifts its law.
     """
 
     group: GroupChart
@@ -118,7 +117,7 @@ def conjugate_rep(rep: RepChart) -> RepChart:
     """Pointwise matrix inverse, acting on the dual side."""
     other = "right" if rep.side == "left" else "left"
     return RepChart(group=rep.group, m=rep.m,
-                    f=lambda a: invert(rep(a)),
+                    f=broadcasting(lambda a: invert(rep(a))),
                     side=other, name=f"conjugate({rep.name})")
 
 
@@ -129,13 +128,19 @@ def tensor_product(r1: RepChart, r2: RepChart) -> RepChart:
     if r1.side != r2.side:
         raise ValueError("tensor_product needs matching sides")
     return RepChart(group=r1.group, m=r1.m * r2.m,
-                    f=lambda a: np.kron(r1(a), r2(a)), side=r1.side,
+                    f=broadcasting(lambda a: _kron(r1(a), r2(a))), side=r1.side,
                     name=f"tensor({r1.name},{r2.name})")
+
+
+def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.kron of each pair of two broadcasting (..., m, m) stacks, with its bits."""
+    out = x[..., :, None, :, None] * y[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (x.shape[-2] * y.shape[-2], x.shape[-1] * y.shape[-1]))
 
 
 def tensor_generators(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
     """Generators of the Kronecker product: I_k x 1 + 1 x J_k."""
-    return np.kron(g1, np.eye(g2.shape[1])[None]) + np.kron(np.eye(g1.shape[1])[None], g2)
+    return _kron(g1, np.eye(g2.shape[-1])) + _kron(np.eye(g1.shape[-1]), g2)
 
 
 def direct_sum(r1: RepChart, r2: RepChart) -> RepChart:
@@ -144,16 +149,18 @@ def direct_sum(r1: RepChart, r2: RepChart) -> RepChart:
         raise ValueError("direct_sum needs representations of one chart")
     if r1.side != r2.side:
         raise ValueError("direct_sum needs matching sides")
-    return RepChart(group=r1.group, m=r1.m + r2.m, f=lambda a: block_diag(r1(a), r2(a)),
+    return RepChart(group=r1.group, m=r1.m + r2.m,
+                    f=broadcasting(lambda a: direct_sum_generators(r1(a), r2(a))),
                     side=r1.side, name=f"sum({r1.name},{r2.name})")
 
 
 def direct_sum_generators(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
-    """Generators of the block-diagonal sum: diag(I_k, J_k)."""
-    m1 = g1.shape[1]
-    out = np.zeros((len(g1), m1 + g2.shape[1], m1 + g2.shape[1]))
-    out[:, :m1, :m1] = g1
-    out[:, m1:, m1:] = g2
+    """Generators of the block-diagonal sum, diag(I_k, J_k), and the value of
+    `direct_sum`: one block diagonal per pair of two broadcasting (..., m, m) stacks."""
+    m1, m = g1.shape[-1], g1.shape[-1] + g2.shape[-1]
+    out = np.zeros(np.broadcast_shapes(g1.shape[:-2], g2.shape[:-2]) + (m, m))
+    out[..., :m1, :m1] = g1
+    out[..., m1:, m1:] = g2
     return out
 
 
@@ -168,12 +175,11 @@ def generator_transform(rep: RepChart, g, gens: np.ndarray,
     point (n,), giving (n, m, m), or a stack (..., n), giving (..., n, m, m).
     """
     cfg = cfg or DiffConfig()
-    adjoint = (invert(psi_flavored(rep.group, g, "left", cfg))
-               @ psi_flavored(rep.group, g, "right", cfg))
+    weight = adjoint(rep.group, g, cfg)
     fg = rep(g)[..., None, :, :]
     fg_inv = invert(fg)
     conj = fg_inv @ gens @ fg if rep.side == "left" else fg @ gens @ fg_inv
-    return _combine(adjoint, conj)
+    return _combine(weight, conj)
 
 
 def generator_transform_residual(rep: RepChart, gens: np.ndarray, g: np.ndarray,

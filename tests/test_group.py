@@ -13,6 +13,7 @@ from liechart.group import (
     GroupChart,
     _a_left,
     _a_right,
+    adjoint,
     check_chart_axioms,
     check_rng,
     inverse,
@@ -25,10 +26,22 @@ from liechart.group import (
     SAMPLE_RADIUS,
     SHIFT_CHECK_IDS,
 )
-from liechart.numdiff import QUART_EPS, DiffConfig, invert, jacobian, rowwise
+from liechart.numdiff import QUART_EPS, DiffConfig, broadcasting, invert, jacobian, rowwise
 from liechart.suites import run_suite
 
 CFG = DiffConfig(sample_count=6)
+
+
+@pytest.mark.parametrize("name", ["affine", "gl:2", "gl:3"])
+def test_adjoint_is_lambda_left_times_psi_right(name):
+    chart, oracles = get_group(name), catalog.get_oracles(name)
+    pts = sample_points(chart, CFG, np.random.default_rng(3), 4)
+    ad = adjoint(chart, pts, CFG)
+    assert np.array_equal(ad, invert(psi_flavored(chart, pts, "left", CFG))
+                          @ psi_flavored(chart, pts, "right", CFG))
+    for a, got in zip(pts, ad):
+        assert np.array_equal(got, adjoint(chart, a, CFG))
+        assert maxabs(got - oracles.lam_left(a) @ oracles.psi_right(a)) < 1e-6
 
 
 def hintless(chart):
@@ -89,11 +102,6 @@ def test_newton_inverse_failure_raises():
         inverse(broken, np.array([5.0]), CFG)
 
 
-def _marked(fn):
-    fn.broadcasts = True
-    return fn
-
-
 @pytest.mark.parametrize("hint", ["broadcasting", "row by row", "sloppy", "none"])
 @pytest.mark.parametrize("marked", [True, False])
 def test_inverse_of_a_stack_matches_each_point(hint, marked):
@@ -101,7 +109,7 @@ def test_inverse_of_a_stack_matches_each_point(hint, marked):
     hints = {"broadcasting": base.inverse_hint,
              "row by row": lambda a: np.linalg.inv(a.reshape(2, 2)).ravel(),
              # off by 1e-6: every row fails the hint check and is polished by Newton
-             "sloppy": _marked(lambda a: base.inverse_hint(a) * (1.0 + 1e-6)),
+             "sloppy": broadcasting(lambda a: base.inverse_hint(a) * (1.0 + 1e-6)),
              "none": None}
     law = base.compose if marked else (lambda a, b: base.compose(a, b))
     chart = dataclasses.replace(base, compose=law, inverse_hint=hints[hint])

@@ -15,6 +15,7 @@ from liechart.numdiff import (
     DiffConfig,
     _steps,
     as_finite_array,
+    broadcasting,
     invert,
     jacobian,
     mixed_second,
@@ -161,6 +162,15 @@ def test_rowwise_lift_gives_the_point_by_point_value():
     assert np.array_equal(jacobian(rowwise(sq), x, CFG), jacobian_by_columns(sq, x))
 
 
+def test_broadcasting_marks_a_map_in_place():
+    def law(a, b):
+        return a + b
+
+    assert broadcasting(law) is law and law.broadcasts is True
+    assert not hasattr(law, "__wrapped__")
+    assert rowwise(law) is law
+
+
 def test_rowwise_broadcasts_leading_axes_and_keeps_row_values():
     law = rowwise(lambda a, b: np.array([a[0] * b[0], a[0] * b[1] + a[1]]))
     assert law.broadcasts is True
@@ -190,11 +200,6 @@ def _never(*args):
     raise AssertionError("called on a stack with no rows")
 
 
-def _broadcasting(fn):
-    fn.broadcasts = True
-    return fn
-
-
 def test_each_holder_gives_a_stack_with_no_rows_its_row_shape():
     # a point map that its holder lifts, on a (0, n) stack, makes no call
     # and gives the shape of its broadcasting twin
@@ -206,18 +211,18 @@ def test_each_holder_gives_a_stack_with_no_rows_its_row_shape():
             == psi_flavored(twin, empty, flavor, CFG).shape == (0, 2, 2)
     assert inverse(ax_b, empty, CFG).shape == inverse(twin, empty, CFG).shape == (0, 2)
 
-    zeros = _broadcasting(lambda a: np.zeros(a.shape[:-1] + (3, 3)))
+    zeros = broadcasting(lambda a: np.zeros(a.shape[:-1] + (3, 3)))
     assert RepChart(group=ax_b, m=3, f=_never)(empty).shape \
         == RepChart(group=twin, m=3, f=zeros)(empty).shape == (0, 3, 3)
 
     boxes = {"theta_box": np.zeros((1, 2)), "x_box": np.zeros((2, 2))}
-    psi = _broadcasting(lambda th, x: np.zeros(np.broadcast_shapes(th.shape[:-1], x.shape[:-1])
-                                               + (1, 2)))
+    psi = broadcasting(lambda th, x: np.zeros(np.broadcast_shapes(th.shape[:-1], x.shape[:-1])
+                                              + (1, 2)))
     theta = np.empty((0, 1))
     assert PDESystem(psi=_never, **boxes).rhs(theta, empty).shape \
         == PDESystem(psi=psi, **boxes).rhs(theta, empty).shape == (0, 1, 2)
 
-    f = _broadcasting(lambda x, a: x[..., :1] * a[..., :1])
+    f = broadcasting(lambda x, a: x[..., :1] * a[..., :1])
     family = {"n_out": 1, "a0": np.ones(2), "x_box": np.zeros((1, 2))}
     assert FunctionFamily(f=_never, **family).value(theta, empty).shape \
         == FunctionFamily(f=f, **family).value(theta, empty).shape == (0, 1)

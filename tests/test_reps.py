@@ -2,12 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import liechart.reps
 from conftest import check_points
-from liechart.catalog import get_group, get_rep, rep_generator_oracle
+from liechart.catalog import GROUP_NAMES, get_group, get_rep, rep_generator_oracle
 from liechart.group import (
     GroupChart,
     check_rng,
@@ -99,6 +101,72 @@ def test_rep_of_a_stack_is_rep_of_each_point(group_name, rep_name):
     assert got.shape == (2, 3, rep.m, rep.m)
     for idx in np.ndindex(2, 3):
         assert np.array_equal(got[idx], rep(pts[idx]))
+
+
+# every representation the library builds broadcasts by itself
+LIBRARY_REPS = [
+    *((group_name, "trivial") for group_name in GROUP_NAMES),
+    *((f"gl:{n}", rep_name) for n in (1, 2, 3) for rep_name in ("standard", "conjugate")),
+    ("affine", "matrix"),
+    ("gl:2", "sum:standard,trivial"),
+    ("gl:2", "tensor:conjugate,conjugate"),
+    ("gl:2", "tensor:standard,standard"),
+    ("affine", "sum:matrix,trivial"),
+]
+
+
+def assert_stacks_match_points(rep, k=3):
+    pts = sample_points(rep.group, CFG, np.random.default_rng(11), 2 * k)
+    each = np.array([rep(p) for p in pts])
+    assert np.array_equal(rep(pts[:k]), each[:k])
+    assert np.array_equal(rep(pts.reshape(2, k, -1)), each.reshape(2, k, rep.m, rep.m))
+    assert rep(np.empty((0, rep.group.n))).shape == (0, rep.m, rep.m)
+
+
+@pytest.mark.parametrize("group_name,rep_name", LIBRARY_REPS)
+def test_library_reps_broadcast_with_the_bits_of_each_point(group_name, rep_name, monkeypatch):
+    def no_lift(fn, shape=()):
+        assert getattr(fn, "broadcasts", False), "a library representation was lifted"
+        return fn
+
+    monkeypatch.setattr(liechart.reps, "rowwise", no_lift)
+    rep = get_rep(group_name, rep_name)
+    conj = conjugate_rep(rep)
+    monkeypatch.undo()
+    assert rep.f.broadcasts is True and conj.f.broadcasts is True
+    assert_stacks_match_points(rep)
+    assert_stacks_match_points(conj)
+
+
+@pytest.mark.parametrize("group_name,halves", [
+    ("gl:2", ("standard", "trivial")), ("gl:2", ("conjugate", "conjugate")),
+    ("gl:3", ("standard", "standard")), ("affine", ("matrix", "trivial")),
+])
+def test_composites_keep_the_values_of_their_point_forms(group_name, halves):
+    r1, r2 = (get_rep(group_name, half) for half in halves)
+    pts = sample_points(r1.group, CFG, np.random.default_rng(12), 4)
+    for p, t, s, c in zip(pts, tensor_product(r1, r2)(pts), direct_sum(r1, r2)(pts),
+                          conjugate_rep(r1)(pts)):
+        assert np.array_equal(t, np.kron(r1(p), r2(p)))
+        assert np.array_equal(s, scipy.linalg.block_diag(r1(p), r2(p)))
+        assert np.array_equal(c, invert(r1(p)))
+    g1, g2 = (rep_generator_oracle(group_name, half) for half in halves)
+    assert np.array_equal(tensor_generators(g1, g2), np.kron(g1, np.eye(r2.m)[None])
+                          + np.kron(np.eye(r1.m)[None], g2))
+
+
+def test_composites_of_a_lifted_point_map_match_each_point():
+    matrix = get_rep("affine", "matrix")
+    user = RepChart(group=matrix.group, m=2, name="user",
+                    f=lambda a: np.array([[a[0], a[1]], [0.0, 1.0]]))
+    assert user.f.broadcasts is True        # the rowwise lift
+    pts = sample_points(user.group, CFG, np.random.default_rng(13), 4)
+    for rep, point_form in (
+            (tensor_product(user, matrix), lambda p: np.kron(user(p), matrix(p))),
+            (direct_sum(matrix, user), lambda p: scipy.linalg.block_diag(matrix(p), user(p))),
+            (conjugate_rep(user), lambda p: invert(user(p)))):
+        assert_stacks_match_points(rep)
+        assert np.array_equal(rep(pts), np.array([point_form(p) for p in pts]))
 
 
 def test_standard_rep_generators_are_unit_matrices():

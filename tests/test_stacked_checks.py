@@ -33,7 +33,7 @@ from liechart.group import (
     psi_pair,
     sample_points,
 )
-from liechart.numdiff import DiffConfig, as_finite_array, invert, jacobian, rowwise
+from liechart.numdiff import DiffConfig, as_finite_array, broadcasting, invert, jacobian, rowwise
 
 # --- the per-point reference forms ------------------------------------------
 
@@ -316,14 +316,9 @@ def sequential_sample_points(chart, cfg, rng, count):
     return out
 
 
-def _broadcasting(fn):
-    fn.broadcasts = True
-    return fn
-
-
 def _nan_beyond(cut):
     """Translation that breaks down where the left argument's first coordinate exceeds cut."""
-    return _broadcasting(lambda a, b: np.where(a[..., :1] > cut, np.nan, a + b))
+    return broadcasting(lambda a, b: np.where(a[..., :1] > cut, np.nan, a + b))
 
 
 def _rejecting_charts():
@@ -331,7 +326,7 @@ def _rejecting_charts():
     narrow = dataclasses.replace(get_group("multiplicative"), chart_radius=0.15)
     # ... or a draw breaks down in compose, which rejects it with an error
     broken = GroupChart(n=2, compose=_nan_beyond(0.15), identity=np.zeros(2),
-                        inverse_hint=_broadcasting(lambda a: -a), name="nan-beyond")
+                        inverse_hint=broadcasting(lambda a: -a), name="nan-beyond")
     hintless = dataclasses.replace(broken, inverse_hint=None)
     # ... and the same law without the marker, lifted row by row; the
     # ax+b law cut the same way has structure residuals that do not vanish
@@ -339,7 +334,7 @@ def _rejecting_charts():
     return {"narrow": narrow, "broken": broken, "broken-newton": hintless,
             "broken-unbatched": dataclasses.replace(broken, compose=lambda a, b: np.where(
                 a[..., :1] > 0.15, np.nan, a + b)),
-            "broken-affine": dataclasses.replace(affine, compose=_broadcasting(
+            "broken-affine": dataclasses.replace(affine, compose=broadcasting(
                 lambda a, b: np.where(a[..., :1] > 1.15, np.nan, affine.compose(a, b))))}
 
 
@@ -369,8 +364,8 @@ def _after_draws(chart, draws, seed=0):
 def _nowhere_chart(marked=True):
     """A law that is NaN everywhere, so the sampler rejects every draw."""
     law = (lambda a, b: np.full(np.broadcast_shapes(np.shape(a), np.shape(b)), np.nan))
-    return GroupChart(n=2, compose=_broadcasting(law) if marked else law,
-                      identity=np.zeros(2), inverse_hint=_broadcasting(lambda a: -a),
+    return GroupChart(n=2, compose=broadcasting(law) if marked else law,
+                      identity=np.zeros(2), inverse_hint=broadcasting(lambda a: -a),
                       name="nowhere")
 
 
@@ -528,7 +523,7 @@ def _sinh_chart():
     # x = -a, whose residual |a - sinh(a)| beats |a| only for |a| below about
     # 2.2, so the far rows of a stack halve their first steps and the near
     # ones do not
-    return GroupChart(n=2, compose=_broadcasting(lambda a, b: a + np.sinh(b)),
+    return GroupChart(n=2, compose=broadcasting(lambda a, b: a + np.sinh(b)),
                       identity=np.zeros(2), chart_radius=10.0, name="sinh")
 
 
@@ -543,7 +538,7 @@ def _inverse_cases():
         "gl:2-newton": (dataclasses.replace(gl2, inverse_hint=None), pts["gl:2"]),
         # off by 1e-6: Newton polishes every row from the hint
         "gl:2-sloppy": (dataclasses.replace(
-            gl2, inverse_hint=_broadcasting(lambda a: gl2.inverse_hint(a) * (1.0 + 1e-6))),
+            gl2, inverse_hint=broadcasting(lambda a: gl2.inverse_hint(a) * (1.0 + 1e-6))),
             pts["gl:2"]),
         # shuffled, so that the first rows, which the (2, 3) stack takes, mix both kinds
         "sinh-damped": (sinh, np.random.default_rng(1).permutation(
@@ -578,7 +573,7 @@ def test_a_hint_that_misses_by_more_than_the_newton_tolerance_is_polished():
     cfg = DiffConfig()
     pts = sample_points(gl2, cfg, check_rng(cfg, "inverse_bits"), 20)
     nearly = dataclasses.replace(
-        gl2, inverse_hint=_broadcasting(lambda a: gl2.inverse_hint(a) * (1.0 + 1e-11)))
+        gl2, inverse_hint=broadcasting(lambda a: gl2.inverse_hint(a) * (1.0 + 1e-11)))
     missed = maxabs(gl2.compose(pts, nearly.inverse_hint(pts)) - gl2.identity)
     assert group._NEWTON_TOL < missed <= 1e-10
     assert maxabs(gl2.compose(pts, inverse(nearly, pts, cfg)) - gl2.identity) < group._NEWTON_TOL
@@ -597,13 +592,13 @@ def _breaking_charts():
     plain = dict(identity=np.zeros(1), chart_radius=10.0)
     nan_law = GroupChart(n=2, compose=_nan_beyond(0.15), identity=np.zeros(2), name="nan")
     # a + x^2: the central difference of x^2 at 0 is exactly 0
-    flat = GroupChart(n=1, compose=_broadcasting(lambda a, b: a + b * b), name="flat", **plain)
+    flat = GroupChart(n=1, compose=broadcasting(lambda a, b: a + b * b), name="flat", **plain)
     # 5 + x + x^2 never reaches 0 over the reals
-    no_root = GroupChart(n=1, compose=_broadcasting(lambda a, b: a + b + b * b),
+    no_root = GroupChart(n=1, compose=broadcasting(lambda a, b: a + b + b * b),
                          name="no-root", **plain)
     # NaN off b's first axis where a's first coordinate exceeds 0.15: the
     # residual from x = 0 is finite, the stencil around it is not
-    nan_stencil = GroupChart(n=2, compose=_broadcasting(lambda a, b: np.where(
+    nan_stencil = GroupChart(n=2, compose=broadcasting(lambda a, b: np.where(
         (a[..., :1] > 0.15) & (b[..., :1] != 0.0), np.nan, a + b)), identity=np.zeros(2),
         name="nan-stencil")
     return {
@@ -637,7 +632,7 @@ def _two_ways_chart(hint=None):
     # a singular Jacobian at once (the central difference of x^2 at 0 is 0),
     # while the row a = 5 (5 + x + x^2 has no real root) breaks down only
     # after several steps
-    law = _broadcasting(lambda a, b: a + b * b + np.where(a > 1.0, b, 0.0))
+    law = broadcasting(lambda a, b: a + b * b + np.where(a > 1.0, b, 0.0))
     return GroupChart(n=1, compose=law, identity=np.zeros(1), chart_radius=10.0,
                       inverse_hint=hint, name="two-ways")
 
@@ -645,7 +640,7 @@ def _two_ways_chart(hint=None):
 def _ordered_breakdowns():
     """(chart, stack, the row whose error the stack raises)."""
     # the hint misses a = 5 and is NaN at a = -0.1; the lowest row comes first
-    nan_hint = _broadcasting(lambda a: np.where(a < 0.0, np.nan, 0.0))
+    nan_hint = broadcasting(lambda a: np.where(a < 0.0, np.nan, 0.0))
     return {
         "newton-late-first": (_two_ways_chart(), np.array([[5.0], [-0.1]]), 0),
         "newton-early-first": (_two_ways_chart(), np.array([[-0.1], [5.0]]), 0),
@@ -672,7 +667,7 @@ def test_a_stack_raises_the_error_of_solving_its_rows_in_order(case):
 def _no_root_chart():
     # a + x + 3 x^2 = 0 has no real root for a > 1/12: Newton breaks down on
     # those draws only after several steps
-    return GroupChart(n=1, compose=_broadcasting(lambda a, b: a + b + 3.0 * b * b),
+    return GroupChart(n=1, compose=broadcasting(lambda a, b: a + b + 3.0 * b * b),
                       identity=np.zeros(1), chart_radius=10.0, name="no-root")
 
 
