@@ -24,9 +24,16 @@ that change.
 
 Then one digest per check id, over the label and row of every report row
 with that id, so a change meant to move one check shows which ids moved.
-The MORE_REPS reports come last, with a report digest and per-id digests
+The MORE_REPS reports come next, with a report digest and per-id digests
 of their own, so the lines above them keep the values recorded before
 those representations were added.
+
+The last line covers the flows themselves, which the suites reach only
+through their reports: the bytes of every `flows.one_param_subgroups`
+result (each path array, or the type and message of the error that
+stopped it), both flavors in one stack, on every catalog group and the
+ax+b law, step-doubled to t_end 1.0 and in 7 fixed steps to t_end 0.7,
+in the direction the flows suite draws at each seed.
 """
 
 import dataclasses
@@ -37,7 +44,8 @@ from typing import Iterator
 import numpy as np
 
 from liechart.catalog import GROUP_NAMES, get_group
-from liechart.group import GroupChart, check_chart_axioms, verify_shift_identities
+from liechart.flows import one_param_subgroups
+from liechart.group import GroupChart, check_chart_axioms, check_rng, verify_shift_identities
 from liechart.numdiff import DiffConfig
 from liechart.pde import (
     bundled_families,
@@ -69,9 +77,12 @@ MORE_REPS = (
 def _charts() -> tuple[GroupChart, ...]:
     hint_free = tuple(dataclasses.replace(get_group(g), inverse_hint=None, name=f"{g}-newton")
                       for g in ("affine", "gl:2"))
-    ax_b = GroupChart(n=2, compose=lambda a, b: np.array([a[0] * b[0], a[0] * b[1] + a[1]]),
+    return (*hint_free, _ax_b())
+
+
+def _ax_b() -> GroupChart:
+    return GroupChart(n=2, compose=lambda a, b: np.array([a[0] * b[0], a[0] * b[1] + a[1]]),
                       identity=np.array([1.0, 0.0]), name="ax+b")
-    return (*hint_free, ax_b)
 
 
 def reports() -> Iterator[tuple[str, str]]:
@@ -113,6 +124,21 @@ def pde_results() -> Iterator[tuple[str, str]]:
         yield f"{seed} solve_along_path", repr(end.tolist())
 
 
+def flow_results() -> Iterator[tuple[str, str]]:
+    """(label, bytes of a flow or its error) pairs, in digest order."""
+    flavors = ("right", "left")
+    for seed in SEEDS:
+        cfg = DiffConfig(rng_seed=seed)
+        for chart in (*map(get_group, GROUP_NAMES), _ax_b()):
+            alpha = check_rng(cfg, "flow_direction").uniform(-0.2, 0.2, chart.n)
+            for t_end, steps in ((1.0, None), (0.7, 7)):
+                stack = one_param_subgroups(chart, alpha, t_end, flavors, steps, cfg)
+                for flavor, path in zip(flavors, stack):
+                    text = (f"{type(path).__name__}: {path}" if isinstance(path, Exception)
+                            else f"{path.shape} {path.tobytes().hex()}")
+                    yield f"{seed} {chart.name} {flavor} t_end={t_end} steps={steps}", text
+
+
 def _digest(pairs: Iterator[tuple[str, str]]) -> tuple[str, int]:
     digest = hashlib.sha256()
     count = 0
@@ -139,6 +165,7 @@ def main() -> None:
     more = [pair for seed in SEEDS for pair in rep_reports(DiffConfig(rng_seed=seed), MORE_REPS)]
     print("%s  %d MORE_REPS reports" % _digest(iter(more)))
     _print_per_id(more)
+    print("%s  %d flow results" % _digest(flow_results()))
 
 
 if __name__ == "__main__":

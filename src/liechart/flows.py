@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import BREAKDOWN, LeftChart, LieChartError, NonFiniteEvaluation, ZeroPsi
-from .group import GroupChart, maxabs, maxabs_rows, psi_flavored
-from .numdiff import DiffConfig, as_finite_array, nonfinite_rows, unchecked_jacobian
+from .group import GroupChart, maxabs, psi_flavored
+from .numdiff import DiffConfig, as_finite_array, central_differences, nonfinite_rows, stencil
 
 _FIRST_STEPS_PER_UNIT = 8
 _MAX_STEPS_PER_UNIT = 1000
@@ -38,43 +39,58 @@ def rk4_path(rhs: Rhs, y0: np.ndarray, t_end: float, steps: Sequence[int],
     finds it broken down, so each row keeps the bits and the error of its
     own one-row integration.  A breakdown that a call raises for the
     whole stack runs that round again one row at a time, to learn whose
-    it is.
+    it is.  Every row's stage times and step weights are computed once
+    per call, and taken again only in a round after which a row left.
     """
     steps = np.asarray(steps, dtype=int)
     h = t_end / steps
-    last = int(steps.max())
+    last = int(steps.max(initial=0))
     states = np.empty((last + 1,) + y0.shape)
     states[0] = y0
+    # per step i and row: the stage times s = i h, s + h/2, s + h and the
+    # new states' time (i + 1) h; per row: the weights h/2, h and h/6
+    step = np.arange(last)[:, None]
+    s = step * h
+    times = np.stack([s, s + 0.5 * h, s + h, (step + 1) * h], axis=1)
+    weights = np.stack([0.5 * h, h, h / 6.0])[:, :, None]
+    stops = set(steps.tolist())
     broken: Breakdowns = {}
-    going = np.ones(len(steps), dtype=bool)
+    live = np.flatnonzero(steps > 0)
+    y, t, w = states[0, live], times[:, :, live], weights[:, live]
     for i in range(last):
-        live = np.flatnonzero(going & (steps > i))
         if not live.size:
             break
         try:
-            states[i + 1, live], failed = _rk4_step(rhs, check, states[i, live], i, h[live], live)
+            y, failed = _rk4_step(rhs, check, y, t[i], w, live)
         except BREAKDOWN:
-            failed = {}
+            new, failed = np.empty_like(y), {}
             for p in range(live.size):
-                one = live[p:p + 1]
+                one = slice(p, p + 1)
                 try:
-                    states[i + 1, one], alone = _rk4_step(rhs, check, states[i, one], i, h[one], one)
+                    new[one], alone = _rk4_step(rhs, check, y[one], t[i][:, one], w[:, one],
+                                                live[one])
                 except BREAKDOWN as exc:
                     alone = {0: exc}
                 if alone:
                     failed[p] = alone[0]
-        for p, error in failed.items():
-            broken[int(live[p])] = error
-            going[live[p]] = False
+            y = new
+        states[i + 1, live] = y
+        if failed or i + 1 in stops:
+            for p, error in failed.items():
+                broken[int(live[p])] = error
+            going = steps[live] > i + 1
+            going[list(failed)] = False
+            live, y, t, w = live[going], y[going], t[:, :, going], w[:, going]
     return [broken[r] if r in broken else states[:m + 1, r].copy()
             for r, m in enumerate(steps.tolist())]
 
 
-def _rk4_step(rhs: Rhs, check: Check, y: np.ndarray, i: int, h: np.ndarray,
+def _rk4_step(rhs: Rhs, check: Check, y: np.ndarray, times: np.ndarray, weights: np.ndarray,
               rows: np.ndarray) -> tuple[np.ndarray, Breakdowns]:
-    """Step i of every row of the (j, n) stack y, from s = i h to (i + 1) h:
-    the new states and the rows that broke down, each dropped from the
-    stages after its breakdown."""
+    """One step of every row of the (j, n) stack y, with per row the
+    stage times s, s + h/2, s + h and the new states' time (4, j) and the
+    weights h/2, h and h/6 (3, j, 1): the new states and the rows that
+    broke down, each dropped from the stages after its breakdown."""
     failed: Breakdowns = {}
     live = np.arange(len(y))            # positions not yet broken down
 
@@ -86,7 +102,7 @@ def _rk4_step(rhs: Rhs, check: Check, y: np.ndarray, i: int, h: np.ndarray,
         return bad
 
     def stage(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-        if live.size == len(x):
+        if not failed:
             k, errors = rhs(x, s, rows)
         else:
             k = np.zeros_like(x)
@@ -97,15 +113,16 @@ def _rk4_step(rhs: Rhs, check: Check, y: np.ndarray, i: int, h: np.ndarray,
             k[drop(errors)] = 0.0
         return k
 
-    s = i * h
-    mid = s + 0.5 * h
-    hc = h[:, None]
-    k1 = stage(y, s)
-    k2 = stage(y + 0.5 * hc * k1, mid)
-    k3 = stage(y + 0.5 * hc * k2, mid)
-    k4 = stage(y + hc * k3, s + h)
-    y = y + (hc / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    errors = check(y[live], ((i + 1) * h)[live], rows[live]) if live.size else {}
+    half, full, sixth = weights
+    k1 = stage(y, times[0])
+    k2 = stage(y + half * k1, times[1])
+    k3 = stage(y + half * k2, times[1])
+    k4 = stage(y + full * k3, times[2])
+    y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not failed:
+        errors = check(y, times[3], rows)
+    else:
+        errors = check(y[live], times[3][live], rows[live]) if live.size else {}
     if errors:
         drop(errors)
     return y, failed
@@ -132,8 +149,8 @@ def step_doubled(rhs: Rhs, y0: np.ndarray, t_end: float, first: int, cap: int,
             for m in ((first, min(2 * first, cap)) if first < cap else (first,))]
     while todo:
         of = np.array([r for r, _ in todo])
-        paths = rk4_path(lambda y, s, rows: rhs(y, s, of[rows]), y0[of], t_end,
-                         [m for _, m in todo], lambda y, s, rows: check(y, s, of[rows]))
+        paths = rk4_path(_renumbered(rhs, of), y0[of], t_end, [m for _, m in todo],
+                         _renumbered(check, of))
         for (r, m), path in zip(todo, paths):
             if r in done:
                 continue
@@ -151,17 +168,19 @@ def step_doubled(rhs: Rhs, y0: np.ndarray, t_end: float, first: int, cap: int,
     return [done[r] for r in range(len(y0))]
 
 
-def _basic_operators(chart: GroupChart, c: np.ndarray, left: np.ndarray,
-                     cfg: DiffConfig) -> np.ndarray:
-    """Basic operators (j, n, n) at the states c (j, n), row r of the left
-    flavor where left[r]: `psi_flavored` of each row, from one stencil of
-    compose(y, c) or compose(c, y) around the identity, unchecked."""
-    e = np.empty_like(c)
-    e[...] = chart.identity
-    left = left[:, None, None]
-    c = c[:, None, :]
-    return unchecked_jacobian(lambda y: chart.compose(np.where(left, y, c), np.where(left, c, y)),
-                              e, cfg)
+def _renumbered(fn: Callable[..., object], of: np.ndarray) -> Callable[..., object]:
+    """fn, an rhs or a check of rk4_path, with the rows it is given
+    renumbered by `of`.  rk4_path gives every call one array of live rows
+    until a row leaves, so each such array is renumbered once."""
+    given = renumbered = None
+
+    def call(y: np.ndarray, s: np.ndarray, rows: np.ndarray):
+        nonlocal given, renumbered
+        if rows is not given:
+            given, renumbered = rows, of[rows]
+        return fn(y, s, renumbered)
+
+    return call
 
 
 def one_param_subgroups(chart: GroupChart, alpha, t_end: float, flavors: Sequence[str],
@@ -175,28 +194,43 @@ def one_param_subgroups(chart: GroupChart, alpha, t_end: float, flavors: Sequenc
     RK4 on a uniform grid of `steps` steps, or without `steps` step-doubled
     from ceil(8 |t_end|) to ceil(1000 |t_end|) steps, where only the capped
     pass may end a flow in a breakdown.  A flow that leaves the chart
-    trust region ends in LeftChart.
+    trust region ends in LeftChart.  Every stage differentiates at the
+    identity, so the stencil around it is built once per run; a stage is
+    one law call on it for every row, left and right flavors alike, and
+    the central differences of the values.  A t_end that is not finite,
+    or `steps` that is not an integer, raises ValueError.
     """
     cfg = cfg or DiffConfig()
     for flavor in flavors:
         if flavor not in ("left", "right"):
             raise ValueError(f"unknown flavor {flavor!r}")
-    if steps is not None and steps < 1:
-        raise ValueError("steps must be at least 1")
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end!r}")
+    if steps is not None:
+        if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
+            raise ValueError(f"steps must be an integer, got {steps!r}")
+        if steps < 1:
+            raise ValueError("steps must be at least 1")
     alpha = as_finite_array(alpha, "flow direction")
     if alpha.shape != (chart.n,):
         raise ValueError("alpha must be an n-vector")
     left = np.array([flavor == "left" for flavor in flavors])
     e = chart.identity
+    probes, width = stencil(e, cfg)
 
     def rhs(c: np.ndarray, _s: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, Breakdowns]:
-        psi = _basic_operators(chart, c, left[rows], cfg)
+        # psi_flavored of each row, both flavors in one law call, unchecked
+        at_left = left[rows][:, None, None]
+        c = c[:, None, :]
+        vals = chart.compose(np.where(at_left, probes, c), np.where(at_left, c, probes))
+        psi = central_differences(vals, width, (len(c),) + probes.shape[:-1])
         return psi @ alpha, nonfinite_rows(psi, "jacobian probe")
 
     def in_chart(c: np.ndarray, s: np.ndarray, _rows: np.ndarray) -> Breakdowns:
-        failed: Breakdowns = {
-            p: LeftChart(f"flow left the trust region at t = {s[p]:.6g}")
-            for p in np.flatnonzero(maxabs_rows(c - e, c) > chart.chart_radius).tolist()}
+        # maxabs_rows of c - e, row by row; a NaN row is not far, but not finite
+        far = np.abs(c - e).max(axis=1) > chart.chart_radius
+        failed: Breakdowns = {p: LeftChart(f"flow left the trust region at t = {s[p]:.6g}")
+                              for p in far.nonzero()[0].tolist()}
         failed.update(nonfinite_rows(c, "flow state"))
         return failed
 

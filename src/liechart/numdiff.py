@@ -128,17 +128,34 @@ def jacobian(f: VectorMap, at: Sequence[float], cfg: DiffConfig | None = None) -
 def unchecked_jacobian(f: VectorMap, at: np.ndarray, cfg: DiffConfig | None = None) -> np.ndarray:
     """`jacobian` without its checks: a NaN or Inf at a point or any of
     its probes leaves a NaN or Inf in that point's J and nowhere else, so
-    the points of a stack that broke down can be set aside."""
-    cfg = cfg or DiffConfig()
+    the points of a stack that broke down can be set aside.  It is the
+    composition of its two halves, `stencil` and `central_differences`."""
     x = np.asarray(at, dtype=float)
-    h = _steps(x, cfg.base_step)
-    n = x.shape[-1]
+    points, width = stencil(x, cfg or DiffConfig())
+    vals = f(points)
     # the stencil is not kept past its evaluation, so a large stack (a
     # sampler round) does not hold it beside the values and differences
-    vals = _stencil_values(f(_shifted(x, h)), x.shape[:-1] + (2 * n,))
+    del points
+    return central_differences(vals, width, x.shape[:-1] + (2 * x.shape[-1],))
+
+
+def stencil(at: np.ndarray, cfg: DiffConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The first half of `unchecked_jacobian`: the (..., 2n, n) stencil
+    points around the points `at` (..., n), row j at +h_j e_j and row
+    n + j at -h_j e_j, and the (..., n) widths 2h of their differences."""
+    h = _steps(at, cfg.base_step)
+    return _shifted(at, h), 2.0 * h
+
+
+def central_differences(vals, width: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
+    """The second half of `unchecked_jacobian`: J (..., q, n) from a map's
+    values (..., 2n, q) at stencil points with leading axes `lead`
+    (..., 2n), whose widths `width` (..., n) broadcast against lead[:-1]."""
+    vals = _stencil_values(vals, lead)
+    n = width.shape[-1]
     cols = vals[..., :n, :] - vals[..., n:, :]
-    cols /= 2.0 * h[..., :, None]
-    return np.swapaxes(cols, -1, -2).copy()
+    cols /= width[..., :, None]
+    return cols.swapaxes(-1, -2).copy()
 
 
 def _shifted(x: np.ndarray, h: np.ndarray) -> np.ndarray:

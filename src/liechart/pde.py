@@ -36,8 +36,8 @@ class PDESystem:
     The boxes bound where integrability sample points are drawn: rows of
     (low, high), m = len(theta_box) for theta and n = len(x_box) for x.
     psi maps (theta (..., m), x (..., n)), stacks that broadcast together,
-    to (..., m, n).  Unless marked `broadcasts = True`, psi is lifted by
-    `numdiff.rowwise`, as GroupChart lifts its law.
+    to (..., m, n).  Unless marked by `numdiff.broadcasting`, psi is
+    lifted by `numdiff.rowwise`, as GroupChart lifts its law.
     """
 
     psi: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -156,8 +156,8 @@ def solve_along_path(sys: PDESystem, consts, waypoints, cfg: DiffConfig | None =
 @dataclass(eq=False)
 class FunctionFamily:
     """Family of maps f(x, a) -> (n_out,): variables x (len(x_box),),
-    parameters a (a0.size,).  Unless marked `broadcasts = True`, f is lifted
-    by `numdiff.rowwise`: value maps broadcasting stacks to (..., n_out)."""
+    parameters a (a0.size,).  Unless marked by `numdiff.broadcasting`, f is
+    lifted by `numdiff.rowwise`: value maps broadcasting stacks to (..., n_out)."""
 
     n_out: int
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]

@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import check_points
-from liechart import catalog, flows
+from liechart import catalog, flows, numdiff
 from liechart.catalog import GROUP_NAMES, get_group
 from liechart.errors import LeftChart, NonFiniteEvaluation, SingularMatrix, ZeroPsi
 from liechart.flows import (
@@ -108,6 +108,33 @@ def test_multiplicative_flow_hits_exp():
 def test_flow_rejects_a_step_count_below_one(steps):
     with pytest.raises(ValueError, match="steps must be at least 1"):
         one_param_subgroup(get_group("translation:2"), np.array([0.1, 0.2]), 1.0, steps=steps)
+
+
+@pytest.mark.parametrize("t_end", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("steps", [None, 4])
+def test_flow_rejects_a_t_end_that_is_not_finite(t_end, steps, law_counter):
+    chart = law_counter.chart(get_group("translation:2"))
+    with pytest.raises(ValueError, match="^t_end must be finite, got"):
+        one_param_subgroup(chart, np.array([0.1, 0.2]), t_end, steps=steps)
+    assert law_counter.calls == 0
+
+
+@pytest.mark.parametrize("steps", [2.5, 2.0, True, "4"])
+def test_flow_rejects_a_step_count_that_is_not_an_integer(steps, law_counter):
+    chart = law_counter.chart(get_group("translation:2"))
+    with pytest.raises(ValueError, match="^steps must be an integer, got"):
+        one_param_subgroup(chart, np.array([0.1, 0.2]), 1.0, steps=steps)
+    assert law_counter.calls == 0
+    # a numpy integer is an integer
+    assert np.array_equal(one_param_subgroup(chart, np.array([0.1, 0.2]), 1.0, steps=np.int64(3)),
+                          one_param_subgroup(chart, np.array([0.1, 0.2]), 1.0, steps=3))
+
+
+@pytest.mark.parametrize("steps", [None, 4])
+def test_no_flavors_give_no_flows(steps, law_counter):
+    chart = law_counter.chart(get_group("gl:2"))
+    assert flows.one_param_subgroups(chart, np.zeros(4), 1.0, (), steps=steps) == []
+    assert law_counter.calls == 0
 
 
 def test_flow_escaping_chart_raises():
@@ -636,3 +663,77 @@ def test_a_state_that_overflows_breaks_its_row_as_a_flow_state():
         first, second = flows.one_param_subgroups(chart, np.ones(1), 1.0, ("right", "right"),
                                                  steps=8, cfg=CFG)
     assert str(first) == str(second) == "flow state produced a non-finite value"
+
+
+# --- one stencil around the identity per run --------------------------------
+#
+# A test-local copy of the basic operators each RK4 stage used to take: a
+# fresh stencil around e for the whole stack, at every stage.
+
+def _basic_operators(chart, c, left, cfg):
+    e = np.empty_like(c)
+    e[...] = chart.identity
+    left = left[:, None, None]
+    c = c[:, None, :]
+    return unchecked_jacobian(lambda y: chart.compose(np.where(left, y, c), np.where(left, c, y)),
+                              e, cfg)
+
+
+_MIXED = ("right", "left", "left", "right", "left")
+
+
+def _stage_rhs(chart, alpha, flavors, monkeypatch):
+    """The rhs that one_param_subgroups hands rk4_path, here never run by it."""
+    given = []
+    monkeypatch.setattr(flows, "rk4_path", lambda rhs, *args: given.append(rhs) or [])
+    flows.one_param_subgroups(chart, alpha, 1.0, flavors, steps=1, cfg=CFG)
+    return given[0]
+
+
+def _point_law_chart():
+    # ax+b written for single points, lifted by numdiff.rowwise
+    return GroupChart(n=2, compose=lambda a, b: np.array([a[0] * b[0], a[0] * b[1] + a[1]]),
+                      identity=np.array([1.0, 0.0]), name="ax+b")
+
+
+@pytest.mark.parametrize("name", [*GROUP_NAMES, "ax+b"])
+def test_a_stage_is_psi_flavored_times_alpha_bit_for_bit(name, monkeypatch):
+    chart = _point_law_chart() if name == "ax+b" else get_group(name)
+    alpha = _flow_direction(chart, 42)
+    rhs = _stage_rhs(chart, alpha, _MIXED, monkeypatch)
+    # the rows of a stack name the flavors they take, in any order
+    for rows in (np.arange(len(_MIXED)), np.array([4, 0, 3, 1])):
+        c = sample_points(chart, CFG, check_rng(CFG, "stage"), len(rows))
+        left = np.array([_MIXED[r] == "left" for r in rows])
+        k, broken = rhs(c, np.zeros(len(rows)), rows)
+        assert broken == {}
+        assert np.array_equal(k, _basic_operators(chart, c, left, CFG) @ alpha)
+        for p, r in enumerate(rows.tolist()):
+            assert np.array_equal(k[p], psi_flavored(chart, c[p], _MIXED[r], CFG) @ alpha)
+
+
+def test_a_stage_reports_a_nan_stencil_value_as_a_jacobian_probe_breakdown(monkeypatch):
+    # the law is NaN where its left factor is a state past 0.05 and its
+    # right one a probe near e: only the right flavor of the far state breaks
+    chart = _one_sided_chart("left", False)
+    alpha = _flow_direction(chart, 42)
+    rhs = _stage_rhs(chart, alpha, ("right", "left"), monkeypatch)
+    c = np.array([[0.1, 0.0], [0.1, 0.0], [0.01, 0.0]])
+    k, broken = rhs(c, np.zeros(3), np.array([0, 1, 0]))
+    assert list(broken) == [0]
+    assert isinstance(broken[0], NonFiniteEvaluation)
+    assert str(broken[0]) == "jacobian probe produced a non-finite value"
+    assert np.array_equal(k[1:], [psi_flavored(chart, c[1], "left", CFG) @ alpha,
+                                  psi_flavored(chart, c[2], "right", CFG) @ alpha])
+
+
+@pytest.mark.parametrize("steps, rounds", [(1, 1), (5, 5), (40, 40), (None, 16)])
+def test_one_run_builds_its_stencil_once_whatever_its_rounds(steps, rounds, monkeypatch,
+                                                             law_counter):
+    built, real = [], numdiff._shifted
+    monkeypatch.setattr(numdiff, "_shifted", lambda x, h: built.append(x.copy()) or real(x, h))
+    chart = law_counter.chart(get_group("gl:2"))
+    flows.one_param_subgroups(chart, _flow_direction(chart, 42), 1.0, ("right", "left"),
+                              steps=steps, cfg=CFG)
+    assert law_counter.calls == 4 * rounds
+    assert len(built) == 1 and np.array_equal(built[0], chart.identity)
