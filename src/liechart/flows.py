@@ -9,7 +9,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BREAKDOWN, LeftChart, LieChartError, NonFiniteEvaluation, ZeroPsi
-from .group import GroupChart, maxabs, psi_flavored
+from .group import GroupChart, maxabs, maxabs_rows, psi_flavored
 from .numdiff import DiffConfig, as_finite_array, central_differences, nonfinite_rows, stencil
 
 _FIRST_STEPS_PER_UNIT = 8
@@ -39,58 +39,43 @@ def rk4_path(rhs: Rhs, y0: np.ndarray, t_end: float, steps: Sequence[int],
     finds it broken down, so each row keeps the bits and the error of its
     own one-row integration.  A breakdown that a call raises for the
     whole stack runs that round again one row at a time, to learn whose
-    it is.  Every row's stage times and step weights are computed once
-    per call, and taken again only in a round after which a row left.
+    it is.
     """
     steps = np.asarray(steps, dtype=int)
     h = t_end / steps
     last = int(steps.max(initial=0))
     states = np.empty((last + 1,) + y0.shape)
     states[0] = y0
-    # per step i and row: the stage times s = i h, s + h/2, s + h and the
-    # new states' time (i + 1) h; per row: the weights h/2, h and h/6
-    step = np.arange(last)[:, None]
-    s = step * h
-    times = np.stack([s, s + 0.5 * h, s + h, (step + 1) * h], axis=1)
-    weights = np.stack([0.5 * h, h, h / 6.0])[:, :, None]
-    stops = set(steps.tolist())
     broken: Breakdowns = {}
-    live = np.flatnonzero(steps > 0)
-    y, t, w = states[0, live], times[:, :, live], weights[:, live]
+    going = np.ones(len(steps), dtype=bool)
     for i in range(last):
+        live = np.flatnonzero(going & (steps > i))
         if not live.size:
             break
         try:
-            y, failed = _rk4_step(rhs, check, y, t[i], w, live)
+            states[i + 1, live], failed = _rk4_step(rhs, check, states[i, live], i, h[live], live)
         except BREAKDOWN:
-            new, failed = np.empty_like(y), {}
+            failed = {}
             for p in range(live.size):
-                one = slice(p, p + 1)
+                one = live[p:p + 1]
                 try:
-                    new[one], alone = _rk4_step(rhs, check, y[one], t[i][:, one], w[:, one],
-                                                live[one])
+                    states[i + 1, one], alone = _rk4_step(rhs, check, states[i, one], i, h[one], one)
                 except BREAKDOWN as exc:
                     alone = {0: exc}
                 if alone:
                     failed[p] = alone[0]
-            y = new
-        states[i + 1, live] = y
-        if failed or i + 1 in stops:
-            for p, error in failed.items():
-                broken[int(live[p])] = error
-            going = steps[live] > i + 1
-            going[list(failed)] = False
-            live, y, t, w = live[going], y[going], t[:, :, going], w[:, going]
+        for p, error in failed.items():
+            broken[int(live[p])] = error
+            going[live[p]] = False
     return [broken[r] if r in broken else states[:m + 1, r].copy()
             for r, m in enumerate(steps.tolist())]
 
 
-def _rk4_step(rhs: Rhs, check: Check, y: np.ndarray, times: np.ndarray, weights: np.ndarray,
+def _rk4_step(rhs: Rhs, check: Check, y: np.ndarray, i: int, h: np.ndarray,
               rows: np.ndarray) -> tuple[np.ndarray, Breakdowns]:
-    """One step of every row of the (j, n) stack y, with per row the
-    stage times s, s + h/2, s + h and the new states' time (4, j) and the
-    weights h/2, h and h/6 (3, j, 1): the new states and the rows that
-    broke down, each dropped from the stages after its breakdown."""
+    """Step i of every row of the (j, n) stack y, from s = i h to (i + 1) h:
+    the new states and the rows that broke down, each dropped from the
+    stages after its breakdown."""
     failed: Breakdowns = {}
     live = np.arange(len(y))            # positions not yet broken down
 
@@ -102,7 +87,7 @@ def _rk4_step(rhs: Rhs, check: Check, y: np.ndarray, times: np.ndarray, weights:
         return bad
 
     def stage(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-        if not failed:
+        if live.size == len(x):
             k, errors = rhs(x, s, rows)
         else:
             k = np.zeros_like(x)
@@ -113,16 +98,15 @@ def _rk4_step(rhs: Rhs, check: Check, y: np.ndarray, times: np.ndarray, weights:
             k[drop(errors)] = 0.0
         return k
 
-    half, full, sixth = weights
-    k1 = stage(y, times[0])
-    k2 = stage(y + half * k1, times[1])
-    k3 = stage(y + half * k2, times[1])
-    k4 = stage(y + full * k3, times[2])
-    y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not failed:
-        errors = check(y, times[3], rows)
-    else:
-        errors = check(y[live], times[3][live], rows[live]) if live.size else {}
+    s = i * h
+    mid = s + 0.5 * h
+    hc = h[:, None]
+    k1 = stage(y, s)
+    k2 = stage(y + 0.5 * hc * k1, mid)
+    k3 = stage(y + 0.5 * hc * k2, mid)
+    k4 = stage(y + hc * k3, s + h)
+    y = y + (hc / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    errors = check(y[live], ((i + 1) * h)[live], rows[live]) if live.size else {}
     if errors:
         drop(errors)
     return y, failed
@@ -149,8 +133,8 @@ def step_doubled(rhs: Rhs, y0: np.ndarray, t_end: float, first: int, cap: int,
             for m in ((first, min(2 * first, cap)) if first < cap else (first,))]
     while todo:
         of = np.array([r for r, _ in todo])
-        paths = rk4_path(_renumbered(rhs, of), y0[of], t_end, [m for _, m in todo],
-                         _renumbered(check, of))
+        paths = rk4_path(lambda y, s, rows: rhs(y, s, of[rows]), y0[of], t_end,
+                         [m for _, m in todo], lambda y, s, rows: check(y, s, of[rows]))
         for (r, m), path in zip(todo, paths):
             if r in done:
                 continue
@@ -166,21 +150,6 @@ def step_doubled(rhs: Rhs, y0: np.ndarray, t_end: float, first: int, cap: int,
             coarse[r] = path
         todo = [(r, min(2 * m, cap)) for r, m in dict(todo).items() if r not in done]
     return [done[r] for r in range(len(y0))]
-
-
-def _renumbered(fn: Callable[..., object], of: np.ndarray) -> Callable[..., object]:
-    """fn, an rhs or a check of rk4_path, with the rows it is given
-    renumbered by `of`.  rk4_path gives every call one array of live rows
-    until a row leaves, so each such array is renumbered once."""
-    given = renumbered = None
-
-    def call(y: np.ndarray, s: np.ndarray, rows: np.ndarray):
-        nonlocal given, renumbered
-        if rows is not given:
-            given, renumbered = rows, of[rows]
-        return fn(y, s, renumbered)
-
-    return call
 
 
 def one_param_subgroups(chart: GroupChart, alpha, t_end: float, flavors: Sequence[str],
@@ -227,10 +196,9 @@ def one_param_subgroups(chart: GroupChart, alpha, t_end: float, flavors: Sequenc
         return psi @ alpha, nonfinite_rows(psi, "jacobian probe")
 
     def in_chart(c: np.ndarray, s: np.ndarray, _rows: np.ndarray) -> Breakdowns:
-        # maxabs_rows of c - e, row by row; a NaN row is not far, but not finite
-        far = np.abs(c - e).max(axis=1) > chart.chart_radius
-        failed: Breakdowns = {p: LeftChart(f"flow left the trust region at t = {s[p]:.6g}")
-                              for p in far.nonzero()[0].tolist()}
+        failed: Breakdowns = {
+            p: LeftChart(f"flow left the trust region at t = {s[p]:.6g}")
+            for p in np.flatnonzero(maxabs_rows(c - e, c) > chart.chart_radius).tolist()}
         failed.update(nonfinite_rows(c, "flow state"))
         return failed
 
