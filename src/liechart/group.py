@@ -25,8 +25,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import BREAKDOWN, LieChartError, NoConvergence, SingularMatrix
-from .numdiff import (DiffConfig, as_finite_array, invert, jacobian, nonfinite_rows, rowwise,
-                      unchecked_jacobian)
+from .numdiff import (DiffConfig, as_finite_array, broadcasting, invert, jacobian, nonfinite_rows,
+                      rowwise, unchecked_jacobian)
 from .report import CheckRecord, CheckReport
 
 ComposeLaw = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -64,14 +64,33 @@ class GroupChart:
     name: str = "custom"
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError("n must be at least 1")
         self.identity = as_finite_array(self.identity, "chart identity")
         if self.identity.shape != (self.n,):
             raise ValueError("identity must be an n-vector")
-        if self.chart_radius <= 0.0:
+        # a NaN radius fails this too: it would reject every sample point
+        if not self.chart_radius > 0.0:
             raise ValueError("chart_radius must be positive")
         self.compose = rowwise(self.compose, (self.n,))
         if self.inverse_hint is not None:
             self.inverse_hint = rowwise(self.inverse_hint, (self.n,))
+
+
+@dataclass(eq=False)
+class _Opposite(GroupChart):
+    """The opposite group of `base`; `inverse` solves on base, with its bits."""
+
+    base: GroupChart | None = None
+
+
+def _opposite(chart: GroupChart) -> GroupChart:
+    """The opposite group of chart, whose law takes (a, b) to compose(b, a),
+    with chart's identity and inverse map: its left shift equations are
+    chart's right ones.  The law looks chart.compose up at each call, so a
+    law wrapped later, as by a counter, sees every call."""
+    return _Opposite(chart.n, broadcasting(lambda a, b: chart.compose(b, a)), chart.identity,
+                     chart_radius=chart.chart_radius, name=chart.name, base=chart)
 
 
 def check_rng(cfg: DiffConfig, check_id: str) -> np.random.Generator:
@@ -103,8 +122,11 @@ def inverse(chart: GroupChart, a, cfg: DiffConfig | None = None) -> np.ndarray:
     Newton's first residual, one law call.  One `_newton` call takes all
     the rows, each solved as it would be alone, so a row keeps the bits of
     its own inverse.  A stack raises when one of its rows breaks down,
-    with the error of its lowest such row.
+    with the error of its lowest such row.  An opposite chart's inverse is
+    its base chart's.
     """
+    if isinstance(chart, _Opposite):
+        return inverse(chart.base, a, cfg)
     cfg = cfg or DiffConfig()
     a = as_finite_array(a, "inverse argument")
     x, broken = _inverse_rows(chart, a.reshape(-1, chart.n), cfg)
@@ -369,7 +391,8 @@ def psi_pair(chart: GroupChart, a, cfg: DiffConfig) -> tuple[np.ndarray, np.ndar
 # which draws cfg.sample_count points per stack.  The points are (count, n)
 # stacks and a residual returns its count values at once.  Shift residuals
 # are exact consequences of associativity and the inverse law, so every
-# one of them should vanish up to finite-difference error.
+# one of them should vanish up to finite-difference error.  A right shift
+# equation is its left twin on the opposite group (`_right_twin`).
 
 _AXIOM_CHECKS = (
     ("chart_identity_left", 1,
@@ -392,13 +415,6 @@ def _res_cocycle_left(chart, cfg, a, b, c):
     return maxabs_rows(lhs - _a_left(chart, a, bc, cfg), a)
 
 
-def _res_cocycle_right(chart, cfg, a, b, c):
-    ab = chart.compose(a, b)
-    bc = chart.compose(b, c)
-    lhs = _a_right(chart, a, bc, cfg) @ _a_right(chart, b, c, cfg)
-    return maxabs_rows(lhs - _a_right(chart, ab, c, cfg), a)
-
-
 def _res_cocycle_mixed(chart, cfg, a, b, c):
     ab = chart.compose(a, b)
     bc = chart.compose(b, c)
@@ -413,21 +429,9 @@ def _res_inverse_operator_left(chart, cfg, a, b):
     return maxabs_rows(lhs - np.eye(chart.n), a)
 
 
-def _res_inverse_operator_right(chart, cfg, b, c):
-    bc = chart.compose(b, c)
-    b_inv = inverse(chart, b, cfg)
-    lhs = _a_right(chart, b_inv, bc, cfg) @ _a_right(chart, b, c, cfg)
-    return maxabs_rows(lhs - np.eye(chart.n), b)
-
-
 def _res_lambda_left_closed_form(chart, cfg, a):
     lam = invert(psi_flavored(chart, a, "left", cfg))
     return maxabs_rows(lam - _a_left(chart, a, inverse(chart, a, cfg), cfg), a)
-
-
-def _res_lambda_right_closed_form(chart, cfg, a):
-    lam = invert(psi_flavored(chart, a, "right", cfg))
-    return maxabs_rows(lam - _a_right(chart, inverse(chart, a, cfg), a, cfg), a)
 
 
 def _res_factorization_left(chart, cfg, a, b):
@@ -435,13 +439,6 @@ def _res_factorization_left(chart, cfg, a, b):
     psi_l_ab = psi_flavored(chart, ab, "left", cfg)
     lam_l_a = invert(psi_flavored(chart, a, "left", cfg))
     return maxabs_rows(_a_left(chart, a, b, cfg) - psi_l_ab @ lam_l_a, a)
-
-
-def _res_factorization_right(chart, cfg, a, b):
-    ab = chart.compose(a, b)
-    psi_r_ab = psi_flavored(chart, ab, "right", cfg)
-    lam_r_b = invert(psi_flavored(chart, b, "right", cfg))
-    return maxabs_rows(_a_right(chart, a, b, cfg) - psi_r_ab @ lam_r_b, a)
 
 
 def _res_inverse_jacobian_left_route(chart, cfg, a):
@@ -452,14 +449,6 @@ def _res_inverse_jacobian_left_route(chart, cfg, a):
     return maxabs_rows(j_num + psi_l_inv @ lam_r_a, a)
 
 
-def _res_inverse_jacobian_right_route(chart, cfg, a):
-    a_inv = inverse(chart, a, cfg)
-    j_num = jacobian(lambda x: inverse(chart, x, cfg), a, cfg)
-    psi_r_inv = psi_flavored(chart, a_inv, "right", cfg)
-    lam_l_a = invert(psi_flavored(chart, a, "left", cfg))
-    return maxabs_rows(j_num + psi_r_inv @ lam_l_a, a)
-
-
 def _res_quotient_left(chart, cfg, a, b):
     j_num = jacobian(lambda x: chart.compose(inverse(chart, x, cfg), b[..., None, :]), a, cfg)
     w = chart.compose(inverse(chart, a, cfg), b)
@@ -468,12 +457,13 @@ def _res_quotient_left(chart, cfg, a, b):
     return maxabs_rows(j_num + psi_l_w @ lam_r_a, a)
 
 
-def _res_quotient_right(chart, cfg, a, b):
-    j_num = jacobian(lambda x: chart.compose(b[..., None, :], inverse(chart, x, cfg)), a, cfg)
-    w = chart.compose(b, inverse(chart, a, cfg))
-    psi_r_w = psi_flavored(chart, w, "right", cfg)
-    lam_l_a = invert(psi_flavored(chart, a, "left", cfg))
-    return maxabs_rows(j_num + psi_r_w @ lam_l_a, a)
+def _right_twin(left_twin, reverse: bool = True):
+    """The right residual that is left_twin's on the opposite group, handed
+    the points reversed, or in order for reverse False; it makes the law
+    calls, and gets the bits, of its written-out form."""
+    def residual(chart, cfg, *points):
+        return left_twin(_opposite(chart), cfg, *(points[::-1] if reverse else points))
+    return residual
 
 
 def _triple_in_middle(chart, a, c):
@@ -492,6 +482,9 @@ def _res_triple_product_left_route(chart, cfg, a, b, c):
     lam_r_b = invert(psi_flavored(chart, b, "right", cfg))
     return maxabs_rows(j_num - psi_l_abc @ lam_l_ab @ psi_r_ab @ lam_r_b, a)
 
+
+# The next two right residuals stay written out: on the opposite group their
+# numeric Jacobian would differentiate a(yc) instead of (ay)c, which moves digits.
 
 def _res_triple_product_right_route(chart, cfg, a, b, c):
     bc = chart.compose(b, c)
@@ -556,18 +549,18 @@ def _res_adjoint_flavor_symmetry(chart, cfg, a):
 
 _SHIFT_CHECKS = (
     ("cocycle_left", 3, _res_cocycle_left),
-    ("cocycle_right", 3, _res_cocycle_right),
+    ("cocycle_right", 3, _right_twin(_res_cocycle_left)),
     ("cocycle_mixed", 3, _res_cocycle_mixed),
     ("inverse_operator_left", 2, _res_inverse_operator_left),
-    ("inverse_operator_right", 2, _res_inverse_operator_right),
+    ("inverse_operator_right", 2, _right_twin(_res_inverse_operator_left)),
     ("lambda_left_closed_form", 1, _res_lambda_left_closed_form),
-    ("lambda_right_closed_form", 1, _res_lambda_right_closed_form),
+    ("lambda_right_closed_form", 1, _right_twin(_res_lambda_left_closed_form)),
     ("factorization_left", 2, _res_factorization_left),
-    ("factorization_right", 2, _res_factorization_right),
+    ("factorization_right", 2, _right_twin(_res_factorization_left)),
     ("inverse_jacobian_left_route", 1, _res_inverse_jacobian_left_route),
-    ("inverse_jacobian_right_route", 1, _res_inverse_jacobian_right_route),
+    ("inverse_jacobian_right_route", 1, _right_twin(_res_inverse_jacobian_left_route)),
     ("quotient_left", 2, _res_quotient_left),
-    ("quotient_right", 2, _res_quotient_right),
+    ("quotient_right", 2, _right_twin(_res_quotient_left, reverse=False)),
     ("triple_product_left_route", 3, _res_triple_product_left_route),
     ("triple_product_right_route", 3, _res_triple_product_right_route),
     ("conjugation_outer", 2, _res_conjugation_outer),

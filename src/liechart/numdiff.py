@@ -10,6 +10,7 @@ coordinate magnitude.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,6 +42,8 @@ class DiffConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.base_step < 1.0):
             raise ValueError("base_step must lie in (0, 1)")
+        if isinstance(self.sample_count, bool) or not isinstance(self.sample_count, Integral):
+            raise ValueError(f"sample_count must be an integer, got {self.sample_count!r}")
         if self.sample_count < 1:
             raise ValueError("sample_count must be at least 1")
 
@@ -266,10 +269,7 @@ def invert(m) -> np.ndarray:
         k = int(np.argmin(ok))
         raise SingularMatrix(f"{_which(k, a)}: max|inverse| {size[k]:.3e} times max|matrix| "
                              f"{scale[k]:.3e} reaches {1.0 / _RANK_TOL:.1e}")
-    # one matrix comes back in Fortran order, as LAPACK's getrs writes it:
-    # maurer_residual's einsum over two copies runs twice as fast on it,
-    # about 2 ms of a gl:3 structure pass
-    return np.asfortranarray(out[0]) if a.ndim == 2 else out.reshape(a.shape)
+    return out.reshape(a.shape)
 
 
 def _which(k: int, a: np.ndarray) -> str:

@@ -156,6 +156,19 @@ def test_basic_operators_gl2_diagonal_frozen():
     assert np.max(np.abs(left - np.diag([2.0, 1.0, 2.0, 1.0]))) < 1e-7
 
 
+@pytest.mark.parametrize("changes, message", [
+    ({"chart_radius": float("nan")}, "chart_radius must be positive"),
+    ({"chart_radius": 0.0}, "chart_radius must be positive"),
+    ({"chart_radius": -1.0}, "chart_radius must be positive"),
+    ({"n": 0, "identity": np.zeros(0)}, "n must be at least 1"),
+], ids=["nan-radius", "zero-radius", "negative-radius", "no-dimension"])
+def test_group_chart_rejects_a_bad_radius_or_dimension(changes, message):
+    # a NaN radius would reject every sample point and never stop a flow
+    fields = {"n": 2, "compose": broadcasting(lambda a, b: a + b), "identity": np.zeros(2)}
+    with pytest.raises(ValueError, match=message):
+        GroupChart(**{**fields, **changes})
+
+
 def test_psi_flavored_rejects_an_unknown_flavor():
     chart = get_group("gl:2")
     a = chart.identity + 0.05 * np.arange(4)

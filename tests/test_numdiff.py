@@ -90,6 +90,14 @@ def test_config_rejects_bad_values():
         DiffConfig(sample_count=0)
 
 
+@pytest.mark.parametrize("count", [2.5, 20.0, True, "20", None])
+def test_config_rejects_a_sample_count_that_is_not_an_integer(count):
+    # 2.5 used to die later in the sampler with numpy's TypeError, and True ran as 1
+    with pytest.raises(ValueError, match="sample_count must be an integer"):
+        DiffConfig(sample_count=count)
+    assert DiffConfig(sample_count=np.int64(3)).sample_count == 3
+
+
 def test_config_replace_returns_modified_copy():
     other = replace(CFG, sample_count=7)
     assert other.sample_count == 7

@@ -289,6 +289,67 @@ def test_stacked_residuals_match_reference_on_a_point_law():
         assert_stacked_matches_reference(chart, DiffConfig(sample_count=4))
 
 
+# --- the opposite group, which runs the right rows with a left twin -----------
+
+
+def _opposite_cases():
+    charts = [get_group(name) for name in GROUP_NAMES]
+    charts.append(dataclasses.replace(get_group("gl:2"), inverse_hint=None, name="gl:2-newton"))
+    for hint, label in ((_point_affine_inverse, "ax+b"), (None, "ax+b-newton")):
+        charts.append(GroupChart(n=2, compose=_point_affine_law, identity=np.array([1.0, 0.0]),
+                                 inverse_hint=hint, chart_radius=0.8, name=label))
+    return [pytest.param(chart, id=chart.name) for chart in charts]
+
+
+def _opposite_points(chart, count=4):
+    return sample_points(chart, DiffConfig(), check_rng(DiffConfig(), "opposite"), count)
+
+
+@pytest.mark.parametrize("chart", _opposite_cases())
+def test_opposite_swaps_the_basic_operators_bit_for_bit(chart):
+    op, cfg = group._opposite(chart), DiffConfig()
+    pts = _opposite_points(chart)
+    for flavor, twin in (("left", "right"), ("right", "left")):
+        assert np.array_equal(psi_flavored(op, pts, flavor, cfg),
+                              psi_flavored(chart, pts, twin, cfg))
+        assert np.array_equal(psi_flavored(op, pts[0], flavor, cfg),
+                              psi_flavored(chart, pts[0], twin, cfg))
+
+
+@pytest.mark.parametrize("chart", _opposite_cases())
+def test_opposite_inverse_has_the_bits_and_evaluations_of_the_charts(chart, law_counter):
+    cfg = DiffConfig()
+    pts = _opposite_points(chart)
+    counted = law_counter.chart(chart)
+    want = inverse(counted, pts, cfg)
+    spent = (law_counter.evals, law_counter.calls)
+    law_counter.evals = law_counter.calls = 0
+    got = inverse(group._opposite(counted), pts, cfg)
+    assert np.array_equal(got, want)
+    assert (law_counter.evals, law_counter.calls) == spent
+    assert spent[0] > 0
+
+
+@pytest.mark.parametrize("chart", _opposite_cases())
+def test_opposite_of_the_opposite_composes_like_the_chart(chart):
+    a, b = np.split(_opposite_points(chart, 8), 2)
+    op = group._opposite(chart)
+    assert np.array_equal(op.compose(a, b), chart.compose(b, a))
+    twice = group._opposite(op)
+    assert np.array_equal(twice.compose(a, b), chart.compose(a, b))
+    assert np.array_equal(inverse(twice, a), inverse(chart, a))
+
+
+def test_opposite_law_looks_the_chart_law_up_at_each_call(law_counter):
+    # a law wrapped after the opposite is built, as a tracer wraps it, sees its calls
+    chart = dataclasses.replace(get_group("affine"))
+    a, b = np.split(_opposite_points(chart, 6), 2)
+    op = group._opposite(chart)
+    chart.compose = law_counter.wrap(chart.compose)
+    op.compose(a, b)
+    assert (law_counter.evals, law_counter.calls) == (3, 1)
+
+
 # --- sample_points against a one-at-a-time sampler --------------------------
 
 

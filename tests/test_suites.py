@@ -1,3 +1,4 @@
+import dataclasses
 from functools import cache
 from pathlib import Path
 
@@ -254,6 +255,17 @@ def test_tol_scale_applies_to_records():
 def test_all_suite_matches_golden_report(group, rep, name):
     report = run_suite(group, "all", CFG, rep_name=rep)
     assert report.to_json() == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("check, name", [
+    (check_chart_axioms, "chart_axioms_gl2_newton.json"),
+    (verify_shift_identities, "shift_identities_gl2_newton.json"),
+])
+def test_hint_free_reports_match_golden(check, name):
+    # a user's copy of the gl:2 law without an inverse hint, so every
+    # inverse is a damped Newton solve
+    chart = dataclasses.replace(catalog.get_group("gl:2"), inverse_hint=None, name="gl:2-newton")
+    assert check(chart, DiffConfig(rng_seed=42)).to_json() == (GOLDEN / name).read_text()
 
 
 @pytest.mark.parametrize("group", ["affine", "gl:2"])
