@@ -28,12 +28,17 @@ The MORE_REPS reports come next, with a report digest and per-id digests
 of their own, so the lines above them keep the values recorded before
 those representations were added.
 
-The last line covers the flows themselves, which the suites reach only
+The flow line covers the flows themselves, which the suites reach only
 through their reports: the bytes of every `flows.one_param_subgroups`
 result (each path array, or the type and message of the error that
 stopped it), both flavors in one stack, on every catalog group and the
 ax+b law, step-doubled to t_end 1.0 and in 7 fixed steps to t_end 0.7,
 in the direction the flows suite draws at each seed.
+
+The per-id digests above hash each row without its tolerance, which a
+report keeps in its "tol" table, so a moved tolerance shows there only in
+the report digests.  The last lines are one digest per check id over the
+label and tolerance of every report, MORE_REPS included, that has it.
 """
 
 import dataclasses
@@ -157,6 +162,15 @@ def _print_per_id(pairs: list[tuple[str, str]]) -> None:
         print("%s  %d rows" % _digest(iter(rows[check_id])), check_id)
 
 
+def _print_tolerances(pairs: list[tuple[str, str]]) -> None:
+    tols: dict[str, list[tuple[str, str]]] = {}
+    for label, text in pairs:
+        for check_id, tol in json.loads(text)["tol"].items():
+            tols.setdefault(check_id, []).append((label, json.dumps(tol)))
+    for check_id in sorted(tols):
+        print("%s  %d tolerances" % _digest(iter(tols[check_id])), check_id)
+
+
 def main() -> None:
     pairs = list(reports())
     print("%s  %d reports" % _digest(iter(pairs)))
@@ -166,6 +180,7 @@ def main() -> None:
     print("%s  %d MORE_REPS reports" % _digest(iter(more)))
     _print_per_id(more)
     print("%s  %d flow results" % _digest(flow_results()))
+    _print_tolerances(pairs + more)
 
 
 if __name__ == "__main__":

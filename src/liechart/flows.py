@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import math
-import numbers
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import BREAKDOWN, LeftChart, LieChartError, NonFiniteEvaluation, ZeroPsi
 from .group import GroupChart, maxabs, maxabs_rows, psi_flavored
-from .numdiff import DiffConfig, as_finite_array, central_differences, nonfinite_rows, stencil
+from .numdiff import (DiffConfig, _as_integer, as_finite_array, central_differences,
+                      nonfinite_rows, stencil)
 
 _FIRST_STEPS_PER_UNIT = 8
 _MAX_STEPS_PER_UNIT = 1000
@@ -176,8 +176,7 @@ def one_param_subgroups(chart: GroupChart, alpha, t_end: float, flavors: Sequenc
     if not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end!r}")
     if steps is not None:
-        if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
-            raise ValueError(f"steps must be an integer, got {steps!r}")
+        steps = _as_integer(steps, "steps")
         if steps < 1:
             raise ValueError("steps must be at least 1")
     alpha = as_finite_array(alpha, "flow direction")

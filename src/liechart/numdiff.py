@@ -42,10 +42,18 @@ class DiffConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.base_step < 1.0):
             raise ValueError("base_step must lie in (0, 1)")
-        if isinstance(self.sample_count, bool) or not isinstance(self.sample_count, Integral):
-            raise ValueError(f"sample_count must be an integer, got {self.sample_count!r}")
+        # kept as Python ints: `check_rng` reduces a seed of any sign mod 2**63
+        for name in ("sample_count", "rng_seed"):
+            object.__setattr__(self, name, _as_integer(getattr(self, name), name))
         if self.sample_count < 1:
             raise ValueError("sample_count must be at least 1")
+
+
+def _as_integer(value, name: str) -> int:
+    """value as a Python int; ValueError unless it is an integer, which a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def as_finite_array(x, context: str = "evaluation") -> np.ndarray:

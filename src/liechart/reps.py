@@ -15,11 +15,10 @@ from typing import Callable
 
 import numpy as np
 
-from .group import GroupChart, adjoint, inverse, maxabs, maxabs_rows, psi_flavored
-from .numdiff import DiffConfig, as_finite_array, broadcasting, invert, jacobian, rowwise
+from .group import GroupChart, inverse, maxabs, maxabs_rows, psi_flavored
+from .numdiff import (DiffConfig, _as_integer, as_finite_array, broadcasting, invert,
+                      jacobian, rowwise)
 from .structure import StructureConstants
-
-GENERATOR_TRANSFORM_POINTS = 5
 
 
 @dataclass(eq=False)
@@ -38,6 +37,7 @@ class RepChart:
     def __post_init__(self) -> None:
         if self.side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {self.side!r}")
+        self.m = _as_integer(self.m, "m")
         if self.m < 1:
             raise ValueError("representation dimension must be positive")
         self.f = rowwise(self.f, (self.m, self.m))
@@ -164,31 +164,6 @@ def direct_sum_generators(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
     return out
 
 
-def generator_transform(rep: RepChart, g, gens: np.ndarray,
-                        cfg: DiffConfig | None = None) -> np.ndarray:
-    """Generators conjugated by f(g) and reweighted by the adjoint matrix.
-
-    The point g enters twice: through the matrix conjugation and through
-    the adjoint weight built from the basic operators.  The two effects
-    cancel, so the transformed generators must equal the originals at
-    every g; on the reversed side the conjugation order flips too.  g is a
-    point (n,), giving (n, m, m), or a stack (..., n), giving (..., n, m, m).
-    """
-    cfg = cfg or DiffConfig()
-    weight = adjoint(rep.group, g, cfg)
-    fg = rep(g)[..., None, :, :]
-    fg_inv = invert(fg)
-    conj = fg_inv @ gens @ fg if rep.side == "left" else fg @ gens @ fg_inv
-    return _combine(weight, conj)
-
-
-def generator_transform_residual(rep: RepChart, gens: np.ndarray, g: np.ndarray,
-                                 cfg: DiffConfig | None = None) -> np.ndarray:
-    """The transformed generators against the originals, one value per row
-    of the (k, n) stack g."""
-    return maxabs_rows(generator_transform(rep, g, gens, cfg) - gens, g)
-
-
 def mixed_identity_residual(rep: RepChart, gens: np.ndarray, a: np.ndarray,
                             cfg: DiffConfig | None = None) -> np.ndarray:
     """Both inverse-operator weightings of the defining equation agree at
@@ -196,7 +171,10 @@ def mixed_identity_residual(rep: RepChart, gens: np.ndarray, a: np.ndarray,
 
     The slot derivative of f can be written through either the left or
     the right inverse operator; the generator products swap sides
-    between the two forms.
+    between the two forms.  Their difference at coordinate L is
+    f(a) sum_p lam_right[p, L] G_p (G_p f(a) on the reversed side), where
+    G_p = sum_k Ad[k, p] f(a)^-1 I_k f(a) - I_p, so the row also checks
+    that the generators are invariant under the adjoint.
     """
     cfg = cfg or DiffConfig()
     fa = rep(a)[:, None]

@@ -107,8 +107,6 @@ def rep_suite(chart: GroupChart, rep: RepChart | None, cfg: DiffConfig,
         # one generator commutes with itself, so at n = 1 this row reads 0.0
         *([("rep_integrability", 0, 1, integrability)] if chart.n > 1 else []),
         ("rep_mixed_identity", 1, None, partial(reps.mixed_identity_residual, rep, gens, cfg=cfg)),
-        ("generator_transform_constancy", 1, reps.GENERATOR_TRANSFORM_POINTS,
-         partial(reps.generator_transform_residual, rep, gens, cfg=cfg)),
     ])
 
 

@@ -50,7 +50,6 @@ from liechart.reps import (
     conjugate_rep,
     direct_sum,
     direct_sum_generators,
-    generator_transform_residual,
     integrability_check,
     mixed_identity_residual,
     rep_generators,
@@ -219,12 +218,10 @@ def test_criterion_08_representation_identities(emit):
                                      CFG)), 1e-3),
             (integrability_check(gens, c_left, rep.side), 1e-6),
             (maxabs(mixed_identity_residual(
-                rep, gens, *check_points(chart, CFG, "rep_mixed_identity"), CFG)), 1e-3),
+                rep, gens, *check_points(chart, CFG, "rep_mixed_identity"), CFG)), 1e-4),
             (maxabs(rep_generators(rep, CFG) + rep_generators(conjugate_rep(rep), CFG)), 1e-5),
             (tensor_err, 1e-4),
             (sum_err, 1e-5),
-            (maxabs(generator_transform_residual(rep, gens, *check_points(
-                chart, CFG, "generator_transform_constancy", count=5), CFG)), 1e-4),
         ]
         rep_ok = all(res < tol for res, tol in checks)
         ok = ok and rep_ok

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from liechart.catalog import GROUP_NAMES, get_group
 from liechart.errors import NonFiniteEvaluation, SingularMatrix
-from liechart.group import GroupChart, inverse, psi_flavored
+from liechart.group import GroupChart, check_rng, inverse, psi_flavored
 from liechart.numdiff import (
     CBRT_EPS,
     QUART_EPS,
@@ -96,6 +96,22 @@ def test_config_rejects_a_sample_count_that_is_not_an_integer(count):
     with pytest.raises(ValueError, match="sample_count must be an integer"):
         DiffConfig(sample_count=count)
     assert DiffConfig(sample_count=np.int64(3)).sample_count == 3
+
+
+@pytest.mark.parametrize("seed", [1.5, "7", True, None])
+def test_config_rejects_a_seed_that_is_not_an_integer(seed):
+    # 1.5 used to die at the first draw with numpy's TypeError, and True ran as seed 1
+    with pytest.raises(ValueError, match="rng_seed must be an integer"):
+        DiffConfig(rng_seed=seed)
+
+
+def test_config_keeps_a_seed_of_any_sign_as_a_python_int():
+    assert DiffConfig(rng_seed=-7).rng_seed == -7
+    seed = DiffConfig(rng_seed=np.int64(7)).rng_seed
+    assert type(seed) is int and seed == 7
+    # a numpy seed once overflowed in check_rng's reduction mod 2**63
+    assert (check_rng(DiffConfig(rng_seed=np.int64(7)), "x").uniform()
+            == check_rng(DiffConfig(rng_seed=7), "x").uniform())
 
 
 def test_config_replace_returns_modified_copy():

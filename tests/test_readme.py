@@ -19,5 +19,5 @@ def test_library_example_runs(capsys):
         exec(compile(code, f"{README.name} ## Library, block {i}", "exec"), namespace)
         outs.append(capsys.readouterr().out)
     assert outs[0].startswith("[[2. 0.]\n [3. 1.]]\n")
-    assert outs[0].endswith("\n20 checks, 0 failed\n")
+    assert outs[0].endswith("\n19 checks, 0 failed\n")
     assert float(outs[1]) < 1e-8

@@ -18,7 +18,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import captured_table
+from conftest import captured_table, check_points
 from liechart import group, structure, suites
 from liechart.catalog import GROUP_NAMES, get_group
 from liechart.errors import LieChartError, NoConvergence, NonFiniteEvaluation, SingularMatrix
@@ -34,6 +34,7 @@ from liechart.group import (
     sample_points,
 )
 from liechart.numdiff import DiffConfig, as_finite_array, broadcasting, invert, jacobian, rowwise
+from test_mutations import MUTANTS
 
 # --- the per-point reference forms ------------------------------------------
 
@@ -205,14 +206,6 @@ def _res_adjoint_at_identity(chart, cfg, a):
     return maxabs(j_num - invert(psi_l_a) @ psi_r_a)
 
 
-def _res_adjoint_flavor_symmetry(chart, cfg, a):
-    a_inv = inverse(chart, a, cfg)
-    psi_l_a, psi_r_a = psi_pair(chart, a, cfg)
-    psi_l_inv, psi_r_inv = psi_pair(chart, a_inv, cfg)
-    adj = invert(psi_l_a) @ psi_r_a
-    return maxabs(adj - invert(psi_r_inv) @ psi_l_inv)
-
-
 SHIFT_REFERENCE = (
     ("cocycle_left", 3, _res_cocycle_left),
     ("cocycle_right", 3, _res_cocycle_right),
@@ -233,7 +226,6 @@ SHIFT_REFERENCE = (
     ("conjugation_inner_left", 2, _res_conjugation_inner_left),
     ("conjugation_inner_right", 2, _res_conjugation_inner_right),
     ("adjoint_at_identity", 1, _res_adjoint_at_identity),
-    ("adjoint_flavor_symmetry", 1, _res_adjoint_flavor_symmetry),
 )
 
 
@@ -287,6 +279,54 @@ def test_stacked_residuals_match_reference_on_a_point_law():
         chart = GroupChart(n=2, compose=_point_affine_law, identity=np.array([1.0, 0.0]),
                            inverse_hint=hint, chart_radius=0.8, name="ax+b")
         assert_stacked_matches_reference(chart, DiffConfig(sample_count=4))
+
+
+# --- the adjoint's flavor symmetry, which the inverse-Jacobian routes restate ---
+#
+# S = Ad(a) - lam_right(a^-1) psi_left(a^-1) is no report row.  Both
+# inverse-Jacobian routes subtract their closed form from one numeric
+# J = d a^-1 / d a, so S = -lam_right(a^-1) (R_left - R_right) psi_right(a),
+# and S is small wherever both routes are.
+
+
+def _res_adjoint_flavor_symmetry(chart, cfg, a):
+    a_inv = inverse(chart, a, cfg)
+    psi_l_a, psi_r_a = psi_pair(chart, a, cfg)
+    psi_l_inv, psi_r_inv = psi_pair(chart, a_inv, cfg)
+    return invert(psi_l_a) @ psi_r_a - invert(psi_r_inv) @ psi_l_inv
+
+
+def _inverse_jacobian_routes(chart, cfg, a):
+    """(R_left, R_right), whose maxabs the two route rows read at a."""
+    j_num = jacobian(rowwise(lambda x: inverse(chart, x, cfg)), a, cfg)
+    psi_l_inv, psi_r_inv = psi_pair(chart, inverse(chart, a, cfg), cfg)
+    psi_l_a, psi_r_a = psi_pair(chart, a, cfg)
+    return j_num + psi_l_inv @ invert(psi_r_a), j_num + psi_r_inv @ invert(psi_l_a)
+
+
+def _adjoint_cases():
+    charts = [get_group(name) for name in GROUP_NAMES]
+    charts += [dataclasses.replace(get_group(name), inverse_hint=None, name=f"{name}-newton")
+               for name in ("affine", "gl:2")]
+    # the collapsed law has no inverse
+    charts += [make() for name, (make, _) in MUTANTS.items() if name != "translation:2 collapsed"]
+    return [pytest.param(chart, id=chart.name) for chart in charts]
+
+
+@pytest.mark.parametrize("chart", _adjoint_cases())
+def test_adjoint_flavor_symmetry_is_the_difference_of_the_inverse_jacobian_routes(chart):
+    cfg = DiffConfig(sample_count=4)
+    [pts] = check_points(chart, cfg, "inverse_jacobian_left_route")
+    for a in pts:
+        gap = _res_adjoint_flavor_symmetry(chart, cfg, a)
+        r_left, r_right = _inverse_jacobian_routes(chart, cfg, a)
+        assert maxabs(r_left) == _res_inverse_jacobian_left_route(chart, cfg, a)
+        assert maxabs(r_right) == _res_inverse_jacobian_right_route(chart, cfg, a)
+        lam_r_inv = invert(psi_flavored(chart, inverse(chart, a, cfg), "right", cfg))
+        predicted = -lam_r_inv @ (r_left - r_right) @ psi_flavored(chart, a, "right", cfg)
+        assert maxabs(gap - predicted) <= 1e-14
+        # the factor reads up to 1.42 on the census laws: S stays near the routes' size
+        assert maxabs(gap) <= 1.5 * max(maxabs(r_left), maxabs(r_right)) + 1e-14
 
 
 # --- the opposite group, which runs the right rows with a left twin -----------
