@@ -467,6 +467,12 @@ def _right_twin(left_twin, reverse: bool = True):
     return residual
 
 
+def _at_inverse(triple_route):
+    """The inner conjugation y -> a y a^-1 as triple_route at c = a^-1,
+    found once per point rather than at every stencil point."""
+    return lambda chart, cfg, a, b: triple_route(chart, cfg, a, b, inverse(chart, a, cfg))
+
+
 def _triple_in_middle(chart, a, c):
     """y -> a y c with a and c held beside a stencil over y."""
     held_a, held_c = a[..., None, :], c[..., None, :]
@@ -484,8 +490,8 @@ def _res_triple_product_left_route(chart, cfg, a, b, c):
     return maxabs_rows(j_num - psi_l_abc @ lam_l_ab @ psi_r_ab @ lam_r_b, a)
 
 
-# The next two right residuals stay written out: on the opposite group their
-# numeric Jacobian would differentiate a(yc) instead of (ay)c, which moves digits.
+# This right residual stays written out: on the opposite group its numeric
+# Jacobian would differentiate a(yc) instead of (ay)c, which moves digits.
 
 def _res_triple_product_right_route(chart, cfg, a, b, c):
     bc = chart.compose(b, c)
@@ -505,33 +511,6 @@ def _res_conjugation_outer(chart, cfg, a, b):
     psi_l_w, psi_r_w = psi_pair(chart, w, cfg)
     lam_l_a = invert(psi_flavored(chart, a, "left", cfg))
     return maxabs_rows(j_num - (psi_l_w - psi_r_w) @ lam_l_a, a)
-
-
-# The inner conjugations y -> a y a^-1 hold a fixed, so a^-1 is found once
-# per point rather than at every stencil point.
-
-def _res_conjugation_inner_left(chart, cfg, a, b):
-    a_inv = inverse(chart, a, cfg)
-    j_num = jacobian(_triple_in_middle(chart, a, a_inv), b, cfg)
-    ab = chart.compose(a, b)
-    w = chart.compose(ab, a_inv)
-    psi_l_w = psi_flavored(chart, w, "left", cfg)
-    psi_l_ab, psi_r_ab = psi_pair(chart, ab, cfg)
-    lam_l_ab = invert(psi_l_ab)
-    lam_r_b = invert(psi_flavored(chart, b, "right", cfg))
-    return maxabs_rows(j_num - psi_l_w @ lam_l_ab @ psi_r_ab @ lam_r_b, a)
-
-
-def _res_conjugation_inner_right(chart, cfg, a, b):
-    a_inv = inverse(chart, a, cfg)
-    j_num = jacobian(_triple_in_middle(chart, a, a_inv), b, cfg)
-    ba_inv = chart.compose(b, a_inv)
-    w = chart.compose(chart.compose(a, b), a_inv)
-    psi_r_w = psi_flavored(chart, w, "right", cfg)
-    psi_l_bainv, psi_r_bainv = psi_pair(chart, ba_inv, cfg)
-    lam_r_bainv = invert(psi_r_bainv)
-    lam_l_b = invert(psi_flavored(chart, b, "left", cfg))
-    return maxabs_rows(j_num - psi_r_w @ lam_r_bainv @ psi_l_bainv @ lam_l_b, a)
 
 
 def _res_adjoint_at_identity(chart, cfg, a):
@@ -558,8 +537,8 @@ _SHIFT_CHECKS = (
     ("triple_product_left_route", 3, _res_triple_product_left_route),
     ("triple_product_right_route", 3, _res_triple_product_right_route),
     ("conjugation_outer", 2, _res_conjugation_outer),
-    ("conjugation_inner_left", 2, _res_conjugation_inner_left),
-    ("conjugation_inner_right", 2, _res_conjugation_inner_right),
+    ("conjugation_inner_left", 2, _at_inverse(_res_triple_product_left_route)),
+    ("conjugation_inner_right", 2, _at_inverse(_res_triple_product_right_route)),
     ("adjoint_at_identity", 1, _res_adjoint_at_identity),
 )
 
@@ -661,7 +640,10 @@ def shift_checks(chart: GroupChart, cfg: DiffConfig) -> Checks:
 def build_report(suite: str, chart: GroupChart, cfg: DiffConfig, checks: Checks,
                  tol_scale: float, rep: str | None = None) -> CheckReport:
     """The report of a suite's (check_id, samples, residual) triples on
-    chart, each against its default tolerance times tol_scale."""
+    chart, each against its default tolerance times tol_scale, which must
+    be finite and positive: ValueError before checks makes a law call."""
+    if not (np.isfinite(tol_scale) and tol_scale > 0.0):
+        raise ValueError(f"tol_scale must be finite and positive, got {tol_scale!r}")
     rpt = CheckReport(suite=suite, group=chart.name, rep=rep, seed=cfg.rng_seed,
                       fd_step=cfg.base_step)
     rpt.extend(record(check_id, residual, samples, tol_scale)

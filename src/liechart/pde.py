@@ -20,13 +20,23 @@ import numpy as np
 from .errors import LieChartError, NonFiniteEvaluation, NotIntegrable
 from .flows import Breakdowns, step_doubled
 from .group import GroupChart, check_rng, maxabs, maxabs_rows
-from .numdiff import (DiffConfig, as_finite_array, broadcasting, jacobian, nonfinite_rows,
-                      numeric_rank, rowwise)
+from .numdiff import (DiffConfig, _as_integer, as_finite_array, broadcasting, jacobian,
+                      nonfinite_rows, numeric_rank, rowwise)
 
 _TAYLOR_STEPS = 500
 _INTEGRABILITY_TOL = 1e-6
 _FAMILY_RADIUS = 0.1
 _S_MAX = 3  # top x-derivative order of a family's jet
+
+
+def _as_box(box, name: str) -> np.ndarray:
+    """box as a float (k, 2) array of finite (low, high) rows, k >= 1."""
+    box = np.asarray(box, dtype=float)
+    if not (box.ndim == 2 and box.shape[1] == 2 and len(box) >= 1
+            and np.isfinite(box).all() and (box[:, 0] <= box[:, 1]).all()):
+        raise ValueError(f"{name} must be a finite (k, 2) array of (low, high) rows "
+                         f"with k >= 1 and low <= high, got {box.tolist()}")
+    return box
 
 
 @dataclass(eq=False)
@@ -46,6 +56,8 @@ class PDESystem:
     name: str = "pde"
 
     def __post_init__(self) -> None:
+        self.theta_box = _as_box(self.theta_box, "theta_box")
+        self.x_box = _as_box(self.x_box, "x_box")
         self.psi = rowwise(self.psi, (len(self.theta_box), len(self.x_box)))
 
     def rhs(self, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -58,7 +70,6 @@ class PDESystem:
 
 
 def _sample_box(box: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
-    box = np.asarray(box, float)
     return rng.uniform(box[:, 0], box[:, 1], size=(count, box.shape[0]))
 
 
@@ -166,6 +177,10 @@ class FunctionFamily:
     name: str = "family"
 
     def __post_init__(self) -> None:
+        self.n_out = _as_integer(self.n_out, "n_out")
+        if self.n_out < 1:
+            raise ValueError("n_out must be at least 1")
+        self.x_box = _as_box(self.x_box, "x_box")
         self.f = rowwise(self.f, (self.n_out,))
 
     def value(self, x: np.ndarray, a: np.ndarray) -> np.ndarray:

@@ -1,11 +1,12 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
-from conftest import check_points
-from liechart import catalog, structure
+from conftest import captured_table, check_points
+from liechart import catalog, group, structure
 from liechart.catalog import GROUP_NAMES, get_group
 from liechart.errors import NoConvergence
 from liechart.flows import canonical_coordinate
@@ -221,6 +222,35 @@ def test_shift_identities_tol_scale_forces_failure():
     assert not report.all_passed
 
 
+def _skewed_scalar_law():
+    # not associative: (a b) c and a (b c) differ in their a^2 b c terms
+    return GroupChart(n=1, compose=lambda a, b: a + b + 0.3 * a * a * b,
+                      identity=np.zeros(1), name="skewed-scalar")
+
+
+def test_tol_scale_of_one_fails_a_broken_law():
+    chart = _skewed_scalar_law()
+    cfg = DiffConfig(sample_count=5)
+    assert not check_chart_axioms(chart, cfg).all_passed
+    assert not verify_shift_identities(chart, cfg).all_passed
+
+
+@pytest.mark.parametrize("scale", [math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("entry", ["run_suite", "check_chart_axioms", "verify_shift_identities"])
+def test_a_bad_tol_scale_raises_before_any_law_call(entry, scale, monkeypatch, law_counter):
+    # inf would pass the broken law's every check; NaN, 0 and -1 fail any law's
+    chart = law_counter.chart(_skewed_scalar_law())
+    monkeypatch.setattr(catalog, "get_group", lambda _: chart)
+    law_counter.evals = law_counter.calls = 0
+    run = {"run_suite": lambda: run_suite("skewed-scalar", "all", CFG, tol_scale=scale),
+           "check_chart_axioms": lambda: check_chart_axioms(chart, CFG, tol_scale=scale),
+           "verify_shift_identities": lambda: verify_shift_identities(chart, CFG,
+                                                                      tol_scale=scale)}
+    with pytest.raises(ValueError, match="tol_scale must be finite and positive"):
+        run[entry]()
+    assert (law_counter.evals, law_counter.calls) == (0, 0)
+
+
 def test_maxabs_keeps_nan():
     nan = float("nan")
     assert maxabs([]) == 0.0
@@ -292,20 +322,21 @@ def test_sampled_checks_runs_a_row_of_arity_zero_in_its_place():
 
 
 # composition-law evaluations at seed 42 and the default 20 samples, with
-# the inner conjugations finding a^-1 once per point.  The ceilings are
+# the inner conjugations finding a^-1 once per point and the right one
+# conjugating at a(ba^-1), the right triple product's point.  The ceilings are
 # the counts when the closed-form lambda residuals took both operator
 # flavors and both inverses to use one of them; no change should rise
 # above them.
-SHIFT_SUITE_EVALS = {"affine": 8_468, "gl:2": 14_236, "gl:3": 28_656,
-                     "translation:1": 5_584}
+SHIFT_SUITE_EVALS = {"affine": 8_448, "gl:2": 14_216, "gl:3": 28_636,
+                     "translation:1": 5_564}
 SHIFT_SUITE_CEILING = {"affine": 10_288, "gl:2": 16_776, "gl:3": 32_996,
                        "translation:1": 7_044}
-HINT_FREE_EVALS = {"affine": 17_676, "gl:2": 42_590}
+HINT_FREE_EVALS = {"affine": 17_656, "gl:2": 42_570}
 HINT_FREE_CEILING = {"affine": 21_254, "gl:2": 53_410}
 # law calls of the same runs: one damped Newton per stack and one vetting
 # per sampler round of the whole check table, whatever the number of rows
-SHIFT_SUITE_CALLS = dict.fromkeys(SHIFT_SUITE_EVALS, 123)
-HINT_FREE_CALLS = {"affine": 217, "gl:2": 217}
+SHIFT_SUITE_CALLS = dict.fromkeys(SHIFT_SUITE_EVALS, 122)
+HINT_FREE_CALLS = {"affine": 216, "gl:2": 216}
 
 
 @pytest.mark.parametrize("name", sorted(SHIFT_SUITE_EVALS))
@@ -325,6 +356,55 @@ def test_hint_free_shift_identities_eval_count(name, law_counter):
     assert law_counter.evals == HINT_FREE_EVALS[name]
     assert law_counter.evals <= HINT_FREE_CEILING[name]
     assert law_counter.calls == HINT_FREE_CALLS[name]
+
+
+# (evaluations, law calls) of each row's own residual call on gl:2 at seed
+# 42 and the default 20 samples, its points drawn beforehand: (catalog
+# chart, hint-free copy).  A moved suite count above shows here by row.
+ROW_COSTS_GL2 = {
+    "chart_identity_left": ((20, 1), (20, 1)),
+    "chart_identity_right": ((20, 1), (20, 1)),
+    "chart_associativity": ((80, 4), (80, 4)),
+    "inverse_left": ((40, 2), (340, 8)),
+    "inverse_roundtrip": ((40, 2), (650, 14)),
+    "basic_ops_at_identity": ((16, 2), (16, 2)),
+    "cocycle_left": ((520, 5), (520, 5)),
+    "cocycle_right": ((520, 5), (520, 5)),
+    "cocycle_mixed": ((680, 6), (680, 6)),
+    "inverse_operator_left": ((360, 4), (670, 10)),
+    "inverse_operator_right": ((360, 4), (680, 10)),
+    "lambda_left_closed_form": ((340, 3), (630, 9)),
+    "lambda_right_closed_form": ((340, 3), (640, 9)),
+    "factorization_left": ((500, 4), (500, 4)),
+    "factorization_right": ((500, 4), (500, 4)),
+    "inverse_jacobian_left_route": ((500, 4), (3420, 16)),
+    "inverse_jacobian_right_route": ((500, 4), (3320, 16)),
+    "quotient_left": ((680, 6), (3710, 18)),
+    "quotient_right": ((680, 6), (3480, 18)),
+    "triple_product_left_route": ((1000, 8), (1000, 8)),
+    "triple_product_right_route": ((1000, 8), (1000, 8)),
+    "conjugation_outer": ((1020, 9), (3680, 21)),
+    "conjugation_inner_left": ((1020, 9), (1370, 15)),
+    "conjugation_inner_right": ((1020, 9), (1340, 15)),
+    "adjoint_at_identity": ((660, 5), (980, 11)),
+}
+
+
+@pytest.mark.parametrize("hint_free", [False, True], ids=["catalog", "hint-free"])
+def test_each_row_costs_its_pinned_evaluations_and_law_calls(hint_free, monkeypatch,
+                                                             law_counter):
+    changes = {"inverse_hint": None, "name": "gl:2-newton"} if hint_free else {}
+    chart = law_counter.chart(get_group("gl:2"), **changes)
+    cfg = DiffConfig()
+    rows = [*captured_table(monkeypatch, lambda: group.axiom_checks(chart, cfg)),
+            *captured_table(monkeypatch, lambda: group.shift_checks(chart, cfg))]
+    costs = {}
+    for check_id, arity, count, residual in rows:
+        points = check_points(chart, cfg, check_id, count, arity)
+        law_counter.evals = law_counter.calls = 0
+        residual(*points)
+        costs[check_id] = (law_counter.evals, law_counter.calls)
+    assert costs == {cid: pair[hint_free] for cid, pair in ROW_COSTS_GL2.items()}
 
 
 @pytest.mark.parametrize("name", ["affine", "gl:2", "translation:2"])

@@ -28,6 +28,46 @@ from liechart.suites import SUITES
 CFG = DiffConfig(sample_count=6)
 
 
+def _psi(th, x):
+    return np.zeros((1, 1))
+
+
+@pytest.mark.parametrize("n_out", [1.0, True, 0])
+def test_function_family_rejects_a_bad_output_count(n_out):
+    with pytest.raises(ValueError, match="n_out"):
+        FunctionFamily(n_out=n_out, f=lambda x, a: x, a0=np.zeros(1), x_box=np.zeros((1, 2)))
+
+
+BAD_BOXES = {
+    "one-dimensional": np.array([-1.0, 1.0]),
+    "three columns": np.array([[-1.0, 1.0, 5.0]]),
+    "no rows": np.zeros((0, 2)),
+    "NaN bound": np.array([[np.nan, 1.0]]),
+    "infinite bound": np.array([[-1.0, np.inf]]),
+    "low above high": np.array([[1.0, -1.0]]),
+}
+
+
+@pytest.mark.parametrize("field", ["theta_box", "x_box"])
+@pytest.mark.parametrize("case", sorted(BAD_BOXES))
+def test_pde_system_rejects_a_malformed_box(field, case):
+    boxes = {"theta_box": np.array([[0.0, 1.0]]), "x_box": np.array([[0.0, 1.0]]),
+             field: BAD_BOXES[case]}
+    with pytest.raises(ValueError, match=field):
+        PDESystem(psi=_psi, **boxes)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_BOXES))
+def test_function_family_rejects_a_malformed_box(case):
+    with pytest.raises(ValueError, match="x_box"):
+        FunctionFamily(n_out=1, f=lambda x, a: x, a0=np.zeros(1), x_box=BAD_BOXES[case])
+
+
+def test_a_box_is_kept_as_floats_and_may_have_zero_width():
+    sys = PDESystem(psi=_psi, theta_box=np.zeros((1, 2)), x_box=[[0.5, 0.5]])
+    assert sys.x_box.dtype == float and sys.x_box.shape == (1, 2)
+
+
 def test_rhs_shape_validation():
     sys = PDESystem(psi=lambda th, x: np.zeros((1, 1)),
                     theta_box=np.zeros((2, 2)), x_box=np.zeros((1, 2)))

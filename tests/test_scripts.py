@@ -1,13 +1,17 @@
 """The scripts load against the package as it is: every name they import
 resolves.  Each runs under its own stem as run_name, not "__main__", so
-its main does not run."""
+its main does not run.  The two light scripts' mains then run at two
+samples; report_digest's takes about a minute and stays out."""
 
 import runpy
+import sys
 from pathlib import Path
 
 import pytest
 
+from liechart.catalog import GROUP_NAMES
 from liechart.numdiff import DiffConfig
+from liechart.pde import bundled_families
 from liechart.suites import run_suite
 
 SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
@@ -32,3 +36,27 @@ def test_report_digest_shows_a_moved_tolerance_by_id_only(capsys):
         tols.append(capsys.readouterr().out)
     assert tols[0].endswith("  1 tolerances essential_count_group_family\n")
     assert rows[0] == rows[1] and tols[0] != tols[1]
+
+
+def run_main(script: str, monkeypatch, capsys, *argv: str) -> tuple[int, list[str]]:
+    """The exit code and printed lines of a script's main run with argv."""
+    main = runpy.run_path(str(SCRIPTS[0].parent / script), run_name=Path(script).stem)["main"]
+    monkeypatch.setattr(sys, "argv", [script, *argv])
+    code = main()
+    return code, capsys.readouterr().out.splitlines()
+
+
+def test_run_catalog_sweeps_every_group_without_a_failure(monkeypatch, capsys):
+    code, lines = run_main("run_catalog.py", monkeypatch, capsys, "--samples", "2")
+    assert code == 0
+    assert [line.split()[0] for line in lines[1:1 + len(GROUP_NAMES)]] == list(GROUP_NAMES)
+    assert lines[1 + len(GROUP_NAMES)] == ""
+    assert lines[-1].endswith(" 0 failed checks")
+
+
+def test_essential_params_counts_every_family_as_expected(monkeypatch, capsys):
+    code, lines = run_main("essential_params.py", monkeypatch, capsys, "--samples", "2")
+    counts = [line for line in lines if " ranks " in line]
+    assert code == 0
+    assert len(counts) == len(bundled_families()) + len(GROUP_NAMES)
+    assert all(line.endswith("  ok") for line in counts)
