@@ -3,7 +3,9 @@
 Usage: PYTHONPATH=src python scripts/report_digest.py
 
 Run it before and after a change that must not move any residual: equal
-digests mean every report below is byte-identical.  The set, at seeds 42
+digests mean every report below is byte-identical.  The tier-1 tests
+compare its lines with tests/golden/report_digest.txt; a change meant to
+move a digest writes that file again from this script's output.  The set, at seeds 42
 and 7 with the default sample count:
 
 * every catalog group through every suite (`all` included);

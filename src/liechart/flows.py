@@ -27,89 +27,116 @@ Rhs = Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, Breakdown
 Check = Callable[[np.ndarray, np.ndarray, np.ndarray], Breakdowns]
 
 
-def rk4_path(rhs: Rhs, y0: np.ndarray, t_end: float, steps: Sequence[int],
-             check: Check) -> list[np.ndarray | LieChartError]:
+def _step_count(value, name: str) -> int:
+    """value as an int step count; ValueError unless it is an integer of at least 1."""
+    value = _as_integer(value, name)
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+    return value
+
+
+def rk4_path(rhs: Rhs, y0: np.ndarray, t_end: float, steps: Sequence[int], check: Check,
+             rows: np.ndarray | None = None) -> list[np.ndarray | LieChartError]:
     """RK4 paths of y' = rhs(y, s) from the rows of the (k, n) stack y0,
     row r in steps[r] uniform steps to t_end: per row its states
-    (steps[r] + 1, n), or the error that stopped it.
+    (steps[r] + 1, n), or the error that stopped it.  A step count that is
+    not an integer of at least 1 raises ValueError before any rhs call.
 
     Each round moves every live row one step: four rhs calls and one
-    check of the new states, each on the stack of those rows.  A row
-    leaves once it has taken its steps, or at the stage where rhs or check
-    finds it broken down, so each row keeps the bits and the error of its
-    own one-row integration.  A breakdown that a call raises for the
-    whole stack runs that round again one row at a time, to learn whose
-    it is.
+    check of the new states, each on the stack of those rows, named by
+    their numbers in `rows` (by default 0 ... k - 1).  A row leaves once
+    it has taken its steps, or at the stage where rhs or check finds it
+    broken down, so each row keeps the bits and the error of its own
+    one-row integration.  The live rows, their numbers, step sizes and
+    stage times are gathered once per live set, which changes only when a
+    row leaves.  A breakdown that a call raises for the whole stack runs
+    that round again one row at a time, to learn whose it is.
     """
-    steps = np.asarray(steps, dtype=int)
+    steps = np.array([_step_count(m, "steps") for m in steps], dtype=int)
+    rows = np.arange(len(y0)) if rows is None else rows
     h = t_end / steps
-    last = int(steps.max(initial=0))
-    states = np.empty((last + 1,) + y0.shape)
-    states[0] = y0
+    states = np.empty((int(steps.max(initial=0)) + 1,) + y0.shape)
+    states[0] = y = y0
     broken: Breakdowns = {}
-    going = np.ones(len(steps), dtype=bool)
-    for i in range(last):
-        live = np.flatnonzero(going & (steps > i))
-        if not live.size:
-            break
-        try:
-            states[i + 1, live], failed = _rk4_step(rhs, check, states[i, live], i, h[live], live)
-        except BREAKDOWN:
-            failed = {}
-            for p in range(live.size):
-                one = live[p:p + 1]
-                try:
-                    states[i + 1, one], alone = _rk4_step(rhs, check, states[i, one], i, h[one], one)
-                except BREAKDOWN as exc:
-                    alone = {0: exc}
-                if alone:
-                    failed[p] = alone[0]
+    live = np.arange(len(steps))
+    i = 0
+    while live.size:
+        at, hl = rows[live], h[live]
+        half = 0.5 * hl
+        step = hl[:, None], half[:, None], (hl / 6.0)[:, None]
+        s = np.arange(i, steps[live].min() + 1)[:, None] * hl
+        taken, failed = [], {}
+        for t in zip(s[:-1], s[:-1] + half, s[:-1] + hl, s[1:]):
+            try:
+                y, failed = _rk4_step(rhs, check, y, t, step, at)
+            except BREAKDOWN:
+                y = y.copy()
+                for p in range(len(y)):
+                    one = slice(p, p + 1)
+                    try:
+                        y[one], alone = _rk4_step(rhs, check, y[one], [u[one] for u in t],
+                                                  [u[one] for u in step], at[one])
+                    except BREAKDOWN as exc:
+                        alone = {0: exc}
+                    if alone:
+                        failed[p] = alone[0]
+            taken.append(y)
+            if failed:
+                break
+        states[i + 1:i + 1 + len(taken), live] = taken
+        i += len(taken)
         for p, error in failed.items():
             broken[int(live[p])] = error
-            going[live[p]] = False
+        keep = steps[live] > i
+        keep[list(failed)] = False
+        live, y = live[keep], y[keep]
     return [broken[r] if r in broken else states[:m + 1, r].copy()
             for r, m in enumerate(steps.tolist())]
 
 
-def _rk4_step(rhs: Rhs, check: Check, y: np.ndarray, i: int, h: np.ndarray,
-              rows: np.ndarray) -> tuple[np.ndarray, Breakdowns]:
-    """Step i of every row of the (j, n) stack y, from s = i h to (i + 1) h:
-    the new states and the rows that broke down, each dropped from the
-    stages after its breakdown."""
+def _rk4_step(rhs: Rhs, check: Check, y: np.ndarray, times: Sequence[np.ndarray],
+              step: Sequence[np.ndarray], rows: np.ndarray) -> tuple[np.ndarray, Breakdowns]:
+    """One step of every row of the (j, n) stack y, from s to s + h, with
+    `times` the (j,) arrays s, s + h/2, s + h and the end of the step,
+    and `step` the (j, 1) columns h, h/2 and h/6: the new states and the
+    rows that broke down, each dropped from the stages after its
+    breakdown.  Until the first breakdown every call takes the whole stack."""
+    h, half, sixth = step
+    s, mid, end, t = times
     failed: Breakdowns = {}
-    live = np.arange(len(y))            # positions not yet broken down
-
-    def drop(errors: Breakdowns) -> np.ndarray:
-        nonlocal live
-        bad = live[list(errors)]
-        failed.update(zip(bad.tolist(), errors.values()))
-        live = np.delete(live, list(errors))
-        return bad
-
-    def stage(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-        if live.size == len(x):
-            k, errors = rhs(x, s, rows)
+    live = None                             # positions not yet broken down, once one is
+    k: list[np.ndarray] = []
+    for a, when in ((None, s), (half, mid), (half, mid), (h, end)):
+        x = y if a is None else y + a * k[-1]
+        if live is None:
+            stage, errors = rhs(x, when, rows)
         else:
-            k = np.zeros_like(x)
-            errors = {}
-            if live.size:
-                k[live], errors = rhs(x[live], s[live], rows[live])
+            stage = np.zeros_like(x)
+            stage[live], errors = rhs(x[live], when[live], rows[live])
         if errors:
-            k[drop(errors)] = 0.0
-        return k
-
-    s = i * h
-    mid = s + 0.5 * h
-    hc = h[:, None]
-    k1 = stage(y, s)
-    k2 = stage(y + 0.5 * hc * k1, mid)
-    k3 = stage(y + 0.5 * hc * k2, mid)
-    k4 = stage(y + hc * k3, s + h)
-    y = y + (hc / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    errors = check(y[live], ((i + 1) * h)[live], rows[live]) if live.size else {}
+            bad, live = _drop(live, errors, failed, len(y))
+            if not live.size:
+                return y, failed
+            stage[bad] = 0.0
+        k.append(stage)
+    k1, k2, k3, k4 = k
+    y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    errors = check(y, t, rows) if live is None else check(y[live], t[live], rows[live])
     if errors:
-        drop(errors)
+        _drop(live, errors, failed, len(y))
     return y, failed
+
+
+def _drop(live: np.ndarray | None, errors: Breakdowns, failed: Breakdowns,
+          j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Record in `failed` the breakdowns `errors`, keyed by place among the
+    positions `live` of a (j, n) stack (None: all of them): the positions
+    they name, and those left."""
+    live = np.arange(j) if live is None else live
+    places = list(errors)
+    bad = live[places]
+    failed.update(zip(bad.tolist(), errors.values()))
+    return bad, np.delete(live, places)
 
 
 def step_doubled(rhs: Rhs, y0: np.ndarray, t_end: float, first: int, cap: int,
@@ -126,15 +153,15 @@ def step_doubled(rhs: Rhs, y0: np.ndarray, t_end: float, first: int, cap: int,
     anyway, and each later doubling of the rows still open is one more.
     rhs and check are those of rk4_path, with `rows` numbering y0.
     """
-    first = min(first, cap)
+    cap = _step_count(cap, "cap")
+    first = min(_step_count(first, "first"), cap)
     done: dict[int, np.ndarray | LieChartError] = {}
     coarse: list[np.ndarray | None] = [None] * len(y0)
     todo = [(r, m) for r in range(len(y0))
             for m in ((first, min(2 * first, cap)) if first < cap else (first,))]
     while todo:
         of = np.array([r for r, _ in todo])
-        paths = rk4_path(lambda y, s, rows: rhs(y, s, of[rows]), y0[of], t_end,
-                         [m for _, m in todo], lambda y, s, rows: check(y, s, of[rows]))
+        paths = rk4_path(rhs, y0[of], t_end, [m for _, m in todo], check, of)
         for (r, m), path in zip(todo, paths):
             if r in done:
                 continue
@@ -176,9 +203,7 @@ def one_param_subgroups(chart: GroupChart, alpha, t_end: float, flavors: Sequenc
     if not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end!r}")
     if steps is not None:
-        steps = _as_integer(steps, "steps")
-        if steps < 1:
-            raise ValueError("steps must be at least 1")
+        steps = _step_count(steps, "steps")
     alpha = as_finite_array(alpha, "flow direction")
     if alpha.shape != (chart.n,):
         raise ValueError("alpha must be an n-vector")
@@ -195,6 +220,9 @@ def one_param_subgroups(chart: GroupChart, alpha, t_end: float, flavors: Sequenc
         return psi @ alpha, nonfinite_rows(psi, "jacobian probe")
 
     def in_chart(c: np.ndarray, s: np.ndarray, _rows: np.ndarray) -> Breakdowns:
+        far = maxabs(c - e)
+        if far <= chart.chart_radius and math.isfinite(far):
+            return {}
         failed: Breakdowns = {
             p: LeftChart(f"flow left the trust region at t = {s[p]:.6g}")
             for p in np.flatnonzero(maxabs_rows(c - e, c) > chart.chart_radius).tolist()}
@@ -250,12 +278,16 @@ def canonical_coordinate(chart: GroupChart, a,
     law becomes plain addition.  A path of length L gets its own grid of
     4 ceil(32 L) intervals, at most _GRID_INTERVALS, so no step is longer
     than max(1, L) / 128.  Raises ZeroPsi, naming the path and the node, if
-    the operator vanishes or changes sign on any path.
+    the operator vanishes or changes sign on any path, and ValueError,
+    naming the shape, for any other shape of a.
     """
     cfg = cfg or DiffConfig()
     if chart.n != 1:
         raise ValueError("canonical_coordinate is defined for 1-d charts only")
     a = as_finite_array(a, "canonical coordinate argument")
+    if a.shape[-1:] != (1,):
+        raise ValueError("canonical_coordinate takes a point (1,) or a stack (..., 1), "
+                         f"got shape {a.shape}")
     e = chart.identity[0]
     target = a[..., 0]
 

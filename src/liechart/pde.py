@@ -167,8 +167,9 @@ def solve_along_path(sys: PDESystem, consts, waypoints, cfg: DiffConfig | None =
 @dataclass(eq=False)
 class FunctionFamily:
     """Family of maps f(x, a) -> (n_out,): variables x (len(x_box),),
-    parameters a (a0.size,).  Unless marked by `numdiff.broadcasting`, f is
-    lifted by `numdiff.rowwise`: value maps broadcasting stacks to (..., n_out)."""
+    parameters a (a0.size,), with a0 a finite 1-d array.  Unless marked by
+    `numdiff.broadcasting`, f is lifted by `numdiff.rowwise`: value maps
+    broadcasting stacks to (..., n_out)."""
 
     n_out: int
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -181,6 +182,10 @@ class FunctionFamily:
         if self.n_out < 1:
             raise ValueError("n_out must be at least 1")
         self.x_box = _as_box(self.x_box, "x_box")
+        self.a0 = np.asarray(self.a0, dtype=float)
+        if not (self.a0.ndim == 1 and self.a0.size >= 1 and np.isfinite(self.a0).all()):
+            raise ValueError("a0 must be a finite 1-d array of at least one parameter, "
+                             f"got {self.a0.tolist()}")
         self.f = rowwise(self.f, (self.n_out,))
 
     def value(self, x: np.ndarray, a: np.ndarray) -> np.ndarray:

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import check_points
@@ -737,3 +739,153 @@ def test_one_run_builds_its_stencil_once_whatever_its_rounds(steps, rounds, monk
                               steps=steps, cfg=CFG)
     assert law_counter.calls == 4 * rounds
     assert len(built) == 1 and np.array_equal(built[0], chart.identity)
+
+
+# --- the driver's clean rounds against the one-row integrator ---------------
+#
+# Row r of a stack follows y' = a_r y (1 - y) + s b in + - * only, so a
+# stacked call gives each row the bits of its one-row call.  A breakdown is
+# injected into a row at a (round, stage): every call that holds the row at
+# the time that stage runs at breaks it (the two middle stages share their
+# time, so the first of them), in the row's own way: through rhs's error
+# dict, through check's, or raised by rhs for the whole call.  Each system
+# counts, per row, the calls that took it and returned.
+
+_A = np.array([0.5, -0.8, 1.1, 0.3, -0.4])
+_B = np.array([0.2, -0.1])
+
+
+def _broke(r, way, s):
+    return f"row {int(r)} broke through {way} at s = {float(s)!r}"
+
+
+def _stacked_system(targets, calls):
+    """rhs and check for rk4_path, appending to `calls` (kind, row numbers)
+    per call that returns; targets maps a row number to (way, time)."""
+    def hits(way, rows, s):
+        return [p for p, (r, t) in enumerate(zip(rows.tolist(), s.tolist()))
+                if targets.get(r) == (way, t)]
+
+    def rhs(y, s, rows):
+        raised = hits("raise", rows, s)
+        if raised:
+            raise NonFiniteEvaluation(_broke(rows[raised[0]], "raise", s[raised[0]]))
+        calls.append(("rhs", rows.tolist()))
+        k = _A[rows][:, None] * y * (1.0 - y) + s[:, None] * _B
+        return k, {p: NonFiniteEvaluation(_broke(rows[p], "rhs", s[p]))
+                   for p in hits("rhs", rows, s)}
+
+    def check(y, s, rows):
+        calls.append(("check", rows.tolist()))
+        return {p: LeftChart(_broke(rows[p], "check", s[p])) for p in hits("check", rows, s)}
+
+    return rhs, check
+
+
+def _one_row_system(r, targets, returned):
+    """rhs and check for _one_row_rk4, raising row r's breakdown and
+    counting in `returned` the calls of each kind that return."""
+    def rhs(y, s):
+        if targets.get(r) in (("rhs", s), ("raise", s)):
+            raise NonFiniteEvaluation(_broke(r, targets[r][0], s))
+        returned["rhs"] += 1
+        return _A[r] * y * (1.0 - y) + s * _B
+
+    def check(y, s):
+        if targets.get(r) == ("check", s):
+            raise LeftChart(_broke(r, "check", s))
+        returned["check"] += 1
+        return y
+
+    return rhs, check
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=5),
+       st.one_of(st.floats(-2.0, -0.01), st.floats(0.01, 2.0)), st.data())
+def test_a_stack_keeps_each_rows_one_row_path_or_breakdown(steps, t_end, data):
+    k = len(steps)
+    rows = np.array(data.draw(st.permutations(range(k))))
+    y0 = np.linspace(0.1, 0.6, 2 * k).reshape(k, 2)
+    # the broken rows meet in one round where their steps reach it
+    targets, last = {}, data.draw(st.integers(0, max(steps) - 1))
+    for p in data.draw(st.sets(st.integers(0, k - 1))):
+        way = data.draw(st.sampled_from(["rhs", "check", "raise"]))
+        i = min(last, steps[p] - 1)
+        h = t_end / steps[p]
+        s = i * h
+        at = (i + 1) * h if way == "check" else data.draw(st.sampled_from([s, s + 0.5 * h, s + h]))
+        targets[int(rows[p])] = (way, at)
+    calls = []
+    rhs, check = _stacked_system(targets, calls)
+    paths = flows.rk4_path(rhs, y0, t_end, steps, check, rows)
+    raised = any(way == "raise" for way, _ in targets.values())
+    for p, path in enumerate(paths):
+        r, returned = int(rows[p]), {"rhs": 0, "check": 0}
+        rhs, check = _one_row_system(r, targets, returned)
+        try:
+            expected = _one_row_rk4(rhs, y0[p], t_end, steps[p], check)
+        except (NonFiniteEvaluation, LeftChart) as exc:
+            assert type(path) is type(exc) and str(path) == str(exc)
+        else:
+            assert np.array_equal(path, expected)
+        # the stack calls each row as often as it ran alone, once more where
+        # the call reports its breakdown instead of raising it (a round in
+        # which a call raised runs again one row at a time, with more calls)
+        if not raised:
+            way = targets.get(r, (None,))[0]
+            for kind in ("rhs", "check"):
+                assert sum(r in taken for of, taken in calls if of == kind) \
+                    == returned[kind] + (way == kind)
+    # every injected breakdown stops its own row and no other
+    assert {int(rows[p]) for p, path in enumerate(paths) if isinstance(path, Exception)} \
+        == set(targets)
+    # a call takes at least one row, and a clean stack 4 calls a round
+    assert all(taken for _, taken in calls)
+    if not targets:
+        assert sum(of == "rhs" for of, _ in calls) == 4 * max(steps)
+
+
+@pytest.mark.parametrize("steps, message", [
+    ([-2], "steps must be at least 1, got -2"),
+    ([2.5], "steps must be an integer, got 2.5"),
+    ([0], "steps must be at least 1, got 0"),
+    ([3, 0], "steps must be at least 1, got 0"),
+])
+def test_rk4_path_rejects_a_step_count_before_any_call(steps, message):
+    calls = []
+    rhs, check = _stacked_system({}, calls)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        flows.rk4_path(rhs, np.zeros((len(steps), 2)), 1.0, steps, check)
+    assert calls == []
+
+
+def test_rk4_path_of_no_rows_is_empty():
+    calls = []
+    rhs, check = _stacked_system({}, calls)
+    assert flows.rk4_path(rhs, np.zeros((0, 2)), 1.0, [], check) == []
+    assert calls == []
+
+
+@pytest.mark.parametrize("first, cap, message", [
+    (-1, 4, "first must be at least 1, got -1"),
+    (2, 0, "cap must be at least 1, got 0"),
+    (2.0, 4, "first must be an integer, got 2.0"),
+])
+def test_step_doubled_rejects_a_step_count_before_any_call(first, cap, message):
+    calls = []
+    rhs, check = _stacked_system({}, calls)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        flows.step_doubled(rhs, np.zeros((1, 2)), 1.0, first, cap, check, NonFiniteEvaluation)
+    assert calls == []
+
+
+def test_canonical_coordinate_rejects_a_point_of_two_coordinates():
+    # it used to integrate to the first coordinate, log 2, and drop the 3
+    with pytest.raises(ValueError, match=r"got shape \(2,\)$"):
+        canonical_coordinate(get_group("multiplicative"), np.array([2.0, 3.0]), CFG)
+
+
+def test_canonical_coordinate_rejects_a_0d_array():
+    with pytest.raises(ValueError, match=r"got shape \(\)$"):
+        canonical_coordinate(get_group("multiplicative"), np.array(2.0), CFG)

@@ -63,6 +63,27 @@ def test_function_family_rejects_a_malformed_box(case):
         FunctionFamily(n_out=1, f=lambda x, a: x, a0=np.zeros(1), x_box=BAD_BOXES[case])
 
 
+BAD_PARAMETERS = {
+    "empty": np.zeros(0),
+    "NaN entry": np.array([0.7, np.nan]),
+    "infinite entry": np.array([np.inf]),
+    "two-dimensional": np.zeros((1, 2)),
+    "0-d": np.array(0.7),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PARAMETERS))
+def test_function_family_rejects_a_malformed_a0(case):
+    with pytest.raises(ValueError, match="^a0 must be a finite 1-d array"):
+        FunctionFamily(n_out=1, f=lambda x, a: x, a0=BAD_PARAMETERS[case],
+                       x_box=np.zeros((1, 2)))
+
+
+def test_a0_is_kept_as_floats():
+    fam = FunctionFamily(n_out=1, f=lambda x, a: x, a0=[1, 2], x_box=np.zeros((1, 2)))
+    assert fam.a0.dtype == float and fam.a0.tolist() == [1.0, 2.0]
+
+
 def test_a_box_is_kept_as_floats_and_may_have_zero_width():
     sys = PDESystem(psi=_psi, theta_box=np.zeros((1, 2)), x_box=[[0.5, 0.5]])
     assert sys.x_box.dtype == float and sys.x_box.shape == (1, 2)

@@ -1,7 +1,9 @@
 """The scripts load against the package as it is: every name they import
 resolves.  Each runs under its own stem as run_name, not "__main__", so
 its main does not run.  The two light scripts' mains then run at two
-samples; report_digest's takes about a minute and stays out."""
+samples, and report_digest's, a few seconds, prints every line of
+golden/report_digest.txt: every report, flow path and PDE result it
+covers keeps its bytes."""
 
 import runpy
 import sys
@@ -44,6 +46,12 @@ def run_main(script: str, monkeypatch, capsys, *argv: str) -> tuple[int, list[st
     monkeypatch.setattr(sys, "argv", [script, *argv])
     code = main()
     return code, capsys.readouterr().out.splitlines()
+
+
+def test_report_digest_keeps_every_golden_line(monkeypatch, capsys):
+    _, lines = run_main("report_digest.py", monkeypatch, capsys)
+    golden = (Path(__file__).resolve().parent / "golden" / "report_digest.txt").read_text()
+    assert lines == golden.splitlines()
 
 
 def test_run_catalog_sweeps_every_group_without_a_failure(monkeypatch, capsys):
