@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import UnknownEntry
-from .group import GroupChart
+from .group import GroupChart, _opposite
 from .numdiff import broadcasting
 from .reps import (
     RepChart,
@@ -221,24 +221,24 @@ def get_oracles(name: str) -> OperatorOracles:
 
 
 def _base_rep(group_name: str, rep_name: str) -> tuple[RepChart, np.ndarray]:
-    """A catalog representation, from its map and side, and its hand-derived generators."""
+    """A catalog representation, from its map and group, and its hand-derived generators."""
     chart = get_group(group_name)
     n = math.isqrt(chart.n)
     # E_kl, the generator of coordinate k*n + l of gl:n, is that row of the identity
     units = np.eye(n * n).reshape(n * n, n, n)
-    reps = {"trivial": (lambda a: np.ones(a.shape[:-1] + (1, 1)), "left",
+    reps = {"trivial": (lambda a: np.ones(a.shape[:-1] + (1, 1)), chart,
                         np.zeros((chart.n, 1, 1)))}
     if group_name.startswith("gl:"):
-        reps["standard"] = lambda a: a.reshape(a.shape[:-1] + (n, n)).copy(), "left", units
-        # acts on row vectors by u -> u a^-1, so the order of factors reverses
+        reps["standard"] = lambda a: a.reshape(a.shape[:-1] + (n, n)).copy(), chart, units
+        # u -> u a^-1 on row vectors reverses every product: one of the opposite group
         reps["conjugate"] = (lambda a: np.linalg.inv(a.reshape(a.shape[:-1] + (n, n))),
-                             "right", -units)
+                             _opposite(chart), -units)
     if group_name == "affine":
-        reps["matrix"] = _affine_matrix, "left", np.eye(4)[:2].reshape(2, 2, 2)
+        reps["matrix"] = _affine_matrix, chart, np.eye(4)[:2].reshape(2, 2, 2)
     if rep_name not in reps:
         raise UnknownEntry(f"group {group_name!r} has no representation {rep_name!r}")
-    f, side, gens = reps[rep_name]
-    rep = RepChart(group=chart, m=gens.shape[-1], f=broadcasting(f), side=side, name=rep_name)
+    f, group, gens = reps[rep_name]
+    rep = RepChart(group=group, m=gens.shape[-1], f=broadcasting(f), name=rep_name)
     return rep, gens
 
 
@@ -266,7 +266,7 @@ def _lookup(group_name: str, rep_name: str) -> tuple[RepChart, np.ndarray]:
     combine, combine_generators = _COMPOSITES[kind]
     try:
         return combine(r1, r2), combine_generators(g1, g2)
-    except ValueError as exc:  # e.g. a left- and a right-sided half
+    except ValueError as exc:  # e.g. a half of the chart and one of its opposite
         raise UnknownEntry(f"group {group_name!r} has no representation "
                            f"{rep_name!r}: {exc}") from None
 

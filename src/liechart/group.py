@@ -87,11 +87,18 @@ class _Opposite(GroupChart):
 
 def _opposite(chart: GroupChart) -> GroupChart:
     """The opposite group of chart, whose law takes (a, b) to compose(b, a),
-    with chart's identity and inverse map: its left shift equations are
-    chart's right ones.  The law looks chart.compose up at each call, so a
-    law wrapped later, as by a counter, sees every call."""
-    return _Opposite(chart.n, broadcasting(lambda a, b: chart.compose(b, a)), chart.identity,
-                     chart_radius=chart.chart_radius, name=chart.name, base=chart)
+    with chart's identity and inverse map: chart's right-handed forms are
+    its left ones.  One object per chart, kept on it (a copy of chart gets
+    its own), whose opposite is chart.  The law looks chart.compose up at
+    each call, so a law wrapped later, as by a counter, sees every call."""
+    if isinstance(chart, _Opposite):
+        return chart.base
+    op = getattr(chart, "_opposite", None)
+    if op is None or op.base is not chart:      # none yet, or one copied from another chart
+        op = chart._opposite = _Opposite(
+            chart.n, broadcasting(lambda a, b: chart.compose(b, a)), chart.identity,
+            chart_radius=chart.chart_radius, name=chart.name, base=chart)
+    return op
 
 
 def check_rng(cfg: DiffConfig, check_id: str) -> np.random.Generator:

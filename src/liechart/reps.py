@@ -1,11 +1,11 @@
 """Linear representations of a chart group and their generator identities.
 
-A representation is a smooth matrix-valued map f on the chart.  Two
-compositions are supported: `side="left"` means f(compose(b, a)) =
-f(b) f(a); `side="right"` reverses the matrix product.  The reversed
-kind shows up naturally when a representation acts on row vectors, and
-every identity below carries a side dispatch because conjugating the
-matrices transposes the order of every product.
+A representation is a smooth matrix-valued map f on the chart with
+f(compose(b, a)) = f(b) f(a), and every identity below is written in that
+one form, with no side dispatch.  A map that reverses the product,
+f(compose(b, a)) = f(a) f(b), as one acting on row vectors does, is a
+representation of the opposite group (`group._opposite`), whose law is
+compose with its arguments swapped; `conjugate_rep` builds one there.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .group import GroupChart, inverse, maxabs, maxabs_rows, psi_flavored
+from .group import GroupChart, _opposite, inverse, maxabs, maxabs_rows, psi_flavored
 from .numdiff import (DiffConfig, _as_integer, as_finite_array, broadcasting, invert,
                       jacobian, rowwise)
 from .structure import StructureConstants
@@ -31,12 +31,9 @@ class RepChart:
     group: GroupChart
     m: int
     f: Callable[[np.ndarray], np.ndarray]
-    side: str = "left"
     name: str = "rep"
 
     def __post_init__(self) -> None:
-        if self.side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', got {self.side!r}")
         self.m = _as_integer(self.m, "m")
         if self.m < 1:
             raise ValueError("representation dimension must be positive")
@@ -48,10 +45,6 @@ class RepChart:
         if out.shape != a.shape[:-1] + (self.m, self.m):
             raise ValueError(f"representation of m = {self.m} gave {out.shape} at {a.shape}")
         return out
-
-    def product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """x @ y on the left side, y @ x on the reversed side; broadcasts over stacks."""
-        return x @ y if self.side == "left" else y @ x
 
 
 def _slot_derivatives(rep: RepChart, a: np.ndarray, cfg: DiffConfig) -> np.ndarray:
@@ -73,7 +66,7 @@ def rep_generators(rep: RepChart, cfg: DiffConfig | None = None) -> np.ndarray:
 def rep_homomorphism_residual(rep: RepChart, b: np.ndarray, a: np.ndarray) -> np.ndarray:
     """f(compose(b, a)) against the product of f(b) and f(a), one value
     per row of the (k, n) stacks b and a."""
-    return maxabs_rows(rep(rep.group.compose(b, a)) - rep.product(rep(b), rep(a)), a)
+    return maxabs_rows(rep(rep.group.compose(b, a)) - rep(b) @ rep(a), a)
 
 
 def rep_inverse_residual(rep: RepChart, a: np.ndarray, cfg: DiffConfig | None = None
@@ -92,43 +85,35 @@ def rep_pde_residual(rep: RepChart, gens: np.ndarray, a: np.ndarray,
     cfg = cfg or DiffConfig()
     # the generator equation: d f / d a^L = sum_k lam_left[k, L] I_k f
     lam_left = invert(psi_flavored(rep.group, a, "left", cfg))
-    expected = _combine(lam_left, rep.product(gens, rep(a)[:, None]))
+    expected = _combine(lam_left, gens @ rep(a)[:, None])
     return maxabs_rows(_slot_derivatives(rep, a, cfg) - expected, a)
 
 
-def integrability_check(gens: np.ndarray, constants: StructureConstants,
-                        side: str = "left") -> float:
+def integrability_check(gens: np.ndarray, constants: StructureConstants) -> float:
     """Generator commutators against the structure constants.
 
     This is the compatibility condition that makes the defining equation
     solvable; it is pure matrix algebra once the generators are known.
-    The reversed side swaps the lower index order of the constants.
     """
     if constants.flavor != "left":
         raise ValueError("integrability_check expects left-flavor constants")
     n = len(gens)
-    c = constants.c if side == "left" else constants.c.transpose(0, 2, 1)
     prod = gens[:, None] @ gens[None, :]            # prod[k, p] = I_k I_p
     comm = prod.transpose(1, 0, 2, 3) - prod        # comm[p, k] = [I_k, I_p]
-    return maxabs(comm - _combine(c.reshape(n, n * n), gens).reshape(comm.shape))
+    return maxabs(comm - _combine(constants.c.reshape(n, n * n), gens).reshape(comm.shape))
 
 
 def conjugate_rep(rep: RepChart) -> RepChart:
-    """Pointwise matrix inverse, acting on the dual side."""
-    other = "right" if rep.side == "left" else "left"
-    return RepChart(group=rep.group, m=rep.m,
-                    f=broadcasting(lambda a: invert(rep(a))),
-                    side=other, name=f"conjugate({rep.name})")
+    """Pointwise matrix inverse, a representation of the opposite group."""
+    return RepChart(group=_opposite(rep.group), m=rep.m,
+                    f=broadcasting(lambda a: invert(rep(a))), name=f"conjugate({rep.name})")
 
 
 def tensor_product(r1: RepChart, r2: RepChart) -> RepChart:
     """Kronecker product of two representations of the same chart."""
     if r1.group is not r2.group:
-        raise ValueError("tensor_product needs representations of one chart")
-    if r1.side != r2.side:
-        raise ValueError("tensor_product needs matching sides")
-    return RepChart(group=r1.group, m=r1.m * r2.m,
-                    f=broadcasting(lambda a: _kron(r1(a), r2(a))), side=r1.side,
+        raise ValueError("tensor_product needs representations of one chart, matching sides")
+    return RepChart(group=r1.group, m=r1.m * r2.m, f=broadcasting(lambda a: _kron(r1(a), r2(a))),
                     name=f"tensor({r1.name},{r2.name})")
 
 
@@ -146,12 +131,10 @@ def tensor_generators(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
 def direct_sum(r1: RepChart, r2: RepChart) -> RepChart:
     """Block-diagonal sum of two representations of the same chart."""
     if r1.group is not r2.group:
-        raise ValueError("direct_sum needs representations of one chart")
-    if r1.side != r2.side:
-        raise ValueError("direct_sum needs matching sides")
+        raise ValueError("direct_sum needs representations of one chart, matching sides")
     return RepChart(group=r1.group, m=r1.m + r2.m,
                     f=broadcasting(lambda a: direct_sum_generators(r1(a), r2(a))),
-                    side=r1.side, name=f"sum({r1.name},{r2.name})")
+                    name=f"sum({r1.name},{r2.name})")
 
 
 def direct_sum_generators(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
@@ -172,7 +155,7 @@ def mixed_identity_residual(rep: RepChart, gens: np.ndarray, a: np.ndarray,
     The slot derivative of f can be written through either the left or
     the right inverse operator; the generator products swap sides
     between the two forms.  Their difference at coordinate L is
-    f(a) sum_p lam_right[p, L] G_p (G_p f(a) on the reversed side), where
+    f(a) sum_p lam_right[p, L] G_p, where
     G_p = sum_k Ad[k, p] f(a)^-1 I_k f(a) - I_p, so the row also checks
     that the generators are invariant under the adjoint.
     """
@@ -180,5 +163,4 @@ def mixed_identity_residual(rep: RepChart, gens: np.ndarray, a: np.ndarray,
     fa = rep(a)[:, None]
     lam_left = invert(psi_flavored(rep.group, a, "left", cfg))
     lam_right = invert(psi_flavored(rep.group, a, "right", cfg))
-    return maxabs_rows(_combine(lam_left, rep.product(gens, fa))
-                       - _combine(lam_right, rep.product(fa, gens)), a)
+    return maxabs_rows(_combine(lam_left, gens @ fa) - _combine(lam_right, fa @ gens), a)

@@ -5,7 +5,8 @@ of the composition law at the identity, taken once in each slot.  Its
 antisymmetrized part gives the structure constants; the same constants
 must reappear when measured away from the identity through the basic
 operator fields, in the curl of the inverse operator field (the Maurer
-equation), and in commutators of the invariant frame fields.
+equation), and in commutators of the invariant frame fields.  Each is
+written in its left form: a right-flavor call runs it on `group._opposite`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularMatrix
-from .group import GroupChart, maxabs, psi_flavored
+from .group import GroupChart, _Opposite, _opposite, maxabs, psi_flavored
 from .numdiff import DiffConfig, invert, jacobian, mixed_second, numeric_rank, rowwise
 
 CONSTANCY_POINTS = 5
@@ -62,37 +63,41 @@ def jacobi_residual(constants: StructureConstants) -> float:
     return maxabs(total)
 
 
-def _flat_field(chart: GroupChart, flavor: str, cfg: DiffConfig):
-    """The basic operator field with each (n, n) value flattened, over stacks too."""
-    return lambda x: psi_flavored(chart, x, flavor, cfg).reshape(x.shape[:-1] + (-1,))
+def _left_form(chart: GroupChart, flavor: str) -> GroupChart:
+    """chart for the left flavor, and for the right its opposite group."""
+    if flavor not in ("left", "right"):
+        raise ValueError(f"unknown flavor {flavor!r}")
+    return chart if flavor == "left" else _opposite(chart)
 
 
-def _frame_derivatives(chart: GroupChart, a: np.ndarray, flavor: str,
+def _flat_field(chart: GroupChart, cfg: DiffConfig):
+    """The left basic operator field with each (n, n) value flattened, over stacks too."""
+    return lambda x: psi_flavored(chart, x, "left", cfg).reshape(x.shape[:-1] + (-1,))
+
+
+def _frame_derivatives(chart: GroupChart, a: np.ndarray,
                        cfg: DiffConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Basic operator at the point a, its inverse and the inverse's point
-    derivative, (psi, lam, dlam[U][V][P]).
+    """Left basic operator at the point a, its inverse and the inverse's
+    point derivative, (psi, lam, dlam[U][V][P]).
 
     psi and its derivative come from one second-derivative stencil of the
-    composition law, with the non-varying slot pinned at the identity;
-    dlam follows by the inverse-derivative identity.
+    composition law, with the left slot pinned at the identity; dlam
+    follows by the inverse-derivative identity.
     """
-    e = chart.identity
-    psi = psi_flavored(chart, a, flavor, cfg)
-    if flavor == "right":
-        dpsi = np.transpose(mixed_second(chart.compose, (a, e), cfg), (0, 2, 1))
-    else:
-        dpsi = mixed_second(chart.compose, (e, a), cfg)
+    psi = psi_flavored(chart, a, "left", cfg)
+    dpsi = mixed_second(chart.compose, (chart.identity, a), cfg)
     try:
         # Fortran order: maurer_residual's einsum over two copies of lam runs
         # twice as fast on it, about 2 ms of a gl:3 structure pass
         lam = np.asfortranarray(invert(psi))
     except SingularMatrix:
-        raise SingularMatrix(_rank_drop(psi, a, flavor)) from None
+        raise SingularMatrix(_rank_drop(chart, psi, a)) from None
     return psi, lam, -np.einsum("ur,rsp,sv->uvp", lam, dpsi, lam)
 
 
-def _rank_drop(psi: np.ndarray, a: np.ndarray, flavor: str) -> str:
-    """Breakdown message for a frame that is singular at the point a."""
+def _rank_drop(chart: GroupChart, psi: np.ndarray, a: np.ndarray) -> str:
+    """Breakdown message for chart's left frame, singular at the point a."""
+    flavor = "right" if isinstance(chart, _Opposite) else "left"
     return f"{flavor} frame has rank {numeric_rank(psi)} of {len(psi)} at a = {a.tolist()}"
 
 
@@ -104,7 +109,7 @@ def structure_constants_at_point(chart: GroupChart, a, flavor: str,
     the basic operator; the result must not depend on the point.
     """
     cfg = cfg or DiffConfig()
-    psi, _, dlam = _frame_derivatives(chart, np.asarray(a, float), flavor, cfg)
+    psi, _, dlam = _frame_derivatives(_left_form(chart, flavor), np.asarray(a, float), cfg)
     antis = dlam - np.transpose(dlam, (0, 2, 1))
     return np.einsum("rt,pv,urp->utv", psi, psi, antis)
 
@@ -126,10 +131,10 @@ def maurer_residual(chart: GroupChart, constants: StructureConstants, a: np.ndar
     constants contracted with two copies of that field.
     """
     cfg = cfg or DiffConfig()
-    flavor = constants.flavor
+    chart = _left_form(chart, constants.flavor)
 
     def residual(p: np.ndarray) -> float:
-        _, lam, dlam = _frame_derivatives(chart, p, flavor, cfg)
+        _, lam, dlam = _frame_derivatives(chart, p, cfg)
         curl = dlam - np.transpose(dlam, (0, 2, 1))
         contracted = np.einsum("utv,tp,vr->upr", constants.c, lam, lam)
         return maxabs(contracted - curl)
@@ -152,14 +157,14 @@ def invariant_field_commutators(chart: GroupChart, constants: StructureConstants
     independent of the mixed_second stencil the Maurer check uses.
     """
     cfg = cfg or DiffConfig()
-    flavor = constants.flavor
+    chart = _left_form(chart, constants.flavor)
     n = chart.n
 
     def residual(p: np.ndarray) -> float:
-        psi = psi_flavored(chart, p, flavor, cfg)
+        psi = psi_flavored(chart, p, "left", cfg)
         if numeric_rank(psi) < n:
-            raise SingularMatrix(_rank_drop(psi, p, flavor))
-        dframe = jacobian(_flat_field(chart, flavor, cfg), p, cfg)
+            raise SingularMatrix(_rank_drop(chart, psi, p))
+        dframe = jacobian(_flat_field(chart, cfg), p, cfg)
         # jac[V] is the Jacobian of frame field V; contiguous copies give each
         # product the memory layout, and so the bits, of vf_commutator
         jac = np.ascontiguousarray(dframe.reshape(n, n, n).transpose(1, 0, 2))

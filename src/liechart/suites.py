@@ -20,6 +20,7 @@ from .errors import LieChartError, UnknownEntry
 from .group import (
     Checks,
     GroupChart,
+    _opposite,
     axiom_checks,
     build_report,
     check_rng,
@@ -93,11 +94,15 @@ def rep_suite(chart: GroupChart, rep: RepChart | None, cfg: DiffConfig,
     # without a named representation the suite has no rows
     if rep is None:
         return
+    if rep.group is not chart and rep.group is not _opposite(chart):
+        raise ValueError(f"representation {rep.name!r} of chart {rep.group.name!r} "
+                         f"cannot run on chart {chart.name!r}")
     gens = reps.rep_generators(rep, cfg)
 
     def integrability() -> float:
-        c_left = structure.structure_constants(generators(chart, cfg), "left")
-        return reps.integrability_check(gens, c_left, rep.side)
+        t = generators(chart, cfg)      # the opposite group's is t with its lower slots swapped
+        t = t if rep.group is chart else t.transpose(0, 2, 1)
+        return reps.integrability_check(gens, structure.structure_constants(t, "left"))
 
     yield from sampled_checks(chart, cfg, [
         ("rep_identity", 0, 1, lambda: rep(chart.identity) - np.eye(rep.m)),

@@ -216,7 +216,7 @@ def test_criterion_08_representation_identities(emit):
              1e-8),
             (maxabs(rep_pde_residual(rep, gens, *check_points(chart, CFG, "rep_pde_map"),
                                      CFG)), 1e-3),
-            (integrability_check(gens, c_left, rep.side), 1e-6),
+            (integrability_check(gens, c_left), 1e-6),
             (maxabs(mixed_identity_residual(
                 rep, gens, *check_points(chart, CFG, "rep_mixed_identity"), CFG)), 1e-4),
             (maxabs(rep_generators(rep, CFG) + rep_generators(conjugate_rep(rep), CFG)), 1e-5),

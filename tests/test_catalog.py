@@ -9,7 +9,7 @@ from liechart.catalog import (
     rep_generator_oracle,
 )
 from liechart.errors import UnknownEntry
-from liechart.group import check_rng, inverse, psi_flavored, sample_points
+from liechart.group import _opposite, check_rng, inverse, psi_flavored, sample_points
 from liechart.numdiff import DiffConfig, invert
 from liechart.structure import group_generators, structure_constants
 
@@ -87,9 +87,10 @@ def test_affine_oracle_structure_constants_frozen():
 def test_rep_lookup():
     rep = get_rep("gl:2", "standard")
     assert rep.m == 2
-    assert rep.side == "left"
+    assert rep.group is get_group("gl:2")
+    # the conjugate reverses every product: a representation of the opposite group
     conj = get_rep("gl:2", "conjugate")
-    assert conj.side == "right"
+    assert conj.group is _opposite(get_group("gl:2"))
     assert get_rep("affine", "matrix").m == 2
     assert get_rep("translation:3", "trivial").m == 1
 

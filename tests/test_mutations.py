@@ -176,9 +176,9 @@ def _gl2_rep_bumped(eps: float = 0.05) -> RepChart:
 
 
 def _gl2_rep_transposed() -> RepChart:
-    # A^T reverses every product, so as a left-side representation it is wrong
+    # A^T reverses every product: a representation of the opposite group, not of gl:2
     return RepChart(group=get_group("gl:2"), m=2, name="transposed",
-                    f=lambda a: a.reshape(2, 2).T.copy(), side="left")
+                    f=lambda a: a.reshape(2, 2).T.copy())
 
 
 def _gl2_rep_offset() -> RepChart:

@@ -12,6 +12,8 @@ from conftest import check_points
 from liechart.catalog import GROUP_NAMES, get_group, get_rep, rep_generator_oracle
 from liechart.group import (
     GroupChart,
+    _opposite,
+    _Opposite,
     check_rng,
     inverse,
     maxabs,
@@ -56,8 +58,6 @@ def unit_matrix(m, k, l):
 def test_rep_chart_validation():
     chart = get_group("affine")
     with pytest.raises(ValueError):
-        RepChart(group=chart, m=2, f=lambda a: np.eye(2), side="up")
-    with pytest.raises(ValueError):
         RepChart(group=chart, m=0, f=lambda a: np.eye(0))
     # True used to pass here and raise at the first call
     for m in (True, 2.0):
@@ -90,7 +90,7 @@ def test_rep_chart_lifts_an_unmarked_map_only():
     assert lifted is not point_map and lifted.broadcasts
     # a lifted map is not lifted again when the representation is copied
     rep = RepChart(group=chart, m=2, f=point_map)
-    assert dataclasses.replace(rep, side="right").f is rep.f
+    assert dataclasses.replace(rep, group=_opposite(chart)).f is rep.f
 
 
 @pytest.mark.parametrize("group_name,rep_name", [
@@ -223,7 +223,7 @@ def test_rep_integrability(group_name, rep_name):
     rep = get_rep(group_name, rep_name)
     gens = rep_generators(rep, CFG)
     c_left = structure_constants(group_generators(rep.group, CFG), "left")
-    assert integrability_check(gens, c_left, rep.side) < 1e-6
+    assert integrability_check(gens, c_left) < 1e-6
 
 
 @given(st.integers(1, 3).flatmap(
@@ -231,9 +231,10 @@ def test_rep_integrability(group_name, rep_name):
 def test_integrability_is_zero_in_1d(gens):
     # one generator commutes with itself and a 1-d algebra's constants are
     # zero, so the rep suite yields no rep_integrability row at n = 1
-    c_left = structure_constants(group_generators(get_group("multiplicative"), CFG), "left")
-    for side in ("left", "right"):
-        assert integrability_check(gens, c_left, side) == 0.0
+    mult = get_group("multiplicative")
+    for chart in (mult, _opposite(mult)):
+        c_left = structure_constants(group_generators(chart, CFG), "left")
+        assert integrability_check(gens, c_left) == 0.0
 
 
 def test_integrability_affine_by_hand():
@@ -250,7 +251,7 @@ def test_integrability_requires_left_constants():
     gens = rep_generators(rep, CFG)
     c_right = structure_constants(group_generators(rep.group, CFG), "right")
     with pytest.raises(ValueError):
-        integrability_check(gens, c_right, rep.side)
+        integrability_check(gens, c_right)
 
 
 @pytest.mark.parametrize("group_name,rep_name", [
@@ -262,11 +263,12 @@ def test_conjugate_identities(group_name, rep_name):
 
 
 def test_conjugate_flips_side():
+    # the conjugate reverses every product: a representation of the opposite group
     rep = get_rep("gl:2", "standard")
     conj = conjugate_rep(rep)
-    assert rep.side == "left"
-    assert conj.side == "right"
-    assert conjugate_rep(conj).side == "left"
+    assert rep.group is get_group("gl:2")
+    assert conj.group is _opposite(rep.group)
+    assert conjugate_rep(conj).group is rep.group
 
 
 def test_tensor_product_generators():
@@ -360,30 +362,49 @@ def test_combination_rejects_distinct_same_named_charts():
 # last digit differently from one matrix-vector product per column.
 # The references also go one sample point at a time, where the package
 # runs each residual once over the (count, n) stack of its points.
+#
+# The references keep both sides.  A representation of an opposite group
+# is the reversed-side representation of the opposite's base chart, and a
+# reference runs it there with every product reversed (y @ x), where the
+# package runs the one left-side form on the opposite group.
 
 SIDED_CASES = [(group_name, rep_name, side)
                for group_name, rep_name in REP_CASES for side in ("left", "right")]
 
 
 def sided(group_name, rep_name, side):
-    # the side only changes the order of the matrix products, so flipping
-    # it on a real representation still exercises both code paths
-    return dataclasses.replace(get_rep(group_name, rep_name), side=side)
+    # the side only changes the order of the matrix products, so moving a
+    # real representation to either chart still exercises both forms
+    chart = get_group(group_name)
+    return dataclasses.replace(get_rep(group_name, rep_name),
+                               group=chart if side == "left" else _opposite(chart))
 
 
-def loop_pde_residual(rep, gens):
-    chart = rep.group
-    pts = sample_points(chart, CFG, check_rng(CFG, "rep_pde_map"), CFG.sample_count)
+def handed(rep):
+    """(chart, side) of a representation as the references run it."""
+    if isinstance(rep.group, _Opposite):
+        return rep.group.base, "right"
+    return rep.group, "left"
+
+
+def product(side, x, y):
+    """x @ y on the left side, y @ x on the reversed side."""
+    return x @ y if side == "left" else y @ x
+
+
+def loop_pde_residual(rep, gens, cfg=CFG):
+    chart, side = handed(rep)
+    pts = sample_points(chart, cfg, check_rng(cfg, "rep_pde_map"), cfg.sample_count)
     map_res = []
     for a in pts:
         fa = rep(a)
-        lam_left = invert(psi_flavored(chart, a, "left", CFG))
-        d = jacobian(rowwise(lambda x: rep(x).ravel()), a, CFG).reshape(rep.m, rep.m, chart.n)
+        lam_left = invert(psi_flavored(chart, a, "left", cfg))
+        d = jacobian(rowwise(lambda x: rep(x).ravel()), a, cfg).reshape(rep.m, rep.m, chart.n)
         expected = np.empty((rep.m, rep.m, chart.n))
         for col in range(chart.n):
             acc = np.zeros((rep.m, rep.m))
             for k in range(chart.n):
-                acc += lam_left[k, col] * rep.product(gens[k], fa)
+                acc += lam_left[k, col] * product(side, gens[k], fa)
             expected[:, :, col] = acc
         map_res.append(maxabs(d - expected))
     return maxabs(map_res)
@@ -401,69 +422,111 @@ def loop_integrability(gens, c, side):
 
 
 def loop_generator_transform(rep, g, gens):
-    adjoint = (invert(psi_flavored(rep.group, g, "left", CFG))
-               @ psi_flavored(rep.group, g, "right", CFG))
+    chart, side = handed(rep)
+    adjoint = (invert(psi_flavored(chart, g, "left", CFG))
+               @ psi_flavored(chart, g, "right", CFG))
     fg = rep(g)
     fg_inv = invert(fg)
-    conj = [fg_inv @ gen @ fg if rep.side == "left" else fg @ gen @ fg_inv for gen in gens]
+    conj = [fg_inv @ gen @ fg if side == "left" else fg @ gen @ fg_inv for gen in gens]
     out = []
-    for p in range(rep.group.n):
+    for p in range(chart.n):
         acc = np.zeros((rep.m, rep.m))
-        for k in range(rep.group.n):
+        for k in range(chart.n):
             acc += adjoint[k, p] * conj[k]
         out.append(acc)
     return np.array(out)
 
 
-def loop_rep_axioms(rep):
-    chart = rep.group
-    pairs = sample_points(chart, CFG, check_rng(CFG, "rep_homomorphism"), 2 * CFG.sample_count)
-    pts = sample_points(chart, CFG, check_rng(CFG, "rep_inverse"), CFG.sample_count)
+def loop_rep_axioms(rep, cfg=CFG):
+    chart, side = handed(rep)
+    pairs = sample_points(chart, cfg, check_rng(cfg, "rep_homomorphism"), 2 * cfg.sample_count)
+    pts = sample_points(chart, cfg, check_rng(cfg, "rep_inverse"), cfg.sample_count)
     return {
         "rep_identity": maxabs(rep(chart.identity) - np.eye(rep.m)),
-        "rep_homomorphism": maxabs([maxabs(rep(chart.compose(b, a)) - rep.product(rep(b), rep(a)))
+        "rep_homomorphism": maxabs([maxabs(rep(chart.compose(b, a))
+                                           - product(side, rep(b), rep(a)))
                                     for b, a in pairs.reshape(-1, 2, chart.n)]),
-        "rep_inverse": maxabs([maxabs(rep(inverse(chart, a, CFG)) - invert(rep(a)))
+        "rep_inverse": maxabs([maxabs(rep(inverse(chart, a, cfg)) - invert(rep(a)))
                                for a in pts]),
     }
 
 
-def loop_mixed_difference(rep, a, gens):
+def loop_mixed_difference(rep, a, gens, cfg=CFG):
     """R[L] at the point a: the left-weighted form of d f / d a^L minus the right-weighted one."""
+    chart, side = handed(rep)
     fa = rep(a)
-    lam_left = invert(psi_flavored(rep.group, a, "left", CFG))
-    lam_right = invert(psi_flavored(rep.group, a, "right", CFG))
+    lam_left = invert(psi_flavored(chart, a, "left", cfg))
+    lam_right = invert(psi_flavored(chart, a, "right", cfg))
     out = []
-    for col in range(rep.group.n):
+    for col in range(chart.n):
         left_form = np.zeros((rep.m, rep.m))
         right_form = np.zeros((rep.m, rep.m))
-        for k in range(rep.group.n):
-            left_form += lam_left[k, col] * rep.product(gens[k], fa)
-            right_form += lam_right[k, col] * rep.product(fa, gens[k])
+        for k in range(chart.n):
+            left_form += lam_left[k, col] * product(side, gens[k], fa)
+            right_form += lam_right[k, col] * product(side, fa, gens[k])
         out.append(left_form - right_form)
     return np.array(out)
 
 
-def loop_mixed_identity(rep, gens):
-    pts = sample_points(rep.group, CFG, check_rng(CFG, "rep_mixed_identity"), CFG.sample_count)
-    return maxabs([maxabs(loop_mixed_difference(rep, a, list(gens))) for a in pts])
+def loop_mixed_identity(rep, gens, cfg=CFG):
+    chart, _ = handed(rep)
+    pts = sample_points(chart, cfg, check_rng(cfg, "rep_mixed_identity"), cfg.sample_count)
+    return maxabs([maxabs(loop_mixed_difference(rep, a, list(gens), cfg)) for a in pts])
+
+
+def suite_rows(rep, cfg):
+    chart, _ = handed(rep)
+    return {check_id: residual
+            for check_id, _, residual in rep_suite(chart, rep, cfg, group_generators)}
+
+
+def assert_rows_match_references(rep, cfg):
+    """The rows a side leaves as they were are the references' own values."""
+    chart, side = handed(rep)
+    gens = rep_generators(rep, cfg)
+    rows = suite_rows(rep, cfg)
+    axioms = loop_rep_axioms(rep, cfg)
+    for check_id in ("rep_identity", "rep_inverse"):
+        assert rows[check_id] == axioms[check_id], check_id
+    if chart.n > 1:
+        c_left = structure_constants(group_generators(chart, cfg), "left")
+        assert rows["rep_integrability"] == loop_integrability(list(gens), c_left.c, side)
+    assert rows["rep_mixed_identity"] == loop_mixed_identity(rep, list(gens), cfg)
+    return gens, rows, axioms
 
 
 @pytest.mark.parametrize("group_name,rep_name,side", SIDED_CASES)
 def test_generator_stack_matches_loop_references(group_name, rep_name, side):
     rep = sided(group_name, rep_name, side)
-    gens = rep_generators(rep, CFG)
+    assert handed(rep) == (get_group(group_name), side)
+    gens, rows, axioms = assert_rows_match_references(rep, CFG)
     assert gens.shape == (rep.group.n, rep.m, rep.m)
-    c_left = structure_constants(group_generators(rep.group, CFG), "left")
-    rows = {check_id: residual
-            for check_id, _, residual in rep_suite(rep.group, rep, CFG, group_generators)}
+    # the package writes the defining equation and the homomorphism in
+    # their left-side form only, which is the references' own on that side
+    if side == "left":
+        assert rows["rep_pde_map"] == loop_pde_residual(rep, list(gens))
+        assert rows["rep_homomorphism"] == axioms["rep_homomorphism"]
 
-    assert rows["rep_pde_map"] == loop_pde_residual(rep, list(gens))
-    assert (integrability_check(gens, c_left, side)
-            == loop_integrability(list(gens), c_left.c, side))
-    assert rows["rep_mixed_identity"] == loop_mixed_identity(rep, list(gens))
-    for check_id, residual in loop_rep_axioms(rep).items():
-        assert rows[check_id] == residual, check_id
+
+REVERSED_REPS = [*((f"gl:{n}", "conjugate") for n in (1, 2, 3)),
+                 ("gl:2", "tensor:conjugate,conjugate"), ("gl:2", "sum:conjugate,conjugate")]
+
+
+@pytest.mark.parametrize("seed", [42, 2026, 7])
+@pytest.mark.parametrize("group_name,rep_name", REVERSED_REPS)
+def test_reversed_side_rows_stay_near_their_references(group_name, rep_name, seed):
+    # On the opposite group the defining equation is weighted by the other
+    # frame, lam_right of the base chart, and the homomorphism reads each
+    # pair in the other order, so these two rows move by roundoff from the
+    # reversed-side references; the other four keep their bits.
+    cfg = DiffConfig(rng_seed=seed)
+    rep = get_rep(group_name, rep_name)
+    assert handed(rep)[1] == "right"
+    gens, rows, axioms = assert_rows_match_references(rep, cfg)
+    reference = loop_pde_residual(rep, list(gens), cfg)
+    assert 0.9 * reference <= rows["rep_pde_map"] <= 1.1 * reference
+    assert rows["rep_homomorphism"] <= 1e-14
+    assert axioms["rep_homomorphism"] <= 1e-14
 
 
 # --- rep_mixed_identity restates the transformed generators -------------------
@@ -478,10 +541,11 @@ def test_generator_stack_matches_loop_references(group_name, rep_name, side):
 
 def transformed_generator_prediction(rep, a, gens):
     """f(a) sum_p lam_right[p, L] G_p for each L, G from the loop reference."""
+    chart, side = handed(rep)
     g = loop_generator_transform(rep, a, gens) - gens
-    lam_right = invert(psi_flavored(rep.group, a, "right", CFG))
-    n = rep.group.n
-    return np.array([rep.product(rep(a), sum(lam_right[p, col] * g[p] for p in range(n)))
+    lam_right = invert(psi_flavored(chart, a, "right", CFG))
+    n = chart.n
+    return np.array([product(side, rep(a), sum(lam_right[p, col] * g[p] for p in range(n)))
                      for col in range(n)])
 
 
@@ -515,8 +579,10 @@ def test_mixed_residual_reads_as_high_as_the_transformed_generators(group_name, 
 
 
 def test_integrability_nan_matches_loop_reference():
-    c_left = structure_constants(group_generators(get_group("affine"), CFG), "left")
+    affine = get_group("affine")
     gens = np.array([np.full((2, 2), np.nan), np.eye(2)])
-    for side in ("left", "right"):
-        assert np.isnan(integrability_check(gens, c_left, side))
+    for chart, side in ((affine, "left"), (_opposite(affine), "right")):
+        assert np.isnan(integrability_check(
+            gens, structure_constants(group_generators(chart, CFG), "left")))
+        c_left = structure_constants(group_generators(affine, CFG), "left")
         assert np.isnan(loop_integrability(list(gens), c_left.c, side))

@@ -13,6 +13,7 @@ solves a whole stack in one damped Newton, must give each row the bits,
 the evaluations and the breakdown of solving it alone.
 """
 
+import copy as copy_module
 import dataclasses
 
 import numpy as np
@@ -388,6 +389,22 @@ def test_opposite_law_looks_the_chart_law_up_at_each_call(law_counter):
     chart.compose = law_counter.wrap(chart.compose)
     op.compose(a, b)
     assert (law_counter.evals, law_counter.calls) == (3, 1)
+    # the opposite is kept on the chart, and still sees a law wrapped again
+    chart.compose = law_counter.wrap(chart.compose)
+    group._opposite(chart).compose(a, b)
+    assert (law_counter.evals, law_counter.calls) == (9, 3)
+
+
+def test_opposite_is_one_object_per_chart():
+    chart = dataclasses.replace(get_group("affine"))
+    op = group._opposite(chart)
+    assert group._opposite(chart) is op
+    assert group._opposite(op) is chart
+    # a copy is a chart of its own, with an opposite of its own
+    for copy in (dataclasses.replace(chart), copy_module.copy(chart)):
+        assert group._opposite(copy) is not op
+        assert group._opposite(copy).base is copy
+        assert group._opposite(group._opposite(copy)) is copy
 
 
 # --- sample_points against a one-at-a-time sampler --------------------------

@@ -10,8 +10,9 @@ from hypothesis.extra.numpy import arrays
 from conftest import check_points
 from liechart import catalog
 from liechart.catalog import get_group, get_oracles
-from liechart.group import GroupChart, check_rng, maxabs, psi_flavored, sample_points
-from liechart.numdiff import QUART_EPS, DiffConfig, jacobian, numeric_rank, vf_commutator
+from liechart.group import GroupChart, _opposite, check_rng, maxabs, psi_flavored, sample_points
+from liechart.numdiff import (QUART_EPS, DiffConfig, invert, jacobian, mixed_second, numeric_rank,
+                              vf_commutator)
 from liechart.structure import (
     CONSTANCY_POINTS,
     StructureConstants,
@@ -54,7 +55,7 @@ def nested_right_jacobian(chart, cfg):
     first differences, the outer step widened to eps**(1/4) so that roundoff
     from the inner stencil does not dominate."""
     outer = dataclasses.replace(cfg, base_step=max(cfg.base_step, QUART_EPS))
-    return jacobian(_flat_field(chart, "right", cfg), chart.identity, outer)
+    return jacobian(_flat_field(_opposite(chart), cfg), chart.identity, outer)
 
 
 def test_generators_translation_vanish():
@@ -234,6 +235,56 @@ def per_pair_field_commutators(chart, flavor, cfg, constants):
                 measured = vf_commutator(frame_field(t), frame_field(v), a, cfg)
                 worst = max(worst, maxabs(measured - psi @ constants.c[:, t, v]))
     return worst
+
+
+def two_handed_frame_derivatives(chart, a, flavor, cfg):
+    """Reference: (psi, lam, dlam) at the point a, the right flavor taken on
+    the chart itself, by mixed_second at (a, e) with its slots transposed,
+    where the package runs the left form on the opposite group."""
+    e = chart.identity
+    psi = psi_flavored(chart, a, flavor, cfg)
+    if flavor == "right":
+        dpsi = np.transpose(mixed_second(chart.compose, (a, e), cfg), (0, 2, 1))
+    else:
+        dpsi = mixed_second(chart.compose, (e, a), cfg)
+    lam = np.asfortranarray(invert(psi))
+    return psi, lam, -np.einsum("ur,rsp,sv->uvp", lam, dpsi, lam)
+
+
+def two_handed_right_rows(chart, cfg):
+    """Reference values of the structure rows that read the right frame."""
+    c = structure_constants(group_generators(chart, cfg), "right")
+
+    def at_point(a, flavor):
+        psi, _, dlam = two_handed_frame_derivatives(chart, a, flavor, cfg)
+        return np.einsum("rt,pv,urp->utv", psi, psi, dlam - np.transpose(dlam, (0, 2, 1)))
+
+    def maurer(a):
+        _, lam, dlam = two_handed_frame_derivatives(chart, a, "right", cfg)
+        curl = dlam - np.transpose(dlam, (0, 2, 1))
+        return maxabs(np.einsum("utv,tp,vr->upr", c.c, lam, lam) - curl)
+
+    def worst(check_id, residual, count=None):
+        [pts] = check_points(chart, cfg, check_id, count)
+        return maxabs([residual(a) for a in pts])
+
+    return {
+        "anti_isomorphism_measured": worst("anti_isomorphism_measured", lambda a: maxabs(
+            at_point(a, "right") + at_point(a, "left")), 1),
+        "constancy_right": worst("constancy_right", lambda a: maxabs(at_point(a, "right") - c.c),
+                                 CONSTANCY_POINTS),
+        "maurer_right": worst("maurer_right", maurer),
+        "field_commutators_right": per_pair_field_commutators(chart, "right", cfg, c),
+    }
+
+
+@pytest.mark.parametrize("name", ["affine", "gl:2", "gl:3"])
+def test_right_rows_match_their_two_handed_references(name):
+    # each right row runs as the left form on the opposite group, with the bits
+    # of the right form written out on the chart
+    rows = {c.check_id: c.max_residual for c in run_suite(name, "structure", CFG).checks}
+    for check_id, reference in two_handed_right_rows(get_group(name), CFG).items():
+        assert rows[check_id] == reference, check_id
 
 
 @pytest.mark.parametrize("name", ["affine", "gl:2"])

@@ -143,9 +143,28 @@ def test_all_suite_measures_the_group_generators_once(monkeypatch, law_counter):
     assert len(calls) == 2
 
 
-# law calls of the seed-42 rep suite on each group's catalog representation:
-# one table, so one vetting per sampler round for all its rows
-REP_SUITE_CALLS = {("affine", "matrix"): 9, ("gl:2", "standard"): 9, ("gl:3", "standard"): 9}
+# law calls of that run; a reversed-side representation, one of the
+# opposite group, costs what standard does, its rep_integrability taking
+# the measured tensor with its lower slots swapped
+ALL_GL3_CALLS = 564
+
+
+@pytest.mark.parametrize("rep_name", ["standard", "conjugate"])
+def test_all_suite_law_calls_on_either_side(rep_name, monkeypatch, law_counter):
+    chart = law_counter.chart(catalog.get_group("gl:3"))
+    monkeypatch.setattr(catalog, "get_group", lambda _: chart)
+    assert run_suite("gl:3", "all", DiffConfig(), rep_name=rep_name).all_passed
+    assert (law_counter.evals, law_counter.calls) == (ALL_GL3_STANDARD_EVALS, ALL_GL3_CALLS)
+
+
+# law calls and evaluations of the seed-42 rep suite on each group's catalog
+# representation, and on gl:2's reversed-side ones, which run on the
+# opposite group: one table, so one vetting per sampler round for all its rows
+REP_SUITE_CALLS = {("affine", "matrix"): 9, ("gl:2", "standard"): 9, ("gl:3", "standard"): 9,
+                   ("gl:2", "conjugate"): 9, ("gl:2", "tensor:conjugate,conjugate"): 9}
+REP_SUITE_EVALS = {("affine", "matrix"): 497, ("gl:2", "standard"): 785,
+                   ("gl:3", "standard"): 1_645, ("gl:2", "conjugate"): 785,
+                   ("gl:2", "tensor:conjugate,conjugate"): 785}
 
 
 @pytest.mark.parametrize("group_name, rep_name", sorted(REP_SUITE_CALLS))
@@ -154,6 +173,18 @@ def test_rep_suite_law_calls(group_name, rep_name, monkeypatch, law_counter):
     monkeypatch.setattr(catalog, "get_group", lambda _: chart)
     assert run_suite(group_name, "rep", DiffConfig(), rep_name=rep_name).all_passed
     assert law_counter.calls == REP_SUITE_CALLS[group_name, rep_name]
+    assert law_counter.evals == REP_SUITE_EVALS[group_name, rep_name]
+
+
+def test_rep_suite_rejects_a_representation_of_another_chart(law_counter):
+    # the report would mix two groups: translation:2 rows and affine matrices
+    chart = law_counter.chart(catalog.get_group("translation:2"))
+    matrix = catalog.get_rep("affine", "matrix")
+    rep = dataclasses.replace(matrix, group=law_counter.chart(matrix.group))
+    for other in (rep, dataclasses.replace(rep, group=group._opposite(rep.group))):
+        with pytest.raises(ValueError, match="'affine' cannot run on chart 'translation:2'"):
+            list(SUITES["rep"](chart, other, CFG, structure.group_generators))
+    assert (law_counter.evals, law_counter.calls) == (0, 0)
 
 
 def _planted(*pts):
