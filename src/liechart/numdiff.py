@@ -253,22 +253,27 @@ def invert(m) -> np.ndarray:
     is the condition-number form of the cutoff numeric_rank puts on
     sigma_min / sigma_max; on a diagonal matrix the two agree exactly.
 
-    Each matrix gets its own LAPACK solve, so a stack's inverses have the
-    bits of the single solves.  One np.linalg.inv over the whole stack
-    would be faster, but it shortens perfbench's custom_newton and
-    structure_gl3 passes into the margin they must keep over the speed
-    probe (ROADMAP aim 1); batching waits until that margin is settled.
+    The whole stack goes to LAPACK in one np.linalg.inv call, which runs
+    the same solve on each matrix, so a stack's inverses have the bits of
+    the single solves.  Matrices are solved one at a time only after that
+    call fails, to name the first one with a zero pivot.  A stack of 0 x 0
+    matrices, or of no matrices, inverts to an empty array of its shape.
     """
     a = np.atleast_2d(as_finite_array(m, "invert input"))
     if a.shape[-1] != a.shape[-2]:
         raise ValueError("invert expects a square matrix")
+    if a.size == 0:
+        return np.empty(a.shape)
     stack = a.reshape((-1,) + a.shape[-2:])
-    out = np.empty(stack.shape)
-    for k, matrix in enumerate(stack):
-        try:
-            out[k] = np.linalg.inv(matrix)
-        except np.linalg.LinAlgError:
-            raise SingularMatrix(f"{_which(k, a)} has an exact zero pivot") from None
+    try:
+        out = np.linalg.inv(stack)
+    except np.linalg.LinAlgError:
+        for k, matrix in enumerate(stack):
+            try:
+                np.linalg.inv(matrix)
+            except np.linalg.LinAlgError:
+                raise SingularMatrix(f"{_which(k, a)} has an exact zero pivot") from None
+        raise
     scale = np.abs(stack).max(axis=(1, 2))
     size = np.abs(out).max(axis=(1, 2))
     # a NaN product fails the comparison too, so it counts as singular

@@ -337,25 +337,43 @@ HINT_FREE_CEILING = {"affine": 21_254, "gl:2": 53_410}
 # per sampler round of the whole check table, whatever the number of rows
 SHIFT_SUITE_CALLS = dict.fromkeys(SHIFT_SUITE_EVALS, 122)
 HINT_FREE_CALLS = {"affine": 216, "gl:2": 216}
+# LAPACK inverse calls (np.linalg.inv) of the same runs: one per `invert`
+# call, whatever its stack, and on gl:n one more for each stack its
+# closed-form inverse hint inverts (360 and 382 when `invert` solved each
+# matrix alone)
+SHIFT_SUITE_LAPACK_CALLS = {"affine": 18, "gl:2": 40, "gl:3": 40, "translation:1": 18}
+
+
+def _counted_calls(monkeypatch, owner, name: str) -> list:
+    """A list that grows by one entry at each call of owner.name."""
+    calls, fn = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(None) or fn(*args))
+    return calls
 
 
 @pytest.mark.parametrize("name", sorted(SHIFT_SUITE_EVALS))
 def test_shift_suite_eval_count(name, monkeypatch, law_counter):
     chart = law_counter.chart(get_group(name))
     monkeypatch.setattr(catalog, "get_group", lambda _: chart)
+    lapack = _counted_calls(monkeypatch, np.linalg, "inv")
     assert run_suite(name, "shift", DiffConfig()).all_passed
     assert law_counter.evals == SHIFT_SUITE_EVALS[name]
     assert law_counter.evals <= SHIFT_SUITE_CEILING[name]
     assert law_counter.calls == SHIFT_SUITE_CALLS[name]
+    assert len(lapack) == SHIFT_SUITE_LAPACK_CALLS[name]
 
 
 @pytest.mark.parametrize("name", sorted(HINT_FREE_EVALS))
-def test_hint_free_shift_identities_eval_count(name, law_counter):
+def test_hint_free_shift_identities_eval_count(name, monkeypatch, law_counter):
     chart = law_counter.chart(get_group(name), inverse_hint=None, name=f"{name}-newton")
+    lapack = _counted_calls(monkeypatch, np.linalg, "inv")
+    inverts = _counted_calls(monkeypatch, group, "invert")
     assert verify_shift_identities(chart, DiffConfig()).all_passed
     assert law_counter.evals == HINT_FREE_EVALS[name]
     assert law_counter.evals <= HINT_FREE_CEILING[name]
     assert law_counter.calls == HINT_FREE_CALLS[name]
+    # with no hint every inverse is a Newton solve, so LAPACK runs only in invert
+    assert len(lapack) == len(inverts) > 0
 
 
 # (evaluations, law calls) of each row's own residual call on gl:2 at seed

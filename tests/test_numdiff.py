@@ -410,11 +410,23 @@ def test_invert_matches_lu_wrappers_bit_for_bit(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 9])
 def test_invert_stack_matches_single_solves_bit_for_bit(n):
     rng = np.random.default_rng(n)
-    stack = rng.uniform(-1.0, 1.0, (2, 5, n, n)) + n * np.eye(n)
-    out = invert(stack)
-    assert out.shape == stack.shape
-    for idx in np.ndindex(2, 5):
-        assert np.array_equal(out[idx], invert(stack[idx]))
+    c_order = rng.uniform(-1.0, 1.0, (2, 5, n, n)) + n * np.eye(n)
+    # the layouts a caller hands in: C order, Fortran order (structure
+    # keeps its frames so), and a transposed view that owns no data
+    for stack in (c_order, np.asfortranarray(c_order), c_order.swapaxes(-1, -2)):
+        out = invert(stack)
+        assert out.shape == stack.shape
+        for idx in np.ndindex(2, 5):
+            assert np.array_equal(out[idx], invert(np.ascontiguousarray(stack[idx])))
+
+
+def test_invert_makes_one_lapack_call_per_stack(monkeypatch):
+    calls = []
+    solve = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda m: calls.append(m.shape) or solve(m))
+    rng = np.random.default_rng(0)
+    invert(rng.uniform(-1.0, 1.0, (2, 5, 3, 3)) + 3 * np.eye(3))
+    assert len(calls) == 1
 
 
 def test_invert_stack_raises_on_any_singular_matrix():
@@ -424,6 +436,24 @@ def test_invert_stack_raises_on_any_singular_matrix():
     stack[1] = np.diag([1.0, 1e-9])
     with pytest.raises(SingularMatrix, match=r"matrix \(1,\) of the stack"):
         invert(stack)
+    # the first zero pivot in stack order is named, wherever the others sit
+    stack = np.broadcast_to(np.eye(2), (2, 3, 2, 2)).copy()
+    stack[1, 0] = [[1.0, 2.0], [2.0, 4.0]]
+    stack[1, 2] = 0.0
+    with pytest.raises(SingularMatrix,
+                       match=r"^matrix \(1, 0\) of the stack has an exact zero pivot$"):
+        invert(stack)
+    # a zero pivot anywhere is named before a cutoff failure earlier in the stack
+    stack = np.array([np.diag([1.0, 1e-9]), np.eye(2), np.zeros((2, 2))])
+    with pytest.raises(SingularMatrix,
+                       match=r"^matrix \(2,\) of the stack has an exact zero pivot$"):
+        invert(stack)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0), (0, 2, 2)])
+def test_invert_of_an_empty_stack_is_empty(shape):
+    out = invert(np.zeros(shape))
+    assert out.shape == shape
 
 
 def test_invert_cutoff_sits_at_the_rank_tolerance():
