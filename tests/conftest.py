@@ -37,6 +37,13 @@ def captured_table(monkeypatch, checks):
     return rows
 
 
+def counted_calls(monkeypatch, owner, name: str) -> list:
+    """A list that grows by one entry at each call of owner.name."""
+    calls, fn = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(None) or fn(*args))
+    return calls
+
+
 class LawCounter:
     """Composition-law evaluations, one per row of a stacked call, and law
     calls, one per call whatever its rows."""

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import captured_table, check_points
+from conftest import captured_table, check_points, counted_calls
 from liechart import catalog, group, structure
 from liechart.catalog import GROUP_NAMES, get_group
 from liechart.errors import NoConvergence
@@ -344,18 +344,11 @@ HINT_FREE_CALLS = {"affine": 216, "gl:2": 216}
 SHIFT_SUITE_LAPACK_CALLS = {"affine": 18, "gl:2": 40, "gl:3": 40, "translation:1": 18}
 
 
-def _counted_calls(monkeypatch, owner, name: str) -> list:
-    """A list that grows by one entry at each call of owner.name."""
-    calls, fn = [], getattr(owner, name)
-    monkeypatch.setattr(owner, name, lambda *args: calls.append(None) or fn(*args))
-    return calls
-
-
 @pytest.mark.parametrize("name", sorted(SHIFT_SUITE_EVALS))
 def test_shift_suite_eval_count(name, monkeypatch, law_counter):
     chart = law_counter.chart(get_group(name))
     monkeypatch.setattr(catalog, "get_group", lambda _: chart)
-    lapack = _counted_calls(monkeypatch, np.linalg, "inv")
+    lapack = counted_calls(monkeypatch, np.linalg, "inv")
     assert run_suite(name, "shift", DiffConfig()).all_passed
     assert law_counter.evals == SHIFT_SUITE_EVALS[name]
     assert law_counter.evals <= SHIFT_SUITE_CEILING[name]
@@ -366,8 +359,8 @@ def test_shift_suite_eval_count(name, monkeypatch, law_counter):
 @pytest.mark.parametrize("name", sorted(HINT_FREE_EVALS))
 def test_hint_free_shift_identities_eval_count(name, monkeypatch, law_counter):
     chart = law_counter.chart(get_group(name), inverse_hint=None, name=f"{name}-newton")
-    lapack = _counted_calls(monkeypatch, np.linalg, "inv")
-    inverts = _counted_calls(monkeypatch, group, "invert")
+    lapack = counted_calls(monkeypatch, np.linalg, "inv")
+    inverts = counted_calls(monkeypatch, group, "invert")
     assert verify_shift_identities(chart, DiffConfig()).all_passed
     assert law_counter.evals == HINT_FREE_EVALS[name]
     assert law_counter.evals <= HINT_FREE_CEILING[name]

@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import counted_calls
 from liechart.catalog import GROUP_NAMES, get_group
 from liechart.errors import NonFiniteEvaluation, SingularMatrix
 from liechart.group import GroupChart, check_rng, inverse, psi_flavored
@@ -411,19 +412,20 @@ def test_invert_matches_lu_wrappers_bit_for_bit(n):
 def test_invert_stack_matches_single_solves_bit_for_bit(n):
     rng = np.random.default_rng(n)
     c_order = rng.uniform(-1.0, 1.0, (2, 5, n, n)) + n * np.eye(n)
-    # the layouts a caller hands in: C order, Fortran order (structure
-    # keeps its frames so), and a transposed view that owns no data
+    # one LAPACK call gives each matrix the bits of its own solve in any
+    # layout: C order, Fortran order and a transposed view
     for stack in (c_order, np.asfortranarray(c_order), c_order.swapaxes(-1, -2)):
         out = invert(stack)
         assert out.shape == stack.shape
         for idx in np.ndindex(2, 5):
-            assert np.array_equal(out[idx], invert(np.ascontiguousarray(stack[idx])))
+            single = np.ascontiguousarray(stack[idx])
+            assert np.array_equal(out[idx], invert(single))
+            if n <= 5:
+                assert np.array_equal(out[idx], _invert_via_lu_wrappers(single))
 
 
 def test_invert_makes_one_lapack_call_per_stack(monkeypatch):
-    calls = []
-    solve = np.linalg.inv
-    monkeypatch.setattr(np.linalg, "inv", lambda m: calls.append(m.shape) or solve(m))
+    calls = counted_calls(monkeypatch, np.linalg, "inv")
     rng = np.random.default_rng(0)
     invert(rng.uniform(-1.0, 1.0, (2, 5, 3, 3)) + 3 * np.eye(3))
     assert len(calls) == 1
