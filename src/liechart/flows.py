@@ -9,8 +9,8 @@ import numpy as np
 
 from .errors import BREAKDOWN, LeftChart, LieChartError, NonFiniteEvaluation, ZeroPsi
 from .group import GroupChart, maxabs, maxabs_rows, psi_flavored
-from .numdiff import (DiffConfig, _as_integer, as_finite_array, central_differences,
-                      nonfinite_rows, stencil)
+from .numdiff import (DiffConfig, _as_integer, _stencil_values, as_finite_array, direction_step,
+                      nonfinite_rows)
 
 _FIRST_STEPS_PER_UNIT = 8
 _MAX_STEPS_PER_UNIT = 1000
@@ -190,13 +190,21 @@ def one_param_subgroups(chart: GroupChart, alpha, t_end: float, flavors: Sequenc
     RK4 on a uniform grid of `steps` steps, or without `steps` step-doubled
     from ceil(8 |t_end|) to ceil(1000 |t_end|) steps, where only the capped
     pass may end a flow in a breakdown.  A flow that leaves the chart
-    trust region ends in LeftChart.  Every stage differentiates at the
-    identity, so the stencil around it is built once per run; a stage is
-    one law call on it for every row, left and right flavors alike, and
-    the central differences of the values.  A t_end that is not finite,
-    or `steps` that is not an integer, raises ValueError.
+    trust region ends in LeftChart.  A stage needs psi_flavor(c) alpha,
+    not psi_flavor(c): it is the central difference along alpha at the
+    identity, (f(+) - f(-)) / 2 tau, f(+-) = compose(e +- tau alpha, c) for a
+    left row and compose(c, e +- tau alpha) for a right one, with tau from
+    `numdiff.direction_step`.  The two probes are built once per run, and a
+    stage is one law call on them for every row, left and right flavors
+    alike: 2 evaluations a row, whatever n.  Only a non-finite probe value
+    breaks a row's stage.  `flavors` must be a sequence of flavors, not one
+    flavor's name; that, a t_end that is not finite, or `steps` that is not
+    an integer raises ValueError before any law call.
     """
     cfg = cfg or DiffConfig()
+    if isinstance(flavors, str):
+        raise ValueError(f"flavors must be a sequence of flavors, such as ({flavors!r},), "
+                         f"not the string {flavors!r}")
     for flavor in flavors:
         if flavor not in ("left", "right"):
             raise ValueError(f"unknown flavor {flavor!r}")
@@ -209,15 +217,18 @@ def one_param_subgroups(chart: GroupChart, alpha, t_end: float, flavors: Sequenc
         raise ValueError("alpha must be an n-vector")
     left = np.array([flavor == "left" for flavor in flavors])
     e = chart.identity
-    probes, width = stencil(e, cfg)
+    tau = direction_step(e, alpha, cfg)
+    probes = np.stack([e + tau * alpha, e - tau * alpha])
+    width = 2.0 * tau
 
     def rhs(c: np.ndarray, _s: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, Breakdowns]:
-        # psi_flavored of each row, both flavors in one law call, unchecked
+        # psi_flavored(c) alpha of each row, both flavors in one law call, unchecked
         at_left = left[rows][:, None, None]
         c = c[:, None, :]
-        vals = chart.compose(np.where(at_left, probes, c), np.where(at_left, c, probes))
-        psi = central_differences(vals, width, (len(c),) + probes.shape[:-1])
-        return psi @ alpha, nonfinite_rows(psi, "jacobian probe")
+        vals = _stencil_values(
+            chart.compose(np.where(at_left, probes, c), np.where(at_left, c, probes)), (len(c), 2))
+        stage = (vals[:, 0] - vals[:, 1]) / width
+        return stage, nonfinite_rows(stage, "jacobian probe")
 
     def in_chart(c: np.ndarray, s: np.ndarray, _rows: np.ndarray) -> Breakdowns:
         far = maxabs(c - e)

@@ -4,11 +4,13 @@ Everything downstream measures derivatives through the three stencils in
 this module, so conventions are fixed here once: `jacobian` is first-order
 central, `mixed_second` is the four-point product stencil taking one
 derivative in each argument slot, and every step scales with the
-coordinate magnitude.
+coordinate magnitude.  A central difference along one direction, as the
+flows' stages take, sets its step by `direction_step`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Callable, Sequence
@@ -154,6 +156,18 @@ def stencil(at: np.ndarray, cfg: DiffConfig) -> tuple[np.ndarray, np.ndarray]:
     n + j at -h_j e_j, and the (..., n) widths 2h of their differences."""
     h = _steps(at, cfg.base_step)
     return _shifted(at, h), 2.0 * h
+
+
+def direction_step(at: np.ndarray, direction: np.ndarray, cfg: DiffConfig) -> float:
+    """The step tau of a central difference at the point `at` (n,) along
+    `direction` (n,): tau |direction|_inf is base_step max(1, |at|_inf), the
+    widest step `stencil` takes at `at`.  A zero direction, or one so short
+    that tau would overflow, gets that widest step itself, so nothing
+    divides by zero and the probes at +-tau direction sit at `at`."""
+    widest = cfg.base_step * max(1.0, float(np.max(np.abs(at))))
+    size = float(np.max(np.abs(direction)))
+    tau = widest / size if size > 0.0 else widest
+    return tau if math.isfinite(tau) else widest
 
 
 def central_differences(vals, width: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:

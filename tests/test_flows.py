@@ -363,20 +363,21 @@ def test_flow_breakdown_names_its_row():
         list(SUITES["flows"](chart, None, DiffConfig(), group_generators))
 
 # composition-law evaluations of the seed-42 flows suite at the default 20
-# samples.  CEILING_EVALS are the counts with a fixed 1000 RK4 steps per
-# unit time; no change to the suite should rise above them.
-FLOWS_EVALS = {"translation:1": 2_570, "translation:2": 798, "translation:3": 1_182,
-               "multiplicative": 2_586, "affine": 798, "gl:1": 2_586,
-               "gl:2": 1_566, "gl:3": 8_084}
+# samples: 2 per row and stage, whatever n, then one per homomorphism pair.
+# CEILING_EVALS are the counts when every stage took the 2n-point Jacobian
+# of the frame at each row; no change to the suite should rise above them.
+FLOWS_EVALS = {"translation:1": 2_570, "translation:2": 414, "translation:3": 414,
+               "multiplicative": 2_586, "affine": 414, "gl:1": 2_586,
+               "gl:2": 414, "gl:3": 916}
 # law calls of the same runs: 4 per RK4 round of the one stack that takes
 # both flavors' passes of 8 and 16 steps, 64 in all, 128 more on gl:3, where
 # one flavor also needs 32 steps; then one call per homomorphism residual,
 # and at n = 1 four more for canonical_additivity
 FLOWS_CALLS = {"translation:1": 70, "translation:2": 66, "translation:3": 66,
                "multiplicative": 70, "affine": 66, "gl:1": 70, "gl:2": 66, "gl:3": 194}
-CEILING_EVALS = {"translation:1": 44_502, "translation:2": 56_018, "translation:3": 84_018,
-                 "multiplicative": 45_414, "affine": 56_018, "gl:1": 45_414,
-                 "gl:2": 112_018, "gl:3": 252_018}
+CEILING_EVALS = {"translation:1": 2_570, "translation:2": 798, "translation:3": 1_182,
+                 "multiplicative": 2_586, "affine": 798, "gl:1": 2_586,
+                 "gl:2": 1_566, "gl:3": 8_084}
 
 
 @pytest.mark.parametrize("name", GROUP_NAMES)
@@ -423,9 +424,21 @@ def _one_row_step_doubled(integrate, first, cap, errors):
     return integrate(cap)
 
 
+def _directional_stage(chart, c, alpha, flavor, cfg=CFG):
+    """psi_flavored(chart, c, flavor) @ alpha at one point c, as one central
+    difference along alpha at the identity: tau |alpha|_inf is the widest
+    stencil step at e, and alpha is not 0."""
+    e = chart.identity
+    tau = cfg.base_step * max(1.0, float(np.max(np.abs(e)))) / float(np.max(np.abs(alpha)))
+    plus, minus = e + tau * alpha, e - tau * alpha
+    if flavor == "left":
+        return (chart.compose(plus, c) - chart.compose(minus, c)) / (2.0 * tau)
+    return (chart.compose(c, plus) - chart.compose(c, minus)) / (2.0 * tau)
+
+
 def _one_row_flow(chart, alpha, t_end, flavor, steps=None):
     def rhs(c, _s):
-        return psi_flavored(chart, c, flavor, CFG) @ alpha
+        return as_finite_array(_directional_stage(chart, c, alpha, flavor), "jacobian probe")
 
     def in_chart(c, s):
         c = as_finite_array(c, "flow state")
@@ -667,28 +680,19 @@ def test_a_state_that_overflows_breaks_its_row_as_a_flow_state():
     assert str(first) == str(second) == "flow state produced a non-finite value"
 
 
-# --- one stencil around the identity per run --------------------------------
+# --- two probes around the identity per run --------------------------------
 #
-# A test-local copy of the basic operators each RK4 stage used to take: a
-# fresh stencil around e for the whole stack, at every stage.
-
-def _basic_operators(chart, c, left, cfg):
-    e = np.empty_like(c)
-    e[...] = chart.identity
-    left = left[:, None, None]
-    c = c[:, None, :]
-    return unchecked_jacobian(lambda y: chart.compose(np.where(left, y, c), np.where(left, c, y)),
-                              e, cfg)
-
+# A stage is psi_flavored(c) alpha by one central difference along alpha;
+# `_directional_stage` above is its one-row reference.
 
 _MIXED = ("right", "left", "left", "right", "left")
 
 
-def _stage_rhs(chart, alpha, flavors, monkeypatch):
+def _stage_rhs(chart, alpha, flavors, monkeypatch, cfg=CFG):
     """The rhs that one_param_subgroups hands rk4_path, here never run by it."""
     given = []
     monkeypatch.setattr(flows, "rk4_path", lambda rhs, *args: given.append(rhs) or [])
-    flows.one_param_subgroups(chart, alpha, 1.0, flavors, steps=1, cfg=CFG)
+    flows.one_param_subgroups(chart, alpha, 1.0, flavors, steps=1, cfg=cfg)
     return given[0]
 
 
@@ -700,18 +704,33 @@ def _point_law_chart():
 
 @pytest.mark.parametrize("name", [*GROUP_NAMES, "ax+b"])
 def test_a_stage_is_psi_flavored_times_alpha_bit_for_bit(name, monkeypatch):
+    # bit for bit the one-row directional difference, and psi_flavored(c)
+    # alpha, the product of the 2n-point Jacobian, up to difference error
     chart = _point_law_chart() if name == "ax+b" else get_group(name)
     alpha = _flow_direction(chart, 42)
     rhs = _stage_rhs(chart, alpha, _MIXED, monkeypatch)
     # the rows of a stack name the flavors they take, in any order
     for rows in (np.arange(len(_MIXED)), np.array([4, 0, 3, 1])):
         c = sample_points(chart, CFG, check_rng(CFG, "stage"), len(rows))
-        left = np.array([_MIXED[r] == "left" for r in rows])
         k, broken = rhs(c, np.zeros(len(rows)), rows)
         assert broken == {}
-        assert np.array_equal(k, _basic_operators(chart, c, left, CFG) @ alpha)
         for p, r in enumerate(rows.tolist()):
-            assert np.array_equal(k[p], psi_flavored(chart, c[p], _MIXED[r], CFG) @ alpha)
+            assert np.array_equal(k[p], _directional_stage(chart, c[p], alpha, _MIXED[r]))
+            assert maxabs(k[p] - psi_flavored(chart, c[p], _MIXED[r], CFG) @ alpha) <= 1e-9
+
+
+@pytest.mark.parametrize("flavor", ["left", "right"])
+def test_a_zero_direction_gives_the_constant_path(flavor, monkeypatch):
+    # the step along 0 is the widest stencil step, so the probes are e and
+    # every stage is exactly 0: nothing divides by zero
+    chart = get_group("gl:2")
+    rhs = _stage_rhs(chart, np.zeros(4), (flavor,), monkeypatch)
+    c = sample_points(chart, CFG, check_rng(CFG, "stage"), 3)
+    k, broken = rhs(c, np.zeros(3), np.zeros(3, dtype=int))
+    assert broken == {} and np.array_equal(k, np.zeros((3, 4)))
+    monkeypatch.undo()
+    path = one_param_subgroup(chart, np.zeros(4), 1.0, flavor=flavor, cfg=CFG)
+    assert np.array_equal(path, np.tile(chart.identity, (len(path), 1)))
 
 
 def test_a_stage_reports_a_nan_stencil_value_as_a_jacobian_probe_breakdown(monkeypatch):
@@ -725,20 +744,57 @@ def test_a_stage_reports_a_nan_stencil_value_as_a_jacobian_probe_breakdown(monke
     assert list(broken) == [0]
     assert isinstance(broken[0], NonFiniteEvaluation)
     assert str(broken[0]) == "jacobian probe produced a non-finite value"
-    assert np.array_equal(k[1:], [psi_flavored(chart, c[1], "left", CFG) @ alpha,
-                                  psi_flavored(chart, c[2], "right", CFG) @ alpha])
+    assert np.array_equal(k[1:], [_directional_stage(chart, c[1], alpha, "left"),
+                                  _directional_stage(chart, c[2], alpha, "right")])
 
 
 @pytest.mark.parametrize("steps, rounds", [(1, 1), (5, 5), (40, 40), (None, 16)])
-def test_one_run_builds_its_stencil_once_whatever_its_rounds(steps, rounds, monkeypatch,
-                                                             law_counter):
-    built, real = [], numdiff._shifted
-    monkeypatch.setattr(numdiff, "_shifted", lambda x, h: built.append(x.copy()) or real(x, h))
+def test_one_run_builds_its_stencil_once_whatever_its_rounds(steps, rounds, monkeypatch):
+    # the probes e +- tau alpha are built once per run, a run makes 4 law
+    # calls a round, and a call evaluates the law at 2 probes per live row
+    built, real = [], flows.direction_step
+    monkeypatch.setattr(flows, "direction_step", lambda *args: built.append(args) or real(*args))
+    chart, calls = get_group("gl:2"), []
+    law = chart.compose
+
+    def spy(a, b):
+        calls.append((a.copy(), b.copy()))
+        return law(a, b)
+
+    spy.broadcasts = True
+    chart = dataclasses.replace(chart, compose=spy)
+    alpha = _flow_direction(chart, 42)
+    flows.one_param_subgroups(chart, alpha, 1.0, ("right", "left"), steps=steps, cfg=CFG)
+    assert len(built) == 1 and np.array_equal(built[0][0], chart.identity)
+    assert len(calls) == 4 * rounds
+    # rows 0, 1 are both flavors' passes of `steps`, or of 8 steps; without
+    # `steps`, rows 2, 3 the passes of 16 steps, alone after round 8
+    live = [2] * 4 * rounds if steps else [4] * 32 + [2] * 32
+    assert [a.shape for a, _ in calls] == [(j, 2, 4) for j in live]
+    tau = real(chart.identity, alpha, CFG)
+    probes = np.stack([chart.identity + tau * alpha, chart.identity - tau * alpha])
+    for a, b in calls:
+        # every row holds the probes in one slot, the left one for a left row
+        left = [np.array_equal(a[p], probes) for p in range(len(a))]
+        right = [np.array_equal(b[p], probes) for p in range(len(b))]
+        assert all(x != y for x, y in zip(left, right)) and sum(left) == len(a) // 2
+
+
+@pytest.mark.parametrize("flavors", ["left", "right", ""])
+def test_one_param_subgroups_rejects_a_bare_flavor_name(flavors, law_counter):
+    # a string is a sequence of letters, which used to fail as "unknown flavor 'l'"
     chart = law_counter.chart(get_group("gl:2"))
-    flows.one_param_subgroups(chart, _flow_direction(chart, 42), 1.0, ("right", "left"),
-                              steps=steps, cfg=CFG)
-    assert law_counter.calls == 4 * rounds
-    assert len(built) == 1 and np.array_equal(built[0], chart.identity)
+    with pytest.raises(ValueError, match="^flavors must be a sequence of flavors"):
+        flows.one_param_subgroups(chart, np.ones(4), 1.0, flavors)
+    assert law_counter.calls == 0
+
+
+@pytest.mark.parametrize("base_step", [1e-7, 1e-4, 1e-2, numdiff.CBRT_EPS],
+                         ids=["1e-7", "1e-4", "1e-2", "auto"])
+@pytest.mark.parametrize("name", GROUP_NAMES)
+def test_flows_suite_passes_on_a_grid_of_steps(name, base_step):
+    # tau scales with base_step as the stencil's steps do
+    assert run_suite(name, "flows", DiffConfig(base_step=base_step)).all_passed
 
 
 # --- the driver's clean rounds against the one-row integrator ---------------

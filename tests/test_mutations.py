@@ -25,13 +25,13 @@ from liechart.suites import SUITES
 CFG = DiffConfig()
 
 
-def _gl2_skewed() -> GroupChart:
-    # adds 0.05 (a0 - 1)^2 b3 to coordinate 1: not associative
+def _gl2_skewed(eps: float = 0.05) -> GroupChart:
+    # adds eps (a0 - 1)^2 b3 to coordinate 1: not associative
     chart = get_group("gl:2")
     law = chart.compose
     bump = np.eye(4)[1]
     return dataclasses.replace(
-        chart, compose=lambda a, b: law(a, b) + 0.05 * (a[0] - 1.0) ** 2 * b[3] * bump,
+        chart, compose=lambda a, b: law(a, b) + eps * (a[0] - 1.0) ** 2 * b[3] * bump,
         inverse_hint=None, name="gl:2 skewed")
 
 
@@ -67,11 +67,11 @@ def _affine_skewed_left() -> GroupChart:
         inverse_hint=None, name="affine skewed left")
 
 
-def _multiplicative_skewed() -> GroupChart:
-    # a b + 0.05 (a - 1)^2 (b - 1): keeps the identity, breaks associativity
+def _multiplicative_skewed(eps: float = 0.05) -> GroupChart:
+    # a b + eps (a - 1)^2 (b - 1): keeps the identity, breaks associativity
     chart = get_group("multiplicative")
     return dataclasses.replace(
-        chart, compose=lambda a, b: a * b + 0.05 * (a - 1.0) ** 2 * (b - 1.0),
+        chart, compose=lambda a, b: a * b + eps * (a - 1.0) ** 2 * (b - 1.0),
         inverse_hint=None, name="multiplicative skewed")
 
 
@@ -166,6 +166,23 @@ LAW_MATRIX = [
 @pytest.mark.parametrize("mutant, check_id", LAW_MATRIX)
 def test_check_fails_on_broken_law(mutant, check_id):
     assert _verdicts(mutant)[check_id] is False
+
+
+# the flow rows' power: the skew each mutant needs before both flow rows
+# FAIL, and a tenth of it, which they pass.  Each row reads about linearly
+# in the skew: gl:2 1.5e-5 at 1e-3, multiplicative 3.4e-5 at 1e-1, against 1e-5
+FLOW_POWER = [(_gl2_skewed, 1e-3, 1e-4), (_multiplicative_skewed, 1e-1, 1e-2)]
+
+
+@pytest.mark.parametrize("factory, caught, passed", FLOW_POWER,
+                         ids=["gl:2 skewed", "multiplicative skewed"])
+def test_flow_rows_catch_a_skew_a_decade_above_the_one_they_pass(factory, caught, passed):
+    for eps, verdict in ((caught, False), (passed, True)):
+        rows = {check_id: record(check_id, residual, samples, 1.0).passed
+                for check_id, samples, residual in SUITES["flows"](factory(eps), None, CFG,
+                                                                   group_generators)}
+        assert rows["flow_homomorphism"] is verdict, eps
+        assert rows["flow_homomorphism_left"] is verdict, eps
 
 
 def _gl2_rep_bumped(eps: float = 0.05) -> RepChart:

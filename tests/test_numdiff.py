@@ -17,6 +17,7 @@ from liechart.numdiff import (
     _steps,
     as_finite_array,
     broadcasting,
+    direction_step,
     invert,
     jacobian,
     mixed_second,
@@ -153,6 +154,23 @@ def test_jacobian_rejects_nonfinite_probe():
 
     with pytest.raises(NonFiniteEvaluation):
         jacobian(rowwise(f), np.array([-1.0]), CFG)
+
+
+@pytest.mark.parametrize("at", [np.zeros(3), np.array([1.0, 0.0, 0.0]), np.array([0.5, -4.0, 2.0])])
+@pytest.mark.parametrize("direction", [np.array([0.3, -0.1, 0.05]), np.array([0.0, 2.0, -7.5])])
+def test_direction_step_takes_the_widest_stencil_step_along_the_direction(at, direction):
+    tau = direction_step(at, direction, CFG)
+    assert tau * np.max(np.abs(direction)) == pytest.approx(np.max(_steps(at, CFG.base_step)),
+                                                            rel=1e-15)
+
+
+@pytest.mark.parametrize("direction", [np.zeros(2), np.array([5e-324, 0.0])],
+                         ids=["zero", "subnormal"])
+def test_direction_step_of_a_vanishing_direction_is_the_widest_step(direction):
+    # a step of widest / |direction| would divide by zero or overflow
+    at = np.array([2.0, -0.5])
+    assert direction_step(at, direction, CFG) == 2.0 * CFG.base_step
+    assert np.array_equal(at + direction_step(at, direction, CFG) * direction, at)
 
 
 def test_mixed_second_scalar_product():

@@ -126,7 +126,7 @@ def test_rep_suite_measures_the_generators_once(monkeypatch):
 # composition-law evaluations of `all` at seed 42 and the default 20
 # samples; the structure and rep suites share one measurement of the
 # generator tensor, which costs 4n² + 1 = 325 evaluations on gl:3
-ALL_GL3_STANDARD_EVALS = 70_423
+ALL_GL3_STANDARD_EVALS = 63_255
 
 
 def test_all_suite_measures_the_group_generators_once(monkeypatch, law_counter):
