@@ -424,12 +424,12 @@ def _one_row_step_doubled(integrate, first, cap, errors):
     return integrate(cap)
 
 
-def _directional_stage(chart, c, alpha, flavor, cfg=CFG):
+def _directional_stage(chart, c, alpha, flavor):
     """psi_flavored(chart, c, flavor) @ alpha at one point c, as one central
     difference along alpha at the identity: tau |alpha|_inf is the widest
     stencil step at e, and alpha is not 0."""
     e = chart.identity
-    tau = cfg.base_step * max(1.0, float(np.max(np.abs(e)))) / float(np.max(np.abs(alpha)))
+    tau = CFG.base_step * max(1.0, float(np.max(np.abs(e)))) / float(np.max(np.abs(alpha)))
     plus, minus = e + tau * alpha, e - tau * alpha
     if flavor == "left":
         return (chart.compose(plus, c) - chart.compose(minus, c)) / (2.0 * tau)
@@ -680,7 +680,7 @@ def test_a_state_that_overflows_breaks_its_row_as_a_flow_state():
     assert str(first) == str(second) == "flow state produced a non-finite value"
 
 
-# --- two probes around the identity per run --------------------------------
+# --- two probes around the identity per run ---------------------------------
 #
 # A stage is psi_flavored(c) alpha by one central difference along alpha;
 # `_directional_stage` above is its one-row reference.
@@ -688,11 +688,11 @@ def test_a_state_that_overflows_breaks_its_row_as_a_flow_state():
 _MIXED = ("right", "left", "left", "right", "left")
 
 
-def _stage_rhs(chart, alpha, flavors, monkeypatch, cfg=CFG):
+def _stage_rhs(chart, alpha, flavors, monkeypatch):
     """The rhs that one_param_subgroups hands rk4_path, here never run by it."""
     given = []
     monkeypatch.setattr(flows, "rk4_path", lambda rhs, *args: given.append(rhs) or [])
-    flows.one_param_subgroups(chart, alpha, 1.0, flavors, steps=1, cfg=cfg)
+    flows.one_param_subgroups(chart, alpha, 1.0, flavors, steps=1, cfg=CFG)
     return given[0]
 
 
@@ -767,8 +767,8 @@ def test_one_run_builds_its_stencil_once_whatever_its_rounds(steps, rounds, monk
     flows.one_param_subgroups(chart, alpha, 1.0, ("right", "left"), steps=steps, cfg=CFG)
     assert len(built) == 1 and np.array_equal(built[0][0], chart.identity)
     assert len(calls) == 4 * rounds
-    # rows 0, 1 are both flavors' passes of `steps`, or of 8 steps; without
-    # `steps`, rows 2, 3 the passes of 16 steps, alone after round 8
+    # with `steps`, one row per flavor; without, both flavors' passes of 8
+    # and 16 steps, those of 16 alone after round 8
     live = [2] * 4 * rounds if steps else [4] * 32 + [2] * 32
     assert [a.shape for a, _ in calls] == [(j, 2, 4) for j in live]
     tau = real(chart.identity, alpha, CFG)
