@@ -32,6 +32,12 @@ def main() -> int:
                         help="also write one report file per (group, suite)")
     args = parser.parse_args()
 
+    if args.json_dir is not None:
+        try:
+            args.json_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"error: cannot use --json-dir {args.json_dir}: {exc}", file=sys.stderr)
+            return 2
     cfg = DiffConfig(sample_count=args.samples, rng_seed=args.seed)
     width = max(len(g) for g in GROUP_NAMES)
 
@@ -51,9 +57,7 @@ def main() -> int:
             failures += n_fail
             cells.append(f"{len(report.checks) - n_fail}/{len(report.checks)}")
             if args.json_dir is not None:
-                args.json_dir.mkdir(parents=True, exist_ok=True)
-                name = f"{group.replace(':', '_')}_{suite}.json"
-                (args.json_dir / name).write_text(report.to_json())
+                report.write_json(args.json_dir / f"{group.replace(':', '_')}_{suite}.json")
         print(f"{group:<{width}}  " + "  ".join(f"{c:>9}" for c in cells))
     elapsed = time.perf_counter() - t0
 

@@ -112,7 +112,7 @@ def main(argv: list[str] | None = None) -> int:
     print(report.table())
     if args.json is not None:
         try:
-            args.json.write_text(report.to_json())
+            report.write_json(args.json)
         except OSError as exc:
             print(f"error: cannot write {args.json}: {exc}", file=sys.stderr)
             return 2

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,6 +94,21 @@ class CheckReport:
         lines.append('  "wall_time_ms": null')
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+    def write_json(self, path) -> None:
+        """Write to_json() to path: the one writer of a report file.
+
+        The file is overwritten in place and then cut to the report's
+        length, not truncated to zero first: on ext4 a truncate-to-zero
+        rewrite costs about ten times as much.  A target that is not a
+        regular file (/dev/null, a pipe, a terminal) is written but never
+        truncated.  An OSError reaches the caller.
+        """
+        data = self.to_json().encode()
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+            f.write(data)
+            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                f.truncate(len(data))
 
     def table(self) -> str:
         """Fixed-width console summary, one row per check."""

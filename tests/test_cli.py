@@ -11,6 +11,7 @@ import liechart.cli as cli
 from liechart import catalog
 from liechart.errors import SingularMatrix
 from liechart.group import TOLERANCES, GroupChart
+from liechart.report import CheckReport
 from liechart.suites import SUITE_NAMES, SUITES
 
 
@@ -175,13 +176,37 @@ def test_unwritable_json_path_returns_two_before_running(where, tmp_path, monkey
 
 def test_json_write_failure_returns_two(tmp_path, monkeypatch, capsys):
     # the path checks out, but the write itself fails
-    def refuse(self, text):
+    def refuse(self, path):
         raise PermissionError("read-only")
 
-    monkeypatch.setattr(Path, "write_text", refuse)
+    monkeypatch.setattr(CheckReport, "write_json", refuse)
     assert run_cli("run", "--group", "translation:1", "--suite", "pde",
                    "--json", str(tmp_path / "x.json")) == 2
     assert "error: cannot write" in capsys.readouterr().err
+
+
+LONG = ("run", "--group", "affine", "--suite", "structure", "--samples", "4")
+SHORT = ("run", "--group", "translation:1", "--suite", "structure")
+
+
+@pytest.mark.parametrize("first, second", [(LONG, SHORT), (SHORT, LONG)],
+                         ids=["long-then-short", "short-then-long"])
+def test_json_rewrite_of_one_path_holds_only_the_last_report(first, second, tmp_path, capsys):
+    # the report is written in place: a shorter one must cut the old tail off
+    same, fresh = tmp_path / "same.json", tmp_path / "fresh.json"
+    assert run_cli(*first, "--json", str(same)) == 0
+    assert run_cli(*second, "--json", str(same)) == 0
+    assert run_cli(*second, "--json", str(fresh)) == 0
+    assert same.read_bytes() == fresh.read_bytes()
+    assert json.loads(same.read_text())["group"] == second[2]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null here")
+def test_json_to_a_non_regular_file_is_written_untruncated(capsys):
+    # /dev/null takes the bytes but cannot be truncated
+    assert run_cli("run", "--group", "translation:1", "--suite", "pde",
+                   "--json", "/dev/null") == 0
+    assert "report written to /dev/null" in capsys.readouterr().out
 
 
 def test_json_byte_identical_across_runs(tmp_path, capsys):

@@ -14,6 +14,7 @@ import pytest
 from liechart.catalog import GROUP_NAMES
 from liechart.numdiff import DiffConfig
 from liechart.pde import bundled_families
+from liechart import suites
 from liechart.suites import run_suite
 
 SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
@@ -60,6 +61,42 @@ def test_run_catalog_sweeps_every_group_without_a_failure(monkeypatch, capsys):
     assert [line.split()[0] for line in lines[1:1 + len(GROUP_NAMES)]] == list(GROUP_NAMES)
     assert lines[1 + len(GROUP_NAMES)] == ""
     assert lines[-1].endswith(" 0 failed checks")
+
+
+def test_run_catalog_json_dir_naming_a_file_exits_two_before_any_run(tmp_path, monkeypatch,
+                                                                     capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a suite ran before --json-dir was checked")
+
+    monkeypatch.setattr(suites, "run_suite", must_not_run)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    main = runpy.run_path(str(SCRIPTS[0].parent / "run_catalog.py"), run_name="run_catalog")["main"]
+    monkeypatch.setattr(sys, "argv", ["run_catalog.py", "--json-dir", str(taken)])
+    assert main() == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_run_catalog_json_dir_files_are_the_reports_bytes(tmp_path, monkeypatch, capsys):
+    # a stale longer file at one report's name is overwritten to the exact bytes
+    out = tmp_path / "reports"
+    out.mkdir()
+    (out / "affine_pde.json").write_text("x" * 100_000)
+    code, _ = run_main("run_catalog.py", monkeypatch, capsys, "--samples", "2",
+                       "--json-dir", str(out))
+    catalog_rep = runpy.run_path(str(SCRIPTS[0].parent / "run_catalog.py"),
+                                 run_name="run_catalog")["catalog_rep"]
+    cfg = DiffConfig(sample_count=2, rng_seed=42)
+    expected = {}
+    for group in GROUP_NAMES:
+        for suite in suites.SUITES:
+            rep = catalog_rep(group) if suite == "rep" else None
+            if suite != "rep" or rep is not None:
+                report = run_suite(group, suite, cfg, rep_name=rep)
+                expected[f"{group.replace(':', '_')}_{suite}.json"] = report.to_json().encode()
+    assert code == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == expected
 
 
 def test_essential_params_counts_every_family_as_expected(monkeypatch, capsys):
