@@ -11,10 +11,10 @@ from pathlib import Path
 
 import pytest
 
+from liechart import suites
 from liechart.catalog import GROUP_NAMES
 from liechart.numdiff import DiffConfig
 from liechart.pde import bundled_families
-from liechart import suites
 from liechart.suites import run_suite
 
 SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
