@@ -1,14 +1,16 @@
 """Command-line entry point: run check suites and emit reports.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 unknown
-group/representation/suite or a --json path that cannot be written, 3
-numerical breakdown while checking.
+group/representation/suite or a --json path that cannot be written or is
+the file stdout is redirected to, 3 numerical breakdown while checking.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
+import stat
 import sys
 import time
 from functools import cache
@@ -58,7 +60,13 @@ def _json_path_problem(path: Path) -> str | None:
         return f"--json path {path} is a directory"
     if not path.parent.is_dir():
         return f"--json directory {path.parent} does not exist"
-    return None
+    try:    # a stdout with no file descriptor, such as an io.StringIO, is no file
+        out = os.fstat(sys.stdout.fileno())
+        same = stat.S_ISREG(out.st_mode) and os.path.samestat(out, path.stat())
+    except (AttributeError, OSError, ValueError):
+        same = False
+    # the report and the console lines would overwrite each other there
+    return f"--json path {path} is the file stdout is redirected to" if same else None
 
 
 @cache

@@ -562,9 +562,6 @@ TOLERANCES = {
     "basic_ops_at_identity": 1e-7,
     **dict.fromkeys(SHIFT_CHECK_IDS, 1e-4),
     "jacobi_left": 1e-4,
-    "anti_isomorphism_measured": 1e-3,
-    "constancy_left": 1e-3,
-    "constancy_right": 1e-3,
     "maurer_left": 1e-3,
     "maurer_right": 1e-3,
     "field_commutators_left": 1e-3,

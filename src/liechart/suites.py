@@ -24,12 +24,11 @@ from .group import (
     axiom_checks,
     build_report,
     check_rng,
-    maxabs,
     named,
     sampled_checks,
     shift_checks,
 )
-from .numdiff import DiffConfig, rowwise
+from .numdiff import DiffConfig
 from .report import CheckReport
 from .reps import RepChart
 
@@ -56,14 +55,9 @@ def structure_suite(chart: GroupChart, rep: RepChart | None, cfg: DiffConfig,
     table = []
     if chart.n >= 3:
         table.append(("jacobi_left", 0, 1, partial(structure.jacobi_residual, c_left)))
-    table.append(("anti_isomorphism_measured", 1, 1, rowwise(lambda pt: maxabs(
-        structure.structure_constants_at_point(chart, pt, "right", cfg)
-        + structure.structure_constants_at_point(chart, pt, "left", cfg)))))
     for consts in (c_left, c_right):
         flavor = consts.flavor
         table += [
-            (f"constancy_{flavor}", 1, structure.CONSTANCY_POINTS,
-             partial(structure.constancy_residual, chart, consts, cfg=cfg)),
             (f"maurer_{flavor}", 1, None, partial(structure.maurer_residual, chart, consts, cfg=cfg)),
             (f"field_commutators_{flavor}", 1, None,
              partial(structure.invariant_field_commutators, chart, consts, cfg=cfg)),

@@ -209,6 +209,34 @@ def test_json_to_a_non_regular_file_is_written_untruncated(capsys):
     assert "report written to /dev/null" in capsys.readouterr().out
 
 
+def test_json_to_the_file_stdout_is_redirected_to_returns_two_before_running(tmp_path):
+    # `--json /dev/stdout > out.txt` would write the report and the console
+    # lines over each other in out.txt
+    out = tmp_path / "out.txt"
+    argv = [sys.executable, "-m", "liechart.cli", "run", "--group", "translation:1",
+            "--suite", "pde", "--json"]
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    for target in (["/dev/stdout"] if os.path.exists("/dev/stdout") else []) + [str(out)]:
+        with out.open("w") as stdout:
+            done = subprocess.run(argv + [target], env=env, stdout=stdout, stderr=subprocess.PIPE,
+                                  text=True, timeout=60)
+        assert done.returncode == 2, target
+        assert done.stderr.startswith("error: --json path") and "stdout" in done.stderr
+        assert out.read_text() == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout here")
+def test_json_to_stdout_through_a_pipe_is_written(tmp_path):
+    done = subprocess.run([sys.executable, "-m", "liechart.cli", "run", "--group",
+                           "translation:1", "--suite", "pde", "--json", "/dev/stdout"],
+                          env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    report = done.stdout[done.stdout.index("{"):done.stdout.rindex("}") + 1]
+    assert json.loads(report)["group"] == "translation:1"
+    assert done.stdout.endswith("report written to /dev/stdout\n")
+
+
 def test_json_byte_identical_across_runs(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -5,6 +5,8 @@ samples, and report_digest's, a few seconds, prints every line of
 golden/report_digest.txt: every report, flow path and PDE result it
 covers keeps its bytes."""
 
+import importlib
+import importlib.util
 import runpy
 import sys
 from pathlib import Path
@@ -24,6 +26,20 @@ SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py
 def test_script_imports_resolve(script):
     namespace = runpy.run_path(str(script), run_name=script.stem)
     assert callable(namespace["main"])
+
+
+def test_every_perfbench_span_names_a_package_function(monkeypatch):
+    # perfbench's tracer rebinds each span by name, so a span whose function
+    # is gone stops `perfbench/run.py --trace 1` on every workload
+    path = SCRIPTS[0].parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    for layer, (module, attr) in tracing.SPANS.items():
+        assert callable(getattr(importlib.import_module(module), attr, None)), layer
+    for module in tracing.MODULE_SPANS:
+        importlib.import_module(f"liechart.{module}")
 
 
 def test_report_digest_shows_a_moved_tolerance_by_id_only(capsys):

@@ -14,7 +14,6 @@ from liechart.group import GroupChart, _opposite, check_rng, maxabs, psi_flavore
 from liechart.numdiff import (QUART_EPS, DiffConfig, invert, jacobian, mixed_second, numeric_rank,
                               vf_commutator)
 from liechart.structure import (
-    CONSTANCY_POINTS,
     StructureConstants,
     _flat_field,
     bracket,
@@ -24,7 +23,6 @@ from liechart.structure import (
     jacobi_residual,
     maurer_residual,
     structure_constants,
-    structure_constants_at_point,
 )
 from liechart.suites import run_suite
 
@@ -138,8 +136,9 @@ def test_1d_laws_have_zero_constants(coef, x):
     chart = GroupChart(n=1, identity=np.zeros(1), name="drawn 1-d", compose=lambda a, b: (
         a + b + p * a * b + q * a * a * b + r * a * b * b + s * a * a * b * b))
     for flavor in ("left", "right"):
-        assert not structure_constants(group_generators(chart, CFG), flavor).c.any()
-        assert not structure_constants_at_point(chart, [x], flavor, CFG).any()
+        c = structure_constants(group_generators(chart, CFG), flavor)
+        assert not c.c.any()
+        assert not constancy_residual(chart, c, np.array([[x]]), CFG).any()
 
 
 def _antisymmetric(raw):
@@ -165,15 +164,10 @@ def test_algebra_residuals(name):
 
 @pytest.mark.parametrize("name", ["multiplicative", "affine", "gl:2"])
 @pytest.mark.parametrize("flavor", ["left", "right"])
-def test_constants_at_point_and_constancy(name, flavor):
+def test_constancy(name, flavor):
     chart = get_group(name)
-    gens = group_generators(chart, CFG)
-    c_ref = structure_constants(gens, flavor)
-    rng = check_rng(CFG, "pointwise")
-    pt = sample_points(chart, CFG, rng, 1)[0]
-    c_pt = structure_constants_at_point(chart, pt, flavor, CFG)
-    assert np.max(np.abs(c_pt - c_ref.c)) < 1e-3
-    [a] = check_points(chart, CFG, f"constancy_{flavor}")
+    c_ref = structure_constants(group_generators(chart, CFG), flavor)
+    a = sample_points(chart, CFG, check_rng(CFG, "pointwise"))
     assert maxabs(constancy_residual(chart, c_ref, a, CFG)) < 1e-3
 
 
@@ -211,10 +205,9 @@ def test_right_flavor_functions_give_the_suite_rows(name):
     chart = get_group(name)
     c_right = structure_constants(group_generators(chart, CFG), "right")
     rows = {c.check_id: c.max_residual for c in run_suite(name, "structure", CFG).checks}
-    for check_id, fn, count in (("constancy_right", constancy_residual, CONSTANCY_POINTS),
-                                ("maurer_right", maurer_residual, None),
-                                ("field_commutators_right", invariant_field_commutators, None)):
-        [a] = check_points(chart, CFG, check_id, count)
+    for check_id, fn in (("maurer_right", maurer_residual),
+                         ("field_commutators_right", invariant_field_commutators)):
+        [a] = check_points(chart, CFG, check_id)
         assert maxabs(fn(chart, c_right, a, CFG)) == rows[check_id], check_id
 
 
@@ -255,25 +248,14 @@ def two_handed_right_rows(chart, cfg):
     """Reference values of the structure rows that read the right frame."""
     c = structure_constants(group_generators(chart, cfg), "right")
 
-    def at_point(a, flavor):
-        psi, _, dlam = two_handed_frame_derivatives(chart, a, flavor, cfg)
-        return np.einsum("rt,pv,urp->utv", psi, psi, dlam - np.transpose(dlam, (0, 2, 1)))
-
     def maurer(a):
         _, lam, dlam = two_handed_frame_derivatives(chart, a, "right", cfg)
         curl = dlam - np.transpose(dlam, (0, 2, 1))
         return maxabs(np.einsum("utv,tp,vr->upr", c.c, lam, lam) - curl)
 
-    def worst(check_id, residual, count=None):
-        [pts] = check_points(chart, cfg, check_id, count)
-        return maxabs([residual(a) for a in pts])
-
+    [pts] = check_points(chart, cfg, "maurer_right")
     return {
-        "anti_isomorphism_measured": worst("anti_isomorphism_measured", lambda a: maxabs(
-            at_point(a, "right") + at_point(a, "left")), 1),
-        "constancy_right": worst("constancy_right", lambda a: maxabs(at_point(a, "right") - c.c),
-                                 CONSTANCY_POINTS),
-        "maurer_right": worst("maurer_right", maurer),
+        "maurer_right": maxabs([maurer(a) for a in pts]),
         "field_commutators_right": per_pair_field_commutators(chart, "right", cfg, c),
     }
 
@@ -299,9 +281,11 @@ def test_field_commutators_match_per_pair_reference(name, flavor):
 
 # composition-law evaluations of the seed-42 structure suite at the default
 # 20 samples.  CEILING_EVALS are the counts of the per-pair route above
-# with the generator tensor measured once per flavor; no change to the
-# suite should rise above them.  A 1-d suite yields no row and measures nothing.
-STRUCTURE_EVALS = {"gl:3": 32_023, "gl:2": 6_923, "translation:1": 0}
+# with the generator tensor measured once per flavor, on three of the
+# groups; no change to the suite should rise above them.  A 1-d suite
+# yields no row and measures nothing.
+STRUCTURE_EVALS = {"gl:3": 27_885, "gl:2": 6_025, "translation:3": 3_597, "affine": 1_817,
+                   "translation:2": 1_817, "translation:1": 0}
 CEILING_EVALS = {"gl:3": 1_006_708, "gl:2": 39_528, "translation:1": 756}
 
 
@@ -311,12 +295,13 @@ def test_structure_suite_eval_count(name, monkeypatch, law_counter):
     monkeypatch.setattr(catalog, "get_group", lambda _: chart)
     assert run_suite(name, "structure", DiffConfig()).all_passed
     assert law_counter.evals == STRUCTURE_EVALS[name]
-    assert law_counter.evals <= CEILING_EVALS[name]
+    if name in CEILING_EVALS:
+        assert law_counter.evals <= CEILING_EVALS[name]
 
 
 # law calls of the seed-42 structure suite: one table, so one vetting per
 # sampler round for all its rows
-STRUCTURE_CALLS = dict.fromkeys(["affine", "gl:2", "gl:3"], 240)
+STRUCTURE_CALLS = dict.fromkeys(["affine", "gl:2", "gl:3"], 204)
 
 
 @pytest.mark.parametrize("name", sorted(STRUCTURE_CALLS))
