@@ -22,7 +22,10 @@ _PSI_FLOOR = 1e-12
 # {position in the stack: error} of the rows a call found broken down
 Breakdowns = dict[int, LieChartError]
 # rhs(y, s, rows) -> (y', breakdowns) and check(y, s, rows) -> breakdowns
-# on a (j, n) stack of states, their times s (j,) and their row numbers
+# on a (j, n) stack of states, their times s (j,) and their row numbers.
+# An rhs may carry `rhs.unchecked(y, s, rows) -> y'`: the same stages
+# without the breakdowns, for an rhs whose every broken stage holds a NaN
+# or Inf (or raises) and a check that reports every non-finite state.
 Rhs = Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, Breakdowns]]
 Check = Callable[[np.ndarray, np.ndarray, np.ndarray], Breakdowns]
 
@@ -49,8 +52,17 @@ def rk4_path(rhs: Rhs, y0: np.ndarray, t_end: float, steps: Sequence[int], check
     broken down, so each row keeps the bits and the error of its own
     one-row integration.  The live rows, their numbers, step sizes and
     stage times are gathered once per live set, which changes only when a
-    row leaves.  A breakdown that a call raises for the whole stack runs
-    that round again one row at a time, to learn whose it is.
+    row leaves.
+
+    Where rhs carries `unchecked`, a round runs its four stages unchecked
+    and makes one check of the new states.  That one check sees every
+    stage breakdown: each stage enters y + h/6 (k1 + 2 k2 + 2 k3 + k4) with
+    a nonzero weight, so a NaN or Inf stage makes the new state non-finite.
+    Only a round whose check reports a row, or in which a call raises a
+    breakdown, runs again through the checked step `_rk4_step`, which
+    drops each row at the stage or check that breaks it.  A breakdown that
+    a checked call raises for the whole stack runs that round again one
+    row at a time, to learn whose it is.
     """
     steps = np.array([_step_count(m, "steps") for m in steps], dtype=int)
     rows = np.arange(len(y0)) if rows is None else rows
@@ -58,6 +70,7 @@ def rk4_path(rhs: Rhs, y0: np.ndarray, t_end: float, steps: Sequence[int], check
     states = np.empty((int(steps.max(initial=0)) + 1,) + y0.shape)
     states[0] = y = y0
     broken: Breakdowns = {}
+    unchecked = getattr(rhs, "unchecked", None)
     live = np.arange(len(steps))
     i = 0
     while live.size:
@@ -67,6 +80,11 @@ def rk4_path(rhs: Rhs, y0: np.ndarray, t_end: float, steps: Sequence[int], check
         s = np.arange(i, steps[live].min() + 1)[:, None] * hl
         taken, failed = [], {}
         for t in zip(s[:-1], s[:-1] + half, s[:-1] + hl, s[1:]):
+            clean = None if unchecked is None else _clean_step(unchecked, check, y, t, step, at)
+            if clean is not None:
+                y = clean
+                taken.append(y)
+                continue
             try:
                 y, failed = _rk4_step(rhs, check, y, t, step, at)
             except BREAKDOWN:
@@ -94,13 +112,35 @@ def rk4_path(rhs: Rhs, y0: np.ndarray, t_end: float, steps: Sequence[int], check
             for r, m in enumerate(steps.tolist())]
 
 
+def _clean_step(stage: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+                check: Check, y: np.ndarray, times: Sequence[np.ndarray],
+                step: Sequence[np.ndarray], rows: np.ndarray) -> np.ndarray | None:
+    """The step of `_rk4_step` from unchecked stages: the new states, with
+    the same bits, or None where check reports a row or a call raises a
+    breakdown, and the step must run again checked."""
+    h, half, sixth = step
+    s, mid, end, t = times
+    try:
+        k1 = stage(y, s, rows)
+        k2 = stage(y + half * k1, mid, rows)
+        k3 = stage(y + half * k2, mid, rows)
+        k4 = stage(y + h * k3, end, rows)
+        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return None if check(y, t, rows) else y
+    except BREAKDOWN:
+        return None
+
+
 def _rk4_step(rhs: Rhs, check: Check, y: np.ndarray, times: Sequence[np.ndarray],
               step: Sequence[np.ndarray], rows: np.ndarray) -> tuple[np.ndarray, Breakdowns]:
-    """One step of every row of the (j, n) stack y, from s to s + h, with
-    `times` the (j,) arrays s, s + h/2, s + h and the end of the step,
-    and `step` the (j, 1) columns h, h/2 and h/6: the new states and the
-    rows that broke down, each dropped from the stages after its
-    breakdown.  Until the first breakdown every call takes the whole stack."""
+    """One checked step of every row of the (j, n) stack y, from s to
+    s + h, with `times` the (j,) arrays s, s + h/2, s + h and the end of
+    the step, and `step` the (j, 1) columns h, h/2 and h/6: the new states
+    and the rows that broke down, each dropped from the stages after its
+    breakdown, with the error and message its rhs or check gave it.  Until
+    the first breakdown every call takes the whole stack.  rk4_path runs it
+    on every round of an rhs without `unchecked`, and otherwise only on a
+    round whose clean step found a breakdown."""
     h, half, sixth = step
     s, mid, end, t = times
     failed: Breakdowns = {}
@@ -220,15 +260,23 @@ def one_param_subgroups(chart: GroupChart, alpha, t_end: float, flavors: Sequenc
     tau = direction_step(e, alpha, cfg)
     probes = np.stack([e + tau * alpha, e - tau * alpha])
     width = 2.0 * tau
+    slots = [None, None]                    # rows last seen; where each slot takes the probes
 
-    def rhs(c: np.ndarray, _s: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, Breakdowns]:
-        # psi_flavored(c) alpha of each row, both flavors in one law call, unchecked
-        at_left = left[rows][:, None, None]
-        c = c[:, None, :]
-        vals = _stencil_values(
-            chart.compose(np.where(at_left, probes, c), np.where(at_left, c, probes)), (len(c), 2))
-        stage = (vals[:, 0] - vals[:, 1]) / width
-        return stage, nonfinite_rows(stage, "jacobian probe")
+    def stage(c: np.ndarray, _s: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        # psi_flavored(c) alpha of each row, both flavors in one law call, unchecked;
+        # rk4_path hands every stage of a live set the same `rows`
+        if rows is not slots[0]:
+            at_left = left[rows][:, None, None]
+            slots[:] = rows, np.stack([at_left, ~at_left])
+        a, b = np.where(slots[1], probes, c[:, None, :])
+        vals = _stencil_values(chart.compose(a, b), (len(c), 2))
+        return (vals[:, 0] - vals[:, 1]) / width
+
+    def rhs(c: np.ndarray, s: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, Breakdowns]:
+        k = stage(c, s, rows)
+        return k, nonfinite_rows(k, "jacobian probe")
+
+    rhs.unchecked = stage
 
     def in_chart(c: np.ndarray, s: np.ndarray, _rows: np.ndarray) -> Breakdowns:
         far = maxabs(c - e)

@@ -609,6 +609,47 @@ def test_a_right_flow_that_breaks_at_the_cap_stops_the_suite_at_once(raises):
         list(SUITES["flows"](chart, None, DiffConfig(), group_generators))
 
 
+@pytest.mark.parametrize("steps", [None, 8], ids=["doubled", "8 steps"])
+@pytest.mark.parametrize("raises", [False, True], ids=["nan", "raising"])
+@pytest.mark.parametrize("broken_slot", ["left", "right"])
+def test_the_real_rhs_keeps_each_flavors_one_row_flow_or_error(broken_slot, raises, steps):
+    # the flavor whose stencil holds the state in the broken slot breaks,
+    # as a jacobian probe (NaN) or with the law's own error (raised), never
+    # as a flow state; the other keeps its one-row bits
+    chart = _one_sided_chart(broken_slot, raises)
+    alpha = _flow_direction(chart, 42)
+    flavors = ("right", "left")
+    broken = "right" if broken_slot == "left" else "left"
+    got = flows.one_param_subgroups(chart, alpha, 1.0, flavors, steps=steps, cfg=CFG)
+    for flavor, path in zip(flavors, got):
+        if flavor != broken:
+            assert np.array_equal(path, _one_row_flow(chart, alpha, 1.0, flavor, steps))
+            continue
+        with pytest.raises(NonFiniteEvaluation) as alone:
+            _one_row_flow(chart, alpha, 1.0, flavor, steps)
+        assert type(path) is NonFiniteEvaluation and str(path) == str(alone.value)
+        assert str(path) == ("law undefined past 0.05" if raises
+                             else "jacobian probe produced a non-finite value")
+    if steps is None:
+        check_id = dict(zip(flavors, ("flow_homomorphism", "flow_homomorphism_left")))[broken]
+        with pytest.raises(NonFiniteEvaluation,
+                           match=f"^{check_id}: {re.escape(str(got[flavors.index(broken)]))}$"):
+            list(SUITES["flows"](chart, None, DiffConfig(), group_generators))
+
+
+@pytest.mark.parametrize("name", GROUP_NAMES)
+def test_a_flow_that_never_breaks_runs_no_checked_stage(name, monkeypatch):
+    # the checked stage and the check's breakdown path both read
+    # nonfinite_rows; a clean run reaches neither, a broken one does
+    seen, real = [], flows.nonfinite_rows
+    monkeypatch.setattr(flows, "nonfinite_rows", lambda *args: seen.append(args) or real(*args))
+    list(SUITES["flows"](get_group(name), None, DiffConfig(), group_generators))
+    assert seen == []
+    chart = _one_sided_chart("left", False)
+    flows.one_param_subgroups(chart, _flow_direction(chart, 42), 1.0, ("right",), steps=8, cfg=CFG)
+    assert seen
+
+
 @pytest.mark.parametrize("driver, steps", [("rk4_path", 8), ("step_doubled", None)])
 def test_one_param_subgroups_returns_the_drivers_paths_and_errors(driver, steps, monkeypatch):
     # the left flow runs, the right one breaks: each flavor gets the very
@@ -900,6 +941,138 @@ def test_a_stack_keeps_each_rows_one_row_path_or_breakdown(steps, t_end, data):
     assert all(taken for _, taken in calls)
     if not targets:
         assert sum(of == "rhs" for of, _ in calls) == 4 * max(steps)
+
+
+# --- the clean rounds against the one-row integrator ----------------------
+#
+# The same rows, through an rhs that carries `unchecked`, so that every
+# round runs its stages unchecked and replays checked only where its check
+# of the new states reports a row or a call raises.  A breakdown is
+# injected into a row at one (round, stage): that stage gives NaN or Inf,
+# or raises, or the check finds the round's new state outside the chart.
+# A stage is hit by its time and its input state, both from the row's
+# clean one-row run, so the two middle stages, which share a time, are
+# told apart.  The checked rhs breaks a row as "stage", and the check a
+# non-finite state as "state": a stage breakdown must never read as one.
+
+_STAGE_WAYS = ("nan", "inf", "raise")
+
+
+def _stage_inputs(r, y0, t_end, steps):
+    """(y, s) of each stage call of row r's clean one-row run, in order."""
+    seen = []
+
+    def rhs(y, s):
+        seen.append((y.copy(), s))
+        return _A[r] * y * (1.0 - y) + s * _B
+
+    _one_row_rk4(rhs, y0, t_end, steps, lambda y, _s: y)
+    return seen
+
+
+def _hit(targets, r, y, s):
+    way, at, x = targets.get(r, (None, None, None))
+    return way if way in _STAGE_WAYS and s == at and np.array_equal(y, x) else None
+
+
+def _clean_system(targets, calls):
+    """rhs (with `unchecked`) and check for rk4_path, appending to `calls`
+    (kind, row numbers) per call that returns; targets maps a row number
+    to (way, time, input state), the state None for "chart"."""
+    def values(y, s, rows):
+        # a non-finite input reads as 0, so that only the broken stage's own
+        # weight in the RK4 sum carries its breakdown into the new state
+        y = np.where(np.isfinite(y), y, 0.0)
+        k = _A[rows][:, None] * y * (1.0 - y) + s[:, None] * _B
+        for p, r in enumerate(rows.tolist()):
+            way = _hit(targets, r, y[p], s[p])
+            if way == "raise":
+                raise NonFiniteEvaluation(_broke(r, "raise", s[p]))
+            if way:
+                k[p] = np.nan if way == "nan" else np.inf
+        return k
+
+    def stage(y, s, rows):
+        k = values(y, s, rows)
+        calls.append(("stage", rows.tolist()))
+        return k
+
+    def rhs(y, s, rows):
+        k = values(y, s, rows)
+        calls.append(("rhs", rows.tolist()))
+        return k, {p: NonFiniteEvaluation(_broke(rows[p], "stage", s[p]))
+                   for p in np.flatnonzero(~np.isfinite(k).all(axis=1)).tolist()}
+
+    def check(y, s, rows):
+        calls.append(("check", rows.tolist()))
+        failed = {p: LeftChart(_broke(r, "chart", t))
+                  for p, (r, t) in enumerate(zip(rows.tolist(), s.tolist()))
+                  if targets.get(r, (None, None))[:2] == ("chart", t)}
+        failed.update({p: NonFiniteEvaluation(_broke(rows[p], "state", s[p]))
+                       for p in np.flatnonzero(~np.isfinite(y).all(axis=1)).tolist()})
+        return failed
+
+    rhs.unchecked = stage
+    return rhs, check
+
+
+def _one_row_clean_system(r, targets):
+    """rhs and check for _one_row_rk4, raising row r's breakdown."""
+    def rhs(y, s):
+        way = _hit(targets, r, y, s)
+        if way:
+            raise NonFiniteEvaluation(_broke(r, "raise" if way == "raise" else "stage", s))
+        return _A[r] * y * (1.0 - y) + s * _B
+
+    def check(y, s):
+        if not np.isfinite(y).all():
+            raise NonFiniteEvaluation(_broke(r, "state", s))
+        if targets.get(r, (None, None))[:2] == ("chart", s):
+            raise LeftChart(_broke(r, "chart", s))
+        return y
+
+    return rhs, check
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=5),
+       st.one_of(st.floats(-2.0, -0.01), st.floats(0.01, 2.0)), st.data())
+def test_a_stack_of_clean_rounds_keeps_each_rows_one_row_path_or_breakdown(steps, t_end, data):
+    k = len(steps)
+    rows = np.array(data.draw(st.permutations(range(k))))
+    y0 = np.linspace(0.1, 0.6, 2 * k).reshape(k, 2)
+    targets = {}
+    for p in data.draw(st.sets(st.integers(0, k - 1))):
+        r = int(rows[p])
+        way = data.draw(st.sampled_from([*_STAGE_WAYS, "chart"]))
+        i = data.draw(st.integers(0, steps[p] - 1))
+        if way == "chart":
+            targets[r] = (way, (i + 1) * (t_end / steps[p]), None)
+        else:
+            x, s = _stage_inputs(r, y0[p], t_end, steps[p])[4 * i + data.draw(st.integers(0, 3))]
+            targets[r] = (way, s, x)
+    calls = []
+    rhs, check = _clean_system(targets, calls)
+    with np.errstate(invalid="ignore", over="ignore"):    # a broken row runs on in its round
+        paths = flows.rk4_path(rhs, y0, t_end, steps, check, rows)
+    for p, path in enumerate(paths):
+        rhs, check = _one_row_clean_system(int(rows[p]), targets)
+        try:
+            expected = _one_row_rk4(rhs, y0[p], t_end, steps[p], check)
+        except (NonFiniteEvaluation, LeftChart) as exc:
+            assert type(path) is type(exc) and str(path) == str(exc)
+        else:
+            assert np.array_equal(path, expected)
+    # every injected breakdown stops its own row and no other, and a stage
+    # breakdown keeps its stage's message
+    assert {int(rows[p]) for p, path in enumerate(paths) if isinstance(path, Exception)} \
+        == set(targets)
+    assert not any(" through state " in str(path) for path in paths)
+    assert all(taken for _, taken in calls)
+    # a clean stack runs unchecked: 4 stage calls and one check a round
+    if not targets:
+        assert [sum(of == kind for of, _ in calls) for kind in ("stage", "check", "rhs")] \
+            == [4 * max(steps), max(steps), 0]
 
 
 @pytest.mark.parametrize("steps, message", [
