@@ -19,14 +19,12 @@ _HOMOMORPHISM_PAIRS = 10
 _GRID_INTERVALS = 128
 _PSI_FLOOR = 1e-12
 
-# {position in the stack: error} of the rows a call found broken down
+# {position in the stack: error} of the rows a check found broken down
 Breakdowns = dict[int, LieChartError]
-# rhs(y, s, rows) -> (y', breakdowns) and check(y, s, rows) -> breakdowns
-# on a (j, n) stack of states, their times s (j,) and their row numbers.
-# An rhs may carry `rhs.unchecked(y, s, rows) -> y'`: the same stages
-# without the breakdowns, for an rhs whose every broken stage holds a NaN
-# or Inf (or raises) and a check that reports every non-finite state.
-Rhs = Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, Breakdowns]]
+# stage(y, s, rows) -> y' and check(y, s, rows) -> breakdowns on a (j, n)
+# stack of states, their times s (j,) and their row numbers.  A stage is
+# unchecked: where it breaks down it gives NaN or Inf, or raises.
+Stage = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 Check = Callable[[np.ndarray, np.ndarray, np.ndarray], Breakdowns]
 
 
@@ -38,31 +36,27 @@ def _step_count(value, name: str) -> int:
     return value
 
 
-def rk4_path(rhs: Rhs, y0: np.ndarray, t_end: float, steps: Sequence[int], check: Check,
-             rows: np.ndarray | None = None) -> list[np.ndarray | LieChartError]:
-    """RK4 paths of y' = rhs(y, s) from the rows of the (k, n) stack y0,
+def rk4_path(stage: Stage, y0: np.ndarray, t_end: float, steps: Sequence[int], check: Check,
+             probe: str, rows: np.ndarray | None = None) -> list[np.ndarray | LieChartError]:
+    """RK4 paths of y' = stage(y, s) from the rows of the (k, n) stack y0,
     row r in steps[r] uniform steps to t_end: per row its states
     (steps[r] + 1, n), or the error that stopped it.  A step count that is
-    not an integer of at least 1 raises ValueError before any rhs call.
+    not an integer of at least 1 raises ValueError before any stage call.
 
-    Each round moves every live row one step: four rhs calls and one
-    check of the new states, each on the stack of those rows, named by
-    their numbers in `rows` (by default 0 ... k - 1).  A row leaves once
-    it has taken its steps, or at the stage where rhs or check finds it
-    broken down, so each row keeps the bits and the error of its own
+    Each round moves every live row one step: four stage calls, the RK4
+    sum and one check of the new states, each on the stack of those rows,
+    named by their numbers in `rows` (by default 0 ... k - 1).  That one
+    check sees every stage breakdown: each stage enters
+    y + h/6 (k1 + 2 k2 + 2 k3 + k4) with a nonzero weight, so a NaN or Inf
+    stage makes the new state non-finite.  Each row the check reports, or
+    every live row if a stage raised a breakdown, runs that round again
+    alone and breaks down at the first of its stages that raises or is not
+    finite (a NaN or Inf stage reads `{probe} produced a non-finite
+    value`), else where its check reports it; the other rows keep their
+    new states.  So each row keeps the bits and the error of its own
     one-row integration.  The live rows, their numbers, step sizes and
     stage times are gathered once per live set, which changes only when a
     row leaves.
-
-    Where rhs carries `unchecked`, a round runs its four stages unchecked
-    and makes one check of the new states.  That one check sees every
-    stage breakdown: each stage enters y + h/6 (k1 + 2 k2 + 2 k3 + k4) with
-    a nonzero weight, so a NaN or Inf stage makes the new state non-finite.
-    Only a round whose check reports a row, or in which a call raises a
-    breakdown, runs again through the checked step `_rk4_step`, which
-    drops each row at the stage or check that breaks it.  A breakdown that
-    a checked call raises for the whole stack runs that round again one
-    row at a time, to learn whose it is.
     """
     steps = np.array([_step_count(m, "steps") for m in steps], dtype=int)
     rows = np.arange(len(y0)) if rows is None else rows
@@ -70,7 +64,6 @@ def rk4_path(rhs: Rhs, y0: np.ndarray, t_end: float, steps: Sequence[int], check
     states = np.empty((int(steps.max(initial=0)) + 1,) + y0.shape)
     states[0] = y = y0
     broken: Breakdowns = {}
-    unchecked = getattr(rhs, "unchecked", None)
     live = np.arange(len(steps))
     i = 0
     while live.size:
@@ -80,24 +73,18 @@ def rk4_path(rhs: Rhs, y0: np.ndarray, t_end: float, steps: Sequence[int], check
         s = np.arange(i, steps[live].min() + 1)[:, None] * hl
         taken, failed = [], {}
         for t in zip(s[:-1], s[:-1] + half, s[:-1] + hl, s[1:]):
-            clean = None if unchecked is None else _clean_step(unchecked, check, y, t, step, at)
-            if clean is not None:
-                y = clean
-                taken.append(y)
-                continue
             try:
-                y, failed = _rk4_step(rhs, check, y, t, step, at)
+                new = _rk4_step(stage, y, t, step, at)
+                replay = check(new, t[3], at)
             except BREAKDOWN:
-                y = y.copy()
-                for p in range(len(y)):
-                    one = slice(p, p + 1)
-                    try:
-                        y[one], alone = _rk4_step(rhs, check, y[one], [u[one] for u in t],
-                                                  [u[one] for u in step], at[one])
-                    except BREAKDOWN as exc:
-                        alone = {0: exc}
-                    if alone:
-                        failed[p] = alone[0]
+                new, replay = y.copy(), range(len(y))
+            for p in replay:
+                one = slice(p, p + 1)
+                new[one], error = _alone(stage, check, probe, y[one], [u[one] for u in t],
+                                         [u[one] for u in step], at[one])
+                if error is not None:
+                    failed[p] = error
+            y = new
             taken.append(y)
             if failed:
                 break
@@ -112,75 +99,35 @@ def rk4_path(rhs: Rhs, y0: np.ndarray, t_end: float, steps: Sequence[int], check
             for r, m in enumerate(steps.tolist())]
 
 
-def _clean_step(stage: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-                check: Check, y: np.ndarray, times: Sequence[np.ndarray],
-                step: Sequence[np.ndarray], rows: np.ndarray) -> np.ndarray | None:
-    """The step of `_rk4_step` from unchecked stages: the new states, with
-    the same bits, or None where check reports a row or a call raises a
-    breakdown, and the step must run again checked."""
+def _rk4_step(stage: Stage, y: np.ndarray, times: Sequence[np.ndarray],
+              step: Sequence[np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """One RK4 step of every row of the (j, n) stack y, from s to s + h,
+    with `times` the (j,) arrays s, s + h/2, s + h and the end of the step,
+    and `step` the (j, 1) columns h, h/2 and h/6: the new states."""
     h, half, sixth = step
-    s, mid, end, t = times
+    s, mid, end, _ = times
+    k1 = stage(y, s, rows)
+    k2 = stage(y + half * k1, mid, rows)
+    k3 = stage(y + half * k2, mid, rows)
+    k4 = stage(y + h * k3, end, rows)
+    return y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _alone(stage: Stage, check: Check, probe: str, y: np.ndarray, times: Sequence[np.ndarray],
+           step: Sequence[np.ndarray], rows: np.ndarray) -> tuple[np.ndarray, LieChartError | None]:
+    """The `_rk4_step` of the one-row stack y run alone: its new state, and
+    the error of its first stage that raises or is not finite, else its
+    check's, or None."""
     try:
-        k1 = stage(y, s, rows)
-        k2 = stage(y + half * k1, mid, rows)
-        k3 = stage(y + half * k2, mid, rows)
-        k4 = stage(y + h * k3, end, rows)
-        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return None if check(y, t, rows) else y
-    except BREAKDOWN:
-        return None
+        new = _rk4_step(lambda x, s, r: as_finite_array(stage(x, s, r), probe),
+                        y, times, step, rows)
+        return new, check(new, times[3], rows).get(0)
+    except BREAKDOWN as exc:
+        return y, exc
 
 
-def _rk4_step(rhs: Rhs, check: Check, y: np.ndarray, times: Sequence[np.ndarray],
-              step: Sequence[np.ndarray], rows: np.ndarray) -> tuple[np.ndarray, Breakdowns]:
-    """One checked step of every row of the (j, n) stack y, from s to
-    s + h, with `times` the (j,) arrays s, s + h/2, s + h and the end of
-    the step, and `step` the (j, 1) columns h, h/2 and h/6: the new states
-    and the rows that broke down, each dropped from the stages after its
-    breakdown, with the error and message its rhs or check gave it.  Until
-    the first breakdown every call takes the whole stack.  rk4_path runs it
-    on every round of an rhs without `unchecked`, and otherwise only on a
-    round whose clean step found a breakdown."""
-    h, half, sixth = step
-    s, mid, end, t = times
-    failed: Breakdowns = {}
-    live = None                             # positions not yet broken down, once one is
-    k: list[np.ndarray] = []
-    for a, when in ((None, s), (half, mid), (half, mid), (h, end)):
-        x = y if a is None else y + a * k[-1]
-        if live is None:
-            stage, errors = rhs(x, when, rows)
-        else:
-            stage = np.zeros_like(x)
-            stage[live], errors = rhs(x[live], when[live], rows[live])
-        if errors:
-            bad, live = _drop(live, errors, failed, len(y))
-            if not live.size:
-                return y, failed
-            stage[bad] = 0.0
-        k.append(stage)
-    k1, k2, k3, k4 = k
-    y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    errors = check(y, t, rows) if live is None else check(y[live], t[live], rows[live])
-    if errors:
-        _drop(live, errors, failed, len(y))
-    return y, failed
-
-
-def _drop(live: np.ndarray | None, errors: Breakdowns, failed: Breakdowns,
-          j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Record in `failed` the breakdowns `errors`, keyed by place among the
-    positions `live` of a (j, n) stack (None: all of them): the positions
-    they name, and those left."""
-    live = np.arange(j) if live is None else live
-    places = list(errors)
-    bad = live[places]
-    failed.update(zip(bad.tolist(), errors.values()))
-    return bad, np.delete(live, places)
-
-
-def step_doubled(rhs: Rhs, y0: np.ndarray, t_end: float, first: int, cap: int,
-                 check: Check, errors) -> list[np.ndarray | LieChartError]:
+def step_doubled(stage: Stage, y0: np.ndarray, t_end: float, first: int, cap: int,
+                 check: Check, probe: str, errors) -> list[np.ndarray | LieChartError]:
     """Per row of the (p, n) stack y0, its RK4 path at first, 2 first, ...
     steps, up to `cap`, or the error that stopped it.
 
@@ -191,7 +138,7 @@ def step_doubled(rhs: Rhs, y0: np.ndarray, t_end: float, first: int, cap: int,
     the capped pass, is the row's result.  Every row's first two passes
     run as one `rk4_path` stack, since convergence needs two passes
     anyway, and each later doubling of the rows still open is one more.
-    rhs and check are those of rk4_path, with `rows` numbering y0.
+    stage, check and probe are those of rk4_path, with `rows` numbering y0.
     """
     cap = _step_count(cap, "cap")
     first = min(_step_count(first, "first"), cap)
@@ -201,7 +148,7 @@ def step_doubled(rhs: Rhs, y0: np.ndarray, t_end: float, first: int, cap: int,
             for m in ((first, min(2 * first, cap)) if first < cap else (first,))]
     while todo:
         of = np.array([r for r, _ in todo])
-        paths = rk4_path(rhs, y0[of], t_end, [m for _, m in todo], check, of)
+        paths = rk4_path(stage, y0[of], t_end, [m for _, m in todo], check, probe, of)
         for (r, m), path in zip(todo, paths):
             if r in done:
                 continue
@@ -263,7 +210,7 @@ def one_param_subgroups(chart: GroupChart, alpha, t_end: float, flavors: Sequenc
     slots = [None, None]                    # rows last seen; where each slot takes the probes
 
     def stage(c: np.ndarray, _s: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        # psi_flavored(c) alpha of each row, both flavors in one law call, unchecked;
+        # psi_flavored(c) alpha of each row, both flavors in one law call;
         # rk4_path hands every stage of a live set the same `rows`
         if rows is not slots[0]:
             at_left = left[rows][:, None, None]
@@ -271,12 +218,6 @@ def one_param_subgroups(chart: GroupChart, alpha, t_end: float, flavors: Sequenc
         a, b = np.where(slots[1], probes, c[:, None, :])
         vals = _stencil_values(chart.compose(a, b), (len(c), 2))
         return (vals[:, 0] - vals[:, 1]) / width
-
-    def rhs(c: np.ndarray, s: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, Breakdowns]:
-        k = stage(c, s, rows)
-        return k, nonfinite_rows(k, "jacobian probe")
-
-    rhs.unchecked = stage
 
     def in_chart(c: np.ndarray, s: np.ndarray, _rows: np.ndarray) -> Breakdowns:
         far = maxabs(c - e)
@@ -290,11 +231,11 @@ def one_param_subgroups(chart: GroupChart, alpha, t_end: float, flavors: Sequenc
 
     y0 = np.tile(e, (len(flavors), 1))
     if steps is not None:
-        return rk4_path(rhs, y0, t_end, [steps] * len(flavors), in_chart)
-    return step_doubled(rhs, y0, t_end,
+        return rk4_path(stage, y0, t_end, [steps] * len(flavors), in_chart, "jacobian probe")
+    return step_doubled(stage, y0, t_end,
                         max(1, math.ceil(_FIRST_STEPS_PER_UNIT * abs(t_end))),
                         max(1, math.ceil(_MAX_STEPS_PER_UNIT * abs(t_end))),
-                        in_chart, (LeftChart, NonFiniteEvaluation))
+                        in_chart, "jacobian probe", (LeftChart, NonFiniteEvaluation))
 
 
 def one_param_subgroup(chart: GroupChart, alpha, t_end: float,

@@ -134,13 +134,14 @@ def taylor_solve(sys: PDESystem, consts, x0, x1, cfg: DiffConfig | None = None,
     x1 = as_finite_array(x1).ravel()
     delta = x1 - x0
 
-    def rhs(th: np.ndarray, s: np.ndarray, _rows: np.ndarray) -> tuple[np.ndarray, Breakdowns]:
-        return sys.rhs(th, x0 + s[:, None] * delta) @ delta, {}
+    def stage(th: np.ndarray, s: np.ndarray, _rows: np.ndarray) -> np.ndarray:
+        return sys.rhs(th, x0 + s[:, None] * delta) @ delta
 
     def finite(th: np.ndarray, _s: np.ndarray, _rows: np.ndarray) -> Breakdowns:
         return nonfinite_rows(th, "pde solution")
 
-    path, = step_doubled(rhs, theta[None], 1.0, 8, _TAYLOR_STEPS, finite, NonFiniteEvaluation)
+    path, = step_doubled(stage, theta[None], 1.0, 8, _TAYLOR_STEPS, finite, "pde right-hand side",
+                         NonFiniteEvaluation)
     if isinstance(path, LieChartError):
         raise path
     return path[-1]

@@ -5,7 +5,8 @@ f(compose(b, a)) = f(b) f(a), and every identity below is written in that
 one form, with no side dispatch.  A map that reverses the product,
 f(compose(b, a)) = f(a) f(b), as one acting on row vectors does, is a
 representation of the opposite group (`group._opposite`), whose law is
-compose with its arguments swapped; `conjugate_rep` builds one there.
+compose with its arguments swapped; the catalog's `conjugate` of gl:n is
+one there.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .group import GroupChart, _opposite, inverse, maxabs, maxabs_rows, psi_flavored
+from .group import GroupChart, inverse, maxabs, maxabs_rows, psi_flavored
 from .numdiff import (DiffConfig, _as_integer, as_finite_array, broadcasting, invert,
                       jacobian, rowwise)
 from .structure import StructureConstants
@@ -49,7 +50,7 @@ class RepChart:
 
 def _slot_derivatives(rep: RepChart, a: np.ndarray, cfg: DiffConfig) -> np.ndarray:
     """Stack (..., n, m, m) of d f / d a^L at a (..., n), one matrix per coordinate L."""
-    d = jacobian(lambda x: rep(x).reshape(x.shape[:-1] + (-1,)), a, cfg)
+    d = jacobian(lambda x: rep(x).reshape(x.shape[:-1] + (rep.m * rep.m,)), a, cfg)
     return np.moveaxis(d.reshape(d.shape[:-2] + (rep.m, rep.m, rep.group.n)), -1, -3)
 
 
@@ -101,12 +102,6 @@ def integrability_check(gens: np.ndarray, constants: StructureConstants) -> floa
     prod = gens[:, None] @ gens[None, :]            # prod[k, p] = I_k I_p
     comm = prod.transpose(1, 0, 2, 3) - prod        # comm[p, k] = [I_k, I_p]
     return maxabs(comm - _combine(constants.c.reshape(n, n * n), gens).reshape(comm.shape))
-
-
-def conjugate_rep(rep: RepChart) -> RepChart:
-    """Pointwise matrix inverse, a representation of the opposite group."""
-    return RepChart(group=_opposite(rep.group), m=rep.m,
-                    f=broadcasting(lambda a: invert(rep(a))), name=f"conjugate({rep.name})")
 
 
 def tensor_product(r1: RepChart, r2: RepChart) -> RepChart:

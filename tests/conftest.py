@@ -5,7 +5,9 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from liechart import group, suites
-from liechart.group import check_rng, sample_points
+from liechart.group import _opposite, check_rng, sample_points
+from liechart.numdiff import broadcasting, invert
+from liechart.reps import RepChart
 
 settings.register_profile(
     "default",
@@ -24,6 +26,13 @@ def check_points(chart, cfg, check_id, count=None, arity=1):
     count = cfg.sample_count if count is None else count
     pts = sample_points(chart, cfg, check_rng(cfg, check_id), count * arity)
     return [np.ascontiguousarray(pts[j::arity]) for j in range(arity)]
+
+
+def conjugate_of(rep: RepChart) -> RepChart:
+    """The pointwise matrix inverse of rep, a representation of the opposite
+    group, as the catalog's `conjugate` of gl:n is that of its `standard`."""
+    return RepChart(group=_opposite(rep.group), m=rep.m,
+                    f=broadcasting(lambda a: invert(rep(a))), name=f"conjugate({rep.name})")
 
 
 def captured_table(monkeypatch, checks):

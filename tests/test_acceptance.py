@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import liechart.cli as cli
-from conftest import check_points
+from conftest import check_points, conjugate_of
 from liechart.catalog import (
     GROUP_NAMES,
     get_group,
@@ -47,7 +47,6 @@ from liechart.pde import (
     taylor_solve,
 )
 from liechart.reps import (
-    conjugate_rep,
     direct_sum,
     direct_sum_generators,
     integrability_check,
@@ -219,7 +218,7 @@ def test_criterion_08_representation_identities(emit):
             (integrability_check(gens, c_left), 1e-6),
             (maxabs(mixed_identity_residual(
                 rep, gens, *check_points(chart, CFG, "rep_mixed_identity"), CFG)), 1e-4),
-            (maxabs(rep_generators(rep, CFG) + rep_generators(conjugate_rep(rep), CFG)), 1e-5),
+            (maxabs(rep_generators(rep, CFG) + rep_generators(conjugate_of(rep), CFG)), 1e-5),
             (tensor_err, 1e-4),
             (sum_err, 1e-5),
         ]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import check_points
+from conftest import check_points, counted_calls
 from liechart import catalog, flows, numdiff
 from liechart.catalog import GROUP_NAMES, get_group
 from liechart.errors import LeftChart, NonFiniteEvaluation, SingularMatrix, ZeroPsi
@@ -522,14 +522,14 @@ def test_stiff_and_undefined_laws_break_per_row_in_one_stack():
     law = np.array([0, 0, 1, 1])
     one = np.ones(1)
 
-    def rhs(c, _s, rows):
+    def stage(c, _s, rows):
         psi = np.empty((len(rows), 1, 1))
         for j, chart in enumerate(charts):
             at = law[rows] == j
             if at.any():
                 psi[at] = unchecked_jacobian(
                     lambda y: chart.compose(c[at][:, None, :], y), np.zeros((at.sum(), 1)), CFG)
-        return psi @ one, nonfinite_rows(psi, "jacobian probe")
+        return psi @ one
 
     def check(c, s, rows):
         radius = np.array([charts[j].chart_radius for j in law[rows]])
@@ -538,7 +538,7 @@ def test_stiff_and_undefined_laws_break_per_row_in_one_stack():
         failed.update(nonfinite_rows(c, "flow state"))
         return failed
 
-    paths = flows.rk4_path(rhs, np.zeros((4, 1)), 1.0, [8, 16, 8, 16], check)
+    paths = flows.rk4_path(stage, np.zeros((4, 1)), 1.0, [8, 16, 8, 16], check, "jacobian probe")
     assert isinstance(paths[0], LeftChart)
     assert isinstance(paths[2], NonFiniteEvaluation)
     for row, chart in ((0, charts[0]), (2, charts[1])):
@@ -639,10 +639,9 @@ def test_the_real_rhs_keeps_each_flavors_one_row_flow_or_error(broken_slot, rais
 
 @pytest.mark.parametrize("name", GROUP_NAMES)
 def test_a_flow_that_never_breaks_runs_no_checked_stage(name, monkeypatch):
-    # the checked stage and the check's breakdown path both read
-    # nonfinite_rows; a clean run reaches neither, a broken one does
-    seen, real = [], flows.nonfinite_rows
-    monkeypatch.setattr(flows, "nonfinite_rows", lambda *args: seen.append(args) or real(*args))
+    # stages are checked only where a round runs again alone; a clean run
+    # never does, a broken one does
+    seen = counted_calls(monkeypatch, flows, "_alone")
     list(SUITES["flows"](get_group(name), None, DiffConfig(), group_generators))
     assert seen == []
     chart = _one_sided_chart("left", False)
@@ -729,10 +728,12 @@ def test_a_state_that_overflows_breaks_its_row_as_a_flow_state():
 _MIXED = ("right", "left", "left", "right", "left")
 
 
-def _stage_rhs(chart, alpha, flavors, monkeypatch):
-    """The rhs that one_param_subgroups hands rk4_path, here never run by it."""
+def _stage(chart, alpha, flavors, monkeypatch):
+    """The stage and the probe name that one_param_subgroups hands rk4_path,
+    here never run by it."""
     given = []
-    monkeypatch.setattr(flows, "rk4_path", lambda rhs, *args: given.append(rhs) or [])
+    monkeypatch.setattr(flows, "rk4_path",
+                        lambda stage, *args: given.append((stage, args[-1])) or [])
     flows.one_param_subgroups(chart, alpha, 1.0, flavors, steps=1, cfg=CFG)
     return given[0]
 
@@ -749,12 +750,11 @@ def test_a_stage_is_psi_flavored_times_alpha_bit_for_bit(name, monkeypatch):
     # alpha, the product of the 2n-point Jacobian, up to difference error
     chart = _point_law_chart() if name == "ax+b" else get_group(name)
     alpha = _flow_direction(chart, 42)
-    rhs = _stage_rhs(chart, alpha, _MIXED, monkeypatch)
+    stage, _ = _stage(chart, alpha, _MIXED, monkeypatch)
     # the rows of a stack name the flavors they take, in any order
     for rows in (np.arange(len(_MIXED)), np.array([4, 0, 3, 1])):
         c = sample_points(chart, CFG, check_rng(CFG, "stage"), len(rows))
-        k, broken = rhs(c, np.zeros(len(rows)), rows)
-        assert broken == {}
+        k = stage(c, np.zeros(len(rows)), rows)
         for p, r in enumerate(rows.tolist()):
             assert np.array_equal(k[p], _directional_stage(chart, c[p], alpha, _MIXED[r]))
             assert maxabs(k[p] - psi_flavored(chart, c[p], _MIXED[r], CFG) @ alpha) <= 1e-9
@@ -765,26 +765,25 @@ def test_a_zero_direction_gives_the_constant_path(flavor, monkeypatch):
     # the step along 0 is the widest stencil step, so the probes are e and
     # every stage is exactly 0: nothing divides by zero
     chart = get_group("gl:2")
-    rhs = _stage_rhs(chart, np.zeros(4), (flavor,), monkeypatch)
+    stage, _ = _stage(chart, np.zeros(4), (flavor,), monkeypatch)
     c = sample_points(chart, CFG, check_rng(CFG, "stage"), 3)
-    k, broken = rhs(c, np.zeros(3), np.zeros(3, dtype=int))
-    assert broken == {} and np.array_equal(k, np.zeros((3, 4)))
+    assert np.array_equal(stage(c, np.zeros(3), np.zeros(3, dtype=int)), np.zeros((3, 4)))
     monkeypatch.undo()
     path = one_param_subgroup(chart, np.zeros(4), 1.0, flavor=flavor, cfg=CFG)
     assert np.array_equal(path, np.tile(chart.identity, (len(path), 1)))
 
 
-def test_a_stage_reports_a_nan_stencil_value_as_a_jacobian_probe_breakdown(monkeypatch):
+def test_a_nan_stencil_value_breaks_only_its_rows_stage_as_a_jacobian_probe(monkeypatch):
     # the law is NaN where its left factor is a state past 0.05 and its
-    # right one a probe near e: only the right flavor of the far state breaks
+    # right one a probe near e: only the right flavor of the far state is
+    # NaN, which the driver names a jacobian probe
     chart = _one_sided_chart("left", False)
     alpha = _flow_direction(chart, 42)
-    rhs = _stage_rhs(chart, alpha, ("right", "left"), monkeypatch)
+    stage, probe = _stage(chart, alpha, ("right", "left"), monkeypatch)
+    assert probe == "jacobian probe"
     c = np.array([[0.1, 0.0], [0.1, 0.0], [0.01, 0.0]])
-    k, broken = rhs(c, np.zeros(3), np.array([0, 1, 0]))
-    assert list(broken) == [0]
-    assert isinstance(broken[0], NonFiniteEvaluation)
-    assert str(broken[0]) == "jacobian probe produced a non-finite value"
+    k = stage(c, np.zeros(3), np.array([0, 1, 0]))
+    assert np.isnan(k[0]).all()
     assert np.array_equal(k[1:], [_directional_stage(chart, c[1], alpha, "left"),
                                   _directional_stage(chart, c[2], alpha, "right")])
 
@@ -838,135 +837,37 @@ def test_flows_suite_passes_on_a_grid_of_steps(name, base_step):
     assert run_suite(name, "flows", DiffConfig(base_step=base_step)).all_passed
 
 
-# --- the driver's clean rounds against the one-row integrator ---------------
+# --- the driver against the one-row integrator ------------------------------
 #
 # Row r of a stack follows y' = a_r y (1 - y) + s b in + - * only, so a
 # stacked call gives each row the bits of its one-row call.  A breakdown is
-# injected into a row at a (round, stage): every call that holds the row at
-# the time that stage runs at breaks it (the two middle stages share their
-# time, so the first of them), in the row's own way: through rhs's error
-# dict, through check's, or raised by rhs for the whole call.  Each system
-# counts, per row, the calls that took it and returned.
+# injected into a row at one (round, stage): that stage gives NaN or Inf,
+# or raises, or the check finds the round's new state outside the chart.
+# A stage is hit by its time and its input state, both from the row's
+# one-row run, so the two middle stages, which share a time, are told
+# apart.  The driver names a non-finite stage by the probe name "stage",
+# and the check a non-finite state "state": a stage breakdown must never
+# read as one.  Each system counts, per row, the calls that took it and
+# returned.
 
 _A = np.array([0.5, -0.8, 1.1, 0.3, -0.4])
 _B = np.array([0.2, -0.1])
+_STAGE_WAYS = ("nan", "inf", "raise")
 
 
 def _broke(r, way, s):
     return f"row {int(r)} broke through {way} at s = {float(s)!r}"
 
 
-def _stacked_system(targets, calls):
-    """rhs and check for rk4_path, appending to `calls` (kind, row numbers)
-    per call that returns; targets maps a row number to (way, time)."""
-    def hits(way, rows, s):
-        return [p for p, (r, t) in enumerate(zip(rows.tolist(), s.tolist()))
-                if targets.get(r) == (way, t)]
-
-    def rhs(y, s, rows):
-        raised = hits("raise", rows, s)
-        if raised:
-            raise NonFiniteEvaluation(_broke(rows[raised[0]], "raise", s[raised[0]]))
-        calls.append(("rhs", rows.tolist()))
-        k = _A[rows][:, None] * y * (1.0 - y) + s[:, None] * _B
-        return k, {p: NonFiniteEvaluation(_broke(rows[p], "rhs", s[p]))
-                   for p in hits("rhs", rows, s)}
-
-    def check(y, s, rows):
-        calls.append(("check", rows.tolist()))
-        return {p: LeftChart(_broke(rows[p], "check", s[p])) for p in hits("check", rows, s)}
-
-    return rhs, check
-
-
-def _one_row_system(r, targets, returned):
-    """rhs and check for _one_row_rk4, raising row r's breakdown and
-    counting in `returned` the calls of each kind that return."""
-    def rhs(y, s):
-        if targets.get(r) in (("rhs", s), ("raise", s)):
-            raise NonFiniteEvaluation(_broke(r, targets[r][0], s))
-        returned["rhs"] += 1
-        return _A[r] * y * (1.0 - y) + s * _B
-
-    def check(y, s):
-        if targets.get(r) == ("check", s):
-            raise LeftChart(_broke(r, "check", s))
-        returned["check"] += 1
-        return y
-
-    return rhs, check
-
-
-@settings(max_examples=200)
-@given(st.lists(st.integers(1, 12), min_size=1, max_size=5),
-       st.one_of(st.floats(-2.0, -0.01), st.floats(0.01, 2.0)), st.data())
-def test_a_stack_keeps_each_rows_one_row_path_or_breakdown(steps, t_end, data):
-    k = len(steps)
-    rows = np.array(data.draw(st.permutations(range(k))))
-    y0 = np.linspace(0.1, 0.6, 2 * k).reshape(k, 2)
-    # the broken rows meet in one round where their steps reach it
-    targets, last = {}, data.draw(st.integers(0, max(steps) - 1))
-    for p in data.draw(st.sets(st.integers(0, k - 1))):
-        way = data.draw(st.sampled_from(["rhs", "check", "raise"]))
-        i = min(last, steps[p] - 1)
-        h = t_end / steps[p]
-        s = i * h
-        at = (i + 1) * h if way == "check" else data.draw(st.sampled_from([s, s + 0.5 * h, s + h]))
-        targets[int(rows[p])] = (way, at)
-    calls = []
-    rhs, check = _stacked_system(targets, calls)
-    paths = flows.rk4_path(rhs, y0, t_end, steps, check, rows)
-    raised = any(way == "raise" for way, _ in targets.values())
-    for p, path in enumerate(paths):
-        r, returned = int(rows[p]), {"rhs": 0, "check": 0}
-        rhs, check = _one_row_system(r, targets, returned)
-        try:
-            expected = _one_row_rk4(rhs, y0[p], t_end, steps[p], check)
-        except (NonFiniteEvaluation, LeftChart) as exc:
-            assert type(path) is type(exc) and str(path) == str(exc)
-        else:
-            assert np.array_equal(path, expected)
-        # the stack calls each row as often as it ran alone, once more where
-        # the call reports its breakdown instead of raising it (a round in
-        # which a call raised runs again one row at a time, with more calls)
-        if not raised:
-            way = targets.get(r, (None,))[0]
-            for kind in ("rhs", "check"):
-                assert sum(r in taken for of, taken in calls if of == kind) \
-                    == returned[kind] + (way == kind)
-    # every injected breakdown stops its own row and no other
-    assert {int(rows[p]) for p, path in enumerate(paths) if isinstance(path, Exception)} \
-        == set(targets)
-    # a call takes at least one row, and a clean stack 4 calls a round
-    assert all(taken for _, taken in calls)
-    if not targets:
-        assert sum(of == "rhs" for of, _ in calls) == 4 * max(steps)
-
-
-# --- the clean rounds against the one-row integrator ----------------------
-#
-# The same rows, through an rhs that carries `unchecked`, so that every
-# round runs its stages unchecked and replays checked only where its check
-# of the new states reports a row or a call raises.  A breakdown is
-# injected into a row at one (round, stage): that stage gives NaN or Inf,
-# or raises, or the check finds the round's new state outside the chart.
-# A stage is hit by its time and its input state, both from the row's
-# clean one-row run, so the two middle stages, which share a time, are
-# told apart.  The checked rhs breaks a row as "stage", and the check a
-# non-finite state as "state": a stage breakdown must never read as one.
-
-_STAGE_WAYS = ("nan", "inf", "raise")
-
-
 def _stage_inputs(r, y0, t_end, steps):
     """(y, s) of each stage call of row r's clean one-row run, in order."""
     seen = []
 
-    def rhs(y, s):
+    def stage(y, s):
         seen.append((y.copy(), s))
         return _A[r] * y * (1.0 - y) + s * _B
 
-    _one_row_rk4(rhs, y0, t_end, steps, lambda y, _s: y)
+    _one_row_rk4(stage, y0, t_end, steps, lambda y, _s: y)
     return seen
 
 
@@ -975,11 +876,11 @@ def _hit(targets, r, y, s):
     return way if way in _STAGE_WAYS and s == at and np.array_equal(y, x) else None
 
 
-def _clean_system(targets, calls):
-    """rhs (with `unchecked`) and check for rk4_path, appending to `calls`
-    (kind, row numbers) per call that returns; targets maps a row number
-    to (way, time, input state), the state None for "chart"."""
-    def values(y, s, rows):
+def _stacked_system(targets, calls):
+    """stage and check for rk4_path, appending to `calls` (kind, row
+    numbers) per call that returns; targets maps a row number to (way,
+    time, input state), the state None for "chart"."""
+    def stage(y, s, rows):
         # a non-finite input reads as 0, so that only the broken stage's own
         # weight in the RK4 sum carries its breakdown into the new state
         y = np.where(np.isfinite(y), y, 0.0)
@@ -990,18 +891,8 @@ def _clean_system(targets, calls):
                 raise NonFiniteEvaluation(_broke(r, "raise", s[p]))
             if way:
                 k[p] = np.nan if way == "nan" else np.inf
-        return k
-
-    def stage(y, s, rows):
-        k = values(y, s, rows)
         calls.append(("stage", rows.tolist()))
         return k
-
-    def rhs(y, s, rows):
-        k = values(y, s, rows)
-        calls.append(("rhs", rows.tolist()))
-        return k, {p: NonFiniteEvaluation(_broke(rows[p], "stage", s[p]))
-                   for p in np.flatnonzero(~np.isfinite(k).all(axis=1)).tolist()}
 
     def check(y, s, rows):
         calls.append(("check", rows.tolist()))
@@ -1012,32 +903,37 @@ def _clean_system(targets, calls):
                        for p in np.flatnonzero(~np.isfinite(y).all(axis=1)).tolist()})
         return failed
 
-    rhs.unchecked = stage
-    return rhs, check
+    return stage, check
 
 
-def _one_row_clean_system(r, targets):
-    """rhs and check for _one_row_rk4, raising row r's breakdown."""
-    def rhs(y, s):
+def _one_row_system(r, targets, returned):
+    """stage and check for _one_row_rk4, raising row r's breakdown as the
+    driver names it, and counting in `returned` the calls of each kind that
+    return."""
+    def stage(y, s):
         way = _hit(targets, r, y, s)
+        if way == "raise":
+            raise NonFiniteEvaluation(_broke(r, "raise", s))
+        returned["stage"] += 1
         if way:
-            raise NonFiniteEvaluation(_broke(r, "raise" if way == "raise" else "stage", s))
+            raise NonFiniteEvaluation("stage produced a non-finite value")
         return _A[r] * y * (1.0 - y) + s * _B
 
     def check(y, s):
         if not np.isfinite(y).all():
             raise NonFiniteEvaluation(_broke(r, "state", s))
+        returned["check"] += 1
         if targets.get(r, (None, None))[:2] == ("chart", s):
             raise LeftChart(_broke(r, "chart", s))
         return y
 
-    return rhs, check
+    return stage, check
 
 
 @settings(max_examples=200)
 @given(st.lists(st.integers(1, 12), min_size=1, max_size=5),
        st.one_of(st.floats(-2.0, -0.01), st.floats(0.01, 2.0)), st.data())
-def test_a_stack_of_clean_rounds_keeps_each_rows_one_row_path_or_breakdown(steps, t_end, data):
+def test_a_stack_keeps_each_rows_one_row_path_or_breakdown(steps, t_end, data):
     k = len(steps)
     rows = np.array(data.draw(st.permutations(range(k))))
     y0 = np.linspace(0.1, 0.6, 2 * k).reshape(k, 2)
@@ -1052,27 +948,75 @@ def test_a_stack_of_clean_rounds_keeps_each_rows_one_row_path_or_breakdown(steps
             x, s = _stage_inputs(r, y0[p], t_end, steps[p])[4 * i + data.draw(st.integers(0, 3))]
             targets[r] = (way, s, x)
     calls = []
-    rhs, check = _clean_system(targets, calls)
+    stage, check = _stacked_system(targets, calls)
     with np.errstate(invalid="ignore", over="ignore"):    # a broken row runs on in its round
-        paths = flows.rk4_path(rhs, y0, t_end, steps, check, rows)
+        paths = flows.rk4_path(stage, y0, t_end, steps, check, "stage", rows)
+    raised = any(way == "raise" for way, _, _ in targets.values())
     for p, path in enumerate(paths):
-        rhs, check = _one_row_clean_system(int(rows[p]), targets)
+        r, returned = int(rows[p]), {"stage": 0, "check": 0}
+        stage, check = _one_row_system(r, targets, returned)
         try:
-            expected = _one_row_rk4(rhs, y0[p], t_end, steps[p], check)
+            expected = _one_row_rk4(stage, y0[p], t_end, steps[p], check)
         except (NonFiniteEvaluation, LeftChart) as exc:
             assert type(path) is type(exc) and str(path) == str(exc)
         else:
             assert np.array_equal(path, expected)
+        # the stack calls each row as often as it ran alone, and a broken
+        # row for one more round, the clean one before it ran alone (a round
+        # in which a stage raised runs every live row alone, with more calls)
+        if not raised:
+            for kind, more in (("stage", 4), ("check", 1)):
+                assert sum(r in taken for of, taken in calls if of == kind) \
+                    == returned[kind] + more * (r in targets)
     # every injected breakdown stops its own row and no other, and a stage
     # breakdown keeps its stage's message
     assert {int(rows[p]) for p, path in enumerate(paths) if isinstance(path, Exception)} \
         == set(targets)
     assert not any(" through state " in str(path) for path in paths)
     assert all(taken for _, taken in calls)
-    # a clean stack runs unchecked: 4 stage calls and one check a round
+    # a clean stack: 4 stage calls and one check a round
     if not targets:
-        assert [sum(of == kind for of, _ in calls) for kind in ("stage", "check", "rhs")] \
-            == [4 * max(steps), max(steps), 0]
+        assert [sum(of == kind for of, _ in calls) for kind in ("stage", "check")] \
+            == [4 * max(steps), max(steps)]
+
+
+def _rounds(*live):
+    """The calls of one whole round, four stages and a check, per stack of
+    row numbers in `live`."""
+    return [call for rows in live for call in [("stage", rows)] * 4 + [("check", rows)]]
+
+
+def test_a_round_runs_again_only_for_the_rows_its_check_reports():
+    # rows 1 and 3 leave the chart at the end of round 3 of 4: that round
+    # runs again for each of them alone, while rows 0 and 2 keep their
+    # clean-round states and take no further stage call until round 4
+    y0 = np.linspace(0.1, 0.6, 8).reshape(4, 2)
+    targets = {1: ("chart", 0.75, None), 3: ("chart", 0.75, None)}
+    calls = []
+    stage, check = _stacked_system(targets, calls)
+    paths = flows.rk4_path(stage, y0, 1.0, [4] * 4, check, "stage")
+    everyone = [0, 1, 2, 3]
+    assert calls == _rounds(everyone, everyone, everyone, [1], [3], [0, 2])
+    for r in (1, 3):
+        assert type(paths[r]) is LeftChart and str(paths[r]) == _broke(r, "chart", 0.75)
+    for r in (0, 2):
+        stage, check = _one_row_system(r, targets, {"stage": 0, "check": 0})
+        assert np.array_equal(paths[r], _one_row_rk4(stage, y0[r], 1.0, 4, check))
+
+
+def test_a_round_in_which_a_stage_raises_runs_again_for_every_live_row():
+    # row 1's second stage of round 3 raises for the whole call: that round
+    # runs again for every live row alone, and row 1 breaks at that stage
+    y0 = np.linspace(0.1, 0.6, 8).reshape(4, 2)
+    x, s = _stage_inputs(1, y0[1], 1.0, 4)[4 * 2 + 1]
+    calls = []
+    stage, check = _stacked_system({1: ("raise", s, x)}, calls)
+    paths = flows.rk4_path(stage, y0, 1.0, [4] * 4, check, "stage")
+    everyone = [0, 1, 2, 3]
+    assert calls == (_rounds(everyone, everyone) + [("stage", everyone)] + _rounds([0])
+                     + [("stage", [1])] + _rounds([2], [3], [0, 2, 3]))
+    assert type(paths[1]) is NonFiniteEvaluation and str(paths[1]) == _broke(1, "raise", s)
+    assert all(isinstance(path, np.ndarray) for r, path in enumerate(paths) if r != 1)
 
 
 @pytest.mark.parametrize("steps, message", [
@@ -1083,16 +1027,16 @@ def test_a_stack_of_clean_rounds_keeps_each_rows_one_row_path_or_breakdown(steps
 ])
 def test_rk4_path_rejects_a_step_count_before_any_call(steps, message):
     calls = []
-    rhs, check = _stacked_system({}, calls)
+    stage, check = _stacked_system({}, calls)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        flows.rk4_path(rhs, np.zeros((len(steps), 2)), 1.0, steps, check)
+        flows.rk4_path(stage, np.zeros((len(steps), 2)), 1.0, steps, check, "stage")
     assert calls == []
 
 
 def test_rk4_path_of_no_rows_is_empty():
     calls = []
-    rhs, check = _stacked_system({}, calls)
-    assert flows.rk4_path(rhs, np.zeros((0, 2)), 1.0, [], check) == []
+    stage, check = _stacked_system({}, calls)
+    assert flows.rk4_path(stage, np.zeros((0, 2)), 1.0, [], check, "stage") == []
     assert calls == []
 
 
@@ -1103,9 +1047,10 @@ def test_rk4_path_of_no_rows_is_empty():
 ])
 def test_step_doubled_rejects_a_step_count_before_any_call(first, cap, message):
     calls = []
-    rhs, check = _stacked_system({}, calls)
+    stage, check = _stacked_system({}, calls)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        flows.step_doubled(rhs, np.zeros((1, 2)), 1.0, first, cap, check, NonFiniteEvaluation)
+        flows.step_doubled(stage, np.zeros((1, 2)), 1.0, first, cap, check, "stage",
+                           NonFiniteEvaluation)
     assert calls == []
 
 

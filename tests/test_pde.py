@@ -6,7 +6,7 @@ import pytest
 
 from liechart import flows, pde
 from liechart.catalog import GROUP_NAMES, get_group
-from liechart.errors import NotIntegrable
+from liechart.errors import NonFiniteEvaluation, NotIntegrable
 from liechart.group import check_rng
 from liechart.numdiff import DiffConfig, jacobian, rowwise
 from liechart.pde import (
@@ -244,6 +244,34 @@ def test_taylor_solve_outlasts_an_unstable_coarse_pass():
     out = taylor_solve(sys, np.ones(1), np.zeros(1), np.ones(1), CFG, check=False)
     assert calls[0] > 4 * 8
     assert abs(out[0] - math.exp(-40.0)) < 1e-12
+
+
+def _undefined_past(sys, bound):
+    """sys with psi NaN wherever |theta| exceeds bound."""
+    def psi(th, x):
+        return np.nan * sys.psi(th, x) if np.max(np.abs(th)) > bound else sys.psi(th, x)
+
+    return dataclasses.replace(sys, psi=psi)
+
+
+def test_taylor_solve_outlasts_a_coarse_pass_that_breaks_down():
+    # the stiff pass of 8 steps runs past 1e3, where psi is NaN, and breaks
+    # alone: the finer passes keep the bits they have where psi is defined
+    stiff = PDESystem(psi=lambda th, x: np.array([[-40.0 * th[0]]]),
+                      theta_box=np.array([[0.5, 2.0]]), x_box=np.array([[0.0, 1.0]]),
+                      name="stiff")
+    out = taylor_solve(_undefined_past(stiff, 1e3), np.ones(1), np.zeros(1), np.ones(1), CFG,
+                       check=False)
+    assert np.array_equal(out, taylor_solve(stiff, np.ones(1), np.zeros(1), np.ones(1), CFG,
+                                            check=False))
+
+
+def test_taylor_solve_names_a_non_finite_right_hand_side():
+    # theta = e^(x1 + x2) leaves [0, 1.2] before x = (0.3, 0) on every pass
+    sys = _undefined_past(exponential_system(), 1.2)
+    with pytest.raises(NonFiniteEvaluation,
+                       match="^pde right-hand side produced a non-finite value$"):
+        taylor_solve(sys, np.ones(1), np.zeros(2), np.array([0.3, 0.0]), CFG, check=False)
 
 
 def test_taylor_solve_rejects_nonintegrable():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import liechart.reps
-from conftest import check_points
+from conftest import check_points, conjugate_of
 from liechart.catalog import GROUP_NAMES, get_group, get_rep, rep_generator_oracle
 from liechart.group import (
     GroupChart,
@@ -23,7 +23,6 @@ from liechart.group import (
 from liechart.numdiff import DiffConfig, invert, jacobian, rowwise
 from liechart.reps import (
     RepChart,
-    conjugate_rep,
     direct_sum,
     direct_sum_generators,
     integrability_check,
@@ -133,11 +132,9 @@ def test_library_reps_broadcast_with_the_bits_of_each_point(group_name, rep_name
 
     monkeypatch.setattr(liechart.reps, "rowwise", no_lift)
     rep = get_rep(group_name, rep_name)
-    conj = conjugate_rep(rep)
     monkeypatch.undo()
-    assert rep.f.broadcasts is True and conj.f.broadcasts is True
+    assert rep.f.broadcasts is True
     assert_stacks_match_points(rep)
-    assert_stacks_match_points(conj)
 
 
 @pytest.mark.parametrize("group_name,halves", [
@@ -147,11 +144,9 @@ def test_library_reps_broadcast_with_the_bits_of_each_point(group_name, rep_name
 def test_composites_keep_the_values_of_their_point_forms(group_name, halves):
     r1, r2 = (get_rep(group_name, half) for half in halves)
     pts = sample_points(r1.group, CFG, np.random.default_rng(12), 4)
-    for p, t, s, c in zip(pts, tensor_product(r1, r2)(pts), direct_sum(r1, r2)(pts),
-                          conjugate_rep(r1)(pts)):
+    for p, t, s in zip(pts, tensor_product(r1, r2)(pts), direct_sum(r1, r2)(pts)):
         assert np.array_equal(t, np.kron(r1(p), r2(p)))
         assert np.array_equal(s, scipy.linalg.block_diag(r1(p), r2(p)))
-        assert np.array_equal(c, invert(r1(p)))
     g1, g2 = (rep_generator_oracle(group_name, half) for half in halves)
     assert np.array_equal(tensor_generators(g1, g2), np.kron(g1, np.eye(r2.m)[None])
                           + np.kron(np.eye(r1.m)[None], g2))
@@ -165,8 +160,7 @@ def test_composites_of_a_lifted_point_map_match_each_point():
     pts = sample_points(user.group, CFG, np.random.default_rng(13), 4)
     for rep, point_form in (
             (tensor_product(user, matrix), lambda p: np.kron(user(p), matrix(p))),
-            (direct_sum(matrix, user), lambda p: scipy.linalg.block_diag(matrix(p), user(p))),
-            (conjugate_rep(user), lambda p: invert(user(p)))):
+            (direct_sum(matrix, user), lambda p: scipy.linalg.block_diag(matrix(p), user(p)))):
         assert_stacks_match_points(rep)
         assert np.array_equal(rep(pts), np.array([point_form(p) for p in pts]))
 
@@ -218,6 +212,19 @@ def test_rep_pde(group_name, rep_name):
     assert maxabs(rep_pde_residual(rep, rep_generators(rep, CFG), a, CFG)) < 1e-3
 
 
+@pytest.mark.parametrize("residual", [
+    lambda rep, gens, a: rep_homomorphism_residual(rep, a, a),
+    lambda rep, gens, a: rep_inverse_residual(rep, a, CFG),
+    lambda rep, gens, a: rep_pde_residual(rep, gens, a, CFG),
+    lambda rep, gens, a: mixed_identity_residual(rep, gens, a, CFG),
+], ids=["homomorphism", "inverse", "pde", "mixed_identity"])
+def test_rep_residuals_of_no_points_are_empty(residual):
+    rep = get_rep("gl:2", "standard")
+    values = residual(rep, rep_generators(rep, CFG), np.empty((0, rep.group.n)))
+    assert values.shape == (0,)
+    assert maxabs(values) == 0.0
+
+
 @pytest.mark.parametrize("group_name,rep_name", REP_CASES)
 def test_rep_integrability(group_name, rep_name):
     rep = get_rep(group_name, rep_name)
@@ -259,16 +266,16 @@ def test_integrability_requires_left_constants():
 ])
 def test_conjugate_identities(group_name, rep_name):
     rep = get_rep(group_name, rep_name)
-    assert maxabs(rep_generators(rep, CFG) + rep_generators(conjugate_rep(rep), CFG)) < 1e-5
+    assert maxabs(rep_generators(rep, CFG) + rep_generators(conjugate_of(rep), CFG)) < 1e-5
 
 
 def test_conjugate_flips_side():
     # the conjugate reverses every product: a representation of the opposite group
     rep = get_rep("gl:2", "standard")
-    conj = conjugate_rep(rep)
+    conj = get_rep("gl:2", "conjugate")
     assert rep.group is get_group("gl:2")
     assert conj.group is _opposite(rep.group)
-    assert conjugate_rep(conj).group is rep.group
+    assert conjugate_of(conj).group is rep.group
 
 
 def test_tensor_product_generators():
@@ -550,7 +557,7 @@ def transformed_generator_prediction(rep, a, gens):
 
 
 FOLD_CASES = {**REP_MUTANTS,
-              "conjugate(gl:2 bumped)": lambda: conjugate_rep(REP_MUTANTS["gl:2 bumped"]())}
+              "conjugate(gl:2 bumped)": lambda: conjugate_of(REP_MUTANTS["gl:2 bumped"]())}
 
 
 @pytest.mark.parametrize("name", FOLD_CASES)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from liechart import suites
+from liechart import catalog, suites
 from liechart.catalog import GROUP_NAMES
 from liechart.numdiff import DiffConfig
 from liechart.pde import bundled_families
@@ -28,18 +28,43 @@ def test_script_imports_resolve(script):
     assert callable(namespace["main"])
 
 
+def _perfbench_module(monkeypatch, name: str):
+    """perfbench/<name>.py, loaded as it is, for as long as the test runs."""
+    path = SCRIPTS[0].parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_every_perfbench_span_names_a_package_function(monkeypatch):
     # perfbench's tracer rebinds each span by name, so a span whose function
     # is gone stops `perfbench/run.py --trace 1` on every workload
-    path = SCRIPTS[0].parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracing)
-    spec.loader.exec_module(tracing)
+    tracing = _perfbench_module(monkeypatch, "tracing")
     for layer, (module, attr) in tracing.SPANS.items():
         assert callable(getattr(importlib.import_module(module), attr, None)), layer
     for module in tracing.MODULE_SPANS:
         importlib.import_module(f"liechart.{module}")
+
+
+# the benchmark's compose_evals at seed 42, its pass over each workload's
+# units: a change to the work of the timed passes shows here first
+BENCH_EVALS = {"structure_gl3": 27_885, "cli_sweep": 83_992, "custom_newton": 65_704}
+
+
+@pytest.mark.parametrize("name", BENCH_EVALS)
+def test_perfbench_pass_makes_its_evaluations_at_seed_42(name, tmp_path, monkeypatch,
+                                                         law_counter):
+    # counted as perfbench counts: every catalog law and the workload's own
+    # charts, once the workload is built
+    workloads = _perfbench_module(monkeypatch, "workloads")
+    workload = workloads.BUILDERS[name](tmp_path)
+    for chart in [*map(catalog.get_group, GROUP_NAMES), *workload.charts.values()]:
+        monkeypatch.setattr(chart, "compose", law_counter.wrap(chart.compose))
+    done = workloads.run_pass(workload, 42, law_counter)
+    assert done.errors == [] and None not in done.reports
+    assert done.evals == BENCH_EVALS[name]
 
 
 def test_report_digest_shows_a_moved_tolerance_by_id_only(capsys):
